@@ -5,6 +5,8 @@ record-and-replay augmentation family that lets replay candidates be stored
 as a handful of scalars instead of raw samples.
 """
 
+import dataclasses
+
 import numpy as np
 
 from advreplay import data as D
@@ -27,9 +29,8 @@ family = D.AugFamily(input_dim=16)
 rng = np.random.default_rng(7)
 policy = D.sample_policy(rng, family)
 print("\nrecorded policy:")
-for rec in policy.records:
-    print(f"  {rec.kind:<7} apply={rec.apply} params={rec.params}")
-print("scalar budget:", policy.scalar_count(), "(cap is 30)")
+for field in dataclasses.fields(policy):
+    print(f"  {field.name:<12} {getattr(policy, field.name)}")
 
 x = rng.normal(size=16)
 first = D.apply_policy(x, policy)

@@ -100,7 +100,6 @@ class DriftConfig:
     magnitude: float = 6.32
     iterations: int = 9
     candidates: int = 1000
-    unit_norm: bool = False
 
 
 def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
@@ -119,8 +118,7 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
     feats = M.extract(f_old, task_data.x).data
     dists = np.linalg.norm(feats - mu[None, :], axis=1)
     picked = np.argsort(dists, kind="stable")[:take]
-    attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations,
-                                noise=False, unit_norm=cfg.unit_norm)
+    attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations, noise=False)
     targets = np.tile(mu, (take, 1))
     return R.adversarial_attack(f_old, task_data.x.data[picked], targets, attack_cfg)
 
@@ -238,11 +236,13 @@ def decomposed_scalars(d: int, k: int) -> int:
 
 
 def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
-                   val_set: D.LabeledSet, grid=GAMMA_GRID, coupled: bool = True):
+                   val_set: D.LabeledSet, grid=GAMMA_GRID):
     """Grid-search gamma by Mahalanobis accuracy on the validation split.
 
-    Ties break toward the smaller gamma (scan order).  Only data tagged as a
-    validation split is accepted, so test data can never leak in here.
+    Both shrinkage weights take the same grid value, so the result is a
+    ``(gamma, gamma)`` pair.  Ties break toward the smaller gamma (scan
+    order).  Only data tagged as a validation split is accepted, so test data
+    can never leak in here.
     """
     grid = tuple(grid)
     if not grid:
@@ -257,15 +257,13 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
 
     feats = M.extract(extractor, val_set.x).data
     labels = np.asarray(val_set.y)
-    candidates = [(g, g) for g in grid] if coupled else [
-        (g1, g2) for g1 in grid for g2 in grid]
 
     best, best_acc = None, -1.0
-    for g1, g2 in candidates:
-        pred = classify.MahalanobisScorer(store, g1, g2).predict(feats)
+    for g in grid:
+        pred = classify.MahalanobisScorer(store, g, g).predict(feats)
         acc = float(np.mean(pred == labels))
         if acc > best_acc:
-            best, best_acc = (float(g1), float(g2)), acc
+            best, best_acc = (float(g), float(g)), acc
     return best
 
 

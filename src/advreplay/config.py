@@ -57,9 +57,9 @@ DEFAULTS: dict = {
     "attack": {"enabled": True, "alpha": 8.0, "n_attack": 12, "noise": True,
                "unit_norm": False},
     "adc": {"enabled": True, "magnitude": 2.0, "iterations": 4, "candidates": 100,
-            "transfer_lr": 1e-3, "transfer_epochs": 400, "per_class": True},
+            "transfer_lr": 1e-3, "transfer_epochs": 400},
     "covariance": {"mode": "full", "svd_k": 8},
-    "shrinkage": {"grid": list(C.GAMMA_GRID), "coupled": True},
+    "shrinkage": {"grid": list(C.GAMMA_GRID)},
     "augmentation": {
         "enabled": True,
         "crop_prob": 0.5,

@@ -6,9 +6,11 @@ holds half of the classes and the remainder is split evenly over the other
 ``T-1`` tasks.
 
 Augmentation policies are the storage currency of pseudo-replay: each policy
-is a short, fully recorded parameter vector whose replay on the same sample
-is bit-identical.  The default family mirrors crop / flip / jitter / rescale
-semantics in vector space and serializes to 7 scalars per sample.
+is one fixed-layout record of 7 scalars (35 bytes serialized) whose replay on
+the same sample is bit-identical.  The default family mirrors crop / flip /
+jitter / rescale semantics in vector space.  Training replays each stored
+(sample, policy) pair once per task into a bank of augmented current-task
+rows; the bank lives for that task only and is never stored.
 """
 
 from __future__ import annotations
@@ -169,29 +171,23 @@ def make_task_stream(spec: SyntheticSpec, task_count: int, mode: str,
 
 
 @dataclass(frozen=True)
-class TransformRecord:
-    kind: str  # "crop" | "flip" | "jitter" | "scale"
-    apply: bool
-    params: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class AugPolicy:
     """Recorded augmentation; replay on the same sample is bit-identical.
 
-    Canonical scalar layout (7 values): crop apply / offset / width,
-    flip apply, jitter seed / sigma, rescale factor.
+    The fields are exactly the seven scalars of the 35-byte binary record:
+    zero ``crop_width`` coordinates from ``crop_offset`` when ``crop`` is set,
+    reverse the sample when ``flip`` is set, add ``jitter_sigma`` times
+    standard normal noise seeded by ``jitter_seed`` (none unless the sigma is
+    positive), then multiply by ``scale``.  The all-default record is the identity.
     """
 
-    records: tuple[TransformRecord, ...] = ()
-
-    def scalar_count(self) -> int:
-        count = 0
-        for rec in self.records:
-            count += len(rec.params)
-            if rec.kind in ("crop", "flip"):  # jitter/scale flags live in params
-                count += 1
-        return count
+    crop: bool = False
+    crop_offset: int = 0
+    crop_width: int = 0
+    flip: bool = False
+    jitter_seed: int = 0
+    jitter_sigma: float = 0.0
+    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ DEFAULT_FAMILY = AugFamily()
 def sample_policy(rng, family: AugFamily = DEFAULT_FAMILY) -> AugPolicy:
     """Draw a fully recorded policy; a disabled family yields the identity."""
     if not family.enabled:
-        return AugPolicy(())
+        return AugPolicy()
     crop_apply = bool(rng.random() < family.crop_prob)
     width = int(rng.integers(family.crop_width_range[0], family.crop_width_range[1] + 1))
     width = min(width, family.input_dim)
@@ -224,12 +220,7 @@ def sample_policy(rng, family: AugFamily = DEFAULT_FAMILY) -> AugPolicy:
     sigma = float(rng.uniform(*family.jitter_sigma_range)) if jitter_on else 0.0
     seed = int(rng.integers(0, 2**32))
     factor = float(rng.uniform(*family.scale_range))
-    return AugPolicy((
-        TransformRecord("crop", crop_apply, (float(offset), float(width))),
-        TransformRecord("flip", flip_apply),
-        TransformRecord("jitter", sigma > 0.0, (float(seed), sigma)),
-        TransformRecord("scale", True, (factor,)),
-    ))
+    return AugPolicy(crop_apply, offset, width, flip_apply, seed, sigma, factor)
 
 
 def apply_policy(x: np.ndarray | Tensor, policy: AugPolicy) -> np.ndarray:
@@ -239,32 +230,17 @@ def apply_policy(x: np.ndarray | Tensor, policy: AugPolicy) -> np.ndarray:
     out = np.array(x, dtype=np.float64)
     if out.ndim != 1:
         raise DimensionError("apply_policy expects a single 1-D sample")
-    for rec in policy.records:
-        if rec.kind == "crop":
-            if len(rec.params) != 2:
-                raise DecodeError("crop record needs (offset, width)")
-            if rec.apply:
-                off, width = int(rec.params[0]), int(rec.params[1])
-                if off < 0 or width < 0 or off + width > out.shape[0]:
-                    raise DecodeError("crop window out of bounds")
-                out[off: off + width] = 0.0
-        elif rec.kind == "flip":
-            if rec.apply:
-                out = out[::-1].copy()
-        elif rec.kind == "jitter":
-            if len(rec.params) != 2:
-                raise DecodeError("jitter record needs (seed, sigma)")
-            if rec.apply:
-                noise_rng = np.random.default_rng(int(rec.params[0]))
-                out = out + rec.params[1] * noise_rng.standard_normal(out.shape[0])
-        elif rec.kind == "scale":
-            if len(rec.params) != 1:
-                raise DecodeError("scale record needs (factor,)")
-            if rec.apply:
-                out = out * rec.params[0]
-        else:
-            raise DecodeError(f"unknown transform kind {rec.kind!r}")
-    return out
+    if policy.crop:
+        off, width = policy.crop_offset, policy.crop_width
+        if off < 0 or width < 0 or off + width > out.shape[0]:
+            raise DecodeError("crop window out of bounds")
+        out[off: off + width] = 0.0
+    if policy.flip:
+        out = out[::-1]
+    if policy.jitter_sigma > 0.0:
+        noise_rng = np.random.default_rng(policy.jitter_seed)
+        out = out + policy.jitter_sigma * noise_rng.standard_normal(out.shape[0])
+    return out * policy.scale
 
 
 # binary policy record: crop flag u8, offset u32, width u32, flip flag u8,
@@ -274,32 +250,18 @@ POLICY_RECORD_BYTES = _POLICY_STRUCT.size
 
 
 def encode_policy(policy: AugPolicy) -> bytes:
-    if not policy.records:
-        return _POLICY_STRUCT.pack(0, 0, 0, 0, 0, 0, 0.0, 1.0)
-    by_kind = {rec.kind: rec for rec in policy.records}
-    try:
-        crop, flip = by_kind["crop"], by_kind["flip"]
-        jitter, scale = by_kind["jitter"], by_kind["scale"]
-    except KeyError as missing:
-        raise DecodeError(f"policy lacks a {missing} record") from None
     return _POLICY_STRUCT.pack(
-        int(crop.apply), int(crop.params[0]), int(crop.params[1]),
-        int(flip.apply),
-        int(jitter.apply), int(jitter.params[0]), float(jitter.params[1]),
-        float(scale.params[0]),
-    )
+        int(policy.crop), policy.crop_offset, policy.crop_width, int(policy.flip),
+        int(policy.jitter_sigma > 0.0), policy.jitter_seed, policy.jitter_sigma,
+        policy.scale)
 
 
 def decode_policy(payload: bytes) -> AugPolicy:
     if len(payload) != POLICY_RECORD_BYTES:
         raise DecodeError(f"policy record must be {POLICY_RECORD_BYTES} bytes")
     crop_f, off, width, flip_f, jit_f, seed, sigma, factor = _POLICY_STRUCT.unpack(payload)
-    return AugPolicy((
-        TransformRecord("crop", bool(crop_f), (float(off), float(width))),
-        TransformRecord("flip", bool(flip_f)),
-        TransformRecord("jitter", bool(jit_f), (float(seed), float(sigma))),
-        TransformRecord("scale", True, (float(factor),)),
-    ))
+    return AugPolicy(bool(crop_f), off, width, bool(flip_f), seed,
+                     sigma if jit_f else 0.0, factor)
 
 
 # -- ingestion ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 Before a task starts, each old class picks the k new-task samples whose
 augmented features land closest to its prototype; only the sample indices
 and the recorded augmentation policies are stored.  During training those
-candidates are rebuilt on the fly and perturbed toward (noise-augmented)
+candidates are rebuilt once per task and perturbed toward (noise-augmented)
 prototypes with an iterative gradient attack against the frozen extractor.
 """
 
@@ -46,7 +46,9 @@ class AttackConfig:
 @dataclass(frozen=True)
 class CandidateSet:
     """Per old class: sample indices into the task dataset plus recorded
-    policies.  No sample payloads are stored."""
+    policies.  No sample payloads are stored; ``train.run_task`` replays the
+    policies into a bank of augmented current-task rows that lives for one
+    task and is never saved."""
 
     k: int
     indices: dict[int, tuple[int, ...]]

@@ -193,8 +193,7 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
         gamma = None
         if use_maha:
             gamma = stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor,
-                          _merged_val(stream, task_index), grid,
-                          config["shrinkage"]["coupled"])
+                          _merged_val(stream, task_index), grid)
             log.add("calibration", task_index, "", "gamma1", gamma[0])
             log.add("calibration", task_index, "", "gamma2", gamma[1])
         gammas.append(gamma)
@@ -240,7 +239,6 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
 
         if config["adc"]["enabled"]:
             def calibrate_old():
-                shared = None
                 for cid in store.class_ids():
                     drift = C.generate_drift_samples(frozen_ext, stream.train[t],
                                                      store.entries[cid].mu, drift_cfg)
@@ -249,15 +247,8 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
                     # cap the step at the GD stability bound; feature scale is
                     # data-dependent and a fixed lr can silently diverge
                     lr = min(config["adc"]["transfer_lr"], C.stable_transfer_lr(feats_old))
-                    if config["adc"]["per_class"]:
-                        w, delta = C.fit_transfer_matrix(
-                            feats_old, feats_new, lr, config["adc"]["transfer_epochs"])
-                    else:
-                        if shared is None:
-                            shared = C.fit_transfer_matrix(
-                                feats_old, feats_new, lr, config["adc"]["transfer_epochs"])
-                        w, _ = shared
-                        delta = feats_new.mean(axis=0) - feats_old.mean(axis=0)
+                    w, delta = C.fit_transfer_matrix(
+                        feats_old, feats_new, lr, config["adc"]["transfer_epochs"])
                     C.calibrate(store.entries[cid], w, delta, task=t)
             stage("calibration", calibrate_old)
 

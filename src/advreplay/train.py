@@ -208,10 +208,12 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     """One incremental task (t >= 1) over new data plus pseudo-replay.
 
     Each iteration draws a new-task batch and, when candidates exist, a
-    replay batch whose recorded policies are replayed deterministically and
-    whose samples are perturbed toward their class prototypes before the
-    distillation pass.  The frozen model is never touched (checked by
-    checksum at entry and exit).
+    replay batch whose samples are perturbed toward their class prototypes
+    before the distillation pass.  Replay rows come from a bank built once
+    per task by replaying every candidate's recorded policy on its sample;
+    the bank holds augmented current-task rows only and is never stored, so
+    the stored replay state stays sample indices plus policy records.  The
+    frozen model is never touched (checked by checksum at entry and exit).
     """
     if state.task_index < 1 or state.frozen is None:
         raise ContractError("run_task needs a snapshotted model at task >= 1")
@@ -232,7 +234,12 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     y_rel = np.array([rel[c] for c in task_data.y])
     x = task_data.x.data
 
-    sampler = _ReplaySampler(candidates, rng) if candidates is not None else None
+    sampler, bank = None, None
+    if candidates is not None:
+        sampler = _ReplaySampler(candidates, rng)
+        bank = {cid: np.stack([D.apply_policy(x[i], policy) for i, policy in
+                               zip(candidates.indices[cid], candidates.policies[cid])])
+                for cid in candidates.classes()}
     velocity = None
     log = TaskLog(epochs=[])
 
@@ -253,13 +260,10 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
             if loss_cfg.lambda_kd > 0.0:
                 kd_inputs = [x_new.data]
                 if sampler is not None:
-                    resolved = _resolve(candidates, sampler.draw(optim_cfg.batch_replay))
-                    replay_rows = np.stack([
-                        D.apply_policy(x[i], candidates.policies[cid][slot])
-                        for cid, slot, i in resolved
-                    ])
+                    picks = sampler.draw(optim_cfg.batch_replay)
+                    replay_rows = np.stack([bank[cid][slot] for cid, slot in picks])
                     if use_attack and attack_cfg is not None:
-                        targets = np.stack([prototypes[cid] for cid, _, _ in resolved])
+                        targets = np.stack([prototypes[cid] for cid, _ in picks])
                         replay_rows = R.adversarial_attack(
                             frozen_ext, replay_rows, targets, attack_cfg,
                             r=noise_r, rng=rng).data
@@ -286,8 +290,3 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:
         raise ContractError("frozen model mutated during run_task")
     return state, log
-
-
-def _resolve(candidates: R.CandidateSet, picks):
-    """Map (class, slot) picks to (class, slot, sample index)."""
-    return [(cid, slot, candidates.indices[cid][slot]) for cid, slot in picks]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ def family(dim=8, **overrides):
 
 def test_disabled_family_yields_identity_policy():
     policy = D.sample_policy(np.random.default_rng(0), D.AugFamily(enabled=False))
-    assert policy.records == ()
+    assert policy == D.AugPolicy()
     x = np.arange(8.0)
     np.testing.assert_array_equal(D.apply_policy(x, policy), x)
 
@@ -96,12 +98,13 @@ def test_same_rng_state_same_policy():
 
 def test_default_family_records_seven_scalars():
     policy = D.sample_policy(np.random.default_rng(5), family())
-    assert policy.scalar_count() == 7
-    assert policy.scalar_count() <= 30
+    assert [f.name for f in dataclasses.fields(policy)] == [
+        "crop", "crop_offset", "crop_width", "flip", "jitter_seed", "jitter_sigma", "scale"]
+    assert D.POLICY_RECORD_BYTES == len(D.encode_policy(policy)) == 35
 
 
 def test_flip_is_involution():
-    flip_only = D.AugPolicy((D.TransformRecord("flip", True),))
+    flip_only = D.AugPolicy(flip=True)
     x = np.random.default_rng(2).normal(size=8)
     np.testing.assert_array_equal(D.apply_policy(D.apply_policy(x, flip_only), flip_only), x)
 
@@ -122,17 +125,18 @@ def test_policy_codec_roundtrip():
     for _ in range(50):
         policy = D.sample_policy(rng, family())
         decoded = D.decode_policy(D.encode_policy(policy))
+        assert decoded == policy
         x = rng.normal(size=8)
         assert np.array_equal(D.apply_policy(x, policy), D.apply_policy(x, decoded))
 
 
 def test_malformed_policy_record_rejected():
     with pytest.raises(DecodeError):
-        D.apply_policy(np.zeros(8), D.AugPolicy((D.TransformRecord("crop", True, (1.0,)),)))
-    with pytest.raises(DecodeError):
-        D.apply_policy(np.zeros(8), D.AugPolicy((D.TransformRecord("blur", True, ()),)))
-    with pytest.raises(DecodeError):
         D.decode_policy(b"\x00" * 3)
+    # offset 6 + width 3 runs past an 8-wide sample
+    decoded = D.decode_policy(D.encode_policy(D.AugPolicy(crop=True, crop_offset=6, crop_width=3)))
+    with pytest.raises(DecodeError, match="crop window"):
+        D.apply_policy(np.zeros(8), decoded)
 
 
 # -- ingestion -------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_zero_distance_sample_ranked_first():
                                         rng=np.random.default_rng(0),
                                         family=IDENTITY_FAMILY)
     assert idx == (1,)
-    assert policies[0].records == ()
+    assert policies[0] == D.AugPolicy()
 
 
 def test_selection_equals_bruteforce_sort_oracle():

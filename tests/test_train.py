@@ -198,7 +198,7 @@ def test_run_task_requires_snapshot_and_candidates():
                     TR.OptimConfig(epochs=1), None, rng)
     state = M.begin_task(state, stream.class_groups[1], rng)
     partial = R.CandidateSet(1, {state.head.old_ids[0]: (0,)},
-                             {state.head.old_ids[0]: (D.AugPolicy(()),)})
+                             {state.head.old_ids[0]: (D.AugPolicy(),)})
     with pytest.raises(ContractError, match="missing"):
         TR.run_task(state, stream.train[1], partial, {}, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
