@@ -49,8 +49,7 @@ class StoreEntry:
         if self.cov is not None:
             return self.cov
         if self._cov_cache is None:
-            u, s, v = self.svd
-            self._cov_cache = u @ s @ v
+            self._cov_cache = recompose(*self.svd)
         return self._cov_cache
 
 
@@ -100,6 +99,10 @@ class DriftConfig:
     magnitude: float = 6.32
     iterations: int = 9
     candidates: int = 1000
+
+    def __post_init__(self):
+        if self.candidates < 1:
+            raise ConfigError("adc.candidates must be >= 1")
 
 
 def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,

@@ -50,12 +50,10 @@ DEFAULTS: dict = {
         "epochs_incremental": 50,
         "batch_new": 32,
         "batch_replay": 64,
-        "momentum": 0.0,
     },
     "loss": {"lambda_kd": 10.0, "kd_temperature": 2.0, "ce_temperature": 1.0},
     "replay": {"enabled": True, "k": 64, "cap": None},
-    "attack": {"enabled": True, "alpha": 8.0, "n_attack": 12, "noise": True,
-               "unit_norm": False},
+    "attack": {"enabled": True, "alpha": 8.0, "n_attack": 12, "noise": True},
     "adc": {"enabled": True, "magnitude": 2.0, "iterations": 4, "candidates": 100,
             "transfer_lr": 1e-3, "transfer_epochs": 400},
     "covariance": {"mode": "full", "svd_k": 8},
@@ -140,6 +138,12 @@ def validate_config(config: dict) -> None:
     for name in config["classifiers"]:
         if name not in ("linear", "ncm", "mahalanobis"):
             raise ConfigError(f"unknown classifier {name!r}")
+    if config["model"]["feature_dim"] < 1:
+        raise ConfigError("model.feature_dim must be >= 1")
+    if config["replay"]["k"] < 1:
+        raise ConfigError("replay.k must be >= 1")
+    if not config["adc"]["transfer_lr"] > 0:
+        raise ConfigError("adc.transfer_lr must be positive")
     if config["covariance"]["mode"] not in ("full", "svd"):
         raise ConfigError("covariance.mode must be 'full' or 'svd'")
     if config["covariance"]["mode"] == "svd":
@@ -154,6 +158,7 @@ def validate_config(config: dict) -> None:
     if config["attack"]["enabled"]:
         build_attack_config(config)
     build_drift_config(config)
+    build_family(config)
 
 
 def build_loss_config(config: dict) -> TR.LossConfig:
@@ -169,13 +174,12 @@ def build_optim_config(config: dict, initial: bool) -> TR.OptimConfig:
         epochs=opt["epochs_initial"] if initial else opt["epochs_incremental"],
         batch_new=opt["batch_new"],
         batch_replay=opt["batch_replay"],
-        momentum=opt["momentum"],
     )
 
 
 def build_attack_config(config: dict) -> R.AttackConfig:
     atk = config["attack"]
-    return R.AttackConfig(atk["alpha"], atk["n_attack"], atk["noise"], atk["unit_norm"])
+    return R.AttackConfig(atk["alpha"], atk["n_attack"], atk["noise"])
 
 
 def build_drift_config(config: dict) -> C.DriftConfig:

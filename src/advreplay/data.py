@@ -71,12 +71,6 @@ class TaskStream:
     def task_count(self) -> int:
         return len(self.class_groups)
 
-    def seen_classes(self, upto_task: int) -> tuple[int, ...]:
-        seen: list[int] = []
-        for group in self.class_groups[: upto_task + 1]:
-            seen.extend(group)
-        return tuple(sorted(seen))
-
 
 def group_sizes(total_classes: int, task_count: int, mode: str) -> list[int]:
     """Class-count layout per task for a start mode."""
@@ -202,6 +196,21 @@ class AugFamily:
     jitter_sigma_range: tuple[float, float] = (0.01, 0.15)
     scale_range: tuple[float, float] = (0.9, 1.1)
     input_dim: int = 16
+
+    def __post_init__(self):
+        # messages name the ``augmentation.*`` config keys the ranges come from
+        for name in ("crop_prob", "flip_prob", "jitter_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"augmentation.{name} must lie in [0, 1]")
+        for name, (lo, hi), positive in (("crop_width", self.crop_width_range, False),
+                                         ("jitter_sigma", self.jitter_sigma_range, False),
+                                         ("scale", self.scale_range, True)):
+            if not (lo > 0 if positive else lo >= 0):
+                raise ConfigError(f"augmentation.{name}_min must be "
+                                  f"{'> 0' if positive else '>= 0'}, got {lo}")
+            if not lo <= hi:
+                raise ConfigError(f"augmentation.{name}_min={lo} exceeds "
+                                  f"augmentation.{name}_max={hi}")
 
 
 DEFAULT_FAMILY = AugFamily()

@@ -25,16 +25,13 @@ _GRAD_EPS = 1e-12
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Step magnitude and iteration count for the perturbation loop.
-
-    ``unit_norm`` switches the step denominator from the squared gradient
-    norm to the plain norm; both variants are exposed for sensitivity runs.
-    """
+    """Step magnitude, iteration count and target noise for the perturbation
+    loop; every step is ``alpha * grad / ||grad||^2`` (see
+    ``adversarial_attack``)."""
 
     alpha: float
     n_attack: int
     noise: bool = True
-    unit_norm: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -211,10 +208,9 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
         _, grads = T.value_and_grad(loss, [leaf])
         g = grads[leaf].data
         norms = np.linalg.norm(g, axis=1)
-        denom = norms if cfg.unit_norm else norms**2
         active = norms >= _GRAD_EPS
         step = np.zeros_like(g)
-        step[active] = cfg.alpha * g[active] / denom[active, None]
+        step[active] = cfg.alpha * g[active] / norms[active, None] ** 2
         current = current - step
     return Tensor(current)
 

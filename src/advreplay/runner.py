@@ -227,12 +227,11 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
             noise_r = R.noise_magnitude(store.covariances(), d)
             log.add("attack", t, "", "noise_r", noise_r)
 
-        state, task_log = stage("task-training", TR.run_task, state, stream.train[t],
-                                candidates, store.prototypes(), noise_r, loss_cfg,
-                                CFG.build_optim_config(config, initial=False),
-                                attack_cfg, _rng(seed, _STREAM_TRAIN, t),
-                                use_attack=config["attack"]["enabled"])
-        for row in task_log.epochs:
+        state, epochs = stage("task-training", TR.run_task, state, stream.train[t],
+                              candidates, store.prototypes(), noise_r, loss_cfg,
+                              CFG.build_optim_config(config, initial=False),
+                              attack_cfg, _rng(seed, _STREAM_TRAIN, t))
+        for row in epochs:
             log.add("train", t, row["epoch"], "ce_loss", row["ce_loss"])
             log.add("train", t, row["epoch"], "kd_loss", row["kd_loss"])
             log.add("train", t, row["epoch"], "lr", row["lr"])

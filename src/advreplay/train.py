@@ -37,14 +37,13 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """SGD with cosine-decayed learning rate; momentum defaults to zero."""
+    """Plain SGD with weight decay and a cosine-decayed learning rate."""
 
     lr: float = 0.01
     weight_decay: float = 2e-4
     epochs: int = 20
     batch_new: int = 32
     batch_replay: int = 32
-    momentum: float = 0.0
 
     def __post_init__(self):
         if self.lr < 0 or self.epochs < 1 or self.batch_new < 1 or self.batch_replay < 1:
@@ -116,20 +115,13 @@ def compute_class_stats(extractor: M.ExtractorParams, dataset: D.LabeledSet,
 # -- SGD ---------------------------------------------------------------------------
 
 
-def sgd_step(state: M.ModelState, loss: Tensor, lr: float, weight_decay: float,
-             velocity: dict | None, momentum: float) -> tuple[M.ModelState, dict]:
+def sgd_step(state: M.ModelState, loss: Tensor, lr: float,
+             weight_decay: float) -> M.ModelState:
     params = M.trainable_params(state)
     _, grads = T.value_and_grad(loss, params)
-    mapping = {}
-    new_velocity = {}
-    for i, p in enumerate(params):
-        g = grads[p].data + weight_decay * p.data
-        if momentum > 0.0:
-            v = momentum * velocity[i] + g if velocity is not None else g
-            new_velocity[i] = v
-            g = v
-        mapping[p] = Tensor(p.data - lr * g)
-    return M.replace_params(state, mapping), new_velocity
+    mapping = {p: Tensor(p.data - lr * (grads[p].data + weight_decay * p.data))
+               for p in params}
+    return M.replace_params(state, mapping)
 
 
 def _batch_iter(n: int, batch_size: int, rng):
@@ -147,15 +139,13 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     rel = {cid: i for i, cid in enumerate(class_ids)}
     y_rel = np.array([rel[c] for c in dataset.y])
     x = dataset.x.data
-    velocity = None
     for epoch in range(optim_cfg.epochs):
         lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
         for batch in _batch_iter(len(dataset), optim_cfg.batch_new, rng):
             feats = M.extract(state.extractor, Tensor(x[batch]))
             out = M.logits(state.head, feats, "new_only")
             loss = local_ce_loss(out, y_rel[batch], loss_cfg.ce_temperature)
-            state, velocity = sgd_step(state, loss, lr, optim_cfg.weight_decay,
-                                       velocity, optim_cfg.momentum)
+            state = sgd_step(state, loss, lr, optim_cfg.weight_decay)
     return state
 
 
@@ -191,29 +181,25 @@ class _ReplaySampler:
         return picks
 
 
-@dataclass
-class TaskLog:
-    """Per-epoch training trace for the run CSV."""
-
-    epochs: list[dict]
-
-
 def run_task(state: M.ModelState, task_data: D.LabeledSet,
              candidates: R.CandidateSet | None,
              prototypes: dict[int, np.ndarray] | None,
              noise_r: float,
              loss_cfg: LossConfig, optim_cfg: OptimConfig,
-             attack_cfg: R.AttackConfig | None, rng,
-             use_attack: bool = True) -> tuple[M.ModelState, TaskLog]:
+             attack_cfg: R.AttackConfig | None,
+             rng) -> tuple[M.ModelState, list[dict]]:
     """One incremental task (t >= 1) over new data plus pseudo-replay.
 
     Each iteration draws a new-task batch and, when candidates exist, a
-    replay batch whose samples are perturbed toward their class prototypes
-    before the distillation pass.  Replay rows come from a bank built once
+    replay batch for the distillation pass; with an ``attack_cfg`` its rows
+    are first perturbed toward their class prototypes, and without one they
+    are replayed unperturbed.  Replay rows come from a bank built once
     per task by replaying every candidate's recorded policy on its sample;
     the bank holds augmented current-task rows only and is never stored, so
     the stored replay state stays sample indices plus policy records.  The
     frozen model is never touched (checked by checksum at entry and exit).
+    Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
+    per epoch for the run CSV.
     """
     if state.task_index < 1 or state.frozen is None:
         raise ContractError("run_task needs a snapshotted model at task >= 1")
@@ -240,8 +226,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         bank = {cid: np.stack([D.apply_policy(x[i], policy) for i, policy in
                                zip(candidates.indices[cid], candidates.policies[cid])])
                 for cid in candidates.classes()}
-    velocity = None
-    log = TaskLog(epochs=[])
+    epochs = []
 
     for epoch in range(optim_cfg.epochs):
         lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
@@ -262,7 +247,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                 if sampler is not None:
                     picks = sampler.draw(optim_cfg.batch_replay)
                     replay_rows = np.stack([bank[cid][slot] for cid, slot in picks])
-                    if use_attack and attack_cfg is not None:
+                    if attack_cfg is not None:
                         targets = np.stack([prototypes[cid] for cid, _ in picks])
                         replay_rows = R.adversarial_attack(
                             frozen_ext, replay_rows, targets, attack_cfg,
@@ -276,17 +261,16 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                 loss = T.add(ce, T.mul(kd, loss_cfg.lambda_kd))
                 kd_value = float(kd.data)
 
-            state, velocity = sgd_step(state, loss, lr, optim_cfg.weight_decay,
-                                       velocity, optim_cfg.momentum)
+            state = sgd_step(state, loss, lr, optim_cfg.weight_decay)
             ce_sum += float(ce.data)
             kd_sum += kd_value
             steps += 1
 
-        log.epochs.append({
+        epochs.append({
             "epoch": epoch, "lr": lr,
             "ce_loss": ce_sum / steps, "kd_loss": kd_sum / steps,
         })
 
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:
         raise ContractError("frozen model mutated during run_task")
-    return state, log
+    return state, epochs

@@ -1,6 +1,7 @@
 """Config handling, benchmark orchestration, storage accounting, CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,9 +41,32 @@ def test_defaults_load_and_validate():
     assert len(cfg["shrinkage"]["grid"]) == 17
 
 
-def test_unknown_key_rejected():
+@pytest.mark.parametrize("override", [
+    "attack.strenght=3", "optim.momentum=0.9", "attack.unit_norm=true"])
+def test_unknown_key_rejected(override):
     with pytest.raises(ConfigError, match="unknown config key"):
-        CFG.apply_override(CFG.load_config(), "attack.strenght=3")
+        CFG.apply_override(CFG.load_config(), override)
+
+
+BAD_OVERRIDES = [
+    "augmentation.crop_width_min=5", "augmentation.crop_width_min=-1",
+    "augmentation.jitter_sigma_min=-0.5", "augmentation.scale_min=-3",
+    "augmentation.scale_min=0", "augmentation.scale_max=0.5",
+    "augmentation.crop_prob=1.5", "augmentation.flip_prob=-0.1",
+    "augmentation.jitter_prob=2",
+    "replay.k=0", "adc.candidates=0", "model.feature_dim=0", "adc.transfer_lr=-1",
+]
+
+
+@pytest.mark.parametrize("override", BAD_OVERRIDES)
+def test_bad_value_rejected_naming_key(override):
+    key = override.split("=")[0]
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        CFG.load_config(overrides=[override])
+
+
+def test_reference_config_equals_defaults():
+    assert CFG.load_config("configs/reference_cold20.json") == CFG.load_config()
 
 
 def test_override_parses_json_values():
@@ -124,20 +148,24 @@ def test_warm_mode_runs(tmp_path):
     assert [len(g) for g in runner.stream_from_config(cfg).class_groups] == [3, 1, 1, 1]
 
 
-def test_csv_ingestion_roundtrip_run(tmp_path):
-    # export a synthetic stream to CSV, then run from the files
+def csv_config(tmp_path, *extra):
+    """Tiny config over a synthetic stream exported to CSV files."""
     spec = D.SyntheticSpec(n_classes=4, input_dim=6, radius=7.0, cluster_std=1.0,
                            n_train=20, n_val=1, n_test=8)
     stream = D.make_task_stream(spec, 1, "cold", 3, 3)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
     D.save_csv(stream.train[0], train_path)
     D.save_csv(stream.test[0], test_path)
-    cfg = tiny_config(
+    return tiny_config(
         tmp_path, 'dataset.kind="csv"',
         f'dataset.train_path="{train_path}"', f'dataset.test_path="{test_path}"',
-        "dataset.n_classes=4", "tasks.count=2", "replay.k=4", "adc.candidates=10",
+        "dataset.n_classes=4", "tasks.count=2", "replay.k=4", "adc.candidates=10", *extra,
     )
-    result = runner.run_benchmark(cfg)
+
+
+def test_csv_ingestion_roundtrip_run(tmp_path):
+    result = runner.run_benchmark(csv_config(tmp_path))
     assert len(result.accuracy["ncm"].accuracy) == 2
 
 
@@ -145,6 +173,39 @@ def test_svd_covariance_mode(tmp_path):
     cfg = tiny_config(tmp_path, 'covariance.mode="svd"', "covariance.svd_k=4")
     result = runner.run_benchmark(cfg)
     assert 0.0 <= result.summary["mahalanobis"]["A_last"] <= 1.0
+
+
+class ReadRecorder(dict):
+    """Config tree that records the dotted path of every key read from it."""
+
+    def __init__(self, tree, seen, prefix=""):
+        super().__init__({key: ReadRecorder(value, seen, f"{prefix}{key}.")
+                          if isinstance(value, dict) else value
+                          for key, value in tree.items()})
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        self.seen.add(self.prefix + key)
+        return super().__getitem__(key)
+
+
+def leaf_keys(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_default_key_is_read(tmp_path):
+    # a synthetic run with full covariances plus a CSV run with SVD
+    # covariances must read every option; an unread one is a dead knob
+    seen = set()
+    for cfg in (tiny_config(tmp_path / "synthetic"),
+                csv_config(tmp_path / "csv", 'covariance.mode="svd"', "covariance.svd_k=4")):
+        runner.run_benchmark(ReadRecorder(cfg, seen), out_dir=None)
+    unread = sorted(set(leaf_keys(CFG.DEFAULTS)) - seen)
+    assert not unread, f"config keys no run reads: {unread}"
 
 
 # -- storage accounting ---------------------------------------------------------
@@ -224,6 +285,9 @@ def test_cli_decompose(tmp_path, capsys):
 def test_cli_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--set", "tasks.count=7", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["run", "--set", "augmentation.crop_width_min=5",
+                     "--out", str(tmp_path)]) == 1
+    assert "error: augmentation.crop_width_min" in capsys.readouterr().err
 
 
 def test_cli_env_output_root(tmp_path, monkeypatch, capsys):
