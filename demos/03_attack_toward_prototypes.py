@@ -13,7 +13,6 @@ from advreplay import model as M
 from advreplay import replay as R
 from advreplay import runner
 from advreplay import train as TR
-from advreplay.tensor import Tensor
 
 cfg = CFG.load_config()
 stream = runner.stream_from_config(cfg)
@@ -38,8 +37,8 @@ attack = R.AttackConfig(alpha=cfg["attack"]["alpha"], n_attack=cfg["attack"]["n_
                         noise=False)
 perturbed = R.adversarial_attack(state.extractor, rows, np.tile(mu, (64, 1)), attack)
 
-pre = np.linalg.norm(M.extract(state.extractor, Tensor(rows)).data - mu, axis=1)
-post = np.linalg.norm(M.extract(state.extractor, perturbed).data - mu, axis=1)
+pre = np.linalg.norm(M.features(state.extractor, rows) - mu, axis=1)
+post = np.linalg.norm(M.features(state.extractor, perturbed) - mu, axis=1)
 
 print(f"\ndistances to prototype of class {target_class} (64 candidates)")
 print(f"{'':>10} {'median':>8} {'mean':>8} {'max':>8}")

@@ -101,6 +101,10 @@ class DriftConfig:
     candidates: int = 1000
 
     def __post_init__(self):
+        if not self.magnitude > 0:
+            raise ConfigError("adc.magnitude must be positive")
+        if self.iterations < 1:
+            raise ConfigError("adc.iterations must be >= 1")
         if self.candidates < 1:
             raise ConfigError("adc.candidates must be >= 1")
 
@@ -118,7 +122,7 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
     if take > n:
         warnings.warn(f"drift sampling wants {take} candidates, task has {n}; using all")
         take = n
-    feats = M.extract(f_old, task_data.x).data
+    feats = M.features(f_old, task_data.x)
     dists = np.linalg.norm(feats - mu[None, :], axis=1)
     picked = np.argsort(dists, kind="stable")[:take]
     attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations, noise=False)
@@ -258,7 +262,7 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
 
     from . import classify  # local import: classify depends on this module
 
-    feats = M.extract(extractor, val_set.x).data
+    feats = M.features(extractor, val_set.x)
     labels = np.asarray(val_set.y)
 
     best, best_acc = None, -1.0

@@ -14,7 +14,7 @@ from .tensor import Tensor
 
 def predict_linear(state: M.ModelState, x: Tensor) -> np.ndarray:
     """Argmax over all-class logits; ties resolve to the smallest class id."""
-    out = M.logits(state.head, M.extract(state.extractor, x), "all").data
+    out = M.logits(state.head, M.features(state.extractor, x), "all").data
     ids = np.asarray(state.head.class_ids)
     return ids[out.argmax(axis=1)]
 
@@ -24,7 +24,7 @@ def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
     ids = store.class_ids()
     if not ids:
         raise ContractError("prototype store is empty")
-    feats = M.extract(extractor, x).data
+    feats = M.features(extractor, x)
     centers = np.stack([store.entries[c].mu for c in ids])
     dists = np.linalg.norm(feats[:, None, :] - centers[None, :, :], axis=2)
     return np.asarray(ids)[dists.argmin(axis=1)]
@@ -64,7 +64,7 @@ class MahalanobisScorer:
 
 def predict_mahalanobis(extractor: M.ExtractorParams, store: C.PrototypeStore,
                         x: Tensor, gamma1: float, gamma2: float) -> np.ndarray:
-    feats = M.extract(extractor, x).data
+    feats = M.features(extractor, x)
     return MahalanobisScorer(store, gamma1, gamma2).predict(feats)
 
 

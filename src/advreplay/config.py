@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 from . import calib as C
@@ -123,8 +124,46 @@ def load_config(path=None, overrides=()) -> dict:
     return config
 
 
+# options whose default is null but which take an integer when set
+_NULLABLE_INTS = frozenset({"replay.cap"})
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(config: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
+    """Reject a value whose type differs from its default's: a bool option
+    takes a bool, an integer option an integer, a float option any finite
+    number.
+
+    The walk iterates ``items()``: checking a value's type is not a use of
+    the option, so it does not count as a read.
+    """
+    for key, value in config.items():
+        where = f"{path}{key}"
+        default = defaults.get(key)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be a section, got {value!r}")
+            _check_types(value, default, f"{where}.")
+        elif where in _NULLABLE_INTS:
+            if value is not None and not _is_int(value):
+                raise ConfigError(f"{where} must be an integer or null, got {value!r}")
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where} must be true or false, got {value!r}")
+        elif isinstance(default, int):
+            if not _is_int(value):
+                raise ConfigError(f"{where} must be an integer, got {value!r}")
+        elif isinstance(default, float):
+            if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+                raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def validate_config(config: dict) -> None:
-    """Check ranges and referenced files before any compute."""
+    """Check types, ranges and referenced files before any compute."""
+    _check_types(config)
     ds = config["dataset"]
     if ds["kind"] not in ("synthetic", "csv", "binary"):
         raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
@@ -144,6 +183,8 @@ def validate_config(config: dict) -> None:
         raise ConfigError("replay.k must be >= 1")
     if not config["adc"]["transfer_lr"] > 0:
         raise ConfigError("adc.transfer_lr must be positive")
+    if config["adc"]["transfer_epochs"] < 1:
+        raise ConfigError("adc.transfer_epochs must be >= 1")
     if config["covariance"]["mode"] not in ("full", "svd"):
         raise ConfigError("covariance.mode must be 'full' or 'svd'")
     if config["covariance"]["mode"] == "svd":

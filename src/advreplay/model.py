@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericError
 from .tensor import Tensor
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
@@ -99,7 +99,12 @@ def _apply_activation(h: Tensor, act: str) -> Tensor:
 
 
 def extract(params: ExtractorParams, x: Tensor) -> Tensor:
-    """Run the extractor on a (batch, input_dim) tensor, on the tape."""
+    """Run the extractor on a (batch, input_dim) tensor, on the tape.
+
+    This is the taped path: SGD on the trainable parameters and gradient
+    checks use it.  Callers that only need features, or the gradient with
+    respect to the input, use ``features`` / ``feature_vjp``.
+    """
     x = T.as_tensor(x)
     if x.data.ndim != 2 or x.shape[1] != params.widths[0]:
         raise DimensionError(
@@ -108,6 +113,59 @@ def extract(params: ExtractorParams, x: Tensor) -> Tensor:
     for w, b, act in zip(params.weights, params.biases, params.activations):
         h = _apply_activation(T.add(T.matmul(h, w), b), act)
     return h
+
+
+def feature_vjp(params: ExtractorParams, x):
+    """Plain-numpy extractor pass: features plus an input-gradient VJP.
+
+    Returns ``(feats, vjp)`` where ``vjp(g)`` maps a (batch, feature_dim)
+    cotangent to the (batch, input_dim) input gradient.  No tape is built;
+    every op is the one ``extract`` and its backward pass perform, in the
+    same order, so results are bit-identical.  The tape's checks are kept:
+    a bad input shape raises ``DimensionError``, and a non-finite input,
+    pre-activation or input gradient raises ``NumericError``.
+    """
+    h = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.widths[0]:
+        raise DimensionError(
+            f"features: expected (batch, {params.widths[0]}) input, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite values in extractor input")
+    saved = []  # per layer: relu mask, tanh output, or None for identity
+    for i, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
+        z = h @ w.data + b.data
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite pre-activation in extractor layer {i}")
+        if act == "relu":
+            mask = z > 0.0
+            h = np.where(mask, z, 0.0)
+            saved.append(mask)
+        elif act == "tanh":
+            h = np.tanh(z)
+            saved.append(h)
+        else:
+            h = z
+            saved.append(None)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        for w, act, kept in zip(reversed(params.weights), reversed(params.activations),
+                                reversed(saved)):
+            if act == "relu":
+                g = g * kept
+            elif act == "tanh":
+                g = g * (1.0 - kept * kept)
+            g = g @ w.data.T
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite input gradient")
+        return g
+
+    return h, vjp
+
+
+def features(params: ExtractorParams, x) -> np.ndarray:
+    """Plain-numpy extractor forward for callers that never backpropagate
+    (evaluation, class statistics, candidate and drift features)."""
+    return feature_vjp(params, x)[0]
 
 
 def init_head(new_ids, feature_dim: int, rng, mode: str = "cosine",

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import data as D
 from . import model as M
-from . import tensor as T
-from .errors import ConfigError, ContractError, DecodeError
+from .errors import ConfigError, ContractError, DecodeError, DimensionError, NumericError
 from .tensor import Tensor
 
 _GRAD_EPS = 1e-12
@@ -63,7 +62,7 @@ class CandidateSet:
 def _augmented_features(f_old: M.ExtractorParams, dataset: D.LabeledSet,
                         policies) -> np.ndarray:
     rows = [D.apply_policy(x, p) for x, p in zip(dataset.x.data, policies)]
-    return M.extract(f_old, Tensor(np.stack(rows))).data
+    return M.features(f_old, np.stack(rows))
 
 
 def candidate_distances(f_old: M.ExtractorParams, dataset: D.LabeledSet,
@@ -189,11 +188,16 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     norm over the input coordinates).  Samples whose gradient norm falls
     under 1e-12 pass through an iteration unperturbed.  No clipping and no
     similarity constraint is applied; the result is a fresh leaf tensor.
+    The input gradient comes from ``model.feature_vjp``, so no tape is
+    built; non-finite targets, distances or gradients raise ``NumericError``.
     """
     x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
         raise ContractError("attack expects matched (batch, input_dim) and (batch, d)")
+    if targets.shape[1] != f_old.feature_dim:
+        raise DimensionError(
+            f"attack: targets have width {targets.shape[1]}, features {f_old.feature_dim}")
     if cfg.noise and r > 0.0 and rng is None:
         raise ContractError("noise-augmented targets need an rng")
 
@@ -202,11 +206,13 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
         tgt = targets
         if cfg.noise and r > 0.0:
             tgt = targets + r * rng.standard_normal(targets.shape)
-        leaf = Tensor(current)
-        diff = T.sub(M.extract(f_old, leaf), Tensor(tgt))
-        loss = T.tsum(T.mul(diff, diff))
-        _, grads = T.value_and_grad(loss, [leaf])
-        g = grads[leaf].data
+        if not np.isfinite(tgt).all():
+            raise NumericError("non-finite attack targets")
+        feats, vjp = M.feature_vjp(f_old, current)
+        diff = feats - tgt
+        if not np.isfinite((diff * diff).sum()):
+            raise NumericError("non-finite squared distance in attack")
+        g = vjp(diff + diff)
         norms = np.linalg.norm(g, axis=1)
         active = norms >= _GRAD_EPS
         step = np.zeros_like(g)

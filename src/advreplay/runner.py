@@ -241,8 +241,8 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
                 for cid in store.class_ids():
                     drift = C.generate_drift_samples(frozen_ext, stream.train[t],
                                                      store.entries[cid].mu, drift_cfg)
-                    feats_old = M.extract(frozen_ext, drift).data
-                    feats_new = M.extract(state.extractor, drift).data
+                    feats_old = M.features(frozen_ext, drift)
+                    feats_new = M.features(state.extractor, drift)
                     # cap the step at the GD stability bound; feature scale is
                     # data-dependent and a fixed lr can silently diverge
                     lr = min(config["adc"]["transfer_lr"], C.stable_transfer_lr(feats_old))

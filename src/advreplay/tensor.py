@@ -36,7 +36,7 @@ class Tensor:
 
     def __init__(self, data: ArrayLike):
         arr = np.array(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("non-finite values in tensor constructor")
         arr.flags.writeable = False
         self.data = arr
@@ -47,7 +47,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data: np.ndarray, op: str, parents: tuple["Tensor", ...],
                  vjps: tuple[Callable[[np.ndarray], np.ndarray], ...]) -> "Tensor":
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NumericError(f"non-finite result in op '{op}'")
         out = cls.__new__(cls)
         arr = np.asarray(data, dtype=np.float64)

@@ -98,7 +98,7 @@ def compute_class_stats(extractor: M.ExtractorParams, dataset: D.LabeledSet,
                         classes=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Feature mean and unbiased covariance per class."""
     classes = dataset.classes() if classes is None else tuple(classes)
-    feats = M.extract(extractor, dataset.x).data
+    feats = M.features(extractor, dataset.x)
     labels = np.asarray(dataset.y)
     stats = {}
     for cid in classes:
@@ -256,7 +256,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                 x_kd = Tensor(np.concatenate(kd_inputs))
                 cur_old = M.logits(state.head, M.extract(state.extractor, x_kd), "old_only")
                 # the whole frozen head is the old-class block at task t
-                prev_old = M.logits(frozen_head, M.extract(frozen_ext, x_kd), "all")
+                prev_old = M.logits(frozen_head, M.features(frozen_ext, x_kd), "all")
                 kd = local_kd_loss(cur_old, Tensor(prev_old.data), loss_cfg.kd_temperature)
                 loss = T.add(ce, T.mul(kd, loss_cfg.lambda_kd))
                 kd_value = float(kd.data)

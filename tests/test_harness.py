@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def test_unknown_key_rejected(override):
         CFG.apply_override(CFG.load_config(), override)
 
 
+# values that escaped as raw errors, or were accepted and failed or
+# misbehaved later; `advreplay run` must reject each naming its key
+EARLY_REJECTED = [
+    "replay.k=abc", "attack.alpha=abc", "adc.magnitude=0", "adc.iterations=0",
+    "adc.transfer_epochs=-5",
+]
+
 BAD_OVERRIDES = [
     "augmentation.crop_width_min=5", "augmentation.crop_width_min=-1",
     "augmentation.jitter_sigma_min=-0.5", "augmentation.scale_min=-3",
@@ -55,6 +63,9 @@ BAD_OVERRIDES = [
     "augmentation.crop_prob=1.5", "augmentation.flip_prob=-0.1",
     "augmentation.jitter_prob=2",
     "replay.k=0", "adc.candidates=0", "model.feature_dim=0", "adc.transfer_lr=-1",
+    *EARLY_REJECTED,
+    "replay.cap=abc", "replay.k=2.5", "attack.noise=1", 'attack.enabled="false"',
+    "model=3", "attack.alpha=NaN", "loss.lambda_kd=Infinity",
 ]
 
 
@@ -63,6 +74,19 @@ def test_bad_value_rejected_naming_key(override):
     key = override.split("=")[0]
     with pytest.raises(ConfigError, match=re.escape(key)):
         CFG.load_config(overrides=[override])
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_configs_load(name):
+    CFG.load_config(CONFIG_DIR / name)
+
+
+def test_nullable_and_integer_valued_numbers_accepted():
+    cfg = CFG.load_config(overrides=["replay.cap=3", "replay.cap=null", "attack.alpha=2"])
+    assert cfg["replay"]["cap"] is None and cfg["attack"]["alpha"] == 2
 
 
 def test_reference_config_equals_defaults():
@@ -288,6 +312,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--set", "augmentation.crop_width_min=5",
                      "--out", str(tmp_path)]) == 1
     assert "error: augmentation.crop_width_min" in capsys.readouterr().err
+    for override in EARLY_REJECTED:
+        assert cli.main(["run", "--set", override, "--out", str(tmp_path)]) == 1
+        assert f"error: {override.split('=')[0]}" in capsys.readouterr().err
 
 
 def test_cli_env_output_root(tmp_path, monkeypatch, capsys):
