@@ -31,31 +31,38 @@ def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
 
 
 class MahalanobisScorer:
-    """Shrunk-and-normalized Mahalanobis distances with per-class Cholesky
-    factors cached for the whole evaluation pass."""
+    """Shrunk-and-normalized Mahalanobis distances through per-class
+    whitening maps cached for the whole evaluation pass.
+
+    With ``sigma = L L^T`` (Cholesky), ``(x - mu)^T sigma^-1 (x - mu)`` is
+    ``||L^-1 (x - mu)||^2``.  The map ``inv(L).T`` is formed once per class,
+    so scoring a batch is one GEMM per class plus a row-wise sum of squares;
+    the only temporaries are one class's ``(n, d)`` centered and whitened
+    features.
+    """
 
     def __init__(self, store: C.PrototypeStore, gamma1: float, gamma2: float):
         if not store.class_ids():
             raise ContractError("prototype store is empty")
         self.ids = store.class_ids()
         self.means = {}
-        self.chol = {}
+        self.whiten = {}
         for cid in self.ids:
             entry = store.entries[cid]
             sigma = C.shrink_normalize(entry.covariance(), gamma1, gamma2)
             try:
-                self.chol[cid] = np.linalg.cholesky(sigma)
+                chol = np.linalg.cholesky(sigma)
             except np.linalg.LinAlgError:
                 raise NumericError(
                     f"class {cid}: shrunk covariance is not positive definite") from None
+            self.whiten[cid] = np.ascontiguousarray(np.linalg.inv(chol).T)
             self.means[cid] = entry.mu
 
     def distances(self, feats: np.ndarray) -> np.ndarray:
         out = np.empty((len(feats), len(self.ids)))
         for j, cid in enumerate(self.ids):
-            centered = feats - self.means[cid]
-            y = np.linalg.solve(self.chol[cid], centered.T)
-            out[:, j] = (y * y).sum(axis=0)
+            y = (feats - self.means[cid]) @ self.whiten[cid]
+            out[:, j] = np.einsum("ij,ij->i", y, y)
         return out
 
     def predict(self, feats: np.ndarray) -> np.ndarray:

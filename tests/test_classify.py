@@ -78,6 +78,49 @@ def test_distance_rescaling_invariance():
         np.testing.assert_array_equal(base.argmin(axis=1), (c * base).argmin(axis=1))
 
 
+def solve_reference_distances(store, gamma1, gamma2, feats):
+    """Per-class triangular solve on the Cholesky factor, one class at a time."""
+    out = np.empty((len(feats), len(store.class_ids())))
+    for j, cid in enumerate(store.class_ids()):
+        entry = store.entries[cid]
+        chol = np.linalg.cholesky(C.shrink_normalize(entry.covariance(), gamma1, gamma2))
+        y = np.linalg.solve(chol, (feats - entry.mu).T)
+        out[:, j] = (y * y).sum(axis=0)
+    return out
+
+
+def random_spd(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T / d + 0.1 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [1, 4, 64])
+@pytest.mark.parametrize("gamma", [1.0, 8.0])
+def test_distances_match_solve_reference(d, gamma):
+    rng = np.random.default_rng(100 + d)
+    mus = rng.normal(size=(5, d))
+    store = store_from(mus, [random_spd(rng, d) for _ in range(5)])
+    feats = rng.normal(size=(300, d)) * 1.5
+    got = CL.MahalanobisScorer(store, gamma, gamma).distances(feats)
+    want = solve_reference_distances(store, gamma, gamma, feats)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
+
+
+def test_distances_match_solve_reference_on_svd_store():
+    rng = np.random.default_rng(7)
+    d, k = 32, 8
+    store = C.PrototypeStore()
+    for cid in range(6):
+        store.add(cid, rng.normal(size=d), random_spd(rng, d), task=0, svd_k=k)
+    feats = rng.normal(size=(200, d))
+    for gamma in (1.0, 24.0):
+        got = CL.MahalanobisScorer(store, gamma, gamma).distances(feats)
+        want = solve_reference_distances(store, gamma, gamma, feats)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
+
+
 def test_singular_covariance_names_class():
     store = store_from([[0.0, 0.0], [1.0, 1.0]],
                        [np.ones((2, 2)), np.eye(2)])
