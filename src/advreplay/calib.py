@@ -136,18 +136,24 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
 def fit_transfer_matrix(feats_old: np.ndarray, feats_new: np.ndarray,
                         lr: float = 1e-4, epochs: int = 64):
     """Fit W minimizing mean ||feats_new - W feats_old||^2 by full-batch
-    gradient descent from identity; also return the mean feature shift."""
+    gradient descent from identity; also return the mean feature shift.
+
+    With F = ``feats_old`` and N = ``feats_new`` the gradient is
+    ``2/m (W F^T F - N^T F)``.  The Gram matrices ``F^T F`` and ``N^T F`` are
+    formed once, so each epoch costs one d x d product instead of two
+    products with the (m, d) residual.
+    """
     feats_old = np.asarray(feats_old, dtype=np.float64)
     feats_new = np.asarray(feats_new, dtype=np.float64)
     if feats_old.shape != feats_new.shape or feats_old.ndim != 2:
         raise ContractError(
             f"paired feature matrices required, got {feats_old.shape} vs {feats_new.shape}")
     m, d = feats_old.shape
+    gram = feats_old.T @ feats_old
+    cross = feats_new.T @ feats_old
     w = np.eye(d)
     for _ in range(epochs):
-        residual = feats_old @ w.T - feats_new  # (m, d)
-        grad = 2.0 / m * residual.T @ feats_old
-        w = w - lr * grad
+        w = w - lr * (2.0 / m * (w @ gram - cross))
     if not np.all(np.isfinite(w)):
         raise NumericError("transfer-matrix fit diverged; reduce the learning rate")
     delta = feats_new.mean(axis=0) - feats_old.mean(axis=0)

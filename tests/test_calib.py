@@ -83,6 +83,37 @@ def test_transfer_fit_recovers_linear_map():
     assert np.linalg.norm(w - oracle) / np.linalg.norm(oracle) < 1e-3
 
 
+def residual_form_fit(feats_old, feats_new, lr, epochs):
+    """The descent written on the (m, d) residual, one product pair per epoch."""
+    m, d = feats_old.shape
+    w = np.eye(d)
+    for _ in range(epochs):
+        residual = feats_old @ w.T - feats_new
+        w = w - lr * (2.0 / m * residual.T @ feats_old)
+    return w
+
+
+@pytest.mark.parametrize("epochs", [1, 64, 400])
+def test_transfer_fit_matches_residual_form(epochs):
+    rng = np.random.default_rng(epochs)
+    feats_old = rng.normal(size=(100, 32))
+    feats_new = feats_old @ (np.eye(32) + 0.1 * rng.normal(size=(32, 32))).T \
+        + 0.05 * rng.normal(size=(100, 32))
+    lr = min(1e-3, C.stable_transfer_lr(feats_old))
+    w, delta = C.fit_transfer_matrix(feats_old, feats_new, lr, epochs)
+    np.testing.assert_allclose(w, residual_form_fit(feats_old, feats_new, lr, epochs),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(delta, feats_new.mean(axis=0) - feats_old.mean(axis=0))
+
+
+def test_transfer_fit_oversized_lr_diverges():
+    rng = np.random.default_rng(3)
+    feats = rng.normal(size=(40, 6)) * 10.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="diverged"):
+            C.fit_transfer_matrix(feats, 2.0 * feats, lr=10.0, epochs=400)
+
+
 def test_transfer_fit_default_arguments_follow_reference():
     import inspect
 
