@@ -132,10 +132,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+# list options: the test each element must pass, what that test means, and
+# whether the list must be non-empty
+_LIST_ITEMS = {
+    "model.hidden": (lambda v: _is_int(v) and v >= 1, "integers >= 1", False),
+    "shrinkage.grid": (lambda v: _is_number(v) and v >= 0, "finite numbers >= 0", True),
+    "classifiers": (lambda v: isinstance(v, str), "strings", False),
+}
+
+
 def _check_types(config: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
     """Reject a value whose type differs from its default's: a bool option
     takes a bool, an integer option an integer, a float option any finite
-    number.
+    number, and a list option a list whose elements pass ``_LIST_ITEMS``.
 
     The walk iterates ``items()``: checking a value's type is not a use of
     the option, so it does not count as a read.
@@ -157,8 +170,14 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, path: str = "") -> Non
             if not _is_int(value):
                 raise ConfigError(f"{where} must be an integer, got {value!r}")
         elif isinstance(default, float):
-            if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+            if not _is_number(value):
                 raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        elif isinstance(default, list):
+            item_ok, items, non_empty = _LIST_ITEMS[where]
+            if (not isinstance(value, list) or not all(item_ok(v) for v in value)
+                    or (non_empty and not value)):
+                what = "a non-empty list" if non_empty else "a list"
+                raise ConfigError(f"{where} must be {what} of {items}, got {value!r}")
 
 
 def validate_config(config: dict) -> None:
@@ -190,8 +209,6 @@ def validate_config(config: dict) -> None:
     if config["covariance"]["mode"] == "svd":
         if not 1 <= config["covariance"]["svd_k"] <= config["model"]["feature_dim"]:
             raise ConfigError("covariance.svd_k out of range for feature_dim")
-    if not config["shrinkage"]["grid"]:
-        raise ConfigError("shrinkage.grid must be non-empty")
     # typed sub-configs validate their own numeric ranges
     build_loss_config(config)
     build_optim_config(config, initial=True)

@@ -221,11 +221,7 @@ def logits(head: ClassifierHead, features: Tensor, split: str = "all") -> Tensor
     if not head.old_ids:
         return block(head.w_new)
     joint = T.concat([block(head.w_old), block(head.w_new)], axis=1)
-    concat_ids = head.old_ids + head.new_ids
-    perm = np.zeros((len(concat_ids), len(concat_ids)))
-    for target_col, source_col in enumerate(np.argsort(concat_ids, kind="stable")):
-        perm[source_col, target_col] = 1.0
-    return T.matmul(joint, Tensor(perm))
+    return T.permute_columns(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"))
 
 
 def _copy_extractor(params: ExtractorParams) -> ExtractorParams:

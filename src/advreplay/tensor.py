@@ -205,6 +205,20 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out, "concat", parts, tuple(make_vjp(i) for i in range(len(parts))))
 
 
+def permute_columns(a: Tensor, order: Sequence[int]) -> Tensor:
+    """Columns of a 2-D tensor reordered: output column j is input column
+    ``order[j]``, where ``order`` is a permutation of the column indices."""
+    a = as_tensor(a)
+    if a.data.ndim != 2:
+        raise DimensionError(f"permute_columns: expected a 2-D tensor, got {a.shape}")
+    order = np.asarray(order, dtype=np.intp)
+    inverse = np.argsort(order)
+    # np.take returns a fresh C-ordered array, as the matmul it replaces did;
+    # ``a[:, order]`` returns a strided view that _from_op would copy
+    return Tensor._from_op(np.take(a.data, order, axis=1), "permute_columns", (a,),
+                           (lambda g: np.take(g, inverse, axis=1),))
+
+
 # -- nonlinearities ---------------------------------------------------------
 
 

@@ -54,6 +54,7 @@ def test_unknown_key_rejected(override):
 EARLY_REJECTED = [
     "replay.k=abc", "attack.alpha=abc", "adc.magnitude=0", "adc.iterations=0",
     "adc.transfer_epochs=-5",
+    "model.hidden=abc", "model.hidden=[0]", 'shrinkage.grid=["a"]',
 ]
 
 BAD_OVERRIDES = [
@@ -66,6 +67,9 @@ BAD_OVERRIDES = [
     *EARLY_REJECTED,
     "replay.cap=abc", "replay.k=2.5", "attack.noise=1", 'attack.enabled="false"',
     "model=3", "attack.alpha=NaN", "loss.lambda_kd=Infinity",
+    'model.hidden=[2, "x"]', "model.hidden=[1.5]", "model.hidden=[true]",
+    "shrinkage.grid=[-5]", "shrinkage.grid=[1e400]", "shrinkage.grid=[true]",
+    "shrinkage.grid=[]", "shrinkage.grid=8", 'classifiers="ncm"', "classifiers=[1]",
 ]
 
 

@@ -137,6 +137,8 @@ def _op_cases(rng):
          lambda x: x + np.sign(x) + 0.1),
         ("concat", (2, 3), lambda t: T.tsum(T.mul(w43, T.concat([t, T.mul(t, 2.0)], axis=0))),
          None),
+        ("permute_columns", (2, 3), lambda t: T.tsum(T.mul(w23, T.permute_columns(t, [2, 0, 1]))),
+         None),
     ]
     return cases
 
@@ -197,6 +199,26 @@ def test_normalize_zero_vector_guard():
     np.testing.assert_array_equal(y.data, np.zeros(3))
     _, grads = T.value_and_grad(T.tsum(y), [x])
     np.testing.assert_array_equal(grads[x].data, np.zeros(3))
+
+
+def test_permute_columns_equals_permutation_matmul_bitwise():
+    rng = np.random.default_rng(5)
+    x = T.Tensor(rng.normal(size=(6, 5)))
+    order = rng.permutation(5)
+    perm = np.zeros((5, 5))
+    perm[order, np.arange(5)] = 1.0
+    w = T.Tensor(rng.normal(size=(6, 5)))
+    gathered = T.permute_columns(x, order)
+    product = T.matmul(x, T.Tensor(perm))
+    assert np.array_equal(gathered.data, product.data)
+    _, g_gather = T.value_and_grad(T.tsum(T.mul(w, gathered)), [x])
+    _, g_product = T.value_and_grad(T.tsum(T.mul(w, product)), [x])
+    assert np.array_equal(g_gather[x].data, g_product[x].data)
+
+
+def test_permute_columns_rejects_non_matrix():
+    with pytest.raises(DimensionError):
+        T.permute_columns(T.Tensor(np.zeros(3)), [2, 0, 1])
 
 
 # -- error contracts -----------------------------------------------------------
