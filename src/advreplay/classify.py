@@ -14,7 +14,7 @@ from .tensor import Tensor
 
 def predict_linear(state: M.ModelState, x: Tensor) -> np.ndarray:
     """Argmax over all-class logits; ties resolve to the smallest class id."""
-    out = M.logits(state.head, M.features(state.extractor, x), "all").data
+    out = M.head_logits(state.head, M.features(state.extractor, x), "all")
     ids = np.asarray(state.head.class_ids)
     return ids[out.argmax(axis=1)]
 

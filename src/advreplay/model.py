@@ -116,14 +116,16 @@ def extract(params: ExtractorParams, x: Tensor) -> Tensor:
 
 
 def feature_vjp(params: ExtractorParams, x):
-    """Plain-numpy extractor pass: features plus an input-gradient VJP.
+    """Plain-numpy extractor pass: features plus a VJP.
 
-    Returns ``(feats, vjp)`` where ``vjp(g)`` maps a (batch, feature_dim)
-    cotangent to the (batch, input_dim) input gradient.  No tape is built;
-    every op is the one ``extract`` and its backward pass perform, in the
-    same order, so results are bit-identical.  The tape's checks are kept:
-    a bad input shape raises ``DimensionError``, and a non-finite input,
-    pre-activation or input gradient raises ``NumericError``.
+    Returns ``(feats, vjp)``.  ``vjp(g)`` maps a (batch, feature_dim)
+    cotangent to the (batch, input_dim) input gradient; ``vjp(g,
+    param_grads=True)`` instead returns the per-layer weight and bias
+    gradients as two lists in layer order.  No tape is built; every op is
+    the one ``extract`` and its backward pass perform, in the same order, so
+    results are bit-identical.  The tape's checks are kept: a bad input
+    shape raises ``DimensionError``, and a non-finite input, pre-activation
+    or input gradient raises ``NumericError``.
     """
     h = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.widths[0]:
@@ -131,8 +133,10 @@ def feature_vjp(params: ExtractorParams, x):
             f"features: expected (batch, {params.widths[0]}) input, got {h.shape}")
     if not np.isfinite(h).all():
         raise NumericError("non-finite values in extractor input")
+    inputs = []  # per layer: the layer's input
     saved = []  # per layer: relu mask, tanh output, or None for identity
     for i, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
+        inputs.append(h)
         z = h @ w.data + b.data
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation in extractor layer {i}")
@@ -147,14 +151,20 @@ def feature_vjp(params: ExtractorParams, x):
             h = z
             saved.append(None)
 
-    def vjp(g: np.ndarray) -> np.ndarray:
-        for w, act, kept in zip(reversed(params.weights), reversed(params.activations),
-                                reversed(saved)):
+    def vjp(g: np.ndarray, param_grads: bool = False):
+        g_w, g_b = [], []
+        for i in reversed(range(len(saved))):
+            act, kept = params.activations[i], saved[i]
             if act == "relu":
                 g = g * kept
             elif act == "tanh":
                 g = g * (1.0 - kept * kept)
-            g = g @ w.data.T
+            if param_grads:
+                g_w.append(inputs[i].T @ g)
+                g_b.append(g.sum(axis=(0,)))
+                if i == 0:
+                    return g_w[::-1], g_b[::-1]
+            g = g @ params.weights[i].data.T
         if not np.isfinite(g).all():
             raise NumericError("non-finite input gradient")
         return g
@@ -197,15 +207,23 @@ def _head_row(head: ClassifierHead, cid: int) -> np.ndarray:
     return head.w_new.data[head.new_ids.index(cid)]
 
 
-def logits(head: ClassifierHead, features: Tensor, split: str = "all") -> Tensor:
-    """Class logits restricted to a split, columns ordered by global class id."""
-    features = T.as_tensor(features)
+def _check_split(head: ClassifierHead, split: str) -> None:
     if split not in ("all", "old_only", "new_only"):
         raise ContractError(f"unknown split {split!r}")
     if split == "old_only" and not head.old_ids:
         raise ContractError("old_only split requested but head has no old classes")
     if split == "new_only" and not head.new_ids:
         raise ContractError("new_only split requested but head has no new classes")
+
+
+def logits(head: ClassifierHead, features: Tensor, split: str = "all") -> Tensor:
+    """Class logits restricted to a split, columns ordered by global class id.
+
+    This is the taped head; it stays as the oracle for ``block_vjp`` and
+    ``head_logits``, which training and evaluation use.
+    """
+    features = T.as_tensor(features)
+    _check_split(head, split)
 
     def block(w: Tensor) -> Tensor:
         if head.mode == "cosine":
@@ -222,6 +240,49 @@ def logits(head: ClassifierHead, features: Tensor, split: str = "all") -> Tensor
         return block(head.w_new)
     joint = T.concat([block(head.w_old), block(head.w_new)], axis=1)
     return T.permute_columns(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"))
+
+
+def block_vjp(head: ClassifierHead, w: np.ndarray, feats: np.ndarray):
+    """Plain-numpy logits of one head block plus their VJP.
+
+    Returns ``(out, vjp)`` where ``out`` holds one column per row of ``w``
+    and ``vjp(g)`` maps a logit cotangent to ``(feature grad, w grad)``.
+    The ops and memory layouts are the taped ``logits`` block's, in the
+    same order, so results are bit-identical.  A non-finite logit raises
+    ``NumericError``.
+    """
+    if head.mode == "cosine":
+        f, f_vjp = T.normalize_vjp(feats, axis=1)
+        wn, wn_vjp = T.normalize_vjp(w, axis=1)
+        wnT = wn.T.copy()  # the C-ordered copy the tape's transpose makes
+        out = f @ wnT * head.scale
+
+        def vjp(g):
+            g = g * head.scale
+            return f_vjp(g @ wnT.T), wn_vjp((f.T @ g).T)
+    else:
+        wT = w.T.copy()
+        out = feats @ wT
+
+        def vjp(g):
+            return g @ wT.T, (feats.T @ g).T
+
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite logits")
+    return out, vjp
+
+
+def head_logits(head: ClassifierHead, feats: np.ndarray, split: str = "all") -> np.ndarray:
+    """Plain-numpy ``logits``: the forward half of ``block_vjp`` per block,
+    columns gathered into global class-id order; bit-identical to the tape."""
+    _check_split(head, split)
+    if split == "old_only":
+        return block_vjp(head, head.w_old.data, feats)[0]
+    if split == "new_only" or not head.old_ids:
+        return block_vjp(head, head.w_new.data, feats)[0]
+    joint = np.concatenate([block_vjp(head, head.w_old.data, feats)[0],
+                            block_vjp(head, head.w_new.data, feats)[0]], axis=1)
+    return np.take(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"), axis=1)
 
 
 def _copy_extractor(params: ExtractorParams) -> ExtractorParams:

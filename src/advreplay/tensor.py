@@ -248,22 +248,30 @@ def exp(a: Tensor) -> Tensor:
     return Tensor._from_op(y, "exp", (a,), (lambda g: g * y,))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax along the last axis (shift-stabilized)."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def softmax_vjp(a: np.ndarray):
+    """Plain row-wise softmax along the last axis (shift-stabilized) and its
+    VJP; ``softmax`` puts exactly this on the tape."""
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
+    return y, vjp
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Row-wise softmax along the last axis (shift-stabilized)."""
+    a = as_tensor(a)
+    y, vjp = softmax_vjp(a.data)
     return Tensor._from_op(y, "softmax", (a,), (vjp,))
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def log_softmax_vjp(a: np.ndarray):
+    """Plain row-wise log-softmax and its VJP; ``log_softmax`` puts exactly
+    this on the tape."""
+    shifted = a - a.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     p = np.exp(out)
@@ -271,6 +279,12 @@ def log_softmax(a: Tensor) -> Tensor:
     def vjp(g: np.ndarray) -> np.ndarray:
         return g - p * g.sum(axis=-1, keepdims=True)
 
+    return out, vjp
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    a = as_tensor(a)
+    out, vjp = log_softmax_vjp(a.data)
     return Tensor._from_op(out, "log_softmax", (a,), (vjp,))
 
 
@@ -319,20 +333,27 @@ def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(n, "l2_norm", (a,), (vjp,))
 
 
-def normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """``x / ||x||_2`` along ``axis``; slices with norm < 1e-12 map to zero
-    with a zero gradient, avoiding the division singularity."""
-    a = as_tensor(a)
-    n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+def normalize_vjp(a: np.ndarray, axis: int = -1):
+    """Plain ``normalize`` forward and its VJP; ``normalize`` puts exactly
+    this on the tape."""
+    n = np.sqrt((a * a).sum(axis=axis, keepdims=True))
     small = n < _NORM_EPS
     safe = np.where(small, 1.0, n)
-    y = np.where(small, 0.0, a.data / safe)
+    y = np.where(small, 0.0, a / safe)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         inner = (g * y).sum(axis=axis, keepdims=True)
         out = (g - y * inner) / safe
         return np.where(small, 0.0, out)
 
+    return y, vjp
+
+
+def normalize(a: Tensor, axis: int = -1) -> Tensor:
+    """``x / ||x||_2`` along ``axis``; slices with norm < 1e-12 map to zero
+    with a zero gradient, avoiding the division singularity."""
+    a = as_tensor(a)
+    y, vjp = normalize_vjp(a.data, axis)
     return Tensor._from_op(y, "normalize", (a,), (vjp,))
 
 

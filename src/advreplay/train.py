@@ -6,6 +6,12 @@ the new-task batch concatenated with the perturbed replay batch and only
 old-class logits.  Because the head keeps old and new class weights as
 separate leaves, the split is structural: neither term can touch the other
 block's gradient.
+
+Each SGD step is tape-free: ``loss_and_grads`` runs this fixed graph
+forward in plain numpy and walks it back by hand, op for op as the autodiff
+tape would, so its losses and gradients are bit-identical to the taped
+``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``.  Those
+taped losses stay as the oracle that tests compare against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from . import tensor as T
-from .errors import ConfigError, ContractError, StatsError
+from .errors import ConfigError, ContractError, NumericError, StatsError
 from .tensor import Tensor
 
 
@@ -57,30 +63,40 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 # -- losses ---------------------------------------------------------------------
 
 
-def local_ce_loss(logits_new: Tensor, y_rel, temperature: float = 1.0) -> Tensor:
-    """Mean softmax cross-entropy over relative labels within the new task."""
+def _onehot(y_rel, shape) -> np.ndarray:
     y = np.asarray(y_rel, dtype=int)
-    n_classes = logits_new.shape[1]
-    if y.ndim != 1 or len(y) != logits_new.shape[0]:
+    n_classes = shape[1]
+    if y.ndim != 1 or len(y) != shape[0]:
         raise ContractError("labels must be one relative index per row")
     if y.min() < 0 or y.max() >= n_classes:
         raise ContractError(f"relative label out of range [0, {n_classes})")
-    onehot = np.zeros(logits_new.shape)
+    onehot = np.zeros(shape)
     onehot[np.arange(len(y)), y] = 1.0
+    return onehot
+
+
+def _check_blocks(cur_shape, prev_shape) -> None:
+    if cur_shape != prev_shape:
+        raise ContractError(f"old-class logit blocks differ: {cur_shape} vs {prev_shape}")
+
+
+def local_ce_loss(logits_new: Tensor, y_rel, temperature: float = 1.0) -> Tensor:
+    """Mean softmax cross-entropy over relative labels within the new task
+    (taped; the oracle for ``loss_and_grads``)."""
+    onehot = _onehot(y_rel, logits_new.shape)
     logp = T.log_softmax(T.mul(logits_new, 1.0 / temperature))
     return T.neg(T.tmean(T.tsum(T.mul(Tensor(onehot), logp), axis=1)))
 
 
 def local_kd_loss(logits_old_cur: Tensor, logits_old_prev: Tensor,
                   temperature: float = 2.0) -> Tensor:
-    """Temperature-scaled KL(prev || cur) * T^2, averaged over the batch.
+    """Temperature-scaled KL(prev || cur) * T^2, averaged over the batch
+    (taped; the oracle for ``loss_and_grads``).
 
     The previous-model logits enter as a constant leaf, so no gradient can
     reach the frozen model.  Identical logits give exactly zero.
     """
-    if logits_old_cur.shape != logits_old_prev.shape:
-        raise ContractError(
-            f"old-class logit blocks differ: {logits_old_cur.shape} vs {logits_old_prev.shape}")
+    _check_blocks(logits_old_cur.shape, logits_old_prev.shape)
     if not logits_old_prev.is_leaf:
         logits_old_prev = Tensor(logits_old_prev.data)
     inv_t = 1.0 / temperature
@@ -115,12 +131,89 @@ def compute_class_stats(extractor: M.ExtractorParams, dataset: D.LabeledSet,
 # -- SGD ---------------------------------------------------------------------------
 
 
-def sgd_step(state: M.ModelState, loss: Tensor, lr: float,
-             weight_decay: float) -> M.ModelState:
+def _ce_vjp(logits: np.ndarray, y_rel, temperature: float):
+    """``local_ce_loss`` in plain numpy: the value and d(loss)/d(logits)."""
+    onehot = _onehot(y_rel, logits.shape)
+    inv_t = 1.0 / temperature
+    logp, logp_vjp = T.log_softmax_vjp(logits * inv_t)
+    rows = (onehot * logp).sum(axis=1)
+    # the tape's neg, mean and row-sum VJPs map the unit seed to -1/n per entry
+    g = np.full(logits.shape, -1.0 / rows.size)
+    return -rows.mean(), logp_vjp(g * onehot) * inv_t
+
+
+def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float):
+    """``local_kd_loss`` in plain numpy: the value and the gradient of
+    ``weight * kd`` with respect to the current old-class logits."""
+    _check_blocks(cur.shape, prev.shape)
+    inv_t = 1.0 / temperature
+    logp_prev = T.log_softmax_vjp(prev * inv_t)[0]
+    p_prev = T.softmax_vjp(prev * inv_t)[0]
+    logq, logq_vjp = T.log_softmax_vjp(cur * inv_t)
+    rows = (p_prev * (logp_prev - logq)).sum(axis=1)
+    # the tape's scale, mean and row-sum VJPs map the unit seed to w T^2 / n
+    # per entry; the product and difference VJPs follow
+    g = np.full(cur.shape, weight * temperature**2 / rows.size)
+    return rows.mean() * temperature**2, logq_vjp(-(g * p_prev)) * inv_t
+
+
+def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: LossConfig,
+                   x_kd: np.ndarray | None = None) -> tuple[float, float, list[np.ndarray]]:
+    """One tape-free loss-and-gradients pass of the training objective.
+
+    CE over ``new_only`` logits of the ``x_new`` rows; with ``x_kd``, plus
+    ``lambda_kd`` times KD between the ``old_only`` logits of those rows and
+    the frozen model's logits on them.  Returns the CE value, the KD value
+    (0.0 without ``x_kd``) and one gradient array per
+    ``M.trainable_params(state)`` entry, in that order.  The forward and
+    backward ops and layouts are the tape's, so everything is bit-identical
+    to ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``
+    (the oracle).  Raises ``ContractError`` on bad labels or mismatched
+    logit blocks and ``NumericError`` on a non-finite pre-activation, logit
+    block, loss or gradient.
+    """
+    ext, head = state.extractor, state.head
+    feats, ext_vjp = M.feature_vjp(ext, x_new)
+    out, head_vjp = M.block_vjp(head, head.w_new.data, feats)
+    ce, g = _ce_vjp(out, y_rel, loss_cfg.ce_temperature)
+    g_feats, g_new = head_vjp(g)
+    g_w, g_b = ext_vjp(g_feats, param_grads=True)
+    g_old = None if head.w_old is None else np.zeros(head.w_old.shape)
+    kd, loss = 0.0, ce
+
+    if x_kd is not None:
+        if state.frozen is None or head.w_old is None:
+            raise ContractError("distillation needs a snapshotted model with old classes")
+        frozen_ext, frozen_head = state.frozen
+        # the whole frozen head is the old-class block at task t
+        prev = M.head_logits(frozen_head, M.features(frozen_ext, x_kd), "all")
+        feats, ext_vjp = M.feature_vjp(ext, x_kd)
+        out, head_vjp = M.block_vjp(head, head.w_old.data, feats)
+        kd, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
+        g_feats, g_old = head_vjp(g)
+        kd_w, kd_b = ext_vjp(g_feats, param_grads=True)
+        g_w = [a + b for a, b in zip(g_w, kd_w)]
+        g_b = [a + b for a, b in zip(g_b, kd_b)]
+        loss = ce + kd * loss_cfg.lambda_kd
+
+    if not np.isfinite(loss):
+        raise NumericError("non-finite training loss")
+    grads = g_w + g_b + ([] if g_old is None else [g_old]) + [g_new]
+    for g in grads:
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite gradient")
+    return float(ce), float(kd), grads
+
+
+def sgd_step(state: M.ModelState, grads, lr: float, weight_decay: float) -> M.ModelState:
+    """One SGD update from ``loss_and_grads`` gradients, one array per
+    ``M.trainable_params(state)`` entry in that order.  The updated
+    parameters are checked finite as every ``Tensor`` is."""
     params = M.trainable_params(state)
-    _, grads = T.value_and_grad(loss, params)
-    mapping = {p: Tensor(p.data - lr * (grads[p].data + weight_decay * p.data))
-               for p in params}
+    if len(grads) != len(params):
+        raise ContractError(f"expected {len(params)} gradients, got {len(grads)}")
+    mapping = {p: Tensor(p.data - lr * (g + weight_decay * p.data))
+               for p, g in zip(params, grads)}
     return M.replace_params(state, mapping)
 
 
@@ -142,10 +235,8 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     for epoch in range(optim_cfg.epochs):
         lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
         for batch in _batch_iter(len(dataset), optim_cfg.batch_new, rng):
-            feats = M.extract(state.extractor, Tensor(x[batch]))
-            out = M.logits(state.head, feats, "new_only")
-            loss = local_ce_loss(out, y_rel[batch], loss_cfg.ce_temperature)
-            state = sgd_step(state, loss, lr, optim_cfg.weight_decay)
+            _, _, grads = loss_and_grads(state, x[batch], y_rel[batch], loss_cfg)
+            state = sgd_step(state, grads, lr, optim_cfg.weight_decay)
     return state
 
 
@@ -235,15 +326,10 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         ce_sum, kd_sum, steps = 0.0, 0.0, 0
 
         for batch in _batch_iter(len(task_data), optim_cfg.batch_new, rng):
-            x_new = Tensor(x[batch])
-            feats_new = M.extract(state.extractor, x_new)
-            out_new = M.logits(state.head, feats_new, "new_only")
-            ce = local_ce_loss(out_new, y_rel[batch], loss_cfg.ce_temperature)
-            loss = ce
-            kd_value = 0.0
-
+            x_new = x[batch]
+            x_kd = None
             if loss_cfg.lambda_kd > 0.0:
-                kd_inputs = [x_new.data]
+                kd_inputs = [x_new]
                 if sampler is not None:
                     picks = sampler.draw(optim_cfg.batch_replay)
                     replay_rows = np.stack([bank[cid][slot] for cid, slot in picks])
@@ -253,17 +339,12 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                             frozen_ext, replay_rows, targets, attack_cfg,
                             r=noise_r, rng=rng).data
                     kd_inputs.append(replay_rows)
-                x_kd = Tensor(np.concatenate(kd_inputs))
-                cur_old = M.logits(state.head, M.extract(state.extractor, x_kd), "old_only")
-                # the whole frozen head is the old-class block at task t
-                prev_old = M.logits(frozen_head, M.features(frozen_ext, x_kd), "all")
-                kd = local_kd_loss(cur_old, Tensor(prev_old.data), loss_cfg.kd_temperature)
-                loss = T.add(ce, T.mul(kd, loss_cfg.lambda_kd))
-                kd_value = float(kd.data)
+                x_kd = np.concatenate(kd_inputs)
 
-            state = sgd_step(state, loss, lr, optim_cfg.weight_decay)
-            ce_sum += float(ce.data)
-            kd_sum += kd_value
+            ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, x_kd)
+            state = sgd_step(state, grads, lr, optim_cfg.weight_decay)
+            ce_sum += ce
+            kd_sum += kd
             steps += 1
 
         epochs.append({

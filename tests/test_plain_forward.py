@@ -1,8 +1,9 @@
 """The tape-free extractor pass (``model.features`` / ``model.feature_vjp``).
 
 It must equal the taped ``model.extract`` and its backward pass bit for bit,
-keep the tape's finiteness and shape checks, and let forward-only callers
-and the replay attack run without building a single tape node.
+keep the tape's finiteness and shape checks, and let training, evaluation,
+the forward-only callers and the replay attack run without building a
+single tape node.
 """
 
 import numpy as np
@@ -119,6 +120,7 @@ def test_attack_nan_target_raises_numeric_error():
 
 
 def test_forward_only_callers_build_no_tape(monkeypatch):
+    """Training, linear evaluation and every forward-only caller run tape-free."""
     rng = np.random.default_rng(3)
     f = M.default_extractor(6, 4, rng, hidden=(12,))
     head = M.init_head([0, 1, 2], 4, rng)
@@ -127,22 +129,31 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     x = rng.normal(size=(60, 6)) + 3.0 * np.repeat(np.eye(3, 6), 20, axis=0)
     train = D.LabeledSet(Tensor(x), labels, "train")
     val = D.LabeledSet(Tensor(x[::2]), labels[::2], "val")
+    task1 = D.LabeledSet(Tensor(x[:40] - 3.0), tuple(c + 3 for c in labels[:40]), "train")
 
     def no_tape(*args, **kwargs):
         raise AssertionError("a tape node was built")
 
     monkeypatch.setattr(Tensor, "_from_op", classmethod(no_tape))
 
+    state = TR.train_initial(state, train, TR.LossConfig(),
+                             TR.OptimConfig(lr=0.1, epochs=2, batch_new=16), rng)
+    f = state.extractor
     store = C.PrototypeStore()
     for cid, (mu, cov) in TR.compute_class_stats(f, train).items():
         store.add(cid, mu, cov, task=0)
     gamma = C.tune_shrinkage(store, f, val, grid=(1, 8))
     CL.predict("ncm", state, store, train.x)
     CL.predict("mahalanobis", state, store, train.x, *gamma)
-    R.build_candidate_set(f, train, store.prototypes(), k=4, rng=rng,
-                          family=D.AugFamily(input_dim=6))
+    cands = R.build_candidate_set(f, task1, store.prototypes(), k=4, rng=rng,
+                                  family=D.AugFamily(input_dim=6))
     drift = C.generate_drift_samples(f, train, store.entries[0].mu,
                                      C.DriftConfig(magnitude=1.0, iterations=2,
                                                    candidates=10))
     R.adversarial_attack(f, drift, np.tile(store.entries[1].mu, (10, 1)),
                          R.AttackConfig(alpha=1.0, n_attack=3), r=0.5, rng=rng)
+    state = M.begin_task(state, [3, 4, 5], rng)
+    state, _ = TR.run_task(state, task1, cands, store.prototypes(), 0.5, TR.LossConfig(),
+                           TR.OptimConfig(lr=0.05, epochs=2, batch_new=16, batch_replay=8),
+                           R.AttackConfig(alpha=1.0, n_attack=2), rng)
+    CL.predict("linear", state, store, task1.x)
