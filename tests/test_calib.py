@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from advreplay import calib as C
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import train as TR
-from advreplay.errors import ConfigError, ContractError, NumericError
+from advreplay.errors import ConfigError, ContractError, DecodeError, NumericError
 from advreplay.tensor import Tensor
 
 
@@ -308,6 +311,32 @@ def test_store_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.entries[7].svd[0], store.entries[7].svd[0])
     np.testing.assert_array_equal(loaded.entries[3].mu, store.entries[3].mu)
     assert loaded.entries[7].cov is None
+
+
+def _store_text(**fields):
+    rec = {"mu": [0.0, 1.0], "created_task": 0, "calibrated_task": 0,
+           "repr": "full", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    rec.update(fields)
+    return json.dumps({"format_version": C.STORE_VERSION,
+                       "classes": {"4": {k: v for k, v in rec.items() if v is not None}}})
+
+
+# broken store.json files: (file text, what the DecodeError must name)
+BAD_STORES = {
+    "missing-repr": (_store_text(repr=None), "class 4: missing key 'repr'"),
+    "invalid-json": ('{"format_version": 1, "classes": {', "not valid JSON"),
+    "cov-shape": (_store_text(cov=[[1.0, 0.0]]), "class 4: 'cov' has shape (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STORES))
+def test_load_store_bad_file_names_file_and_field(tmp_path, case):
+    text, expected = BAD_STORES[case]
+    path = tmp_path / "store.json"
+    path.write_text(text)
+    with pytest.raises(DecodeError, match=re.escape(expected)) as err:
+        C.load_store(path)
+    assert str(path) in str(err.value)
 
 
 def test_store_duplicate_class_rejected():

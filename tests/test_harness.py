@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_calib import BAD_STORES
 
 from advreplay import cli
 from advreplay import config as CFG
@@ -319,6 +320,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
     for override in EARLY_REJECTED:
         assert cli.main(["run", "--set", override, "--out", str(tmp_path)]) == 1
         assert f"error: {override.split('=')[0]}" in capsys.readouterr().err
+    for case, (text, expected) in BAD_STORES.items():
+        store_path = tmp_path / f"{case}.json"
+        store_path.write_text(text)
+        assert cli.main(["decompose", str(store_path), "--k", "2",
+                         "--output", str(tmp_path / "out.json")]) == 1
+        assert f"error: {store_path}" in capsys.readouterr().err
 
 
 def test_cli_env_output_root(tmp_path, monkeypatch, capsys):
