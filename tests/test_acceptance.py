@@ -162,6 +162,7 @@ def test_criterion_2_attack_efficacy():
             f"({post / pre:.2f}x, 64-sample batch, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_directional_gain(bench_runs):
     def mean_last(variant):
         return float(np.mean([r.summary["ncm"]["A_last"] for r in bench_runs[variant]]))
@@ -177,6 +178,7 @@ def test_criterion_3_directional_gain(bench_runs):
             f"{bench_runs['wall_seconds']:.0f}s for {4 * len(SEED_PAIRS)} runs")
 
 
+@pytest.mark.slow
 def test_criterion_4_classifier_ordering(bench_runs):
     wins = sum(r.summary["mahalanobis"]["A_inc"] >= r.summary["ncm"]["A_inc"]
                for r in bench_runs["full"])
@@ -262,6 +264,7 @@ def test_criterion_6_equation_level_oracles():
             f"{sum(checks)}/{len(checks)} example reproductions exact")
 
 
+@pytest.mark.slow
 def test_criterion_7_svd_compression_neutrality(tmp_path):
     # target noise is covariance-dependent, so it is disabled here to keep the
     # training trajectory identical across covariance representations
@@ -301,6 +304,7 @@ def test_criterion_8_storage_accounting():
             f"{full_f64['covariances_full'] / 1e6:.1f} MB")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     first = runner.run_benchmark(reference_config('output.tag="one"', out=tmp_path))
     second = runner.run_benchmark(reference_config('output.tag="two"', out=tmp_path))
