@@ -22,7 +22,7 @@ print("warm-start groups:", [len(g) for g in warm.class_groups])
 
 again = D.make_task_stream(spec, 5, "cold", seed=0, class_shuffle_seed=1993)
 print("same seeds give bit-identical data:",
-      np.array_equal(cold.train[0].x.data, again.train[0].x.data))
+      np.array_equal(cold.train[0].x, again.train[0].x))
 
 # policies are drawn once, recorded, and replayed deterministically
 family = D.AugFamily(input_dim=16)

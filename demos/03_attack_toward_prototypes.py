@@ -30,7 +30,7 @@ family = CFG.build_family(cfg)
 
 target_class, (mu, _) = next(iter(stats.items()))
 idx, policies = R.sample_candidates(state.extractor, stream.train[1], mu, 64, rng, family)
-rows = np.stack([D.apply_policy(stream.train[1].x.data[i], p)
+rows = np.stack([D.apply_policy(stream.train[1].x[i], p)
                  for i, p in zip(idx, policies)])
 
 attack = R.AttackConfig(alpha=cfg["attack"]["alpha"], n_attack=cfg["attack"]["n_attack"],
@@ -53,4 +53,4 @@ for lo, hi in zip(edges[:-1], edges[1:]):
 
 print("\ninput perturbation is unconstrained but modest:")
 print("mean |x_adv - x| per sample:",
-      np.round(np.linalg.norm(perturbed.data - rows, axis=1).mean(), 3))
+      np.round(np.linalg.norm(perturbed - rows, axis=1).mean(), 3))

@@ -22,7 +22,6 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from .errors import ConfigError, ContractError, DecodeError, NumericError
-from .tensor import Tensor
 
 GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120)
 
@@ -111,7 +110,7 @@ class DriftConfig:
 
 
 def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
-                           mu: np.ndarray, cfg: DriftConfig) -> Tensor:
+                           mu: np.ndarray, cfg: DriftConfig) -> np.ndarray:
     """Nearest new-task samples to a prototype, perturbed toward it.
 
     Distances use raw (un-augmented) features; the attack runs without
@@ -128,7 +127,7 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
     picked = np.argsort(dists, kind="stable")[:take]
     attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations, noise=False)
     targets = np.tile(mu, (take, 1))
-    return R.adversarial_attack(f_old, task_data.x.data[picked], targets, attack_cfg)
+    return R.adversarial_attack(f_old, task_data.x[picked], targets, attack_cfg)
 
 
 # -- transfer matrix ---------------------------------------------------------------

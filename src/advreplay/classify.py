@@ -9,10 +9,9 @@ import numpy as np
 from . import calib as C
 from . import model as M
 from .errors import ContractError, NumericError
-from .tensor import Tensor
 
 
-def predict_linear(state: M.ModelState, x: Tensor) -> np.ndarray:
+def predict_linear(state: M.ModelState, x: np.ndarray) -> np.ndarray:
     """Argmax over all-class logits; ties resolve to the smallest class id."""
     out = M.head_logits(state.head, M.features(state.extractor, x), "all")
     ids = np.asarray(state.head.class_ids)
@@ -20,7 +19,7 @@ def predict_linear(state: M.ModelState, x: Tensor) -> np.ndarray:
 
 
 def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
-                x: Tensor) -> np.ndarray:
+                x: np.ndarray) -> np.ndarray:
     ids = store.class_ids()
     if not ids:
         raise ContractError("prototype store is empty")
@@ -70,13 +69,13 @@ class MahalanobisScorer:
 
 
 def predict_mahalanobis(extractor: M.ExtractorParams, store: C.PrototypeStore,
-                        x: Tensor, gamma1: float, gamma2: float) -> np.ndarray:
+                        x: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
     feats = M.features(extractor, x)
     return MahalanobisScorer(store, gamma1, gamma2).predict(feats)
 
 
 def predict(kind: str, state: M.ModelState, store: C.PrototypeStore | None,
-            x: Tensor, gamma1: float = 1.0, gamma2: float = 1.0) -> np.ndarray:
+            x: np.ndarray, gamma1: float = 1.0, gamma2: float = 1.0) -> np.ndarray:
     if kind == "linear":
         return predict_linear(state, x)
     if kind == "ncm":

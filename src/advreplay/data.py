@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .arrays import readonly
 from .errors import ConfigError, ContractError, DecodeError, DimensionError
-from .tensor import Tensor
 
 BINARY_MAGIC = b"APRD"
 BINARY_VERSION = 1
@@ -34,14 +34,16 @@ BINARY_VERSION = 1
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Immutable sample/label batch carrying its split provenance."""
+    """Immutable sample/label batch carrying its split provenance.  ``x``
+    is stored as a read-only copy (``arrays.readonly``)."""
 
-    x: Tensor  # (n, input_dim)
+    x: np.ndarray  # (n, input_dim)
     y: tuple[int, ...]
     split: str  # "train" | "val" | "test"
 
     def __post_init__(self):
-        if self.x.data.ndim != 2 or len(self.y) != self.x.shape[0]:
+        object.__setattr__(self, "x", readonly(self.x, "samples"))
+        if self.x.ndim != 2 or len(self.y) != self.x.shape[0]:
             raise DimensionError("LabeledSet: samples and labels disagree")
         if self.split not in ("train", "val", "test"):
             raise ContractError(f"unknown split tag {self.split!r}")
@@ -153,7 +155,7 @@ def make_task_stream(spec: SyntheticSpec, task_count: int, mode: str,
     def bundle(group, part, split):
         xs = np.concatenate([per_class[c][part] for c in group])
         ys = tuple(int(c) for c in group for _ in range(len(per_class[c][part])))
-        return LabeledSet(Tensor(xs), ys, split)
+        return LabeledSet(xs, ys, split)
 
     train = tuple(bundle(g, 0, "train") for g in groups)
     val = tuple(bundle(g, 1, "val") for g in groups)
@@ -232,10 +234,8 @@ def sample_policy(rng, family: AugFamily = DEFAULT_FAMILY) -> AugPolicy:
     return AugPolicy(crop_apply, offset, width, flip_apply, seed, sigma, factor)
 
 
-def apply_policy(x: np.ndarray | Tensor, policy: AugPolicy) -> np.ndarray:
+def apply_policy(x: np.ndarray, policy: AugPolicy) -> np.ndarray:
     """Pure, deterministic replay of a recorded policy on one sample."""
-    if isinstance(x, Tensor):
-        x = x.data
     out = np.array(x, dtype=np.float64)
     if out.ndim != 1:
         raise DimensionError("apply_policy expects a single 1-D sample")
@@ -292,7 +292,7 @@ def load_csv(path, split: str = "train") -> LabeledSet:
             rows.append([float(v) for v in row[1:]])
     if not rows:
         raise DecodeError(f"{path}: no data rows")
-    return LabeledSet(Tensor(np.array(rows)), tuple(labels), split)
+    return LabeledSet(np.array(rows), tuple(labels), split)
 
 
 def save_csv(dataset: LabeledSet, path) -> None:
@@ -301,7 +301,7 @@ def save_csv(dataset: LabeledSet, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dim)])
-        for label, row in zip(dataset.y, dataset.x.data):
+        for label, row in zip(dataset.y, dataset.x):
             writer.writerow([label] + [repr(float(v)) for v in row])
 
 
@@ -311,7 +311,7 @@ def save_binary(dataset: LabeledSet, path) -> None:
     with Path(path).open("wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<III", BINARY_VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(dataset.x.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(dataset.x, dtype="<f8").tobytes())
         fh.write(np.asarray(dataset.y, dtype="<u4").tobytes())
 
 
@@ -326,4 +326,4 @@ def load_binary(path, split: str = "train") -> LabeledSet:
     matrix = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
     offset += rows * cols * 8
     labels = np.frombuffer(payload, dtype="<u4", count=rows, offset=offset)
-    return LabeledSet(Tensor(matrix.reshape(rows, cols)), tuple(int(v) for v in labels), split)
+    return LabeledSet(matrix.reshape(rows, cols), tuple(int(v) for v in labels), split)

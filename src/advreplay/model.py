@@ -1,23 +1,27 @@
 """Feature extractor, split classifier head, and model-state snapshotting.
 
 The classifier keeps the weights of previously seen ("old") classes and the
-current task's ("new") classes as two separate parameter leaves.  That makes
-the split contract structural: a loss built from one block cannot leak
-gradient into the other.
+current task's ("new") classes as two separate parameters.  That makes the
+split contract structural: a loss built from one block cannot leak gradient
+into the other.
+
+Parameters are read-only float64 arrays.  The taped ``extract`` and
+``logits`` are the gradient oracle of the plain-numpy passes and also take
+``tensor.Tensor`` leaves as parameters (see ``with_params``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
+from .arrays import readonly
 from .errors import ContractError, DimensionError, NumericError
-from .tensor import Tensor
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -30,8 +34,8 @@ class ExtractorParams:
 
     widths: tuple[int, ...]
     activations: tuple[str, ...]
-    weights: list[Tensor]
-    biases: list[Tensor]
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
 
     @property
     def feature_dim(self) -> int:
@@ -51,8 +55,8 @@ class ClassifierHead:
     scale: float
     old_ids: tuple[int, ...]
     new_ids: tuple[int, ...]
-    w_old: Tensor | None
-    w_new: Tensor
+    w_old: np.ndarray | None
+    w_new: np.ndarray
 
     @property
     def class_ids(self) -> tuple[int, ...]:
@@ -78,8 +82,8 @@ def init_extractor(widths, activations, rng) -> ExtractorParams:
     weights, biases = [], []
     for fan_in, fan_out, act in zip(widths[:-1], widths[1:], activations):
         std = np.sqrt(2.0 / fan_in) if act == "relu" else np.sqrt(1.0 / fan_in)
-        weights.append(Tensor(rng.normal(0.0, std, size=(fan_in, fan_out))))
-        biases.append(Tensor(np.zeros(fan_out)))
+        weights.append(readonly(rng.normal(0.0, std, size=(fan_in, fan_out)), "weights"))
+        biases.append(readonly(np.zeros(fan_out), "biases"))
     return ExtractorParams(widths, activations, weights, biases)
 
 
@@ -90,7 +94,7 @@ def default_extractor(input_dim: int, feature_dim: int, rng,
     return init_extractor(widths, activations, rng)
 
 
-def _apply_activation(h: Tensor, act: str) -> Tensor:
+def _apply_activation(h: T.Tensor, act: str) -> T.Tensor:
     if act == "relu":
         return T.relu(h)
     if act == "tanh":
@@ -98,12 +102,12 @@ def _apply_activation(h: Tensor, act: str) -> Tensor:
     return h
 
 
-def extract(params: ExtractorParams, x: Tensor) -> Tensor:
-    """Run the extractor on a (batch, input_dim) tensor, on the tape.
+def extract(params: ExtractorParams, x) -> T.Tensor:
+    """Run the extractor on a (batch, input_dim) input, on the tape.
 
-    This is the taped path: SGD on the trainable parameters and gradient
-    checks use it.  Callers that only need features, or the gradient with
-    respect to the input, use ``features`` / ``feature_vjp``.
+    This is the gradient oracle for ``feature_vjp``; parameters may be
+    arrays or ``Tensor`` leaves.  Every other caller uses ``features`` /
+    ``feature_vjp``.
     """
     x = T.as_tensor(x)
     if x.data.ndim != 2 or x.shape[1] != params.widths[0]:
@@ -127,7 +131,7 @@ def feature_vjp(params: ExtractorParams, x):
     shape raises ``DimensionError``, and a non-finite input, pre-activation
     or input gradient raises ``NumericError``.
     """
-    h = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.widths[0]:
         raise DimensionError(
             f"features: expected (batch, {params.widths[0]}) input, got {h.shape}")
@@ -137,7 +141,7 @@ def feature_vjp(params: ExtractorParams, x):
     saved = []  # per layer: relu mask, tanh output, or None for identity
     for i, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
         inputs.append(h)
-        z = h @ w.data + b.data
+        z = h @ w + b
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation in extractor layer {i}")
         if act == "relu":
@@ -164,7 +168,7 @@ def feature_vjp(params: ExtractorParams, x):
                 g_b.append(g.sum(axis=(0,)))
                 if i == 0:
                     return g_w[::-1], g_b[::-1]
-            g = g @ params.weights[i].data.T
+            g = g @ params.weights[i].T
         if not np.isfinite(g).all():
             raise NumericError("non-finite input gradient")
         return g
@@ -183,7 +187,7 @@ def init_head(new_ids, feature_dim: int, rng, mode: str = "cosine",
     if mode not in ("cosine", "linear"):
         raise ContractError(f"unknown head mode {mode!r}")
     new_ids = tuple(sorted(int(c) for c in new_ids))
-    w_new = Tensor(rng.normal(0.0, init_std, size=(len(new_ids), feature_dim)))
+    w_new = readonly(rng.normal(0.0, init_std, size=(len(new_ids), feature_dim)), "head weights")
     return ClassifierHead(mode, float(scale), (), new_ids, None, w_new)
 
 
@@ -193,18 +197,12 @@ def grow_head(head: ClassifierHead, new_ids, rng, init_std: float = 0.01) -> Cla
     overlap = set(new_ids) & set(head.class_ids)
     if overlap:
         raise ContractError(f"class ids {sorted(overlap)} already present in head")
-    merged_ids = head.class_ids
-    rows = {cid: _head_row(head, cid) for cid in merged_ids}
-    w_old = Tensor(np.stack([rows[cid] for cid in merged_ids]))
+    blocks = [head.w_new] if head.w_old is None else [head.w_old, head.w_new]
+    order = np.argsort(head.old_ids + head.new_ids, kind="stable")
+    w_old = readonly(np.concatenate(blocks)[order], "head weights")
     d = w_old.shape[1]
-    w_new = Tensor(rng.normal(0.0, init_std, size=(len(new_ids), d)))
-    return ClassifierHead(head.mode, head.scale, merged_ids, new_ids, w_old, w_new)
-
-
-def _head_row(head: ClassifierHead, cid: int) -> np.ndarray:
-    if cid in head.old_ids:
-        return head.w_old.data[head.old_ids.index(cid)]
-    return head.w_new.data[head.new_ids.index(cid)]
+    w_new = readonly(rng.normal(0.0, init_std, size=(len(new_ids), d)), "head weights")
+    return ClassifierHead(head.mode, head.scale, head.class_ids, new_ids, w_old, w_new)
 
 
 def _check_split(head: ClassifierHead, split: str) -> None:
@@ -216,16 +214,17 @@ def _check_split(head: ClassifierHead, split: str) -> None:
         raise ContractError("new_only split requested but head has no new classes")
 
 
-def logits(head: ClassifierHead, features: Tensor, split: str = "all") -> Tensor:
+def logits(head: ClassifierHead, features, split: str = "all") -> T.Tensor:
     """Class logits restricted to a split, columns ordered by global class id.
 
     This is the taped head; it stays as the oracle for ``block_vjp`` and
-    ``head_logits``, which training and evaluation use.
+    ``head_logits``, which training and evaluation use.  The head weights
+    may be arrays or ``Tensor`` leaves.
     """
     features = T.as_tensor(features)
     _check_split(head, split)
 
-    def block(w: Tensor) -> Tensor:
+    def block(w) -> T.Tensor:
         if head.mode == "cosine":
             f = T.normalize(features, axis=1)
             wn = T.normalize(w, axis=1)
@@ -277,37 +276,20 @@ def head_logits(head: ClassifierHead, feats: np.ndarray, split: str = "all") -> 
     columns gathered into global class-id order; bit-identical to the tape."""
     _check_split(head, split)
     if split == "old_only":
-        return block_vjp(head, head.w_old.data, feats)[0]
+        return block_vjp(head, head.w_old, feats)[0]
     if split == "new_only" or not head.old_ids:
-        return block_vjp(head, head.w_new.data, feats)[0]
-    joint = np.concatenate([block_vjp(head, head.w_old.data, feats)[0],
-                            block_vjp(head, head.w_new.data, feats)[0]], axis=1)
+        return block_vjp(head, head.w_new, feats)[0]
+    joint = np.concatenate([block_vjp(head, head.w_old, feats)[0],
+                            block_vjp(head, head.w_new, feats)[0]], axis=1)
     return np.take(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"), axis=1)
 
 
-def _copy_extractor(params: ExtractorParams) -> ExtractorParams:
-    return ExtractorParams(
-        params.widths, params.activations,
-        [Tensor(w.data) for w in params.weights],
-        [Tensor(b.data) for b in params.biases],
-    )
-
-
-def _copy_head(head: ClassifierHead) -> ClassifierHead:
-    return ClassifierHead(
-        head.mode, head.scale, head.old_ids, head.new_ids,
-        None if head.w_old is None else Tensor(head.w_old.data),
-        Tensor(head.w_new.data),
-    )
-
-
 def snapshot(state: ModelState) -> ModelState:
-    """Deep-copy the current model into the frozen slot."""
-    return ModelState(
-        state.extractor, state.head,
-        (_copy_extractor(state.extractor), _copy_head(state.head)),
-        state.task_index,
-    )
+    """Copy the current model into the frozen slot.  The parameter arrays
+    are read-only, so the copy shares them and owns only its containers."""
+    ext, head = state.extractor, state.head
+    frozen_ext = replace(ext, weights=list(ext.weights), biases=list(ext.biases))
+    return ModelState(ext, head, (frozen_ext, replace(head)), state.task_index)
 
 
 def begin_task(state: ModelState, new_class_ids, rng, init_std: float = 0.01) -> ModelState:
@@ -321,7 +303,9 @@ def begin_task(state: ModelState, new_class_ids, rng, init_std: float = 0.01) ->
     )
 
 
-def trainable_params(state: ModelState) -> list[Tensor]:
+def trainable_params(state: ModelState) -> list[np.ndarray]:
+    """Extractor weights, extractor biases, then ``w_old`` (when present)
+    and ``w_new``; ``with_params`` and ``train.sgd_step`` use this order."""
     params = list(state.extractor.weights) + list(state.extractor.biases)
     if state.head.w_old is not None:
         params.append(state.head.w_old)
@@ -329,21 +313,20 @@ def trainable_params(state: ModelState) -> list[Tensor]:
     return params
 
 
-def replace_params(state: ModelState, mapping: dict[Tensor, Tensor]) -> ModelState:
-    """Functional parameter update: swap leaves for new tensors."""
-    ext = state.extractor
-    new_ext = ExtractorParams(
-        ext.widths, ext.activations,
-        [mapping.get(w, w) for w in ext.weights],
-        [mapping.get(b, b) for b in ext.biases],
-    )
-    head = state.head
-    new_head = ClassifierHead(
-        head.mode, head.scale, head.old_ids, head.new_ids,
-        None if head.w_old is None else mapping.get(head.w_old, head.w_old),
-        mapping.get(head.w_new, head.w_new),
-    )
-    return ModelState(new_ext, new_head, state.frozen, state.task_index)
+def with_params(state: ModelState, arrays) -> ModelState:
+    """``state`` with its trainable parameters replaced, one entry per
+    ``trainable_params(state)`` entry in that order.  The frozen slot is
+    kept as is."""
+    arrays = list(arrays)
+    ext, head = state.extractor, state.head
+    n = len(ext.weights)
+    want = 2 * n + (head.w_old is not None) + 1
+    if len(arrays) != want:
+        raise ContractError(f"expected {want} parameters, got {len(arrays)}")
+    return ModelState(
+        replace(ext, weights=arrays[:n], biases=arrays[n:2 * n]),
+        replace(head, w_old=None if head.w_old is None else arrays[2 * n], w_new=arrays[-1]),
+        state.frozen, state.task_index)
 
 
 # -- integrity and persistence ------------------------------------------------
@@ -353,12 +336,12 @@ def checksum(extractor: ExtractorParams, head: ClassifierHead) -> str:
     """SHA-256 over raw parameter bytes; used to assert the freeze contract."""
     h = hashlib.sha256()
     for w in extractor.weights:
-        h.update(w.data.tobytes())
+        h.update(w.tobytes())
     for b in extractor.biases:
-        h.update(b.data.tobytes())
+        h.update(b.tobytes())
     if head.w_old is not None:
-        h.update(head.w_old.data.tobytes())
-    h.update(head.w_new.data.tobytes())
+        h.update(head.w_old.tobytes())
+    h.update(head.w_new.tobytes())
     return h.hexdigest()
 
 
@@ -366,16 +349,16 @@ def _extractor_record(params: ExtractorParams) -> dict:
     return {
         "widths": list(params.widths),
         "activations": list(params.activations),
-        "weights": [w.data.tolist() for w in params.weights],
-        "biases": [b.data.tolist() for b in params.biases],
+        "weights": [w.tolist() for w in params.weights],
+        "biases": [b.tolist() for b in params.biases],
     }
 
 
 def _extractor_from_record(rec: dict) -> ExtractorParams:
     return ExtractorParams(
         tuple(rec["widths"]), tuple(rec["activations"]),
-        [Tensor(np.array(w)) for w in rec["weights"]],
-        [Tensor(np.array(b)) for b in rec["biases"]],
+        [readonly(w, "weights") for w in rec["weights"]],
+        [readonly(b, "biases") for b in rec["biases"]],
     )
 
 
@@ -385,8 +368,8 @@ def _head_record(head: ClassifierHead) -> dict:
         "scale": head.scale,
         "old_ids": list(head.old_ids),
         "new_ids": list(head.new_ids),
-        "w_old": None if head.w_old is None else head.w_old.data.tolist(),
-        "w_new": head.w_new.data.tolist(),
+        "w_old": None if head.w_old is None else head.w_old.tolist(),
+        "w_new": head.w_new.tolist(),
     }
 
 
@@ -395,8 +378,9 @@ def _head_from_record(rec: dict) -> ClassifierHead:
     return ClassifierHead(
         rec["mode"], float(rec["scale"]),
         tuple(rec["old_ids"]), tuple(rec["new_ids"]),
-        None if w_old is None else Tensor(np.array(w_old).reshape(len(rec["old_ids"]), -1)),
-        Tensor(np.array(rec["w_new"])),
+        None if w_old is None else readonly(np.array(w_old).reshape(len(rec["old_ids"]), -1),
+                                            "head weights"),
+        readonly(rec["w_new"], "head weights"),
     )
 
 

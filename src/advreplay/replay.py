@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data as D
 from . import model as M
+from .arrays import readonly
 from .errors import ConfigError, ContractError, DecodeError, DimensionError, NumericError
-from .tensor import Tensor
 
 _GRAD_EPS = 1e-12
 
@@ -61,7 +61,7 @@ class CandidateSet:
 
 def _augmented_features(f_old: M.ExtractorParams, dataset: D.LabeledSet,
                         policies) -> np.ndarray:
-    rows = [D.apply_policy(x, p) for x, p in zip(dataset.x.data, policies)]
+    rows = [D.apply_policy(x, p) for x, p in zip(dataset.x, policies)]
     return M.features(f_old, np.stack(rows))
 
 
@@ -179,7 +179,7 @@ def noise_magnitude(covariances: dict[int, np.ndarray], feature_dim: int) -> flo
 
 
 def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
-                       r: float = 0.0, rng=None) -> Tensor:
+                       r: float = 0.0, rng=None) -> np.ndarray:
     """Iteratively move a batch so its frozen-extractor features approach
     per-sample targets.
 
@@ -187,12 +187,13 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     target; each step subtracts ``alpha * grad / ||grad||^2`` (per-sample
     norm over the input coordinates).  Samples whose gradient norm falls
     under 1e-12 pass through an iteration unperturbed.  No clipping and no
-    similarity constraint is applied; the result is a fresh leaf tensor.
+    similarity constraint is applied; the result is a fresh read-only array.
     The input gradient comes from ``model.feature_vjp``, so no tape is
-    built; non-finite targets, distances or gradients raise ``NumericError``.
+    built; non-finite targets, distances, gradients or output raise
+    ``NumericError``.
     """
-    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
         raise ContractError("attack expects matched (batch, input_dim) and (batch, d)")
     if targets.shape[1] != f_old.feature_dim:
@@ -201,7 +202,7 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     if cfg.noise and r > 0.0 and rng is None:
         raise ContractError("noise-augmented targets need an rng")
 
-    current = x.copy()
+    current = x
     for _ in range(cfg.n_attack):
         tgt = targets
         if cfg.noise and r > 0.0:
@@ -218,7 +219,7 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
         step = np.zeros_like(g)
         step[active] = cfg.alpha * g[active] / norms[active, None] ** 2
         current = current - step
-    return Tensor(current)
+    return readonly(current, "attack output")
 
 
 # -- serialization --------------------------------------------------------------

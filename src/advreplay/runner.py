@@ -29,7 +29,6 @@ from . import model as M
 from . import replay as R
 from . import train as TR
 from .errors import ConfigError, ContractError, EngineError
-from .tensor import Tensor
 
 # named rng stream ids (entropy = [seed, stream, task])
 _STREAM_MODEL = 0
@@ -81,7 +80,7 @@ def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
     def carve(group):
         tr_rows, tr_y, va_rows, va_y = [], [], [], []
         for cid in group:
-            rows = pool.x.data[labels == cid]
+            rows = pool.x[labels == cid]
             perm = rng.permutation(len(rows))
             n_val = max(1, int(round(ds["val_fraction"] * len(rows))))
             val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -89,12 +88,12 @@ def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
             tr_y.extend([cid] * len(train_idx))
             va_rows.append(rows[val_idx])
             va_y.extend([cid] * n_val)
-        return (D.LabeledSet(Tensor(np.concatenate(tr_rows)), tuple(tr_y), "train"),
-                D.LabeledSet(Tensor(np.concatenate(va_rows)), tuple(va_y), "val"))
+        return (D.LabeledSet(np.concatenate(tr_rows), tuple(tr_y), "train"),
+                D.LabeledSet(np.concatenate(va_rows), tuple(va_y), "val"))
 
     def test_of(group):
         keep = np.isin(test_labels, group)
-        return D.LabeledSet(Tensor(test.x.data[keep]),
+        return D.LabeledSet(test.x[keep],
                             tuple(int(v) for v in test_labels[keep]), "test")
 
     carved = [carve(g) for g in groups]
@@ -107,9 +106,9 @@ def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
 
 
 def _merged_val(stream: D.TaskStream, upto: int) -> D.LabeledSet:
-    xs = np.concatenate([stream.val[j].x.data for j in range(upto + 1)])
+    xs = np.concatenate([stream.val[j].x for j in range(upto + 1)])
     ys = tuple(y for j in range(upto + 1) for y in stream.val[j].y)
-    return D.LabeledSet(Tensor(xs), ys, "val")
+    return D.LabeledSet(xs, ys, "val")
 
 
 class _CsvLog:

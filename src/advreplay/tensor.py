@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .arrays import readonly
 from .errors import ContractError, DimensionError, NumericError
 
 ArrayLike = Union[float, int, Sequence, np.ndarray, "Tensor"]
@@ -35,11 +36,7 @@ class Tensor:
     __slots__ = ("data", "op", "_parents", "_vjps")
 
     def __init__(self, data: ArrayLike):
-        arr = np.array(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NumericError("non-finite values in tensor constructor")
-        arr.flags.writeable = False
-        self.data = arr
+        self.data = readonly(data, "tensor constructor")
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()

@@ -24,8 +24,8 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from . import tensor as T
+from .arrays import readonly
 from .errors import ConfigError, ContractError, NumericError, StatsError
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,16 @@ def _check_blocks(cur_shape, prev_shape) -> None:
         raise ContractError(f"old-class logit blocks differ: {cur_shape} vs {prev_shape}")
 
 
-def local_ce_loss(logits_new: Tensor, y_rel, temperature: float = 1.0) -> Tensor:
+def local_ce_loss(logits_new: T.Tensor, y_rel, temperature: float = 1.0) -> T.Tensor:
     """Mean softmax cross-entropy over relative labels within the new task
     (taped; the oracle for ``loss_and_grads``)."""
     onehot = _onehot(y_rel, logits_new.shape)
     logp = T.log_softmax(T.mul(logits_new, 1.0 / temperature))
-    return T.neg(T.tmean(T.tsum(T.mul(Tensor(onehot), logp), axis=1)))
+    return T.neg(T.tmean(T.tsum(T.mul(T.Tensor(onehot), logp), axis=1)))
 
 
-def local_kd_loss(logits_old_cur: Tensor, logits_old_prev: Tensor,
-                  temperature: float = 2.0) -> Tensor:
+def local_kd_loss(logits_old_cur: T.Tensor, logits_old_prev: T.Tensor,
+                  temperature: float = 2.0) -> T.Tensor:
     """Temperature-scaled KL(prev || cur) * T^2, averaged over the batch
     (taped; the oracle for ``loss_and_grads``).
 
@@ -98,7 +98,7 @@ def local_kd_loss(logits_old_cur: Tensor, logits_old_prev: Tensor,
     """
     _check_blocks(logits_old_cur.shape, logits_old_prev.shape)
     if not logits_old_prev.is_leaf:
-        logits_old_prev = Tensor(logits_old_prev.data)
+        logits_old_prev = T.Tensor(logits_old_prev.data)
     inv_t = 1.0 / temperature
     logp_prev = T.log_softmax(T.mul(logits_old_prev, inv_t))
     p_prev = T.softmax(T.mul(logits_old_prev, inv_t))
@@ -174,7 +174,7 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     """
     ext, head = state.extractor, state.head
     feats, ext_vjp = M.feature_vjp(ext, x_new)
-    out, head_vjp = M.block_vjp(head, head.w_new.data, feats)
+    out, head_vjp = M.block_vjp(head, head.w_new, feats)
     ce, g = _ce_vjp(out, y_rel, loss_cfg.ce_temperature)
     g_feats, g_new = head_vjp(g)
     g_w, g_b = ext_vjp(g_feats, param_grads=True)
@@ -188,7 +188,7 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
         # the whole frozen head is the old-class block at task t
         prev = M.head_logits(frozen_head, M.features(frozen_ext, x_kd), "all")
         feats, ext_vjp = M.feature_vjp(ext, x_kd)
-        out, head_vjp = M.block_vjp(head, head.w_old.data, feats)
+        out, head_vjp = M.block_vjp(head, head.w_old, feats)
         kd, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
         g_feats, g_old = head_vjp(g)
         kd_w, kd_b = ext_vjp(g_feats, param_grads=True)
@@ -207,14 +207,13 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
 
 def sgd_step(state: M.ModelState, grads, lr: float, weight_decay: float) -> M.ModelState:
     """One SGD update from ``loss_and_grads`` gradients, one array per
-    ``M.trainable_params(state)`` entry in that order.  The updated
-    parameters are checked finite as every ``Tensor`` is."""
+    ``M.trainable_params(state)`` entry in that order.  A non-finite
+    updated parameter raises ``NumericError``."""
     params = M.trainable_params(state)
     if len(grads) != len(params):
         raise ContractError(f"expected {len(params)} gradients, got {len(grads)}")
-    mapping = {p: Tensor(p.data - lr * (g + weight_decay * p.data))
-               for p, g in zip(params, grads)}
-    return M.replace_params(state, mapping)
+    return M.with_params(state, [readonly(p - lr * (g + weight_decay * p), "updated parameters")
+                                 for p, g in zip(params, grads)])
 
 
 def _batch_iter(n: int, batch_size: int, rng):
@@ -231,7 +230,7 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     class_ids = state.head.new_ids
     rel = {cid: i for i, cid in enumerate(class_ids)}
     y_rel = np.array([rel[c] for c in dataset.y])
-    x = dataset.x.data
+    x = dataset.x
     for epoch in range(optim_cfg.epochs):
         lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
         for batch in _batch_iter(len(dataset), optim_cfg.batch_new, rng):
@@ -309,7 +308,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     class_ids = state.head.new_ids
     rel = {cid: i for i, cid in enumerate(class_ids)}
     y_rel = np.array([rel[c] for c in task_data.y])
-    x = task_data.x.data
+    x = task_data.x
 
     sampler, bank = None, None
     if candidates is not None:
@@ -337,7 +336,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                         targets = np.stack([prototypes[cid] for cid, _ in picks])
                         replay_rows = R.adversarial_attack(
                             frozen_ext, replay_rows, targets, attack_cfg,
-                            r=noise_r, rng=rng).data
+                            r=noise_r, rng=rng)
                     kd_inputs.append(replay_rows)
                 x_kd = np.concatenate(kd_inputs)
 

@@ -103,7 +103,7 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(1234)
     ext = M.default_extractor(5, 4, rng, hidden=(12,))
     head = M.ClassifierHead("cosine", 16.0, (0, 2), (1, 3),
-                            Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4))))
+                            rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
     state = M.ModelState(ext, head, None, 1)
     x_new = rng.normal(size=(6, 5))
     x_kd = rng.normal(size=(9, 5))
@@ -117,16 +117,17 @@ def test_criterion_1_gradient_correctness():
                                        "old_only"), Tensor(prev), 2.0)
         return T.add(ce, T.mul(kd, 10.0))
 
-    params = M.trainable_params(state)
-    _, grads = T.value_and_grad(loss_of(state), params)
-    for param in params:
+    values = M.trainable_params(state)
+    params = [Tensor(p) for p in values]
+    _, grads = T.value_and_grad(loss_of(M.with_params(state, params)), params)
+    for pi, param in enumerate(params):
         fd = np.zeros_like(param.data)
         for i in range(param.data.size):
             up, down = param.data.copy(), param.data.copy()
             up.ravel()[i] += STEP
             down.ravel()[i] -= STEP
-            f_up = float(loss_of(M.replace_params(state, {param: Tensor(up)})).data)
-            f_dn = float(loss_of(M.replace_params(state, {param: Tensor(down)})).data)
+            f_up = float(loss_of(M.with_params(state, values[:pi] + [up] + values[pi + 1:])).data)
+            f_dn = float(loss_of(M.with_params(state, values[:pi] + [down] + values[pi + 1:])).data)
             fd.ravel()[i] = (f_up - f_dn) / (2 * STEP)
         err = np.max(np.abs(grads[param].data - fd)) / max(np.max(np.abs(fd)), 1e-6)
         assert err <= RTOL, f"combined loss param: {err:.2e}"
@@ -147,7 +148,7 @@ def test_criterion_2_attack_efficacy():
     for cid, (mu, _) in stats.items():
         idx, pols = R.sample_candidates(state.extractor, stream.train[1], mu, per_class,
                                         np.random.default_rng([0, 2, 1]), family)
-        rows += [D.apply_policy(stream.train[1].x.data[i], p) for i, p in zip(idx, pols)]
+        rows += [D.apply_policy(stream.train[1].x[i], p) for i, p in zip(idx, pols)]
         targets += [mu] * per_class
     rows, targets = np.stack(rows), np.stack(targets)
     attack = R.AttackConfig(cfg["attack"]["alpha"], cfg["attack"]["n_attack"], noise=False)

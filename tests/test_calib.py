@@ -9,12 +9,11 @@ from advreplay import data as D
 from advreplay import model as M
 from advreplay import train as TR
 from advreplay.errors import ConfigError, ContractError, DecodeError, NumericError
-from advreplay.tensor import Tensor
 
 
 def identity_extractor(dim):
     return M.ExtractorParams((dim, dim), ("identity",),
-                             [Tensor(np.eye(dim))], [Tensor(np.zeros(dim))])
+                             [np.eye(dim)], [np.zeros(dim)])
 
 
 def random_spd(rng, d, scale=1.0):
@@ -34,9 +33,9 @@ def test_drift_config_reference_defaults():
 def test_drift_sample_at_prototype_unperturbed():
     f = identity_extractor(3)
     mu = np.array([1.0, 2.0, 3.0])
-    data = D.LabeledSet(Tensor(np.stack([mu, mu + 5.0])), (0, 0), "train")
+    data = D.LabeledSet(np.stack([mu, mu + 5.0]), (0, 0), "train")
     out = C.generate_drift_samples(f, data, mu, C.DriftConfig(candidates=1, iterations=3))
-    np.testing.assert_array_equal(out.data, mu[None, :])
+    np.testing.assert_array_equal(out, mu[None, :])
 
 
 def test_drift_samples_move_toward_prototype():
@@ -44,18 +43,18 @@ def test_drift_samples_move_toward_prototype():
     f = identity_extractor(4)
     x = rng.normal(size=(30, 4)) + 4.0
     mu = np.zeros(4)
-    data = D.LabeledSet(Tensor(x), tuple([0] * 30), "train")
+    data = D.LabeledSet(x, tuple([0] * 30), "train")
     out = C.generate_drift_samples(f, data, mu, C.DriftConfig(magnitude=2.0, iterations=4,
                                                               candidates=10))
     pre = np.linalg.norm(np.sort(np.linalg.norm(x, axis=1))[:10])
-    post = np.linalg.norm(out.data, axis=1).mean()
+    post = np.linalg.norm(out, axis=1).mean()
     assert post < np.mean(np.sort(np.linalg.norm(x, axis=1))[:10])
     assert pre > 0
 
 
 def test_drift_sampling_warns_when_short():
     f = identity_extractor(2)
-    data = D.LabeledSet(Tensor(np.ones((3, 2))), (0, 0, 0), "train")
+    data = D.LabeledSet(np.ones((3, 2)), (0, 0, 0), "train")
     with pytest.warns(UserWarning, match="using all"):
         out = C.generate_drift_samples(f, data, np.ones(2), C.DriftConfig(candidates=10,
                                                                           iterations=1))
@@ -260,13 +259,13 @@ def tuned_world(rng):
     stream = D.make_task_stream(spec, 2, "cold", 11, 11)
     extractor = identity_extractor(6)
     store = C.PrototypeStore()
-    merged_x = np.concatenate([stream.train[0].x.data, stream.train[1].x.data])
+    merged_x = np.concatenate([stream.train[0].x, stream.train[1].x])
     merged_y = stream.train[0].y + stream.train[1].y
-    merged = D.LabeledSet(Tensor(merged_x), merged_y, "train")
+    merged = D.LabeledSet(merged_x, merged_y, "train")
     for cid, (mu, cov) in TR.compute_class_stats(extractor, merged).items():
         store.add(cid, mu, cov, task=0)
-    val_x = np.concatenate([stream.val[0].x.data, stream.val[1].x.data])
-    val = D.LabeledSet(Tensor(val_x), stream.val[0].y + stream.val[1].y, "val")
+    val_x = np.concatenate([stream.val[0].x, stream.val[1].x])
+    val = D.LabeledSet(val_x, stream.val[0].y + stream.val[1].y, "val")
     return store, extractor, val
 
 

@@ -5,12 +5,11 @@ from advreplay import calib as C
 from advreplay import classify as CL
 from advreplay import model as M
 from advreplay.errors import ContractError, NumericError
-from advreplay.tensor import Tensor
 
 
 def identity_extractor(dim):
     return M.ExtractorParams((dim, dim), ("identity",),
-                             [Tensor(np.eye(dim))], [Tensor(np.zeros(dim))])
+                             [np.eye(dim)], [np.zeros(dim)])
 
 
 def store_from(mus, covs):
@@ -25,7 +24,7 @@ def test_identity_covariance_mahalanobis_equals_ncm():
     mus = rng.normal(size=(4, 3)) * 3.0
     store = store_from(mus, [np.eye(3)] * 4)
     extractor = identity_extractor(3)
-    x = Tensor(rng.normal(size=(50, 3)) * 3.0)
+    x = rng.normal(size=(50, 3)) * 3.0
     ncm = CL.predict_ncm(extractor, store, x)
     maha = CL.predict_mahalanobis(extractor, store, x, 1.0, 1.0)
     np.testing.assert_array_equal(ncm, maha)
@@ -37,7 +36,7 @@ def test_exact_prototype_hit_returns_class():
     covs = [np.eye(4) * s for s in (0.5, 1.0, 2.0)]
     store = store_from(mus, covs)
     extractor = identity_extractor(4)
-    x = Tensor(mus[1][None, :])
+    x = mus[1][None, :]
     assert CL.predict_ncm(extractor, store, x)[0] == 1
     assert CL.predict_mahalanobis(extractor, store, x, 1.0, 1.0)[0] == 1
 
@@ -52,7 +51,7 @@ def test_mahalanobis_matches_bruteforce_enumeration():
     store = store_from(mus, covs)
     extractor = identity_extractor(2)
     x = rng.normal(size=(100, 2)) * 2.5
-    pred = CL.predict_mahalanobis(extractor, store, Tensor(x), 1.0, 1.0)
+    pred = CL.predict_mahalanobis(extractor, store, x, 1.0, 1.0)
 
     # brute force: explicit inverse per class, loop over points
     shrunk = [C.shrink_normalize(cov, 1.0, 1.0) for cov in covs]
@@ -130,18 +129,18 @@ def test_singular_covariance_names_class():
 
 def test_linear_predicts_by_class_id():
     extractor = identity_extractor(3)
-    head = M.ClassifierHead("linear", 1.0, (), (2, 5, 9), None, Tensor(np.eye(3)))
+    head = M.ClassifierHead("linear", 1.0, (), (2, 5, 9), None, np.eye(3))
     state = M.ModelState(extractor, head, None, 0)
-    x = Tensor(np.array([[0.1, 3.0, 0.2], [4.0, 0.0, 0.0]]))
+    x = np.array([[0.1, 3.0, 0.2], [4.0, 0.0, 0.0]])
     np.testing.assert_array_equal(CL.predict_linear(state, x), [5, 2])
 
 
 def test_predict_dispatch_rejects_unknown():
     extractor = identity_extractor(2)
-    head = M.ClassifierHead("linear", 1.0, (), (0,), None, Tensor(np.eye(2)[:1]))
+    head = M.ClassifierHead("linear", 1.0, (), (0,), None, np.eye(2)[:1])
     state = M.ModelState(extractor, head, None, 0)
     with pytest.raises(ContractError):
-        CL.predict("quadratic", state, None, Tensor(np.zeros((1, 2))))
+        CL.predict("quadratic", state, None, np.zeros((1, 2)))
 
 
 # -- metrics ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advreplay import data as D
-from advreplay.errors import ConfigError, DecodeError
+from advreplay.errors import ConfigError, DecodeError, NumericError
 
 
 def test_cold_group_sizes():
@@ -34,7 +34,7 @@ def test_stream_is_deterministic():
     b = D.make_task_stream(small_spec(), 3, "cold", seed=42, class_shuffle_seed=7)
     assert a.class_groups == b.class_groups
     for ta, tb in zip(a.train, b.train):
-        assert np.array_equal(ta.x.data, tb.x.data)
+        assert np.array_equal(ta.x, tb.x)
         assert ta.y == tb.y
 
 
@@ -68,7 +68,7 @@ def test_nearest_true_mean_oracle_separates_task0():
     stream = D.make_task_stream(spec, 3, "cold", seed=3, class_shuffle_seed=3)
     means, _ = D.class_clusters(spec, np.random.default_rng(3))
     test0 = stream.test[0]
-    dists = np.linalg.norm(test0.x.data[:, None, :] - means[None, :, :], axis=2)
+    dists = np.linalg.norm(test0.x[:, None, :] - means[None, :, :], axis=2)
     pred = dists.argmin(axis=1)
     acc = float(np.mean(pred == np.array(test0.y)))
     assert acc > 0.95, f"oracle accuracy {acc}"
@@ -142,13 +142,23 @@ def test_malformed_policy_record_rejected():
 # -- ingestion -------------------------------------------------------------------
 
 
+def test_labeled_set_holds_a_read_only_copy():
+    x = np.arange(6.0).reshape(3, 2)
+    ds = D.LabeledSet(x, (0, 1, 0), "train")
+    assert ds.x.dtype == np.float64 and not ds.x.flags.writeable
+    assert not np.shares_memory(ds.x, x)
+    x[0, 0] = np.nan
+    with pytest.raises(NumericError, match="samples"):
+        D.LabeledSet(x, (0, 1, 0), "train")
+
+
 def test_csv_roundtrip(tmp_path):
     stream = D.make_task_stream(small_spec(), 3, "cold", 5, 5)
     path = tmp_path / "task0.csv"
     D.save_csv(stream.train[0], path)
     loaded = D.load_csv(path, split="train")
     assert loaded.y == stream.train[0].y
-    assert np.array_equal(loaded.x.data, stream.train[0].x.data)
+    assert np.array_equal(loaded.x, stream.train[0].x)
 
 
 def test_csv_header_checked(tmp_path):
@@ -164,7 +174,7 @@ def test_binary_roundtrip(tmp_path):
     D.save_binary(stream.train[1], path)
     loaded = D.load_binary(path, split="train")
     assert loaded.y == stream.train[1].y
-    assert np.array_equal(loaded.x.data, stream.train[1].x.data)
+    assert np.array_equal(loaded.x, stream.train[1].x)
     assert path.read_bytes()[:4] == b"APRD"
 
 

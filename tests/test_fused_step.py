@@ -35,13 +35,14 @@ def world(mode, kind, task, seed=0):
     if task == 0:
         return state
     state = M.begin_task(state, range(8, 14), rng, init_std=0.5)
-    moved = {p: Tensor(p.data + rng.normal(scale=0.1, size=p.shape))
-             for p in M.trainable_params(state)}
-    return M.replace_params(state, moved)
+    return M.with_params(state, [p + rng.normal(scale=0.1, size=p.shape)
+                                 for p in M.trainable_params(state)])
 
 
 def taped(state, x_new, y_rel, cfg, x_kd=None):
     """The step's objective on the autodiff tape: the oracle."""
+    params = [Tensor(p) for p in M.trainable_params(state)]
+    state = M.with_params(state, params)
     feats = M.extract(state.extractor, Tensor(x_new))
     ce = TR.local_ce_loss(M.logits(state.head, feats, "new_only"), y_rel, cfg.ce_temperature)
     loss, kd = ce, 0.0
@@ -52,7 +53,6 @@ def taped(state, x_new, y_rel, cfg, x_kd=None):
         kd = TR.local_kd_loss(cur, Tensor(prev.data), cfg.kd_temperature)
         loss = T.add(ce, T.mul(kd, cfg.lambda_kd))
         kd = float(kd.data)
-    params = M.trainable_params(state)
     _, grads = T.value_and_grad(loss, params)
     return float(ce.data), kd, [grads[p].data for p in params]
 
@@ -137,11 +137,11 @@ def test_overflow_raises_numeric_error_through_run_task():
     rng = np.random.default_rng(6)
     ext = M.ExtractorParams(
         (2, 2, 2), ("identity", "identity"),
-        [Tensor(np.eye(2) * 1e200), Tensor(np.eye(2) * 1e200)],
-        [Tensor(np.zeros(2)), Tensor(np.zeros(2))],
+        [np.eye(2) * 1e200, np.eye(2) * 1e200],
+        [np.zeros(2), np.zeros(2)],
     )
     state = M.begin_task(M.ModelState(ext, M.init_head([0, 1], 2, rng), None, 0), [2, 3], rng)
-    task = D.LabeledSet(Tensor(np.ones((4, 2))), (2, 3, 2, 3), "train")
+    task = D.LabeledSet(np.ones((4, 2)), (2, 3, 2, 3), "train")
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         TR.run_task(state, task, None, None, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
@@ -155,7 +155,7 @@ def test_nonfinite_loss_and_gradient_rejected():
     u = f / (f @ f) * 1.5e8
     head = state.head
     huge = M.ClassifierHead("linear", head.scale, head.old_ids, head.new_ids, head.w_old,
-                            Tensor(np.stack([u, -u]) * 1e300))
+                            np.stack([u, -u]) * 1e300)
     huge_state = M.ModelState(state.extractor, huge, None, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="loss"):

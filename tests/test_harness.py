@@ -258,10 +258,9 @@ def test_storage_report_matches_serialized_candidate_set():
     rng = np.random.default_rng(0)
     f_dim = 6
     from advreplay import model as M
-    from advreplay.tensor import Tensor
     ext = M.ExtractorParams((f_dim, f_dim), ("identity",),
-                            [Tensor(np.eye(f_dim))], [Tensor(np.zeros(f_dim))])
-    data = D.LabeledSet(Tensor(rng.normal(size=(30, f_dim))), tuple(range(30)), "train")
+                            [np.eye(f_dim)], [np.zeros(f_dim)])
+    data = D.LabeledSet(rng.normal(size=(30, f_dim)), tuple(range(30)), "train")
     protos = {c: rng.normal(size=f_dim) for c in range(3)}
     cs = R.build_candidate_set(ext, data, protos, k=5, rng=rng,
                                family=D.AugFamily(input_dim=f_dim))

@@ -10,7 +10,7 @@ from advreplay.tensor import Tensor
 def identity_extractor(dim):
     return M.ExtractorParams(
         (dim, dim), ("identity",),
-        [Tensor(np.eye(dim))], [Tensor(np.zeros(dim))],
+        [np.eye(dim)], [np.zeros(dim)],
     )
 
 
@@ -23,7 +23,7 @@ def test_extract_identity_layer():
 def test_extract_zero_weights_relu_annihilates():
     params = M.ExtractorParams(
         (3, 4), ("relu",),
-        [Tensor(np.zeros((3, 4)))], [Tensor(np.zeros(4))],
+        [np.zeros((3, 4))], [np.zeros(4)],
     )
     out = M.extract(params, Tensor(np.random.default_rng(0).normal(size=(5, 3))))
     np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
@@ -65,7 +65,7 @@ def test_extract_gradient_matches_fd():
 def test_cosine_logit_attains_scale_on_aligned_feature():
     rng = np.random.default_rng(1)
     head = M.init_head([0, 1, 2], 4, rng, mode="cosine", scale=16.0)
-    direction = head.w_new.data[1]
+    direction = head.w_new[1]
     feats = Tensor((3.5 * direction)[None, :])
     out = M.logits(head, feats, "all").data
     assert out[0, 1] == pytest.approx(16.0, abs=1e-9)
@@ -73,7 +73,7 @@ def test_cosine_logit_attains_scale_on_aligned_feature():
 
 
 def test_linear_identity_rows_return_coordinates():
-    head = M.ClassifierHead("linear", 1.0, (), (0, 1, 2), None, Tensor(np.eye(3)))
+    head = M.ClassifierHead("linear", 1.0, (), (0, 1, 2), None, np.eye(3))
     feats = np.array([[0.3, -1.2, 4.0]])
     np.testing.assert_allclose(M.logits(head, Tensor(feats), "all").data, feats,
                                rtol=0, atol=0)
@@ -84,8 +84,8 @@ def test_old_split_columns_match_all_split():
     head = M.ClassifierHead(
         "cosine", 16.0,
         old_ids=(0, 2, 4), new_ids=(1, 3),
-        w_old=Tensor(rng.normal(size=(3, 6))),
-        w_new=Tensor(rng.normal(size=(2, 6))),
+        w_old=rng.normal(size=(3, 6)),
+        w_new=rng.normal(size=(2, 6)),
     )
     feats = Tensor(rng.normal(size=(5, 6)))
     all_logits = M.logits(head, feats, "all").data
@@ -127,12 +127,11 @@ def test_snapshot_survives_training_steps():
     x = rng.normal(size=(4, 4))
 
     for _ in range(10):
-        leafs = M.trainable_params(state)
-        feats = M.extract(state.extractor, Tensor(x))
+        leaves = [Tensor(p) for p in M.trainable_params(state)]
+        feats = M.extract(M.with_params(state, leaves).extractor, Tensor(x))
         loss = T.tsum(T.mul(feats, feats))
-        _, grads = T.value_and_grad(loss, leafs)
-        mapping = {p: Tensor(p.data - 0.05 * grads[p].data) for p in leafs}
-        state = M.replace_params(state, mapping)
+        _, grads = T.value_and_grad(loss, leaves)
+        state = M.with_params(state, [p.data - 0.05 * grads[p].data for p in leaves])
 
     assert M.checksum(*state.frozen) == frozen_sum
     assert M.checksum(state.extractor, state.head) != frozen_sum

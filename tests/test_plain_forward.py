@@ -8,12 +8,14 @@ single tape node.
 
 import numpy as np
 import pytest
+from test_harness import csv_config
 
 from advreplay import calib as C
 from advreplay import classify as CL
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
+from advreplay import runner
 from advreplay import tensor as T
 from advreplay import train as TR
 from advreplay.errors import DimensionError, NumericError
@@ -81,14 +83,14 @@ def test_attack_equals_tape_reference_with_noise():
     cfg = R.AttackConfig(alpha=8.0, n_attack=12, noise=True)
     out = R.adversarial_attack(f, x, targets, cfg, r=0.7, rng=np.random.default_rng(5))
     expected = tape_attack(f, x, targets, cfg, 0.7, np.random.default_rng(5))
-    assert out.data.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_features_overflow_raises_numeric_error():
     f = M.ExtractorParams(
         (2, 2, 2), ("identity", "identity"),
-        [Tensor(np.eye(2) * 1e200), Tensor(np.eye(2) * 1e200)],
-        [Tensor(np.zeros(2)), Tensor(np.zeros(2))],
+        [np.eye(2) * 1e200, np.eye(2) * 1e200],
+        [np.zeros(2), np.zeros(2)],
     )
     x = np.ones((3, 2))
     with np.errstate(over="ignore"):
@@ -119,6 +121,16 @@ def test_attack_nan_target_raises_numeric_error():
         R.adversarial_attack(f, np.ones((4, 6)), targets, cfg)
 
 
+def forbid_tensors(monkeypatch):
+    """Make building any ``Tensor``, leaf or op node, fail the test."""
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("a Tensor was built")
+
+    monkeypatch.setattr(Tensor, "__init__", no_tape)
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(no_tape))
+
+
 def test_forward_only_callers_build_no_tape(monkeypatch):
     """Training, linear evaluation and every forward-only caller run tape-free."""
     rng = np.random.default_rng(3)
@@ -127,15 +139,11 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     state = M.ModelState(f, head, None, 0)
     labels = tuple(int(c) for c in np.repeat([0, 1, 2], 20))
     x = rng.normal(size=(60, 6)) + 3.0 * np.repeat(np.eye(3, 6), 20, axis=0)
-    train = D.LabeledSet(Tensor(x), labels, "train")
-    val = D.LabeledSet(Tensor(x[::2]), labels[::2], "val")
-    task1 = D.LabeledSet(Tensor(x[:40] - 3.0), tuple(c + 3 for c in labels[:40]), "train")
+    train = D.LabeledSet(x, labels, "train")
+    val = D.LabeledSet(x[::2], labels[::2], "val")
+    task1 = D.LabeledSet(x[:40] - 3.0, tuple(c + 3 for c in labels[:40]), "train")
 
-    def no_tape(*args, **kwargs):
-        raise AssertionError("a tape node was built")
-
-    monkeypatch.setattr(Tensor, "_from_op", classmethod(no_tape))
-
+    forbid_tensors(monkeypatch)
     state = TR.train_initial(state, train, TR.LossConfig(),
                              TR.OptimConfig(lr=0.1, epochs=2, batch_new=16), rng)
     f = state.extractor
@@ -157,3 +165,13 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
                            TR.OptimConfig(lr=0.05, epochs=2, batch_new=16, batch_replay=8),
                            R.AttackConfig(alpha=1.0, n_attack=2), rng)
     CL.predict("linear", state, store, task1.x)
+
+
+def test_full_run_builds_no_tensor(tmp_path, monkeypatch):
+    """A whole run (CSV ingestion, training with replay and attack,
+    calibration, every classifier, checkpoint save and load) builds no
+    ``Tensor``: the tape is only the test oracle."""
+    forbid_tensors(monkeypatch)
+    result = runner.run_benchmark(csv_config(tmp_path))
+    loaded = M.load_checkpoint(result.run_dir / "model.json")
+    assert loaded.task_index == 1

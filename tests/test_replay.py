@@ -4,7 +4,7 @@ import pytest
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
-from advreplay.errors import ConfigError, ContractError
+from advreplay.errors import ConfigError, ContractError, NumericError
 from advreplay.tensor import Tensor
 
 IDENTITY_FAMILY = D.AugFamily(enabled=False)
@@ -12,11 +12,11 @@ IDENTITY_FAMILY = D.AugFamily(enabled=False)
 
 def identity_extractor(dim):
     return M.ExtractorParams((dim, dim), ("identity",),
-                             [Tensor(np.eye(dim))], [Tensor(np.zeros(dim))])
+                             [np.eye(dim)], [np.zeros(dim)])
 
 
 def labeled(x, split="train"):
-    return D.LabeledSet(Tensor(x), tuple(range(len(x))), split)
+    return D.LabeledSet(x, tuple(range(len(x))), split)
 
 
 # -- candidate sampling ----------------------------------------------------------
@@ -119,7 +119,19 @@ def test_attack_one_step_analytic():
     f = identity_extractor(2)
     cfg = R.AttackConfig(alpha=1.0, n_attack=1, noise=False)
     out = R.adversarial_attack(f, np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]), cfg)
-    np.testing.assert_allclose(out.data, [[0.5, 0.0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, [[0.5, 0.0]], rtol=0, atol=1e-15)
+
+
+def test_attack_output_is_a_read_only_copy_checked_finite():
+    f = identity_extractor(2)
+    x = np.array([[1.0, 0.0]])
+    out = R.adversarial_attack(f, x, np.zeros((1, 2)), R.AttackConfig(1.0, 1, noise=False))
+    assert out.dtype == np.float64 and not out.flags.writeable
+    assert not np.shares_memory(out, x)
+    # a step of 1e308 * g / |g|^2 with |g| = 2e-3 overflows the output
+    huge = R.AttackConfig(alpha=1e308, n_attack=1, noise=False)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="attack output"):
+        R.adversarial_attack(f, np.array([[1e-3, 0.0]]), np.zeros((1, 2)), huge)
 
 
 def test_attack_stationary_point_guard():
@@ -127,13 +139,13 @@ def test_attack_stationary_point_guard():
     cfg = R.AttackConfig(alpha=1.0, n_attack=3, noise=False)
     x = np.array([[2.0, -1.0]])
     out = R.adversarial_attack(f, x, x.copy(), cfg)
-    np.testing.assert_array_equal(out.data, x)
+    np.testing.assert_array_equal(out, x)
 
 
 def test_attack_monotone_for_linear_extractor():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    f = M.ExtractorParams((3, 3), ("identity",), [Tensor(a)], [Tensor(np.zeros(3))])
+    f = M.ExtractorParams((3, 3), ("identity",), [a], [np.zeros(3)])
     x = rng.normal(size=(6, 3)) * 3.0
     mu = rng.normal(size=3)
     targets = np.tile(mu, (6, 1))
@@ -142,7 +154,7 @@ def test_attack_monotone_for_linear_extractor():
     current = x
     prev_dist = np.linalg.norm(M.extract(f, Tensor(current)).data - mu, axis=1)
     for _ in range(4):
-        current = R.adversarial_attack(f, current, targets, cfg_step).data
+        current = R.adversarial_attack(f, current, targets, cfg_step)
         dist = np.linalg.norm(M.extract(f, Tensor(current)).data - mu, axis=1)
         assert np.all(dist <= prev_dist + 1e-12)
         prev_dist = dist
@@ -180,11 +192,11 @@ def test_attack_deterministic():
     cfg = R.AttackConfig(alpha=2.0, n_attack=3, noise=False)
     a = R.adversarial_attack(f, x, targets, cfg)
     b = R.adversarial_attack(f, x, targets, cfg)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     cfg_noise = R.AttackConfig(alpha=2.0, n_attack=3, noise=True)
     a = R.adversarial_attack(f, x, targets, cfg_noise, r=0.5, rng=np.random.default_rng(7))
     b = R.adversarial_attack(f, x, targets, cfg_noise, r=0.5, rng=np.random.default_rng(7))
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_attack_config_validation():

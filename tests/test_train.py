@@ -6,7 +6,7 @@ from advreplay import model as M
 from advreplay import replay as R
 from advreplay import tensor as T
 from advreplay import train as TR
-from advreplay.errors import ContractError, StatsError
+from advreplay.errors import ContractError, NumericError, StatsError
 from advreplay.tensor import Tensor
 
 
@@ -77,11 +77,11 @@ def test_default_loss_weights_follow_reference_settings():
 
 def identity_extractor(dim):
     return M.ExtractorParams((dim, dim), ("identity",),
-                             [Tensor(np.eye(dim))], [Tensor(np.zeros(dim))])
+                             [np.eye(dim)], [np.zeros(dim)])
 
 
 def test_class_stats_hand_covariance():
-    ds = D.LabeledSet(Tensor([[0.0, 0.0], [2.0, 0.0]]), (5, 5), "train")
+    ds = D.LabeledSet([[0.0, 0.0], [2.0, 0.0]], (5, 5), "train")
     stats = TR.compute_class_stats(identity_extractor(2), ds)
     mu, cov = stats[5]
     np.testing.assert_array_equal(mu, [1.0, 0.0])
@@ -89,7 +89,7 @@ def test_class_stats_hand_covariance():
 
 
 def test_class_stats_degenerate_zero_covariance():
-    ds = D.LabeledSet(Tensor(np.ones((4, 3))), (1, 1, 1, 1), "train")
+    ds = D.LabeledSet(np.ones((4, 3)), (1, 1, 1, 1), "train")
     _, cov = TR.compute_class_stats(identity_extractor(3), ds)[1]
     np.testing.assert_array_equal(cov, np.zeros((3, 3)))
 
@@ -97,14 +97,14 @@ def test_class_stats_degenerate_zero_covariance():
 def test_class_stats_symmetric_psd():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(40, 6))
-    ds = D.LabeledSet(Tensor(x), tuple([0] * 20 + [1] * 20), "train")
+    ds = D.LabeledSet(x, tuple([0] * 20 + [1] * 20), "train")
     for mu, cov in TR.compute_class_stats(identity_extractor(6), ds).values():
         assert np.max(np.abs(cov - cov.T)) <= 1e-12
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 
 def test_class_stats_needs_two_samples():
-    ds = D.LabeledSet(Tensor([[1.0, 2.0]]), (0,), "train")
+    ds = D.LabeledSet([[1.0, 2.0]], (0,), "train")
     with pytest.raises(StatsError):
         TR.compute_class_stats(identity_extractor(2), ds)
 
@@ -157,21 +157,33 @@ def test_lambda_zero_no_replay_equals_plain_finetune():
     mirror = state
     rel = {cid: i for i, cid in enumerate(mirror.head.new_ids)}
     y_rel = np.array([rel[c] for c in stream.train[1].y])
-    x = stream.train[1].x.data
+    x = stream.train[1].x
     rng2 = np.random.default_rng(7)
     for epoch in range(optim.epochs):
         lr = TR.cosine_lr(optim.lr, epoch, optim.epochs)
         order = rng2.permutation(len(x))
         for start in range(0, len(x), optim.batch_new):
             batch = order[start: start + optim.batch_new]
-            feats = M.extract(mirror.extractor, Tensor(x[batch]))
-            ce = TR.local_ce_loss(M.logits(mirror.head, feats, "new_only"), y_rel[batch])
-            params = M.trainable_params(mirror)
+            params = [Tensor(p) for p in M.trainable_params(mirror)]
+            taped = M.with_params(mirror, params)
+            feats = M.extract(taped.extractor, Tensor(x[batch]))
+            ce = TR.local_ce_loss(M.logits(taped.head, feats, "new_only"), y_rel[batch])
             _, grads = T.value_and_grad(ce, params)
             mirror = TR.sgd_step(mirror, [grads[p].data for p in params], lr,
                                  optim.weight_decay)
 
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
+
+
+def test_sgd_step_writes_read_only_finite_params():
+    state, stream, _ = small_world(seed=20)
+    x, labels = stream.train[0].x[:8], [0] * 8
+    grads = TR.loss_and_grads(state, x, labels, TR.LossConfig())[2]
+    stepped = TR.sgd_step(state, grads, 0.1, 2e-4)
+    assert all(not p.flags.writeable for p in M.trainable_params(stepped))
+    grads[0] = np.full_like(grads[0], 1e308)  # times lr 10: an overflowing update
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
+        TR.sgd_step(state, grads, 10.0, 2e-4)
 
 
 def test_run_task_is_deterministic():
@@ -208,31 +220,31 @@ def test_run_task_requires_snapshot_and_candidates():
 def test_split_gradients_do_not_leak_across_head_blocks():
     state, stream, rng = small_world(seed=13)
     state = M.begin_task(state, stream.class_groups[1], rng)
-    x = Tensor(stream.train[1].x.data[:8])
+    x = Tensor(stream.train[1].x[:8])
     rel = np.zeros(8, dtype=int)
+    state = M.with_params(state, [Tensor(p) for p in M.trainable_params(state)])
+    w_old, w_new = state.head.w_old, state.head.w_new
 
     feats = M.extract(state.extractor, x)
     ce = TR.local_ce_loss(M.logits(state.head, feats, "new_only"), rel)
-    _, grads = T.value_and_grad(ce, [state.head.w_old, state.head.w_new])
-    assert np.array_equal(grads[state.head.w_old].data,
-                          np.zeros_like(state.head.w_old.data))
-    assert np.any(grads[state.head.w_new].data != 0.0)
+    _, grads = T.value_and_grad(ce, [w_old, w_new])
+    assert np.array_equal(grads[w_old].data, np.zeros_like(w_old.data))
+    assert np.any(grads[w_new].data != 0.0)
 
     prev = M.logits(state.frozen[1], M.extract(state.frozen[0], x), "all")
     feats = M.extract(state.extractor, x)
     kd = TR.local_kd_loss(M.logits(state.head, feats, "old_only"), Tensor(prev.data))
-    _, grads = T.value_and_grad(kd, [state.head.w_old, state.head.w_new])
-    assert np.array_equal(grads[state.head.w_new].data,
-                          np.zeros_like(state.head.w_new.data))
+    _, grads = T.value_and_grad(kd, [w_old, w_new])
+    assert np.array_equal(grads[w_new].data, np.zeros_like(w_new.data))
 
 
 def test_combined_loss_gradient_matches_fd():
     state, stream, _ = small_world(seed=14, n_classes=4, input_dim=4, d=3)
     rng = np.random.default_rng(15)
     state = M.begin_task(state, stream.class_groups[1], rng)
-    x_new = stream.train[1].x.data[:6]
+    x_new = stream.train[1].x[:6]
     rel = np.array([0, 1, 0, 1, 0, 1])
-    x_kd = np.concatenate([x_new, stream.train[0].x.data[:4]])
+    x_kd = np.concatenate([x_new, stream.train[0].x[:4]])
     frozen_ext, frozen_head = state.frozen
     prev_old = M.logits(frozen_head, M.extract(frozen_ext, Tensor(x_kd)), "all").data
     cfg = TR.LossConfig(lambda_kd=10.0, kd_temperature=2.0)
@@ -245,8 +257,9 @@ def test_combined_loss_gradient_matches_fd():
         kd = TR.local_kd_loss(cur_old, Tensor(prev_old), cfg.kd_temperature)
         return T.add(ce, T.mul(kd, cfg.lambda_kd))
 
-    params = M.trainable_params(state)
-    _, grads = T.value_and_grad(loss_for(state), params)
+    values = M.trainable_params(state)
+    params = [Tensor(p) for p in values]
+    _, grads = T.value_and_grad(loss_for(M.with_params(state, params)), params)
 
     step = 1e-5
     for pi, param in enumerate(params):
@@ -256,7 +269,7 @@ def test_combined_loss_gradient_matches_fd():
             for sign, slot in ((+1, 0), (-1, 1)):
                 arr = param.data.copy()
                 arr.ravel()[i] += sign * step
-                mutated = M.replace_params(state, {param: Tensor(arr)})
+                mutated = M.with_params(state, values[:pi] + [arr] + values[pi + 1:])
                 if slot == 0:
                     up = float(loss_for(mutated).data)
                 else:
