@@ -1,11 +1,19 @@
 """The engine's value type: samples, attack output, model parameters and
-tape nodes all hold read-only float64 arrays built by ``readonly``."""
+tape nodes all hold read-only float64 arrays built by ``readonly``.
+
+The ``record_*`` checks decode stored JSON records (``store.json``,
+``model.json``) into those arrays; each failure is a ``DecodeError`` that
+names the file and the key.
+"""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from .errors import NumericError
+from .errors import DecodeError, NumericError
 
 
 def readonly(data, what: str) -> np.ndarray:
@@ -16,3 +24,45 @@ def readonly(data, what: str) -> np.ndarray:
         raise NumericError(f"non-finite values in {what}")
     arr.flags.writeable = False
     return arr
+
+
+def read_json(path) -> dict:
+    """The JSON object stored in ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise DecodeError(f"{path}: cannot read ({err.strerror})") from None
+    except ValueError as err:  # invalid JSON or invalid UTF-8
+        raise DecodeError(f"{path}: not valid JSON ({err})") from None
+    if not isinstance(payload, dict):
+        raise DecodeError(f"{path}: expected a JSON object")
+    return payload
+
+
+def record_field(rec, key: str, where: str):
+    if not isinstance(rec, dict) or key not in rec:
+        raise DecodeError(f"{where}: missing key {key!r}")
+    return rec[key]
+
+
+def record_array(rec, key: str, shape: tuple, where: str) -> np.ndarray:
+    """``rec[key]`` as a finite read-only float64 array of ``shape``
+    (``None`` matches any length)."""
+    try:
+        arr = np.array(record_field(rec, key, where), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DecodeError(f"{where}: {key!r} is not a numeric array") from None
+    if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+        want = tuple("n" if n is None else n for n in shape)
+        raise DecodeError(f"{where}: {key!r} has shape {arr.shape}, expected {want}")
+    if not np.isfinite(arr).all():
+        raise DecodeError(f"{where}: {key!r} has non-finite values")
+    arr.flags.writeable = False
+    return arr
+
+
+def record_int(rec, key: str, where: str) -> int:
+    value = record_field(rec, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DecodeError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value

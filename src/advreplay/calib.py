@@ -21,6 +21,7 @@ import numpy as np
 from . import data as D
 from . import model as M
 from . import replay as R
+from .arrays import read_json, record_array, record_field, record_int
 from .errors import ConfigError, ContractError, DecodeError, NumericError
 
 GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120)
@@ -303,44 +304,11 @@ def save_store(store: PrototypeStore, path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _store_field(rec: dict, key: str, where: str):
-    if key not in rec:
-        raise DecodeError(f"{where}: missing key {key!r}")
-    return rec[key]
-
-
-def _store_array(rec: dict, key: str, shape: tuple, where: str) -> np.ndarray:
-    """``rec[key]`` as a finite float64 array of ``shape`` (``None`` matches
-    any length), or a ``DecodeError`` naming the field."""
-    try:
-        arr = np.array(_store_field(rec, key, where), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DecodeError(f"{where}: {key!r} is not a numeric array") from None
-    if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
-        want = tuple("n" if n is None else n for n in shape)
-        raise DecodeError(f"{where}: {key!r} has shape {arr.shape}, expected {want}")
-    if not np.isfinite(arr).all():
-        raise DecodeError(f"{where}: {key!r} has non-finite values")
-    return arr
-
-
-def _store_int(rec: dict, key: str, where: str) -> int:
-    value = _store_field(rec, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DecodeError(f"{where}: {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def load_store(path) -> PrototypeStore:
     """Read a ``save_store`` file.  A file that is not valid JSON, or a class
     record with a missing, mistyped or misshapen field, raises a
     ``DecodeError`` naming the file, the class id and the key."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DecodeError(f"{path}: not valid JSON ({err})") from None
-    if not isinstance(payload, dict):
-        raise DecodeError(f"{path}: expected a JSON object")
+    payload = read_json(path)
     if payload.get("format_version") != STORE_VERSION:
         raise ContractError(
             f"{path}: unsupported store version {payload.get('format_version')}")
@@ -356,12 +324,12 @@ def load_store(path) -> PrototypeStore:
             raise DecodeError(f"{where}: class id is not an integer") from None
         if not isinstance(rec, dict):
             raise DecodeError(f"{where}: record is not a JSON object")
-        mu = _store_array(rec, "mu", (None,), where)
+        mu = record_array(rec, "mu", (None,), where)
         d = len(mu)
-        tasks = (_store_int(rec, "created_task", where), _store_int(rec, "calibrated_task", where))
-        kind = _store_field(rec, "repr", where)
+        tasks = (record_int(rec, "created_task", where), record_int(rec, "calibrated_task", where))
+        kind = record_field(rec, "repr", where)
         if kind == "full":
-            store.entries[cid] = StoreEntry(mu, _store_array(rec, "cov", (d, d), where),
+            store.entries[cid] = StoreEntry(mu, record_array(rec, "cov", (d, d), where),
                                             None, *tasks)
             continue
         rank = re.fullmatch(r"svd-([0-9]+)", kind) if isinstance(kind, str) else None
@@ -369,7 +337,7 @@ def load_store(path) -> PrototypeStore:
         if not 1 <= k <= d:
             raise DecodeError(f"{where}: 'repr' must be 'full' or 'svd-<k>' with "
                               f"1 <= k <= {d}, got {kind!r}")
-        svd = (_store_array(rec, "u", (d, k), where), _store_array(rec, "s", (k, k), where),
-               _store_array(rec, "v", (k, d), where))
+        svd = (record_array(rec, "u", (d, k), where), record_array(rec, "s", (k, k), where),
+               record_array(rec, "v", (k, d), where))
         store.entries[cid] = StoreEntry(mu, None, svd, *tasks)
     return store

@@ -277,22 +277,40 @@ def decode_policy(payload: bytes) -> AugPolicy:
 
 
 def load_csv(path, split: str = "train") -> LabeledSet:
-    """Read rows of ``label,f0,...,f{D-1}`` into a labeled set."""
+    """Read rows of ``label,f0,...,f{D-1}`` into a labeled set.  A row whose
+    width differs from the header's, a label that is not an integer, or a
+    feature that is not a finite number raises ``DecodeError`` naming the
+    file and the line."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "label":
-            raise DecodeError(f"{path}: expected header starting with 'label'")
-        rows, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+    rows, labels, lines = [], [], []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[0] != "label" or len(header) < 2:
+                raise DecodeError(f"{path}: expected a header 'label,f0,...'")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                    labels.append(int(row[0]))
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as err:
+                    raise DecodeError(f"{path}: line {reader.line_num}: {err}") from None
+                lines.append(reader.line_num)
+    except OSError as err:
+        raise DecodeError(f"{path}: cannot read ({err.strerror})") from None
+    except (csv.Error, UnicodeDecodeError) as err:
+        raise DecodeError(f"{path}: not a CSV text file ({err})") from None
     if not rows:
         raise DecodeError(f"{path}: no data rows")
-    return LabeledSet(np.array(rows), tuple(labels), split)
+    x = np.array(rows)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise DecodeError(f"{path}: line {lines[int(bad.argmax())]}: non-finite feature")
+    return LabeledSet(x, tuple(labels), split)
 
 
 def save_csv(dataset: LabeledSet, path) -> None:
@@ -316,14 +334,28 @@ def save_binary(dataset: LabeledSet, path) -> None:
 
 
 def load_binary(path, split: str = "train") -> LabeledSet:
-    payload = Path(path).read_bytes()
+    """Read a ``save_binary`` file.  A truncated or oversized file, or a
+    non-finite sample, raises ``DecodeError`` naming the file and the field."""
+    try:
+        payload = Path(path).read_bytes()
+    except OSError as err:
+        raise DecodeError(f"{path}: cannot read ({err.strerror})") from None
     if payload[:4] != BINARY_MAGIC:
         raise DecodeError(f"{path}: bad magic {payload[:4]!r}")
+    if len(payload) < 16:
+        raise DecodeError(f"{path}: header has {len(payload)} of 16 bytes")
     version, rows, cols = struct.unpack_from("<III", payload, 4)
     if version != BINARY_VERSION:
         raise DecodeError(f"{path}: unsupported version {version}")
-    offset = 16
-    matrix = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-    offset += rows * cols * 8
-    labels = np.frombuffer(payload, dtype="<u4", count=rows, offset=offset)
-    return LabeledSet(matrix.reshape(rows, cols), tuple(int(v) for v in labels), split)
+    if rows == 0 or cols == 0:
+        raise DecodeError(f"{path}: 'rows'={rows} and 'cols'={cols} must be positive")
+    need = 16 + rows * cols * 8 + rows * 4
+    if len(payload) != need:
+        raise DecodeError(f"{path}: 'rows'={rows} and 'cols'={cols} need {need} bytes, "
+                          f"file has {len(payload)}")
+    matrix = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=16).reshape(rows, cols)
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise DecodeError(f"{path}: 'data' row {int(bad.argmax())} has non-finite values")
+    labels = np.frombuffer(payload, dtype="<u4", count=rows, offset=16 + rows * cols * 8)
+    return LabeledSet(matrix, tuple(int(v) for v in labels), split)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .arrays import readonly
-from .errors import ContractError, DimensionError, NumericError
+from .arrays import read_json, readonly, record_array, record_field, record_int
+from .errors import ContractError, DecodeError, DimensionError, NumericError
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -354,12 +354,28 @@ def _extractor_record(params: ExtractorParams) -> dict:
     }
 
 
-def _extractor_from_record(rec: dict) -> ExtractorParams:
-    return ExtractorParams(
-        tuple(rec["widths"]), tuple(rec["activations"]),
-        [readonly(w, "weights") for w in rec["weights"]],
-        [readonly(b, "biases") for b in rec["biases"]],
-    )
+def _record_arrays(rec, key: str, shapes: list, where: str) -> list[np.ndarray]:
+    """``rec[key]`` as a list of arrays, one per entry of ``shapes``."""
+    items = record_field(rec, key, where)
+    if not isinstance(items, list) or len(items) != len(shapes):
+        raise DecodeError(f"{where}: {key!r} must be a list of {len(shapes)} arrays")
+    named = {f"{key}[{i}]": item for i, item in enumerate(items)}
+    return [record_array(named, name, shape, where) for name, shape in zip(named, shapes)]
+
+
+def _extractor_from_record(rec, where: str) -> ExtractorParams:
+    widths = record_field(rec, "widths", where)
+    if (not isinstance(widths, list) or len(widths) < 2
+            or not all(type(w) is int and w > 0 for w in widths)):
+        raise DecodeError(f"{where}: 'widths' must list at least two positive integers")
+    acts = record_field(rec, "activations", where)
+    if (not isinstance(acts, list) or len(acts) != len(widths) - 1
+            or not all(a in _ACTIVATIONS for a in acts)):
+        raise DecodeError(f"{where}: 'activations' must name one of {_ACTIVATIONS} per layer")
+    layers = list(zip(widths[:-1], widths[1:]))
+    return ExtractorParams(tuple(widths), tuple(acts),
+                           _record_arrays(rec, "weights", layers, where),
+                           _record_arrays(rec, "biases", [(n,) for _, n in layers], where))
 
 
 def _head_record(head: ClassifierHead) -> dict:
@@ -373,15 +389,23 @@ def _head_record(head: ClassifierHead) -> dict:
     }
 
 
-def _head_from_record(rec: dict) -> ClassifierHead:
-    w_old = rec["w_old"]
-    return ClassifierHead(
-        rec["mode"], float(rec["scale"]),
-        tuple(rec["old_ids"]), tuple(rec["new_ids"]),
-        None if w_old is None else readonly(np.array(w_old).reshape(len(rec["old_ids"]), -1),
-                                            "head weights"),
-        readonly(rec["w_new"], "head weights"),
-    )
+def _class_ids(rec, key: str, where: str) -> tuple[int, ...]:
+    ids = record_field(rec, key, where)
+    if not isinstance(ids, list) or not all(type(c) is int for c in ids):
+        raise DecodeError(f"{where}: {key!r} must be a list of integer class ids")
+    return tuple(ids)
+
+
+def _head_from_record(rec, feature_dim: int, where: str) -> ClassifierHead:
+    mode = record_field(rec, "mode", where)
+    if mode not in ("cosine", "linear"):
+        raise DecodeError(f"{where}: 'mode' must be 'cosine' or 'linear', got {mode!r}")
+    old_ids, new_ids = _class_ids(rec, "old_ids", where), _class_ids(rec, "new_ids", where)
+    w_old = None
+    if old_ids or record_field(rec, "w_old", where) is not None:
+        w_old = record_array(rec, "w_old", (len(old_ids), feature_dim), where)
+    return ClassifierHead(mode, float(record_array(rec, "scale", (), where)), old_ids, new_ids,
+                          w_old, record_array(rec, "w_new", (len(new_ids), feature_dim), where))
 
 
 def save_checkpoint(state: ModelState, path) -> None:
@@ -402,16 +426,20 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a ``save_checkpoint`` file.  A file that is not valid JSON, or a
+    missing, mistyped or misshapen field, raises a ``DecodeError`` naming
+    the file and the key."""
+    record = read_json(path)
     if record.get("format_version") != CHECKPOINT_VERSION:
-        raise ContractError(f"unsupported checkpoint version {record.get('format_version')}")
-    frozen = record["frozen"]
-    return ModelState(
-        _extractor_from_record(record["current"]["extractor"]),
-        _head_from_record(record["current"]["head"]),
-        None if frozen is None else (
-            _extractor_from_record(frozen["extractor"]),
-            _head_from_record(frozen["head"]),
-        ),
-        int(record["task_index"]),
-    )
+        raise ContractError(
+            f"{path}: unsupported checkpoint version {record.get('format_version')}")
+
+    def model(key: str) -> tuple[ExtractorParams, ClassifierHead]:
+        part, where = record_field(record, key, str(path)), f"{path}: {key}"
+        ext = _extractor_from_record(record_field(part, "extractor", where), f"{where}.extractor")
+        head = _head_from_record(record_field(part, "head", where), ext.feature_dim,
+                                 f"{where}.head")
+        return ext, head
+
+    frozen = None if record_field(record, "frozen", str(path)) is None else model("frozen")
+    return ModelState(*model("current"), frozen, record_int(record, "task_index", str(path)))

@@ -1,10 +1,14 @@
 import dataclasses
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from advreplay import data as D
-from advreplay.errors import ConfigError, DecodeError, NumericError
+from advreplay.errors import ConfigError, DecodeError, EngineError, NumericError
 
 
 def test_cold_group_sizes():
@@ -183,3 +187,111 @@ def test_binary_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(DecodeError):
         D.load_binary(path)
+
+
+# each bad file escaped as a raw exception, or loaded silently, before the
+# loaders checked it; now each must fail as a DecodeError naming the file
+BAD_CSVS = {
+    "ragged-row": ("label,f0,f1\n0,1.0,2.0\n1,3.0\n", "line 3: 2 fields, header has 3"),
+    "non-numeric-feature": ("label,f0,f1\n0,1.0,abc\n", "line 2: could not convert"),
+    "non-integer-label": ("label,f0\n0,1.0\n1.5,2.0\n", "line 3: invalid literal"),
+    "nan-feature": ("label,f0,f1\n0,1.0,2.0\n\n1,nan,2.0\n", "line 4: non-finite"),
+    "inf-feature": ("label,f0\n0,1e999\n", "line 2: non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSVS))
+def test_load_csv_bad_file_names_file_and_line(tmp_path, case):
+    text, expected = BAD_CSVS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DecodeError, match=re.escape(expected)) as err:
+        D.load_csv(path)
+    assert str(path) in str(err.value)
+
+
+def aprd_bytes(rows, cols, data=None, labels=None, version=1):
+    """An APRD file; ``data``/``labels`` default to zeros of the right size."""
+    data = np.zeros(rows * cols) if data is None else np.asarray(data)
+    labels = np.zeros(rows) if labels is None else np.asarray(labels)
+    return (D.BINARY_MAGIC + struct.pack("<III", version, rows, cols)
+            + data.astype("<f8").tobytes() + labels.astype("<u4").tobytes())
+
+
+BAD_APRDS = {
+    "magic-only": (D.BINARY_MAGIC, "header has 4 of 16 bytes"),
+    "truncated-header": (D.BINARY_MAGIC + struct.pack("<I", 1), "header has 8 of 16 bytes"),
+    "truncated-data": (aprd_bytes(2, 3)[:40], "'rows'=2 and 'cols'=3 need 72 bytes, file has 40"),
+    "missing-labels": (aprd_bytes(2, 3)[:64], "need 72 bytes, file has 64"),
+    "trailing-bytes": (aprd_bytes(2, 3) + b"\0", "need 72 bytes, file has 73"),
+    "zero-rows": (aprd_bytes(0, 3), "'rows'=0 and 'cols'=3 must be positive"),
+    "nan-sample": (aprd_bytes(2, 2, data=[1.0, 2.0, np.nan, 4.0]),
+                   "'data' row 1 has non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_APRDS))
+def test_load_binary_bad_file_names_file_and_field(tmp_path, case):
+    payload, expected = BAD_APRDS[case]
+    path = tmp_path / "bad.aprd"
+    path.write_bytes(payload)
+    with pytest.raises(DecodeError, match=re.escape(expected)) as err:
+        D.load_binary(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ = settings(max_examples=150, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+CSV_FIELDS = st.sampled_from(["0", "3", "-2", "1.5", "nan", "inf", "1e999", "x", "", " 7"])
+CSV_TEXT = st.one_of(
+    st.text(max_size=300),
+    st.lists(st.lists(CSV_FIELDS, min_size=1, max_size=4), max_size=6).map(
+        lambda rows: "label,f0,f1\n" + "\n".join(",".join(r) for r in rows)),
+)
+
+
+
+def aprd_fuzz(rows, cols, version, delta):
+    """A well-formed header over a random body ``delta`` bytes off the size
+    that ``rows`` and ``cols`` need."""
+    size = max(0, rows * (cols * 8 + 4) + delta)
+    header = D.BINARY_MAGIC + struct.pack("<III", version, rows, cols)
+    return st.binary(min_size=size, max_size=size).map(lambda body: header + body)
+
+
+APRD_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda tail: D.BINARY_MAGIC + tail),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, 1, 2]),
+              st.integers(-9, 2)).flatmap(lambda args: aprd_fuzz(*args)),
+)
+
+
+@FUZZ
+@given(text=CSV_TEXT)
+def test_load_csv_fuzz_fails_only_as_engine_error(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        loaded = D.load_csv(path)
+    except EngineError:
+        return
+    assert loaded.x.ndim == 2 and np.isfinite(loaded.x).all()
+
+
+@FUZZ
+@given(payload=APRD_BYTES)
+def test_load_binary_fuzz_fails_only_as_engine_error(fuzz_dir, payload):
+    path = fuzz_dir / "fuzz.aprd"
+    path.write_bytes(payload)
+    try:
+        loaded = D.load_binary(path)
+    except EngineError:
+        return
+    assert loaded.x.ndim == 2 and np.isfinite(loaded.x).all()

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_calib import BAD_STORES
+from test_data import BAD_APRDS, BAD_CSVS
 
 from advreplay import cli
 from advreplay import config as CFG
@@ -325,6 +326,21 @@ def test_cli_error_exit_code(tmp_path, capsys):
         assert cli.main(["decompose", str(store_path), "--k", "2",
                          "--output", str(tmp_path / "out.json")]) == 1
         assert f"error: {store_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,case", [("csv", c) for c in sorted(BAD_CSVS)]
+                         + [("binary", c) for c in sorted(BAD_APRDS)])
+def test_cli_bad_dataset_file_exits_nonzero(tmp_path, capsys, kind, case):
+    path = tmp_path / f"train.{kind}"
+    if kind == "csv":
+        path.write_text(BAD_CSVS[case][0])
+    else:
+        path.write_bytes(BAD_APRDS[case][0])
+    code = cli.main(["run", "--set", f'dataset.kind="{kind}"',
+                     "--set", f'dataset.train_path="{path}"',
+                     "--set", f'dataset.test_path="{path}"', "--out", str(tmp_path)])
+    assert code == 1
+    assert f"error: stage 'dataset': {path}" in capsys.readouterr().err
 
 
 def test_cli_env_output_root(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from advreplay import model as M
 from advreplay import tensor as T
-from advreplay.errors import ContractError, DimensionError
+from advreplay.errors import ContractError, DecodeError, DimensionError
 from advreplay.tensor import Tensor
 
 
@@ -167,6 +170,62 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.task_index == state.task_index
     assert loaded.head.old_ids == state.head.old_ids
     assert loaded.head.mode == state.head.mode
+    assert not any(p.flags.writeable for p in M.trainable_params(loaded))
+
+
+def _set(*path, value):
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+    return edit
+
+
+def _drop(*path):
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        del rec[path[-1]]
+    return edit
+
+
+# model.json edits (widths 4 -> 8 -> 3, two old and two new classes) that
+# escaped as raw exceptions or loaded silently before the loader checked them
+BAD_CHECKPOINTS = {
+    "invalid-json": ('{"format_version": 1, "current": {', "not valid JSON"),
+    "not-an-object": ("[1, 2]", "expected a JSON object"),
+    "missing-frozen": (_drop("frozen"), "missing key 'frozen'"),
+    "missing-weights": (_drop("current", "extractor", "weights"),
+                        "current.extractor: missing key 'weights'"),
+    "weight-shape": (_set("current", "extractor", "weights", 0, value=[[0.0] * 3] * 2),
+                     "current.extractor: 'weights[0]' has shape (2, 3), expected (4, 8)"),
+    "bias-count": (_set("frozen", "extractor", "biases", value=[[0.0] * 8]),
+                   "frozen.extractor: 'biases' must be a list of 2 arrays"),
+    "unknown-activation": (_set("current", "extractor", "activations", 0, value="gelu"),
+                           "current.extractor: 'activations' must name"),
+    "head-shape": (_set("current", "head", "w_new", value=[[1.0, 2.0]]),
+                   "current.head: 'w_new' has shape (1, 2), expected (2, 3)"),
+    "nan-weight": (_set("current", "head", "w_old", 0, 0, value=float("nan")),
+                   "current.head: 'w_old' has non-finite values"),
+    "task-index-type": (_set("task_index", value="1"), "'task_index' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_load_checkpoint_bad_file_names_file_and_key(tmp_path, case):
+    edit, expected = BAD_CHECKPOINTS[case]
+    path = tmp_path / "model.json"
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        rng = np.random.default_rng(11)
+        M.save_checkpoint(M.begin_task(make_state(rng, n_classes=2), [3, 4], rng), path)
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+    with pytest.raises(DecodeError, match=re.escape(expected)) as err:
+        M.load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_grow_head_rejects_duplicate_ids():
