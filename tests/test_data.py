@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from advreplay import calib as C
 from advreplay import data as D
+from advreplay import model as M
 from advreplay.errors import ConfigError, DecodeError, EngineError, NumericError
 
 
@@ -238,6 +240,14 @@ def test_load_binary_bad_file_names_file_and_field(tmp_path, case):
     with pytest.raises(DecodeError, match=re.escape(expected)) as err:
         D.load_binary(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("loader", [D.load_csv, D.load_binary, M.load_checkpoint, C.load_store],
+                         ids=lambda f: f.__name__)
+def test_missing_file_is_a_decode_error_naming_it(tmp_path, loader):
+    path = tmp_path / "absent"
+    with pytest.raises(DecodeError, match=re.escape(f"{path}: cannot read")):
+        loader(path)
 
 
 @pytest.fixture(scope="module")
