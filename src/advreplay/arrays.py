@@ -3,12 +3,13 @@ tape nodes all hold read-only float64 arrays built by ``readonly``.
 
 The ``record_*`` checks decode stored JSON records (``store.json``,
 ``model.json``) into those arrays; each failure is a ``DecodeError`` that
-names the file and the key.
+names the file and the key.  ``write_text_atomic`` writes those files.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,21 @@ def readonly(data, what: str) -> np.ndarray:
         raise NumericError(f"non-finite values in {what}")
     arr.flags.writeable = False
     return arr
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` (UTF-8) to ``path`` through a temporary file in the same
+    directory and ``os.replace``: a reader, or a run killed mid-write, sees
+    the old file or the new one, never a partial write.  A failed write
+    leaves the old file as it was and removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json(path) -> dict:

@@ -14,14 +14,13 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import data as D
 from . import model as M
 from . import replay as R
-from .arrays import read_json, record_array, record_field, record_int
+from .arrays import read_json, record_array, record_field, record_int, write_text_atomic
 from .errors import ConfigError, ContractError, DecodeError, NumericError
 
 GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120)
@@ -136,13 +135,15 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
 
 def fit_transfer_matrix(feats_old: np.ndarray, feats_new: np.ndarray,
                         lr: float = 1e-4, epochs: int = 64):
-    """Fit W minimizing mean ||feats_new - W feats_old||^2 by full-batch
-    gradient descent from identity; also return the mean feature shift.
+    """W after ``epochs`` steps of full-batch gradient descent from identity
+    on mean ||feats_new - W feats_old||^2; also return the mean feature shift.
 
-    With F = ``feats_old`` and N = ``feats_new`` the gradient is
-    ``2/m (W F^T F - N^T F)``.  The Gram matrices ``F^T F`` and ``N^T F`` are
-    formed once, so each epoch costs one d x d product instead of two
-    products with the (m, d) residual.
+    With F = ``feats_old``, N = ``feats_new`` and a = 2 lr / m, one step is
+    ``W <- W (I - a G) + a C`` with G = F^T F and C = N^T F.  From
+    G = Q diag(lam) Q^T and rho = 1 - a lam, the iterate after E steps is
+    ``Q diag(rho^E) Q^T + C Q diag((1 - rho^E) / lam) Q^T`` (a E where lam is
+    0): the descent's own early-stopped result, in one ``eigh`` and not E
+    products.  ``log1p``/``expm1`` keep ``rho^E`` exact for small a lam.
     """
     feats_old = np.asarray(feats_old, dtype=np.float64)
     feats_new = np.asarray(feats_new, dtype=np.float64)
@@ -150,11 +151,16 @@ def fit_transfer_matrix(feats_old: np.ndarray, feats_new: np.ndarray,
         raise ContractError(
             f"paired feature matrices required, got {feats_old.shape} vs {feats_new.shape}")
     m, d = feats_old.shape
-    gram = feats_old.T @ feats_old
+    lam, q = np.linalg.eigh(feats_old.T @ feats_old)
     cross = feats_new.T @ feats_old
-    w = np.eye(d)
-    for _ in range(epochs):
-        w = w - lr * (2.0 / m * (w @ gram - cross))
+    a = 2.0 * lr / m
+    rho = 1.0 - a * lam
+    with np.errstate(all="ignore"):  # a diverging step overflows; caught below
+        log_rho = np.log1p(-a * lam)
+        decay = np.where(rho > 0.0, np.exp(epochs * log_rho), rho ** epochs)
+        gained = np.where(rho > 0.0, -np.expm1(epochs * log_rho), 1.0 - decay)
+        gain = np.where(lam == 0.0, a * epochs, gained / lam)
+        w = (q * decay + (cross @ q) * gain) @ q.T
     if not np.all(np.isfinite(w)):
         raise NumericError("transfer-matrix fit diverged; reduce the learning rate")
     delta = feats_new.mean(axis=0) - feats_old.mean(axis=0)
@@ -202,19 +208,30 @@ def calibrate(entry: StoreEntry, w: np.ndarray, delta: np.ndarray, task: int) ->
 # -- shrinkage and normalization -----------------------------------------------------
 
 
-def shrink_normalize(cov: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
-    """Add scaled diagonal mass, then normalize to a correlation matrix."""
+def shrinkage_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The exactly symmetrized covariance and the shrinkage scales: v1, the
+    mean diagonal entry, and v2, the mean off-diagonal entry."""
     cov = np.asarray(cov, dtype=np.float64)
     d = cov.shape[0]
     if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-9:
         raise ContractError("shrinkage needs a symmetric square matrix")
-    cov = 0.5 * (cov + cov.T)  # exact symmetry before normalizing
+    cov = 0.5 * (cov + cov.T)
     v1 = float(np.trace(cov)) / d
     if d > 1:
         v2 = float(cov.sum() - np.trace(cov)) / (d * (d - 1))
     else:
         v2 = 0.0
-    shrunk = cov + (gamma1 * v1 + gamma2 * v2) * np.eye(d)
+    return cov, v1, v2
+
+
+def shrink_normalize(cov: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
+    """Add scaled diagonal mass, then normalize to a correlation matrix.
+
+    This is the definition the Mahalanobis scorer evaluates in spectral form
+    (``classify.MahalanobisScorer``) and the oracle its tests compare to.
+    """
+    cov, v1, v2 = shrinkage_terms(cov)
+    shrunk = cov + (gamma1 * v1 + gamma2 * v2) * np.eye(cov.shape[0])
     diag = np.diag(shrunk).copy()
     if np.any(diag <= 0.0):
         raise NumericError("shrinkage left a non-positive diagonal; increase gamma")
@@ -256,7 +273,8 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
     Both shrinkage weights take the same grid value, so the result is a
     ``(gamma, gamma)`` pair.  Ties break toward the smaller gamma (scan
     order).  Only data tagged as a validation split is accepted, so test data
-    can never leak in here.
+    can never leak in here.  One scorer serves the whole grid
+    (``MahalanobisScorer.scan``); each class is eigendecomposed once.
     """
     grid = tuple(grid)
     if not grid:
@@ -271,10 +289,10 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
 
     feats = M.features(extractor, val_set.x)
     labels = np.asarray(val_set.y)
+    scorer = classify.MahalanobisScorer(store, grid[0], grid[0])
 
     best, best_acc = None, -1.0
-    for g in grid:
-        pred = classify.MahalanobisScorer(store, g, g).predict(feats)
+    for g, pred in zip(grid, scorer.scan(feats, [(g, g) for g in grid])):
         acc = float(np.mean(pred == labels))
         if acc > best_acc:
             best, best_acc = (float(g), float(g)), acc
@@ -301,7 +319,7 @@ def save_store(store: PrototypeStore, path) -> None:
             rec["u"], rec["s"], rec["v"] = u.tolist(), s.tolist(), v.tolist()
         records[str(cid)] = rec
     payload = {"format_version": STORE_VERSION, "classes": records}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload))
 
 
 def load_store(path) -> PrototypeStore:

@@ -24,48 +24,90 @@ def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
     if not ids:
         raise ContractError("prototype store is empty")
     feats = M.features(extractor, x)
-    centers = np.stack([store.entries[c].mu for c in ids])
-    dists = np.linalg.norm(feats[:, None, :] - centers[None, :, :], axis=2)
+    # one class at a time: the temporaries stay (n, d), not (n, classes, d)
+    dists = np.empty((len(feats), len(ids)))
+    for j, cid in enumerate(ids):
+        dists[:, j] = np.linalg.norm(feats - store.entries[cid].mu, axis=1)
     return np.asarray(ids)[dists.argmin(axis=1)]
 
 
 class MahalanobisScorer:
-    """Shrunk-and-normalized Mahalanobis distances through per-class
-    whitening maps cached for the whole evaluation pass.
+    """Shrunk-and-normalized Mahalanobis distances from one eigendecomposition
+    per class, at any shrinkage.
 
-    With ``sigma = L L^T`` (Cholesky), ``(x - mu)^T sigma^-1 (x - mu)`` is
-    ``||L^-1 (x - mu)||^2``.  The map ``inv(L).T`` is formed once per class,
-    so scoring a batch is one GEMM per class plus a row-wise sum of squares;
-    the only temporaries are one class's ``(n, d)`` centered and whitened
-    features.
+    ``calib.shrink_normalize`` turns a covariance ``S`` into the correlation
+    matrix ``R = D^-1/2 (S + cI) D^-1/2``, with ``c = gamma1 v1 + gamma2 v2``
+    and ``D = diag(S) + c``.  With ``S = Q diag(lam) Q^T``, formed once per
+    class here, ``(x - mu)^T R^-1 (x - mu)`` is
+    ``||(x - mu) D^1/2 Q (lam + c)^-1/2||^2``: each class and shrinkage costs
+    one d x d map and one GEMM, with no Cholesky factor or inverse.
+    ``distances`` and ``predict`` use the constructor's shrinkage unless
+    given a ``(gamma1, gamma2)`` pair; ``scan`` predicts for a whole grid.
     """
 
     def __init__(self, store: C.PrototypeStore, gamma1: float, gamma2: float):
         if not store.class_ids():
             raise ContractError("prototype store is empty")
         self.ids = store.class_ids()
-        self.means = {}
-        self.whiten = {}
-        for cid in self.ids:
-            entry = store.entries[cid]
-            sigma = C.shrink_normalize(entry.covariance(), gamma1, gamma2)
-            try:
-                chol = np.linalg.cholesky(sigma)
-            except np.linalg.LinAlgError:
-                raise NumericError(
-                    f"class {cid}: shrunk covariance is not positive definite") from None
-            self.whiten[cid] = np.ascontiguousarray(np.linalg.inv(chol).T)
-            self.means[cid] = entry.mu
+        terms = [C.shrinkage_terms(store.entries[cid].covariance()) for cid in self.ids]
+        covs = np.stack([cov for cov, _, _ in terms])
+        self._lam, self._q = np.linalg.eigh(covs)
+        self._diag = np.diagonal(covs, axis1=1, axis2=2)
+        self._v = np.array([(v1, v2) for _, v1, v2 in terms])
+        self._mu = [store.entries[cid].mu for cid in self.ids]
+        self._default = self._factors(gamma1, gamma2)
 
-    def distances(self, feats: np.ndarray) -> np.ndarray:
+    def _factors(self, gamma1: float, gamma2: float):
+        """Per-class ``D^1/2`` and ``(lam + c)^-1/2`` rows at one shrinkage.
+
+        A shrunk spectrum whose smallest value is not above ``d eps`` times
+        its largest is rejected as not positive definite, as a Cholesky
+        factorization of it would be.
+        """
+        c = gamma1 * self._v[:, :1] + gamma2 * self._v[:, 1:]
+        shrunk, scale = self._lam + c, self._diag + c
+        floor = shrunk.shape[1] * np.finfo(np.float64).eps * shrunk[:, -1]
+        bad = (shrunk[:, 0] <= floor) | (scale <= 0.0).any(axis=1)
+        if bad.any():
+            raise NumericError(
+                f"class {self.ids[int(bad.argmax())]}: shrunk covariance is not positive definite")
+        return np.sqrt(scale), 1.0 / np.sqrt(shrunk)
+
+    def _sq_norms(self, j: int, centered: np.ndarray, factors) -> np.ndarray:
+        root, inv_root = factors
+        y = centered @ (root[j][:, None] * self._q[j] * inv_root[j])
+        return np.einsum("ij,ij->i", y, y)
+
+    def distances(self, feats: np.ndarray, gamma=None) -> np.ndarray:
+        factors = self._default if gamma is None else self._factors(*gamma)
         out = np.empty((len(feats), len(self.ids)))
-        for j, cid in enumerate(self.ids):
-            y = (feats - self.means[cid]) @ self.whiten[cid]
-            out[:, j] = np.einsum("ij,ij->i", y, y)
+        for j in range(len(self.ids)):
+            out[:, j] = self._sq_norms(j, feats - self._mu[j], factors)
         return out
 
-    def predict(self, feats: np.ndarray) -> np.ndarray:
-        return np.asarray(self.ids)[self.distances(feats).argmin(axis=1)]
+    def predict(self, feats: np.ndarray, gamma=None) -> np.ndarray:
+        """Nearest class id per row; ties resolve to the smallest class id."""
+        return np.asarray(self.ids)[self.distances(feats, gamma).argmin(axis=1)]
+
+    def scan(self, feats: np.ndarray, gammas) -> np.ndarray:
+        """``predict(feats, gamma)`` for each pair in ``gammas``, one row each.
+
+        Classes are the outer loop, so each class's centered features serve
+        the whole grid and only a running minimum per (gamma, row) is held.
+        A strictly smaller distance is needed to move a row to a later
+        class, so ties resolve as in ``predict``.
+        """
+        factors = [self._factors(g1, g2) for g1, g2 in gammas]
+        best = np.full((len(factors), len(feats)), np.inf)
+        arg = np.zeros(best.shape, dtype=np.intp)
+        for j in range(len(self.ids)):
+            centered = feats - self._mu[j]
+            for g, fac in enumerate(factors):
+                dist = self._sq_norms(j, centered, fac)
+                closer = dist < best[g]
+                best[g, closer] = dist[closer]
+                arg[g, closer] = j
+        return np.asarray(self.ids)[arg]
 
 
 def predict_mahalanobis(extractor: M.ExtractorParams, store: C.PrototypeStore,

@@ -140,7 +140,8 @@ def _is_number(value) -> bool:
 # whether the list must be non-empty
 _LIST_ITEMS = {
     "model.hidden": (lambda v: _is_int(v) and v >= 1, "integers >= 1", False),
-    "shrinkage.grid": (lambda v: _is_number(v) and v >= 0, "finite numbers >= 0", True),
+    # gamma = 0 leaves a rank-k (SVD) store singular at shrinkage tuning
+    "shrinkage.grid": (lambda v: _is_number(v) and v > 0, "finite numbers > 0", True),
     "classifiers": (lambda v: isinstance(v, str), "strings", False),
 }
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -280,8 +281,39 @@ def load_csv(path, split: str = "train") -> LabeledSet:
     """Read rows of ``label,f0,...,f{D-1}`` into a labeled set.  A row whose
     width differs from the header's, a label that is not an integer, or a
     feature that is not a finite number raises ``DecodeError`` naming the
-    file and the line."""
+    file and the line.
+
+    A well-formed file is parsed by ``np.loadtxt`` (labels through ``int``,
+    features through the same correctly rounded conversion as ``float``);
+    any file it does not take whole goes to the per-line parser, which
+    finds and reports the bad line.
+    """
     path = Path(path)
+    parsed = _parse_csv_table(path)
+    if parsed is None:
+        parsed = _parse_csv_lines(path)
+    return LabeledSet(*parsed, split)
+
+
+def _parse_csv_table(path: Path):
+    """``(features, labels)`` of a well-formed file, else ``None``."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns; treat it as a failure
+            header = next(csv.reader(fh), None)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters={0: int})
+    except Exception:
+        return None
+    if (not header or header[0] != "label" or len(header) < 2 or not len(table)
+            or table.shape[1] != len(header) or not np.isfinite(table).all()
+            or np.abs(table[:, 0]).max() >= 2.0 ** 53):  # labels must convert back exactly
+        return None
+    return table[:, 1:], tuple(int(v) for v in table[:, 0])
+
+
+def _parse_csv_lines(path: Path):
+    """``(features, labels)`` parsed line by line; the first bad line raises
+    ``DecodeError`` naming the file and the line."""
     rows, labels, lines = [], [], []
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -310,7 +342,7 @@ def load_csv(path, split: str = "train") -> LabeledSet:
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise DecodeError(f"{path}: line {lines[int(bad.argmax())]}: non-finite feature")
-    return LabeledSet(x, tuple(labels), split)
+    return x, tuple(labels)
 
 
 def save_csv(dataset: LabeledSet, path) -> None:

@@ -15,12 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .arrays import read_json, readonly, record_array, record_field, record_int
+from .arrays import read_json, readonly, record_array, record_field, record_int, write_text_atomic
 from .errors import ContractError, DecodeError, DimensionError, NumericError
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
@@ -422,7 +421,7 @@ def save_checkpoint(state: ModelState, path) -> None:
             "head": _head_record(state.frozen[1]),
         },
     }
-    Path(path).write_text(json.dumps(record), encoding="utf-8")
+    write_text_atomic(path, json.dumps(record))
 
 
 def load_checkpoint(path) -> ModelState:

@@ -28,6 +28,7 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from . import train as TR
+from .arrays import write_text_atomic
 from .errors import ConfigError, ContractError, EngineError
 
 # named rng stream ids (entropy = [seed, stream, task])
@@ -136,10 +137,9 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True),
-                                         encoding="utf-8")
-    (run_dir / "seeds.json").write_text(
-        json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}), encoding="utf-8")
+    write_text_atomic(run_dir / "config.json", json.dumps(config, indent=2, sort_keys=True))
+    write_text_atomic(run_dir / "seeds.json",
+                      json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
     log = _CsvLog(run_dir / "metrics.csv")
 
     def stage(name, fn, *args, **kwargs):
@@ -196,13 +196,16 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
             log.add("calibration", task_index, "", "gamma1", gamma[0])
             log.add("calibration", task_index, "", "gamma2", gamma[1])
         gammas.append(gamma)
+        # every seen group in one pass: one scorer per classifier and task
+        tests = stream.test[:task_index + 1]
+        x = np.concatenate([test.x for test in tests])
+        ends = np.cumsum([len(test) for test in tests])[:-1]
         for name in classifiers:
+            pred = stage(f"eval-{name}", CL.predict, name, state, store, x,
+                         *(gamma if gamma else (1.0, 1.0)))
             row = []
-            for j in range(task_index + 1):
-                test = stream.test[j]
-                pred = stage(f"eval-{name}", CL.predict, name, state, store, test.x,
-                             *(gamma if gamma else (1.0, 1.0)))
-                row.append(float(np.mean(pred == np.asarray(test.y))))
+            for j, (test, group_pred) in enumerate(zip(tests, np.split(pred, ends))):
+                row.append(float(np.mean(group_pred == np.asarray(test.y))))
                 log.add("eval", task_index, "", f"acc/{name}/group{j}", row[-1])
             acc_rows[name].append(row)
 
@@ -266,12 +269,12 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
 
     M.save_checkpoint(state, run_dir / "model.json")
     C.save_store(store, run_dir / "store.json")
-    (run_dir / "meta.json").write_text(json.dumps({
+    write_text_atomic(run_dir / "meta.json", json.dumps({
         "wall_seconds": time.time() - started,
         "task_count": t_count,
         "argv": sys.argv,
         "engine_version": _package_version(),
-    }), encoding="utf-8")
+    }))
     return RunResult(run_dir, summary, results, gammas)
 
 

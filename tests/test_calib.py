@@ -116,6 +116,43 @@ def test_transfer_fit_oversized_lr_diverges():
             C.fit_transfer_matrix(feats, 2.0 * feats, lr=10.0, epochs=400)
 
 
+def rank_deficient_pair(case):
+    """Paired features whose Gram matrix F^T F has zero eigenvalues: fewer
+    rows than dimensions, or one feature that is always zero."""
+    rng = np.random.default_rng(40)
+    m, d = (12, 20) if case == "few-rows" else (60, 16)
+    feats_old = rng.normal(size=(m, d))
+    if case == "zero-column":
+        feats_old[:, 5] = 0.0
+    feats_new = feats_old @ (np.eye(d) + 0.2 * rng.normal(size=(d, d))).T \
+        + 0.05 * rng.normal(size=(m, d))
+    return feats_old, feats_new
+
+
+@pytest.mark.parametrize("case", ["few-rows", "zero-column"])
+@pytest.mark.parametrize("epochs", [1, 64, 400])
+def test_transfer_fit_closed_form_on_rank_deficient_features(case, epochs):
+    feats_old, feats_new = rank_deficient_pair(case)
+    lr = C.stable_transfer_lr(feats_old)
+    w, _ = C.fit_transfer_matrix(feats_old, feats_new, lr, epochs)
+    np.testing.assert_allclose(w, residual_form_fit(feats_old, feats_new, lr, epochs),
+                               rtol=0, atol=1e-12)
+
+
+def test_transfer_fit_zero_feature_keeps_identity_column():
+    # a feature that never varies gets no gradient: its column stays e_j
+    feats_old, feats_new = rank_deficient_pair("zero-column")
+    w, _ = C.fit_transfer_matrix(feats_old, feats_new, C.stable_transfer_lr(feats_old), 400)
+    np.testing.assert_allclose(w[:, 5], np.eye(16)[:, 5], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["few-rows", "zero-column"])
+def test_transfer_fit_oversized_lr_diverges_on_rank_deficient_features(case):
+    feats_old, feats_new = rank_deficient_pair(case)
+    with pytest.raises(NumericError, match="diverged"):
+        C.fit_transfer_matrix(feats_old, feats_new, 100.0 * C.stable_transfer_lr(feats_old), 400)
+
+
 def test_transfer_fit_default_arguments_follow_reference():
     import inspect
 

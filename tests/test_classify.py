@@ -3,6 +3,7 @@ import pytest
 
 from advreplay import calib as C
 from advreplay import classify as CL
+from advreplay import data as D
 from advreplay import model as M
 from advreplay.errors import ContractError, NumericError
 
@@ -120,10 +121,100 @@ def test_distances_match_solve_reference_on_svd_store():
         np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
 
 
+def anisotropic_store(rng, d, classes, svd_k=None):
+    store = C.PrototypeStore()
+    for cid in range(classes):
+        a = rng.normal(size=(d, d)) * rng.uniform(0.2, 3.0, size=d)
+        store.add(cid, rng.normal(size=d), a @ a.T / d + 0.05 * np.eye(d), task=0,
+                  svd_k=svd_k)
+    return store
+
+
+@pytest.mark.parametrize("svd_k", [None, 6])
+@pytest.mark.parametrize("gamma", [(1.0, 8.0), (24.0, 3.0)])
+def test_unequal_gammas_match_solve_reference(svd_k, gamma):
+    rng = np.random.default_rng(21)
+    store = anisotropic_store(rng, 24, 5, svd_k)
+    feats = rng.normal(size=(150, 24))
+    want = solve_reference_distances(store, *gamma, feats)
+    built = CL.MahalanobisScorer(store, *gamma)
+    other = CL.MahalanobisScorer(store, 1.0, 1.0)  # constructor gamma overridden per call
+    for got in (built.distances(feats), other.distances(feats, gamma)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
+    np.testing.assert_array_equal(other.predict(feats, gamma), built.predict(feats))
+
+
+def test_scan_equals_predict_per_gamma():
+    rng = np.random.default_rng(22)
+    store = anisotropic_store(rng, 16, 6, svd_k=4)
+    feats = rng.normal(size=(120, 16)) * 1.5
+    grid = [(float(g), float(g)) for g in C.GAMMA_GRID] + [(40.0, 2.0)]
+    scorer = CL.MahalanobisScorer(store, *grid[0])
+    rows = scorer.scan(feats, grid)
+    assert rows.shape == (len(grid), len(feats))
+    for gamma, row in zip(grid, rows):
+        np.testing.assert_array_equal(row, scorer.predict(feats, gamma))
+
+
+def rebuild_per_gamma_accuracies(store, feats, labels, grid):
+    """Validation accuracy per grid value, Cholesky-scored from a rebuild."""
+    ids = np.asarray(store.class_ids())
+    return [float(np.mean(ids[solve_reference_distances(store, g, g, feats).argmin(axis=1)]
+                          == labels)) for g in grid]
+
+
+@pytest.mark.parametrize("svd_k", [None, 3])
+def test_tune_shrinkage_scan_matches_per_gamma_rebuild(svd_k):
+    # covariances estimated from 8 rows in 12 dims: shrinkage helps up to a
+    # point, and several grid values tie at the best accuracy
+    rng = np.random.default_rng(23)
+    d, classes = 12, 6
+    mus = rng.normal(size=(classes, d)) * 0.8
+    y = np.repeat(np.arange(classes), 40)
+    x = mus[y] + rng.normal(size=(len(y), d))
+    store = C.PrototypeStore()
+    for cid in range(classes):
+        rows = x[y == cid][:8]
+        store.add(cid, rows.mean(axis=0), np.cov(rows.T), task=0, svd_k=svd_k)
+    val = D.LabeledSet(x, tuple(int(v) for v in y), "val")
+    accuracies = rebuild_per_gamma_accuracies(store, val.x, y, C.GAMMA_GRID)
+    first_best = int(np.argmax(accuracies))  # ties go to the smallest gamma
+    assert first_best > 0 and accuracies.count(accuracies[first_best]) > 1
+    best = float(C.GAMMA_GRID[first_best])
+    assert C.tune_shrinkage(store, identity_extractor(d), val) == (best, best)
+
+
+def test_tied_classes_resolve_to_smaller_id():
+    rng = np.random.default_rng(24)
+    mu, cov = rng.normal(size=4), random_spd(rng, 4)
+    store = C.PrototypeStore()
+    for cid in (7, 3, 11):  # 3 and 7 are the same class twice; 11 is far away
+        store.add(cid, mu + (50.0 if cid == 11 else 0.0), cov, task=0)
+    feats = mu + rng.normal(size=(30, 4))
+    scorer = CL.MahalanobisScorer(store, 1.0, 1.0)
+    dist = scorer.distances(feats)
+    np.testing.assert_array_equal(dist[:, 0], dist[:, 1])
+    assert set(scorer.predict(feats)) == {3}
+    assert set(scorer.scan(feats, [(1.0, 1.0), (24.0, 24.0)]).ravel()) == {3}
+
+
 def test_singular_covariance_names_class():
     store = store_from([[0.0, 0.0], [1.0, 1.0]],
                        [np.ones((2, 2)), np.eye(2)])
     with pytest.raises(NumericError, match="class 0"):
+        CL.MahalanobisScorer(store, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_deficient_covariance_without_shrinkage_rejected(seed):
+    # rank r < d: exactly singular, though the computed smallest eigenvalue
+    # often comes out a few ulps above zero
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    a = rng.normal(size=(d, int(rng.integers(1, d)))) * rng.uniform(0.1, 10.0)
+    store = store_from([np.zeros(d), np.ones(d)], [np.eye(d), a @ a.T])
+    with pytest.raises(NumericError, match="class 1"):
         CL.MahalanobisScorer(store, 0.0, 0.0)
 
 

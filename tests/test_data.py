@@ -295,6 +295,33 @@ def test_load_csv_fuzz_fails_only_as_engine_error(fuzz_dir, text):
     assert loaded.x.ndim == 2 and np.isfinite(loaded.x).all()
 
 
+# well-formed files: integer labels, features printed by repr
+CSV_NUMBERS = st.lists(
+    st.tuples(st.integers(-3, 70), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=2, max_size=2)),
+    min_size=1, max_size=6).map(
+    lambda rows: "label,f0,f1\n" + "\n".join(
+        ",".join([str(y)] + [repr(v) for v in feats]) for y, feats in rows))
+
+
+@FUZZ
+@given(text=st.one_of(CSV_TEXT, CSV_NUMBERS))
+def test_load_csv_table_parse_equals_line_parse(fuzz_dir, text):
+    path = fuzz_dir / "same.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        x, labels = D._parse_csv_lines(path)
+    except DecodeError:
+        # a file the line parser rejects is never taken whole, so the
+        # line parser reports it
+        assert D._parse_csv_table(path) is None
+        return
+    table = D._parse_csv_table(path)
+    if table is not None:
+        assert table[1] == labels
+        assert np.ascontiguousarray(table[0]).tobytes() == x.tobytes()
+
+
 @FUZZ
 @given(payload=APRD_BYTES)
 def test_load_binary_fuzz_fails_only_as_engine_error(fuzz_dir, payload):

@@ -57,6 +57,7 @@ EARLY_REJECTED = [
     "replay.k=abc", "attack.alpha=abc", "adc.magnitude=0", "adc.iterations=0",
     "adc.transfer_epochs=-5",
     "model.hidden=abc", "model.hidden=[0]", 'shrinkage.grid=["a"]',
+    "shrinkage.grid=[0,1]",
 ]
 
 BAD_OVERRIDES = [
