@@ -1,7 +1,9 @@
 """Tour of the tensor engine: building graphs, taking gradients, checking them.
 
-Every training and attack loop in this package runs on this little
-reverse-mode engine, so it is worth seeing it in isolation first.
+This little reverse-mode engine is the gradient oracle of the package:
+training and the attack run hand-written plain-numpy forward and backward
+passes, and the tests check those op for op against the gradients taped
+here, so it is worth seeing in isolation first.
 """
 
 import numpy as np

@@ -110,12 +110,13 @@ class DriftConfig:
 
 
 def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
-                           mu: np.ndarray, cfg: DriftConfig) -> np.ndarray:
-    """Nearest new-task samples to a prototype, perturbed toward it.
+                           prototypes: dict[int, np.ndarray],
+                           cfg: DriftConfig) -> dict[int, np.ndarray]:
+    """Per prototype, its nearest new-task samples perturbed toward it.
 
-    Distances use raw (un-augmented) features; the attack runs without
-    target noise.  Asking for more candidates than the task provides uses
-    every sample and warns.
+    Distances use raw (un-augmented) features, computed once for every
+    class; the attack runs without target noise.  Asking for more candidates
+    than the task provides uses every sample and warns.
     """
     n = len(task_data)
     take = cfg.candidates
@@ -123,11 +124,14 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
         warnings.warn(f"drift sampling wants {take} candidates, task has {n}; using all")
         take = n
     feats = M.features(f_old, task_data.x)
-    dists = np.linalg.norm(feats - mu[None, :], axis=1)
-    picked = np.argsort(dists, kind="stable")[:take]
     attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations, noise=False)
-    targets = np.tile(mu, (take, 1))
-    return R.adversarial_attack(f_old, task_data.x[picked], targets, attack_cfg)
+    drift = {}
+    for cid, mu in prototypes.items():
+        dists = np.linalg.norm(feats - mu[None, :], axis=1)
+        picked = np.argsort(dists, kind="stable")[:take]
+        drift[cid] = R.adversarial_attack(f_old, task_data.x[picked], np.tile(mu, (take, 1)),
+                                          attack_cfg)
+    return drift
 
 
 # -- transfer matrix ---------------------------------------------------------------

@@ -96,6 +96,16 @@ def group_sizes(total_classes: int, task_count: int, mode: str) -> list[int]:
     raise ConfigError(f"unknown start mode {mode!r}")
 
 
+def shuffled_groups(class_ids, task_count: int, mode: str,
+                    shuffle_seed: int) -> tuple[tuple[int, ...], ...]:
+    """Per-task class groups: the ids in one seeded shuffle, cut by ``group_sizes``."""
+    ids = np.asarray(class_ids)
+    sizes = group_sizes(len(ids), task_count, mode)
+    shuffled = ids[np.random.default_rng(shuffle_seed).permutation(len(ids))]
+    return tuple(tuple(int(c) for c in group)
+                 for group in np.split(shuffled, np.cumsum(sizes)[:-1]))
+
+
 # -- synthetic generator -------------------------------------------------------
 
 
@@ -133,14 +143,7 @@ def _sample_class(mean, cov, n, rng):
 def make_task_stream(spec: SyntheticSpec, task_count: int, mode: str,
                      seed: int, class_shuffle_seed: int) -> TaskStream:
     """Deterministic synthetic stream under (seed, class_shuffle_seed)."""
-    sizes = group_sizes(spec.n_classes, task_count, mode)
-    shuffle_rng = np.random.default_rng(class_shuffle_seed)
-    order = shuffle_rng.permutation(spec.n_classes)
-    groups, cursor = [], 0
-    for size in sizes:
-        groups.append(tuple(int(c) for c in order[cursor: cursor + size]))
-        cursor += size
-
+    groups = shuffled_groups(range(spec.n_classes), task_count, mode, class_shuffle_seed)
     data_rng = np.random.default_rng(seed)
     means, covs = class_clusters(spec, data_rng)
     per_class = {}
@@ -161,7 +164,7 @@ def make_task_stream(spec: SyntheticSpec, task_count: int, mode: str,
     train = tuple(bundle(g, 0, "train") for g in groups)
     val = tuple(bundle(g, 1, "val") for g in groups)
     test = tuple(bundle(g, 2, "test") for g in groups)
-    return TaskStream(mode, tuple(groups), train, val, test)
+    return TaskStream(mode, groups, train, val, test)
 
 
 # -- augmentation policies -----------------------------------------------------

@@ -65,15 +65,7 @@ def stream_from_config(config: dict) -> D.TaskStream:
 
 def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
                         t_count: int, mode: str, seed: int, shuffle_seed: int) -> D.TaskStream:
-    classes = pool.classes()
-    sizes = D.group_sizes(len(classes), t_count, mode)
-    order = np.random.default_rng(shuffle_seed).permutation(len(classes))
-    shuffled = [classes[i] for i in order]
-    groups, cursor = [], 0
-    for size in sizes:
-        groups.append(tuple(shuffled[cursor: cursor + size]))
-        cursor += size
-
+    groups = D.shuffled_groups(pool.classes(), t_count, mode, shuffle_seed)
     rng = np.random.default_rng([seed, 9])
     labels = np.asarray(pool.y)
     test_labels = np.asarray(test.y)
@@ -99,7 +91,7 @@ def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
 
     carved = [carve(g) for g in groups]
     return D.TaskStream(
-        mode, tuple(groups),
+        mode, groups,
         tuple(tr for tr, _ in carved),
         tuple(va for _, va in carved),
         tuple(test_of(g) for g in groups),
@@ -240,9 +232,9 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
 
         if config["adc"]["enabled"]:
             def calibrate_old():
-                for cid in store.class_ids():
-                    drift = C.generate_drift_samples(frozen_ext, stream.train[t],
-                                                     store.entries[cid].mu, drift_cfg)
+                samples = C.generate_drift_samples(frozen_ext, stream.train[t],
+                                                   store.prototypes(), drift_cfg)
+                for cid, drift in samples.items():
                     feats_old = M.features(frozen_ext, drift)
                     feats_new = M.features(state.extractor, drift)
                     # cap the step at the GD stability bound; feature scale is

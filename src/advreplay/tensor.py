@@ -67,39 +67,8 @@ class Tensor:
     def is_leaf(self) -> bool:
         return not self._parents
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError("item() requires a single-element tensor")
-        return float(self.data.reshape(()))
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other: ArrayLike) -> "Tensor":
-        return add(self, other)
-
-    def __radd__(self, other: ArrayLike) -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        return sub(self, other)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return add(neg(self), other)
-
-    def __mul__(self, other: ArrayLike) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def as_tensor(x: ArrayLike) -> Tensor:

@@ -239,38 +239,6 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     return state
 
 
-class _ReplaySampler:
-    """Round-robin over old classes; within-class order reshuffled per epoch."""
-
-    def __init__(self, candidates: R.CandidateSet, rng):
-        self.candidates = candidates
-        self.class_ids = candidates.classes()
-        self.rng = rng
-        self.cursor = 0
-        self.orders = {}
-        self.positions = {}
-        self._reshuffle()
-
-    def _reshuffle(self):
-        for cid in self.class_ids:
-            self.orders[cid] = self.rng.permutation(self.candidates.k)
-            self.positions[cid] = 0
-
-    def new_epoch(self):
-        self._reshuffle()
-
-    def draw(self, count: int):
-        picks = []
-        for _ in range(count):
-            cid = self.class_ids[self.cursor]
-            self.cursor = (self.cursor + 1) % len(self.class_ids)
-            pos = self.positions[cid]
-            slot = self.orders[cid][pos % self.candidates.k]
-            self.positions[cid] = pos + 1
-            picks.append((cid, int(slot)))
-        return picks
-
-
 def run_task(state: M.ModelState, task_data: D.LabeledSet,
              candidates: R.CandidateSet | None,
              prototypes: dict[int, np.ndarray] | None,
@@ -286,7 +254,10 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     are replayed unperturbed.  Replay rows come from a bank built once
     per task by replaying every candidate's recorded policy on its sample;
     the bank holds augmented current-task rows only and is never stored, so
-    the stored replay state stays sample indices plus policy records.  The
+    the stored replay state stays sample indices plus policy records.  Rows
+    are drawn round-robin over the old classes, the class cursor carrying
+    across steps and epochs; each class walks its own permutation of its k
+    rows, wrapping around and reshuffled every epoch.  The
     frozen model is never touched (checked by checksum at entry and exit).
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
     per epoch for the run CSV.
@@ -302,26 +273,33 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         missing = set(state.head.old_ids) - set(candidates.classes())
         if missing:
             raise ContractError(f"candidates missing for old classes {sorted(missing)}")
-        if prototypes is None:
-            raise ContractError("replay needs prototypes for attack targets")
+        if prototypes is None or set(candidates.classes()) - set(prototypes):
+            raise ContractError("replay needs a prototype per candidate class")
 
     class_ids = state.head.new_ids
     rel = {cid: i for i, cid in enumerate(class_ids)}
     y_rel = np.array([rel[c] for c in task_data.y])
     x = task_data.x
 
-    sampler, bank = None, None
+    # bank[c, j] is old class c's j-th candidate row, centers[c] its prototype
     if candidates is not None:
-        sampler = _ReplaySampler(candidates, rng)
-        bank = {cid: np.stack([D.apply_policy(x[i], policy) for i, policy in
-                               zip(candidates.indices[cid], candidates.policies[cid])])
-                for cid in candidates.classes()}
+        old_ids, k = candidates.classes(), candidates.k
+        bank = np.array([[D.apply_policy(x[i], policy) for i, policy in
+                          zip(candidates.indices[cid], candidates.policies[cid])]
+                         for cid in old_ids])
+        centers = np.array([prototypes[cid] for cid in old_ids])
+        n_old, cursor, step_ids = len(old_ids), 0, np.arange(optim_cfg.batch_replay)
+        # one set of permutations is drawn and never used: dropping it would
+        # shift every later draw of the stream and change seeded results
+        for _ in old_ids:
+            rng.permutation(k)
     epochs = []
 
     for epoch in range(optim_cfg.epochs):
         lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
-        if sampler is not None:
-            sampler.new_epoch()
+        if candidates is not None:
+            orders = np.array([rng.permutation(k) for _ in old_ids])
+            drawn = np.zeros(n_old, dtype=int)
         ce_sum, kd_sum, steps = 0.0, 0.0, 0
 
         for batch in _batch_iter(len(task_data), optim_cfg.batch_new, rng):
@@ -329,13 +307,16 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
             x_kd = None
             if loss_cfg.lambda_kd > 0.0:
                 kd_inputs = [x_new]
-                if sampler is not None:
-                    picks = sampler.draw(optim_cfg.batch_replay)
-                    replay_rows = np.stack([bank[cid][slot] for cid, slot in picks])
+                if candidates is not None:
+                    # a class's j-th draw in this step reads its order at drawn + j
+                    cls = (cursor + step_ids) % n_old
+                    slots = orders[cls, (drawn[cls] + step_ids // n_old) % k]
+                    drawn += np.bincount(cls, minlength=n_old)
+                    cursor = (cursor + len(step_ids)) % n_old
+                    replay_rows = bank[cls, slots]
                     if attack_cfg is not None:
-                        targets = np.stack([prototypes[cid] for cid, _ in picks])
                         replay_rows = R.adversarial_attack(
-                            frozen_ext, replay_rows, targets, attack_cfg,
+                            frozen_ext, replay_rows, centers[cls], attack_cfg,
                             r=noise_r, rng=rng)
                     kd_inputs.append(replay_rows)
                 x_kd = np.concatenate(kd_inputs)

@@ -7,6 +7,7 @@ import pytest
 from advreplay import calib as C
 from advreplay import data as D
 from advreplay import model as M
+from advreplay import replay as R
 from advreplay import train as TR
 from advreplay.errors import ConfigError, ContractError, DecodeError, NumericError
 
@@ -34,8 +35,8 @@ def test_drift_sample_at_prototype_unperturbed():
     f = identity_extractor(3)
     mu = np.array([1.0, 2.0, 3.0])
     data = D.LabeledSet(np.stack([mu, mu + 5.0]), (0, 0), "train")
-    out = C.generate_drift_samples(f, data, mu, C.DriftConfig(candidates=1, iterations=3))
-    np.testing.assert_array_equal(out, mu[None, :])
+    out = C.generate_drift_samples(f, data, {0: mu}, C.DriftConfig(candidates=1, iterations=3))
+    np.testing.assert_array_equal(out[0], mu[None, :])
 
 
 def test_drift_samples_move_toward_prototype():
@@ -44,21 +45,37 @@ def test_drift_samples_move_toward_prototype():
     x = rng.normal(size=(30, 4)) + 4.0
     mu = np.zeros(4)
     data = D.LabeledSet(x, tuple([0] * 30), "train")
-    out = C.generate_drift_samples(f, data, mu, C.DriftConfig(magnitude=2.0, iterations=4,
-                                                              candidates=10))
+    cfg = C.DriftConfig(magnitude=2.0, iterations=4, candidates=10)
+    out = C.generate_drift_samples(f, data, {0: mu}, cfg)[0]
     pre = np.linalg.norm(np.sort(np.linalg.norm(x, axis=1))[:10])
     post = np.linalg.norm(out, axis=1).mean()
     assert post < np.mean(np.sort(np.linalg.norm(x, axis=1))[:10])
     assert pre > 0
 
 
+def test_drift_samples_per_prototype_are_its_attacked_nearest_rows():
+    rng = np.random.default_rng(2)
+    f = M.ExtractorParams((4, 3), ("tanh",), [rng.normal(size=(4, 3))], [np.zeros(3)])
+    data = D.LabeledSet(rng.normal(size=(25, 4)), tuple([0] * 25), "train")
+    protos = {5: rng.normal(size=3), 2: rng.normal(size=3), 9: np.zeros(3)}
+    cfg = C.DriftConfig(magnitude=0.5, iterations=2, candidates=7)
+    out = C.generate_drift_samples(f, data, protos, cfg)
+    assert list(out) == [5, 2, 9]
+    feats = M.features(f, data.x)
+    attack = R.AttackConfig(alpha=0.5, n_attack=2, noise=False)
+    for cid, mu in protos.items():
+        nearest = np.argsort(np.linalg.norm(feats - mu, axis=1), kind="stable")[:7]
+        want = R.adversarial_attack(f, data.x[nearest], np.tile(mu, (7, 1)), attack)
+        np.testing.assert_array_equal(out[cid], want)
+
+
 def test_drift_sampling_warns_when_short():
     f = identity_extractor(2)
     data = D.LabeledSet(np.ones((3, 2)), (0, 0, 0), "train")
     with pytest.warns(UserWarning, match="using all"):
-        out = C.generate_drift_samples(f, data, np.ones(2), C.DriftConfig(candidates=10,
-                                                                          iterations=1))
-    assert out.shape[0] == 3
+        out = C.generate_drift_samples(f, data, {0: np.ones(2)},
+                                       C.DriftConfig(candidates=10, iterations=1))
+    assert out[0].shape[0] == 3
 
 
 # -- transfer matrix --------------------------------------------------------------

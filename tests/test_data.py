@@ -59,6 +59,17 @@ def test_groups_disjoint_and_complete():
         assert sizes == D.group_sizes(6, task_count, mode)
 
 
+def test_shuffled_groups_relabel_with_the_class_ids():
+    # ingested labels are arbitrary ints: the same shuffle seed must cut them
+    # into the groups the synthetic ids 0..n-1 get, position for position
+    ids = (3, 10, 11, 40, 41, 97)
+    for task_count, mode in [(3, "cold"), (4, "warm")]:
+        plain = D.shuffled_groups(range(6), task_count, mode, 5)
+        assert plain == D.make_task_stream(small_spec(), task_count, mode, 0, 5).class_groups
+        assert D.shuffled_groups(ids, task_count, mode, 5) == tuple(
+            tuple(ids[c] for c in group) for group in plain)
+
+
 def test_split_sizes_respect_spec():
     stream = D.make_task_stream(small_spec(), 3, "cold", 1, 1)
     assert len(stream.train[0]) == 2 * 20

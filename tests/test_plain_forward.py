@@ -155,9 +155,9 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     CL.predict("mahalanobis", state, store, train.x, *gamma)
     cands = R.build_candidate_set(f, task1, store.prototypes(), k=4, rng=rng,
                                   family=D.AugFamily(input_dim=6))
-    drift = C.generate_drift_samples(f, train, store.entries[0].mu,
+    drift = C.generate_drift_samples(f, train, {0: store.entries[0].mu},
                                      C.DriftConfig(magnitude=1.0, iterations=2,
-                                                   candidates=10))
+                                                   candidates=10))[0]
     R.adversarial_attack(f, drift, np.tile(store.entries[1].mu, (10, 1)),
                          R.AttackConfig(alpha=1.0, n_attack=3), r=0.5, rng=rng)
     state = M.begin_task(state, [3, 4, 5], rng)

@@ -215,6 +215,11 @@ def test_run_task_requires_snapshot_and_candidates():
     with pytest.raises(ContractError, match="missing"):
         TR.run_task(state, stream.train[1], partial, {}, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
+    full = R.CandidateSet(1, {cid: (0,) for cid in state.head.old_ids},
+                          {cid: (D.AugPolicy(),) for cid in state.head.old_ids})
+    with pytest.raises(ContractError, match="prototype per candidate class"):
+        TR.run_task(state, stream.train[1], full, {state.head.old_ids[0]: np.zeros(4)}, 0.0,
+                    TR.LossConfig(), TR.OptimConfig(epochs=1), None, rng)
 
 
 def test_split_gradients_do_not_leak_across_head_blocks():
@@ -309,3 +314,44 @@ def test_distillation_preserves_old_logit_behavior():
     gap_kd = old_logit_gap(10.0, True)
     gap_finetune = old_logit_gap(0.0, False)
     assert gap_kd < gap_finetune, f"KD gap {gap_kd} vs fine-tune gap {gap_finetune}"
+
+
+def test_replay_rows_follow_round_robin_order(monkeypatch):
+    """Pins which bank row and target each replay slot gets.
+
+    Three old classes, k=4, 5 replay rows per step and 4 steps per epoch
+    over 2 epochs: each class is drawn more than k times per epoch (the
+    within-class order wraps), 20 draws per epoch is not a multiple of 3
+    (the class cursor carries into the next epoch), and the within-class
+    orders are reshuffled at each epoch start.
+    """
+    state, stream, _ = small_world(seed=21, n_classes=6, input_dim=6, d=4)
+    state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(22))
+    x = stream.train[1].x
+    old = state.head.old_ids
+    indices = {cid: tuple(range(4 * j, 4 * j + 4)) for j, cid in enumerate(old)}
+    cands = R.CandidateSet(4, indices, {cid: (D.AugPolicy(),) * 4 for cid in old})
+    protos = {cid: np.full(4, float(cid)) for cid in old}
+    seen = []
+
+    def record(f_old, rows, targets, cfg, r=0.0, rng=None):
+        for row, target in zip(rows, targets):
+            cid = int(target[0])
+            np.testing.assert_array_equal(target, protos[cid])
+            sample = int(np.flatnonzero((x == row).all(axis=1))[0])
+            seen.append((cid, indices[cid].index(sample)))
+        return rows
+
+    monkeypatch.setattr(R, "adversarial_attack", record)
+    TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
+                TR.OptimConfig(lr=0.01, epochs=2, batch_new=24, batch_replay=5),
+                R.AttackConfig(alpha=1.0, n_attack=1), np.random.default_rng(23))
+    # (class, slot) per replay row, as drawn by the round-robin sampler
+    # this engine has always used; epoch 1 starts at class 4
+    assert old == (0, 1, 4)
+    assert seen == [
+        (0, 1), (1, 2), (4, 3), (0, 0), (1, 1), (4, 1), (0, 3), (1, 0), (4, 2), (0, 2),
+        (1, 3), (4, 0), (0, 1), (1, 2), (4, 3), (0, 0), (1, 1), (4, 1), (0, 3), (1, 0),
+        (4, 1), (0, 1), (1, 2), (4, 2), (0, 0), (1, 3), (4, 0), (0, 3), (1, 0), (4, 3),
+        (0, 2), (1, 1), (4, 1), (0, 1), (1, 2), (4, 2), (0, 0), (1, 3), (4, 0), (0, 3),
+    ]
