@@ -29,7 +29,9 @@ stats = TR.compute_class_stats(state.extractor, stream.train[0])
 family = CFG.build_family(cfg)
 
 target_class, (mu, _) = next(iter(stats.items()))
-idx, policies = R.sample_candidates(state.extractor, stream.train[1], mu, 64, rng, family)
+cands = R.build_candidate_set(state.extractor, stream.train[1], {target_class: mu}, 64, rng,
+                              family=family)
+idx, policies = cands.indices[target_class], cands.policies[target_class]
 rows = np.stack([D.apply_policy(stream.train[1].x[i], p)
                  for i, p in zip(idx, policies)])
 

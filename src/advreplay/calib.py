@@ -112,7 +112,8 @@ class DriftConfig:
 def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
                            prototypes: dict[int, np.ndarray],
                            cfg: DriftConfig) -> dict[int, np.ndarray]:
-    """Per prototype, its nearest new-task samples perturbed toward it.
+    """Per prototype, its nearest new-task samples (``replay.assign_nearest``)
+    perturbed toward it.
 
     Distances use raw (un-augmented) features, computed once for every
     class; the attack runs without target noise.  Asking for more candidates
@@ -125,13 +126,12 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
         take = n
     feats = M.features(f_old, task_data.x)
     attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations, noise=False)
-    drift = {}
-    for cid, mu in prototypes.items():
-        dists = np.linalg.norm(feats - mu[None, :], axis=1)
-        picked = np.argsort(dists, kind="stable")[:take]
-        drift[cid] = R.adversarial_attack(f_old, task_data.x[picked], np.tile(mu, (take, 1)),
-                                          attack_cfg)
-    return drift
+    dists = np.empty((len(prototypes), n))
+    for row, mu in enumerate(prototypes.values()):
+        dists[row] = np.linalg.norm(feats - mu[None, :], axis=1)
+    picked = R.assign_nearest(dists, take)
+    return {cid: R.adversarial_attack(f_old, task_data.x[idx], np.tile(mu, (take, 1)), attack_cfg)
+            for (cid, mu), idx in zip(prototypes.items(), picked)}
 
 
 # -- transfer matrix ---------------------------------------------------------------

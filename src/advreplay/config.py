@@ -193,14 +193,27 @@ def validate_config(config: dict) -> None:
                 raise ConfigError(f"dataset.{key} required for kind={ds['kind']}")
             if not Path(ds[key]).exists():
                 raise ConfigError(f"dataset.{key} does not exist: {ds[key]}")
+    # a class covariance needs two training rows; tuning and eval need a row each
+    for key, low in (("n_classes", 1), ("input_dim", 1), ("n_train", 2), ("n_val", 1),
+                     ("n_test", 1)):
+        if ds[key] < low:
+            raise ConfigError(f"dataset.{key} must be >= {low}")
+    if not ds["cluster_std"] > 0:
+        raise ConfigError("dataset.cluster_std must be positive")
+    if not 0 < ds["val_fraction"] < 1:
+        raise ConfigError("dataset.val_fraction must lie in (0, 1)")
     D.group_sizes(ds["n_classes"], config["tasks"]["count"], config["tasks"]["mode"])
     for name in config["classifiers"]:
         if name not in ("linear", "ncm", "mahalanobis"):
             raise ConfigError(f"unknown classifier {name!r}")
     if config["model"]["feature_dim"] < 1:
         raise ConfigError("model.feature_dim must be >= 1")
+    if config["model"]["head_init_std"] < 0:
+        raise ConfigError("model.head_init_std must be >= 0")
     if config["replay"]["k"] < 1:
         raise ConfigError("replay.k must be >= 1")
+    if config["replay"]["cap"] is not None and config["replay"]["cap"] < 1:
+        raise ConfigError("replay.cap must be >= 1")
     if not config["adc"]["transfer_lr"] > 0:
         raise ConfigError("adc.transfer_lr must be positive")
     if config["adc"]["transfer_epochs"] < 1:

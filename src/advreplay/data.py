@@ -273,6 +273,8 @@ def decode_policy(payload: bytes) -> AugPolicy:
     if len(payload) != POLICY_RECORD_BYTES:
         raise DecodeError(f"policy record must be {POLICY_RECORD_BYTES} bytes")
     crop_f, off, width, flip_f, jit_f, seed, sigma, factor = _POLICY_STRUCT.unpack(payload)
+    if not {crop_f, flip_f, jit_f} <= {0, 1}:
+        raise DecodeError(f"policy flag bytes must be 0 or 1, got {(crop_f, flip_f, jit_f)}")
     return AugPolicy(bool(crop_f), off, width, bool(flip_f), seed,
                      sigma if jit_f else 0.0, factor)
 

@@ -59,86 +59,36 @@ class CandidateSet:
                 raise ContractError(f"class {cid}: candidate lists must have length k")
 
 
-def _augmented_features(f_old: M.ExtractorParams, dataset: D.LabeledSet,
-                        policies) -> np.ndarray:
-    rows = [D.apply_policy(x, p) for x, p in zip(dataset.x, policies)]
-    return M.features(f_old, np.stack(rows))
+def assign_nearest(dists: np.ndarray, k: int, cap: int | None = None,
+                   class_ids=None) -> np.ndarray:
+    """Per row of a (prototypes, samples) distance matrix, the k nearest
+    sample indices in ascending (distance, index) order.
 
-
-def candidate_distances(f_old: M.ExtractorParams, dataset: D.LabeledSet,
-                        mu: np.ndarray, rng, family: D.AugFamily):
-    """Per-sample policies and feature-to-prototype distances for one class."""
-    policies = tuple(D.sample_policy(rng, family) for _ in range(len(dataset)))
-    feats = _augmented_features(f_old, dataset, policies)
-    dists = np.linalg.norm(feats - mu[None, :], axis=1)
-    return policies, dists
-
-
-def sample_candidates(f_old: M.ExtractorParams, dataset: D.LabeledSet,
-                      mu: np.ndarray, k: int, rng,
-                      family: D.AugFamily = D.DEFAULT_FAMILY):
-    """Pick the k smallest-distance samples for one prototype.
-
-    Ties break toward the smaller sample index (stable argsort on distance).
+    Without a cap each row takes its k nearest independently.  With a cap,
+    all (row, sample) pairs are assigned greedily by (distance, sample, row),
+    skipping samples already held by ``cap`` rows and rows already holding k
+    samples; ``cap = len(dists)`` gives the uncapped result.  ``class_ids``
+    names the rows when the greedy pass leaves some short (default: the
+    row numbers).
     """
-    if k > len(dataset):
-        raise ConfigError(f"k={k} exceeds task dataset size {len(dataset)}")
-    policies, dists = candidate_distances(f_old, dataset, mu, rng, family)
-    order = np.argsort(dists, kind="stable")[:k]
-    picked = tuple(int(i) for i in order)
-    return picked, tuple(policies[i] for i in picked)
-
-
-def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
-                        prototypes: dict[int, np.ndarray], k: int, rng,
-                        cap: int | None = None,
-                        family: D.AugFamily = D.DEFAULT_FAMILY) -> CandidateSet:
-    """Assemble candidates for every old class.
-
-    Without a cap each class independently takes its k nearest samples.
-    With a cap, all (sample, class) distance pairs are assigned greedily
-    from the global minimum upward, skipping samples already claimed by
-    ``cap`` classes and classes that already hold k samples.
-    """
-    class_ids = sorted(prototypes)
-    if not class_ids:
-        raise ContractError("no prototypes to sample candidates for")
-    n = len(dataset)
+    rows_n, n = dists.shape
     if k > n:
         raise ConfigError(f"k={k} exceeds task dataset size {n}")
-
     if cap is None:
-        indices, policies = {}, {}
-        for cid in class_ids:
-            indices[cid], policies[cid] = sample_candidates(
-                f_old, dataset, prototypes[cid], k, rng, family)
-        return CandidateSet(k, indices, policies)
-
+        return np.argsort(dists, axis=1, kind="stable")[:, :k]
     if cap < 1:
         raise ConfigError("assignment cap must be >= 1")
-    if k * len(class_ids) > n * cap:
+    if k * rows_n > n * cap:
         raise ConfigError(
-            f"infeasible cap: need k*classes = {k * len(class_ids)} assignments "
+            f"infeasible cap: need k*classes = {k * rows_n} assignments "
             f"but cap allows at most n*cap = {n * cap}")
-
-    per_class = {}
-    for cid in class_ids:
-        per_class[cid] = candidate_distances(f_old, dataset, prototypes[cid], rng, family)
-
-    # global greedy pass over the (sample, class) distance matrix
-    pairs = []
-    for col, cid in enumerate(class_ids):
-        _, dists = per_class[cid]
-        for i in range(n):
-            pairs.append((dists[i], i, col))
-    pairs.sort()
-
-    used = np.zeros(n, dtype=int)
-    chosen: dict[int, list[int]] = {cid: [] for cid in class_ids}
-    remaining = len(class_ids)
-    for dist, i, col in pairs:
-        cid = class_ids[col]
-        bucket = chosen[cid]
+    rows, samples = np.divmod(np.arange(rows_n * n), n)
+    order = np.lexsort((rows, samples, dists.ravel()))
+    chosen: list[list[int]] = [[] for _ in range(rows_n)]
+    used = [0] * n
+    remaining = rows_n
+    for row, i in zip(rows[order].tolist(), samples[order].tolist()):
+        bucket = chosen[row]
         if len(bucket) >= k or used[i] >= cap:
             continue
         bucket.append(i)
@@ -147,19 +97,42 @@ def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
             remaining -= 1
             if remaining == 0:
                 break
-    short = [cid for cid in class_ids if len(chosen[cid]) < k]
+    ids = range(rows_n) if class_ids is None else class_ids
+    short = [cid for cid, bucket in zip(ids, chosen) if len(bucket) < k]
     if short:
         raise ConfigError(
             f"greedy assignment exhausted samples under cap={cap}; "
             f"classes short of k: {short}")
+    return np.array(chosen, dtype=int)
 
-    indices, policies = {}, {}
-    for cid in class_ids:
-        pol, _ = per_class[cid]
-        idx = chosen[cid]
-        indices[cid] = tuple(idx)
-        policies[cid] = tuple(pol[i] for i in idx)
-    return CandidateSet(k, indices, policies)
+
+def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
+                        prototypes: dict[int, np.ndarray], k: int, rng,
+                        cap: int | None = None,
+                        family: D.AugFamily = D.DEFAULT_FAMILY) -> CandidateSet:
+    """Assemble candidates for every old class.
+
+    Each class draws one policy per sample (classes in ascending id order),
+    measures the augmented features' distances to its prototype, and
+    ``assign_nearest`` picks k samples per class under the optional cap.
+    """
+    class_ids = sorted(prototypes)
+    if not class_ids:
+        raise ContractError("no prototypes to sample candidates for")
+    n = len(dataset)
+    policies = []
+    dists = np.empty((len(class_ids), n))
+    for row, cid in enumerate(class_ids):
+        pols = tuple(D.sample_policy(rng, family) for _ in range(n))
+        feats = M.features(f_old, np.stack([D.apply_policy(x, p)
+                                            for x, p in zip(dataset.x, pols)]))
+        dists[row] = np.linalg.norm(feats - prototypes[cid][None, :], axis=1)
+        policies.append(pols)
+    picked = assign_nearest(dists, k, cap, class_ids).tolist()
+    return CandidateSet(
+        k,
+        {cid: tuple(idx) for cid, idx in zip(class_ids, picked)},
+        {cid: tuple(pols[i] for i in idx) for cid, pols, idx in zip(class_ids, policies, picked)})
 
 
 # -- prototype noise and the attack --------------------------------------------
@@ -245,6 +218,10 @@ def decode_candidate_set(payload: bytes) -> CandidateSet:
             raise DecodeError("truncated candidate-set header")
         cid, class_k = struct.unpack_from("<II", payload, offset)
         offset += 8
+        if cid in indices:
+            raise DecodeError(f"class {cid} repeated in candidate-set payload")
+        if class_k < 1:
+            raise DecodeError(f"class {cid}: candidate-set k must be >= 1")
         if k is None:
             k = class_k
         elif class_k != k:

@@ -146,8 +146,9 @@ def test_criterion_2_attack_efficacy():
     per_class = 64 // len(stats)
     rows, targets = [], []
     for cid, (mu, _) in stats.items():
-        idx, pols = R.sample_candidates(state.extractor, stream.train[1], mu, per_class,
-                                        np.random.default_rng([0, 2, 1]), family)
+        cands = R.build_candidate_set(state.extractor, stream.train[1], {cid: mu}, per_class,
+                                      np.random.default_rng([0, 2, 1]), family=family)
+        idx, pols = cands.indices[cid], cands.policies[cid]
         rows += [D.apply_policy(stream.train[1].x[i], p) for i, p in zip(idx, pols)]
         targets += [mu] * per_class
     rows, targets = np.stack(rows), np.stack(targets)

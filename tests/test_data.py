@@ -156,6 +156,14 @@ def test_malformed_policy_record_rejected():
         D.apply_policy(np.zeros(8), decoded)
 
 
+@pytest.mark.parametrize("offset", [0, 9, 10])  # crop, flip and jitter flag bytes
+def test_policy_flag_byte_other_than_0_or_1_rejected(offset):
+    record = bytearray(D.encode_policy(D.AugPolicy(crop=True, crop_offset=1, crop_width=2)))
+    record[offset] = 7
+    with pytest.raises(DecodeError, match="flag bytes must be 0 or 1"):
+        D.decode_policy(bytes(record))
+
+
 # -- ingestion -------------------------------------------------------------------
 
 

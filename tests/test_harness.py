@@ -58,6 +58,8 @@ EARLY_REJECTED = [
     "adc.transfer_epochs=-5",
     "model.hidden=abc", "model.hidden=[0]", 'shrinkage.grid=["a"]',
     "shrinkage.grid=[0,1]",
+    "replay.cap=0", "dataset.val_fraction=1.5", "dataset.val_fraction=1.0",
+    "dataset.val_fraction=-0.5", "dataset.n_train=1", "dataset.n_val=0", "dataset.n_test=0",
 ]
 
 BAD_OVERRIDES = [
@@ -67,6 +69,8 @@ BAD_OVERRIDES = [
     "augmentation.crop_prob=1.5", "augmentation.flip_prob=-0.1",
     "augmentation.jitter_prob=2",
     "replay.k=0", "adc.candidates=0", "model.feature_dim=0", "adc.transfer_lr=-1",
+    "dataset.n_classes=0", "dataset.input_dim=0", "dataset.cluster_std=0",
+    "model.head_init_std=-1",
     *EARLY_REJECTED,
     "replay.cap=abc", "replay.k=2.5", "attack.noise=1", 'attack.enabled="false"',
     "model=3", "attack.alpha=NaN", "loss.lambda_kd=Infinity",
@@ -161,6 +165,21 @@ def test_identical_seeds_byte_identical_csv(tmp_path):
     csv_a = (a.run_dir / "metrics.csv").read_bytes()
     csv_b = (b.run_dir / "metrics.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_capped_run_byte_identical_csv(tmp_path, monkeypatch):
+    caps = []
+    assign = R.assign_nearest
+
+    def spy(dists, k, cap=None, *rest):
+        caps.append(cap)
+        return assign(dists, k, cap, *rest)
+
+    monkeypatch.setattr(R, "assign_nearest", spy)
+    a = runner.run_benchmark(tiny_config(tmp_path / "a", "replay.cap=2"))
+    b = runner.run_benchmark(tiny_config(tmp_path / "b", "replay.cap=2"))
+    assert 2 in caps  # the capped assignment ran
+    assert (a.run_dir / "metrics.csv").read_bytes() == (b.run_dir / "metrics.csv").read_bytes()
 
 
 def test_single_task_degenerates_to_joint_training(tmp_path):

@@ -1,10 +1,13 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
-from advreplay.errors import ConfigError, ContractError, NumericError
+from advreplay.errors import ConfigError, ContractError, DecodeError, NumericError
 from advreplay.tensor import Tensor
 
 IDENTITY_FAMILY = D.AugFamily(enabled=False)
@@ -26,11 +29,11 @@ def test_zero_distance_sample_ranked_first():
     f = identity_extractor(2)
     mu = np.array([3.0, -1.0])
     x = np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 5.0]])
-    idx, policies = R.sample_candidates(f, labeled(x), mu, k=1,
-                                        rng=np.random.default_rng(0),
-                                        family=IDENTITY_FAMILY)
-    assert idx == (1,)
-    assert policies[0] == D.AugPolicy()
+    cs = R.build_candidate_set(f, labeled(x), {0: mu}, k=1,
+                               rng=np.random.default_rng(0),
+                               family=IDENTITY_FAMILY)
+    assert cs.indices[0] == (1,)
+    assert cs.policies[0][0] == D.AugPolicy()
 
 
 def test_selection_equals_bruteforce_sort_oracle():
@@ -41,7 +44,8 @@ def test_selection_equals_bruteforce_sort_oracle():
     x = np.random.default_rng(1).normal(size=(10, 4))
     mu = np.random.default_rng(2).normal(size=4)
 
-    idx, _ = R.sample_candidates(f, labeled(x), mu, k=3, rng=rng_main, family=fam)
+    idx = R.build_candidate_set(f, labeled(x), {0: mu}, k=3, rng=rng_main,
+                                family=fam).indices[0]
 
     # independent oracle: same policy stream, exhaustive distance sort
     policies = [D.sample_policy(rng_oracle, fam) for _ in range(10)]
@@ -54,8 +58,8 @@ def test_selection_equals_bruteforce_sort_oracle():
 def test_k_larger_than_dataset_rejected():
     f = identity_extractor(2)
     with pytest.raises(ConfigError):
-        R.sample_candidates(f, labeled(np.zeros((3, 2))), np.zeros(2), k=4,
-                            rng=np.random.default_rng(0), family=IDENTITY_FAMILY)
+        R.build_candidate_set(f, labeled(np.zeros((3, 2))), {0: np.zeros(2)}, k=4,
+                              rng=np.random.default_rng(0), family=IDENTITY_FAMILY)
 
 
 def test_capped_assignment_greedy_by_global_distance():
@@ -87,6 +91,75 @@ def test_infeasible_cap_rejected_with_constraint():
     with pytest.raises(ConfigError, match="cap"):
         R.build_candidate_set(f, labeled(x), protos, k=2,
                               rng=np.random.default_rng(0), cap=1,
+                              family=IDENTITY_FAMILY)
+
+
+def greedy_oracle(dists, k, cap):
+    """The assignment written out: every (distance, sample, row) tuple
+    sorted, then taken greedily under the per-row k and per-sample cap."""
+    rows_n, n = dists.shape
+    pairs = sorted((dists[r, i], i, r) for r in range(rows_n) for i in range(n))
+    chosen = [[] for _ in range(rows_n)]
+    used = [0] * n
+    for _, i, r in pairs:
+        if len(chosen[r]) < k and used[i] < cap:
+            chosen[r].append(i)
+            used[i] += 1
+    return chosen
+
+
+def tie_heavy(rng):
+    """A distance matrix drawn from four values, so most entries tie."""
+    rows_n, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    return rng.integers(0, 4, size=(rows_n, n)) * 0.5, int(rng.integers(1, n + 1))
+
+
+def test_assign_nearest_cap_of_all_rows_equals_uncapped():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        dists, k = tie_heavy(rng)
+        expected = [sorted(range(dists.shape[1]), key=lambda i: (row[i], i))[:k]
+                    for row in dists]
+        assert R.assign_nearest(dists, k).tolist() == expected
+        assert R.assign_nearest(dists, k, cap=len(dists)).tolist() == expected
+
+
+def test_assign_nearest_capped_equals_greedy_oracle():
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for _ in range(300):
+        dists, k = tie_heavy(rng)
+        rows_n, n = dists.shape
+        for cap in (1, 2):
+            if k * rows_n > n * cap:
+                outcomes.add("infeasible")
+                with pytest.raises(ConfigError, match="infeasible cap"):
+                    R.assign_nearest(dists, k, cap)
+                continue
+            expected = greedy_oracle(dists, k, cap)
+            short = [r for r, bucket in enumerate(expected) if len(bucket) < k]
+            if short:
+                outcomes.add("short")
+                with pytest.raises(ConfigError, match=re.escape(f"short of k: {short}")):
+                    R.assign_nearest(dists, k, cap)
+            else:
+                outcomes.add("assigned")
+                assert R.assign_nearest(dists, k, cap).tolist() == expected
+    assert outcomes == {"infeasible", "short", "assigned"}
+
+
+def test_assign_nearest_rejects_cap_below_one():
+    with pytest.raises(ConfigError, match="cap must be >= 1"):
+        R.assign_nearest(np.zeros((1, 2)), 1, cap=0)
+
+
+def test_greedy_assignment_names_short_classes_by_id():
+    f = identity_extractor(1)
+    x = np.array([[0.0], [1.0], [10.0]])
+    protos = {2: np.array([0.5]), 5: np.array([0.5]), 9: np.array([0.5])}
+    with pytest.raises(ConfigError, match=re.escape("classes short of k: [9]")):
+        R.build_candidate_set(f, labeled(x), protos, k=2,
+                              rng=np.random.default_rng(0), cap=2,
                               family=IDENTITY_FAMILY)
 
 
@@ -227,3 +300,23 @@ def test_candidate_set_roundtrip_and_size():
         np.testing.assert_array_equal(
             D.apply_policy(sample, decoded.policies[cid][0]),
             D.apply_policy(sample, cs.policies[cid][0]))
+
+
+def small_candidate_payload():
+    f = identity_extractor(2)
+    x = np.random.default_rng(5).normal(size=(6, 2))
+    cs = R.build_candidate_set(f, labeled(x), {3: np.zeros(2), 7: np.ones(2)}, k=2,
+                               rng=np.random.default_rng(0), family=IDENTITY_FAMILY)
+    return R.encode_candidate_set(cs)
+
+
+def test_decode_candidate_set_rejects_a_repeated_class():
+    payload = small_candidate_payload()
+    first_class = payload[: len(payload) // 2]
+    with pytest.raises(DecodeError, match="class 3 repeated"):
+        R.decode_candidate_set(first_class + first_class)
+
+
+def test_decode_candidate_set_rejects_k_zero():
+    with pytest.raises(DecodeError, match="k must be >= 1"):
+        R.decode_candidate_set(struct.pack("<II", 3, 0))
