@@ -271,14 +271,16 @@ def decomposed_scalars(d: int, k: int) -> int:
 
 
 def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
-                   val_set: D.LabeledSet, grid=GAMMA_GRID):
+                   val_set: D.LabeledSet, grid=GAMMA_GRID, scorer=None):
     """Grid-search gamma by Mahalanobis accuracy on the validation split.
 
     Both shrinkage weights take the same grid value, so the result is a
     ``(gamma, gamma)`` pair.  Ties break toward the smaller gamma (scan
     order).  Only data tagged as a validation split is accepted, so test data
     can never leak in here.  One scorer serves the whole grid
-    (``MahalanobisScorer.scan``); each class is eigendecomposed once.
+    (``MahalanobisScorer.scan``); each class is eigendecomposed once.  A
+    caller that evaluates with the tuned gamma passes its ``scorer`` over
+    ``store`` so that the decompositions serve both.
     """
     grid = tuple(grid)
     if not grid:
@@ -293,7 +295,8 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
 
     feats = M.features(extractor, val_set.x)
     labels = np.asarray(val_set.y)
-    scorer = classify.MahalanobisScorer(store, grid[0], grid[0])
+    if scorer is None:
+        scorer = classify.MahalanobisScorer(store, grid[0], grid[0])
 
     best, best_acc = None, -1.0
     for g, pred in zip(grid, scorer.scan(feats, [(g, g) for g in grid])):

@@ -111,19 +111,24 @@ class MahalanobisScorer:
 
 
 def predict_mahalanobis(extractor: M.ExtractorParams, store: C.PrototypeStore,
-                        x: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
-    feats = M.features(extractor, x)
-    return MahalanobisScorer(store, gamma1, gamma2).predict(feats)
+                        x: np.ndarray, gamma1: float, gamma2: float,
+                        scorer: MahalanobisScorer | None = None) -> np.ndarray:
+    """Mahalanobis predictions at ``(gamma1, gamma2)``, through ``scorer``
+    when the caller already built one over ``store``."""
+    if scorer is None:
+        scorer = MahalanobisScorer(store, gamma1, gamma2)
+    return scorer.predict(M.features(extractor, x), (gamma1, gamma2))
 
 
 def predict(kind: str, state: M.ModelState, store: C.PrototypeStore | None,
-            x: np.ndarray, gamma1: float = 1.0, gamma2: float = 1.0) -> np.ndarray:
+            x: np.ndarray, gamma1: float = 1.0, gamma2: float = 1.0,
+            scorer: MahalanobisScorer | None = None) -> np.ndarray:
     if kind == "linear":
         return predict_linear(state, x)
     if kind == "ncm":
         return predict_ncm(state.extractor, store, x)
     if kind == "mahalanobis":
-        return predict_mahalanobis(state.extractor, store, x, gamma1, gamma2)
+        return predict_mahalanobis(state.extractor, store, x, gamma1, gamma2, scorer)
     raise ContractError(f"unknown classifier {kind!r}")
 
 

@@ -2,9 +2,10 @@
 
 Subcommands: ``run`` (single config), ``bench`` (three-seed average),
 ``decompose`` (offline store compression), ``report`` (storage accounting),
-``sweep`` (attack-parameter grid).  Any config key can be overridden with
-``--set dotted.path=value``; the output root may also come from the
-ADVREPLAY_OUT environment variable.
+``sweep`` (attack-parameter grid).  ``bench`` and ``sweep`` spread their
+independent runs over processes (``runner.run_many``).  Any config key can
+be overridden with ``--set dotted.path=value``; the output root may also
+come from the ADVREPLAY_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     config = _load(args)
     out_root = Path(_out_dir(args, config))
-    rows = {}
+    configs = []
     for shuffle_seed, seed in BENCH_SEED_PAIRS:
         run_cfg = CFG.apply_override(config, f"seeds.class_shuffle={shuffle_seed}")
         run_cfg = CFG.apply_override(run_cfg, f"seeds.randomness={seed}")
-        run_cfg = CFG.apply_override(run_cfg, f'output.tag="bench_s{seed}_c{shuffle_seed}"')
-        result = runner.run_benchmark(run_cfg, out_dir=out_root)
+        configs.append(
+            CFG.apply_override(run_cfg, f'output.tag="bench_s{seed}_c{shuffle_seed}"'))
+    rows = {}
+    for result in runner.run_many(configs, out_dir=out_root):
         for name, summary in result.summary.items():
             rows.setdefault(name, []).append(summary)
 
@@ -115,22 +118,23 @@ def cmd_sweep(args) -> int:
         config["attack"]["alpha"]]
     loops = [int(v) for v in args.n_attack.split(",")] if args.n_attack else [
         config["attack"]["n_attack"]]
+    grid = [(alpha, n_attack) for alpha in alphas for n_attack in loops]
+    configs = []
+    for alpha, n_attack in grid:
+        cfg = CFG.apply_override(config, f"attack.alpha={alpha}")
+        cfg = CFG.apply_override(cfg, f"attack.n_attack={n_attack}")
+        configs.append(CFG.apply_override(cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"'))
+    results = runner.run_many(configs, out_dir=out_root)
     table_path = out_root / "sweep.csv"
     with table_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "n_attack", "classifier", "A_inc", "A_last"])
-        for alpha in alphas:
-            for n_attack in loops:
-                cfg = CFG.apply_override(config, f"attack.alpha={alpha}")
-                cfg = CFG.apply_override(cfg, f"attack.n_attack={n_attack}")
-                cfg = CFG.apply_override(
-                    cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"')
-                result = runner.run_benchmark(cfg, out_dir=out_root)
-                for name, summary in result.summary.items():
-                    writer.writerow([alpha, n_attack, name,
-                                     repr(summary["A_inc"]), repr(summary["A_last"])])
-                    print(f"alpha={alpha:<6g} n={n_attack:<3d} {name:<12} "
-                          f"A_inc={summary['A_inc']:.4f} A_last={summary['A_last']:.4f}")
+        for (alpha, n_attack), result in zip(grid, results):
+            for name, summary in result.summary.items():
+                writer.writerow([alpha, n_attack, name,
+                                 repr(summary["A_inc"]), repr(summary["A_last"])])
+                print(f"alpha={alpha:<6g} n={n_attack:<3d} {name:<12} "
+                      f"A_inc={summary['A_inc']:.4f} A_last={summary['A_last']:.4f}")
     print(f"sweep table: {table_path}")
     return 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from . import calib as C
 from . import classify as CL
 from . import config as CFG
@@ -119,13 +121,68 @@ class _CsvLog:
             csv.writer(fh).writerow([stage, task, epoch, key, value])
 
 
-def run_benchmark(config: dict, out_dir=None) -> RunResult:
-    """Execute one seeded run end to end and persist its artifacts."""
-    CFG.validate_config(config)
+def _run_dir(config: dict, out_dir) -> Path:
     seed = config["seeds"]["randomness"]
     shuffle_seed = config["seeds"]["class_shuffle"]
     tag = config["output"]["tag"] or f"run_s{seed}_c{shuffle_seed}"
-    run_dir = Path(out_dir if out_dir is not None else config["output"]["dir"]) / tag
+    return Path(out_dir if out_dir is not None else config["output"]["dir"]) / tag
+
+
+def worker_count(n_runs: int) -> int:
+    """Processes for ``n_runs`` independent runs: one per usable CPU, at most
+    one per run."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_runs)
+
+
+def run_many(configs, out_dir=None) -> list[RunResult]:
+    """``run_benchmark`` for each config, in parallel processes.
+
+    Results come back in input order.  Each run is a pure function of its
+    config, so its artifacts do not depend on which process ran it.  With
+    one worker the runs execute in this process.  An error raised in a run
+    is raised here with its type and message.  Every config is validated
+    here first, and two configs may not share a run directory.
+    """
+    configs = list(configs)
+    dirs = set()
+    for config in configs:
+        CFG.validate_config(config)
+        run_dir = _run_dir(config, out_dir)
+        if run_dir in dirs:
+            raise ConfigError(f"two runs would write the same run directory {run_dir}; "
+                              f"give them distinct output.tag values")
+        dirs.add(run_dir)
+    workers = worker_count(len(configs))
+    if workers <= 1:
+        return [run_benchmark(config, out_dir) for config in configs]
+    # imported here so that a single run's process does not carry the pool's
+    # modules (about 1 MB of peak RSS)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(run_benchmark, configs, [out_dir] * len(configs)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_benchmark(config: dict, out_dir=None) -> RunResult:
+    """Execute one seeded run end to end, on one BLAS thread, and persist its
+    artifacts."""
+    with blas.single_thread():
+        return _run(config, out_dir)
+
+
+def _run(config: dict, out_dir) -> RunResult:
+    CFG.validate_config(config)
+    seed = config["seeds"]["randomness"]
+    shuffle_seed = config["seeds"]["class_shuffle"]
+    run_dir = _run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
@@ -145,6 +202,13 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
     d = config["model"]["feature_dim"]
     family = CFG.build_family(config, input_dim=stream.train[0].input_dim)
     loss_cfg = CFG.build_loss_config(config)
+    replaying = config["replay"]["enabled"] and loss_cfg.lambda_kd > 0.0
+    if replaying and t_count > 1:
+        # each old class takes k of an incremental task's training rows
+        k, rows = config["replay"]["k"], min(len(train) for train in stream.train[1:])
+        if k > rows:
+            raise ConfigError(f"replay.k={k} exceeds {rows}, the training rows of "
+                              f"the smallest incremental task")
     attack_cfg = CFG.build_attack_config(config) if config["attack"]["enabled"] else None
     drift_cfg = CFG.build_drift_config(config)
     cov_mode = config["covariance"]["mode"]
@@ -181,10 +245,12 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
     acc_rows: dict[str, list[list[float]]] = {name: [] for name in classifiers}
 
     def evaluate(task_index):
-        gamma = None
+        gamma = scorer = None
         if use_maha:
+            # one scorer per task serves both the grid scan and the eval
+            scorer = stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
             gamma = stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor,
-                          _merged_val(stream, task_index), grid)
+                          _merged_val(stream, task_index), grid, scorer)
             log.add("calibration", task_index, "", "gamma1", gamma[0])
             log.add("calibration", task_index, "", "gamma2", gamma[1])
         gammas.append(gamma)
@@ -194,7 +260,7 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
         ends = np.cumsum([len(test) for test in tests])[:-1]
         for name in classifiers:
             pred = stage(f"eval-{name}", CL.predict, name, state, store, x,
-                         *(gamma if gamma else (1.0, 1.0)))
+                         *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
             row = []
             for j, (test, group_pred) in enumerate(zip(tests, np.split(pred, ends))):
                 row.append(float(np.mean(group_pred == np.asarray(test.y))))
@@ -210,7 +276,7 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
         frozen_sum = M.checksum(*state.frozen)
 
         candidates = None
-        if config["replay"]["enabled"] and loss_cfg.lambda_kd > 0.0:
+        if replaying:
             candidates = stage("candidate-sampling", R.build_candidate_set,
                                frozen_ext, stream.train[t], store.prototypes(),
                                config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),

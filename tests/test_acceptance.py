@@ -66,18 +66,19 @@ VARIANTS = {
 
 @pytest.fixture(scope="module")
 def bench_runs(tmp_path_factory):
-    """The three-seed benchmark for every ablation variant (criteria 3, 4)."""
+    """The three-seed benchmark for every ablation variant (criteria 3, 4),
+    plus criterion 9's fresh default run, as one batch of parallel runs."""
     out = tmp_path_factory.mktemp("bench")
     started = time.time()
-    runs = {}
-    for variant, flags in VARIANTS.items():
-        per_seed = []
-        for shuffle, seed in SEED_PAIRS:
-            cfg = reference_config(
-                *flags, f"seeds.class_shuffle={shuffle}", f"seeds.randomness={seed}",
-                f'output.tag="{variant}_{seed}"', out=out)
-            per_seed.append(runner.run_benchmark(cfg))
-        runs[variant] = per_seed
+    configs = [reference_config(
+        *flags, f"seeds.class_shuffle={shuffle}", f"seeds.randomness={seed}",
+        f'output.tag="{variant}_{seed}"', out=out)
+        for variant, flags in VARIANTS.items() for shuffle, seed in SEED_PAIRS]
+    configs.append(reference_config('output.tag="fresh"', out=out))
+    results = runner.run_many(configs)
+    runs = {variant: results[i * len(SEED_PAIRS):(i + 1) * len(SEED_PAIRS)]
+            for i, variant in enumerate(VARIANTS)}
+    runs["fresh"] = (configs[-1], results[-1])
     runs["wall_seconds"] = time.time() - started
     return runs
 
@@ -271,18 +272,17 @@ def test_criterion_7_svd_compression_neutrality(tmp_path):
     # target noise is covariance-dependent, so it is disabled here to keep the
     # training trajectory identical across covariance representations
     started = time.time()
-    inc_full, inc_svd = [], []
     k = CFG.DEFAULTS["model"]["feature_dim"] // 4
+    configs = []
     for shuffle, seed in SEED_PAIRS:
         common = (f"seeds.class_shuffle={shuffle}", f"seeds.randomness={seed}",
                   "attack.noise=false")
-        full = runner.run_benchmark(reference_config(
-            *common, f'output.tag="full_{seed}"', out=tmp_path))
-        svd = runner.run_benchmark(reference_config(
+        configs.append(reference_config(*common, f'output.tag="full_{seed}"', out=tmp_path))
+        configs.append(reference_config(
             *common, 'covariance.mode="svd"', f"covariance.svd_k={k}",
             f'output.tag="svd_{seed}"', out=tmp_path))
-        inc_full.append(full.summary["mahalanobis"]["A_inc"])
-        inc_svd.append(svd.summary["mahalanobis"]["A_inc"])
+    inc = [r.summary["mahalanobis"]["A_inc"] for r in runner.run_many(configs)]
+    inc_full, inc_svd = inc[0::2], inc[1::2]
     diff = abs(float(np.mean(inc_full)) - float(np.mean(inc_svd)))
     elapsed = time.time() - started
     _report(7, "svd compression neutrality", diff <= 0.005,
@@ -307,13 +307,13 @@ def test_criterion_8_storage_accounting():
 
 
 @pytest.mark.slow
-def test_criterion_9_determinism(bench_runs, tmp_path):
+def test_criterion_9_determinism(bench_runs):
     # the fixture's first "full" run used seed pair SEED_PAIRS[0], which the
-    # defaults equal, so one fresh default run repeats it independently
-    cfg = reference_config('output.tag="fresh"', out=tmp_path)
+    # defaults equal, so its fresh default run repeats it independently, in
+    # whichever process the pool gave it
+    cfg, second = bench_runs["fresh"]
     assert SEED_PAIRS[0] == (cfg["seeds"]["class_shuffle"], cfg["seeds"]["randomness"])
     first = bench_runs["full"][0]
-    second = runner.run_benchmark(cfg)
     a = (first.run_dir / "metrics.csv").read_bytes()
     b = (second.run_dir / "metrics.csv").read_bytes()
     _report(9, "determinism", a == b,

@@ -14,6 +14,7 @@ from advreplay import config as CFG
 from advreplay import data as D
 from advreplay import replay as R
 from advreplay import runner
+from advreplay import train as TR
 from advreplay.errors import ConfigError
 
 TINY = [
@@ -61,6 +62,15 @@ EARLY_REJECTED = [
     "replay.cap=0", "dataset.val_fraction=1.5", "dataset.val_fraction=1.0",
     "dataset.val_fraction=-0.5", "dataset.n_train=1", "dataset.n_val=0", "dataset.n_test=0",
 ]
+
+def test_oversized_replay_k_rejected_before_training(tmp_path, monkeypatch):
+    # 2 rows per class and 2 classes per task: k=8 cannot be met in any task
+    trained = []
+    monkeypatch.setattr(TR, "train_initial", lambda *args: trained.append(args))
+    with pytest.raises(ConfigError, match=r"^replay\.k=8 exceeds 4,"):
+        runner.run_benchmark(tiny_config(tmp_path, "dataset.n_train=2"))
+    assert not trained
+
 
 BAD_OVERRIDES = [
     "augmentation.crop_width_min=5", "augmentation.crop_width_min=-1",
