@@ -5,7 +5,10 @@ current task's ("new") classes as two separate parameters.  That makes the
 split contract structural: a loss built from one block cannot leak gradient
 into the other.
 
-Parameters are read-only float64 arrays.  The taped ``extract`` and
+Parameters are read-only float64 arrays.  During training they are
+reshaped views of one contiguous vector, ``ModelState.flat``, laid out in
+``trainable_params`` order (see ``param_views`` and ``pack_params``), so
+an SGD step is one update over one array.  The taped ``extract`` and
 ``logits`` are the gradient oracle of the plain-numpy passes and also take
 ``tensor.Tensor`` leaves as parameters (see ``with_params``).
 """
@@ -64,10 +67,19 @@ class ClassifierHead:
 
 @dataclass
 class ModelState:
+    """The current model, the frozen snapshot (from task 1 on) and the task.
+
+    ``flat``, when set, is the read-only float64 vector whose
+    ``param_views`` are the current model's trainable parameters.  Only
+    ``pack_params`` makes one and ``snapshot`` keeps it with the arrays it
+    holds; every other constructor leaves it ``None``.
+    """
+
     extractor: ExtractorParams
     head: ClassifierHead
     frozen: tuple[ExtractorParams, ClassifierHead] | None
     task_index: int
+    flat: np.ndarray | None = None
 
 
 def init_extractor(widths, activations, rng) -> ExtractorParams:
@@ -288,7 +300,7 @@ def snapshot(state: ModelState) -> ModelState:
     are read-only, so the copy shares them and owns only its containers."""
     ext, head = state.extractor, state.head
     frozen_ext = replace(ext, weights=list(ext.weights), biases=list(ext.biases))
-    return ModelState(ext, head, (frozen_ext, replace(head)), state.task_index)
+    return ModelState(ext, head, (frozen_ext, replace(head)), state.task_index, state.flat)
 
 
 def begin_task(state: ModelState, new_class_ids, rng, init_std: float = 0.01) -> ModelState:
@@ -315,7 +327,7 @@ def trainable_params(state: ModelState) -> list[np.ndarray]:
 def with_params(state: ModelState, arrays) -> ModelState:
     """``state`` with its trainable parameters replaced, one entry per
     ``trainable_params(state)`` entry in that order.  The frozen slot is
-    kept as is."""
+    kept as is; the result has no ``flat`` vector."""
     arrays = list(arrays)
     ext, head = state.extractor, state.head
     n = len(ext.weights)
@@ -323,9 +335,46 @@ def with_params(state: ModelState, arrays) -> ModelState:
     if len(arrays) != want:
         raise ContractError(f"expected {want} parameters, got {len(arrays)}")
     return ModelState(
-        replace(ext, weights=arrays[:n], biases=arrays[n:2 * n]),
-        replace(head, w_old=None if head.w_old is None else arrays[2 * n], w_new=arrays[-1]),
+        ExtractorParams(ext.widths, ext.activations, arrays[:n], arrays[n:2 * n]),
+        ClassifierHead(head.mode, head.scale, head.old_ids, head.new_ids,
+                       None if head.w_old is None else arrays[2 * n], arrays[-1]),
         state.frozen, state.task_index)
+
+
+def param_views(state: ModelState, flat: np.ndarray) -> list[np.ndarray]:
+    """Reshaped views of the 1-d ``flat``, one per ``trainable_params(state)``
+    entry with its shape, in that order.  This is the layout of
+    ``ModelState.flat`` and of the gradient ``train.loss_and_grads``
+    returns; a ``flat`` of the wrong length raises ``ContractError``."""
+    params = trainable_params(state)
+    total = sum(p.size for p in params)
+    if flat.shape != (total,):
+        raise ContractError(f"expected a flat vector of {total} values, got shape {flat.shape}")
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return views
+
+
+def pack_params(state: ModelState, flat: np.ndarray | None = None) -> ModelState:
+    """``state`` with its trainable parameters held in one contiguous
+    read-only float64 vector, kept as ``flat``, of which the extractor and
+    head arrays are ``param_views``.
+
+    With ``flat`` given, that vector is marked read-only and adopted without
+    a copy.  Without it, a state that already has a vector is returned as
+    is, and any other has its parameters copied into a new one: the layout
+    changes only when the head grows (``begin_task``).
+    """
+    if flat is None:
+        if state.flat is not None:
+            return state
+        flat = np.concatenate([p.ravel() for p in trainable_params(state)])
+    flat.flags.writeable = False
+    packed = with_params(state, param_views(state, flat))
+    packed.flat = flat
+    return packed
 
 
 # -- integrity and persistence ------------------------------------------------

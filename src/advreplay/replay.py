@@ -172,14 +172,15 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     if targets.shape[1] != f_old.feature_dim:
         raise DimensionError(
             f"attack: targets have width {targets.shape[1]}, features {f_old.feature_dim}")
-    if cfg.noise and r > 0.0 and rng is None:
+    noisy = cfg.noise and r > 0.0
+    if noisy and rng is None:
         raise ContractError("noise-augmented targets need an rng")
+    # one draw for every iteration: the same stream as one draw per iteration
+    noise = r * rng.standard_normal((cfg.n_attack, *targets.shape)) if noisy else None
 
     current = x
-    for _ in range(cfg.n_attack):
-        tgt = targets
-        if cfg.noise and r > 0.0:
-            tgt = targets + r * rng.standard_normal(targets.shape)
+    for i in range(cfg.n_attack):
+        tgt = targets + noise[i] if noisy else targets
         if not np.isfinite(tgt).all():
             raise NumericError("non-finite attack targets")
         feats, vjp = M.feature_vjp(f_old, current)
@@ -189,8 +190,8 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
         g = vjp(diff + diff)
         norms = np.linalg.norm(g, axis=1)
         active = norms >= _GRAD_EPS
-        step = np.zeros_like(g)
-        step[active] = cfg.alpha * g[active] / norms[active, None] ** 2
+        step = np.divide(cfg.alpha * g, norms[:, None] ** 2, out=np.zeros_like(g),
+                         where=active[:, None])
         current = current - step
     return readonly(current, "attack output")
 

@@ -12,6 +12,11 @@ forward in plain numpy and walks it back by hand, op for op as the autodiff
 tape would, so its losses and gradients are bit-identical to the taped
 ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``.  Those
 taped losses stay as the oracle that tests compare against.
+
+The trainable parameters live in one flat read-only vector
+(``ModelState.flat``, see ``model.pack_params``) and the gradient comes back
+as one flat vector in the same layout, so ``sgd_step`` is a single
+elementwise update and a single finiteness check over the whole model.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from . import tensor as T
-from .arrays import readonly
 from .errors import ConfigError, ContractError, NumericError, StatsError
 
 
@@ -158,19 +162,20 @@ def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float
 
 
 def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: LossConfig,
-                   x_kd: np.ndarray | None = None) -> tuple[float, float, list[np.ndarray]]:
+                   x_kd: np.ndarray | None = None) -> tuple[float, float, np.ndarray]:
     """One tape-free loss-and-gradients pass of the training objective.
 
     CE over ``new_only`` logits of the ``x_new`` rows; with ``x_kd``, plus
     ``lambda_kd`` times KD between the ``old_only`` logits of those rows and
     the frozen model's logits on them.  Returns the CE value, the KD value
-    (0.0 without ``x_kd``) and one gradient array per
-    ``M.trainable_params(state)`` entry, in that order.  The forward and
-    backward ops and layouts are the tape's, so everything is bit-identical
-    to ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``
-    (the oracle).  Raises ``ContractError`` on bad labels or mismatched
-    logit blocks and ``NumericError`` on a non-finite pre-activation, logit
-    block, loss or gradient.
+    (0.0 without ``x_kd``) and the gradient as one flat vector laid out as
+    ``M.param_views(state, ...)``: one block per ``M.trainable_params(state)``
+    entry, in that order.  The forward and backward ops and layouts are the
+    tape's, so everything is bit-identical to ``local_ce_loss``/
+    ``local_kd_loss`` under ``tensor.value_and_grad`` (the oracle).  Raises
+    ``ContractError`` on bad labels or mismatched logit blocks and
+    ``NumericError`` on a non-finite pre-activation, logit block, loss or
+    gradient.
     """
     ext, head = state.extractor, state.head
     feats, ext_vjp = M.feature_vjp(ext, x_new)
@@ -198,22 +203,32 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
 
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
-    grads = g_w + g_b + ([] if g_old is None else [g_old]) + [g_new]
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient")
-    return float(ce), float(kd), grads
+    blocks = g_w + g_b + ([] if g_old is None else [g_old]) + [g_new]
+    grad = np.concatenate([g.ravel() for g in blocks])
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient")
+    return float(ce), float(kd), grad
 
 
-def sgd_step(state: M.ModelState, grads, lr: float, weight_decay: float) -> M.ModelState:
-    """One SGD update from ``loss_and_grads`` gradients, one array per
-    ``M.trainable_params(state)`` entry in that order.  A non-finite
-    updated parameter raises ``NumericError``."""
-    params = M.trainable_params(state)
-    if len(grads) != len(params):
-        raise ContractError(f"expected {len(params)} gradients, got {len(grads)}")
-    return M.with_params(state, [readonly(p - lr * (g + weight_decay * p), "updated parameters")
-                                 for p, g in zip(params, grads)])
+def sgd_step(state: M.ModelState, grad, lr: float, weight_decay: float) -> M.ModelState:
+    """One SGD update from a ``loss_and_grads`` gradient: a flat vector in
+    the ``M.param_views`` layout.  The update runs once over the packed
+    parameter vector (``M.pack_params``) and the result becomes the new
+    state's read-only vector, its parameters views of it.  A gradient of
+    the wrong shape raises ``ContractError``; a non-finite updated
+    parameter raises ``NumericError``."""
+    p = M.pack_params(state).flat
+    if not isinstance(grad, np.ndarray) or grad.shape != p.shape:
+        raise ContractError(f"expected a flat vector of {p.size} gradients, "
+                            f"got {getattr(grad, 'shape', type(grad).__name__)}")
+    # p - lr * (grad + weight_decay * p), op for op, in one buffer
+    updated = p * weight_decay
+    updated += grad
+    updated *= lr
+    np.subtract(p, updated, out=updated)
+    if not np.isfinite(updated).all():
+        raise NumericError("non-finite values in updated parameters")
+    return M.pack_params(state, updated)
 
 
 def _batch_iter(n: int, batch_size: int, rng):

@@ -39,6 +39,11 @@ def world(mode, kind, task, seed=0):
                                  for p in M.trainable_params(state)])
 
 
+def flat(grads):
+    """Per-parameter gradients packed into the one vector ``sgd_step`` takes."""
+    return np.concatenate([g.ravel() for g in grads])
+
+
 def taped(state, x_new, y_rel, cfg, x_kd=None):
     """The step's objective on the autodiff tape: the oracle."""
     params = [Tensor(p) for p in M.trainable_params(state)]
@@ -72,10 +77,12 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
     x_kd = np.concatenate([x_new, rng.normal(size=(40, 6))]) if kd == "kd" else None
     cfg = TR.LossConfig(lambda_kd=10.0, ce_temperature=temps[0], kd_temperature=temps[1])
 
-    ce, kd_value, grads = TR.loss_and_grads(state, x_new, y_rel, cfg, x_kd)
+    ce, kd_value, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, x_kd)
     ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, x_kd)
     assert ce == ce_ref
     assert kd_value == kd_ref
+    assert grad.shape == (sum(p.size for p in M.trainable_params(state)),)
+    grads = M.param_views(state, grad)
     assert len(grads) == len(M.trainable_params(state))
     for got, want in zip(grads, grads_ref):
         assert got.shape == want.shape
@@ -97,8 +104,8 @@ def test_repeated_steps_equal_taped_steps(mode):
         x_kd = np.concatenate([x_new, rng.normal(size=(24, 6))])
         fused = TR.sgd_step(fused, TR.loss_and_grads(fused, x_new, y_rel, cfg, x_kd)[2],
                             0.05, 2e-4)
-        taped_state = TR.sgd_step(taped_state, taped(taped_state, x_new, y_rel, cfg, x_kd)[2],
-                                  0.05, 2e-4)
+        taped_grads = taped(taped_state, x_new, y_rel, cfg, x_kd)[2]
+        taped_state = TR.sgd_step(taped_state, flat(taped_grads), 0.05, 2e-4)
     assert (M.checksum(fused.extractor, fused.head)
             == M.checksum(taped_state.extractor, taped_state.head))
 

@@ -62,7 +62,9 @@ def tape_attack(f_old, x, targets, cfg, r, rng):
     """The attack loop as it ran on the tape, kept as the reference."""
     current = x.copy()
     for _ in range(cfg.n_attack):
-        tgt = targets + r * rng.standard_normal(targets.shape)
+        tgt = targets
+        if cfg.noise and r > 0.0:
+            tgt = targets + r * rng.standard_normal(targets.shape)
         leaf = Tensor(current)
         diff = T.sub(M.extract(f_old, leaf), Tensor(tgt))
         _, grads = T.value_and_grad(T.tsum(T.mul(diff, diff)), [leaf])
@@ -84,6 +86,39 @@ def test_attack_equals_tape_reference_with_noise():
     out = R.adversarial_attack(f, x, targets, cfg, r=0.7, rng=np.random.default_rng(5))
     expected = tape_attack(f, x, targets, cfg, 0.7, np.random.default_rng(5))
     assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("noise,r", [(True, 0.7), (False, 0.7), (True, 0.0)])
+def test_attack_equals_tape_reference_on_flat_gradient_rows(noise, r):
+    """Rows whose input gradient norm is under 1e-12 stay put, with and
+    without target noise, and the rng is left where the oracle leaves it
+    (no draws at all when noise is off or r is 0)."""
+    rng = np.random.default_rng(6)
+    f = M.default_extractor(16, 32, rng, hidden=(64, 48))
+    # every first-layer unit is dead on an all-zero row: an exactly zero gradient
+    f.biases[0] = np.full(64, -1.0)
+    x = rng.normal(size=(64, 16)) * 3.0
+    x[[3, 17, 40]] = 0.0
+    targets = rng.normal(size=(64, 32))
+    # a target within 1e-15 of the row's feature: a gradient norm under 1e-12
+    feats = M.features(f, x)
+    targets[[5, 29]] = feats[[5, 29]] + 1e-15
+    g = M.feature_vjp(f, x)[1](2.0 * (feats - targets))
+    norms = np.linalg.norm(g, axis=1)
+    assert (norms[[3, 17, 40]] == 0.0).all()
+    assert (0.0 < norms[[5, 29]]).all() and (norms[[5, 29]] < 1e-12).all()
+
+    cfg = R.AttackConfig(alpha=8.0, n_attack=5, noise=noise)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    out = R.adversarial_attack(f, x, targets, cfg, r=r, rng=got_rng)
+    expected = tape_attack(f, x, targets, cfg, r, want_rng)
+    assert out.tobytes() == expected.tobytes()
+    next_draw = got_rng.standard_normal()
+    assert next_draw == want_rng.standard_normal()
+    np.testing.assert_array_equal(out[[3, 17, 40]], x[[3, 17, 40]])
+    if not (noise and r > 0.0):
+        np.testing.assert_array_equal(out[[5, 29]], x[[5, 29]])
+        assert next_draw == np.random.default_rng(7).standard_normal()
 
 
 def test_features_overflow_raises_numeric_error():

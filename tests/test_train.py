@@ -169,8 +169,8 @@ def test_lambda_zero_no_replay_equals_plain_finetune():
             feats = M.extract(taped.extractor, Tensor(x[batch]))
             ce = TR.local_ce_loss(M.logits(taped.head, feats, "new_only"), y_rel[batch])
             _, grads = T.value_and_grad(ce, params)
-            mirror = TR.sgd_step(mirror, [grads[p].data for p in params], lr,
-                                 optim.weight_decay)
+            mirror = TR.sgd_step(mirror, np.concatenate([grads[p].data.ravel() for p in params]),
+                                 lr, optim.weight_decay)
 
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
 
@@ -181,9 +181,75 @@ def test_sgd_step_writes_read_only_finite_params():
     grads = TR.loss_and_grads(state, x, labels, TR.LossConfig())[2]
     stepped = TR.sgd_step(state, grads, 0.1, 2e-4)
     assert all(not p.flags.writeable for p in M.trainable_params(stepped))
-    grads[0] = np.full_like(grads[0], 1e308)  # times lr 10: an overflowing update
+    M.param_views(state, grads)[0][...] = 1e308  # times lr 10: an overflowing update
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
         TR.sgd_step(state, grads, 10.0, 2e-4)
+
+
+def test_sgd_steps_across_head_growth_equal_per_array_update():
+    """The fused update over the packed vector equals ``p - lr * (g + wd * p)``
+    on each parameter array, byte for byte, before and after ``begin_task``
+    changes the layout."""
+    state, stream, rng = small_world(seed=24)
+    x0, x1 = stream.train[0].x, stream.train[1].x
+    labels = np.arange(16) % 2
+    lr, wd = 0.05, 2e-4
+    for task in range(2):
+        if task == 1:
+            state = M.begin_task(state, stream.class_groups[1], rng)
+        for step in range(3):
+            rows = slice(16 * step, 16 * step + 16)
+            x_kd = np.concatenate([x1[rows], x0[rows]]) if task else None
+            grad = TR.loss_and_grads(state, (x0, x1)[task][rows], labels, TR.LossConfig(),
+                                     x_kd)[2]
+            want = [p - lr * (g + wd * p)
+                    for p, g in zip(M.trainable_params(state), M.param_views(state, grad))]
+            state = TR.sgd_step(state, grad, lr, wd)
+            got = M.trainable_params(state)
+            assert len(got) == len(want) == 2 * len(state.extractor.weights) + 1 + task
+            for p, w in zip(got, want):
+                assert p.shape == w.shape
+                assert p.tobytes() == w.tobytes()
+
+
+def test_stepped_params_are_read_only_views_of_one_vector():
+    state, stream, rng = small_world(seed=25)
+    state = M.begin_task(state, stream.class_groups[1], rng)
+    x = stream.train[1].x[:8]
+    grad = TR.loss_and_grads(state, x, [0, 1] * 4, TR.LossConfig(), x)[2]
+    stepped = TR.sgd_step(state, grad, 0.1, 2e-4)
+    flat = stepped.flat
+    assert flat.shape == grad.shape and flat.flags.c_contiguous and not flat.flags.writeable
+    start = flat.__array_interface__["data"][0]
+    offset = 0
+    for p in M.trainable_params(stepped):
+        assert not p.flags.writeable
+        assert np.shares_memory(p, flat)
+        assert p.__array_interface__["data"][0] == start + 8 * offset
+        offset += p.size
+    assert offset == flat.size
+    with pytest.raises(ContractError, match="flat vector"):
+        M.param_views(stepped, flat[:-1])
+    # the next step writes a new vector and leaves this one as it was
+    before = flat.tobytes()
+    again = TR.sgd_step(stepped, grad, 0.1, 2e-4)
+    assert not np.shares_memory(again.flat, flat)
+    assert flat.tobytes() == before
+
+
+def test_nan_in_any_gradient_block_raises():
+    state, stream, rng = small_world(seed=26)
+    state = M.begin_task(state, stream.class_groups[1], rng)
+    x = stream.train[1].x[:8]
+    grad = TR.loss_and_grads(state, x, [0, 1] * 4, TR.LossConfig(), x)[2]
+    n = len(state.extractor.weights)
+    # a weight, a bias, w_old and w_new
+    for block in (1, n + 1, 2 * n, 2 * n + 1):
+        bad = grad.copy()
+        M.param_views(state, bad)[block].ravel()[-1] = np.nan
+        with pytest.raises(NumericError, match="updated parameters"):
+            TR.sgd_step(state, bad, 0.1, 2e-4)
+    TR.sgd_step(state, grad, 0.1, 2e-4)
 
 
 def test_run_task_is_deterministic():
