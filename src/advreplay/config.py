@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import calib as C
 from . import data as D
+from . import model as M
 from . import replay as R
 from . import train as TR
 from .errors import ConfigError
@@ -206,9 +207,16 @@ def validate_config(config: dict) -> None:
     for name in config["classifiers"]:
         if name not in ("linear", "ncm", "mahalanobis"):
             raise ConfigError(f"unknown classifier {name!r}")
-    if config["model"]["feature_dim"] < 1:
+    model = config["model"]
+    for key, allowed in (("activation", M.ACTIVATIONS), ("head_mode", M.HEAD_MODES)):
+        if model[key] not in allowed:
+            raise ConfigError(f"model.{key} must be one of {', '.join(allowed)}, "
+                              f"got {model[key]!r}")
+    if not model["cosine_scale"] > 0:
+        raise ConfigError("model.cosine_scale must be positive")
+    if model["feature_dim"] < 1:
         raise ConfigError("model.feature_dim must be >= 1")
-    if config["model"]["head_init_std"] < 0:
+    if model["head_init_std"] < 0:
         raise ConfigError("model.head_init_std must be >= 0")
     if config["replay"]["k"] < 1:
         raise ConfigError("replay.k must be >= 1")

@@ -11,6 +11,12 @@ reshaped views of one contiguous vector, ``ModelState.flat``, laid out in
 an SGD step is one update over one array.  The taped ``extract`` and
 ``logits`` are the gradient oracle of the plain-numpy passes and also take
 ``tensor.Tensor`` leaves as parameters (see ``with_params``).
+
+The plain-numpy extractor pass ``feature_vjp`` checks finiteness at the
+input once, at each tanh layer's pre-activation, and at the output once:
+relu and identity layers carry a NaN or inf through to the output, and a
+failed output check rescans the saved layer outputs to name the first
+layer whose pre-activation was non-finite.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from . import tensor as T
 from .arrays import read_json, readonly, record_array, record_field, record_int, write_text_atomic
 from .errors import ContractError, DecodeError, DimensionError, NumericError
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "tanh", "identity")
+HEAD_MODES = ("cosine", "linear")
 
 CHECKPOINT_VERSION = 1
 
@@ -88,7 +95,7 @@ def init_extractor(widths, activations, rng) -> ExtractorParams:
     if len(activations) != len(widths) - 1:
         raise ContractError("need one activation tag per layer")
     for act in activations:
-        if act not in _ACTIVATIONS:
+        if act not in ACTIVATIONS:
             raise ContractError(f"unknown activation {act!r}")
     weights, biases = [], []
     for fan_in, fan_out, act in zip(widths[:-1], widths[1:], activations):
@@ -130,6 +137,13 @@ def extract(params: ExtractorParams, x) -> T.Tensor:
     return h
 
 
+def _raise_first_nonfinite(outputs) -> None:
+    """Raise ``NumericError`` naming the first layer whose output (relu,
+    identity) or pre-activation (tanh) in ``outputs`` is non-finite."""
+    i = next(i for i, out in enumerate(outputs) if not np.isfinite(out).all())
+    raise NumericError(f"non-finite pre-activation in extractor layer {i}")
+
+
 def feature_vjp(params: ExtractorParams, x):
     """Plain-numpy extractor pass: features plus a VJP.
 
@@ -138,9 +152,18 @@ def feature_vjp(params: ExtractorParams, x):
     param_grads=True)`` instead returns the per-layer weight and bias
     gradients as two lists in layer order.  No tape is built; every op is
     the one ``extract`` and its backward pass perform, in the same order, so
-    results are bit-identical.  The tape's checks are kept: a bad input
-    shape raises ``DimensionError``, and a non-finite input, pre-activation
-    or input gradient raises ``NumericError``.
+    results are bit-identical.
+
+    The tape's checks are kept, with fewer scans.  A bad input shape raises
+    ``DimensionError`` and a non-finite input ``NumericError``.  Relu is
+    ``z * mask + 0.0``, which equals ``np.where(mask, z, 0.0)`` on finite
+    values but turns NaN and -inf into NaN, so a non-finite pre-activation
+    of a relu or identity layer reaches the output.  Tanh maps +-inf to
+    +-1, so each tanh layer checks its own pre-activation.  The output is
+    checked once; on failure the saved layer outputs are scanned so the
+    ``NumericError`` names the first layer with a non-finite
+    pre-activation, as a check after every layer would.  ``vjp(g)`` raises
+    ``NumericError`` on a non-finite input gradient.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.widths[0]:
@@ -150,21 +173,25 @@ def feature_vjp(params: ExtractorParams, x):
         raise NumericError("non-finite values in extractor input")
     inputs = []  # per layer: the layer's input
     saved = []  # per layer: relu mask, tanh output, or None for identity
-    for i, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
+    for w, b, act in zip(params.weights, params.biases, params.activations):
         inputs.append(h)
-        z = h @ w + b
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite pre-activation in extractor layer {i}")
+        z = h @ w
+        z += b
         if act == "relu":
             mask = z > 0.0
-            h = np.where(mask, z, 0.0)
+            z *= mask  # NaN and -inf become NaN, +inf stays
+            z += 0.0  # -0.0 becomes +0.0, as in the tape's np.where(mask, z, 0.0)
             saved.append(mask)
         elif act == "tanh":
-            h = np.tanh(z)
-            saved.append(h)
+            if not np.isfinite(z).all():
+                _raise_first_nonfinite([*inputs[1:], z])
+            z = np.tanh(z)
+            saved.append(z)
         else:
-            h = z
             saved.append(None)
+        h = z
+    if not np.isfinite(h).all():
+        _raise_first_nonfinite([*inputs[1:], h])
 
     def vjp(g: np.ndarray, param_grads: bool = False):
         g_w, g_b = [], []
@@ -195,7 +222,7 @@ def features(params: ExtractorParams, x) -> np.ndarray:
 
 def init_head(new_ids, feature_dim: int, rng, mode: str = "cosine",
               scale: float = 16.0, init_std: float = 0.01) -> ClassifierHead:
-    if mode not in ("cosine", "linear"):
+    if mode not in HEAD_MODES:
         raise ContractError(f"unknown head mode {mode!r}")
     new_ids = tuple(sorted(int(c) for c in new_ids))
     w_new = readonly(rng.normal(0.0, init_std, size=(len(new_ids), feature_dim)), "head weights")
@@ -418,8 +445,8 @@ def _extractor_from_record(rec, where: str) -> ExtractorParams:
         raise DecodeError(f"{where}: 'widths' must list at least two positive integers")
     acts = record_field(rec, "activations", where)
     if (not isinstance(acts, list) or len(acts) != len(widths) - 1
-            or not all(a in _ACTIVATIONS for a in acts)):
-        raise DecodeError(f"{where}: 'activations' must name one of {_ACTIVATIONS} per layer")
+            or not all(a in ACTIVATIONS for a in acts)):
+        raise DecodeError(f"{where}: 'activations' must name one of {ACTIVATIONS} per layer")
     layers = list(zip(widths[:-1], widths[1:]))
     return ExtractorParams(tuple(widths), tuple(acts),
                            _record_arrays(rec, "weights", layers, where),
@@ -446,7 +473,7 @@ def _class_ids(rec, key: str, where: str) -> tuple[int, ...]:
 
 def _head_from_record(rec, feature_dim: int, where: str) -> ClassifierHead:
     mode = record_field(rec, "mode", where)
-    if mode not in ("cosine", "linear"):
+    if mode not in HEAD_MODES:
         raise DecodeError(f"{where}: 'mode' must be 'cosine' or 'linear', got {mode!r}")
     old_ids, new_ids = _class_ids(rec, "old_ids", where), _class_ids(rec, "new_ids", where)
     w_old = None

@@ -162,8 +162,9 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     under 1e-12 pass through an iteration unperturbed.  No clipping and no
     similarity constraint is applied; the result is a fresh read-only array.
     The input gradient comes from ``model.feature_vjp``, so no tape is
-    built; non-finite targets, distances, gradients or output raise
-    ``NumericError``.
+    built.  The targets of all iterations (each with its own noise draw)
+    are built and checked once, before the first iteration; non-finite
+    targets, distances, gradients or output raise ``NumericError``.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -175,20 +176,22 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     noisy = cfg.noise and r > 0.0
     if noisy and rng is None:
         raise ContractError("noise-augmented targets need an rng")
-    # one draw for every iteration: the same stream as one draw per iteration
-    noise = r * rng.standard_normal((cfg.n_attack, *targets.shape)) if noisy else None
+    if noisy:
+        # one draw for every iteration: the same stream as one draw per iteration
+        tgts = targets + r * rng.standard_normal((cfg.n_attack, *targets.shape))
+    else:
+        tgts = targets[None]
+    if not np.isfinite(tgts).all():
+        raise NumericError("non-finite attack targets")
 
     current = x
     for i in range(cfg.n_attack):
-        tgt = targets + noise[i] if noisy else targets
-        if not np.isfinite(tgt).all():
-            raise NumericError("non-finite attack targets")
         feats, vjp = M.feature_vjp(f_old, current)
-        diff = feats - tgt
+        diff = feats - tgts[i if noisy else 0]
         if not np.isfinite((diff * diff).sum()):
             raise NumericError("non-finite squared distance in attack")
         g = vjp(diff + diff)
-        norms = np.linalg.norm(g, axis=1)
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1)
         active = norms >= _GRAD_EPS
         step = np.divide(cfg.alpha * g, norms[:, None] ** 2, out=np.zeros_like(g),
                          where=active[:, None])

@@ -61,6 +61,8 @@ EARLY_REJECTED = [
     "shrinkage.grid=[0,1]",
     "replay.cap=0", "dataset.val_fraction=1.5", "dataset.val_fraction=1.0",
     "dataset.val_fraction=-0.5", "dataset.n_train=1", "dataset.n_val=0", "dataset.n_test=0",
+    'model.activation="sigmoid"', 'model.head_mode="foo"', "model.cosine_scale=0",
+    "model.cosine_scale=-4",
 ]
 
 def test_oversized_replay_k_rejected_before_training(tmp_path, monkeypatch):

@@ -156,6 +156,86 @@ def test_attack_nan_target_raises_numeric_error():
         R.adversarial_attack(f, np.ones((4, 6)), targets, cfg)
 
 
+NONFINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+
+def extractor_passes(params, x):
+    """Every entry point that runs the extractor on ``x``: forward only,
+    forward with VJP, and the attack (noise off, so no rng)."""
+    targets = np.zeros((len(x), params.feature_dim))
+    cfg = R.AttackConfig(alpha=1.0, n_attack=3, noise=False)
+    return [
+        lambda: M.features(params, x),
+        lambda: M.feature_vjp(params, x),
+        lambda: R.adversarial_attack(params, x, targets, cfg),
+    ]
+
+
+@pytest.mark.parametrize("value", sorted(NONFINITE))
+@pytest.mark.parametrize("layer", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(STACKS))
+def test_nonfinite_pre_activation_names_its_layer(kind, layer, value):
+    """A non-finite bias makes that layer's pre-activation non-finite in
+    every row; the error names that layer and no later one.  Relu maps -inf
+    to 0 and tanh maps +inf to 1, so these two cases fail a check made
+    only on the output."""
+    params = stack(kind)
+    bias = params.biases[layer].copy()
+    bias[1] = NONFINITE[value]
+    params.biases[layer] = bias
+    x = np.random.default_rng(8).normal(size=(7, 6))
+    # later layers multiply the inf or NaN through; numpy warns while it does
+    with np.errstate(invalid="ignore"):
+        for run in extractor_passes(params, x):
+            with pytest.raises(NumericError,
+                               match=rf"^non-finite pre-activation in extractor layer {layer}$"):
+                run()
+
+
+@pytest.mark.parametrize("value", sorted(NONFINITE))
+@pytest.mark.parametrize("kind", sorted(STACKS))
+def test_nonfinite_input_named_as_input(kind, value):
+    x = np.ones((4, 6))
+    x[2, 5] = NONFINITE[value]
+    for run in extractor_passes(stack(kind), x):
+        with pytest.raises(NumericError, match=r"^non-finite values in extractor input$"):
+            run()
+
+
+def test_attack_noisy_targets_checked_before_any_pass(monkeypatch):
+    """Targets that overflow once the noise is added fail before the first
+    extractor pass."""
+    f = stack("default")
+    calls = []
+    monkeypatch.setattr(M, "feature_vjp", lambda *args: calls.append(args))
+    cfg = R.AttackConfig(alpha=1.0, n_attack=4, noise=True)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="attack targets"):
+        R.adversarial_attack(f, np.ones((4, 6)), np.zeros((4, 5)), cfg, r=1e308,
+                             rng=np.random.default_rng(0))
+    assert not calls
+
+
+@pytest.mark.parametrize("n_attack", [1, 5, 12])
+def test_attack_runs_the_shared_extractor_pass_once_per_iteration(monkeypatch, n_attack):
+    """The attack gets its features and input gradients from
+    ``model.feature_vjp``, one call per iteration, and from nowhere else."""
+    f = stack("default")
+    calls = []
+    real = M.feature_vjp
+
+    def spy(params, x):
+        calls.append(params)
+        return real(params, x)
+
+    monkeypatch.setattr(M, "feature_vjp", spy)
+    monkeypatch.setattr(M, "features", lambda *args: pytest.fail("features called"))
+    rng = np.random.default_rng(9)
+    out = R.adversarial_attack(f, rng.normal(size=(8, 6)), rng.normal(size=(8, 5)),
+                               R.AttackConfig(alpha=2.0, n_attack=n_attack), r=0.3, rng=rng)
+    assert out.shape == (8, 6)
+    assert len(calls) == n_attack and all(p is f for p in calls)
+
+
 def forbid_tensors(monkeypatch):
     """Make building any ``Tensor``, leaf or op node, fail the test."""
 
