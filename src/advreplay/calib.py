@@ -332,7 +332,9 @@ def save_store(store: PrototypeStore, path) -> None:
 def load_store(path) -> PrototypeStore:
     """Read a ``save_store`` file.  A file that is not valid JSON, or a class
     record with a missing, mistyped or misshapen field, raises a
-    ``DecodeError`` naming the file, the class id and the key."""
+    ``DecodeError`` naming the file, the class id and the key.  Every class
+    must have the first class's feature width: a ``'mu'`` of another length
+    is misshapen."""
     payload = read_json(path)
     if payload.get("format_version") != STORE_VERSION:
         raise ContractError(
@@ -340,7 +342,7 @@ def load_store(path) -> PrototypeStore:
     classes = payload.get("classes")
     if not isinstance(classes, dict):
         raise DecodeError(f"{path}: missing or malformed key 'classes'")
-    store = PrototypeStore()
+    store, width = PrototypeStore(), None
     for cid_str, rec in classes.items():
         where = f"{path}: class {cid_str}"
         try:
@@ -349,8 +351,8 @@ def load_store(path) -> PrototypeStore:
             raise DecodeError(f"{where}: class id is not an integer") from None
         if not isinstance(rec, dict):
             raise DecodeError(f"{where}: record is not a JSON object")
-        mu = record_array(rec, "mu", (None,), where)
-        d = len(mu)
+        mu = record_array(rec, "mu", (width,), where)
+        d = width = len(mu)
         tasks = (record_int(rec, "created_task", where), record_int(rec, "calibrated_task", where))
         kind = record_field(rec, "repr", where)
         if kind == "full":

@@ -31,6 +31,19 @@ def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
     return np.asarray(ids)[dists.argmin(axis=1)]
 
 
+# Relative slack on both distance bounds of ``MahalanobisScorer.scan``.  A
+# computed distance is fl(sum(fl(e M)^2)) with M = D^1/2 Q (lam + c)^-1/2 and
+# z = e D^1/2.  Each entry k of e M is off by at most d eps ||z|| times
+# (lam_k + c)^-1/2 (Cauchy-Schwarz over column k of Q), so the distance is
+# off by at most about 2 d sqrt(d kappa) eps of itself, with
+# kappa = (lam_max + c) / (lam_min + c).  The sums behind ||z||^2 (all terms
+# non-negative), the final sum of squares, the scaling and Q's departure
+# from orthogonality add a few d eps more.  ``scan`` widens each bound by
+# BOUND_MARGIN d sqrt(d kappa) of itself: at 1e-9, about 4.5e6 eps, that is
+# over a million times the rounding, and still too small to cost pruning.
+BOUND_MARGIN = 1e-9
+
+
 class MahalanobisScorer:
     """Shrunk-and-normalized Mahalanobis distances from one eigendecomposition
     per class, at any shrinkage.
@@ -43,6 +56,11 @@ class MahalanobisScorer:
     one d x d map and one GEMM, with no Cholesky factor or inverse.
     ``distances`` and ``predict`` use the constructor's shrinkage unless
     given a ``(gamma1, gamma2)`` pair; ``scan`` predicts for a whole grid.
+
+    Q is orthogonal, so the distance lies between ``||z||^2 / (lam_max + c)``
+    and ``||z||^2 / (lam_min + c)`` with ``z = (x - mu) D^1/2``.  ``scan``
+    uses these bounds to skip the GEMM rows that cannot hold a row's
+    nearest class (see ``BOUND_MARGIN`` for the rounding slack).
     """
 
     def __init__(self, store: C.PrototypeStore, gamma1: float, gamma2: float):
@@ -53,9 +71,20 @@ class MahalanobisScorer:
         covs = np.stack([cov for cov, _, _ in terms])
         self._lam, self._q = np.linalg.eigh(covs)
         self._diag = np.diagonal(covs, axis1=1, axis2=2)
+        # ||z||^2 = sum_i e_i^2 (diag_i + c) = a + (min diag + c) b with
+        # a = e^2 . (diag - min diag) and b = e^2 . 1 (the two weight columns
+        # below): sums of non-negative terms, which cannot cancel whatever
+        # the sign of c
+        self._diag_min = self._diag.min(axis=1)
+        self._sum_weights = np.stack(
+            [self._diag - self._diag_min[:, None], np.ones(self._diag.shape)], axis=2)
         self._v = np.array([(v1, v2) for _, v1, v2 in terms])
         self._mu = [store.entries[cid].mu for cid in self.ids]
         self._default = self._factors(gamma1, gamma2)
+
+    def _shift(self, gamma1: float, gamma2: float) -> np.ndarray:
+        """Per-class shrinkage ``c = gamma1 v1 + gamma2 v2``."""
+        return gamma1 * self._v[:, 0] + gamma2 * self._v[:, 1]
 
     def _factors(self, gamma1: float, gamma2: float):
         """Per-class ``D^1/2`` and ``(lam + c)^-1/2`` rows at one shrinkage.
@@ -64,7 +93,7 @@ class MahalanobisScorer:
         its largest is rejected as not positive definite, as a Cholesky
         factorization of it would be.
         """
-        c = gamma1 * self._v[:, :1] + gamma2 * self._v[:, 1:]
+        c = self._shift(gamma1, gamma2)[:, None]
         shrunk, scale = self._lam + c, self._diag + c
         floor = shrunk.shape[1] * np.finfo(np.float64).eps * shrunk[:, -1]
         bad = (shrunk[:, 0] <= floor) | (scale <= 0.0).any(axis=1)
@@ -77,6 +106,30 @@ class MahalanobisScorer:
         root, inv_root = factors
         y = centered @ (root[j][:, None] * self._q[j] * inv_root[j])
         return np.einsum("ij,ij->i", y, y)
+
+    def _sq_norms_rows(self, j: int, centered: np.ndarray, rows: np.ndarray,
+                       factors) -> np.ndarray:
+        """``_sq_norms(j, centered, factors)[rows]``, bit for bit, from a
+        product over those rows only.
+
+        A product of two or more gathered rows rounds each row as the whole
+        block does (``tests/test_classify.py`` pins this for the BLAS in
+        use).  One row would run as a matrix-vector product, which may
+        round differently, so a lone row is computed twice over.
+        """
+        block = centered[rows] if len(rows) > 1 else centered[np.repeat(rows, 2)]
+        return self._sq_norms(j, block, factors)[:len(rows)]
+
+    def _bound_terms(self, gammas, d: int):
+        """Per (gamma, class): ``base = min diag + c``, so that
+        ``||z||^2 = a + base b``, and the factors ``lower`` and ``upper``
+        with ``lower ||z||^2 <= distance <= upper ||z||^2``, each widened by
+        the rounding slack (``BOUND_MARGIN``).  ``base`` is positive for
+        every pair that ``_factors`` accepts."""
+        shift = np.array([self._shift(g1, g2) for g1, g2 in gammas]).reshape(-1, len(self.ids))
+        low, high = self._lam[:, 0] + shift, self._lam[:, -1] + shift
+        slack = BOUND_MARGIN * d * np.sqrt(d * high / low)
+        return self._diag_min + shift, (1.0 - slack) / high, (1.0 + slack) / low
 
     def distances(self, feats: np.ndarray, gamma=None) -> np.ndarray:
         factors = self._default if gamma is None else self._factors(*gamma)
@@ -92,21 +145,56 @@ class MahalanobisScorer:
     def scan(self, feats: np.ndarray, gammas) -> np.ndarray:
         """``predict(feats, gamma)`` for each pair in ``gammas``, one row each.
 
-        Classes are the outer loop, so each class's centered features serve
-        the whole grid and only a running minimum per (gamma, row) is held.
-        A strictly smaller distance is needed to move a row to a later
-        class, so ties resolve as in ``predict``.
+        An exact branch-and-bound over the classes.  Per class and row, two
+        sums ``a = (e * e) . (diag - min diag)`` and ``b = ||e||^2`` give
+        ``||z||^2 = a + (min diag + c) b``, and so both distance bounds, at
+        every shrinkage.  A first pass takes, per (gamma, row), the smallest
+        upper bound over the classes.  A class whose lower bound exceeds it
+        is farther than some other class and cannot be the row's nearest,
+        nor tie with it.  The second pass runs the GEMM only on the rows
+        each class can still win, and keeps a running minimum in class
+        order: a strictly smaller distance is needed to move a row to a
+        later class, so ties resolve as in ``predict``.  Those distances
+        are ``distances``' own bits (``_sq_norms_rows``), so every
+        prediction equals ``predict``'s.  Nothing per (class, row) is kept
+        between the passes; the sums are recomputed.
         """
         factors = [self._factors(g1, g2) for g1, g2 in gammas]
-        best = np.full((len(factors), len(feats)), np.inf)
-        arg = np.zeros(best.shape, dtype=np.intp)
+        base, lower, upper = self._bound_terms(gammas, feats.shape[1])
+
+        # buffers reused for every class: feats - mu, its square, and one
+        # scaled ||z||^2 per (gamma, row)
+        centered, sq = np.empty(feats.shape), np.empty(feats.shape)
+        z = np.empty((len(factors), len(feats)))
+
+        def scaled_norms(j, scale):
+            np.subtract(feats, self._mu[j], out=centered)
+            a, b = (np.square(centered, out=sq) @ self._sum_weights[j]).T
+            np.multiply(base[:, j, None], b, out=z)
+            np.add(z, a, out=z)
+            return np.multiply(z, scale[:, j, None], out=z)
+
+        bound = np.full(z.shape, np.inf)
         for j in range(len(self.ids)):
-            centered = feats - self._mu[j]
+            np.minimum(bound, scaled_norms(j, upper), out=bound)
+
+        best = np.full(z.shape, np.inf)
+        arg = np.zeros(z.shape, dtype=np.intp)
+        shut, closer = np.empty(z.shape, dtype=bool), np.empty(len(feats), dtype=bool)
+        for j in range(len(self.ids)):
+            np.greater(scaled_norms(j, lower), bound, out=shut)
             for g, fac in enumerate(factors):
-                dist = self._sq_norms(j, centered, fac)
-                closer = dist < best[g]
-                best[g, closer] = dist[closer]
-                arg[g, closer] = j
+                rows = np.flatnonzero(~shut[g])
+                if len(rows) == len(feats):
+                    dist = self._sq_norms(j, centered, fac)
+                elif len(rows):
+                    dist = np.full(len(feats), np.inf)  # a shut row cannot move
+                    dist[rows] = self._sq_norms_rows(j, centered, rows, fac)
+                else:
+                    continue
+                np.less(dist, best[g], out=closer)
+                np.copyto(best[g], dist, where=closer)
+                np.copyto(arg[g], j, where=closer)
         return np.asarray(self.ids)[arg]
 
 

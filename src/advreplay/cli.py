@@ -22,7 +22,7 @@ import numpy as np
 from . import calib as C
 from . import config as CFG
 from . import runner
-from .errors import EngineError
+from .errors import ConfigError, ContractError, EngineError
 
 BENCH_SEED_PAIRS = ((1993, 0), (2993, 1000), (3993, 2000))  # (class_shuffle, randomness)
 
@@ -80,8 +80,13 @@ def cmd_bench(args) -> int:
 
 def cmd_decompose(args) -> int:
     store = C.load_store(args.store)
+    if not store.entries:
+        raise ContractError(f"{args.store}: store holds no classes")
     before = sum(e.covariance().size for e in store.entries.values())
-    store.compress_all(args.k)
+    try:
+        store.compress_all(args.k)
+    except ConfigError as err:
+        raise ConfigError(f"{args.store}: {err}") from None
     after = sum(
         e.svd[0].size + e.svd[1].size + e.svd[2].size for e in store.entries.values())
     C.save_store(store, args.output)

@@ -167,10 +167,12 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
 
     CE over ``new_only`` logits of the ``x_new`` rows; with ``x_kd``, plus
     ``lambda_kd`` times KD between the ``old_only`` logits of those rows and
-    the frozen model's logits on them.  Returns the CE value, the KD value
-    (0.0 without ``x_kd``) and the gradient as one flat vector laid out as
-    ``M.param_views(state, ...)``: one block per ``M.trainable_params(state)``
-    entry, in that order.  The forward and backward ops and layouts are the
+    the frozen model's logits on them.  When ``x_kd`` is ``x_new`` itself,
+    the KD term reuses the CE pass's extractor features and VJP instead of
+    running the current extractor on the same rows again.  Returns the CE
+    value, the KD value (0.0 without ``x_kd``) and the gradient as one flat
+    vector laid out as ``M.param_views(state, ...)``: one block per
+    ``M.trainable_params(state)`` entry, in that order.  The forward and backward ops and layouts are the
     tape's, so everything is bit-identical to ``local_ce_loss``/
     ``local_kd_loss`` under ``tensor.value_and_grad`` (the oracle).  Raises
     ``ContractError`` on bad labels or mismatched logit blocks and
@@ -192,7 +194,8 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
         frozen_ext, frozen_head = state.frozen
         # the whole frozen head is the old-class block at task t
         prev = M.head_logits(frozen_head, M.features(frozen_ext, x_kd), "all")
-        feats, ext_vjp = M.feature_vjp(ext, x_kd)
+        if x_kd is not x_new:  # else the CE pass's features and VJP serve
+            feats, ext_vjp = M.feature_vjp(ext, x_kd)
         out, head_vjp = M.block_vjp(head, head.w_old, feats)
         kd, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
         g_feats, g_old = head_vjp(g)
@@ -321,7 +324,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
             x_new = x[batch]
             x_kd = None
             if loss_cfg.lambda_kd > 0.0:
-                kd_inputs = [x_new]
+                x_kd = x_new  # x_new itself: loss_and_grads reuses its CE forward
                 if candidates is not None:
                     # a class's j-th draw in this step reads its order at drawn + j
                     cls = (cursor + step_ids) % n_old
@@ -333,8 +336,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                         replay_rows = R.adversarial_attack(
                             frozen_ext, replay_rows, centers[cls], attack_cfg,
                             r=noise_r, rng=rng)
-                    kd_inputs.append(replay_rows)
-                x_kd = np.concatenate(kd_inputs)
+                    x_kd = np.concatenate([x_new, replay_rows])
 
             ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, x_kd)
             state = sgd_step(state, grads, lr, optim_cfg.weight_decay)

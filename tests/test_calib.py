@@ -374,11 +374,20 @@ def _store_text(**fields):
                        "classes": {"4": {k: v for k, v in rec.items() if v is not None}}})
 
 
+def _mixed_width_store_text():
+    """Class 4 of width 2 next to a class 5 of width 3."""
+    payload = json.loads(_store_text())
+    payload["classes"]["5"] = dict(payload["classes"]["4"], mu=[0.0, 1.0, 2.0],
+                                   cov=np.eye(3).tolist())
+    return json.dumps(payload)
+
+
 # broken store.json files: (file text, what the DecodeError must name)
 BAD_STORES = {
     "missing-repr": (_store_text(repr=None), "class 4: missing key 'repr'"),
     "invalid-json": ('{"format_version": 1, "classes": {', "not valid JSON"),
     "cov-shape": (_store_text(cov=[[1.0, 0.0]]), "class 4: 'cov' has shape (1, 2)"),
+    "mu-width": (_mixed_width_store_text(), "class 5: 'mu' has shape (3,), expected (2,)"),
 }
 
 

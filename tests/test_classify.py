@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from advreplay import calib as C
 from advreplay import classify as CL
@@ -121,11 +123,11 @@ def test_distances_match_solve_reference_on_svd_store():
         np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
 
 
-def anisotropic_store(rng, d, classes, svd_k=None):
+def anisotropic_store(rng, d, classes, svd_k=None, spread=1.0):
     store = C.PrototypeStore()
     for cid in range(classes):
         a = rng.normal(size=(d, d)) * rng.uniform(0.2, 3.0, size=d)
-        store.add(cid, rng.normal(size=d), a @ a.T / d + 0.05 * np.eye(d), task=0,
+        store.add(cid, rng.normal(size=d) * spread, a @ a.T / d + 0.05 * np.eye(d), task=0,
                   svd_k=svd_k)
     return store
 
@@ -197,6 +199,122 @@ def test_tied_classes_resolve_to_smaller_id():
     np.testing.assert_array_equal(dist[:, 0], dist[:, 1])
     assert set(scorer.predict(feats)) == {3}
     assert set(scorer.scan(feats, [(1.0, 1.0), (24.0, 24.0)]).ravel()) == {3}
+
+
+# -- bounded scan ------------------------------------------------------------------
+
+
+@st.composite
+def scan_cases(draw):
+    """A store, validation rows and a shrinkage grid for ``scan``.
+
+    ``layout`` places the class means: far apart (most classes prunable),
+    all at one point with covariances of one scale (nothing prunable), or
+    each odd class an exact copy of the class before it (exact ties).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 10))
+    classes = draw(st.integers(1, 7))
+    svd_k = draw(st.one_of(st.none(), st.integers(1, d)))
+    layout = draw(st.sampled_from(["separated", "overlapping", "duplicated"]))
+    mus = rng.normal(size=(classes, d)) * (0.0 if layout == "overlapping" else 8.0)
+    covs = []
+    for _ in range(classes):
+        a = rng.normal(size=(d, d)) * rng.uniform(0.2, 3.0, size=d)
+        covs.append(a @ a.T / d + 0.05 * np.eye(d))
+    if layout == "overlapping":
+        covs = [np.eye(d) * rng.uniform(0.9, 1.1) for _ in range(classes)]
+    if layout == "duplicated":
+        for j in range(1, classes, 2):
+            mus[j], covs[j] = mus[j - 1], covs[j - 1]
+    store = C.PrototypeStore()
+    for cid, j in zip(rng.permutation(classes * 3)[:classes], range(classes)):
+        store.add(int(cid), mus[j], covs[j], task=0, svd_k=svd_k)
+    n = draw(st.integers(1, 40))
+    feats = mus[rng.integers(classes, size=n)] + rng.normal(size=(n, d)) * rng.uniform(0.1, 4.0)
+    equal = st.sampled_from(C.GAMMA_GRID).map(lambda g: (float(g), float(g)))
+    unequal = st.tuples(st.floats(0.5, 120.0), st.floats(0.0, 120.0))
+    gammas = [draw(equal)] + draw(st.lists(st.one_of(equal, unequal), max_size=5))
+    return store, feats, gammas
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=scan_cases())
+def test_scan_equals_distances_argmin_property(case):
+    store, feats, gammas = case
+    ids = np.asarray(store.class_ids())
+    scorer = CL.MahalanobisScorer(store, *gammas[0])
+    try:
+        want = [ids[scorer.distances(feats, g).argmin(axis=1)] for g in gammas]
+    except NumericError:  # a pair that leaves some class not positive definite
+        with pytest.raises(NumericError):
+            scorer.scan(feats, gammas)
+        return
+    np.testing.assert_array_equal(scorer.scan(feats, gammas), np.array(want))
+
+
+@pytest.mark.parametrize("d,svd_k", [(16, None), (64, None), (64, 8)])
+def test_row_subset_products_equal_the_full_block_bitwise(d, svd_k):
+    """``scan`` is exact only if a distance computed from a gathered row
+    subset has the full block's bits; a BLAS that breaks this fails here."""
+    rng = np.random.default_rng(31)
+    store = anisotropic_store(rng, d, 3, svd_k)
+    feats = rng.normal(size=(300, d)) * 2.0
+    scorer = CL.MahalanobisScorer(store, 1.0, 1.0)
+    for gamma in ((1.0, 1.0), (24.0, 3.0)):
+        fac = scorer._factors(*gamma)
+        for j in range(3):
+            centered = feats - scorer._mu[j]
+            full = scorer._sq_norms(j, centered, fac)
+            for size in (1, 2, 3, 17, 150, 299):
+                rows = np.sort(rng.choice(len(feats), size, replace=False))
+                got = scorer._sq_norms_rows(j, centered, rows, fac)
+                assert got.tobytes() == full[rows].tobytes(), size
+
+
+@pytest.mark.parametrize("d,svd_k", [(1, None), (6, None), (12, 4)])
+def test_scan_bounds_hold_for_every_distance(d, svd_k):
+    """Each computed distance lies between the widened bounds.  With d = 1
+    the spectrum is flat and both bounds meet the distance, so only the
+    rounding slack separates them."""
+    rng = np.random.default_rng(34)
+    store = anisotropic_store(rng, d, 5, svd_k)
+    feats = rng.normal(size=(200, d)) * 2.0
+    grid = [(float(g), float(g)) for g in C.GAMMA_GRID] + [(40.0, 2.0), (0.5, 0.0)]
+    scorer = CL.MahalanobisScorer(store, *grid[0])
+    base, lower, upper = scorer._bound_terms(grid, d)
+    for g, gamma in enumerate(grid):
+        dist = scorer.distances(feats, gamma)
+        for j in range(len(store.class_ids())):
+            e = feats - scorer._mu[j]
+            a, b = ((e * e) @ scorer._sum_weights[j]).T
+            z = a + base[g, j] * b
+            assert np.all(lower[g, j] * z <= dist[:, j])
+            assert np.all(dist[:, j] <= upper[g, j] * z)
+
+
+def test_scan_prunes_well_separated_classes(monkeypatch):
+    rng = np.random.default_rng(32)
+    d, classes = 16, 12
+    store = anisotropic_store(rng, d, classes, svd_k=4, spread=12.0)
+    mus = np.array([store.entries[cid].mu for cid in store.class_ids()])
+    feats = mus[np.repeat(np.arange(classes), 20)] + rng.normal(size=(classes * 20, d))
+    grid = [(float(g), float(g)) for g in C.GAMMA_GRID]
+    scorer = CL.MahalanobisScorer(store, *grid[0])
+    rows = []
+    real = CL.MahalanobisScorer._sq_norms
+
+    def spy(self, j, centered, factors):
+        rows.append(len(centered))
+        return real(self, j, centered, factors)
+
+    monkeypatch.setattr(CL.MahalanobisScorer, "_sq_norms", spy)
+    got = scorer.scan(feats, grid)
+    assert sum(rows) < 0.5 * len(feats) * classes * len(grid)
+    monkeypatch.undo()
+    for gamma, row in zip(grid, got):
+        np.testing.assert_array_equal(row, scorer.predict(feats, gamma))
 
 
 def test_singular_covariance_names_class():

@@ -65,6 +65,8 @@ def taped(state, x_new, y_rel, cfg, x_kd=None):
 CASES = [(mode, kind, kd, temps)
          for mode in ("cosine", "linear") for kind in sorted(STACKS)
          for kd in ("first-task", "no-kd", "kd") for temps in TEMPERATURES]
+CASES += [(mode, kind, "kd-no-replay", temps)
+          for mode in ("cosine", "linear") for kind in sorted(STACKS) for temps in TEMPERATURES]
 
 
 @pytest.mark.parametrize("mode,kind,kd,temps", CASES)
@@ -73,8 +75,10 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
     rng = np.random.default_rng(1)
     x_new = rng.normal(size=(24, 6)) * 2.0
     y_rel = rng.integers(0, len(state.head.new_ids), size=24)
-    # the KD batch is the new rows plus more replay rows than new rows
-    x_kd = np.concatenate([x_new, rng.normal(size=(40, 6))]) if kd == "kd" else None
+    # the KD batch is the new rows plus more replay rows than new rows, or
+    # without replay the new-row array itself
+    x_kd = {"kd": np.concatenate([x_new, rng.normal(size=(40, 6))]),
+            "kd-no-replay": x_new}.get(kd)
     cfg = TR.LossConfig(lambda_kd=10.0, ce_temperature=temps[0], kd_temperature=temps[1])
 
     ce, kd_value, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, x_kd)
@@ -87,8 +91,48 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
     for got, want in zip(grads, grads_ref):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    if kd == "kd":
+    if kd.startswith("kd"):
         assert kd_value > 0.0
+
+
+@pytest.mark.parametrize("replay,passes", [(False, 2), (True, 3)])
+def test_kd_without_replay_reuses_the_ce_forward(monkeypatch, replay, passes):
+    """Extractor passes per KD step: the CE forward and the frozen forward,
+    plus a current-model forward of the KD batch only when it holds replay
+    rows."""
+    state = world("cosine", "relu", task=1)
+    rng = np.random.default_rng(6)
+    x_new = rng.normal(size=(24, 6))
+    x_kd = np.concatenate([x_new, rng.normal(size=(24, 6))]) if replay else x_new
+    calls = []
+    real = M.feature_vjp
+
+    def spy(params, x):
+        calls.append(params)
+        return real(params, x)
+
+    monkeypatch.setattr(M, "feature_vjp", spy)
+    TR.loss_and_grads(state, x_new, rng.integers(0, 6, size=24), TR.LossConfig(), x_kd)
+    assert len(calls) == passes
+    assert sum(params is state.frozen[0] for params in calls) == 1
+
+
+def test_run_task_without_replay_distills_on_the_new_batch_itself(monkeypatch):
+    state = world("cosine", "relu", task=1)
+    rng = np.random.default_rng(7)
+    task = D.LabeledSet(rng.normal(size=(40, 6)), tuple(int(c) for c in rng.integers(8, 14, 40)),
+                        "train")
+    seen = []
+    real = TR.loss_and_grads
+
+    def spy(state, x_new, y_rel, loss_cfg, x_kd=None):
+        seen.append(x_kd is x_new)
+        return real(state, x_new, y_rel, loss_cfg, x_kd)
+
+    monkeypatch.setattr(TR, "loss_and_grads", spy)
+    TR.run_task(state, task, None, None, 0.0, TR.LossConfig(),
+                TR.OptimConfig(epochs=2, batch_new=16), None, rng)
+    assert seen == [True] * 6
 
 
 @pytest.mark.parametrize("mode", ["cosine", "linear"])

@@ -9,6 +9,7 @@ import pytest
 from test_calib import BAD_STORES
 from test_data import BAD_APRDS, BAD_CSVS
 
+from advreplay import calib as C
 from advreplay import cli
 from advreplay import config as CFG
 from advreplay import data as D
@@ -341,6 +342,22 @@ def test_cli_decompose(tmp_path, capsys):
     loaded = C.load_store(out_path)
     assert all(e.svd is not None for e in loaded.entries.values())
     assert "rank 2" in capsys.readouterr().out
+
+
+def test_cli_decompose_empty_store_and_bad_rank_name_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"format_version": 1, "classes": {}}')
+    assert cli.main(["decompose", str(empty), "--k", "2",
+                     "--output", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: store holds no classes\n"
+    store = C.PrototypeStore()
+    store.add(0, np.zeros(3), np.eye(3), task=0)
+    path = tmp_path / "store.json"
+    C.save_store(store, path)
+    assert cli.main(["decompose", str(path), "--k", "4",
+                     "--output", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: rank k=4 out of range [1, 3]\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
