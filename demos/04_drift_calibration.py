@@ -38,7 +38,7 @@ print(f"transfer fit: lr={lr:.2e}, |W - A| / |A| = {rel(w, A):.4f}")
 
 entry = C.StoreEntry(mu_old.copy(), cov_old.copy(), None, created_task=0,
                      calibrated_task=0)
-C.calibrate(entry, w, delta, task=1)
+entry = C.calibrate(entry, w, delta, task=1)
 print(f"stale      mu err {rel(mu_old, mu_true):7.2%}   cov err {rel(cov_old, cov_true):7.2%}")
 print(f"calibrated mu err {rel(entry.mu, mu_true):7.2%}   cov err {rel(entry.cov, cov_true):7.2%}")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError
+from .errors import ContractError, DecodeError, NumericError
 
 
 def readonly(data, what: str) -> np.ndarray:
@@ -31,12 +31,16 @@ def write_text_atomic(path, text: str) -> None:
     """Write ``text`` (UTF-8) to ``path`` through a temporary file in the same
     directory and ``os.replace``: a reader, or a run killed mid-write, sees
     the old file or the new one, never a partial write.  A failed write
-    leaves the old file as it was and removes the temporary file."""
+    leaves the old file as it was and removes the temporary file; an
+    ``OSError`` becomes a ``ContractError`` naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
+    except OSError as err:
+        tmp.unlink(missing_ok=True)
+        raise ContractError(f"{path}: cannot write ({err.strerror or err})") from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -2,8 +2,8 @@
 
 Once a task finishes, perturbed drift samples are generated per old class,
 a per-class linear transfer map is fitted between frozen and updated feature
-spaces, and the stored mean/covariance are carried over by
-``mu += delta, cov = W cov W^T``.  Covariances can be kept full or as a
+spaces, and each stored class is replaced by a new immutable entry with
+``mu + delta`` and ``W cov W^T``.  Covariances can be kept full or as a
 truncated SVD triple of size ``2kd + k^2``; Mahalanobis evaluation shrinks
 and correlation-normalizes them first.
 """
@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as D
 from . import model as M
 from . import replay as R
-from .arrays import read_json, record_array, record_field, record_int, write_text_atomic
+from .arrays import (read_json, readonly, record_array, record_field, record_int,
+                     write_text_atomic)
 from .errors import ConfigError, ContractError, DecodeError, NumericError
 
 GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120)
@@ -28,39 +29,46 @@ GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120
 STORE_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoreEntry:
-    """One class in the prototype store: mean plus a covariance representation
-    (full matrix or rank-k SVD triple), with provenance task indices."""
+    """One stored class: read-only copies of its mean and covariance, and
+    provenance task indices.  Build it from ``cov``, or from ``svd``, the
+    rank-k triple (U_k, S_k, V_k) that the store then keeps instead; ``cov``
+    is ``recompose(*svd)``, formed here once.  ``svd`` is ``None`` when full."""
 
     mu: np.ndarray
     cov: np.ndarray | None
     svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     created_task: int
     calibrated_task: int
-    _cov_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if (self.cov is None) == (self.svd is None):
             raise ContractError("entry needs exactly one covariance representation")
+        cov = self.cov
+        if self.svd is not None:
+            object.__setattr__(self, "svd", tuple(readonly(a, "stored factors") for a in self.svd))
+            cov = recompose(*self.svd)
+        object.__setattr__(self, "mu", readonly(self.mu, "stored prototype"))
+        object.__setattr__(self, "cov", readonly(cov, "stored covariance"))
 
-    def covariance(self) -> np.ndarray:
-        """Full covariance; decomposed entries recompose lazily and cache."""
-        if self.cov is not None:
-            return self.cov
-        if self._cov_cache is None:
-            self._cov_cache = recompose(*self.svd)
-        return self._cov_cache
+    @classmethod
+    def build(cls, mu, cov, k: int | None, created_task: int, calibrated_task: int) -> StoreEntry:
+        """An entry holding ``cov`` in full (``k`` None) or as its rank-k SVD."""
+        if k is None:
+            return cls(mu, cov, None, created_task, calibrated_task)
+        return cls(mu, None, decompose(cov, k), created_task, calibrated_task)
+
+    @property
+    def rank(self) -> int | None:
+        return None if self.svd is None else self.svd[1].shape[0]
 
 
 class PrototypeStore:
-    """Per-class prototype/covariance records updated at task barriers."""
+    """Per-class prototype/covariance records, replaced at task barriers."""
 
     def __init__(self):
         self.entries: dict[int, StoreEntry] = {}
-
-    def __contains__(self, cid):
-        return cid in self.entries
 
     def class_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.entries))
@@ -69,24 +77,17 @@ class PrototypeStore:
             svd_k: int | None = None) -> None:
         if cid in self.entries:
             raise ContractError(f"class {cid} already stored")
-        mu = np.asarray(mu, dtype=np.float64)
-        cov = np.asarray(cov, dtype=np.float64)
-        if svd_k is None:
-            self.entries[cid] = StoreEntry(mu, cov, None, task, task)
-        else:
-            self.entries[cid] = StoreEntry(mu, None, decompose(cov, svd_k), task, task)
+        self.entries[cid] = StoreEntry.build(mu, cov, svd_k, task, task)
 
     def prototypes(self) -> dict[int, np.ndarray]:
         return {cid: e.mu for cid, e in self.entries.items()}
 
     def covariances(self) -> dict[int, np.ndarray]:
-        return {cid: e.covariance() for cid, e in self.entries.items()}
+        return {cid: e.cov for cid, e in self.entries.items()}
 
     def compress_all(self, k: int) -> None:
-        for entry in self.entries.values():
-            entry.svd = decompose(entry.covariance(), k)
-            entry.cov = None
-            entry._cov_cache = None
+        self.entries = {cid: StoreEntry.build(e.mu, e.cov, k, e.created_task, e.calibrated_task)
+                        for cid, e in self.entries.items()}
 
 
 # -- drift samples ---------------------------------------------------------------
@@ -190,23 +191,13 @@ def stable_transfer_lr(feats_old: np.ndarray, safety: float = 0.5) -> float:
     return safety / (2.0 * lam)
 
 
-def calibrate(entry: StoreEntry, w: np.ndarray, delta: np.ndarray, task: int) -> None:
-    """Carry one store entry into the updated feature space.
-
-    Decomposed entries are recomposed, transformed, and recompressed at the
-    same rank; the covariance is re-symmetrized to absorb rounding.
-    """
-    cov = entry.covariance()
-    new_cov = w @ cov @ w.T
+def calibrate(entry: StoreEntry, w: np.ndarray, delta: np.ndarray, task: int) -> StoreEntry:
+    """``entry`` carried into the updated feature space, as a new entry at its
+    own rank: a decomposed entry's transformed covariance is decomposed again.
+    The covariance is re-symmetrized to absorb rounding."""
+    new_cov = w @ entry.cov @ w.T
     new_cov = 0.5 * (new_cov + new_cov.T)
-    entry.mu = entry.mu + delta
-    if entry.cov is not None:
-        entry.cov = new_cov
-    else:
-        k = entry.svd[1].shape[0]
-        entry.svd = decompose(new_cov, k)
-        entry._cov_cache = None
-    entry.calibrated_task = task
+    return StoreEntry.build(entry.mu + delta, new_cov, entry.rank, entry.created_task, task)
 
 
 # -- shrinkage and normalization -----------------------------------------------------
@@ -317,13 +308,12 @@ def save_store(store: PrototypeStore, path) -> None:
             "created_task": e.created_task,
             "calibrated_task": e.calibrated_task,
         }
-        if e.cov is not None:
+        if e.svd is None:
             rec["repr"] = "full"
             rec["cov"] = e.cov.tolist()
         else:
-            u, s, v = e.svd
-            rec["repr"] = f"svd-{s.shape[0]}"
-            rec["u"], rec["s"], rec["v"] = u.tolist(), s.tolist(), v.tolist()
+            rec["repr"] = f"svd-{e.rank}"
+            rec["u"], rec["s"], rec["v"] = (part.tolist() for part in e.svd)
         records[str(cid)] = rec
     payload = {"format_version": STORE_VERSION, "classes": records}
     write_text_atomic(path, json.dumps(payload))

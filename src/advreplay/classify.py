@@ -67,7 +67,7 @@ class MahalanobisScorer:
         if not store.class_ids():
             raise ContractError("prototype store is empty")
         self.ids = store.class_ids()
-        terms = [C.shrinkage_terms(store.entries[cid].covariance()) for cid in self.ids]
+        terms = [C.shrinkage_terms(store.entries[cid].cov) for cid in self.ids]
         covs = np.stack([cov for cov, _, _ in terms])
         self._lam, self._q = np.linalg.eigh(covs)
         self._diag = np.diagonal(covs, axis1=1, axis2=2)

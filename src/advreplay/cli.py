@@ -22,6 +22,7 @@ import numpy as np
 from . import calib as C
 from . import config as CFG
 from . import runner
+from .arrays import write_text_atomic
 from .errors import ConfigError, ContractError, EngineError
 
 BENCH_SEED_PAIRS = ((1993, 0), (2993, 1000), (3993, 2000))  # (class_shuffle, randomness)
@@ -78,17 +79,22 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _stored_scalars(store: C.PrototypeStore) -> int:
+    """Covariance scalars in a store file: d^2 per full class, 2kd + k^2 per rank k."""
+    return sum(e.cov.size if e.rank is None else C.decomposed_scalars(len(e.mu), e.rank)
+               for e in store.entries.values())
+
+
 def cmd_decompose(args) -> int:
     store = C.load_store(args.store)
     if not store.entries:
         raise ContractError(f"{args.store}: store holds no classes")
-    before = sum(e.covariance().size for e in store.entries.values())
+    before = _stored_scalars(store)
     try:
         store.compress_all(args.k)
     except ConfigError as err:
         raise ConfigError(f"{args.store}: {err}") from None
-    after = sum(
-        e.svd[0].size + e.svd[1].size + e.svd[2].size for e in store.entries.values())
+    after = _stored_scalars(store)
     C.save_store(store, args.output)
     print(f"compressed {len(store.entries)} classes to rank {args.k}: "
           f"{before} -> {after} scalars ({100.0 * after / before:.1f}%)")
@@ -111,7 +117,7 @@ def cmd_report(args) -> int:
     )
     print(runner.format_storage_table(sizes))
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(sizes), encoding="utf-8")
+        write_text_atomic(args.json_out, json.dumps(sizes))
     return 0
 
 

@@ -17,6 +17,7 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from . import train as TR
+from .arrays import read_json
 from .errors import ConfigError
 
 DEFAULTS: dict = {
@@ -117,7 +118,7 @@ def apply_override(config: dict, dotted: str) -> dict:
 def load_config(path=None, overrides=()) -> dict:
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
-        file_values = json.loads(Path(path).read_text(encoding="utf-8"))
+        file_values = read_json(path)
         config = _merge(config, file_values)
     for item in overrides:
         config = apply_override(config, item)

@@ -218,10 +218,8 @@ def _run(config: dict, out_dir) -> RunResult:
     use_maha = "mahalanobis" in classifiers
 
     rng_model = _rng(seed, _STREAM_MODEL)
-    extractor = M.init_extractor(
-        (stream.train[0].input_dim, *config["model"]["hidden"], d),
-        tuple([config["model"]["activation"]] * len(config["model"]["hidden"]) + ["identity"]),
-        rng_model)
+    extractor = M.default_extractor(stream.train[0].input_dim, d, rng_model,
+                                    config["model"]["hidden"], config["model"]["activation"])
     head = M.init_head(stream.class_groups[0], d, rng_model,
                        mode=config["model"]["head_mode"],
                        scale=config["model"]["cosine_scale"],
@@ -308,7 +306,7 @@ def _run(config: dict, out_dir) -> RunResult:
                     lr = min(config["adc"]["transfer_lr"], C.stable_transfer_lr(feats_old))
                     w, delta = C.fit_transfer_matrix(
                         feats_old, feats_new, lr, config["adc"]["transfer_epochs"])
-                    C.calibrate(store.entries[cid], w, delta, task=t)
+                    store.entries[cid] = C.calibrate(store.entries[cid], w, delta, task=t)
             stage("calibration", calibrate_old)
 
         stage("statistics", add_stats, t)

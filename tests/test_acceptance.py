@@ -218,7 +218,7 @@ def test_criterion_5_calibration_oracle():
         lr = min(1e-3, C.stable_transfer_lr(feats_old))
         w, delta = C.fit_transfer_matrix(feats_old, feats_new, lr, 6000)
         entry = C.StoreEntry(mu_old.copy(), cov_old.copy(), None, 0, 0)
-        C.calibrate(entry, w, delta, task=1)
+        entry = C.calibrate(entry, w, delta, task=1)
         worst_cal_mu = max(worst_cal_mu,
                            np.linalg.norm(entry.mu - mu_true) / np.linalg.norm(mu_true))
         worst_cal_cov = max(worst_cal_cov, np.linalg.norm(entry.cov - cov_true, "fro")
@@ -246,7 +246,7 @@ def test_criterion_6_equation_level_oracles():
 
     entry = C.StoreEntry(np.array([1.0, -1.0]), np.array([[1.0, 0.2], [0.2, 2.0]]),
                          None, 0, 0)
-    C.calibrate(entry, 2.0 * np.eye(2), np.array([0.5, 0.5]), task=1)
+    entry = C.calibrate(entry, 2.0 * np.eye(2), np.array([0.5, 0.5]), task=1)
     checks.append(np.max(np.abs(entry.cov - 4.0 * np.array([[1.0, 0.2], [0.2, 2.0]]))) <= 1e-9)
     checks.append(np.array_equal(entry.mu, [1.5, -0.5]))
 

@@ -3,12 +3,14 @@ partial file or a stray temporary."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from advreplay import calib as C
 from advreplay.arrays import write_text_atomic
+from advreplay.errors import ContractError
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -41,7 +43,8 @@ def test_store_save_failing_at_rename_keeps_the_previous_file(tmp_path, monkeypa
 
     store.add(1, np.ones(2), np.eye(2), task=1)
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
+    named = re.escape(f"{path}: cannot write (disk full)")
+    with pytest.raises(ContractError, match=named):
         C.save_store(store, path)
     assert path.read_bytes() == before
     assert sorted(json.loads(before)["classes"]) == ["0"]

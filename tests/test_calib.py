@@ -192,7 +192,7 @@ def entry_with(mu, cov):
 
 def test_calibrate_identity_is_noop():
     entry = entry_with([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
-    C.calibrate(entry, np.eye(2), np.zeros(2), task=1)
+    entry = C.calibrate(entry, np.eye(2), np.zeros(2), task=1)
     np.testing.assert_array_equal(entry.mu, [1.0, 2.0])
     np.testing.assert_allclose(entry.cov, [[2.0, 0.5], [0.5, 1.0]], atol=0)
     assert entry.calibrated_task == 1
@@ -200,7 +200,7 @@ def test_calibrate_identity_is_noop():
 
 def test_calibrate_scaling_law():
     entry = entry_with([1.0, -1.0], [[1.0, 0.2], [0.2, 2.0]])
-    C.calibrate(entry, 2.0 * np.eye(2), np.array([0.5, 0.5]), task=1)
+    entry = C.calibrate(entry, 2.0 * np.eye(2), np.array([0.5, 0.5]), task=1)
     np.testing.assert_allclose(entry.cov, 4.0 * np.array([[1.0, 0.2], [0.2, 2.0]]), atol=1e-12)
     np.testing.assert_array_equal(entry.mu, [1.5, -0.5])
 
@@ -211,7 +211,7 @@ def test_calibrate_matches_triple_product_oracle():
         cov = random_spd(rng, 5)
         w = rng.normal(size=(5, 5))
         entry = entry_with(rng.normal(size=5), cov)
-        C.calibrate(entry, w, np.zeros(5), task=2)
+        entry = C.calibrate(entry, w, np.zeros(5), task=2)
         expected = w @ cov @ w.T
         expected = 0.5 * (expected + expected.T)
         assert np.max(np.abs(entry.cov - expected)) <= 1e-10
@@ -223,10 +223,60 @@ def test_calibrate_decomposed_entry_recompresses():
     rng = np.random.default_rng(4)
     cov = random_spd(rng, 6)
     entry = C.StoreEntry(np.zeros(6), None, C.decompose(cov, 3), 0, 0)
-    C.calibrate(entry, np.eye(6) * 1.5, np.ones(6), task=3)
-    assert entry.cov is None
-    assert entry.svd[1].shape == (3, 3)
+    entry = C.calibrate(entry, np.eye(6) * 1.5, np.ones(6), task=3)
+    assert entry.rank == 3 and entry.svd[1].shape == (3, 3)
+    np.testing.assert_array_equal(entry.cov, C.recompose(*entry.svd))
     np.testing.assert_array_equal(entry.mu, np.ones(6))
+
+
+def test_calibrate_leaves_input_entry_unchanged():
+    rng = np.random.default_rng(5)
+    cov = random_spd(rng, 4)
+    decomposed = C.StoreEntry(np.ones(4), None, C.decompose(cov, 2), 0, 0)
+    for entry in (entry_with(np.ones(4), cov), decomposed):
+        before = (entry.mu.copy(), entry.cov.copy(), entry.svd, entry.calibrated_task)
+        out = C.calibrate(entry, 2.0 * np.eye(4), np.ones(4), task=1)
+        assert out is not entry and out.calibrated_task == 1 and out.rank == entry.rank
+        np.testing.assert_array_equal(entry.mu, before[0])
+        np.testing.assert_array_equal(entry.cov, before[1])
+        assert entry.svd is before[2] and entry.calibrated_task == before[3] == 0
+
+
+def test_store_entry_arrays_are_read_only():
+    rng = np.random.default_rng(6)
+    store = C.PrototypeStore()
+    store.add(0, rng.normal(size=3), random_spd(rng, 3), task=0)
+    store.add(1, rng.normal(size=3), random_spd(rng, 3), task=0, svd_k=2)
+    for entry in store.entries.values():
+        for arr in (entry.mu, entry.cov, *(entry.svd or ())):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            entry.mu = np.zeros(3)
+
+
+def test_store_add_copies_callers_arrays():
+    mu, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+    store = C.PrototypeStore()
+    store.add(0, mu, cov, task=0)
+    mu[0], cov[0, 0] = 99.0, 99.0
+    np.testing.assert_array_equal(store.entries[0].mu, [1.0, 2.0])
+    np.testing.assert_array_equal(store.entries[0].cov, [[2.0, 0.5], [0.5, 1.0]])
+
+
+def test_compress_all_rebuilds_every_entry():
+    rng = np.random.default_rng(7)
+    store = C.PrototypeStore()
+    store.add(0, rng.normal(size=5), random_spd(rng, 5), task=0)
+    store.add(1, rng.normal(size=5), random_spd(rng, 5), task=1, svd_k=4)
+    old = dict(store.entries)
+    store.compress_all(2)
+    for cid, entry in store.entries.items():
+        assert entry.rank == 2 and entry.created_task == old[cid].created_task
+        np.testing.assert_array_equal(entry.cov, C.recompose(*entry.svd))
+        np.testing.assert_array_equal(entry.svd[0], C.decompose(old[cid].cov, 2)[0])
+    assert old[0].rank is None and old[1].rank == 4
 
 
 # -- shrink / normalize ---------------------------------------------------------------
@@ -363,7 +413,9 @@ def test_store_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.entries[3].cov, store.entries[3].cov)
     np.testing.assert_array_equal(loaded.entries[7].svd[0], store.entries[7].svd[0])
     np.testing.assert_array_equal(loaded.entries[3].mu, store.entries[3].mu)
-    assert loaded.entries[7].cov is None
+    assert loaded.entries[7].rank == 2
+    np.testing.assert_array_equal(loaded.entries[7].cov, C.recompose(*loaded.entries[7].svd))
+    np.testing.assert_array_equal(loaded.entries[7].cov, store.entries[7].cov)
 
 
 def _store_text(**fields):

@@ -85,7 +85,7 @@ def solve_reference_distances(store, gamma1, gamma2, feats):
     out = np.empty((len(feats), len(store.class_ids())))
     for j, cid in enumerate(store.class_ids()):
         entry = store.entries[cid]
-        chol = np.linalg.cholesky(C.shrink_normalize(entry.covariance(), gamma1, gamma2))
+        chol = np.linalg.cholesky(C.shrink_normalize(entry.cov, gamma1, gamma2))
         y = np.linalg.solve(chol, (feats - entry.mu).T)
         out[:, j] = (y * y).sum(axis=0)
     return out

@@ -375,6 +375,48 @@ def test_cli_error_exit_code(tmp_path, capsys):
         assert cli.main(["decompose", str(store_path), "--k", "2",
                          "--output", str(tmp_path / "out.json")]) == 1
         assert f"error: {store_path}" in capsys.readouterr().err
+    (tmp_path / "config-not-json.json").write_text('{"tasks": ')
+    (tmp_path / "config-list.json").write_text('[{"tasks": {"count": 2}}]')
+    for name in ("config-missing.json", "config-not-json.json", "config-list.json"):
+        config_path = tmp_path / name
+        assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
+
+
+def small_store(path, svd_k=None):
+    """Three classes at d = 6, written to ``path``."""
+    rng = np.random.default_rng(0)
+    store = C.PrototypeStore()
+    for cid in range(3):
+        a = rng.normal(size=(6, 6))
+        store.add(cid, rng.normal(size=6), a @ a.T, task=0, svd_k=svd_k)
+    C.save_store(store, path)
+    return store
+
+
+def test_cli_decompose_counts_stored_scalars_of_an_svd_store(tmp_path, capsys):
+    small_store(tmp_path / "svd4.json", svd_k=4)
+    assert cli.main(["decompose", str(tmp_path / "svd4.json"), "--k", "2",
+                     "--output", str(tmp_path / "svd2.json")]) == 0
+    # 3 * (2*4*6 + 4^2) = 192 -> 3 * (2*2*6 + 2^2) = 84
+    assert "192 -> 84 scalars (43.8%)" in capsys.readouterr().out
+    small_store(tmp_path / "full.json")
+    assert cli.main(["decompose", str(tmp_path / "full.json"), "--k", "2",
+                     "--output", str(tmp_path / "full2.json")]) == 0
+    assert "108 -> 84 scalars (77.8%)" in capsys.readouterr().out
+
+
+def test_cli_unwritable_output_names_the_target(tmp_path, capsys):
+    small_store(tmp_path / "store.json")
+    target = tmp_path / "missing" / "x.json"
+    (tmp_path / "a_dir").mkdir()
+    for bad in (target, tmp_path / "a_dir"):
+        assert cli.main(["decompose", str(tmp_path / "store.json"), "--k", "2",
+                         "--output", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write")
+        assert cli.main(["report", "--json-out", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "store.json"]
 
 
 @pytest.mark.parametrize("kind,case", [("csv", c) for c in sorted(BAD_CSVS)]

@@ -103,3 +103,21 @@ def test_run_many_rejects_shared_run_directory(tmp_path):
     cfg = tiny_config(tmp_path)
     with pytest.raises(ConfigError, match="output.tag"):
         runner.run_many([cfg, cfg])
+
+
+def test_run_many_with_one_worker_runs_in_process(tmp_path, monkeypatch):
+    serial = [runner.run_benchmark(cfg) for cfg in seed_configs(tmp_path / "serial")]
+    bad = "dataset.n_train=2"
+    with pytest.raises(ConfigError) as local:
+        runner.run_benchmark(tiny_config(tmp_path / "local", bad))
+    monkeypatch.setattr(runner, "worker_count", lambda n_runs: 1)
+    # reversed input order: results must follow it
+    inline = runner.run_many(seed_configs(tmp_path / "inline")[::-1])
+    assert [r.run_dir.name for r in inline] == ["s1", "s0"]
+    for a, b in zip(serial, inline[::-1]):
+        assert (a.run_dir / "metrics.csv").read_bytes() == (b.run_dir / "metrics.csv").read_bytes()
+        assert a.summary == b.summary and a.gammas == b.gammas
+    with pytest.raises(ConfigError) as inline_err:
+        runner.run_many(seed_configs(tmp_path / "inline-bad", bad))
+    assert type(inline_err.value) is type(local.value)
+    assert str(inline_err.value) == str(local.value)
