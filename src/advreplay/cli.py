@@ -124,17 +124,20 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     out_root = Path(_out_dir(args, config))
+    # each comma item is override text, so the config table checks and names it
+    alphas = args.alpha.split(",") if args.alpha else [config["attack"]["alpha"]]
+    loops = args.n_attack.split(",") if args.n_attack else [config["attack"]["n_attack"]]
+    grid, configs = [], []
+    for alpha_text in alphas:
+        for n_text in loops:
+            cfg = CFG.apply_override(config, f"attack.alpha={alpha_text}")
+            cfg = CFG.apply_override(cfg, f"attack.n_attack={n_text}")
+            CFG.validate_config(cfg)
+            alpha, n_attack = cfg["attack"]["alpha"], cfg["attack"]["n_attack"]
+            grid.append((alpha, n_attack))
+            configs.append(
+                CFG.apply_override(cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"'))
     out_root.mkdir(parents=True, exist_ok=True)
-    alphas = [float(v) for v in args.alpha.split(",")] if args.alpha else [
-        config["attack"]["alpha"]]
-    loops = [int(v) for v in args.n_attack.split(",")] if args.n_attack else [
-        config["attack"]["n_attack"]]
-    grid = [(alpha, n_attack) for alpha in alphas for n_attack in loops]
-    configs = []
-    for alpha, n_attack in grid:
-        cfg = CFG.apply_override(config, f"attack.alpha={alpha}")
-        cfg = CFG.apply_override(cfg, f"attack.n_attack={n_attack}")
-        configs.append(CFG.apply_override(cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"'))
     results = runner.run_many(configs, out_dir=out_root)
     table_path = out_root / "sweep.csv"
     with table_path.open("w", newline="", encoding="utf-8") as fh:

@@ -1,16 +1,19 @@
-"""Run configuration: defaults, file loading, and dotted-path overrides.
+"""Run configuration: one table of keys, file loading, and dotted-path overrides.
 
-A config is a nested key-value tree.  Every key has a default; file values
-and ``--set a.b.c=value`` overrides are deep-merged on top, and unknown keys
-are rejected so typos fail before any compute starts.
+A config is a nested key-value tree.  ``SCHEMA`` has one row per leaf: its
+default and its rule (type, null or not, range or choices); ``DEFAULTS`` is
+the tree of those defaults.  File values and ``--set a.b.c=value`` overrides
+are deep-merged on top, and ``validate_config`` checks every leaf, so a bad
+value or unknown key fails as a ``ConfigError`` naming it before any compute.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
-from pathlib import Path
+import os
+import sys
+from typing import Callable, NamedTuple
 
 from . import calib as C
 from . import data as D
@@ -20,62 +23,129 @@ from . import train as TR
 from .arrays import read_json
 from .errors import ConfigError
 
-DEFAULTS: dict = {
-    "dataset": {
-        "kind": "synthetic",        # synthetic | csv | binary
-        "n_classes": 20,
-        "input_dim": 16,
-        "radius": 7.0,
-        "cluster_std": 1.0,
-        "n_train": 100,
-        "n_val": 20,
-        "n_test": 40,
-        "train_path": None,         # csv/binary ingestion (train+val pool)
-        "test_path": None,
-        "val_fraction": 0.2,        # carved from the ingested train pool
-    },
-    "tasks": {"count": 5, "mode": "cold"},
-    "seeds": {"class_shuffle": 1993, "randomness": 0},
-    "model": {
-        "hidden": [64, 48],
-        "feature_dim": 32,
-        "activation": "relu",
-        "head_mode": "cosine",
-        "cosine_scale": 16.0,
-        "head_init_std": 0.01,
-    },
-    "optim": {
-        "lr_initial": 0.1,
-        "lr_incremental": 0.01,
-        "weight_decay_initial": 5e-4,
-        "weight_decay_incremental": 2e-4,
-        "epochs_initial": 30,
-        "epochs_incremental": 50,
-        "batch_new": 32,
-        "batch_replay": 64,
-    },
-    "loss": {"lambda_kd": 10.0, "kd_temperature": 2.0, "ce_temperature": 1.0},
-    "replay": {"enabled": True, "k": 64, "cap": None},
-    "attack": {"enabled": True, "alpha": 8.0, "n_attack": 12, "noise": True},
-    "adc": {"enabled": True, "magnitude": 2.0, "iterations": 4, "candidates": 100,
-            "transfer_lr": 1e-3, "transfer_epochs": 400},
-    "covariance": {"mode": "full", "svd_k": 8},
-    "shrinkage": {"grid": list(C.GAMMA_GRID)},
-    "augmentation": {
-        "enabled": True,
-        "crop_prob": 0.5,
-        "crop_width_min": 1,
-        "crop_width_max": 4,
-        "flip_prob": 0.5,
-        "jitter_prob": 0.8,
-        "jitter_sigma_min": 0.01,
-        "jitter_sigma_max": 0.15,
-        "scale_min": 0.9,
-        "scale_max": 1.1,
-    },
-    "classifiers": ["linear", "ncm", "mahalanobis"],
-    "output": {"dir": "runs", "tag": None},
+
+class Rule(NamedTuple):
+    what: str                       # completes "<key> must be ..."
+    test: Callable[[object], bool]  # true for a valid value
+
+
+def _int(low: int) -> Rule:
+    return Rule(f"an integer >= {low}",
+                lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low)
+
+
+def _number(what: str = "", test=lambda v: True) -> Rule:
+    # abs(v) <= max is false for NaN, +-inf and an integer too large for a float
+    return Rule(f"a finite number {what}".rstrip(),
+                lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                           and abs(v) <= sys.float_info.max and test(v)))
+
+
+def _one_of(*names) -> Rule:
+    return Rule(f"one of {', '.join(names)}", lambda v: isinstance(v, str) and v in names)
+
+
+def _or_null(rule: Rule) -> Rule:
+    return Rule(f"{rule.what} or null", lambda v: v is None or rule.test(v))
+
+
+def _list_of(item: Rule, non_empty=False, distinct=False) -> Rule:
+    what = (f"a {'non-empty ' if non_empty else ''}list of "
+            f"{'distinct ' if distinct else ''}items, each {item.what}")
+    return Rule(what, lambda v: (isinstance(v, list) and all(item.test(x) for x in v)
+                                 and (bool(v) or not non_empty)
+                                 and (not distinct or len(set(v)) == len(v))))
+
+
+BOOL = Rule("true or false", lambda v: isinstance(v, bool))
+STRING = Rule("a string", lambda v: isinstance(v, str))
+NUMBER = _number()
+POSITIVE = _number("> 0", lambda v: v > 0)
+NON_NEGATIVE = _number(">= 0", lambda v: v >= 0)
+PROBABILITY = _number("in [0, 1]", lambda v: 0 <= v <= 1)
+
+# dotted key -> (default, rule); the cross-key rules are in validate_config
+SCHEMA: dict[str, tuple[object, Rule]] = {
+    "dataset.kind": ("synthetic", _one_of("synthetic", "csv", "binary")),
+    "dataset.n_classes": (20, _int(1)),
+    "dataset.input_dim": (16, _int(1)),
+    "dataset.radius": (7.0, NUMBER),
+    "dataset.cluster_std": (1.0, POSITIVE),
+    # a class covariance needs two training rows; tuning and eval need a row each
+    "dataset.n_train": (100, _int(2)),
+    "dataset.n_val": (20, _int(1)),
+    "dataset.n_test": (40, _int(1)),
+    # csv/binary ingestion (train+val pool), and the share carved from it for val
+    "dataset.train_path": (None, _or_null(STRING)),
+    "dataset.test_path": (None, _or_null(STRING)),
+    "dataset.val_fraction": (0.2, _number("in (0, 1)", lambda v: 0 < v < 1)),
+    "tasks.count": (5, _int(1)),
+    "tasks.mode": ("cold", _one_of("cold", "warm")),
+    "seeds.class_shuffle": (1993, _int(0)),
+    "seeds.randomness": (0, _int(0)),
+    "model.hidden": ([64, 48], _list_of(_int(1))),
+    "model.feature_dim": (32, _int(1)),
+    "model.activation": ("relu", _one_of(*M.ACTIVATIONS)),
+    "model.head_mode": ("cosine", _one_of(*M.HEAD_MODES)),
+    "model.cosine_scale": (16.0, POSITIVE),
+    "model.head_init_std": (0.01, NON_NEGATIVE),
+    "optim.lr_initial": (0.1, NON_NEGATIVE),
+    "optim.lr_incremental": (0.01, NON_NEGATIVE),
+    "optim.weight_decay_initial": (5e-4, NUMBER),
+    "optim.weight_decay_incremental": (2e-4, NUMBER),
+    "optim.epochs_initial": (30, _int(1)),
+    "optim.epochs_incremental": (50, _int(1)),
+    "optim.batch_new": (32, _int(1)),
+    "optim.batch_replay": (64, _int(1)),
+    "loss.lambda_kd": (10.0, NON_NEGATIVE),
+    "loss.kd_temperature": (2.0, POSITIVE),
+    "loss.ce_temperature": (1.0, POSITIVE),
+    "replay.enabled": (True, BOOL),
+    "replay.k": (64, _int(1)),
+    "replay.cap": (None, _or_null(_int(1))),
+    "attack.enabled": (True, BOOL),
+    "attack.alpha": (8.0, POSITIVE),
+    "attack.n_attack": (12, _int(1)),
+    "attack.noise": (True, BOOL),
+    "adc.enabled": (True, BOOL),
+    "adc.magnitude": (2.0, POSITIVE),
+    "adc.iterations": (4, _int(1)),
+    "adc.candidates": (100, _int(1)),
+    "adc.transfer_lr": (1e-3, POSITIVE),
+    "adc.transfer_epochs": (400, _int(1)),
+    "covariance.mode": ("full", _one_of("full", "svd")),
+    "covariance.svd_k": (8, _int(1)),
+    # gamma = 0 leaves a rank-k (SVD) store singular at shrinkage tuning
+    "shrinkage.grid": (list(C.GAMMA_GRID), _list_of(POSITIVE, non_empty=True)),
+    "augmentation.enabled": (True, BOOL),
+    "augmentation.crop_prob": (0.5, PROBABILITY),
+    "augmentation.crop_width_min": (1, _int(0)),
+    "augmentation.crop_width_max": (4, _int(0)),
+    "augmentation.flip_prob": (0.5, PROBABILITY),
+    "augmentation.jitter_prob": (0.8, PROBABILITY),
+    "augmentation.jitter_sigma_min": (0.01, NON_NEGATIVE),
+    "augmentation.jitter_sigma_max": (0.15, NON_NEGATIVE),
+    "augmentation.scale_min": (0.9, POSITIVE),
+    "augmentation.scale_max": (1.1, POSITIVE),
+    "classifiers": (["linear", "ncm", "mahalanobis"],
+                    _list_of(_one_of("linear", "ncm", "mahalanobis"), distinct=True)),
+    "output.dir": ("runs", STRING),
+    "output.tag": (None, _or_null(STRING)),
 }
+
+
+def _tree(flat: dict) -> dict:
+    tree: dict = {}
+    for key, value in flat.items():
+        *sections, leaf = key.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = copy.deepcopy(value)
+    return tree
+
+
+DEFAULTS: dict = _tree({key: default for key, (default, _) in SCHEMA.items()})
 
 
 def _merge(base: dict, update: dict, path: str = "") -> dict:
@@ -105,141 +175,68 @@ def apply_override(config: dict, dotted: str) -> dict:
     if "=" not in dotted:
         raise ConfigError(f"override {dotted!r} must look like key.path=value")
     path, raw = dotted.split("=", 1)
-    keys = path.strip().split(".")
-    patch: dict = {}
-    node = patch
-    for key in keys[:-1]:
-        node[key] = {}
-        node = node[key]
-    node[keys[-1]] = _parse_value(raw.strip())
+    patch = _parse_value(raw.strip())
+    for key in reversed(path.strip().split(".")):
+        patch = {key: patch}
     return _merge(config, patch)
 
 
 def load_config(path=None, overrides=()) -> dict:
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
-        file_values = read_json(path)
-        config = _merge(config, file_values)
+        config = _merge(config, read_json(path))
     for item in overrides:
         config = apply_override(config, item)
     validate_config(config)
     return config
 
 
-# options whose default is null but which take an integer when set
-_NULLABLE_INTS = frozenset({"replay.cap"})
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-# list options: the test each element must pass, what that test means, and
-# whether the list must be non-empty
-_LIST_ITEMS = {
-    "model.hidden": (lambda v: _is_int(v) and v >= 1, "integers >= 1", False),
-    # gamma = 0 leaves a rank-k (SVD) store singular at shrinkage tuning
-    "shrinkage.grid": (lambda v: _is_number(v) and v > 0, "finite numbers > 0", True),
-    "classifiers": (lambda v: isinstance(v, str), "strings", False),
-}
-
-
-def _check_types(config: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
-    """Reject a value whose type differs from its default's: a bool option
-    takes a bool, an integer option an integer, a float option any finite
-    number, and a list option a list whose elements pass ``_LIST_ITEMS``.
-
-    The walk iterates ``items()``: checking a value's type is not a use of
-    the option, so it does not count as a read.
-    """
+def _leaves(config: dict, defaults: dict = DEFAULTS, path: str = "") -> dict:
+    """Dotted key -> value for every leaf of ``config``.  It iterates
+    ``items()``: checking a value is not a use of the option, so not a read."""
+    flat = {}
     for key, value in config.items():
-        where = f"{path}{key}"
-        default = defaults.get(key)
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be a section, got {value!r}")
-            _check_types(value, default, f"{where}.")
-        elif where in _NULLABLE_INTS:
-            if value is not None and not _is_int(value):
-                raise ConfigError(f"{where} must be an integer or null, got {value!r}")
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where} must be true or false, got {value!r}")
-        elif isinstance(default, int):
-            if not _is_int(value):
-                raise ConfigError(f"{where} must be an integer, got {value!r}")
-        elif isinstance(default, float):
-            if not _is_number(value):
-                raise ConfigError(f"{where} must be a finite number, got {value!r}")
-        elif isinstance(default, list):
-            item_ok, items, non_empty = _LIST_ITEMS[where]
-            if (not isinstance(value, list) or not all(item_ok(v) for v in value)
-                    or (non_empty and not value)):
-                what = "a non-empty list" if non_empty else "a list"
-                raise ConfigError(f"{where} must be {what} of {items}, got {value!r}")
+        where = path + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {where!r}")
+        if not isinstance(defaults[key], dict):
+            flat[where] = value
+        elif isinstance(value, dict):
+            flat.update(_leaves(value, defaults[key], where + "."))
+        else:
+            raise ConfigError(f"{where} must be a section, got {value!r}")
+    return flat
 
 
 def validate_config(config: dict) -> None:
-    """Check types, ranges and referenced files before any compute."""
-    _check_types(config)
-    ds = config["dataset"]
-    if ds["kind"] not in ("synthetic", "csv", "binary"):
-        raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-    if ds["kind"] != "synthetic":
-        for key in ("train_path", "test_path"):
-            if ds[key] is None:
-                raise ConfigError(f"dataset.{key} required for kind={ds['kind']}")
-            if not Path(ds[key]).exists():
-                raise ConfigError(f"dataset.{key} does not exist: {ds[key]}")
-    # a class covariance needs two training rows; tuning and eval need a row each
-    for key, low in (("n_classes", 1), ("input_dim", 1), ("n_train", 2), ("n_val", 1),
-                     ("n_test", 1)):
-        if ds[key] < low:
-            raise ConfigError(f"dataset.{key} must be >= {low}")
-    if not ds["cluster_std"] > 0:
-        raise ConfigError("dataset.cluster_std must be positive")
-    if not 0 < ds["val_fraction"] < 1:
-        raise ConfigError("dataset.val_fraction must lie in (0, 1)")
-    D.group_sizes(ds["n_classes"], config["tasks"]["count"], config["tasks"]["mode"])
-    for name in config["classifiers"]:
-        if name not in ("linear", "ncm", "mahalanobis"):
-            raise ConfigError(f"unknown classifier {name!r}")
-    model = config["model"]
-    for key, allowed in (("activation", M.ACTIVATIONS), ("head_mode", M.HEAD_MODES)):
-        if model[key] not in allowed:
-            raise ConfigError(f"model.{key} must be one of {', '.join(allowed)}, "
-                              f"got {model[key]!r}")
-    if not model["cosine_scale"] > 0:
-        raise ConfigError("model.cosine_scale must be positive")
-    if model["feature_dim"] < 1:
-        raise ConfigError("model.feature_dim must be >= 1")
-    if model["head_init_std"] < 0:
-        raise ConfigError("model.head_init_std must be >= 0")
-    if config["replay"]["k"] < 1:
-        raise ConfigError("replay.k must be >= 1")
-    if config["replay"]["cap"] is not None and config["replay"]["cap"] < 1:
-        raise ConfigError("replay.cap must be >= 1")
-    if not config["adc"]["transfer_lr"] > 0:
-        raise ConfigError("adc.transfer_lr must be positive")
-    if config["adc"]["transfer_epochs"] < 1:
-        raise ConfigError("adc.transfer_epochs must be >= 1")
-    if config["covariance"]["mode"] not in ("full", "svd"):
-        raise ConfigError("covariance.mode must be 'full' or 'svd'")
-    if config["covariance"]["mode"] == "svd":
-        if not 1 <= config["covariance"]["svd_k"] <= config["model"]["feature_dim"]:
-            raise ConfigError("covariance.svd_k out of range for feature_dim")
-    # typed sub-configs validate their own numeric ranges
-    build_loss_config(config)
-    build_optim_config(config, initial=True)
-    build_optim_config(config, initial=False)
-    if config["attack"]["enabled"]:
-        build_attack_config(config)
-    build_drift_config(config)
-    build_family(config)
+    """Check every leaf against its ``SCHEMA`` row, then the cross-key rules."""
+    flat = _leaves(config)
+    for key, (_, rule) in SCHEMA.items():
+        if key not in flat:
+            raise ConfigError(f"{key} is missing")
+        if not rule.test(flat[key]):
+            raise ConfigError(f"{key} must be {rule.what}, got {flat[key]!r}")
+    # cross-key rules: each message names every key it involves
+    if flat["covariance.mode"] == "svd" and flat["covariance.svd_k"] > flat["model.feature_dim"]:
+        raise ConfigError(f"covariance.svd_k={flat['covariance.svd_k']} exceeds "
+                          f"model.feature_dim={flat['model.feature_dim']} "
+                          f"with covariance.mode='svd'")
+    split = [flat[key] for key in ("dataset.n_classes", "tasks.count", "tasks.mode")]
+    try:
+        D.group_sizes(*split)
+    except ConfigError as err:
+        raise ConfigError("dataset.n_classes={}, tasks.count={}, tasks.mode={!r}: "
+                          .format(*split) + str(err)) from None
+    kind = flat["dataset.kind"]
+    for key in ("dataset.train_path", "dataset.test_path"):
+        if kind != "synthetic" and (flat[key] is None or not os.path.exists(flat[key])):
+            raise ConfigError(f"{key} must name an existing file with "
+                              f"dataset.kind={kind!r}, got {flat[key]!r}")
+    for name in ("crop_width", "jitter_sigma", "scale"):
+        low, high = flat[f"augmentation.{name}_min"], flat[f"augmentation.{name}_max"]
+        if low > high:
+            raise ConfigError(f"augmentation.{name}_min={low} exceeds "
+                              f"augmentation.{name}_max={high}")
 
 
 def build_loss_config(config: dict) -> TR.LossConfig:

@@ -1,11 +1,14 @@
 """Config handling, benchmark orchestration, storage accounting, CLI."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_calib import BAD_STORES
 from test_data import BAD_APRDS, BAD_CSVS
 
@@ -53,8 +56,9 @@ def test_unknown_key_rejected(override):
         CFG.apply_override(CFG.load_config(), override)
 
 
-# values that escaped as raw errors, or were accepted and failed or
-# misbehaved later; `advreplay run` must reject each naming its key
+# values that escaped as raw errors, were accepted and failed or misbehaved
+# later, or were rejected by a message without their key; `advreplay run`
+# must reject each naming its key
 EARLY_REJECTED = [
     "replay.k=abc", "attack.alpha=abc", "adc.magnitude=0", "adc.iterations=0",
     "adc.transfer_epochs=-5",
@@ -64,6 +68,10 @@ EARLY_REJECTED = [
     "dataset.val_fraction=-0.5", "dataset.n_train=1", "dataset.n_val=0", "dataset.n_test=0",
     'model.activation="sigmoid"', 'model.head_mode="foo"', "model.cosine_scale=0",
     "model.cosine_scale=-4",
+    'classifiers=["ncm","ncm"]', "seeds.randomness=-1", "seeds.class_shuffle=-1",
+    "output.dir=5", "output.tag=5", "dataset.train_path=5", "dataset.test_path=5",
+    "optim.batch_new=0", "optim.epochs_initial=0", 'dataset.kind="x"', 'tasks.mode="x"',
+    "attack.alpha=-1", "loss.kd_temperature=0",
 ]
 
 def test_oversized_replay_k_rejected_before_training(tmp_path, monkeypatch):
@@ -100,7 +108,70 @@ def test_bad_value_rejected_naming_key(override):
         CFG.load_config(overrides=[override])
 
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# any JSON value, plus the names and small integers the rules turn on
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 70) | st.floats() | st.text()
+    | st.sampled_from(["csv", "binary", "warm", "svd", "tanh", "linear", "ncm", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(key=st.sampled_from(sorted(CFG.SCHEMA)), value=JSON_VALUES)
+def test_any_json_value_loads_or_names_its_key(key, value):
+    try:
+        CFG.load_config(overrides=[f"{key}={json.dumps(value)}"])
+    except ConfigError as err:
+        assert key in str(err)
+
+
+@pytest.mark.parametrize("overrides,keys", [
+    (["tasks.count=7"], ["dataset.n_classes", "tasks.count", "tasks.mode"]),
+    (['tasks.mode="warm"'], ["dataset.n_classes", "tasks.count", "tasks.mode"]),
+    (['covariance.mode="svd"', "covariance.svd_k=40"],
+     ["covariance.svd_k", "model.feature_dim", "covariance.mode"]),
+    (['dataset.kind="binary"'], ["dataset.train_path", "dataset.kind"]),
+    (["augmentation.scale_max=0.5"], ["augmentation.scale_min", "augmentation.scale_max"]),
+])
+def test_cross_key_rejection_names_every_key(overrides, keys):
+    with pytest.raises(ConfigError) as err:
+        CFG.load_config(overrides=overrides)
+    assert [key for key in keys if key not in str(err.value)] == []
+
+
+def test_missing_leaf_and_unknown_key_named_by_validation():
+    cfg = CFG.load_config()
+    del cfg["attack"]["noise"]
+    with pytest.raises(ConfigError, match=r"^attack\.noise is missing$"):
+        CFG.validate_config(cfg)
+    cfg["attack"].update(noise=True, strength=3)
+    with pytest.raises(ConfigError, match="unknown config key 'attack.strength'"):
+        CFG.validate_config(cfg)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+
+
+def load_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1000])
+@pytest.mark.parametrize("name", sorted(load_workloads().WORKLOADS))
+def test_benchmark_workloads_load(tmp_path, name, seed):
+    # the schema must never reject a workload the benchmark runs; empty
+    # files stand in for the generated csv60 inputs
+    workloads = load_workloads()
+    for path in workloads.csv_paths(tmp_path, seed):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("")
+    cfg = CFG.load_config(*workloads.config_args(name, seed, ROOT, tmp_path))
+    assert cfg["seeds"] == {"randomness": seed, "class_shuffle": 1993 + seed}
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
@@ -260,6 +331,12 @@ def leaf_keys(tree, prefix=""):
             yield prefix + key
 
 
+def test_validation_reads_no_option():
+    seen = set()
+    CFG.validate_config(ReadRecorder(CFG.load_config(), seen))
+    assert not seen
+
+
 def test_every_default_key_is_read(tmp_path):
     # a synthetic run with full covariances plus a CSV run with SVD
     # covariances must read every option; an unread one is a dead knob
@@ -369,6 +446,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
     for override in EARLY_REJECTED:
         assert cli.main(["run", "--set", override, "--out", str(tmp_path)]) == 1
         assert f"error: {override.split('=')[0]}" in capsys.readouterr().err
+    assert cli.main(["run", "--set", 'dataset.kind="csv"', "--set", "dataset.train_path=5",
+                     "--out", str(tmp_path)]) == 1
+    assert "error: dataset.train_path" in capsys.readouterr().err
     for case, (text, expected) in BAD_STORES.items():
         store_path = tmp_path / f"{case}.json"
         store_path.write_text(text)
@@ -381,6 +461,25 @@ def test_cli_error_exit_code(tmp_path, capsys):
         config_path = tmp_path / name
         assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
+
+
+def test_cli_override_into_a_non_section_names_the_key(tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text('{"dataset": 3}')
+    run = ["run", "--config", str(config_path), "--out", str(tmp_path)]
+    assert cli.main(run) == 1
+    assert capsys.readouterr().err == "error: dataset must be a section, got 3\n"
+    assert cli.main(run + ["--set", "dataset.n_classes=4"]) == 1
+    assert capsys.readouterr().err == "error: dataset.kind is missing\n"
+
+
+@pytest.mark.parametrize("grid,key", [
+    (["--alpha", "abc"], "attack.alpha"), (["--alpha", "2,-1"], "attack.alpha"),
+    (["--n-attack", "1.5"], "attack.n_attack"), (["--n-attack", "1,"], "attack.n_attack")])
+def test_cli_sweep_grid_values_checked_by_the_config(tmp_path, capsys, grid, key):
+    assert cli.main(["sweep", *grid] + cli_args(tmp_path / "sweep")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "sweep").exists()
 
 
 def small_store(path, svd_k=None):
