@@ -5,8 +5,6 @@ record-and-replay augmentation family that lets replay candidates be stored
 as a handful of scalars instead of raw samples.
 """
 
-import dataclasses
-
 import numpy as np
 
 from advreplay import data as D
@@ -27,17 +25,17 @@ print("same seeds give bit-identical data:",
 # policies are drawn once, recorded, and replayed deterministically
 family = D.AugFamily(input_dim=16)
 rng = np.random.default_rng(7)
-policy = D.sample_policy(rng, family)
+policy = D.sample_policies(rng, family, 1)[0]
 print("\nrecorded policy:")
-for field in dataclasses.fields(policy):
-    print(f"  {field.name:<12} {getattr(policy, field.name)}")
+for name in D.POLICY_DTYPE.names:
+    print(f"  {name:<12} {policy[name]}")
 
 x = rng.normal(size=16)
 first = D.apply_policy(x, policy)
 second = D.apply_policy(x, policy)
 print("replay is bit-identical:", np.array_equal(first, second))
 
-payload = D.encode_policy(policy)
+payload = policy.tobytes()
 print("binary record size:", len(payload), "bytes")
 print("decode->apply matches:", np.array_equal(
-    D.apply_policy(x, D.decode_policy(payload)), first))
+    D.apply_policy(x, D.decode_policies(payload)[0]), first))

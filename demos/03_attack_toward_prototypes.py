@@ -31,9 +31,7 @@ family = CFG.build_family(cfg)
 target_class, (mu, _) = next(iter(stats.items()))
 cands = R.build_candidate_set(state.extractor, stream.train[1], {target_class: mu}, 64, rng,
                               family=family)
-idx, policies = cands.indices[target_class], cands.policies[target_class]
-rows = np.stack([D.apply_policy(stream.train[1].x[i], p)
-                 for i, p in zip(idx, policies)])
+rows = D.apply_policy(stream.train[1].x[cands.indices[0]], cands.policies[0])
 
 attack = R.AttackConfig(alpha=cfg["attack"]["alpha"], n_attack=cfg["attack"]["n_attack"],
                         noise=False)

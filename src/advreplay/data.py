@@ -6,11 +6,11 @@ holds half of the classes and the remainder is split evenly over the other
 ``T-1`` tasks.
 
 Augmentation policies are the storage currency of pseudo-replay: each policy
-is one fixed-layout record of 7 scalars (35 bytes serialized) whose replay on
-the same sample is bit-identical.  The default family mirrors crop / flip /
-jitter / rescale semantics in vector space.  Training replays each stored
-(sample, policy) pair once per task into a bank of augmented current-task
-rows; the bank lives for that task only and is never stored.
+is one packed ``POLICY_DTYPE`` record (35 bytes, also its serialized form)
+whose replay on the same sample is bit-identical, alone or in any batch.  The
+default family mirrors crop / flip / jitter / rescale in vector space.
+Training replays each stored (sample, policy) pair once per task into a bank
+of augmented current-task rows, which lives for that task only.
 """
 
 from __future__ import annotations
@@ -170,24 +170,15 @@ def make_task_stream(spec: SyntheticSpec, task_count: int, mode: str,
 # -- augmentation policies -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AugPolicy:
-    """Recorded augmentation; replay on the same sample is bit-identical.
-
-    The fields are exactly the seven scalars of the 35-byte binary record:
-    zero ``crop_width`` coordinates from ``crop_offset`` when ``crop`` is set,
-    reverse the sample when ``flip`` is set, add ``jitter_sigma`` times
-    standard normal noise seeded by ``jitter_seed`` (none unless the sigma is
-    positive), then multiply by ``scale``.  The all-default record is the identity.
-    """
-
-    crop: bool = False
-    crop_offset: int = 0
-    crop_width: int = 0
-    flip: bool = False
-    jitter_seed: int = 0
-    jitter_sigma: float = 0.0
-    scale: float = 1.0
+# One recorded augmentation, packed as its 35-byte ``<BIIBBQdd`` record: zero
+# ``crop_width`` coordinates from ``crop_offset`` when ``crop`` is 1, reverse
+# the sample when ``flip`` is 1, add ``jitter_sigma`` times standard normal
+# noise seeded by ``jitter_seed`` (none unless the sigma is positive; ``jitter``
+# is the flag ``sigma > 0``), then multiply by ``scale``.
+POLICY_DTYPE = np.dtype([
+    ("crop", "u1"), ("crop_offset", "<u4"), ("crop_width", "<u4"), ("flip", "u1"),
+    ("jitter", "u1"), ("jitter_seed", "<u8"), ("jitter_sigma", "<f8"), ("scale", "<f8")])
+POLICY_RECORD_BYTES = POLICY_DTYPE.itemsize
 
 
 @dataclass(frozen=True)
@@ -219,64 +210,68 @@ class AugFamily:
                                   f"augmentation.{name}_max={hi}")
 
 
-DEFAULT_FAMILY = AugFamily()
+def identity_policies(shape=()) -> np.ndarray:
+    """Records of ``shape`` that replay as the identity."""
+    return np.full(shape, np.array((0, 0, 0, 0, 0, 0, 0.0, 1.0), POLICY_DTYPE))
 
 
-def sample_policy(rng, family: AugFamily = DEFAULT_FAMILY) -> AugPolicy:
-    """Draw a fully recorded policy; a disabled family yields the identity."""
+def sample_policies(rng, family: AugFamily, n: int) -> np.ndarray:
+    """Draw ``n`` fully recorded policies, record by record in field order;
+    a disabled family draws nothing and yields identity records."""
+    out = identity_policies(n)
     if not family.enabled:
-        return AugPolicy()
-    crop_apply = bool(rng.random() < family.crop_prob)
-    width = int(rng.integers(family.crop_width_range[0], family.crop_width_range[1] + 1))
-    width = min(width, family.input_dim)
-    offset = int(rng.integers(0, family.input_dim - width + 1))
-    flip_apply = bool(rng.random() < family.flip_prob)
-    jitter_on = rng.random() < family.jitter_prob
-    sigma = float(rng.uniform(*family.jitter_sigma_range)) if jitter_on else 0.0
-    seed = int(rng.integers(0, 2**32))
-    factor = float(rng.uniform(*family.scale_range))
-    return AugPolicy(crop_apply, offset, width, flip_apply, seed, sigma, factor)
+        return out
+    (w_lo, w_hi), dim = family.crop_width_range, family.input_dim
+    for i in range(n):
+        crop_apply = rng.random() < family.crop_prob
+        width = min(int(rng.integers(w_lo, w_hi + 1)), dim)
+        offset = int(rng.integers(0, dim - width + 1))
+        flip_apply = rng.random() < family.flip_prob
+        jitter_on = rng.random() < family.jitter_prob
+        sigma = float(rng.uniform(*family.jitter_sigma_range)) if jitter_on else 0.0
+        seed = int(rng.integers(0, 2**32))
+        factor = float(rng.uniform(*family.scale_range))
+        out[i] = (crop_apply, offset, width, flip_apply, sigma > 0.0, seed, sigma, factor)
+    return out
 
 
-def apply_policy(x: np.ndarray, policy: AugPolicy) -> np.ndarray:
-    """Pure, deterministic replay of a recorded policy on one sample."""
+def apply_policy(x: np.ndarray, policies: np.ndarray) -> np.ndarray:
+    """Pure, deterministic replay of recorded policies on samples ``x`` of
+    shape ``policies.shape + (input_dim,)``, one record per sample."""
     out = np.array(x, dtype=np.float64)
-    if out.ndim != 1:
-        raise DimensionError("apply_policy expects a single 1-D sample")
-    if policy.crop:
-        off, width = policy.crop_offset, policy.crop_width
-        if off < 0 or width < 0 or off + width > out.shape[0]:
-            raise DecodeError("crop window out of bounds")
-        out[off: off + width] = 0.0
-    if policy.flip:
-        out = out[::-1]
-    if policy.jitter_sigma > 0.0:
-        noise_rng = np.random.default_rng(policy.jitter_seed)
-        out = out + policy.jitter_sigma * noise_rng.standard_normal(out.shape[0])
-    return out * policy.scale
+    pol = np.asarray(policies, dtype=POLICY_DTYPE)
+    if out.ndim < 1 or pol.shape != out.shape[:-1]:
+        raise DimensionError(f"apply_policy: {pol.shape} policies for samples {out.shape}")
+    dim = out.shape[-1]
+    crop = pol["crop"][..., None] == 1
+    start = pol["crop_offset"][..., None].astype(np.int64)
+    stop = start + pol["crop_width"][..., None]
+    if (crop & (stop > dim)).any():
+        raise DecodeError("crop window out of bounds")
+    cols = np.arange(dim)
+    out = np.where(crop & (cols >= start) & (cols < stop), 0.0, out)  # writes +0.0
+    out = np.where(pol["flip"][..., None] == 1, out[..., ::-1], out)
+    jitter = pol["jitter_sigma"] > 0.0
+    if jitter.any():
+        noise = [np.random.default_rng(int(seed)).standard_normal(dim)
+                 for seed in pol["jitter_seed"][jitter]]
+        out[jitter] += pol["jitter_sigma"][jitter][:, None] * np.array(noise)
+    return out * pol["scale"][..., None]
 
 
-# binary policy record: crop flag u8, offset u32, width u32, flip flag u8,
-# jitter flag u8, jitter seed u64, jitter sigma f64, scale factor f64
-_POLICY_STRUCT = struct.Struct("<BIIBBQdd")
-POLICY_RECORD_BYTES = _POLICY_STRUCT.size
-
-
-def encode_policy(policy: AugPolicy) -> bytes:
-    return _POLICY_STRUCT.pack(
-        int(policy.crop), policy.crop_offset, policy.crop_width, int(policy.flip),
-        int(policy.jitter_sigma > 0.0), policy.jitter_seed, policy.jitter_sigma,
-        policy.scale)
-
-
-def decode_policy(payload: bytes) -> AugPolicy:
-    if len(payload) != POLICY_RECORD_BYTES:
-        raise DecodeError(f"policy record must be {POLICY_RECORD_BYTES} bytes")
-    crop_f, off, width, flip_f, jit_f, seed, sigma, factor = _POLICY_STRUCT.unpack(payload)
-    if not {crop_f, flip_f, jit_f} <= {0, 1}:
-        raise DecodeError(f"policy flag bytes must be 0 or 1, got {(crop_f, flip_f, jit_f)}")
-    return AugPolicy(bool(crop_f), off, width, bool(flip_f), seed,
-                     sigma if jit_f else 0.0, factor)
+def decode_policies(payload: bytes) -> np.ndarray:
+    """The records of a ``tobytes`` payload, checked: whole records, flag bytes
+    0 or 1 (else ``DecodeError``).  A zero jitter flag zeroes the sigma."""
+    if len(payload) % POLICY_RECORD_BYTES:
+        raise DecodeError(f"policy records are {POLICY_RECORD_BYTES} bytes each, "
+                          f"got {len(payload)} bytes")
+    out = np.frombuffer(payload, POLICY_DTYPE).copy()
+    flags = np.stack([out["crop"], out["flip"], out["jitter"]], axis=-1)
+    if (flags > 1).any():
+        raise DecodeError(f"policy flag bytes must be 0 or 1, got "
+                          f"{tuple(flags[(flags > 1).any(axis=1)][0].tolist())}")
+    out["jitter_sigma"][out["jitter"] == 0] = 0.0
+    return out
 
 
 # -- ingestion ----------------------------------------------------------------

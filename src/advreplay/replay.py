@@ -42,21 +42,32 @@ class AttackConfig:
 @dataclass(frozen=True)
 class CandidateSet:
     """Per old class: sample indices into the task dataset plus recorded
-    policies.  No sample payloads are stored; ``train.run_task`` replays the
-    policies into a bank of augmented current-task rows that lives for one
-    task and is never saved."""
+    policies, as (classes, k) arrays whose rows follow the ascending
+    ``class_ids``.  No sample payloads are stored; ``train.run_task``
+    replays the policies into a bank of augmented current-task rows that
+    lives for one task and is never saved.  The arrays are read-only copies."""
 
-    k: int
-    indices: dict[int, tuple[int, ...]]
-    policies: dict[int, tuple[D.AugPolicy, ...]]
-
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
+    class_ids: tuple[int, ...]
+    indices: np.ndarray   # (classes, k) sample indices
+    policies: np.ndarray  # (classes, k) ``data.POLICY_DTYPE`` records
 
     def __post_init__(self):
-        for cid, idx in self.indices.items():
-            if len(idx) != self.k or len(self.policies[cid]) != self.k:
-                raise ContractError(f"class {cid}: candidate lists must have length k")
+        ids = tuple(int(c) for c in self.class_ids)
+        indices = np.array(self.indices, dtype=np.int64)
+        policies = np.array(self.policies, dtype=D.POLICY_DTYPE)
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ContractError(f"candidate class ids must be ascending and distinct, got {ids}")
+        if indices.ndim != 2 or indices.shape != policies.shape or len(indices) != len(ids) \
+                or indices.shape[1] < 1:
+            raise ContractError(f"{len(ids)} candidate classes need (classes, k) indices and "
+                                f"policies with k >= 1, got {indices.shape} and {policies.shape}")
+        indices.flags.writeable = policies.flags.writeable = False
+        for name, value in (("class_ids", ids), ("indices", indices), ("policies", policies)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def k(self) -> int:
+        return self.indices.shape[1]
 
 
 def assign_nearest(dists: np.ndarray, k: int, cap: int | None = None,
@@ -109,30 +120,25 @@ def assign_nearest(dists: np.ndarray, k: int, cap: int | None = None,
 def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
                         prototypes: dict[int, np.ndarray], k: int, rng,
                         cap: int | None = None,
-                        family: D.AugFamily = D.DEFAULT_FAMILY) -> CandidateSet:
+                        family: D.AugFamily = D.AugFamily()) -> CandidateSet:
     """Assemble candidates for every old class.
 
-    Each class draws one policy per sample (classes in ascending id order),
-    measures the augmented features' distances to its prototype, and
+    Each class draws one policy per sample (classes in ascending id order,
+    all drawn before any is replayed), measures the augmented features'
+    distances to its prototype in one replay, and
     ``assign_nearest`` picks k samples per class under the optional cap.
     """
     class_ids = sorted(prototypes)
     if not class_ids:
         raise ContractError("no prototypes to sample candidates for")
     n = len(dataset)
-    policies = []
-    dists = np.empty((len(class_ids), n))
-    for row, cid in enumerate(class_ids):
-        pols = tuple(D.sample_policy(rng, family) for _ in range(n))
-        feats = M.features(f_old, np.stack([D.apply_policy(x, p)
-                                            for x, p in zip(dataset.x, pols)]))
-        dists[row] = np.linalg.norm(feats - prototypes[cid][None, :], axis=1)
-        policies.append(pols)
-    picked = assign_nearest(dists, k, cap, class_ids).tolist()
-    return CandidateSet(
-        k,
-        {cid: tuple(idx) for cid, idx in zip(class_ids, picked)},
-        {cid: tuple(pols[i] for i in idx) for cid, pols, idx in zip(class_ids, policies, picked)})
+    policies = D.sample_policies(rng, family, len(class_ids) * n).reshape(len(class_ids), n)
+    dists = np.empty(policies.shape)
+    for row, (cid, pols) in enumerate(zip(class_ids, policies)):
+        feats = M.features(f_old, D.apply_policy(dataset.x, pols))
+        dists[row] = np.linalg.norm(feats - prototypes[cid], axis=1)
+    picked = assign_nearest(dists, k, cap, class_ids)
+    return CandidateSet(tuple(class_ids), picked, np.take_along_axis(policies, picked, axis=1))
 
 
 # -- prototype noise and the attack --------------------------------------------
@@ -202,48 +208,41 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
 # -- serialization --------------------------------------------------------------
 
 
+def _class_record(k: int) -> np.dtype:
+    """One serialized class, packed: u32 class id, u32 k, k u32 indices, k policies."""
+    return np.dtype([("class_id", "<u4"), ("k", "<u4"), ("indices", "<u4", (k,)),
+                     ("policies", D.POLICY_DTYPE, (k,))])
+
+
 def encode_candidate_set(candidates: CandidateSet) -> bytes:
-    """Per class: u32 class id, u32 k, k u32 indices, k policy records."""
-    chunks = []
-    for cid in candidates.classes():
-        chunks.append(struct.pack("<II", cid, candidates.k))
-        chunks.append(np.asarray(candidates.indices[cid], dtype="<u4").tobytes())
-        for policy in candidates.policies[cid]:
-            chunks.append(D.encode_policy(policy))
-    return b"".join(chunks)
+    """One ``_class_record`` per class, in ascending class id order."""
+    out = np.empty(len(candidates.class_ids), _class_record(candidates.k))
+    out["class_id"], out["k"] = candidates.class_ids, candidates.k
+    out["indices"], out["policies"] = candidates.indices, candidates.policies
+    return out.tobytes()
 
 
 def decode_candidate_set(payload: bytes) -> CandidateSet:
-    indices: dict[int, tuple[int, ...]] = {}
-    policies: dict[int, tuple[D.AugPolicy, ...]] = {}
-    offset, k = 0, None
-    while offset < len(payload):
-        if offset + 8 > len(payload):
-            raise DecodeError("truncated candidate-set header")
-        cid, class_k = struct.unpack_from("<II", payload, offset)
-        offset += 8
-        if cid in indices:
-            raise DecodeError(f"class {cid} repeated in candidate-set payload")
-        if class_k < 1:
-            raise DecodeError(f"class {cid}: candidate-set k must be >= 1")
-        if k is None:
-            k = class_k
-        elif class_k != k:
-            raise DecodeError("inconsistent k across classes")
-        need = 4 * class_k + D.POLICY_RECORD_BYTES * class_k
-        if offset + need > len(payload):
-            raise DecodeError(f"truncated candidate records for class {cid}")
-        idx = np.frombuffer(payload, dtype="<u4", count=class_k, offset=offset)
-        offset += 4 * class_k
-        pols = []
-        for _ in range(class_k):
-            pols.append(D.decode_policy(payload[offset: offset + D.POLICY_RECORD_BYTES]))
-            offset += D.POLICY_RECORD_BYTES
-        indices[cid] = tuple(int(i) for i in idx)
-        policies[cid] = tuple(pols)
-    if k is None:
-        raise DecodeError("empty candidate-set payload")
-    return CandidateSet(k, indices, policies)
+    """An ``encode_candidate_set`` payload's classes, in any order but with one
+    k, as a candidate set; a malformed payload raises ``DecodeError``."""
+    if len(payload) < 8:
+        raise DecodeError(f"candidate-set payload of {len(payload)} bytes has no class header")
+    cid, k = struct.unpack_from("<II", payload)
+    if k < 1:
+        raise DecodeError(f"class {cid}: candidate-set k must be >= 1")
+    size = candidate_set_nbytes(1, k)  # checked before a dtype of this size is built
+    if len(payload) % size:
+        raise DecodeError(f"candidate-set payload of {len(payload)} bytes is not whole "
+                          f"{size}-byte class records (k={k})")
+    classes = np.frombuffer(payload, _class_record(k))
+    if (classes["k"] != k).any():
+        raise DecodeError("inconsistent k across classes")
+    ids, counts = np.unique(classes["class_id"], return_counts=True)
+    if (counts > 1).any():
+        raise DecodeError(f"class {ids[counts.argmax()]} repeated in candidate-set payload")
+    classes = classes[np.argsort(classes["class_id"])]
+    policies = D.decode_policies(classes["policies"].tobytes()).reshape(len(ids), k)
+    return CandidateSet(tuple(ids.tolist()), classes["indices"], policies)
 
 
 def candidate_set_nbytes(n_classes: int, k: int) -> int:

@@ -182,14 +182,7 @@ def _run(config: dict, out_dir) -> RunResult:
     CFG.validate_config(config)
     seed = config["seeds"]["randomness"]
     shuffle_seed = config["seeds"]["class_shuffle"]
-    run_dir = _run_dir(config, out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-
-    write_text_atomic(run_dir / "config.json", json.dumps(config, indent=2, sort_keys=True))
-    write_text_atomic(run_dir / "seeds.json",
-                      json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
-    log = _CsvLog(run_dir / "metrics.csv")
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -216,6 +209,14 @@ def _run(config: dict, out_dir) -> RunResult:
     classifiers = list(config["classifiers"])
     grid = tuple(config["shrinkage"]["grid"])
     use_maha = "mahalanobis" in classifiers
+
+    # the run directory appears only once the data and the config checks pass
+    run_dir = _run_dir(config, out_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(run_dir / "config.json", json.dumps(config, indent=2, sort_keys=True))
+    write_text_atomic(run_dir / "seeds.json",
+                      json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
+    log = _CsvLog(run_dir / "metrics.csv")
 
     rng_model = _rng(seed, _STREAM_MODEL)
     extractor = M.default_extractor(stream.train[0].input_dim, d, rng_model,

@@ -269,14 +269,14 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     Each iteration draws a new-task batch and, when candidates exist, a
     replay batch for the distillation pass; with an ``attack_cfg`` its rows
     are first perturbed toward their class prototypes, and without one they
-    are replayed unperturbed.  Replay rows come from a bank built once
-    per task by replaying every candidate's recorded policy on its sample;
-    the bank holds augmented current-task rows only and is never stored, so
-    the stored replay state stays sample indices plus policy records.  Rows
-    are drawn round-robin over the old classes, the class cursor carrying
-    across steps and epochs; each class walks its own permutation of its k
-    rows, wrapping around and reshuffled every epoch.  The
-    frozen model is never touched (checked by checksum at entry and exit).
+    are replayed unperturbed.  Replay rows come from a bank that one
+    ``apply_policy`` call builds per task from the candidates' samples and
+    records; it is never stored.  Candidate indices must lie in
+    ``task_data`` (else ``ContractError`` naming the class).  Rows are drawn
+    round-robin over the old classes, the class cursor carrying across steps
+    and epochs; each class walks its own permutation of its k rows, wrapping
+    around and reshuffled every epoch.  The frozen model is never touched
+    (checked by checksum at entry and exit).
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
     per epoch for the run CSV.
     """
@@ -288,11 +288,17 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         raise ContractError("frozen head classes must equal the current old split")
 
     if candidates is not None:
-        missing = set(state.head.old_ids) - set(candidates.classes())
+        missing = set(state.head.old_ids) - set(candidates.class_ids)
         if missing:
             raise ContractError(f"candidates missing for old classes {sorted(missing)}")
-        if prototypes is None or set(candidates.classes()) - set(prototypes):
+        if prototypes is None or set(candidates.class_ids) - set(prototypes):
             raise ContractError("replay needs a prototype per candidate class")
+        idx = candidates.indices
+        outside = np.argwhere((idx < 0) | (idx >= len(task_data)))
+        if len(outside):
+            row, col = outside[0]
+            raise ContractError(f"class {candidates.class_ids[row]}: candidate index "
+                                f"{idx[row, col]} is outside the {len(task_data)} task rows")
 
     class_ids = state.head.new_ids
     rel = {cid: i for i, cid in enumerate(class_ids)}
@@ -301,10 +307,8 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
 
     # bank[c, j] is old class c's j-th candidate row, centers[c] its prototype
     if candidates is not None:
-        old_ids, k = candidates.classes(), candidates.k
-        bank = np.array([[D.apply_policy(x[i], policy) for i, policy in
-                          zip(candidates.indices[cid], candidates.policies[cid])]
-                         for cid in old_ids])
+        old_ids, k = candidates.class_ids, candidates.k
+        bank = D.apply_policy(x[candidates.indices], candidates.policies)
         centers = np.array([prototypes[cid] for cid in old_ids])
         n_old, cursor, step_ids = len(old_ids), 0, np.arange(optim_cfg.batch_replay)
         # one set of permutations is drawn and never used: dropping it would

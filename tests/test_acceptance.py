@@ -145,14 +145,15 @@ def test_criterion_2_attack_efficacy():
     family = CFG.build_family(cfg)
     stats = TR.compute_class_stats(state.extractor, stream.train[0])
     per_class = 64 // len(stats)
-    rows, targets = [], []
+    indices, policies, targets = [], [], []
     for cid, (mu, _) in stats.items():
         cands = R.build_candidate_set(state.extractor, stream.train[1], {cid: mu}, per_class,
                                       np.random.default_rng([0, 2, 1]), family=family)
-        idx, pols = cands.indices[cid], cands.policies[cid]
-        rows += [D.apply_policy(stream.train[1].x[i], p) for i, p in zip(idx, pols)]
+        indices.append(cands.indices[0])
+        policies.append(cands.policies[0])
         targets += [mu] * per_class
-    rows, targets = np.stack(rows), np.stack(targets)
+    rows = D.apply_policy(stream.train[1].x[np.concatenate(indices)], np.concatenate(policies))
+    targets = np.stack(targets)
     attack = R.AttackConfig(cfg["attack"]["alpha"], cfg["attack"]["n_attack"], noise=False)
     perturbed = R.adversarial_attack(state.extractor, rows, targets, attack)
     pre = np.median(np.linalg.norm(M.extract(state.extractor, Tensor(rows)).data - targets,

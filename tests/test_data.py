@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import struct
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from advreplay import calib as C
 from advreplay import data as D
 from advreplay import model as M
-from advreplay.errors import ConfigError, DecodeError, EngineError, NumericError
+from advreplay.errors import ConfigError, DecodeError, DimensionError, EngineError, NumericError
 
 
 def test_cold_group_sizes():
@@ -101,27 +100,67 @@ def family(dim=8, **overrides):
 
 
 def test_disabled_family_yields_identity_policy():
-    policy = D.sample_policy(np.random.default_rng(0), D.AugFamily(enabled=False))
-    assert policy == D.AugPolicy()
-    x = np.arange(8.0)
-    np.testing.assert_array_equal(D.apply_policy(x, policy), x)
+    rng = np.random.default_rng(0)
+    policies = D.sample_policies(rng, D.AugFamily(enabled=False), 3)
+    assert policies.tobytes() == D.identity_policies(3).tobytes()
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+    x = np.arange(24.0).reshape(3, 8)
+    np.testing.assert_array_equal(D.apply_policy(x, policies), x)
 
 
 def test_same_rng_state_same_policy():
-    a = D.sample_policy(np.random.default_rng(11), family())
-    b = D.sample_policy(np.random.default_rng(11), family())
-    assert a == b
+    a = D.sample_policies(np.random.default_rng(11), family(), 5)
+    b = D.sample_policies(np.random.default_rng(11), family(), 5)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_default_family_records_seven_scalars():
-    policy = D.sample_policy(np.random.default_rng(5), family())
-    assert [f.name for f in dataclasses.fields(policy)] == [
-        "crop", "crop_offset", "crop_width", "flip", "jitter_seed", "jitter_sigma", "scale"]
-    assert D.POLICY_RECORD_BYTES == len(D.encode_policy(policy)) == 35
+    """Seven scalars plus the jitter flag, packed as the 35-byte ``<BIIBBQdd``
+    record."""
+    assert D.POLICY_DTYPE.names == (
+        "crop", "crop_offset", "crop_width", "flip", "jitter", "jitter_seed", "jitter_sigma",
+        "scale")
+    policies = D.sample_policies(np.random.default_rng(5), family(), 4)
+    assert D.POLICY_RECORD_BYTES == D.POLICY_DTYPE.itemsize == 35
+    assert len(policies.tobytes()) == 4 * 35
+    assert (policies["jitter"] == (policies["jitter_sigma"] > 0)).all()
+
+
+def test_sampling_keeps_the_per_record_draw_order():
+    """Each record's scalars come from the stream in field order, one record
+    after another, as a one-record-at-a-time sampler draws them."""
+    fam = family(dim=6, crop_width_range=(2, 9))  # widths above the dim are clipped
+    rng = np.random.default_rng(41)
+    policies = D.sample_policies(np.random.default_rng(41), fam, 50)
+    for policy in policies:
+        crop = rng.random() < fam.crop_prob
+        width = min(int(rng.integers(2, 10)), 6)
+        offset = int(rng.integers(0, 6 - width + 1))
+        flip = rng.random() < fam.flip_prob
+        sigma = float(rng.uniform(*fam.jitter_sigma_range)) if rng.random() < fam.jitter_prob \
+            else 0.0
+        seed = int(rng.integers(0, 2**32))
+        scale = float(rng.uniform(*fam.scale_range))
+        assert policy.tolist() == (crop, offset, width, flip, sigma > 0, seed, sigma, scale)
+
+
+# the 35 bytes of one record, pinned from the struct-packed codec this
+# dtype replaced: crop 3..4, flip, jitter seed 0x0123456789abcdef, sigma
+# 1/16, scale 1.03125
+FIXED_RECORD = bytes.fromhex(
+    "0103000000020000000101efcdab8967452301000000000000b03f000000000080f03f")
+
+
+def test_policy_record_bytes_are_pinned():
+    record = D.identity_policies()
+    record[()] = (1, 3, 2, 1, 1, 0x0123456789ABCDEF, 0.0625, 1.03125)
+    assert record.tobytes() == FIXED_RECORD
+    assert D.decode_policies(FIXED_RECORD).tobytes() == FIXED_RECORD
 
 
 def test_flip_is_involution():
-    flip_only = D.AugPolicy(flip=True)
+    flip_only = D.identity_policies()
+    flip_only["flip"] = 1
     x = np.random.default_rng(2).normal(size=8)
     np.testing.assert_array_equal(D.apply_policy(D.apply_policy(x, flip_only), flip_only), x)
 
@@ -131,37 +170,90 @@ def test_policy_replay_bit_identical():
     fam = family()
     for _ in range(1000):
         x = rng.normal(size=8)
-        policy = D.sample_policy(rng, fam)
+        policy = D.sample_policies(rng, fam, 1)[0]
         first = D.apply_policy(x, policy)
         second = D.apply_policy(x, policy)
         assert np.array_equal(first, second)
 
 
+def replay_one_at_a_time(x, policy):
+    """The per-sample replay the batched ``apply_policy`` must equal: crop by
+    slice assignment, flip by reversal, the record's own jitter generator,
+    then the scale."""
+    out = np.array(x, dtype=np.float64)
+    if policy["crop"]:
+        out[policy["crop_offset"]: policy["crop_offset"] + policy["crop_width"]] = 0.0
+    if policy["flip"]:
+        out = out[::-1]
+    if policy["jitter_sigma"] > 0.0:
+        noise = np.random.default_rng(int(policy["jitter_seed"])).standard_normal(out.shape[0])
+        out = out + policy["jitter_sigma"] * noise
+    return out * policy["scale"]
+
+
+def test_batched_replay_equals_one_record_at_a_time():
+    """Bit for bit, signed zeros included, over a (classes, k) batch."""
+    rng = np.random.default_rng(29)
+    policies = D.sample_policies(rng, family(), 3 * 40).reshape(3, 40)
+    special = policies[0]
+    special[:4] = D.identity_policies(4)
+    special[0] = (1, 5, 3, 0, 0, 0, 0.0, 1.0)   # a crop ending at the last column
+    special[1] = (1, 0, 2, 1, 0, 0, 0.0, -1.5)  # flip with crop, sign-flipping scale
+    special[2] = (0, 0, 0, 1, 0, 0, 0.0, 0.5)   # flip without crop
+    special[3] = (0, 0, 0, 0, 1, 77, 0.0, 2.0)  # jitter flag with a zero sigma
+    x = rng.normal(size=(3, 40, 8))
+    x[:, :, ::3] = -0.0
+    x[0, 0, 7] = x[0, 0, 6] = 0.0
+    batch = D.apply_policy(x, policies)
+    assert batch.shape == x.shape
+    for c in range(3):
+        for j in range(40):
+            expected = replay_one_at_a_time(x[c, j], policies[c, j])
+            assert D.apply_policy(x[c, j], policies[c, j]).tobytes() == expected.tobytes()
+            assert batch[c, j].tobytes() == expected.tobytes(), (c, j)
+    assert np.signbit(batch[0, 0, 5:]).sum() == 0  # the crop writes +0.0
+    assert np.signbit(batch[0, 2]).any()  # unscaled -0.0 survives elsewhere
+
+
+def test_policy_shape_must_match_the_samples():
+    with pytest.raises(DimensionError, match="apply_policy"):
+        D.apply_policy(np.zeros((4, 8)), D.identity_policies(3))
+
+
 def test_policy_codec_roundtrip():
     rng = np.random.default_rng(23)
-    for _ in range(50):
-        policy = D.sample_policy(rng, family())
-        decoded = D.decode_policy(D.encode_policy(policy))
-        assert decoded == policy
-        x = rng.normal(size=8)
-        assert np.array_equal(D.apply_policy(x, policy), D.apply_policy(x, decoded))
+    policies = D.sample_policies(rng, family(), 50)
+    decoded = D.decode_policies(policies.tobytes())
+    assert decoded.tobytes() == policies.tobytes()
+    x = rng.normal(size=(50, 8))
+    assert np.array_equal(D.apply_policy(x, policies), D.apply_policy(x, decoded))
+
+
+def test_zero_jitter_flag_zeroes_the_sigma():
+    record = bytearray(FIXED_RECORD)
+    record[10] = 0
+    assert D.decode_policies(bytes(record))["jitter_sigma"][0] == 0.0
 
 
 def test_malformed_policy_record_rejected():
     with pytest.raises(DecodeError):
-        D.decode_policy(b"\x00" * 3)
+        D.decode_policies(b"\x00" * 3)
     # offset 6 + width 3 runs past an 8-wide sample
-    decoded = D.decode_policy(D.encode_policy(D.AugPolicy(crop=True, crop_offset=6, crop_width=3)))
+    record = D.identity_policies()
+    record[["crop", "crop_offset", "crop_width"]] = (1, 6, 3)
+    decoded = D.decode_policies(record.tobytes())
     with pytest.raises(DecodeError, match="crop window"):
-        D.apply_policy(np.zeros(8), decoded)
+        D.apply_policy(np.zeros(8), decoded[0])
 
 
 @pytest.mark.parametrize("offset", [0, 9, 10])  # crop, flip and jitter flag bytes
 def test_policy_flag_byte_other_than_0_or_1_rejected(offset):
-    record = bytearray(D.encode_policy(D.AugPolicy(crop=True, crop_offset=1, crop_width=2)))
-    record[offset] = 7
+    record = D.identity_policies()
+    record[["crop", "crop_offset", "crop_width"]] = (1, 1, 2)
+    payload = bytearray(record.tobytes())
+    payload[offset] = 7
     with pytest.raises(DecodeError, match="flag bytes must be 0 or 1"):
-        D.decode_policy(bytes(record))
+        D.decode_policies(bytes(payload))
 
 
 # -- ingestion -------------------------------------------------------------------

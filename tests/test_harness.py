@@ -463,6 +463,18 @@ def test_cli_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
 
 
+def test_cli_run_rejected_before_training_leaves_no_run_directory(tmp_path, capsys):
+    folder, out = tmp_path / "dd", tmp_path / "out"
+    folder.mkdir()
+    assert cli.main(["run", "--set", 'dataset.kind="csv"',
+                     "--set", f'dataset.train_path="{folder}"',
+                     "--set", f'dataset.test_path="{folder}"', "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: stage 'dataset': {folder}: cannot read")
+    assert cli.main(["run", "--set", "replay.k=100000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: replay.k=100000 exceeds")
+    assert not out.exists()
+
+
 def test_cli_override_into_a_non_section_names_the_key(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text('{"dataset": 3}')

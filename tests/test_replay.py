@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -32,8 +33,8 @@ def test_zero_distance_sample_ranked_first():
     cs = R.build_candidate_set(f, labeled(x), {0: mu}, k=1,
                                rng=np.random.default_rng(0),
                                family=IDENTITY_FAMILY)
-    assert cs.indices[0] == (1,)
-    assert cs.policies[0][0] == D.AugPolicy()
+    assert cs.class_ids == (0,) and cs.indices.tolist() == [[1]]
+    assert cs.policies.tobytes() == D.identity_policies((1, 1)).tobytes()
 
 
 def test_selection_equals_bruteforce_sort_oracle():
@@ -44,11 +45,11 @@ def test_selection_equals_bruteforce_sort_oracle():
     x = np.random.default_rng(1).normal(size=(10, 4))
     mu = np.random.default_rng(2).normal(size=4)
 
-    idx = R.build_candidate_set(f, labeled(x), {0: mu}, k=3, rng=rng_main,
-                                family=fam).indices[0]
+    idx = tuple(R.build_candidate_set(f, labeled(x), {0: mu}, k=3, rng=rng_main,
+                                      family=fam).indices[0])
 
     # independent oracle: same policy stream, exhaustive distance sort
-    policies = [D.sample_policy(rng_oracle, fam) for _ in range(10)]
+    policies = D.sample_policies(rng_oracle, fam, 10)
     feats = np.stack([D.apply_policy(row, p) for row, p in zip(x, policies)])
     dists = np.linalg.norm(feats - mu, axis=1)
     expected = tuple(sorted(range(10), key=lambda i: (dists[i], i))[:3])
@@ -69,8 +70,7 @@ def test_capped_assignment_greedy_by_global_distance():
     cs = R.build_candidate_set(f, labeled(x), protos, k=2,
                                rng=np.random.default_rng(0), cap=1,
                                family=IDENTITY_FAMILY)
-    assert cs.indices[0] == (0, 1)
-    assert cs.indices[1] == (2, 3)
+    assert cs.indices.tolist() == [[0, 1], [2, 3]]
 
 
 def test_uncapped_classes_may_share_samples():
@@ -80,8 +80,7 @@ def test_uncapped_classes_may_share_samples():
     cs = R.build_candidate_set(f, labeled(x), protos, k=2,
                                rng=np.random.default_rng(0), cap=None,
                                family=IDENTITY_FAMILY)
-    assert cs.indices[0] == (0, 1)
-    assert cs.indices[1] == (0, 1)
+    assert cs.indices.tolist() == [[0, 1], [0, 1]]
 
 
 def test_infeasible_cap_rejected_with_constraint():
@@ -293,13 +292,40 @@ def test_candidate_set_roundtrip_and_size():
     payload = R.encode_candidate_set(cs)
     assert len(payload) == R.candidate_set_nbytes(3, 5)
     decoded = R.decode_candidate_set(payload)
-    assert decoded.indices == cs.indices
-    assert decoded.k == cs.k
-    for cid in cs.classes():
-        sample = x[cs.indices[cid][0]]
-        np.testing.assert_array_equal(
-            D.apply_policy(sample, decoded.policies[cid][0]),
-            D.apply_policy(sample, cs.policies[cid][0]))
+    assert decoded.class_ids == cs.class_ids == (3, 7, 9)
+    np.testing.assert_array_equal(decoded.indices, cs.indices)
+    assert decoded.k == cs.k == 5
+    assert decoded.policies.tobytes() == cs.policies.tobytes()
+    np.testing.assert_array_equal(D.apply_policy(x[decoded.indices], decoded.policies),
+                                  D.apply_policy(x[cs.indices], cs.policies))
+
+
+def test_candidate_set_bytes_are_pinned():
+    """The serialized candidates of one seeded build, pinned from the
+    struct-packed policy codec the record dtype replaced."""
+    rng = np.random.default_rng(31)
+    f = M.default_extractor(5, 3, rng, hidden=(8,))
+    x = rng.normal(size=(40, 5))
+    protos = {2: rng.normal(size=3), 5: rng.normal(size=3), 11: rng.normal(size=3)}
+    cs = R.build_candidate_set(f, labeled(x), protos, k=6, rng=rng, cap=2,
+                               family=D.AugFamily(input_dim=5))
+    payload = R.encode_candidate_set(cs)
+    assert hashlib.sha256(payload).hexdigest() == (
+        "a88c088e11dc59692f3deedd4428794069d9924621c4b13c43bbcf0ce8c66d23")
+    assert R.encode_candidate_set(R.decode_candidate_set(payload)) == payload
+
+
+@pytest.mark.parametrize("ids,shapes,match", [
+    ((7, 3), ((2, 1), (2, 1)), "ascending and distinct"),
+    ((3, 3), ((2, 1), (2, 1)), "ascending and distinct"),
+    ((3, 7), ((2, 1), (2, 2)), r"need \(classes, k\)"),
+    ((3, 7), ((1, 1), (1, 1)), r"need \(classes, k\)"),
+    ((3, 7), ((2, 0), (2, 0)), "with k >= 1"),
+])
+def test_candidate_set_rejects_bad_layouts(ids, shapes, match):
+    (idx_shape, pol_shape) = shapes
+    with pytest.raises(ContractError, match=match):
+        R.CandidateSet(ids, np.zeros(idx_shape, dtype=int), D.identity_policies(pol_shape))
 
 
 def small_candidate_payload():
@@ -315,6 +341,20 @@ def test_decode_candidate_set_rejects_a_repeated_class():
     first_class = payload[: len(payload) // 2]
     with pytest.raises(DecodeError, match="class 3 repeated"):
         R.decode_candidate_set(first_class + first_class)
+
+
+def test_decode_candidate_set_sorts_classes_and_rejects_partial_payloads():
+    payload = small_candidate_payload()
+    half = len(payload) // 2
+    swapped = R.decode_candidate_set(payload[half:] + payload[:half])
+    assert R.encode_candidate_set(swapped) == payload
+    other_k = bytearray(payload)
+    other_k[half + 4] = 3
+    for bad, match in ((b"", "no class header"), (payload[:-1], "not whole"),
+                       (struct.pack("<II", 3, 2**32 - 1) + payload, "not whole"),
+                       (bytes(other_k), "inconsistent k")):
+        with pytest.raises(DecodeError, match=match):
+            R.decode_candidate_set(bad)
 
 
 def test_decode_candidate_set_rejects_k_zero():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -270,19 +272,60 @@ def test_run_task_is_deterministic():
     assert one_run() == one_run()
 
 
+def test_run_task_builds_the_pinned_bank_in_one_replay_call(monkeypatch):
+    """The task's replay bank, pinned from the per-row replay that the one
+    batched ``apply_policy`` call replaced."""
+    state, stream, _ = small_world(seed=8)
+    stats = TR.compute_class_stats(state.extractor, stream.train[0])
+    protos = {c: mu for c, (mu, _) in stats.items()}
+    state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(9))
+    cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos, k=8,
+                                  rng=np.random.default_rng(10),
+                                  family=D.AugFamily(input_dim=6))
+    banks = []
+
+    def spy(x, policies):
+        banks.append(replay(x, policies))
+        return banks[-1]
+
+    replay = D.apply_policy
+    monkeypatch.setattr(D, "apply_policy", spy)
+    TR.run_task(state, stream.train[1], cands, protos, noise_r=0.3, loss_cfg=TR.LossConfig(),
+                optim_cfg=TR.OptimConfig(lr=0.02, epochs=1, batch_new=16),
+                attack_cfg=R.AttackConfig(alpha=1.0, n_attack=2), rng=np.random.default_rng(11))
+    assert len(banks) == 1 and banks[0].shape == (2, 8, 6)
+    assert hashlib.sha256(banks[0].tobytes()).hexdigest() == (
+        "875c3e463750169d23d53d935a6b22e2de7369590b88205ca9b51acb8e861597")
+
+
+@pytest.mark.parametrize("bad", [-1, 60])  # the task has 60 rows
+def test_run_task_names_the_class_of_an_out_of_range_candidate(bad):
+    state, stream, rng = small_world(seed=12)
+    state = M.begin_task(state, stream.class_groups[1], rng)
+    old = state.head.old_ids
+    indices = np.zeros((len(old), 2), dtype=int)
+    indices[1, 1] = bad
+    cands = R.CandidateSet(old, indices, D.identity_policies(indices.shape))
+    protos = {cid: np.zeros(4) for cid in old}
+    assert len(stream.train[1]) == 60
+    with pytest.raises(ContractError, match=f"class {old[1]}: candidate index {bad} is outside"):
+        TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
+                    TR.OptimConfig(epochs=1), None, rng)
+
+
 def test_run_task_requires_snapshot_and_candidates():
     state, stream, rng = small_world(seed=12)
     with pytest.raises(ContractError):
         TR.run_task(state, stream.train[1], None, None, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
     state = M.begin_task(state, stream.class_groups[1], rng)
-    partial = R.CandidateSet(1, {state.head.old_ids[0]: (0,)},
-                             {state.head.old_ids[0]: (D.AugPolicy(),)})
+    partial = R.CandidateSet(state.head.old_ids[:1], [[0]], D.identity_policies((1, 1)))
     with pytest.raises(ContractError, match="missing"):
         TR.run_task(state, stream.train[1], partial, {}, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
-    full = R.CandidateSet(1, {cid: (0,) for cid in state.head.old_ids},
-                          {cid: (D.AugPolicy(),) for cid in state.head.old_ids})
+    n_old = len(state.head.old_ids)
+    full = R.CandidateSet(state.head.old_ids, np.zeros((n_old, 1), dtype=int),
+                          D.identity_policies((n_old, 1)))
     with pytest.raises(ContractError, match="prototype per candidate class"):
         TR.run_task(state, stream.train[1], full, {state.head.old_ids[0]: np.zeros(4)}, 0.0,
                     TR.LossConfig(), TR.OptimConfig(epochs=1), None, rng)
@@ -396,7 +439,7 @@ def test_replay_rows_follow_round_robin_order(monkeypatch):
     x = stream.train[1].x
     old = state.head.old_ids
     indices = {cid: tuple(range(4 * j, 4 * j + 4)) for j, cid in enumerate(old)}
-    cands = R.CandidateSet(4, indices, {cid: (D.AugPolicy(),) * 4 for cid in old})
+    cands = R.CandidateSet(old, [indices[cid] for cid in old], D.identity_policies((3, 4)))
     protos = {cid: np.full(4, float(cid)) for cid in old}
     seen = []
 
