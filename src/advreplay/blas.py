@@ -1,9 +1,12 @@
-"""The thread count of the OpenBLAS that numpy is linked to.
+"""The thread count of the OpenBLAS that numpy is linked to, and the CPUs
+this process may use.
 
 A run works on small matrices (at most a few hundred rows by 64 columns),
 where a second BLAS thread costs more CPU than it saves wall time: it spins
-after each call.  ``runner.run_benchmark`` therefore runs on one thread,
-and independent runs go to separate processes (``runner.run_many``).
+after each call.  ``runner.run_benchmark`` therefore runs on one thread.
+The other CPUs go to processes instead: independent runs to separate pool
+workers (``runner.run_many``), and within a run, each task's replay attack
+to a helper process (``train.run_task``).
 
 OpenBLAS is found among the process's mapped libraries and driven through
 ``ctypes``; where it is not found (another BLAS, or no ``/proc``), the
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 from contextlib import contextmanager
 
 import numpy as np  # noqa: F401  (loads the BLAS that the lookup searches for)
@@ -25,6 +29,15 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+
+def usable_cpus() -> tuple[int, ...]:
+    """Ids of the CPUs this process may run on: its affinity set, or every CPU
+    where the platform has no affinity call."""
+    try:
+        return tuple(sorted(os.sched_getaffinity(0)))
+    except AttributeError:
+        return tuple(range(os.cpu_count() or 1))
 
 
 @functools.cache

@@ -157,6 +157,25 @@ def noise_magnitude(covariances: dict[int, np.ndarray], feature_dim: int) -> flo
     return float(np.sqrt(total))
 
 
+def attack_targets(targets, cfg: AttackConfig, r: float = 0.0, rng=None) -> np.ndarray:
+    """The targets of every attack iteration, as ``adversarial_attack`` draws
+    them: with noise (``cfg.noise`` and ``r > 0``) an (n_attack, batch, d)
+    array ``targets + r * N(0, 1)`` from one ``rng`` call, the same stream
+    as one draw per iteration; else ``targets[None]``, drawing nothing.
+    Non-finite targets raise ``NumericError``."""
+    targets = np.asarray(targets, dtype=np.float64)
+    noisy = cfg.noise and r > 0.0
+    if noisy and rng is None:
+        raise ContractError("noise-augmented targets need an rng")
+    if noisy:
+        tgts = targets + r * rng.standard_normal((cfg.n_attack, *targets.shape))
+    else:
+        tgts = targets[None]
+    if not np.isfinite(tgts).all():
+        raise NumericError("non-finite attack targets")
+    return tgts
+
+
 def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
                        r: float = 0.0, rng=None) -> np.ndarray:
     """Iteratively move a batch so its frozen-extractor features approach
@@ -169,8 +188,9 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     similarity constraint is applied; the result is a fresh read-only array.
     The input gradient comes from ``model.feature_vjp``, so no tape is
     built.  The targets of all iterations (each with its own noise draw)
-    are built and checked once, before the first iteration; non-finite
-    targets, distances, gradients or output raise ``NumericError``.
+    are built and checked once, before the first iteration, by
+    ``attack_targets``; non-finite targets, distances, gradients or output
+    raise ``NumericError``.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -179,21 +199,12 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     if targets.shape[1] != f_old.feature_dim:
         raise DimensionError(
             f"attack: targets have width {targets.shape[1]}, features {f_old.feature_dim}")
-    noisy = cfg.noise and r > 0.0
-    if noisy and rng is None:
-        raise ContractError("noise-augmented targets need an rng")
-    if noisy:
-        # one draw for every iteration: the same stream as one draw per iteration
-        tgts = targets + r * rng.standard_normal((cfg.n_attack, *targets.shape))
-    else:
-        tgts = targets[None]
-    if not np.isfinite(tgts).all():
-        raise NumericError("non-finite attack targets")
+    tgts = attack_targets(targets, cfg, r, rng)
 
     current = x
     for i in range(cfg.n_attack):
         feats, vjp = M.feature_vjp(f_old, current)
-        diff = feats - tgts[i if noisy else 0]
+        diff = feats - tgts[i % len(tgts)]  # one target set without noise
         if not np.isfinite((diff * diff).sum()):
             raise NumericError("non-finite squared distance in attack")
         g = vjp(diff + diff)
@@ -215,7 +226,16 @@ def _class_record(k: int) -> np.dtype:
 
 
 def encode_candidate_set(candidates: CandidateSet) -> bytes:
-    """One ``_class_record`` per class, in ascending class id order."""
+    """One ``_class_record`` per class, in ascending class id order.  A class
+    id or candidate index outside ``[0, 2**32)`` does not fit its u32 field
+    and raises ``ContractError`` naming the class."""
+    for cid, row in zip(candidates.class_ids, candidates.indices):
+        wide = row[(row < 0) | (row >= 2**32)]
+        if not 0 <= cid < 2**32:
+            raise ContractError(f"class {cid}: the class id does not fit the codec's u32 field")
+        if len(wide):
+            raise ContractError(f"class {cid}: candidate index {wide[0]} does not fit "
+                                f"the codec's u32 field")
     out = np.empty(len(candidates.class_ids), _class_record(candidates.k))
     out["class_id"], out["k"] = candidates.class_ids, candidates.k
     out["indices"], out["policies"] = candidates.indices, candidates.policies

@@ -131,11 +131,23 @@ def _run_dir(config: dict, out_dir) -> Path:
 def worker_count(n_runs: int) -> int:
     """Processes for ``n_runs`` independent runs: one per usable CPU, at most
     one per run."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_runs)
+    return min(len(blas.usable_cpus()), n_runs)
+
+
+def split_cpus(cpus, workers: int) -> list[set[int]]:
+    """``cpus`` dealt into ``workers`` disjoint, non-empty sets of consecutive
+    ids that together cover them."""
+    cpus = sorted(cpus)
+    if not 1 <= workers <= len(cpus):
+        raise ContractError(f"cannot split {len(cpus)} CPUs among {workers} workers")
+    return [set(part.tolist()) for part in np.array_split(cpus, workers)]
+
+
+def _take_cpus(cpu_sets) -> None:
+    """Pool initializer: pin this worker to the next unclaimed CPU set."""
+    cpus = cpu_sets.get()
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cpus)
 
 
 def run_many(configs, out_dir=None) -> list[RunResult]:
@@ -143,9 +155,12 @@ def run_many(configs, out_dir=None) -> list[RunResult]:
 
     Results come back in input order.  Each run is a pure function of its
     config, so its artifacts do not depend on which process ran it.  With
-    one worker the runs execute in this process.  An error raised in a run
-    is raised here with its type and message.  Every config is validated
-    here first, and two configs may not share a run directory.
+    one worker the runs execute in this process.  Otherwise each worker is
+    pinned to its own share of the usable CPUs (``split_cpus``), so a
+    worker left with one CPU trains without a replay helper and the pool
+    never asks for more CPUs than it has.  An error raised in a run is
+    raised here with its type and message.  Every config is validated here
+    first, and two configs may not share a run directory.
     """
     configs = list(configs)
     dirs = set()
@@ -164,11 +179,17 @@ def run_many(configs, out_dir=None) -> list[RunResult]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    ctx = multiprocessing.get_context("spawn")
+    cpu_sets = ctx.SimpleQueue()
+    for cpus in split_cpus(blas.usable_cpus(), workers):
+        cpu_sets.put(cpus)
+    pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_take_cpus,
+                               initargs=(cpu_sets,))
     try:
         return list(pool.map(run_benchmark, configs, [out_dir] * len(configs)))
     finally:
         pool.shutdown(cancel_futures=True)
+        cpu_sets.close()
 
 
 def run_benchmark(config: dict, out_dir=None) -> RunResult:

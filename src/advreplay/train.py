@@ -17,19 +17,28 @@ The trainable parameters live in one flat read-only vector
 (``ModelState.flat``, see ``model.pack_params``) and the gradient comes back
 as one flat vector in the same layout, so ``sgd_step`` is a single
 elementwise update and a single finiteness check over the whole model.
+
+Everything an incremental task draws from its rng (the batches, the replay
+rows and the attack's target noise) depends on the frozen model alone, so
+``task_schedule`` produces the whole stream of steps without the model
+being trained, and ``run_task`` can run it in a helper process on a
+spare CPU.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from . import data as D
 from . import model as M
 from . import replay as R
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError, StatsError
+from .errors import ConfigError, ContractError, EngineError, NumericError, StatsError
 
 
 @dataclass(frozen=True)
@@ -257,6 +266,150 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     return state
 
 
+def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank=None, centers=None,
+                  frozen_ext: M.ExtractorParams | None = None,
+                  attack_cfg: R.AttackConfig | None = None, noise_r: float = 0.0,
+                  claim=None):
+    """Every step of one incremental task as ``(epoch, batch, replay_rows)``.
+
+    ``batch`` indexes the task's ``n_rows`` rows.  ``bank[c, j]`` is old
+    class c's j-th candidate row and ``centers[c]`` its prototype; without a
+    bank ``replay_rows`` is None.  Otherwise each step's ``replay_rows`` are
+    ``optim_cfg.batch_replay`` bank rows drawn round-robin over the old
+    classes, the class cursor carrying across steps and epochs; each class
+    walks its own permutation of its k rows, wrapping around and reshuffled
+    every epoch.  With an ``attack_cfg`` they are then perturbed toward
+    their classes' prototypes against ``frozen_ext``.  Nothing here reads
+    the model being trained: the stream is a function of its arguments and
+    ``rng`` alone, which it draws from in a fixed order.
+
+    ``claim(step)``, when given, says whether this process attacks the
+    step (counted from 0 over the task).  A step it does not claim yields
+    None for its rows but still draws that attack's noise
+    (``R.attack_targets``), so the stream stays in step with one that does.
+    """
+    if bank is not None:
+        n_old, k = bank.shape[:2]
+        cursor, step_ids = 0, np.arange(optim_cfg.batch_replay)
+        # one set of permutations is drawn and never used: dropping it would
+        # shift every later draw of the stream and change seeded results
+        for _ in range(n_old):
+            rng.permutation(k)
+
+    step = 0
+    for epoch in range(optim_cfg.epochs):
+        if bank is not None:
+            orders = np.array([rng.permutation(k) for _ in range(n_old)])
+            drawn = np.zeros(n_old, dtype=int)
+        for batch in _batch_iter(n_rows, optim_cfg.batch_new, rng):
+            replay_rows = None
+            if bank is not None:
+                # a class's j-th draw in this step reads its order at drawn + j
+                cls = (cursor + step_ids) % n_old
+                slots = orders[cls, (drawn[cls] + step_ids // n_old) % k]
+                drawn += np.bincount(cls, minlength=n_old)
+                cursor = (cursor + len(step_ids)) % n_old
+                replay_rows = bank[cls, slots]
+                if attack_cfg is not None and (claim is None or claim(step)):
+                    replay_rows = R.adversarial_attack(frozen_ext, replay_rows, centers[cls],
+                                                       attack_cfg, r=noise_r, rng=rng)
+                elif attack_cfg is not None:
+                    # another process attacks this step; draw its noise all the same
+                    R.attack_targets(centers[cls], attack_cfg, noise_r, rng)
+                    replay_rows = None
+            yield epoch, batch, replay_rows
+            step += 1
+
+
+def _attack_claimed_steps(conn, rng, claim, schedule) -> None:
+    """Helper process body: ``task_schedule`` with ``claim``, sending the
+    attacked rows of each step it claims, in step order; or the exception
+    it raised."""
+    try:
+        for _, _, rows in task_schedule(rng=rng, claim=claim, **schedule):
+            if rows is not None:
+                conn.send(rows)
+    except Exception as err:  # the parent raises it again
+        conn.send(err)
+    finally:
+        conn.close()
+
+
+def _schedule_with_helper(rng, **schedule):
+    """``task_schedule(rng=rng, **schedule)`` with its attacks shared between
+    this process and a forked helper process; the same steps, and ``rng``
+    ends where the inline schedule leaves it.
+
+    Both processes run the schedule's draws, each on its own copy of the
+    rng, and attack a step only if they claim it first.  Steps are claimed
+    in order from one shared counter.  The helper claims the next step as
+    soon as it is free and streams the rows it attacked down a one-way
+    pipe.  Whenever the next step to train is the helper's and its rows
+    have not arrived yet, this process claims and attacks a later step
+    instead of waiting.  So the attacks follow whichever CPU is free, and a
+    step's rows are the same bits whichever process attacked them.  An
+    error in the helper is raised here with its type and message.  Closing
+    the generator (also on an error or interrupt in the caller) terminates
+    the helper if it still runs and reaps it.  A run's process starts no
+    Python threads, and OpenBLAS stops its own thread pool around a fork,
+    so forking here is safe.
+    """
+    import multiprocessing  # not loaded by runs that never attack
+
+    ctx = multiprocessing.get_context("fork")
+    front = ctx.Value("q", 0)  # the first step that neither process has claimed
+
+    def claim(step):
+        with front.get_lock():
+            if front.value != step:
+                return False
+            front.value = step + 1
+            return True
+
+    receive, send = ctx.Pipe(duplex=False)
+    helper = ctx.Process(target=_attack_claimed_steps, args=(send, rng, claim, schedule),
+                         daemon=True)
+    helper.start()
+    send.close()
+
+    def helper_rows():
+        try:
+            rows = receive.recv()
+        except EOFError:
+            helper.join()
+            raise EngineError(f"replay helper exited with code {helper.exitcode} "
+                              f"before the end of its stream") from None
+        if isinstance(rows, BaseException):
+            raise rows
+        return rows
+
+    ahead = deque()  # steps drawn here and not yet yielded; rows None where the helper's
+    try:
+        for drawn in task_schedule(rng=rng, claim=claim, **schedule):
+            ahead.append(drawn)
+            # yield every step whose rows are here; while the helper still
+            # attacks the next one, draw (and maybe attack) a later step
+            while ahead and (ahead[0][2] is not None or receive.poll()):
+                epoch, batch, rows = ahead.popleft()
+                yield epoch, batch, helper_rows() if rows is None else rows
+        for epoch, batch, rows in ahead:
+            yield epoch, batch, helper_rows() if rows is None else rows
+    finally:
+        if helper.is_alive():
+            helper.terminate()
+        helper.join()
+        receive.close()
+
+
+def _use_helper() -> bool:
+    """Whether a spare CPU and the fork start method are there for a helper."""
+    if len(blas.usable_cpus()) < 2:
+        return False
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def run_task(state: M.ModelState, task_data: D.LabeledSet,
              candidates: R.CandidateSet | None,
              prototypes: dict[int, np.ndarray] | None,
@@ -272,11 +425,15 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     are replayed unperturbed.  Replay rows come from a bank that one
     ``apply_policy`` call builds per task from the candidates' samples and
     records; it is never stored.  Candidate indices must lie in
-    ``task_data`` (else ``ContractError`` naming the class).  Rows are drawn
-    round-robin over the old classes, the class cursor carrying across steps
-    and epochs; each class walks its own permutation of its k rows, wrapping
-    around and reshuffled every epoch.  The frozen model is never touched
-    (checked by checksum at entry and exit).
+    ``task_data`` (else ``ContractError`` naming the class).  The batches,
+    the round-robin replay draws and the attack form ``task_schedule``,
+    which depends on the frozen model and ``rng`` only.  When rows are
+    attacked and this process may run on two or more CPUs, a forked helper
+    process attacks alongside the training steps, sharing the attacks with
+    this one (``_schedule_with_helper``); the results and ``rng``'s final
+    state are bit for bit those of the inline schedule, and no helper
+    outlives this call.  The frozen model is never touched (checked by
+    checksum at entry and exit).
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
     per epoch for the run CSV.
     """
@@ -305,54 +462,37 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     y_rel = np.array([rel[c] for c in task_data.y])
     x = task_data.x
 
-    # bank[c, j] is old class c's j-th candidate row, centers[c] its prototype
+    distill = loss_cfg.lambda_kd > 0.0
+    # without distillation the replay rows go unused and nothing is attacked
+    attack_cfg = attack_cfg if distill else None
+    schedule = dict(n_rows=len(task_data), optim_cfg=optim_cfg)
     if candidates is not None:
-        old_ids, k = candidates.class_ids, candidates.k
-        bank = D.apply_policy(x[candidates.indices], candidates.policies)
-        centers = np.array([prototypes[cid] for cid in old_ids])
-        n_old, cursor, step_ids = len(old_ids), 0, np.arange(optim_cfg.batch_replay)
-        # one set of permutations is drawn and never used: dropping it would
-        # shift every later draw of the stream and change seeded results
-        for _ in old_ids:
-            rng.permutation(k)
-    epochs = []
+        schedule.update(
+            bank=D.apply_policy(x[candidates.indices], candidates.policies),
+            centers=np.array([prototypes[cid] for cid in candidates.class_ids]),
+            frozen_ext=frozen_ext, attack_cfg=attack_cfg, noise_r=noise_r)
+    attacking = candidates is not None and attack_cfg is not None
+    stream = (_schedule_with_helper(rng, **schedule) if attacking and _use_helper()
+              else task_schedule(rng=rng, **schedule))
 
-    for epoch in range(optim_cfg.epochs):
-        lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
-        if candidates is not None:
-            orders = np.array([rng.permutation(k) for _ in old_ids])
-            drawn = np.zeros(n_old, dtype=int)
-        ce_sum, kd_sum, steps = 0.0, 0.0, 0
-
-        for batch in _batch_iter(len(task_data), optim_cfg.batch_new, rng):
+    lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
+    totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps
+    with closing(stream):
+        for epoch, batch, replay_rows in stream:
             x_new = x[batch]
             x_kd = None
-            if loss_cfg.lambda_kd > 0.0:
-                x_kd = x_new  # x_new itself: loss_and_grads reuses its CE forward
-                if candidates is not None:
-                    # a class's j-th draw in this step reads its order at drawn + j
-                    cls = (cursor + step_ids) % n_old
-                    slots = orders[cls, (drawn[cls] + step_ids // n_old) % k]
-                    drawn += np.bincount(cls, minlength=n_old)
-                    cursor = (cursor + len(step_ids)) % n_old
-                    replay_rows = bank[cls, slots]
-                    if attack_cfg is not None:
-                        replay_rows = R.adversarial_attack(
-                            frozen_ext, replay_rows, centers[cls], attack_cfg,
-                            r=noise_r, rng=rng)
-                    x_kd = np.concatenate([x_new, replay_rows])
-
+            if distill:
+                # x_new itself: loss_and_grads reuses its CE forward
+                x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
             ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, x_kd)
-            state = sgd_step(state, grads, lr, optim_cfg.weight_decay)
-            ce_sum += ce
-            kd_sum += kd
-            steps += 1
+            state = sgd_step(state, grads, lrs[epoch], optim_cfg.weight_decay)
+            total = totals[epoch]
+            total[0] += ce
+            total[1] += kd
+            total[2] += 1
 
-        epochs.append({
-            "epoch": epoch, "lr": lr,
-            "ce_loss": ce_sum / steps, "kd_loss": kd_sum / steps,
-        })
-
+    epochs = [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / steps, "kd_loss": kd_sum / steps}
+              for epoch, (lr, (ce_sum, kd_sum, steps)) in enumerate(zip(lrs, totals))]
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:
         raise ContractError("frozen model mutated during run_task")
     return state, epochs

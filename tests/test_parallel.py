@@ -4,12 +4,13 @@ No test here starts more processes than the machine has CPUs.
 """
 
 import os
+import queue
 
 import pytest
 from test_harness import tiny_config
 
 from advreplay import blas, runner
-from advreplay.errors import ConfigError
+from advreplay.errors import ConfigError, ContractError
 
 needs_openblas = pytest.mark.skipif(blas.lookup() is None,
                                     reason="numpy is not linked to a findable OpenBLAS")
@@ -72,6 +73,38 @@ def test_worker_count_is_cpus_capped_by_runs(monkeypatch):
     assert [runner.worker_count(n) for n in (2, 9)] == [2, 5]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert runner.worker_count(4) == 1
+
+
+@pytest.mark.parametrize("cpus,runs,expected", [
+    ((0, 1), 2, [{0}, {1}]),
+    ((0, 1, 2, 3), 2, [{0, 1}, {2, 3}]),
+    ((0, 1), 3, [{0}, {1}]),
+    ((2, 5, 7), 2, [{2, 5}, {7}]),
+])
+def test_pool_workers_split_the_usable_cpus(monkeypatch, cpus, runs, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    sets = runner.split_cpus(cpus, runner.worker_count(runs))
+    assert sets == expected
+    assert all(sets) and set().union(*sets) == set(cpus)
+    assert sum(map(len, sets)) == len(cpus)  # disjoint
+
+
+def test_split_cpus_needs_a_cpu_per_worker():
+    for workers in (0, 3):
+        with pytest.raises(ContractError, match="cannot split 2 CPUs"):
+            runner.split_cpus((0, 1), workers)
+
+
+def test_pool_initializer_pins_the_next_cpu_set(monkeypatch):
+    pinned = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus),
+                        raising=False)
+    cpu_sets = queue.SimpleQueue()
+    for cpus in ({0}, {1}):
+        cpu_sets.put(cpus)
+    runner._take_cpus(cpu_sets)
+    runner._take_cpus(cpu_sets)
+    assert pinned == [{0}, {1}]
 
 
 def seed_configs(tmp_path, *extra):

@@ -328,6 +328,19 @@ def test_candidate_set_rejects_bad_layouts(ids, shapes, match):
         R.CandidateSet(ids, np.zeros(idx_shape, dtype=int), D.identity_policies(pol_shape))
 
 
+@pytest.mark.parametrize("ids,bad,match", [
+    ((0, 4), -1, "class 4: candidate index -1 does not fit"),
+    ((0, 4), 2**32 + 5, f"class 4: candidate index {2**32 + 5} does not fit"),
+    ((0, 2**32), 0, f"class {2**32}: the class id does not fit"),
+])
+def test_encode_candidate_set_rejects_values_past_u32(ids, bad, match):
+    indices = np.zeros((2, 3), dtype=np.int64)
+    indices[1, 2] = bad
+    cs = R.CandidateSet(ids, indices, D.identity_policies((2, 3)))
+    with pytest.raises(ContractError, match=match):
+        R.encode_candidate_set(cs)
+
+
 def small_candidate_payload():
     f = identity_extractor(2)
     x = np.random.default_rng(5).normal(size=(6, 2))

@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from advreplay import model as M
 from advreplay import replay as R
 from advreplay import tensor as T
 from advreplay import train as TR
-from advreplay.errors import ContractError, NumericError, StatsError
+from advreplay.errors import ContractError, EngineError, NumericError, StatsError
 from advreplay.tensor import Tensor
 
 
@@ -452,6 +455,7 @@ def test_replay_rows_follow_round_robin_order(monkeypatch):
         return rows
 
     monkeypatch.setattr(R, "adversarial_attack", record)
+    on_cpus(monkeypatch, 1)  # inline: a helper would record in its own memory
     TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
                 TR.OptimConfig(lr=0.01, epochs=2, batch_new=24, batch_replay=5),
                 R.AttackConfig(alpha=1.0, n_attack=1), np.random.default_rng(23))
@@ -464,3 +468,169 @@ def test_replay_rows_follow_round_robin_order(monkeypatch):
         (4, 1), (0, 1), (1, 2), (4, 2), (0, 0), (1, 3), (4, 0), (0, 3), (1, 0), (4, 3),
         (0, 2), (1, 1), (4, 1), (0, 1), (1, 2), (4, 2), (0, 0), (1, 3), (4, 0), (0, 3),
     ]
+
+
+# -- the replay helper ---------------------------------------------------------------
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the replay helper is forked")
+
+
+def on_cpus(monkeypatch, n):
+    """Make this process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def attacked_setup():
+    """A trained task-0 model at task 1, its task data, candidates and prototypes."""
+    state, stream, _ = small_world(seed=8)
+    stats = TR.compute_class_stats(state.extractor, stream.train[0])
+    protos = {c: mu for c, (mu, _) in stats.items()}
+    state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(9))
+    cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos, k=8,
+                                  rng=np.random.default_rng(10),
+                                  family=D.AugFamily(input_dim=6))
+    return state, stream.train[1], cands, protos
+
+
+def attacked_task(noise=True, noise_r=0.3, setup=None, epochs=3):
+    """``run_task`` on a seeded attacked task (``attacked_setup``): the returned
+    state's checksum, the epoch rows and the caller's rng's next draw."""
+    state, data, cands, protos = setup or attacked_setup()
+    rng = np.random.default_rng(11)
+    out, rows = TR.run_task(
+        state, data, cands, protos, noise_r=noise_r, loss_cfg=TR.LossConfig(),
+        optim_cfg=TR.OptimConfig(lr=0.02, epochs=epochs, batch_new=16),
+        attack_cfg=R.AttackConfig(alpha=1.0, n_attack=2, noise=noise), rng=rng)
+    return M.checksum(out.extractor, out.head), rows, rng.random()
+
+
+def log_pid(path):
+    with path.open("a") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+def wait_for_pids(path, ready, timeout=10.0):
+    """Wait until ``ready`` holds for the set of pids logged in ``path``."""
+    end = time.monotonic() + timeout
+    while time.monotonic() < end:
+        if path.exists() and ready(set(path.read_text().split())):
+            return
+        time.sleep(0.001)
+
+
+def train_after_helper_attacks(monkeypatch, pids):
+    """Hold this process's training steps until the helper has begun an
+    attack, so that the helper attacks at least one step of a small task.
+    Install it after ``attacked_setup``, whose initial training has no helper."""
+    me, step = str(os.getpid()), TR.loss_and_grads
+
+    def waiting(*args, **kwargs):
+        wait_for_pids(pids, lambda seen: seen - {me})
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "loss_and_grads", waiting)
+
+
+@needs_fork
+@pytest.mark.parametrize("noise,noise_r", [(True, 0.3), (False, 0.3), (True, 0.0)])
+def test_helper_and_inline_schedules_give_the_same_bytes(monkeypatch, tmp_path, noise, noise_r):
+    setup = attacked_setup()
+    on_cpus(monkeypatch, 1)
+    inline = attacked_task(noise, noise_r, setup)
+
+    pids, me, attack = tmp_path / "pids", str(os.getpid()), R.adversarial_attack
+
+    def shared(*args, **kwargs):
+        if str(os.getpid()) != me:  # the helper lets this process attack first
+            wait_for_pids(pids, lambda seen: me in seen)
+        log_pid(pids)
+        return attack(*args, **kwargs)
+
+    monkeypatch.setattr(R, "adversarial_attack", shared)
+    train_after_helper_attacks(monkeypatch, pids)
+    on_cpus(monkeypatch, 2)
+    helped = attacked_task(noise, noise_r, setup)
+    assert len(set(pids.read_text().split())) == 2  # both processes attacked
+    assert helped == inline
+
+
+@needs_fork
+def test_racing_claims_lose_no_step():
+    """80 short steps, most of them claimed while the other process claims
+    too: a step attacked twice or by neither would shift the helper's rows
+    onto the wrong steps or stall the task."""
+    setup = attacked_setup()
+    with pytest.MonkeyPatch.context() as mp:
+        on_cpus(mp, 1)
+        inline = attacked_task(setup=setup, epochs=20)
+    with pytest.MonkeyPatch.context() as mp:
+        on_cpus(mp, 2)
+        for _ in range(3):
+            assert attacked_task(setup=setup, epochs=20) == inline
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_attack_target_error_is_the_same_with_a_helper(monkeypatch, cpus):
+    on_cpus(monkeypatch, cpus)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericError, match="^non-finite attack targets$"):
+        attacked_task(noise_r=1e308)
+
+
+@needs_fork
+def test_helper_error_is_raised_with_its_type_and_message(monkeypatch, tmp_path):
+    pids, me = tmp_path / "pids", os.getpid()
+    attack = R.adversarial_attack
+
+    def failing(*args, **kwargs):
+        if os.getpid() != me:
+            log_pid(pids)
+            raise NumericError("non-finite squared distance in attack")
+        return attack(*args, **kwargs)
+
+    setup = attacked_setup()
+    monkeypatch.setattr(R, "adversarial_attack", failing)
+    train_after_helper_attacks(monkeypatch, pids)
+    on_cpus(monkeypatch, 2)
+    with pytest.raises(NumericError, match="^non-finite squared distance in attack$"):
+        attacked_task(setup=setup)
+
+
+@needs_fork
+def test_parent_error_leaves_no_live_helper(monkeypatch):
+    setup = attacked_setup()
+    calls = []
+    step = TR.loss_and_grads
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ZeroDivisionError("third step")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "loss_and_grads", failing)
+    on_cpus(monkeypatch, 2)
+    with pytest.raises(ZeroDivisionError, match="third step"):
+        attacked_task(setup=setup)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_helper_that_dies_mid_stream_is_an_engine_error(monkeypatch, tmp_path):
+    pids, me = tmp_path / "pids", os.getpid()
+    attack = R.adversarial_attack
+
+    def dying(*args, **kwargs):
+        if os.getpid() != me:
+            log_pid(pids)
+            os._exit(3)
+        return attack(*args, **kwargs)
+
+    setup = attacked_setup()
+    monkeypatch.setattr(R, "adversarial_attack", dying)
+    train_after_helper_attacks(monkeypatch, pids)
+    on_cpus(monkeypatch, 2)
+    with pytest.raises(EngineError, match="replay helper exited with code 3"):
+        attacked_task(setup=setup)
