@@ -33,8 +33,7 @@ cands = R.build_candidate_set(state.extractor, stream.train[1], {target_class: m
                               family=family)
 rows = D.apply_policy(stream.train[1].x[cands.indices[0]], cands.policies[0])
 
-attack = R.AttackConfig(alpha=cfg["attack"]["alpha"], n_attack=cfg["attack"]["n_attack"],
-                        noise=False)
+attack = R.AttackConfig(alpha=cfg["attack"]["alpha"], n_attack=cfg["attack"]["n_attack"])
 perturbed = R.adversarial_attack(state.extractor, rows, np.tile(mu, (64, 1)), attack)
 
 pre = np.linalg.norm(M.features(state.extractor, rows) - mu, axis=1)

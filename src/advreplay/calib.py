@@ -126,7 +126,7 @@ def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
         warnings.warn(f"drift sampling wants {take} candidates, task has {n}; using all")
         take = n
     feats = M.features(f_old, task_data.x)
-    attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations, noise=False)
+    attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations)
     dists = np.empty((len(prototypes), n))
     for row, mu in enumerate(prototypes.values()):
         dists[row] = np.linalg.norm(feats - mu[None, :], axis=1)

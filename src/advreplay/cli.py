@@ -21,6 +21,7 @@ import numpy as np
 
 from . import calib as C
 from . import config as CFG
+from . import data as D
 from . import runner
 from .arrays import write_text_atomic
 from .errors import ConfigError, ContractError, EngineError
@@ -103,14 +104,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_report(args) -> int:
     config = _load(args)
-    ds = config["dataset"]
+    ds, tasks = config["dataset"], config["tasks"]
+    # the last task has the most old classes
+    last = D.group_sizes(ds["n_classes"], tasks["count"], tasks["mode"])[-1]
     sizes = runner.storage_report(
         n_old_classes=args.old_classes if args.old_classes is not None else (
-            ds["n_classes"] - ds["n_classes"] // config["tasks"]["count"]),
+            ds["n_classes"] - last),
         feature_dim=args.feature_dim or config["model"]["feature_dim"],
         n_candidates_per_class=config["replay"]["k"],
         n_task_samples=args.task_samples if args.task_samples is not None else (
-            ds["n_train"] * (ds["n_classes"] // config["tasks"]["count"])),
+            ds["n_train"] * last),
         svd_k=config["covariance"]["svd_k"],
         float_bytes=args.float_bytes,
         index_bytes=args.index_bytes,

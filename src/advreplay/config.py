@@ -257,7 +257,7 @@ def build_optim_config(config: dict, initial: bool) -> TR.OptimConfig:
 
 def build_attack_config(config: dict) -> R.AttackConfig:
     atk = config["attack"]
-    return R.AttackConfig(atk["alpha"], atk["n_attack"], atk["noise"])
+    return R.AttackConfig(atk["alpha"], atk["n_attack"])
 
 
 def build_drift_config(config: dict) -> C.DriftConfig:

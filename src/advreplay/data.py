@@ -183,7 +183,9 @@ POLICY_RECORD_BYTES = POLICY_DTYPE.itemsize
 
 @dataclass(frozen=True)
 class AugFamily:
-    """Sampling ranges for the default vector-space augmentation family."""
+    """Sampling ranges for the default vector-space augmentation family.  The
+    ranges are not checked here: ``config.validate_config`` checks the
+    ``augmentation.*`` keys that ``config.build_family`` builds one from."""
 
     enabled: bool = True
     crop_prob: float = 0.5
@@ -193,21 +195,6 @@ class AugFamily:
     jitter_sigma_range: tuple[float, float] = (0.01, 0.15)
     scale_range: tuple[float, float] = (0.9, 1.1)
     input_dim: int = 16
-
-    def __post_init__(self):
-        # messages name the ``augmentation.*`` config keys the ranges come from
-        for name in ("crop_prob", "flip_prob", "jitter_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"augmentation.{name} must lie in [0, 1]")
-        for name, (lo, hi), positive in (("crop_width", self.crop_width_range, False),
-                                         ("jitter_sigma", self.jitter_sigma_range, False),
-                                         ("scale", self.scale_range, True)):
-            if not (lo > 0 if positive else lo >= 0):
-                raise ConfigError(f"augmentation.{name}_min must be "
-                                  f"{'> 0' if positive else '>= 0'}, got {lo}")
-            if not lo <= hi:
-                raise ConfigError(f"augmentation.{name}_min={lo} exceeds "
-                                  f"augmentation.{name}_max={hi}")
 
 
 def identity_policies(shape=()) -> np.ndarray:

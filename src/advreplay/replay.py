@@ -24,13 +24,11 @@ _GRAD_EPS = 1e-12
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Step magnitude, iteration count and target noise for the perturbation
-    loop; every step is ``alpha * grad / ||grad||^2`` (see
-    ``adversarial_attack``)."""
+    """Step magnitude and iteration count for the perturbation loop; every
+    step is ``alpha * grad / ||grad||^2`` (see ``adversarial_attack``)."""
 
     alpha: float
     n_attack: int
-    noise: bool = True
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -157,27 +155,8 @@ def noise_magnitude(covariances: dict[int, np.ndarray], feature_dim: int) -> flo
     return float(np.sqrt(total))
 
 
-def attack_targets(targets, cfg: AttackConfig, r: float = 0.0, rng=None) -> np.ndarray:
-    """The targets of every attack iteration, as ``adversarial_attack`` draws
-    them: with noise (``cfg.noise`` and ``r > 0``) an (n_attack, batch, d)
-    array ``targets + r * N(0, 1)`` from one ``rng`` call, the same stream
-    as one draw per iteration; else ``targets[None]``, drawing nothing.
-    Non-finite targets raise ``NumericError``."""
-    targets = np.asarray(targets, dtype=np.float64)
-    noisy = cfg.noise and r > 0.0
-    if noisy and rng is None:
-        raise ContractError("noise-augmented targets need an rng")
-    if noisy:
-        tgts = targets + r * rng.standard_normal((cfg.n_attack, *targets.shape))
-    else:
-        tgts = targets[None]
-    if not np.isfinite(tgts).all():
-        raise NumericError("non-finite attack targets")
-    return tgts
-
-
 def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
-                       r: float = 0.0, rng=None) -> np.ndarray:
+                       offsets=None) -> np.ndarray:
     """Iteratively move a batch so its frozen-extractor features approach
     per-sample targets.
 
@@ -187,10 +166,11 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     under 1e-12 pass through an iteration unperturbed.  No clipping and no
     similarity constraint is applied; the result is a fresh read-only array.
     The input gradient comes from ``model.feature_vjp``, so no tape is
-    built.  The targets of all iterations (each with its own noise draw)
-    are built and checked once, before the first iteration, by
-    ``attack_targets``; non-finite targets, distances, gradients or output
-    raise ``NumericError``.
+    built.  With ``offsets`` (an (n_attack, batch, d) array, e.g. the
+    prototype noise) iteration i aims at ``targets + offsets[i]``, else
+    every iteration aims at ``targets``.  The targets of all iterations are
+    checked once, before the first pass; non-finite targets, distances,
+    gradients or output raise ``NumericError``.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -199,12 +179,16 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     if targets.shape[1] != f_old.feature_dim:
         raise DimensionError(
             f"attack: targets have width {targets.shape[1]}, features {f_old.feature_dim}")
-    tgts = attack_targets(targets, cfg, r, rng)
+    if offsets is not None and np.shape(offsets) != (cfg.n_attack, *targets.shape):
+        raise ContractError(f"attack offsets must be {(cfg.n_attack, *targets.shape)}")
+    tgts = targets[None] if offsets is None else targets + offsets
+    if not np.isfinite(tgts).all():
+        raise NumericError("non-finite attack targets")
 
     current = x
     for i in range(cfg.n_attack):
         feats, vjp = M.feature_vjp(f_old, current)
-        diff = feats - tgts[i % len(tgts)]  # one target set without noise
+        diff = feats - tgts[i % len(tgts)]  # one target set without offsets
         if not np.isfinite((diff * diff).sum()):
             raise NumericError("non-finite squared distance in attack")
         g = vjp(diff + diff)

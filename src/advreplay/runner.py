@@ -303,7 +303,7 @@ def _run(config: dict, out_dir) -> RunResult:
                                config["replay"]["cap"], family)
 
         noise_r = 0.0
-        if attack_cfg is not None and attack_cfg.noise:
+        if attack_cfg is not None and config["attack"]["noise"]:
             noise_r = R.noise_magnitude(store.covariances(), d)
             log.add("attack", t, "", "noise_r", noise_r)
 

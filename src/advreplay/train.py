@@ -19,10 +19,10 @@ as one flat vector in the same layout, so ``sgd_step`` is a single
 elementwise update and a single finiteness check over the whole model.
 
 Everything an incremental task draws from its rng (the batches, the replay
-rows and the attack's target noise) depends on the frozen model alone, so
-``task_schedule`` produces the whole stream of steps without the model
-being trained, and ``run_task`` can run it in a helper process on a
-spare CPU.
+rows and the attack's target noise) comes from ``task_schedule``, which
+reads no model at all.  A step's replay attack is a pure function of those
+draws and the frozen model, so ``run_task`` can map it over the steps in a
+helper process on a spare CPU.
 """
 
 from __future__ import annotations
@@ -266,82 +266,67 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     return state
 
 
-def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank=None, centers=None,
-                  frozen_ext: M.ExtractorParams | None = None,
-                  attack_cfg: R.AttackConfig | None = None, noise_r: float = 0.0,
-                  claim=None):
-    """Every step of one incremental task as ``(epoch, batch, replay_rows)``.
+def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None,
+                  noise_shape=None):
+    """Every draw of one incremental task from ``rng``, one step at a time,
+    as ``(epoch, batch, cls, slots, noise)``; absent parts are None.
 
-    ``batch`` indexes the task's ``n_rows`` rows.  ``bank[c, j]`` is old
-    class c's j-th candidate row and ``centers[c]`` its prototype; without a
-    bank ``replay_rows`` is None.  Otherwise each step's ``replay_rows`` are
-    ``optim_cfg.batch_replay`` bank rows drawn round-robin over the old
-    classes, the class cursor carrying across steps and epochs; each class
-    walks its own permutation of its k rows, wrapping around and reshuffled
-    every epoch.  With an ``attack_cfg`` they are then perturbed toward
-    their classes' prototypes against ``frozen_ext``.  Nothing here reads
-    the model being trained: the stream is a function of its arguments and
-    ``rng`` alone, which it draws from in a fixed order.
-
-    ``claim(step)``, when given, says whether this process attacks the
-    step (counted from 0 over the task).  A step it does not claim yields
-    None for its rows but still draws that attack's noise
-    (``R.attack_targets``), so the stream stays in step with one that does.
+    ``batch`` indexes the task's ``n_rows`` rows.  With a ``bank_shape`` of
+    (old classes, k), the step replays the bank rows ``[cls, slots]``:
+    ``optim_cfg.batch_replay`` draws round-robin over the old classes, the
+    class cursor carrying across steps and epochs; each class walks its own
+    permutation of its k rows, wrapping around and reshuffled every epoch.
+    With a ``noise_shape``, ``noise`` is the step's standard normal draw of
+    that shape.  The draws come in a fixed order: one discarded set of class
+    permutations, then per epoch the class permutations and the batch
+    permutation, then each step's noise as the step is reached.
     """
-    if bank is not None:
-        n_old, k = bank.shape[:2]
+    if bank_shape is not None:
+        n_old, k = bank_shape
         cursor, step_ids = 0, np.arange(optim_cfg.batch_replay)
         # one set of permutations is drawn and never used: dropping it would
         # shift every later draw of the stream and change seeded results
         for _ in range(n_old):
             rng.permutation(k)
 
-    step = 0
+    cls = slots = noise = None
     for epoch in range(optim_cfg.epochs):
-        if bank is not None:
+        if bank_shape is not None:
             orders = np.array([rng.permutation(k) for _ in range(n_old)])
             drawn = np.zeros(n_old, dtype=int)
         for batch in _batch_iter(n_rows, optim_cfg.batch_new, rng):
-            replay_rows = None
-            if bank is not None:
+            if bank_shape is not None:
                 # a class's j-th draw in this step reads its order at drawn + j
                 cls = (cursor + step_ids) % n_old
                 slots = orders[cls, (drawn[cls] + step_ids // n_old) % k]
                 drawn += np.bincount(cls, minlength=n_old)
                 cursor = (cursor + len(step_ids)) % n_old
-                replay_rows = bank[cls, slots]
-                if attack_cfg is not None and (claim is None or claim(step)):
-                    replay_rows = R.adversarial_attack(frozen_ext, replay_rows, centers[cls],
-                                                       attack_cfg, r=noise_r, rng=rng)
-                elif attack_cfg is not None:
-                    # another process attacks this step; draw its noise all the same
-                    R.attack_targets(centers[cls], attack_cfg, noise_r, rng)
-                    replay_rows = None
-            yield epoch, batch, replay_rows
-            step += 1
+            if noise_shape is not None:
+                noise = rng.standard_normal(noise_shape)
+            yield epoch, batch, cls, slots, noise
 
 
-def _attack_claimed_steps(conn, rng, claim, schedule) -> None:
-    """Helper process body: ``task_schedule`` with ``claim``, sending the
-    attacked rows of each step it claims, in step order; or the exception
-    it raised."""
+def _attack_claimed_steps(conn, claim, steps, attack) -> None:
+    """Helper process body: walk ``steps`` and send ``attack``'s rows for each
+    step it claims, in step order; or the exception it raised."""
     try:
-        for _, _, rows in task_schedule(rng=rng, claim=claim, **schedule):
-            if rows is not None:
-                conn.send(rows)
+        for step, (_, _, cls, slots, noise) in enumerate(steps):
+            if claim(step):
+                conn.send(attack(cls, slots, noise))
     except Exception as err:  # the parent raises it again
         conn.send(err)
     finally:
         conn.close()
 
 
-def _schedule_with_helper(rng, **schedule):
-    """``task_schedule(rng=rng, **schedule)`` with its attacks shared between
-    this process and a forked helper process; the same steps, and ``rng``
-    ends where the inline schedule leaves it.
+def _attacked_with_helper(steps, attack):
+    """``(epoch, batch, attack(cls, slots, noise))`` for each of the unstarted
+    ``task_schedule`` ``steps``, with the attacks shared between this
+    process and a forked helper process; the same steps, and the schedule's
+    rng ends where walking ``steps`` inline leaves it.
 
-    Both processes run the schedule's draws, each on its own copy of the
-    rng, and attack a step only if they claim it first.  Steps are claimed
+    Both processes walk their own copy of ``steps``, so both make every
+    draw, and attack a step only if they claim it first.  Steps are claimed
     in order from one shared counter.  The helper claims the next step as
     soon as it is free and streams the rows it attacked down a one-way
     pipe.  Whenever the next step to train is the helper's and its rows
@@ -352,7 +337,7 @@ def _schedule_with_helper(rng, **schedule):
     the generator (also on an error or interrupt in the caller) terminates
     the helper if it still runs and reaps it.  A run's process starts no
     Python threads, and OpenBLAS stops its own thread pool around a fork,
-    so forking here is safe.
+    so forking here is safe (``_use_helper`` requires OpenBLAS).
     """
     import multiprocessing  # not loaded by runs that never attack
 
@@ -367,7 +352,7 @@ def _schedule_with_helper(rng, **schedule):
             return True
 
     receive, send = ctx.Pipe(duplex=False)
-    helper = ctx.Process(target=_attack_claimed_steps, args=(send, rng, claim, schedule),
+    helper = ctx.Process(target=_attack_claimed_steps, args=(send, claim, steps, attack),
                          daemon=True)
     helper.start()
     send.close()
@@ -385,8 +370,8 @@ def _schedule_with_helper(rng, **schedule):
 
     ahead = deque()  # steps drawn here and not yet yielded; rows None where the helper's
     try:
-        for drawn in task_schedule(rng=rng, claim=claim, **schedule):
-            ahead.append(drawn)
+        for step, (epoch, batch, cls, slots, noise) in enumerate(steps):
+            ahead.append((epoch, batch, attack(cls, slots, noise) if claim(step) else None))
             # yield every step whose rows are here; while the helper still
             # attacks the next one, draw (and maybe attack) a later step
             while ahead and (ahead[0][2] is not None or receive.poll()):
@@ -402,8 +387,9 @@ def _schedule_with_helper(rng, **schedule):
 
 
 def _use_helper() -> bool:
-    """Whether a spare CPU and the fork start method are there for a helper."""
-    if len(blas.usable_cpus()) < 2:
+    """Whether a spare CPU, the fork start method and OpenBLAS (the BLAS whose
+    fork safety ``_attacked_with_helper`` relies on) are there for a helper."""
+    if len(blas.usable_cpus()) < 2 or blas.lookup() is None:
         return False
     import multiprocessing
 
@@ -425,15 +411,17 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     are replayed unperturbed.  Replay rows come from a bank that one
     ``apply_policy`` call builds per task from the candidates' samples and
     records; it is never stored.  Candidate indices must lie in
-    ``task_data`` (else ``ContractError`` naming the class).  The batches,
-    the round-robin replay draws and the attack form ``task_schedule``,
-    which depends on the frozen model and ``rng`` only.  When rows are
-    attacked and this process may run on two or more CPUs, a forked helper
-    process attacks alongside the training steps, sharing the attacks with
-    this one (``_schedule_with_helper``); the results and ``rng``'s final
-    state are bit for bit those of the inline schedule, and no helper
-    outlives this call.  The frozen model is never touched (checked by
-    checksum at entry and exit).
+    ``task_data`` (else ``ContractError`` naming the class).  Every draw
+    from ``rng`` (the batches, the round-robin replay rows and, when
+    ``noise_r > 0``, each step's prototype noise scaled by ``noise_r``)
+    comes from ``task_schedule``; a step's attack is a pure function of its
+    draws and the frozen model.  When rows are attacked and this process
+    may run on two or more CPUs, a forked helper process attacks alongside
+    the training steps, sharing the attacks with this one
+    (``_attacked_with_helper``); the results and ``rng``'s final state are
+    bit for bit those of the inline map, and no helper outlives this call.
+    The frozen model is never touched (checked by checksum at entry and
+    exit).
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
     per epoch for the run CSV.
     """
@@ -465,15 +453,25 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     distill = loss_cfg.lambda_kd > 0.0
     # without distillation the replay rows go unused and nothing is attacked
     attack_cfg = attack_cfg if distill else None
-    schedule = dict(n_rows=len(task_data), optim_cfg=optim_cfg)
+    bank = centers = noise_shape = None
     if candidates is not None:
-        schedule.update(
-            bank=D.apply_policy(x[candidates.indices], candidates.policies),
-            centers=np.array([prototypes[cid] for cid in candidates.class_ids]),
-            frozen_ext=frozen_ext, attack_cfg=attack_cfg, noise_r=noise_r)
-    attacking = candidates is not None and attack_cfg is not None
-    stream = (_schedule_with_helper(rng, **schedule) if attacking and _use_helper()
-              else task_schedule(rng=rng, **schedule))
+        bank = D.apply_policy(x[candidates.indices], candidates.policies)
+        centers = np.array([prototypes[cid] for cid in candidates.class_ids])
+        if attack_cfg is not None and noise_r > 0.0:
+            noise_shape = (attack_cfg.n_attack, optim_cfg.batch_replay, centers.shape[1])
+    steps = task_schedule(len(task_data), optim_cfg, rng,
+                          None if bank is None else bank.shape[:2], noise_shape)
+
+    def attack(cls, slots, noise):
+        return R.adversarial_attack(frozen_ext, bank[cls, slots], centers[cls], attack_cfg,
+                                    None if noise is None else noise_r * noise)
+
+    replay = attack if attack_cfg is not None else lambda cls, slots, _: bank[cls, slots]
+    if bank is not None and attack_cfg is not None and _use_helper():
+        stream = _attacked_with_helper(steps, attack)
+    else:  # the map, inline
+        stream = ((epoch, batch, None if cls is None else replay(cls, slots, noise))
+                  for epoch, batch, cls, slots, noise in steps)
 
     lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
     totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps

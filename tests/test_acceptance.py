@@ -154,7 +154,7 @@ def test_criterion_2_attack_efficacy():
         targets += [mu] * per_class
     rows = D.apply_policy(stream.train[1].x[np.concatenate(indices)], np.concatenate(policies))
     targets = np.stack(targets)
-    attack = R.AttackConfig(cfg["attack"]["alpha"], cfg["attack"]["n_attack"], noise=False)
+    attack = R.AttackConfig(cfg["attack"]["alpha"], cfg["attack"]["n_attack"])
     perturbed = R.adversarial_attack(state.extractor, rows, targets, attack)
     pre = np.median(np.linalg.norm(M.extract(state.extractor, Tensor(rows)).data - targets,
                                    axis=1))

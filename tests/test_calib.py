@@ -62,7 +62,7 @@ def test_drift_samples_per_prototype_are_its_attacked_nearest_rows():
     out = C.generate_drift_samples(f, data, protos, cfg)
     assert list(out) == [5, 2, 9]
     feats = M.features(f, data.x)
-    attack = R.AttackConfig(alpha=0.5, n_attack=2, noise=False)
+    attack = R.AttackConfig(alpha=0.5, n_attack=2)
     for cid, mu in protos.items():
         nearest = np.argsort(np.linalg.norm(feats - mu, axis=1), kind="stable")[:7]
         want = R.adversarial_attack(f, data.x[nearest], np.tile(mu, (7, 1)), attack)

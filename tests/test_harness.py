@@ -409,6 +409,20 @@ def test_cli_report(tmp_path, capsys):
     assert "94.37" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("config,want", [
+    ("reference_cold20.json", (4096, 4096, 14000)),  # 5 groups of 4
+    ("warm20_t6.json", (4608, 4608, 7000)),  # 10 classes, then 5 groups of 2
+])
+def test_cli_report_defaults_follow_the_last_task(tmp_path, config, want):
+    """Unset, the old classes and task rows are those of the last task,
+    which has the most old classes."""
+    out = tmp_path / "sizes.json"
+    assert cli.main(["report", "--config", str(CONFIG_DIR / config), "--json-out", str(out)]) == 0
+    sizes = json.loads(out.read_text())
+    assert (sizes["prototypes"], sizes["candidate_indices"],
+            sizes["augmentation_params"]) == want
+
+
 def test_cli_decompose(tmp_path, capsys):
     runner.run_benchmark(tiny_config(tmp_path, 'output.tag="src"'))
     store_path = tmp_path / "src" / "store.json"

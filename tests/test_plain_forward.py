@@ -63,7 +63,7 @@ def tape_attack(f_old, x, targets, cfg, r, rng):
     current = x.copy()
     for _ in range(cfg.n_attack):
         tgt = targets
-        if cfg.noise and r > 0.0:
+        if r > 0.0:
             tgt = targets + r * rng.standard_normal(targets.shape)
         leaf = Tensor(current)
         diff = T.sub(M.extract(f_old, leaf), Tensor(tgt))
@@ -82,17 +82,19 @@ def test_attack_equals_tape_reference_with_noise():
     f = M.default_extractor(16, 32, rng, hidden=(64, 48))
     x = rng.normal(size=(64, 16)) * 3.0
     targets = rng.normal(size=(64, 32))
-    cfg = R.AttackConfig(alpha=8.0, n_attack=12, noise=True)
-    out = R.adversarial_attack(f, x, targets, cfg, r=0.7, rng=np.random.default_rng(5))
+    cfg = R.AttackConfig(alpha=8.0, n_attack=12)
+    out = R.adversarial_attack(f, x, targets, cfg,
+                               offsets=0.7 * np.random.default_rng(5).standard_normal((12, 64, 32)))
     expected = tape_attack(f, x, targets, cfg, 0.7, np.random.default_rng(5))
     assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("noise,r", [(True, 0.7), (False, 0.7), (True, 0.0)])
 def test_attack_equals_tape_reference_on_flat_gradient_rows(noise, r):
-    """Rows whose input gradient norm is under 1e-12 stay put, with and
-    without target noise, and the rng is left where the oracle leaves it
-    (no draws at all when noise is off or r is 0)."""
+    """Rows whose input gradient norm is under 1e-12 stay put, with noise
+    offsets, without offsets, and with all-zero offsets (noise at r = 0),
+    which aim exactly where no offsets do.  The offsets drawn in one block
+    leave the rng where the oracle's per-iteration draws leave it."""
     rng = np.random.default_rng(6)
     f = M.default_extractor(16, 32, rng, hidden=(64, 48))
     # every first-layer unit is dead on an all-zero row: an exactly zero gradient
@@ -108,17 +110,17 @@ def test_attack_equals_tape_reference_on_flat_gradient_rows(noise, r):
     assert (norms[[3, 17, 40]] == 0.0).all()
     assert (0.0 < norms[[5, 29]]).all() and (norms[[5, 29]] < 1e-12).all()
 
-    cfg = R.AttackConfig(alpha=8.0, n_attack=5, noise=noise)
+    cfg = R.AttackConfig(alpha=8.0, n_attack=5)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    out = R.adversarial_attack(f, x, targets, cfg, r=r, rng=got_rng)
-    expected = tape_attack(f, x, targets, cfg, r, want_rng)
+    offsets = r * got_rng.standard_normal((5, *targets.shape)) if noise else None
+    out = R.adversarial_attack(f, x, targets, cfg, offsets=offsets)
+    expected = tape_attack(f, x, targets, cfg, r if noise else 0.0, want_rng)
     assert out.tobytes() == expected.tobytes()
-    next_draw = got_rng.standard_normal()
-    assert next_draw == want_rng.standard_normal()
+    if noise and r > 0.0:
+        assert got_rng.standard_normal() == want_rng.standard_normal()
     np.testing.assert_array_equal(out[[3, 17, 40]], x[[3, 17, 40]])
     if not (noise and r > 0.0):
         np.testing.assert_array_equal(out[[5, 29]], x[[5, 29]])
-        assert next_draw == np.random.default_rng(7).standard_normal()
 
 
 def test_features_overflow_raises_numeric_error():
@@ -151,7 +153,7 @@ def test_attack_nan_target_raises_numeric_error():
     f = stack("default")
     targets = np.zeros((4, 5))
     targets[2, 1] = np.nan
-    cfg = R.AttackConfig(alpha=1.0, n_attack=2, noise=False)
+    cfg = R.AttackConfig(alpha=1.0, n_attack=2)
     with pytest.raises(NumericError):
         R.adversarial_attack(f, np.ones((4, 6)), targets, cfg)
 
@@ -163,7 +165,7 @@ def extractor_passes(params, x):
     """Every entry point that runs the extractor on ``x``: forward only,
     forward with VJP, and the attack (noise off, so no rng)."""
     targets = np.zeros((len(x), params.feature_dim))
-    cfg = R.AttackConfig(alpha=1.0, n_attack=3, noise=False)
+    cfg = R.AttackConfig(alpha=1.0, n_attack=3)
     return [
         lambda: M.features(params, x),
         lambda: M.feature_vjp(params, x),
@@ -208,10 +210,10 @@ def test_attack_noisy_targets_checked_before_any_pass(monkeypatch):
     f = stack("default")
     calls = []
     monkeypatch.setattr(M, "feature_vjp", lambda *args: calls.append(args))
-    cfg = R.AttackConfig(alpha=1.0, n_attack=4, noise=True)
+    cfg = R.AttackConfig(alpha=1.0, n_attack=4)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="attack targets"):
-        R.adversarial_attack(f, np.ones((4, 6)), np.zeros((4, 5)), cfg, r=1e308,
-                             rng=np.random.default_rng(0))
+        R.adversarial_attack(f, np.ones((4, 6)), np.zeros((4, 5)), cfg,
+                             offsets=1e308 * np.random.default_rng(0).standard_normal((4, 4, 5)))
     assert not calls
 
 
@@ -231,7 +233,8 @@ def test_attack_runs_the_shared_extractor_pass_once_per_iteration(monkeypatch, n
     monkeypatch.setattr(M, "features", lambda *args: pytest.fail("features called"))
     rng = np.random.default_rng(9)
     out = R.adversarial_attack(f, rng.normal(size=(8, 6)), rng.normal(size=(8, 5)),
-                               R.AttackConfig(alpha=2.0, n_attack=n_attack), r=0.3, rng=rng)
+                               R.AttackConfig(alpha=2.0, n_attack=n_attack),
+                               offsets=0.3 * rng.standard_normal((n_attack, 8, 5)))
     assert out.shape == (8, 6)
     assert len(calls) == n_attack and all(p is f for p in calls)
 
@@ -274,7 +277,8 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
                                      C.DriftConfig(magnitude=1.0, iterations=2,
                                                    candidates=10))[0]
     R.adversarial_attack(f, drift, np.tile(store.entries[1].mu, (10, 1)),
-                         R.AttackConfig(alpha=1.0, n_attack=3), r=0.5, rng=rng)
+                         R.AttackConfig(alpha=1.0, n_attack=3),
+                         offsets=0.5 * rng.standard_normal((3, 10, *store.entries[1].mu.shape)))
     state = M.begin_task(state, [3, 4, 5], rng)
     state, _ = TR.run_task(state, task1, cands, store.prototypes(), 0.5, TR.LossConfig(),
                            TR.OptimConfig(lr=0.05, epochs=2, batch_new=16, batch_replay=8),

@@ -189,7 +189,7 @@ def test_noise_magnitude_empty_rejected():
 
 def test_attack_one_step_analytic():
     f = identity_extractor(2)
-    cfg = R.AttackConfig(alpha=1.0, n_attack=1, noise=False)
+    cfg = R.AttackConfig(alpha=1.0, n_attack=1)
     out = R.adversarial_attack(f, np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]), cfg)
     np.testing.assert_allclose(out, [[0.5, 0.0]], rtol=0, atol=1e-15)
 
@@ -197,18 +197,18 @@ def test_attack_one_step_analytic():
 def test_attack_output_is_a_read_only_copy_checked_finite():
     f = identity_extractor(2)
     x = np.array([[1.0, 0.0]])
-    out = R.adversarial_attack(f, x, np.zeros((1, 2)), R.AttackConfig(1.0, 1, noise=False))
+    out = R.adversarial_attack(f, x, np.zeros((1, 2)), R.AttackConfig(1.0, 1))
     assert out.dtype == np.float64 and not out.flags.writeable
     assert not np.shares_memory(out, x)
     # a step of 1e308 * g / |g|^2 with |g| = 2e-3 overflows the output
-    huge = R.AttackConfig(alpha=1e308, n_attack=1, noise=False)
+    huge = R.AttackConfig(alpha=1e308, n_attack=1)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="attack output"):
         R.adversarial_attack(f, np.array([[1e-3, 0.0]]), np.zeros((1, 2)), huge)
 
 
 def test_attack_stationary_point_guard():
     f = identity_extractor(2)
-    cfg = R.AttackConfig(alpha=1.0, n_attack=3, noise=False)
+    cfg = R.AttackConfig(alpha=1.0, n_attack=3)
     x = np.array([[2.0, -1.0]])
     out = R.adversarial_attack(f, x, x.copy(), cfg)
     np.testing.assert_array_equal(out, x)
@@ -221,7 +221,7 @@ def test_attack_monotone_for_linear_extractor():
     x = rng.normal(size=(6, 3)) * 3.0
     mu = rng.normal(size=3)
     targets = np.tile(mu, (6, 1))
-    cfg_step = R.AttackConfig(alpha=0.5, n_attack=1, noise=False)
+    cfg_step = R.AttackConfig(alpha=0.5, n_attack=1)
 
     current = x
     prev_dist = np.linalg.norm(M.extract(f, Tensor(current)).data - mu, axis=1)
@@ -238,7 +238,7 @@ def test_attack_median_improvement_with_mlp():
     x = rng.normal(size=(64, 8)) * 2.0
     mu = M.extract(f, Tensor(rng.normal(size=(1, 8)))).data[0]
     targets = np.tile(mu, (64, 1))
-    cfg = R.AttackConfig(alpha=1.0, n_attack=4, noise=False)
+    cfg = R.AttackConfig(alpha=1.0, n_attack=4)
     out = R.adversarial_attack(f, x, targets, cfg)
     pre = np.median(np.linalg.norm(M.extract(f, Tensor(x)).data - mu, axis=1))
     post = np.median(np.linalg.norm(M.extract(f, out).data - mu, axis=1))
@@ -250,9 +250,9 @@ def test_attack_never_mutates_frozen_model():
     f = M.default_extractor(5, 4, rng, hidden=(16,))
     head = M.init_head([0], 4, rng)
     before = M.checksum(f, head)
-    cfg = R.AttackConfig(alpha=2.0, n_attack=5, noise=True)
+    cfg = R.AttackConfig(alpha=2.0, n_attack=5)
     R.adversarial_attack(f, rng.normal(size=(8, 5)), rng.normal(size=(8, 4)),
-                         cfg, r=1.0, rng=np.random.default_rng(1))
+                         cfg, offsets=np.random.default_rng(1).standard_normal((5, 8, 4)))
     assert M.checksum(f, head) == before
 
 
@@ -261,14 +261,25 @@ def test_attack_deterministic():
     f = M.default_extractor(5, 4, rng, hidden=(16,))
     x = rng.normal(size=(8, 5))
     targets = rng.normal(size=(8, 4))
-    cfg = R.AttackConfig(alpha=2.0, n_attack=3, noise=False)
+    cfg = R.AttackConfig(alpha=2.0, n_attack=3)
     a = R.adversarial_attack(f, x, targets, cfg)
     b = R.adversarial_attack(f, x, targets, cfg)
     assert np.array_equal(a, b)
-    cfg_noise = R.AttackConfig(alpha=2.0, n_attack=3, noise=True)
-    a = R.adversarial_attack(f, x, targets, cfg_noise, r=0.5, rng=np.random.default_rng(7))
-    b = R.adversarial_attack(f, x, targets, cfg_noise, r=0.5, rng=np.random.default_rng(7))
+    a = R.adversarial_attack(f, x, targets, cfg,
+                             offsets=0.5 * np.random.default_rng(7).standard_normal((3, 8, 4)))
+    b = R.adversarial_attack(f, x, targets, cfg,
+                             offsets=0.5 * np.random.default_rng(7).standard_normal((3, 8, 4)))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (3, 1, 4), (2, 8, 4)])
+def test_attack_offsets_need_one_target_set_per_iteration(shape):
+    """Offsets that would broadcast, or that miss an iteration, are refused."""
+    rng = np.random.default_rng(15)
+    f = M.default_extractor(5, 4, rng, hidden=(16,))
+    with pytest.raises(ContractError, match=r"^attack offsets must be \(3, 8, 4\)$"):
+        R.adversarial_attack(f, rng.normal(size=(8, 5)), rng.normal(size=(8, 4)),
+                             R.AttackConfig(alpha=2.0, n_attack=3), np.zeros(shape))
 
 
 def test_attack_config_validation():
