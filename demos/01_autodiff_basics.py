@@ -19,8 +19,14 @@ logits = T.matmul(T.relu(x), w)
 probs = T.softmax(logits)
 print("softmax rows sum to one:", probs.data.sum(axis=1))
 
-# a scalar output can be differentiated w.r.t. any leaves
-loss = T.tmean(T.l2_norm(T.sub(probs, Tensor(np.eye(2))), axis=1))
+# a scalar output can be differentiated w.r.t. any leaves; here the mean
+# squared distance of each softmax row to its one-hot target
+def sq_dist_to_onehot(p):
+    d = T.sub(p, Tensor(np.eye(2)))
+    return T.tmean(T.tsum(T.mul(d, d), axis=1))
+
+
+loss = sq_dist_to_onehot(probs)
 value, grads = T.value_and_grad(loss, [x, w])
 print("loss value:", value)
 print("d loss / d x:\n", grads[x].data)
@@ -31,8 +37,7 @@ step = 1e-5
 
 def loss_at(arr):
     p = T.softmax(T.matmul(T.relu(Tensor(arr)), w))
-    out = T.tmean(T.l2_norm(T.sub(p, Tensor(np.eye(2))), axis=1))
-    return T.value_and_grad(out, [])[0]
+    return T.value_and_grad(sq_dist_to_onehot(p), [])[0]
 
 
 probe = x.data.copy()

@@ -15,7 +15,6 @@ from .errors import (
     NumericError,
     StatsError,
 )
-from .tensor import Tensor, value_and_grad
 
 __all__ = [
     "ConfigError",
@@ -25,10 +24,8 @@ __all__ = [
     "EngineError",
     "NumericError",
     "StatsError",
-    "Tensor",
     "load_config",
     "run_benchmark",
-    "value_and_grad",
 ]
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import calib as C
 from . import config as CFG
-from . import data as D
 from . import runner
 from .arrays import write_text_atomic
 from .errors import ConfigError, ContractError, EngineError
@@ -102,18 +101,31 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+# report flags and the least value each takes
+_REPORT_MINIMA = (("old_classes", 0), ("task_samples", 0), ("feature_dim", 1),
+                  ("float_bytes", 1), ("index_bytes", 1))
+
+
 def cmd_report(args) -> int:
+    for name, least in _REPORT_MINIMA:
+        value = getattr(args, name)
+        if value is not None and value < least:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
     config = _load(args)
-    ds, tasks = config["dataset"], config["tasks"]
-    # the last task has the most old classes
-    last = D.group_sizes(ds["n_classes"], tasks["count"], tasks["mode"])[-1]
+    n_old, n_rows = args.old_classes, args.task_samples
+    if n_old is None or n_rows is None:
+        # the last task has the most old classes
+        stream = runner.stream_from_config(config)
+        if n_old is None:
+            n_old = sum(len(group) for group in stream.class_groups[:-1])
+        if n_rows is None:
+            n_rows = len(stream.train[-1])
     sizes = runner.storage_report(
-        n_old_classes=args.old_classes if args.old_classes is not None else (
-            ds["n_classes"] - last),
-        feature_dim=args.feature_dim or config["model"]["feature_dim"],
+        n_old_classes=n_old,
+        feature_dim=(config["model"]["feature_dim"] if args.feature_dim is None
+                     else args.feature_dim),
         n_candidates_per_class=config["replay"]["k"],
-        n_task_samples=args.task_samples if args.task_samples is not None else (
-            ds["n_train"] * last),
+        n_task_samples=n_rows,
         svd_k=config["covariance"]["svd_k"],
         float_bytes=args.float_bytes,
         index_bytes=args.index_bytes,

@@ -6,8 +6,8 @@ holds half of the classes and the remainder is split evenly over the other
 ``T-1`` tasks.
 
 Augmentation policies are the storage currency of pseudo-replay: each policy
-is one packed ``POLICY_DTYPE`` record (35 bytes, also its serialized form)
-whose replay on the same sample is bit-identical, alone or in any batch.  The
+is one packed ``POLICY_DTYPE`` record (35 bytes of ``tobytes()``) whose replay
+on the same sample is bit-identical, alone or in any batch.  The
 default family mirrors crop / flip / jitter / rescale in vector space.
 Training replays each stored (sample, policy) pair once per task into a bank
 of augmented current-task rows, which lives for that task only.
@@ -244,21 +244,6 @@ def apply_policy(x: np.ndarray, policies: np.ndarray) -> np.ndarray:
                  for seed in pol["jitter_seed"][jitter]]
         out[jitter] += pol["jitter_sigma"][jitter][:, None] * np.array(noise)
     return out * pol["scale"][..., None]
-
-
-def decode_policies(payload: bytes) -> np.ndarray:
-    """The records of a ``tobytes`` payload, checked: whole records, flag bytes
-    0 or 1 (else ``DecodeError``).  A zero jitter flag zeroes the sigma."""
-    if len(payload) % POLICY_RECORD_BYTES:
-        raise DecodeError(f"policy records are {POLICY_RECORD_BYTES} bytes each, "
-                          f"got {len(payload)} bytes")
-    out = np.frombuffer(payload, POLICY_DTYPE).copy()
-    flags = np.stack([out["crop"], out["flip"], out["jitter"]], axis=-1)
-    if (flags > 1).any():
-        raise DecodeError(f"policy flag bytes must be 0 or 1, got "
-                          f"{tuple(flags[(flags > 1).any(axis=1)][0].tolist())}")
-    out["jitter_sigma"][out["jitter"] == 0] = 0.0
-    return out
 
 
 # -- ingestion ----------------------------------------------------------------

@@ -9,7 +9,6 @@ prototypes with an iterative gradient attack against the frozen extractor.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import data as D
 from . import model as M
 from .arrays import readonly
-from .errors import ConfigError, ContractError, DecodeError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _GRAD_EPS = 1e-12
 
@@ -199,56 +198,3 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
         current = current - step
     return readonly(current, "attack output")
 
-
-# -- serialization --------------------------------------------------------------
-
-
-def _class_record(k: int) -> np.dtype:
-    """One serialized class, packed: u32 class id, u32 k, k u32 indices, k policies."""
-    return np.dtype([("class_id", "<u4"), ("k", "<u4"), ("indices", "<u4", (k,)),
-                     ("policies", D.POLICY_DTYPE, (k,))])
-
-
-def encode_candidate_set(candidates: CandidateSet) -> bytes:
-    """One ``_class_record`` per class, in ascending class id order.  A class
-    id or candidate index outside ``[0, 2**32)`` does not fit its u32 field
-    and raises ``ContractError`` naming the class."""
-    for cid, row in zip(candidates.class_ids, candidates.indices):
-        wide = row[(row < 0) | (row >= 2**32)]
-        if not 0 <= cid < 2**32:
-            raise ContractError(f"class {cid}: the class id does not fit the codec's u32 field")
-        if len(wide):
-            raise ContractError(f"class {cid}: candidate index {wide[0]} does not fit "
-                                f"the codec's u32 field")
-    out = np.empty(len(candidates.class_ids), _class_record(candidates.k))
-    out["class_id"], out["k"] = candidates.class_ids, candidates.k
-    out["indices"], out["policies"] = candidates.indices, candidates.policies
-    return out.tobytes()
-
-
-def decode_candidate_set(payload: bytes) -> CandidateSet:
-    """An ``encode_candidate_set`` payload's classes, in any order but with one
-    k, as a candidate set; a malformed payload raises ``DecodeError``."""
-    if len(payload) < 8:
-        raise DecodeError(f"candidate-set payload of {len(payload)} bytes has no class header")
-    cid, k = struct.unpack_from("<II", payload)
-    if k < 1:
-        raise DecodeError(f"class {cid}: candidate-set k must be >= 1")
-    size = candidate_set_nbytes(1, k)  # checked before a dtype of this size is built
-    if len(payload) % size:
-        raise DecodeError(f"candidate-set payload of {len(payload)} bytes is not whole "
-                          f"{size}-byte class records (k={k})")
-    classes = np.frombuffer(payload, _class_record(k))
-    if (classes["k"] != k).any():
-        raise DecodeError("inconsistent k across classes")
-    ids, counts = np.unique(classes["class_id"], return_counts=True)
-    if (counts > 1).any():
-        raise DecodeError(f"class {ids[counts.argmax()]} repeated in candidate-set payload")
-    classes = classes[np.argsort(classes["class_id"])]
-    policies = D.decode_policies(classes["policies"].tobytes()).reshape(len(ids), k)
-    return CandidateSet(tuple(ids.tolist()), classes["indices"], policies)
-
-
-def candidate_set_nbytes(n_classes: int, k: int) -> int:
-    """Exact serialized size: header + indices + fixed-width policy records."""
-    return n_classes * (8 + k * (4 + D.POLICY_RECORD_BYTES))

@@ -368,11 +368,9 @@ def _package_version() -> str:
 def storage_report(n_old_classes: int, feature_dim: int,
                    n_candidates_per_class: int, n_task_samples: int,
                    svd_k: int | None = None, float_bytes: int = 8,
-                   index_bytes: int = 4,
-                   policy_bytes: int = D.POLICY_RECORD_BYTES) -> dict:
-    """Exact byte counts per stored component.
-
-    ``float_bytes``/``index_bytes`` parameterize the element width so the
+                   index_bytes: int = 4) -> dict:
+    """Byte counts per stored component: one ``data.POLICY_DTYPE`` record per
+    task sample, and ``float_bytes``/``index_bytes`` per stored scalar so the
     report can mirror external accounting conventions (e.g. f32 + int64).
     """
     if n_old_classes < 0:
@@ -382,7 +380,7 @@ def storage_report(n_old_classes: int, feature_dim: int,
         "prototypes": n_old_classes * d * float_bytes,
         "covariances_full": n_old_classes * d * d * float_bytes,
         "candidate_indices": n_old_classes * n_candidates_per_class * index_bytes,
-        "augmentation_params": n_task_samples * policy_bytes,
+        "augmentation_params": n_task_samples * D.POLICY_RECORD_BYTES,
     }
     if svd_k is not None:
         report["covariances_svd"] = (

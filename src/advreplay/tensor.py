@@ -67,9 +67,6 @@ class Tensor:
     def is_leaf(self) -> bool:
         return not self._parents
 
-    def __repr__(self) -> str:
-        return f"Tensor(op={self.op!r}, shape={self.shape})"
-
 
 def as_tensor(x: ArrayLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -200,20 +197,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._from_op(y, "tanh", (a,), (lambda g: g * (1.0 - y * y),))
 
 
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    ad = a.data
-    return Tensor._from_op(out, "log", (a,), (lambda g: g / ad,))
-
-
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    return Tensor._from_op(y, "exp", (a,), (lambda g: g * y,))
-
-
 def softmax_vjp(a: np.ndarray):
     """Plain row-wise softmax along the last axis (shift-stabilized) and its
     VJP; ``softmax`` puts exactly this on the tape."""
@@ -282,21 +265,6 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
         return np.broadcast_to(np.expand_dims(g, axis % nd) / count, shape).copy()
 
     return Tensor._from_op(out, "mean", (a,), (vjp,))
-
-
-def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
-    """Euclidean norm along one axis; zero slices get a zero subgradient."""
-    a = as_tensor(a)
-    n = np.sqrt((a.data * a.data).sum(axis=axis))
-    ad, nd = a.data, a.data.ndim
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        ne = np.expand_dims(n, axis % nd)
-        safe = np.where(ne < _NORM_EPS, 1.0, ne)
-        out = np.expand_dims(g, axis % nd) * ad / safe
-        return np.where(ne < _NORM_EPS, 0.0, out)
-
-    return Tensor._from_op(n, "l2_norm", (a,), (vjp,))
 
 
 def normalize_vjp(a: np.ndarray, axis: int = -1):

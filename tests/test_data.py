@@ -155,7 +155,6 @@ def test_policy_record_bytes_are_pinned():
     record = D.identity_policies()
     record[()] = (1, 3, 2, 1, 1, 0x0123456789ABCDEF, 0.0625, 1.03125)
     assert record.tobytes() == FIXED_RECORD
-    assert D.decode_policies(FIXED_RECORD).tobytes() == FIXED_RECORD
 
 
 def test_flip_is_involution():
@@ -220,40 +219,12 @@ def test_policy_shape_must_match_the_samples():
         D.apply_policy(np.zeros((4, 8)), D.identity_policies(3))
 
 
-def test_policy_codec_roundtrip():
-    rng = np.random.default_rng(23)
-    policies = D.sample_policies(rng, family(), 50)
-    decoded = D.decode_policies(policies.tobytes())
-    assert decoded.tobytes() == policies.tobytes()
-    x = rng.normal(size=(50, 8))
-    assert np.array_equal(D.apply_policy(x, policies), D.apply_policy(x, decoded))
-
-
-def test_zero_jitter_flag_zeroes_the_sigma():
-    record = bytearray(FIXED_RECORD)
-    record[10] = 0
-    assert D.decode_policies(bytes(record))["jitter_sigma"][0] == 0.0
-
-
 def test_malformed_policy_record_rejected():
-    with pytest.raises(DecodeError):
-        D.decode_policies(b"\x00" * 3)
     # offset 6 + width 3 runs past an 8-wide sample
     record = D.identity_policies()
     record[["crop", "crop_offset", "crop_width"]] = (1, 6, 3)
-    decoded = D.decode_policies(record.tobytes())
     with pytest.raises(DecodeError, match="crop window"):
-        D.apply_policy(np.zeros(8), decoded[0])
-
-
-@pytest.mark.parametrize("offset", [0, 9, 10])  # crop, flip and jitter flag bytes
-def test_policy_flag_byte_other_than_0_or_1_rejected(offset):
-    record = D.identity_policies()
-    record[["crop", "crop_offset", "crop_width"]] = (1, 1, 2)
-    payload = bytearray(record.tobytes())
-    payload[offset] = 7
-    with pytest.raises(DecodeError, match="flag bytes must be 0 or 1"):
-        D.decode_policies(bytes(payload))
+        D.apply_policy(np.zeros(8), record)
 
 
 # -- ingestion -------------------------------------------------------------------

@@ -365,21 +365,6 @@ def test_storage_report_reference_accounting():
     assert report["candidate_indices"] == 90 * 200 * 8 == 144_000
 
 
-def test_storage_report_matches_serialized_candidate_set():
-    rng = np.random.default_rng(0)
-    f_dim = 6
-    from advreplay import model as M
-    ext = M.ExtractorParams((f_dim, f_dim), ("identity",),
-                            [np.eye(f_dim)], [np.zeros(f_dim)])
-    data = D.LabeledSet(rng.normal(size=(30, f_dim)), tuple(range(30)), "train")
-    protos = {c: rng.normal(size=f_dim) for c in range(3)}
-    cs = R.build_candidate_set(ext, data, protos, k=5, rng=rng,
-                               family=D.AugFamily(input_dim=f_dim))
-    payload = R.encode_candidate_set(cs)
-    report = runner.storage_report(3, f_dim, 5, 30)
-    assert len(payload) == report["candidate_indices"] + 3 * 8 + 3 * 5 * D.POLICY_RECORD_BYTES
-
-
 # -- cli --------------------------------------------------------------------------
 
 
@@ -421,6 +406,32 @@ def test_cli_report_defaults_follow_the_last_task(tmp_path, config, want):
     sizes = json.loads(out.read_text())
     assert (sizes["prototypes"], sizes["candidate_indices"],
             sizes["augmentation_params"]) == want
+
+
+def test_cli_report_defaults_count_the_ingested_rows(tmp_path):
+    """From CSV files the last task's rows are those the split keeps, not
+    the synthetic generator's ``dataset.n_train`` per class: 2 classes of
+    20 rows, less 4 validation rows each."""
+    config = tmp_path / "csv.json"
+    config.write_text(json.dumps(csv_config(tmp_path / "csv")))
+    out = tmp_path / "sizes.json"
+    assert cli.main(["report", "--config", str(config), "--json-out", str(out)]) == 0
+    sizes = json.loads(out.read_text())
+    assert sizes["prototypes"] == 2 * 8 * 8
+    assert sizes["augmentation_params"] == 2 * 16 * D.POLICY_RECORD_BYTES == 1120
+
+
+@pytest.mark.parametrize("flag,least", [
+    ("--old-classes", 0), ("--task-samples", 0), ("--feature-dim", 1),
+    ("--float-bytes", 1), ("--index-bytes", 1),
+])
+def test_cli_report_rejects_bad_numeric_flags(tmp_path, capsys, flag, least):
+    out = tmp_path / "sizes.json"
+    for bad in (least - 1, -5):
+        assert cli.main(["report", flag, str(bad), "--json-out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= {least}, got {bad}\n"
+        assert not out.exists()
+    assert cli.main(["report", flag, str(least), "--json-out", str(out)]) == 0
 
 
 def test_cli_decompose(tmp_path, capsys):

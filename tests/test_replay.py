@@ -1,6 +1,5 @@
 import hashlib
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
-from advreplay.errors import ConfigError, ContractError, DecodeError, NumericError
+from advreplay.errors import ConfigError, ContractError, NumericError
 from advreplay.tensor import Tensor
 
 IDENTITY_FAMILY = D.AugFamily(enabled=False)
@@ -289,41 +288,23 @@ def test_attack_config_validation():
         R.AttackConfig(alpha=1.0, n_attack=0)
 
 
-# -- serialization ----------------------------------------------------------------------
-
-
-def test_candidate_set_roundtrip_and_size():
-    rng = np.random.default_rng(21)
-    fam = D.AugFamily(input_dim=4)
-    f = identity_extractor(4)
-    x = rng.normal(size=(12, 4))
-    protos = {3: rng.normal(size=4), 7: rng.normal(size=4), 9: rng.normal(size=4)}
-    cs = R.build_candidate_set(f, labeled(x), protos, k=5, rng=rng, family=fam)
-
-    payload = R.encode_candidate_set(cs)
-    assert len(payload) == R.candidate_set_nbytes(3, 5)
-    decoded = R.decode_candidate_set(payload)
-    assert decoded.class_ids == cs.class_ids == (3, 7, 9)
-    np.testing.assert_array_equal(decoded.indices, cs.indices)
-    assert decoded.k == cs.k == 5
-    assert decoded.policies.tobytes() == cs.policies.tobytes()
-    np.testing.assert_array_equal(D.apply_policy(x[decoded.indices], decoded.policies),
-                                  D.apply_policy(x[cs.indices], cs.policies))
+# -- candidate set layout -------------------------------------------------------
 
 
 def test_candidate_set_bytes_are_pinned():
-    """The serialized candidates of one seeded build, pinned from the
-    struct-packed policy codec the record dtype replaced."""
+    """The classes, indices and policy bytes of one seeded build, pinned
+    from the struct-packed policy codec the record dtype replaced."""
     rng = np.random.default_rng(31)
     f = M.default_extractor(5, 3, rng, hidden=(8,))
     x = rng.normal(size=(40, 5))
     protos = {2: rng.normal(size=3), 5: rng.normal(size=3), 11: rng.normal(size=3)}
     cs = R.build_candidate_set(f, labeled(x), protos, k=6, rng=rng, cap=2,
                                family=D.AugFamily(input_dim=5))
-    payload = R.encode_candidate_set(cs)
-    assert hashlib.sha256(payload).hexdigest() == (
-        "a88c088e11dc59692f3deedd4428794069d9924621c4b13c43bbcf0ce8c66d23")
-    assert R.encode_candidate_set(R.decode_candidate_set(payload)) == payload
+    assert cs.class_ids == (2, 5, 11)
+    assert cs.indices.tolist() == [[6, 23, 18, 14, 38, 28], [2, 4, 9, 33, 8, 37],
+                                   [37, 5, 33, 28, 36, 1]]
+    assert hashlib.sha256(cs.policies.tobytes()).hexdigest() == (
+        "dc8468508ccea9f22acd2fbd7949b0d46b50c0373d43757bd9caaaeeb7760b18")
 
 
 @pytest.mark.parametrize("ids,shapes,match", [
@@ -337,50 +318,3 @@ def test_candidate_set_rejects_bad_layouts(ids, shapes, match):
     (idx_shape, pol_shape) = shapes
     with pytest.raises(ContractError, match=match):
         R.CandidateSet(ids, np.zeros(idx_shape, dtype=int), D.identity_policies(pol_shape))
-
-
-@pytest.mark.parametrize("ids,bad,match", [
-    ((0, 4), -1, "class 4: candidate index -1 does not fit"),
-    ((0, 4), 2**32 + 5, f"class 4: candidate index {2**32 + 5} does not fit"),
-    ((0, 2**32), 0, f"class {2**32}: the class id does not fit"),
-])
-def test_encode_candidate_set_rejects_values_past_u32(ids, bad, match):
-    indices = np.zeros((2, 3), dtype=np.int64)
-    indices[1, 2] = bad
-    cs = R.CandidateSet(ids, indices, D.identity_policies((2, 3)))
-    with pytest.raises(ContractError, match=match):
-        R.encode_candidate_set(cs)
-
-
-def small_candidate_payload():
-    f = identity_extractor(2)
-    x = np.random.default_rng(5).normal(size=(6, 2))
-    cs = R.build_candidate_set(f, labeled(x), {3: np.zeros(2), 7: np.ones(2)}, k=2,
-                               rng=np.random.default_rng(0), family=IDENTITY_FAMILY)
-    return R.encode_candidate_set(cs)
-
-
-def test_decode_candidate_set_rejects_a_repeated_class():
-    payload = small_candidate_payload()
-    first_class = payload[: len(payload) // 2]
-    with pytest.raises(DecodeError, match="class 3 repeated"):
-        R.decode_candidate_set(first_class + first_class)
-
-
-def test_decode_candidate_set_sorts_classes_and_rejects_partial_payloads():
-    payload = small_candidate_payload()
-    half = len(payload) // 2
-    swapped = R.decode_candidate_set(payload[half:] + payload[:half])
-    assert R.encode_candidate_set(swapped) == payload
-    other_k = bytearray(payload)
-    other_k[half + 4] = 3
-    for bad, match in ((b"", "no class header"), (payload[:-1], "not whole"),
-                       (struct.pack("<II", 3, 2**32 - 1) + payload, "not whole"),
-                       (bytes(other_k), "inconsistent k")):
-        with pytest.raises(DecodeError, match=match):
-            R.decode_candidate_set(bad)
-
-
-def test_decode_candidate_set_rejects_k_zero():
-    with pytest.raises(DecodeError, match="k must be >= 1"):
-        R.decode_candidate_set(struct.pack("<II", 3, 0))

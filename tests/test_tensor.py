@@ -123,16 +123,11 @@ def _op_cases(rng):
         ("relu", (2, 3), lambda t: T.tsum(T.mul(w23, T.relu(t))),
          lambda x: _away_from(x, 0.0, 0.05)),
         ("tanh", (2, 3), lambda t: T.tsum(T.mul(w23, T.tanh(t))), None),
-        ("log", (2, 3), lambda t: T.tsum(T.mul(w23, T.log(t))),
-         lambda x: np.abs(x) + 0.5),
-        ("exp", (2, 3), lambda t: T.tsum(T.mul(w23, T.exp(t))), None),
         ("softmax", (2, 3), lambda t: T.tsum(T.mul(w23, T.softmax(t))), None),
         ("log_softmax", (2, 3), lambda t: T.tsum(T.mul(w23, T.log_softmax(t))), None),
         ("sum_axis", (2, 3), lambda t: T.tsum(T.mul(wv3, T.tsum(t, axis=0))), None),
         ("mean_axis", (2, 3), lambda t: T.tsum(T.mul(wv2, T.tmean(t, axis=1))), None),
         ("mean_all", (2, 3), lambda t: T.tmean(t), None),
-        ("l2_norm", (2, 3), lambda t: T.tsum(T.mul(wv2, T.l2_norm(t, axis=1))),
-         lambda x: x + np.sign(x) + 0.1),
         ("normalize", (2, 3), lambda t: T.tsum(T.mul(w23, T.normalize(t, axis=1))),
          lambda x: x + np.sign(x) + 0.1),
         ("concat", (2, 3), lambda t: T.tsum(T.mul(w43, T.concat([t, T.mul(t, 2.0)], axis=0))),
@@ -232,8 +227,8 @@ def test_shape_mismatch_raises_dimension_error():
 
 
 def test_nonfinite_result_names_op():
-    with pytest.raises(NumericError, match="log"):
-        T.log(T.Tensor([0.0]))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="op 'mul'"):
+        T.mul(T.Tensor([1e308]), 10.0)
 
 
 def test_nonfinite_constructor_rejected():
