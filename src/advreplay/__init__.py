@@ -24,22 +24,7 @@ __all__ = [
     "EngineError",
     "NumericError",
     "StatsError",
-    "load_config",
-    "run_benchmark",
 ]
 
 __version__ = "0.1.0"
 
-
-def load_config(path=None, overrides=()):
-    """Lazy wrapper for :func:`advreplay.config.load_config`."""
-    from .config import load_config as _load
-
-    return _load(path, overrides)
-
-
-def run_benchmark(config, out_dir=None):
-    """Lazy wrapper for :func:`advreplay.runner.run_benchmark`."""
-    from .runner import run_benchmark as _run
-
-    return _run(config, out_dir)

@@ -6,7 +6,8 @@ where a second BLAS thread costs more CPU than it saves wall time: it spins
 after each call.  ``runner.run_benchmark`` therefore runs on one thread.
 The other CPUs go to processes instead: independent runs to separate pool
 workers (``runner.run_many``), and within a run, each task's replay attack
-to a helper process (``train.run_task``), forked only under OpenBLAS.
+and each task's evaluation but the last to helper processes
+(``train.Helper``), forked only under OpenBLAS.
 
 OpenBLAS is found among the process's mapped libraries and driven through
 ``ctypes``; where it is not found (another BLAS, or no ``/proc``), the

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -35,6 +36,13 @@ def _out_dir(args, config) -> str:
     if env:
         return env
     return config["output"]["dir"]
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as CSV text, as ``csv.writer`` writes them to a file."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
 
 
 def _load(args) -> dict:
@@ -64,17 +72,15 @@ def cmd_bench(args) -> int:
         for name, summary in result.summary.items():
             rows.setdefault(name, []).append(summary)
 
+    table = [["classifier", "metric", "mean", "std"]]
+    for name, summaries in rows.items():
+        for metric in ("A_inc", "A_last"):
+            values = np.array([s[metric] for s in summaries])
+            table.append([name, metric, repr(float(values.mean())), repr(float(values.std()))])
+            print(f"{name:<12} {metric}: {values.mean():.4f} ± {values.std():.4f}")
     out_root.mkdir(parents=True, exist_ok=True)
     table_path = out_root / "bench_summary.csv"
-    with table_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", "metric", "mean", "std"])
-        for name, summaries in rows.items():
-            for metric in ("A_inc", "A_last"):
-                values = np.array([s[metric] for s in summaries])
-                writer.writerow([name, metric, repr(float(values.mean())),
-                                 repr(float(values.std()))])
-                print(f"{name:<12} {metric}: {values.mean():.4f} ± {values.std():.4f}")
+    write_text_atomic(table_path, _csv_text(table))
     print(f"bench summary: {table_path}")
     return 0
 
@@ -154,16 +160,14 @@ def cmd_sweep(args) -> int:
                 CFG.apply_override(cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"'))
     out_root.mkdir(parents=True, exist_ok=True)
     results = runner.run_many(configs, out_dir=out_root)
+    table = [["alpha", "n_attack", "classifier", "A_inc", "A_last"]]
+    for (alpha, n_attack), result in zip(grid, results):
+        for name, summary in result.summary.items():
+            table.append([alpha, n_attack, name, repr(summary["A_inc"]), repr(summary["A_last"])])
+            print(f"alpha={alpha:<6g} n={n_attack:<3d} {name:<12} "
+                  f"A_inc={summary['A_inc']:.4f} A_last={summary['A_last']:.4f}")
     table_path = out_root / "sweep.csv"
-    with table_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "n_attack", "classifier", "A_inc", "A_last"])
-        for (alpha, n_attack), result in zip(grid, results):
-            for name, summary in result.summary.items():
-                writer.writerow([alpha, n_attack, name,
-                                 repr(summary["A_inc"]), repr(summary["A_last"])])
-                print(f"alpha={alpha:<6g} n={n_attack:<3d} {name:<12} "
-                      f"A_inc={summary['A_inc']:.4f} A_last={summary['A_last']:.4f}")
+    write_text_atomic(table_path, _csv_text(table))
     print(f"sweep table: {table_path}")
     return 0
 

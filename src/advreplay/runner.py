@@ -3,11 +3,12 @@
 A run executes: initial CE training, class statistics, then per task —
 snapshot, candidate sampling, replay training, drift calibration, new-class
 statistics, shrinkage tuning, and evaluation with every configured
-classifier.  Everything an emitted number depends on lands in the run
-directory: resolved config, seed record, per-epoch loss rows, per-task
-accuracy rows, and the final summary.  The metrics CSV is a pure function
-of (config, seeds); wall-clock and host metadata go to a separate file so
-identical runs stay byte-identical.
+classifier.  A task's evaluation feeds no later stage, so on a spare CPU it
+runs in a forked process while the next task trains.  Everything an emitted
+number depends on lands in the run directory: resolved config, seed record,
+per-epoch loss rows, per-task accuracy rows, and the final summary.  The
+metrics CSV is a pure function of (config, seeds); wall-clock and host
+metadata go to a separate file so identical runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,8 +117,8 @@ class _CsvLog:
             csv.writer(fh).writerow(["stage", "task", "epoch", "key", "value"])
 
     def add(self, stage, task, epoch, key, value):
-        if isinstance(value, float):
-            value = repr(value)
+        if isinstance(value, float):  # numpy scalars included, written as plain floats
+            value = repr(float(value))
         with self.path.open("a", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow([stage, task, epoch, key, value])
 
@@ -157,7 +159,7 @@ def run_many(configs, out_dir=None) -> list[RunResult]:
     config, so its artifacts do not depend on which process ran it.  With
     one worker the runs execute in this process.  Otherwise each worker is
     pinned to its own share of the usable CPUs (``split_cpus``), so a
-    worker left with one CPU trains without a replay helper and the pool
+    worker left with one CPU forks no helper process and the pool
     never asks for more CPUs than it has.  An error raised in a run is
     raised here with its type and message.  Every config is validated here
     first, and two configs may not share a run directory.
@@ -254,42 +256,16 @@ def _run(config: dict, out_dir) -> RunResult:
 
     store = C.PrototypeStore()
 
-    def add_stats(task_index):
-        stats = TR.compute_class_stats(state.extractor, stream.train[task_index])
+    def add_stats(task_index, extractor):
+        stats = TR.compute_class_stats(extractor, stream.train[task_index])
         for cid, (mu, cov) in stats.items():
             store.add(cid, mu, cov, task=task_index, svd_k=svd_k)
 
-    stage("statistics", add_stats, 0)
+    stage("statistics", add_stats, 0, state.extractor)
 
-    gammas: list = []
-    acc_rows: dict[str, list[list[float]]] = {name: [] for name in classifiers}
-
-    def evaluate(task_index):
-        gamma = scorer = None
-        if use_maha:
-            # one scorer per task serves both the grid scan and the eval
-            scorer = stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
-            gamma = stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor,
-                          _merged_val(stream, task_index), grid, scorer)
-            log.add("calibration", task_index, "", "gamma1", gamma[0])
-            log.add("calibration", task_index, "", "gamma2", gamma[1])
-        gammas.append(gamma)
-        # every seen group in one pass: one scorer per classifier and task
-        tests = stream.test[:task_index + 1]
-        x = np.concatenate([test.x for test in tests])
-        ends = np.cumsum([len(test) for test in tests])[:-1]
-        for name in classifiers:
-            pred = stage(f"eval-{name}", CL.predict, name, state, store, x,
-                         *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
-            row = []
-            for j, (test, group_pred) in enumerate(zip(tests, np.split(pred, ends))):
-                row.append(float(np.mean(group_pred == np.asarray(test.y))))
-                log.add("eval", task_index, "", f"acc/{name}/group{j}", row[-1])
-            acc_rows[name].append(row)
-
-    evaluate(0)
-
-    for t in range(1, t_count):
+    def learn(t, state):
+        """Task ``t`` from ``begin_task`` to its new-class statistics: the
+        trained state and the task's metric rows, not yet written."""
         state = M.begin_task(state, stream.class_groups[t], _rng(seed, _STREAM_MODEL, t),
                              init_std=config["model"]["head_init_std"])
         frozen_ext, _ = state.frozen
@@ -302,19 +278,17 @@ def _run(config: dict, out_dir) -> RunResult:
                                config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
                                config["replay"]["cap"], family)
 
-        noise_r = 0.0
+        rows, noise_r = [], 0.0
         if attack_cfg is not None and config["attack"]["noise"]:
             noise_r = R.noise_magnitude(store.covariances(), d)
-            log.add("attack", t, "", "noise_r", noise_r)
+            rows.append(("attack", t, "", "noise_r", noise_r))
 
         state, epochs = stage("task-training", TR.run_task, state, stream.train[t],
                               candidates, store.prototypes(), noise_r, loss_cfg,
                               CFG.build_optim_config(config, initial=False),
                               attack_cfg, _rng(seed, _STREAM_TRAIN, t))
-        for row in epochs:
-            log.add("train", t, row["epoch"], "ce_loss", row["ce_loss"])
-            log.add("train", t, row["epoch"], "kd_loss", row["kd_loss"])
-            log.add("train", t, row["epoch"], "lr", row["lr"])
+        rows += [("train", t, row["epoch"], key, row[key])
+                 for row in epochs for key in ("ce_loss", "kd_loss", "lr")]
 
         if config["adc"]["enabled"]:
             def calibrate_old():
@@ -331,10 +305,72 @@ def _run(config: dict, out_dir) -> RunResult:
                     store.entries[cid] = C.calibrate(store.entries[cid], w, delta, task=t)
             stage("calibration", calibrate_old)
 
-        stage("statistics", add_stats, t)
-        evaluate(t)
+        stage("statistics", add_stats, t, state.extractor)
         if M.checksum(*state.frozen) != frozen_sum:
             raise ContractError(f"frozen model mutated during task {t}")
+        return state, rows
+
+    def evaluation(task_index, state, store):
+        """The tuned shrinkage pair (None without the Mahalanobis head) and each
+        classifier's per-group test accuracies after task ``task_index``."""
+        gamma = scorer = None
+        if use_maha:
+            # one scorer per task serves both the grid scan and the eval
+            scorer = stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
+            gamma = stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor,
+                          _merged_val(stream, task_index), grid, scorer)
+        # every seen group in one pass: one scorer per classifier and task
+        tests = stream.test[:task_index + 1]
+        x = np.concatenate([test.x for test in tests])
+        ends = np.cumsum([len(test) for test in tests])[:-1]
+        accuracies = {}
+        for name in classifiers:
+            pred = stage(f"eval-{name}", CL.predict, name, state, store, x,
+                         *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
+            accuracies[name] = [float(np.mean(group_pred == np.asarray(test.y)))
+                                for test, group_pred in zip(tests, np.split(pred, ends))]
+        return gamma, accuracies
+
+    @contextmanager
+    def evaluating(task_index, state, store):
+        """Yield a function that returns ``evaluation(task_index, state,
+        store)``.  Where ``TR.use_helper`` holds, a forked ``TR.Helper``
+        computes it from its copy of the two while the caller goes on, and is
+        reaped on exit; elsewhere it is computed here, on entry."""
+        if not TR.use_helper():
+            result = evaluation(task_index, state, store)
+            yield lambda: result
+            return
+        with closing(TR.Helper(lambda: [evaluation(task_index, state, store)],
+                               "evaluation helper")) as helper:
+            yield helper.recv
+
+    gammas: list = []
+    acc_rows: dict[str, list[list[float]]] = {name: [] for name in classifiers}
+
+    def record(task_index, result):
+        gamma, accuracies = result
+        if gamma is not None:
+            log.add("calibration", task_index, "", "gamma1", gamma[0])
+            log.add("calibration", task_index, "", "gamma2", gamma[1])
+        gammas.append(gamma)
+        for name, row in accuracies.items():
+            for j, acc in enumerate(row):
+                log.add("eval", task_index, "", f"acc/{name}/group{j}", acc)
+            acc_rows[name].append(row)
+
+    # task t-1 is evaluated while task t learns; its rows come first
+    for t in range(1, t_count):
+        with evaluating(t - 1, state, store) as evaluated:
+            try:
+                state, rows = learn(t, state)
+            except Exception:
+                record(t - 1, evaluated())  # an error of task t-1 comes first, as inline
+                raise
+            record(t - 1, evaluated())
+        for row in rows:
+            log.add(*row)
+    record(t_count - 1, evaluation(t_count - 1, state, store))
 
     summary = {}
     results = {}

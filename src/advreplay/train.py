@@ -70,7 +70,7 @@ class OptimConfig:
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
+    return float(base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs)))
 
 
 # -- losses ---------------------------------------------------------------------
@@ -306,43 +306,89 @@ def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None,
             yield epoch, batch, cls, slots, noise
 
 
-def _attack_claimed_steps(conn, claim, steps, attack) -> None:
-    """Helper process body: walk ``steps`` and send ``attack``'s rows for each
-    step it claims, in step order; or the exception it raised."""
+class Helper:
+    """``items()`` run in a forked process, which sends each item down a
+    one-way pipe to this process.
+
+    ``recv`` returns the next item; an exception raised in the helper is
+    raised by ``recv`` with its type and message, and a helper that ends
+    before its last item becomes an ``EngineError`` naming its exit code.
+    ``close`` terminates the helper if it still runs and reaps it.  A run's
+    process starts no Python threads, and OpenBLAS stops its own thread pool
+    around a fork, so forking is safe where ``use_helper`` holds.
+    """
+
+    def __init__(self, items, name: str):
+        import multiprocessing  # not loaded by runs that never fork
+
+        ctx = multiprocessing.get_context("fork")
+        self._name = name
+        self._receive, send = ctx.Pipe(duplex=False)
+        self._process = ctx.Process(target=_send_all, args=(send, items), daemon=True)
+        self._process.start()
+        send.close()
+        self.poll = self._receive.poll
+
+    def recv(self):
+        try:
+            item = self._receive.recv()
+        except EOFError:
+            self._process.join()
+            raise EngineError(f"{self._name} exited with code {self._process.exitcode} "
+                              f"before the end of its stream") from None
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def close(self) -> None:
+        if self._process.is_alive():
+            self._process.terminate()
+        self._process.join()
+        self._receive.close()
+
+
+def _send_all(conn, items) -> None:
+    """Helper process body: send each of ``items()`` in order; or the
+    exception it raised."""
     try:
-        for step, (_, _, cls, slots, noise) in enumerate(steps):
-            if claim(step):
-                conn.send(attack(cls, slots, noise))
+        for item in items():
+            conn.send(item)
     except Exception as err:  # the parent raises it again
         conn.send(err)
     finally:
         conn.close()
 
 
+def use_helper() -> bool:
+    """Whether a spare CPU, the fork start method and OpenBLAS (the BLAS whose
+    fork safety ``Helper`` relies on) are there for a helper process."""
+    if len(blas.usable_cpus()) < 2 or blas.lookup() is None:
+        return False
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def _attacked_with_helper(steps, attack):
     """``(epoch, batch, attack(cls, slots, noise))`` for each of the unstarted
     ``task_schedule`` ``steps``, with the attacks shared between this
-    process and a forked helper process; the same steps, and the schedule's
+    process and a forked ``Helper``; the same steps, and the schedule's
     rng ends where walking ``steps`` inline leaves it.
 
     Both processes walk their own copy of ``steps``, so both make every
     draw, and attack a step only if they claim it first.  Steps are claimed
     in order from one shared counter.  The helper claims the next step as
-    soon as it is free and streams the rows it attacked down a one-way
-    pipe.  Whenever the next step to train is the helper's and its rows
-    have not arrived yet, this process claims and attacks a later step
-    instead of waiting.  So the attacks follow whichever CPU is free, and a
-    step's rows are the same bits whichever process attacked them.  An
-    error in the helper is raised here with its type and message.  Closing
-    the generator (also on an error or interrupt in the caller) terminates
-    the helper if it still runs and reaps it.  A run's process starts no
-    Python threads, and OpenBLAS stops its own thread pool around a fork,
-    so forking here is safe (``_use_helper`` requires OpenBLAS).
+    soon as it is free and streams the rows it attacked.  Whenever the next
+    step to train is the helper's and its rows have not arrived yet, this
+    process claims and attacks a later step instead of waiting.  So the
+    attacks follow whichever CPU is free, and a step's rows are the same
+    bits whichever process attacked them.  Closing the generator (also on
+    an error or interrupt in the caller) closes the helper.
     """
-    import multiprocessing  # not loaded by runs that never attack
+    import multiprocessing
 
-    ctx = multiprocessing.get_context("fork")
-    front = ctx.Value("q", 0)  # the first step that neither process has claimed
+    # the first step that neither process has claimed
+    front = multiprocessing.get_context("fork").Value("q", 0)
 
     def claim(step):
         with front.get_lock():
@@ -351,49 +397,20 @@ def _attacked_with_helper(steps, attack):
             front.value = step + 1
             return True
 
-    receive, send = ctx.Pipe(duplex=False)
-    helper = ctx.Process(target=_attack_claimed_steps, args=(send, claim, steps, attack),
-                         daemon=True)
-    helper.start()
-    send.close()
-
-    def helper_rows():
-        try:
-            rows = receive.recv()
-        except EOFError:
-            helper.join()
-            raise EngineError(f"replay helper exited with code {helper.exitcode} "
-                              f"before the end of its stream") from None
-        if isinstance(rows, BaseException):
-            raise rows
-        return rows
-
+    helper = Helper(lambda: (attack(cls, slots, noise)
+                             for step, (_, _, cls, slots, noise) in enumerate(steps)
+                             if claim(step)), "replay helper")
     ahead = deque()  # steps drawn here and not yet yielded; rows None where the helper's
-    try:
+    with closing(helper):
         for step, (epoch, batch, cls, slots, noise) in enumerate(steps):
             ahead.append((epoch, batch, attack(cls, slots, noise) if claim(step) else None))
             # yield every step whose rows are here; while the helper still
             # attacks the next one, draw (and maybe attack) a later step
-            while ahead and (ahead[0][2] is not None or receive.poll()):
+            while ahead and (ahead[0][2] is not None or helper.poll()):
                 epoch, batch, rows = ahead.popleft()
-                yield epoch, batch, helper_rows() if rows is None else rows
+                yield epoch, batch, helper.recv() if rows is None else rows
         for epoch, batch, rows in ahead:
-            yield epoch, batch, helper_rows() if rows is None else rows
-    finally:
-        if helper.is_alive():
-            helper.terminate()
-        helper.join()
-        receive.close()
-
-
-def _use_helper() -> bool:
-    """Whether a spare CPU, the fork start method and OpenBLAS (the BLAS whose
-    fork safety ``_attacked_with_helper`` relies on) are there for a helper."""
-    if len(blas.usable_cpus()) < 2 or blas.lookup() is None:
-        return False
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+            yield epoch, batch, helper.recv() if rows is None else rows
 
 
 def run_task(state: M.ModelState, task_data: D.LabeledSet,
@@ -467,7 +484,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
                                     None if noise is None else noise_r * noise)
 
     replay = attack if attack_cfg is not None else lambda cls, slots, _: bank[cls, slots]
-    if bank is not None and attack_cfg is not None and _use_helper():
+    if bank is not None and attack_cfg is not None and use_helper():
         stream = _attacked_with_helper(steps, attack)
     else:  # the map, inline
         stream = ((epoch, batch, None if cls is None else replay(cls, slots, noise))

@@ -4,8 +4,9 @@ The package ships only what a run, the CLI, the benchmark's tracer or a
 test oracle uses.  This test parses ``src/advreplay`` and requires each
 public module-level function and class to be referenced by engine code
 (names in docstrings and comments do not count, nor does a definition's
-reference to itself), named in ``perfbench/tracing.LAYERS``, exported in a
-module's ``__all__``, or listed below with the reason it is kept.
+reference to itself), named in ``perfbench/tracing.LAYERS``, or listed
+below with the reason it is kept.  Exporting a name in ``__all__`` does not
+count as a call.
 """
 
 import ast
@@ -58,9 +59,6 @@ def references(tree, module):
                 continue
             if name is not None and name != inside:
                 found.add(name)
-        if isinstance(top, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
-            found |= {f"{module}.{item.value}" for item in top.value.elts}
     return found
 
 

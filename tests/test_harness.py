@@ -1,7 +1,9 @@
 """Config handling, benchmark orchestration, storage accounting, CLI."""
 
+import csv
 import importlib.util
 import json
+import os
 import re
 from pathlib import Path
 
@@ -249,6 +251,16 @@ def test_identical_seeds_byte_identical_csv(tmp_path):
     csv_a = (a.run_dir / "metrics.csv").read_bytes()
     csv_b = (b.run_dir / "metrics.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_every_metrics_value_is_a_number(tmp_path):
+    run = runner.run_benchmark(tiny_config(tmp_path))
+    with (run.run_dir / "metrics.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {"lr", "noise_r", "gamma1", "ce_loss"} <= {row["key"] for row in rows}
+    for row in rows:
+        float(row["value"])  # e.g. not "np.float64(0.01)"
+    assert type(TR.cosine_lr(0.01, 1, 4)) is float
 
 
 def test_capped_run_byte_identical_csv(tmp_path, monkeypatch):
@@ -588,6 +600,26 @@ def test_cli_bench_three_seeds(tmp_path, capsys):
     assert summary.count("A_last") == 3  # one row per classifier
     for seed in (0, 1000, 2000):
         assert (tmp_path / f"bench_s{seed}_c{seed + 1993}").exists()
+
+
+@pytest.mark.parametrize("command,table", [
+    (["bench"], "bench_summary.csv"), (["sweep", "--alpha", "2"], "sweep.csv")])
+def test_cli_table_failing_at_rename_keeps_the_previous_table(tmp_path, capsys, monkeypatch,
+                                                               command, table):
+    path = tmp_path / table
+    path.write_text("previous", encoding="utf-8")
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst) == path:
+            raise OSError("disk full")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert cli.main(command + cli_args(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {path}: cannot write (disk full)\n"
+    assert path.read_text(encoding="utf-8") == "previous"
+    assert not list(tmp_path.glob(f".{table}.*"))
 
 
 def test_cli_sweep_grid(tmp_path, capsys):

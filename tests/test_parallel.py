@@ -1,4 +1,5 @@
-"""The one-thread BLAS scope of a run and the process pool of ``run_many``.
+"""The one-thread BLAS scope of a run, the evaluation helper of a run and
+the process pool of ``run_many``.
 
 No test here starts more processes than the machine has CPUs.
 """
@@ -10,7 +11,10 @@ import pytest
 from test_harness import tiny_config
 
 from advreplay import blas, runner
-from advreplay.errors import ConfigError, ContractError
+from advreplay import calib as C
+from advreplay import classify as CL
+from advreplay import train as TR
+from advreplay.errors import ConfigError, ContractError, EngineError, NumericError
 
 needs_openblas = pytest.mark.skipif(blas.lookup() is None,
                                     reason="numpy is not linked to a findable OpenBLAS")
@@ -154,3 +158,116 @@ def test_run_many_with_one_worker_runs_in_process(tmp_path, monkeypatch):
         runner.run_many(seed_configs(tmp_path / "inline-bad", bad))
     assert type(inline_err.value) is type(local.value)
     assert str(inline_err.value) == str(local.value)
+
+
+# -- the evaluation helper -------------------------------------------------------------
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not TR.use_helper(), reason="the evaluation helper is forked on two or more CPUs "
+                                "under OpenBLAS")
+
+
+def on_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def log_pid(path):
+    with path.open("a") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+def pids_other_than_mine(path):
+    return set(path.read_text().split()) - {str(os.getpid())} if path.exists() else set()
+
+
+@needs_two_cpus
+def test_forked_evaluations_give_the_inline_bytes(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    assert cfg["tasks"]["count"] == 3
+    assert cfg["classifiers"] == ["linear", "ncm", "mahalanobis"]
+    pids, predict = tmp_path / "pids", CL.predict
+
+    def logged(*args, **kwargs):
+        log_pid(pids)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(CL, "predict", logged)
+    forked = runner.run_benchmark(cfg, tmp_path / "forked")
+    assert pids_other_than_mine(pids)  # an evaluation ran in another process
+    on_one_cpu(monkeypatch)
+    pids.unlink()
+    inline = runner.run_benchmark(cfg, tmp_path / "inline")
+    assert not pids_other_than_mine(pids)
+    for name in ("metrics.csv", "store.json", "model.json"):
+        assert (forked.run_dir / name).read_bytes() == (inline.run_dir / name).read_bytes()
+    assert forked.summary == inline.summary
+    assert forked.gammas == inline.gammas
+    assert forked.accuracy == inline.accuracy
+
+
+def failing_task0_tuning(monkeypatch, pids):
+    """``C.tune_shrinkage`` raises on task 0 (the store holds its two classes
+    only) and logs the pid of the process that raised."""
+    tune = C.tune_shrinkage
+
+    def failing(store, *args, **kwargs):
+        if len(store.class_ids()) == 2:
+            log_pid(pids)
+            raise NumericError("non-finite validation scores")
+        return tune(store, *args, **kwargs)
+
+    monkeypatch.setattr(C, "tune_shrinkage", failing)
+
+
+def raised_inline_and_forked(tmp_path, monkeypatch, pids):
+    """The errors of the tiny run on two CPUs and on one."""
+    errors = []
+    for where in ("forked", "inline"):
+        if where == "inline":
+            on_one_cpu(monkeypatch)
+        with pytest.raises(EngineError) as raised:
+            runner.run_benchmark(tiny_config(tmp_path / where))
+        errors.append(raised.value)
+        assert bool(pids_other_than_mine(pids)) == (where == "forked")
+        pids.unlink()
+    return errors
+
+
+@needs_two_cpus
+def test_evaluation_error_is_raised_with_its_type_and_message(tmp_path, monkeypatch):
+    pids = tmp_path / "pids"
+    failing_task0_tuning(monkeypatch, pids)
+    forked, inline = raised_inline_and_forked(tmp_path, monkeypatch, pids)
+    assert type(forked) is type(inline) is NumericError
+    assert str(forked) == str(inline) == \
+        "stage 'shrinkage-tuning': non-finite validation scores"
+
+
+@needs_two_cpus
+def test_evaluation_error_comes_before_the_next_tasks_error(tmp_path, monkeypatch):
+    pids = tmp_path / "pids"
+    failing_task0_tuning(monkeypatch, pids)
+
+    def failing_training(*args, **kwargs):
+        raise ContractError("task 1 cannot train")
+
+    monkeypatch.setattr(TR, "run_task", failing_training)
+    forked, inline = raised_inline_and_forked(tmp_path, monkeypatch, pids)
+    assert type(forked) is type(inline) is NumericError
+    assert str(forked) == str(inline) == \
+        "stage 'shrinkage-tuning': non-finite validation scores"
+
+
+@needs_two_cpus
+def test_evaluation_helper_that_dies_is_an_engine_error(tmp_path, monkeypatch):
+    me, predict = os.getpid(), CL.predict
+
+    def dying(*args, **kwargs):
+        if os.getpid() != me:
+            os._exit(3)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(CL, "predict", dying)
+    with pytest.raises(EngineError, match="^evaluation helper exited with code 3 "):
+        runner.run_benchmark(tiny_config(tmp_path))
