@@ -93,45 +93,29 @@ class PrototypeStore:
 # -- drift samples ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriftConfig:
-    """Attack settings for drift-sample generation (distinct from replay's)."""
-
-    magnitude: float = 6.32
-    iterations: int = 9
-    candidates: int = 1000
-
-    def __post_init__(self):
-        if not self.magnitude > 0:
-            raise ConfigError("adc.magnitude must be positive")
-        if self.iterations < 1:
-            raise ConfigError("adc.iterations must be >= 1")
-        if self.candidates < 1:
-            raise ConfigError("adc.candidates must be >= 1")
-
-
 def generate_drift_samples(f_old: M.ExtractorParams, task_data: D.LabeledSet,
-                           prototypes: dict[int, np.ndarray],
-                           cfg: DriftConfig) -> dict[int, np.ndarray]:
-    """Per prototype, its nearest new-task samples (``replay.assign_nearest``)
-    perturbed toward it.
+                           prototypes: dict[int, np.ndarray], attack_cfg: R.AttackConfig,
+                           candidates: int) -> dict[int, np.ndarray]:
+    """Per prototype, its ``candidates`` nearest new-task samples
+    (``replay.assign_nearest``) perturbed toward it with ``attack_cfg``.
 
     Distances use raw (un-augmented) features, computed once for every
     class; the attack runs without target noise.  Asking for more candidates
     than the task provides uses every sample and warns.
     """
+    if candidates < 1:
+        raise ConfigError("adc.candidates must be >= 1")
     n = len(task_data)
-    take = cfg.candidates
-    if take > n:
-        warnings.warn(f"drift sampling wants {take} candidates, task has {n}; using all")
-        take = n
+    if candidates > n:
+        warnings.warn(f"drift sampling wants {candidates} candidates, task has {n}; using all")
+        candidates = n
     feats = M.features(f_old, task_data.x)
-    attack_cfg = R.AttackConfig(alpha=cfg.magnitude, n_attack=cfg.iterations)
     dists = np.empty((len(prototypes), n))
     for row, mu in enumerate(prototypes.values()):
         dists[row] = np.linalg.norm(feats - mu[None, :], axis=1)
-    picked = R.assign_nearest(dists, take)
-    return {cid: R.adversarial_attack(f_old, task_data.x[idx], np.tile(mu, (take, 1)), attack_cfg)
+    picked = R.assign_nearest(dists, candidates)
+    return {cid: R.adversarial_attack(f_old, task_data.x[idx], np.tile(mu, (candidates, 1)),
+                                      attack_cfg)
             for (cid, mu), idx in zip(prototypes.items(), picked)}
 
 

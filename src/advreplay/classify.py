@@ -13,7 +13,7 @@ from .errors import ContractError, NumericError
 
 def predict_linear(state: M.ModelState, x: np.ndarray) -> np.ndarray:
     """Argmax over all-class logits; ties resolve to the smallest class id."""
-    out = M.head_logits(state.head, M.features(state.extractor, x), "all")
+    out = M.head_logits(state.head, M.features(state.extractor, x))
     ids = np.asarray(state.head.class_ids)
     return ids[out.argmax(axis=1)]
 

@@ -221,13 +221,14 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"covariance.svd_k={flat['covariance.svd_k']} exceeds "
                           f"model.feature_dim={flat['model.feature_dim']} "
                           f"with covariance.mode='svd'")
-    split = [flat[key] for key in ("dataset.n_classes", "tasks.count", "tasks.mode")]
-    try:
-        D.group_sizes(*split)
-    except ConfigError as err:
-        raise ConfigError("dataset.n_classes={}, tasks.count={}, tasks.mode={!r}: "
-                          .format(*split) + str(err)) from None
     kind = flat["dataset.kind"]
+    if kind == "synthetic":  # an ingested file's class count is checked once it is read
+        split = [flat[key] for key in ("dataset.n_classes", "tasks.count", "tasks.mode")]
+        try:
+            D.group_sizes(*split)
+        except ConfigError as err:
+            raise ConfigError("dataset.n_classes={}, tasks.count={}, tasks.mode={!r}: "
+                              .format(*split) + str(err)) from None
     for key in ("dataset.train_path", "dataset.test_path"):
         if kind != "synthetic" and (flat[key] is None or not os.path.exists(flat[key])):
             raise ConfigError(f"{key} must name an existing file with "
@@ -260,9 +261,10 @@ def build_attack_config(config: dict) -> R.AttackConfig:
     return R.AttackConfig(atk["alpha"], atk["n_attack"])
 
 
-def build_drift_config(config: dict) -> C.DriftConfig:
+def build_drift_config(config: dict) -> tuple[R.AttackConfig, int]:
+    """The drift samples' attack settings and their count per old class."""
     adc = config["adc"]
-    return C.DriftConfig(adc["magnitude"], adc["iterations"], adc["candidates"])
+    return R.AttackConfig(adc["magnitude"], adc["iterations"]), adc["candidates"]
 
 
 def build_family(config: dict, input_dim: int | None = None) -> D.AugFamily:

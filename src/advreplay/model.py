@@ -6,9 +6,9 @@ split contract structural: a loss built from one block cannot leak gradient
 into the other.
 
 Parameters are read-only float64 arrays.  During training they are
-reshaped views of one contiguous vector, ``ModelState.flat``, laid out in
-``trainable_params`` order (see ``param_views`` and ``pack_params``), so
-an SGD step is one update over one array.  The taped ``extract`` and
+reshaped views of one contiguous vector that the training loop holds, laid
+out in ``trainable_params`` order (see ``param_views``), so an SGD step is
+one update over one array.  The taped ``extract`` and
 ``logits`` are the gradient oracle of the plain-numpy passes and also take
 ``tensor.Tensor`` leaves as parameters (see ``with_params``).
 
@@ -72,21 +72,14 @@ class ClassifierHead:
         return tuple(sorted(self.old_ids + self.new_ids))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelState:
-    """The current model, the frozen snapshot (from task 1 on) and the task.
-
-    ``flat``, when set, is the read-only float64 vector whose
-    ``param_views`` are the current model's trainable parameters.  Only
-    ``pack_params`` makes one and ``snapshot`` keeps it with the arrays it
-    holds; every other constructor leaves it ``None``.
-    """
+    """The current model, the frozen snapshot (from task 1 on) and the task."""
 
     extractor: ExtractorParams
     head: ClassifierHead
     frozen: tuple[ExtractorParams, ClassifierHead] | None
     task_index: int
-    flat: np.ndarray | None = None
 
 
 def init_extractor(widths, activations, rng) -> ExtractorParams:
@@ -309,13 +302,11 @@ def block_vjp(head: ClassifierHead, w: np.ndarray, feats: np.ndarray):
     return out, vjp
 
 
-def head_logits(head: ClassifierHead, feats: np.ndarray, split: str = "all") -> np.ndarray:
-    """Plain-numpy ``logits``: the forward half of ``block_vjp`` per block,
-    columns gathered into global class-id order; bit-identical to the tape."""
-    _check_split(head, split)
-    if split == "old_only":
-        return block_vjp(head, head.w_old, feats)[0]
-    if split == "new_only" or not head.old_ids:
+def head_logits(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
+    """Plain-numpy ``logits`` over all classes: the forward half of
+    ``block_vjp`` per block, columns gathered into global class-id order;
+    bit-identical to the tape."""
+    if not head.old_ids:
         return block_vjp(head, head.w_new, feats)[0]
     joint = np.concatenate([block_vjp(head, head.w_old, feats)[0],
                             block_vjp(head, head.w_new, feats)[0]], axis=1)
@@ -327,7 +318,7 @@ def snapshot(state: ModelState) -> ModelState:
     are read-only, so the copy shares them and owns only its containers."""
     ext, head = state.extractor, state.head
     frozen_ext = replace(ext, weights=list(ext.weights), biases=list(ext.biases))
-    return ModelState(ext, head, (frozen_ext, replace(head)), state.task_index, state.flat)
+    return ModelState(ext, head, (frozen_ext, replace(head)), state.task_index)
 
 
 def begin_task(state: ModelState, new_class_ids, rng, init_std: float = 0.01) -> ModelState:
@@ -343,7 +334,7 @@ def begin_task(state: ModelState, new_class_ids, rng, init_std: float = 0.01) ->
 
 def trainable_params(state: ModelState) -> list[np.ndarray]:
     """Extractor weights, extractor biases, then ``w_old`` (when present)
-    and ``w_new``; ``with_params`` and ``train.sgd_step`` use this order."""
+    and ``w_new``; ``with_params`` and ``param_views`` use this order."""
     params = list(state.extractor.weights) + list(state.extractor.biases)
     if state.head.w_old is not None:
         params.append(state.head.w_old)
@@ -354,7 +345,7 @@ def trainable_params(state: ModelState) -> list[np.ndarray]:
 def with_params(state: ModelState, arrays) -> ModelState:
     """``state`` with its trainable parameters replaced, one entry per
     ``trainable_params(state)`` entry in that order.  The frozen slot is
-    kept as is; the result has no ``flat`` vector."""
+    kept as is."""
     arrays = list(arrays)
     ext, head = state.extractor, state.head
     n = len(ext.weights)
@@ -370,9 +361,10 @@ def with_params(state: ModelState, arrays) -> ModelState:
 
 def param_views(state: ModelState, flat: np.ndarray) -> list[np.ndarray]:
     """Reshaped views of the 1-d ``flat``, one per ``trainable_params(state)``
-    entry with its shape, in that order.  This is the layout of
-    ``ModelState.flat`` and of the gradient ``train.loss_and_grads``
-    returns; a ``flat`` of the wrong length raises ``ContractError``."""
+    entry with its shape, in that order.  This is the layout of the
+    parameter vector ``train.sgd_step`` updates and of the gradient
+    ``train.loss_and_grads`` returns; a ``flat`` of the wrong length raises
+    ``ContractError``."""
     params = trainable_params(state)
     total = sum(p.size for p in params)
     if flat.shape != (total,):
@@ -382,26 +374,6 @@ def param_views(state: ModelState, flat: np.ndarray) -> list[np.ndarray]:
         views.append(flat[start:start + p.size].reshape(p.shape))
         start += p.size
     return views
-
-
-def pack_params(state: ModelState, flat: np.ndarray | None = None) -> ModelState:
-    """``state`` with its trainable parameters held in one contiguous
-    read-only float64 vector, kept as ``flat``, of which the extractor and
-    head arrays are ``param_views``.
-
-    With ``flat`` given, that vector is marked read-only and adopted without
-    a copy.  Without it, a state that already has a vector is returned as
-    is, and any other has its parameters copied into a new one: the layout
-    changes only when the head grows (``begin_task``).
-    """
-    if flat is None:
-        if state.flat is not None:
-            return state
-        flat = np.concatenate([p.ravel() for p in trainable_params(state)])
-    flat.flags.writeable = False
-    packed = with_params(state, param_views(state, flat))
-    packed.flat = flat
-    return packed
 
 
 # -- integrity and persistence ------------------------------------------------

@@ -33,7 +33,7 @@ from . import model as M
 from . import replay as R
 from . import train as TR
 from .arrays import write_text_atomic
-from .errors import ConfigError, ContractError, EngineError
+from .errors import ConfigError, ContractError, DecodeError, EngineError
 
 # named rng stream ids (entropy = [seed, stream, task])
 _STREAM_MODEL = 0
@@ -69,7 +69,17 @@ def stream_from_config(config: dict) -> D.TaskStream:
 
 def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
                         t_count: int, mode: str, seed: int, shuffle_seed: int) -> D.TaskStream:
-    groups = D.shuffled_groups(pool.classes(), t_count, mode, shuffle_seed)
+    train_ids, test_ids = set(pool.classes()), set(test.classes())
+    if test_ids != train_ids:
+        raise DecodeError(f"{ds['test_path']}: must hold exactly the classes of "
+                          f"{ds['train_path']}; test-only classes "
+                          f"{sorted(test_ids - train_ids)}, train-only classes "
+                          f"{sorted(train_ids - test_ids)}")
+    try:
+        groups = D.shuffled_groups(pool.classes(), t_count, mode, shuffle_seed)
+    except ConfigError as err:
+        raise ConfigError(f"{ds['train_path']} holds {len(train_ids)} classes, "
+                          f"tasks.count={t_count}, tasks.mode={mode!r}: {err}") from None
     rng = np.random.default_rng([seed, 9])
     labels = np.asarray(pool.y)
     test_labels = np.asarray(test.y)
@@ -293,7 +303,7 @@ def _run(config: dict, out_dir) -> RunResult:
         if config["adc"]["enabled"]:
             def calibrate_old():
                 samples = C.generate_drift_samples(frozen_ext, stream.train[t],
-                                                   store.prototypes(), drift_cfg)
+                                                   store.prototypes(), *drift_cfg)
                 for cid, drift in samples.items():
                     feats_old = M.features(frozen_ext, drift)
                     feats_new = M.features(state.extractor, drift)

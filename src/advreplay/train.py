@@ -13,10 +13,11 @@ tape would, so its losses and gradients are bit-identical to the taped
 ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``.  Those
 taped losses stay as the oracle that tests compare against.
 
-The trainable parameters live in one flat read-only vector
-(``ModelState.flat``, see ``model.pack_params``) and the gradient comes back
-as one flat vector in the same layout, so ``sgd_step`` is a single
-elementwise update and a single finiteness check over the whole model.
+One step loop, ``_fit``, trains every task: task 0 on plain CE, later
+tasks with KD too.  It holds the trainable parameters as one flat vector in
+the ``model.param_views`` layout, and the gradient comes back as one flat
+vector in the same layout, so ``sgd_step`` is a single elementwise update
+and a single finiteness check over the whole model.
 
 Everything an incremental task draws from its rng (the batches, the replay
 rows and the attack's target noise) comes from ``task_schedule``, which
@@ -123,14 +124,13 @@ def local_kd_loss(logits_old_cur: T.Tensor, logits_old_prev: T.Tensor,
 # -- statistics -------------------------------------------------------------------
 
 
-def compute_class_stats(extractor: M.ExtractorParams, dataset: D.LabeledSet,
-                        classes=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Feature mean and unbiased covariance per class."""
-    classes = dataset.classes() if classes is None else tuple(classes)
+def compute_class_stats(extractor: M.ExtractorParams,
+                        dataset: D.LabeledSet) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Feature mean and unbiased covariance per class of ``dataset``."""
     feats = M.features(extractor, dataset.x)
     labels = np.asarray(dataset.y)
     stats = {}
-    for cid in classes:
+    for cid in dataset.classes():
         rows = feats[labels == cid]
         if len(rows) < 2:
             raise StatsError(f"class {cid}: need >= 2 samples for covariance")
@@ -202,7 +202,7 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
             raise ContractError("distillation needs a snapshotted model with old classes")
         frozen_ext, frozen_head = state.frozen
         # the whole frozen head is the old-class block at task t
-        prev = M.head_logits(frozen_head, M.features(frozen_ext, x_kd), "all")
+        prev = M.head_logits(frozen_head, M.features(frozen_ext, x_kd))
         if x_kd is not x_new:  # else the CE pass's features and VJP serve
             feats, ext_vjp = M.feature_vjp(ext, x_kd)
         out, head_vjp = M.block_vjp(head, head.w_old, feats)
@@ -222,14 +222,12 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     return float(ce), float(kd), grad
 
 
-def sgd_step(state: M.ModelState, grad, lr: float, weight_decay: float) -> M.ModelState:
-    """One SGD update from a ``loss_and_grads`` gradient: a flat vector in
-    the ``M.param_views`` layout.  The update runs once over the packed
-    parameter vector (``M.pack_params``) and the result becomes the new
-    state's read-only vector, its parameters views of it.  A gradient of
-    the wrong shape raises ``ContractError``; a non-finite updated
-    parameter raises ``NumericError``."""
-    p = M.pack_params(state).flat
+def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float) -> np.ndarray:
+    """One SGD update of the flat parameter vector ``p`` from a
+    ``loss_and_grads`` gradient in the same layout: a new read-only vector;
+    ``p`` is not written.  A gradient of the wrong shape raises
+    ``ContractError``; a non-finite updated parameter raises
+    ``NumericError``."""
     if not isinstance(grad, np.ndarray) or grad.shape != p.shape:
         raise ContractError(f"expected a flat vector of {p.size} gradients, "
                             f"got {getattr(grad, 'shape', type(grad).__name__)}")
@@ -240,13 +238,41 @@ def sgd_step(state: M.ModelState, grad, lr: float, weight_decay: float) -> M.Mod
     np.subtract(p, updated, out=updated)
     if not np.isfinite(updated).all():
         raise NumericError("non-finite values in updated parameters")
-    return M.pack_params(state, updated)
+    updated.flags.writeable = False
+    return updated
 
 
-def _batch_iter(n: int, batch_size: int, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start: start + batch_size]
+def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConfig,
+         optim_cfg: OptimConfig, distill: bool) -> tuple[M.ModelState, list[dict]]:
+    """SGD over ``steps`` (``(epoch, batch, replay rows or None)``, closed on
+    exit): CE on the batch of ``task_data`` and, with ``distill``, KD on the
+    batch plus its replay rows, at the epoch's cosine learning rate.  The
+    parameters are packed into one vector once; after each step the state's
+    parameters are read-only views of the updated vector.  Returns the
+    trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row per epoch.
+    """
+    rel = {cid: i for i, cid in enumerate(state.head.new_ids)}
+    y_rel = np.array([rel[c] for c in task_data.y])
+    x = task_data.x
+    lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
+    totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps
+    p = np.concatenate([a.ravel() for a in M.trainable_params(state)])
+    with closing(steps):
+        for epoch, batch, replay_rows in steps:
+            x_new = x[batch]
+            x_kd = None
+            if distill:
+                # x_new itself: loss_and_grads reuses its CE forward
+                x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
+            ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, x_kd)
+            p = sgd_step(p, grads, lrs[epoch], optim_cfg.weight_decay)
+            state = M.with_params(state, M.param_views(state, p))
+            total = totals[epoch]
+            total[0] += ce
+            total[1] += kd
+            total[2] += 1
+    return state, [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / n, "kd_loss": kd_sum / n}
+                   for epoch, (lr, (ce_sum, kd_sum, n)) in enumerate(zip(lrs, totals))]
 
 
 def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConfig,
@@ -254,16 +280,9 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     """Task-0 training: plain CE over the initial class group."""
     if state.task_index != 0:
         raise ContractError("train_initial only applies at task 0")
-    class_ids = state.head.new_ids
-    rel = {cid: i for i, cid in enumerate(class_ids)}
-    y_rel = np.array([rel[c] for c in dataset.y])
-    x = dataset.x
-    for epoch in range(optim_cfg.epochs):
-        lr = cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs)
-        for batch in _batch_iter(len(dataset), optim_cfg.batch_new, rng):
-            _, _, grads = loss_and_grads(state, x[batch], y_rel[batch], loss_cfg)
-            state = sgd_step(state, grads, lr, optim_cfg.weight_decay)
-    return state
+    steps = ((epoch, batch, None)
+             for epoch, batch, *_ in task_schedule(len(dataset), optim_cfg, rng))
+    return _fit(state, dataset, steps, loss_cfg, optim_cfg, distill=False)[0]
 
 
 def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None,
@@ -294,7 +313,8 @@ def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None,
         if bank_shape is not None:
             orders = np.array([rng.permutation(k) for _ in range(n_old)])
             drawn = np.zeros(n_old, dtype=int)
-        for batch in _batch_iter(n_rows, optim_cfg.batch_new, rng):
+        order, size = rng.permutation(n_rows), optim_cfg.batch_new
+        for batch in (order[start:start + size] for start in range(0, n_rows, size)):
             if bank_shape is not None:
                 # a class's j-th draw in this step reads its order at drawn + j
                 cls = (cursor + step_ids) % n_old
@@ -462,17 +482,12 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
             raise ContractError(f"class {candidates.class_ids[row]}: candidate index "
                                 f"{idx[row, col]} is outside the {len(task_data)} task rows")
 
-    class_ids = state.head.new_ids
-    rel = {cid: i for i, cid in enumerate(class_ids)}
-    y_rel = np.array([rel[c] for c in task_data.y])
-    x = task_data.x
-
     distill = loss_cfg.lambda_kd > 0.0
     # without distillation the replay rows go unused and nothing is attacked
     attack_cfg = attack_cfg if distill else None
     bank = centers = noise_shape = None
     if candidates is not None:
-        bank = D.apply_policy(x[candidates.indices], candidates.policies)
+        bank = D.apply_policy(task_data.x[candidates.indices], candidates.policies)
         centers = np.array([prototypes[cid] for cid in candidates.class_ids])
         if attack_cfg is not None and noise_r > 0.0:
             noise_shape = (attack_cfg.n_attack, optim_cfg.batch_replay, centers.shape[1])
@@ -490,24 +505,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         stream = ((epoch, batch, None if cls is None else replay(cls, slots, noise))
                   for epoch, batch, cls, slots, noise in steps)
 
-    lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
-    totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps
-    with closing(stream):
-        for epoch, batch, replay_rows in stream:
-            x_new = x[batch]
-            x_kd = None
-            if distill:
-                # x_new itself: loss_and_grads reuses its CE forward
-                x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
-            ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, x_kd)
-            state = sgd_step(state, grads, lrs[epoch], optim_cfg.weight_decay)
-            total = totals[epoch]
-            total[0] += ce
-            total[1] += kd
-            total[2] += 1
-
-    epochs = [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / steps, "kd_loss": kd_sum / steps}
-              for epoch, (lr, (ce_sum, kd_sum, steps)) in enumerate(zip(lrs, totals))]
+    state, epochs = _fit(state, task_data, stream, loss_cfg, optim_cfg, distill)
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:
         raise ContractError("frozen model mutated during run_task")
     return state, epochs

@@ -25,17 +25,11 @@ def random_spd(rng, d, scale=1.0):
 # -- drift samples ---------------------------------------------------------------
 
 
-def test_drift_config_reference_defaults():
-    cfg = C.DriftConfig()
-    assert cfg.magnitude == pytest.approx(6.32)
-    assert cfg.iterations == 9
-
-
 def test_drift_sample_at_prototype_unperturbed():
     f = identity_extractor(3)
     mu = np.array([1.0, 2.0, 3.0])
     data = D.LabeledSet(np.stack([mu, mu + 5.0]), (0, 0), "train")
-    out = C.generate_drift_samples(f, data, {0: mu}, C.DriftConfig(candidates=1, iterations=3))
+    out = C.generate_drift_samples(f, data, {0: mu}, R.AttackConfig(6.32, 3), 1)
     np.testing.assert_array_equal(out[0], mu[None, :])
 
 
@@ -45,8 +39,7 @@ def test_drift_samples_move_toward_prototype():
     x = rng.normal(size=(30, 4)) + 4.0
     mu = np.zeros(4)
     data = D.LabeledSet(x, tuple([0] * 30), "train")
-    cfg = C.DriftConfig(magnitude=2.0, iterations=4, candidates=10)
-    out = C.generate_drift_samples(f, data, {0: mu}, cfg)[0]
+    out = C.generate_drift_samples(f, data, {0: mu}, R.AttackConfig(2.0, 4), 10)[0]
     pre = np.linalg.norm(np.sort(np.linalg.norm(x, axis=1))[:10])
     post = np.linalg.norm(out, axis=1).mean()
     assert post < np.mean(np.sort(np.linalg.norm(x, axis=1))[:10])
@@ -58,8 +51,7 @@ def test_drift_samples_per_prototype_are_its_attacked_nearest_rows():
     f = M.ExtractorParams((4, 3), ("tanh",), [rng.normal(size=(4, 3))], [np.zeros(3)])
     data = D.LabeledSet(rng.normal(size=(25, 4)), tuple([0] * 25), "train")
     protos = {5: rng.normal(size=3), 2: rng.normal(size=3), 9: np.zeros(3)}
-    cfg = C.DriftConfig(magnitude=0.5, iterations=2, candidates=7)
-    out = C.generate_drift_samples(f, data, protos, cfg)
+    out = C.generate_drift_samples(f, data, protos, R.AttackConfig(0.5, 2), 7)
     assert list(out) == [5, 2, 9]
     feats = M.features(f, data.x)
     attack = R.AttackConfig(alpha=0.5, n_attack=2)
@@ -69,12 +61,18 @@ def test_drift_samples_per_prototype_are_its_attacked_nearest_rows():
         np.testing.assert_array_equal(out[cid], want)
 
 
+def test_drift_sampling_needs_a_candidate():
+    data = D.LabeledSet(np.ones((3, 2)), (0, 0, 0), "train")
+    with pytest.raises(ConfigError, match="adc.candidates must be >= 1"):
+        C.generate_drift_samples(identity_extractor(2), data, {0: np.ones(2)},
+                                 R.AttackConfig(1.0, 1), 0)
+
+
 def test_drift_sampling_warns_when_short():
     f = identity_extractor(2)
     data = D.LabeledSet(np.ones((3, 2)), (0, 0, 0), "train")
     with pytest.warns(UserWarning, match="using all"):
-        out = C.generate_drift_samples(f, data, {0: np.ones(2)},
-                                       C.DriftConfig(candidates=10, iterations=1))
+        out = C.generate_drift_samples(f, data, {0: np.ones(2)}, R.AttackConfig(6.32, 1), 10)
     assert out[0].shape[0] == 3
 
 

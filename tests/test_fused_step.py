@@ -39,9 +39,16 @@ def world(mode, kind, task, seed=0):
                                  for p in M.trainable_params(state)])
 
 
-def flat(grads):
-    """Per-parameter gradients packed into the one vector ``sgd_step`` takes."""
-    return np.concatenate([g.ravel() for g in grads])
+def flat(arrays):
+    """Per-parameter arrays packed into the one vector ``sgd_step`` takes."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def stepped_state(state, grad, lr, weight_decay):
+    """``state`` after one ``sgd_step``, rebuilt as the training loop does:
+    its parameters become views of the updated vector."""
+    p = TR.sgd_step(flat(M.trainable_params(state)), grad, lr, weight_decay)
+    return M.with_params(state, M.param_views(state, p))
 
 
 def taped(state, x_new, y_rel, cfg, x_kd=None):
@@ -146,10 +153,10 @@ def test_repeated_steps_equal_taped_steps(mode):
         x_new = rng.normal(size=(24, 6))
         y_rel = rng.integers(0, 6, size=24)
         x_kd = np.concatenate([x_new, rng.normal(size=(24, 6))])
-        fused = TR.sgd_step(fused, TR.loss_and_grads(fused, x_new, y_rel, cfg, x_kd)[2],
-                            0.05, 2e-4)
+        grad = TR.loss_and_grads(fused, x_new, y_rel, cfg, x_kd)[2]
+        fused = stepped_state(fused, grad, 0.05, 2e-4)
         taped_grads = taped(taped_state, x_new, y_rel, cfg, x_kd)[2]
-        taped_state = TR.sgd_step(taped_state, flat(taped_grads), 0.05, 2e-4)
+        taped_state = stepped_state(taped_state, flat(taped_grads), 0.05, 2e-4)
     assert (M.checksum(fused.extractor, fused.head)
             == M.checksum(taped_state.extractor, taped_state.head))
 
@@ -158,14 +165,18 @@ def test_head_logits_equal_tape_bytewise():
     for mode in ("cosine", "linear"):
         state = world(mode, "relu", task=1, seed=4)
         feats = np.random.default_rng(5).normal(size=(40, 32))
-        for split in ("all", "old_only", "new_only"):
-            want = M.logits(state.head, Tensor(feats), split).data
-            assert M.head_logits(state.head, feats, split).tobytes() == want.tobytes()
-        # a head with no old block: "all" is the new block
+        want = M.logits(state.head, Tensor(feats), "all").data
+        assert M.head_logits(state.head, feats).tobytes() == want.tobytes()
+        # each block alone is block_vjp's forward
+        head = state.head
+        for split, w in (("old_only", head.w_old), ("new_only", head.w_new)):
+            want = M.logits(head, Tensor(feats), split).data
+            assert M.block_vjp(head, w, feats)[0].tobytes() == want.tobytes()
+        # a head with no old block: all classes are the new block
         want = M.logits(state.frozen[1], Tensor(feats), "all").data
-        assert M.head_logits(state.frozen[1], feats, "all").tobytes() == want.tobytes()
+        assert M.head_logits(state.frozen[1], feats).tobytes() == want.tobytes()
         with pytest.raises(ContractError):
-            M.head_logits(state.frozen[1], feats, "old_only")
+            M.logits(state.frozen[1], Tensor(feats), "old_only")
 
 
 def test_contract_errors_kept():
@@ -181,7 +192,7 @@ def test_contract_errors_kept():
     with pytest.raises(ContractError, match="logit blocks differ"):
         TR._kd_vjp(np.zeros((4, 3)), np.zeros((4, 2)), 2.0, 1.0)
     with pytest.raises(ContractError, match="gradients"):
-        TR.sgd_step(state, [], 0.1, 0.0)
+        TR.sgd_step(flat(M.trainable_params(state)), [], 0.1, 0.0)
 
 
 def test_overflow_raises_numeric_error_through_run_task():

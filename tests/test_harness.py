@@ -21,7 +21,7 @@ from advreplay import data as D
 from advreplay import replay as R
 from advreplay import runner
 from advreplay import train as TR
-from advreplay.errors import ConfigError
+from advreplay.errors import ConfigError, DecodeError
 
 TINY = [
     "dataset.n_classes=6", "dataset.n_train=24", "dataset.n_val=8",
@@ -294,9 +294,9 @@ def test_warm_mode_runs(tmp_path):
     assert [len(g) for g in runner.stream_from_config(cfg).class_groups] == [3, 1, 1, 1]
 
 
-def csv_config(tmp_path, *extra):
+def csv_config(tmp_path, *extra, n_classes=4):
     """Tiny config over a synthetic stream exported to CSV files."""
-    spec = D.SyntheticSpec(n_classes=4, input_dim=6, radius=7.0, cluster_std=1.0,
+    spec = D.SyntheticSpec(n_classes=n_classes, input_dim=6, radius=7.0, cluster_std=1.0,
                            n_train=20, n_val=1, n_test=8)
     stream = D.make_task_stream(spec, 1, "cold", 3, 3)
     tmp_path.mkdir(parents=True, exist_ok=True)
@@ -313,6 +313,38 @@ def csv_config(tmp_path, *extra):
 def test_csv_ingestion_roundtrip_run(tmp_path):
     result = runner.run_benchmark(csv_config(tmp_path))
     assert len(result.accuracy["ncm"].accuracy) == 2
+
+
+@pytest.mark.parametrize("change,named", [
+    ("drop", r"test-only classes \[\], train-only classes \[2\]"),
+    ("add", r"test-only classes \[9\], train-only classes \[\]"),
+], ids=["test lacks a class", "test adds a class"])
+def test_ingested_test_file_must_hold_the_train_classes(tmp_path, change, named):
+    cfg = csv_config(tmp_path)
+    test_path = tmp_path / "test.csv"
+    test = D.load_csv(test_path, split="test")
+    if change == "drop":
+        keep = np.asarray(test.y) != 2
+        test = D.LabeledSet(test.x[keep], tuple(np.asarray(test.y)[keep].tolist()), "test")
+    else:
+        test = D.LabeledSet(np.concatenate([test.x, test.x[:3]]), test.y + (9, 9, 9), "test")
+    D.save_csv(test, test_path)
+    with pytest.raises(DecodeError, match=f"^stage 'dataset': {re.escape(str(test_path))}: "
+                                          f"must hold exactly the classes of .*{named}$"):
+        runner.run_benchmark(cfg)
+    assert not runner._run_dir(cfg, None).exists()
+
+
+def test_ingested_task_split_counts_the_file_classes(tmp_path):
+    """``dataset.n_classes`` belongs to the synthetic generator: 12 tasks of
+    a 12-class file run although the key's 20 classes do not split in 12."""
+    cfg = csv_config(tmp_path, "dataset.n_classes=20", "tasks.count=12", n_classes=12)
+    assert len(runner.run_benchmark(cfg).accuracy["ncm"].accuracy) == 12
+    cfg = CFG.apply_override(cfg, "tasks.count=5")
+    CFG.validate_config(cfg)
+    with pytest.raises(ConfigError, match=f"{re.escape(str(tmp_path / 'train.csv'))} holds "
+                                          f"12 classes, tasks.count=5, tasks.mode='cold': "):
+        runner.run_benchmark(cfg)
 
 
 def test_svd_covariance_mode(tmp_path):

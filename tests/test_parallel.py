@@ -4,6 +4,7 @@ the process pool of ``run_many``.
 No test here starts more processes than the machine has CPUs.
 """
 
+import csv
 import os
 import queue
 
@@ -271,3 +272,24 @@ def test_evaluation_helper_that_dies_is_an_engine_error(tmp_path, monkeypatch):
     monkeypatch.setattr(CL, "predict", dying)
     with pytest.raises(EngineError, match="^evaluation helper exited with code 3 "):
         runner.run_benchmark(tiny_config(tmp_path))
+
+
+@pytest.mark.parametrize("where", [pytest.param("forked", marks=needs_two_cpus), "inline"])
+def test_training_error_after_an_evaluation_keeps_its_rows(tmp_path, monkeypatch, where):
+    """Task 1's training fails once task 0 is evaluated: task 0's eval rows
+    are written, the training error is raised and task 1 writes no row."""
+    if where == "inline":
+        on_one_cpu(monkeypatch)
+
+    def failing_training(*args, **kwargs):
+        raise ContractError("task 1 cannot train")
+
+    monkeypatch.setattr(TR, "run_task", failing_training)
+    cfg = tiny_config(tmp_path)
+    with pytest.raises(ContractError, match="^stage 'task-training': task 1 cannot train$"):
+        runner.run_benchmark(cfg)
+    with (runner._run_dir(cfg, None) / "metrics.csv").open(newline="") as fh:
+        rows = [(row["stage"], row["task"]) for row in csv.DictReader(fh)]
+    assert rows.count(("eval", "0")) == len(cfg["classifiers"])
+    assert ("calibration", "0") in rows
+    assert not [row for row in rows if row[1] != "0"]

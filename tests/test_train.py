@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from test_fused_step import flat, stepped_state
 
 from advreplay import blas
 from advreplay import data as D
@@ -175,8 +176,8 @@ def test_lambda_zero_no_replay_equals_plain_finetune():
             feats = M.extract(taped.extractor, Tensor(x[batch]))
             ce = TR.local_ce_loss(M.logits(taped.head, feats, "new_only"), y_rel[batch])
             _, grads = T.value_and_grad(ce, params)
-            mirror = TR.sgd_step(mirror, np.concatenate([grads[p].data.ravel() for p in params]),
-                                 lr, optim.weight_decay)
+            mirror = stepped_state(mirror, flat(grads[p].data for p in params), lr,
+                                   optim.weight_decay)
 
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
 
@@ -185,11 +186,15 @@ def test_sgd_step_writes_read_only_finite_params():
     state, stream, _ = small_world(seed=20)
     x, labels = stream.train[0].x[:8], [0] * 8
     grads = TR.loss_and_grads(state, x, labels, TR.LossConfig())[2]
-    stepped = TR.sgd_step(state, grads, 0.1, 2e-4)
+    stepped = stepped_state(state, grads, 0.1, 2e-4)
     assert all(not p.flags.writeable for p in M.trainable_params(stepped))
+    p = flat(M.trainable_params(state))
+    before = p.tobytes()
+    assert not TR.sgd_step(p, grads, 0.1, 2e-4).flags.writeable
+    assert p.tobytes() == before  # the input vector is never written
     M.param_views(state, grads)[0][...] = 1e308  # times lr 10: an overflowing update
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
-        TR.sgd_step(state, grads, 10.0, 2e-4)
+        TR.sgd_step(p, grads, 10.0, 2e-4)
 
 
 def test_sgd_steps_across_head_growth_equal_per_array_update():
@@ -210,7 +215,7 @@ def test_sgd_steps_across_head_growth_equal_per_array_update():
                                      x_kd)[2]
             want = [p - lr * (g + wd * p)
                     for p, g in zip(M.trainable_params(state), M.param_views(state, grad))]
-            state = TR.sgd_step(state, grad, lr, wd)
+            state = stepped_state(state, grad, lr, wd)
             got = M.trainable_params(state)
             assert len(got) == len(want) == 2 * len(state.extractor.weights) + 1 + task
             for p, w in zip(got, want):
@@ -219,28 +224,33 @@ def test_sgd_steps_across_head_growth_equal_per_array_update():
 
 
 def test_stepped_params_are_read_only_views_of_one_vector():
+    """What ``train_initial`` and ``run_task`` return: the training loop's
+    vector, of which the parameters are consecutive read-only views."""
     state, stream, rng = small_world(seed=25)
-    state = M.begin_task(state, stream.class_groups[1], rng)
-    x = stream.train[1].x[:8]
-    grad = TR.loss_and_grads(state, x, [0, 1] * 4, TR.LossConfig(), x)[2]
-    stepped = TR.sgd_step(state, grad, 0.1, 2e-4)
-    flat = stepped.flat
-    assert flat.shape == grad.shape and flat.flags.c_contiguous and not flat.flags.writeable
-    start = flat.__array_interface__["data"][0]
-    offset = 0
-    for p in M.trainable_params(stepped):
-        assert not p.flags.writeable
-        assert np.shares_memory(p, flat)
-        assert p.__array_interface__["data"][0] == start + 8 * offset
-        offset += p.size
-    assert offset == flat.size
-    with pytest.raises(ContractError, match="flat vector"):
-        M.param_views(stepped, flat[:-1])
+    grown = M.begin_task(state, stream.class_groups[1], rng)
+    trained, _ = TR.run_task(grown, stream.train[1], None, None, 0.0, TR.LossConfig(),
+                             TR.OptimConfig(epochs=1, batch_new=16), None, rng)
+    for stepped in (state, trained):
+        params = M.trainable_params(stepped)
+        vector = params[0].base
+        assert vector.ndim == 1 and vector.flags.c_contiguous and not vector.flags.writeable
+        start = vector.__array_interface__["data"][0]
+        offset = 0
+        for p in params:
+            assert not p.flags.writeable
+            assert p.base is vector
+            assert p.__array_interface__["data"][0] == start + 8 * offset
+            offset += p.size
+        assert offset == vector.size
+        with pytest.raises(ContractError, match="flat vector"):
+            M.param_views(stepped, vector[:-1])
     # the next step writes a new vector and leaves this one as it was
-    before = flat.tobytes()
-    again = TR.sgd_step(stepped, grad, 0.1, 2e-4)
-    assert not np.shares_memory(again.flat, flat)
-    assert flat.tobytes() == before
+    x = stream.train[1].x[:8]
+    grad = TR.loss_and_grads(trained, x, [0, 1] * 4, TR.LossConfig(), x)[2]
+    before = vector.tobytes()
+    again = TR.sgd_step(vector, grad, 0.1, 2e-4)
+    assert not np.shares_memory(again, vector)
+    assert vector.tobytes() == before
 
 
 def test_nan_in_any_gradient_block_raises():
@@ -254,8 +264,8 @@ def test_nan_in_any_gradient_block_raises():
         bad = grad.copy()
         M.param_views(state, bad)[block].ravel()[-1] = np.nan
         with pytest.raises(NumericError, match="updated parameters"):
-            TR.sgd_step(state, bad, 0.1, 2e-4)
-    TR.sgd_step(state, grad, 0.1, 2e-4)
+            TR.sgd_step(flat(M.trainable_params(state)), bad, 0.1, 2e-4)
+    TR.sgd_step(flat(M.trainable_params(state)), grad, 0.1, 2e-4)
 
 
 def test_run_task_is_deterministic():
