@@ -62,10 +62,6 @@ class CandidateSet:
         for name, value in (("class_ids", ids), ("indices", indices), ("policies", policies)):
             object.__setattr__(self, name, value)
 
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
 
 def assign_nearest(dists: np.ndarray, k: int, cap: int | None = None,
                    class_ids=None) -> np.ndarray:

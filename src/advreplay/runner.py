@@ -1,10 +1,13 @@
 """Benchmark orchestration: the full incremental loop, persistence, metrics.
 
-A run executes: initial CE training, class statistics, then per task —
-snapshot, candidate sampling, replay training, drift calibration, new-class
-statistics, shrinkage tuning, and evaluation with every configured
-classifier.  A task's evaluation feeds no later stage, so on a spare CPU it
-runs in a forked process while the next task trains.  Everything an emitted
+A run is a fold over tasks.  ``first_task`` trains the initial model with
+cross-entropy and stores its class statistics.  ``learn`` runs each later
+task: snapshot, candidate sampling, replay training, drift calibration and
+new-class statistics.  ``evaluation`` tunes the shrinkage and scores every
+configured classifier after a task.  Each is a function of the config, the
+task stream, the model state, the store and the task index.  A task's
+evaluation feeds no later stage, so on a spare CPU it runs in a forked
+process while the next task trains.  Everything an emitted
 number depends on lands in the run directory: resolved config, seed record,
 per-epoch loss rows, per-task accuracy rows, and the final summary.  The
 metrics CSV is a pure function of (config, seeds); wall-clock and host
@@ -81,41 +84,29 @@ def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
         raise ConfigError(f"{ds['train_path']} holds {len(train_ids)} classes, "
                           f"tasks.count={t_count}, tasks.mode={mode!r}: {err}") from None
     rng = np.random.default_rng([seed, 9])
-    labels = np.asarray(pool.y)
-    test_labels = np.asarray(test.y)
-
-    def carve(group):
+    labels, test_labels = np.asarray(pool.y), np.asarray(test.y)
+    train, val, tests = [], [], []
+    for group in groups:
         tr_rows, tr_y, va_rows, va_y = [], [], [], []
         for cid in group:
             rows = pool.x[labels == cid]
             perm = rng.permutation(len(rows))
             n_val = max(1, int(round(ds["val_fraction"] * len(rows))))
+            if len(rows) - n_val < 2:
+                raise DecodeError(f"{ds['train_path']}: class {cid} has {len(rows)} rows; "
+                                  f"dataset.val_fraction={ds['val_fraction']} takes {n_val} "
+                                  f"and leaves {len(rows) - n_val} for training, fewer than "
+                                  f"the 2 a class's covariance needs")
             val_idx, train_idx = perm[:n_val], perm[n_val:]
             tr_rows.append(rows[train_idx])
             tr_y.extend([cid] * len(train_idx))
             va_rows.append(rows[val_idx])
             va_y.extend([cid] * n_val)
-        return (D.LabeledSet(np.concatenate(tr_rows), tuple(tr_y), "train"),
-                D.LabeledSet(np.concatenate(va_rows), tuple(va_y), "val"))
-
-    def test_of(group):
+        train.append(D.LabeledSet(np.concatenate(tr_rows), tuple(tr_y), "train"))
+        val.append(D.LabeledSet(np.concatenate(va_rows), tuple(va_y), "val"))
         keep = np.isin(test_labels, group)
-        return D.LabeledSet(test.x[keep],
-                            tuple(int(v) for v in test_labels[keep]), "test")
-
-    carved = [carve(g) for g in groups]
-    return D.TaskStream(
-        mode, groups,
-        tuple(tr for tr, _ in carved),
-        tuple(va for _, va in carved),
-        tuple(test_of(g) for g in groups),
-    )
-
-
-def _merged_val(stream: D.TaskStream, upto: int) -> D.LabeledSet:
-    xs = np.concatenate([stream.val[j].x for j in range(upto + 1)])
-    ys = tuple(y for j in range(upto + 1) for y in stream.val[j].y)
-    return D.LabeledSet(xs, ys, "val")
+        tests.append(D.LabeledSet(test.x[keep], tuple(int(v) for v in test_labels[keep]), "test"))
+    return D.TaskStream(mode, groups, tuple(train), tuple(val), tuple(tests))
 
 
 class _CsvLog:
@@ -211,37 +202,148 @@ def run_benchmark(config: dict, out_dir=None) -> RunResult:
         return _run(config, out_dir)
 
 
+def _stage(name, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with the stage's name before an engine error."""
+    try:
+        return fn(*args, **kwargs)
+    except EngineError as err:
+        raise type(err)(f"stage {name!r}: {err}") from err
+
+
+def _add_stats(config, stream, state, store, t) -> None:
+    """Add task ``t``'s class statistics under ``state``'s extractor to ``store``."""
+    svd_k = config["covariance"]["svd_k"] if config["covariance"]["mode"] == "svd" else None
+    for cid, (mu, cov) in TR.compute_class_stats(state.extractor, stream.train[t]).items():
+        store.add(cid, mu, cov, task=t, svd_k=svd_k)
+
+
+def first_task(config: dict, stream: D.TaskStream) -> tuple[M.ModelState, C.PrototypeStore]:
+    """Task 0: a fresh model trained with cross-entropy alone, and a store of
+    its classes' statistics."""
+    seed, model = config["seeds"]["randomness"], config["model"]
+    rng_model = _rng(seed, _STREAM_MODEL)
+    extractor = M.default_extractor(stream.train[0].input_dim, model["feature_dim"], rng_model,
+                                    model["hidden"], model["activation"])
+    head = M.init_head(stream.class_groups[0], model["feature_dim"], rng_model,
+                       mode=model["head_mode"], scale=model["cosine_scale"],
+                       init_std=model["head_init_std"])
+    state = _stage("initial-training", TR.train_initial, M.ModelState(extractor, head, None, 0),
+                   stream.train[0], CFG.build_loss_config(config),
+                   CFG.build_optim_config(config, initial=True), _rng(seed, _STREAM_TRAIN, 0))
+    store = C.PrototypeStore()
+    _stage("statistics", _add_stats, config, stream, state, store, 0)
+    return state, store
+
+
+def learn(config: dict, stream: D.TaskStream, state: M.ModelState, store: C.PrototypeStore,
+          t: int) -> tuple[M.ModelState, list]:
+    """Task ``t`` >= 1 from ``begin_task`` to its new-class statistics: the
+    trained state and the task's metric rows, not yet written.  ``store`` is
+    calibrated and extended in place."""
+    seed = config["seeds"]["randomness"]
+    state = M.begin_task(state, stream.class_groups[t], _rng(seed, _STREAM_MODEL, t),
+                         init_std=config["model"]["head_init_std"])
+    frozen_ext, _ = state.frozen
+    frozen_sum = M.checksum(*state.frozen)
+    loss_cfg = CFG.build_loss_config(config)
+
+    candidates = None
+    if config["replay"]["enabled"] and loss_cfg.lambda_kd > 0.0:
+        candidates = _stage("candidate-sampling", R.build_candidate_set,
+                            frozen_ext, stream.train[t], store.prototypes(),
+                            config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
+                            config["replay"]["cap"],
+                            CFG.build_family(config, input_dim=stream.train[t].input_dim))
+
+    attack_cfg = CFG.build_attack_config(config) if config["attack"]["enabled"] else None
+    rows, noise_r = [], 0.0
+    if attack_cfg is not None and config["attack"]["noise"]:
+        noise_r = R.noise_magnitude(store.covariances(), config["model"]["feature_dim"])
+        rows.append(("attack", t, "", "noise_r", noise_r))
+
+    state, epochs = _stage("task-training", TR.run_task, state, stream.train[t],
+                           candidates, store.prototypes(), noise_r, loss_cfg,
+                           CFG.build_optim_config(config, initial=False),
+                           attack_cfg, _rng(seed, _STREAM_TRAIN, t))
+    rows += [("train", t, row["epoch"], key, row[key])
+             for row in epochs for key in ("ce_loss", "kd_loss", "lr")]
+
+    adc = config["adc"]
+    if adc["enabled"]:
+        def calibrate_old():
+            samples = C.generate_drift_samples(frozen_ext, stream.train[t], store.prototypes(),
+                                               *CFG.build_drift_config(config))
+            for cid, drift in samples.items():
+                feats_old = M.features(frozen_ext, drift)
+                feats_new = M.features(state.extractor, drift)
+                # cap the step at the GD stability bound; feature scale is
+                # data-dependent and a fixed lr can silently diverge
+                lr = min(adc["transfer_lr"], C.stable_transfer_lr(feats_old))
+                w, delta = C.fit_transfer_matrix(feats_old, feats_new, lr, adc["transfer_epochs"])
+                store.entries[cid] = C.calibrate(store.entries[cid], w, delta, task=t)
+        _stage("calibration", calibrate_old)
+
+    _stage("statistics", _add_stats, config, stream, state, store, t)
+    if M.checksum(*state.frozen) != frozen_sum:
+        raise ContractError(f"frozen model mutated during task {t}")
+    return state, rows
+
+
+def evaluation(config: dict, stream: D.TaskStream, state: M.ModelState,
+               store: C.PrototypeStore, t: int) -> tuple[tuple | None, dict]:
+    """The tuned shrinkage pair (None without the Mahalanobis head) and each
+    classifier's per-group test accuracies after task ``t``."""
+    gamma = scorer = None
+    if "mahalanobis" in config["classifiers"]:
+        grid = tuple(config["shrinkage"]["grid"])
+        vals = stream.val[:t + 1]
+        val = D.LabeledSet(np.concatenate([v.x for v in vals]),
+                           tuple(y for v in vals for y in v.y), "val")
+        # one scorer per task serves both the grid scan and the eval
+        scorer = _stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
+        gamma = _stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor, val,
+                       grid, scorer)
+    # every seen group in one pass: one scorer per classifier and task
+    tests = stream.test[:t + 1]
+    x = np.concatenate([test.x for test in tests])
+    ends = np.cumsum([len(test) for test in tests])[:-1]
+    accuracies = {}
+    for name in config["classifiers"]:
+        pred = _stage(f"eval-{name}", CL.predict, name, state, store, x,
+                      *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
+        accuracies[name] = [float(np.mean(group_pred == np.asarray(test.y)))
+                            for test, group_pred in zip(tests, np.split(pred, ends))]
+    return gamma, accuracies
+
+
+@contextmanager
+def _evaluating(*args):
+    """Yield a function that returns ``evaluation(*args)``.  Where
+    ``TR.use_helper`` holds, a forked ``TR.Helper`` computes it from its copy
+    of the arguments while the caller goes on, and is reaped on exit;
+    elsewhere it is computed here, on entry."""
+    if not TR.use_helper():
+        result = evaluation(*args)
+        yield lambda: result
+        return
+    with closing(TR.Helper(lambda: [evaluation(*args)], "evaluation helper")) as helper:
+        yield helper.recv
+
+
 def _run(config: dict, out_dir) -> RunResult:
     CFG.validate_config(config)
     seed = config["seeds"]["randomness"]
     shuffle_seed = config["seeds"]["class_shuffle"]
     started = time.time()
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except EngineError as err:
-            raise type(err)(f"stage {name!r}: {err}") from err
-
-    stream = stage("dataset", stream_from_config, config)
+    stream = _stage("dataset", stream_from_config, config)
     t_count = stream.task_count
-    d = config["model"]["feature_dim"]
-    family = CFG.build_family(config, input_dim=stream.train[0].input_dim)
-    loss_cfg = CFG.build_loss_config(config)
-    replaying = config["replay"]["enabled"] and loss_cfg.lambda_kd > 0.0
+    replaying = config["replay"]["enabled"] and CFG.build_loss_config(config).lambda_kd > 0.0
     if replaying and t_count > 1:
         # each old class takes k of an incremental task's training rows
         k, rows = config["replay"]["k"], min(len(train) for train in stream.train[1:])
         if k > rows:
             raise ConfigError(f"replay.k={k} exceeds {rows}, the training rows of "
                               f"the smallest incremental task")
-    attack_cfg = CFG.build_attack_config(config) if config["attack"]["enabled"] else None
-    drift_cfg = CFG.build_drift_config(config)
-    cov_mode = config["covariance"]["mode"]
-    svd_k = config["covariance"]["svd_k"] if cov_mode == "svd" else None
-    classifiers = list(config["classifiers"])
-    grid = tuple(config["shrinkage"]["grid"])
-    use_maha = "mahalanobis" in classifiers
 
     # the run directory appears only once the data and the config checks pass
     run_dir = _run_dir(config, out_dir)
@@ -250,146 +352,38 @@ def _run(config: dict, out_dir) -> RunResult:
     write_text_atomic(run_dir / "seeds.json",
                       json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
     log = _CsvLog(run_dir / "metrics.csv")
+    results: list = []  # (gamma, accuracies) per task
 
-    rng_model = _rng(seed, _STREAM_MODEL)
-    extractor = M.default_extractor(stream.train[0].input_dim, d, rng_model,
-                                    config["model"]["hidden"], config["model"]["activation"])
-    head = M.init_head(stream.class_groups[0], d, rng_model,
-                       mode=config["model"]["head_mode"],
-                       scale=config["model"]["cosine_scale"],
-                       init_std=config["model"]["head_init_std"])
-    state = M.ModelState(extractor, head, None, 0)
-
-    state = stage("initial-training", TR.train_initial, state, stream.train[0],
-                  loss_cfg, CFG.build_optim_config(config, initial=True),
-                  _rng(seed, _STREAM_TRAIN, 0))
-
-    store = C.PrototypeStore()
-
-    def add_stats(task_index, extractor):
-        stats = TR.compute_class_stats(extractor, stream.train[task_index])
-        for cid, (mu, cov) in stats.items():
-            store.add(cid, mu, cov, task=task_index, svd_k=svd_k)
-
-    stage("statistics", add_stats, 0, state.extractor)
-
-    def learn(t, state):
-        """Task ``t`` from ``begin_task`` to its new-class statistics: the
-        trained state and the task's metric rows, not yet written."""
-        state = M.begin_task(state, stream.class_groups[t], _rng(seed, _STREAM_MODEL, t),
-                             init_std=config["model"]["head_init_std"])
-        frozen_ext, _ = state.frozen
-        frozen_sum = M.checksum(*state.frozen)
-
-        candidates = None
-        if replaying:
-            candidates = stage("candidate-sampling", R.build_candidate_set,
-                               frozen_ext, stream.train[t], store.prototypes(),
-                               config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
-                               config["replay"]["cap"], family)
-
-        rows, noise_r = [], 0.0
-        if attack_cfg is not None and config["attack"]["noise"]:
-            noise_r = R.noise_magnitude(store.covariances(), d)
-            rows.append(("attack", t, "", "noise_r", noise_r))
-
-        state, epochs = stage("task-training", TR.run_task, state, stream.train[t],
-                              candidates, store.prototypes(), noise_r, loss_cfg,
-                              CFG.build_optim_config(config, initial=False),
-                              attack_cfg, _rng(seed, _STREAM_TRAIN, t))
-        rows += [("train", t, row["epoch"], key, row[key])
-                 for row in epochs for key in ("ce_loss", "kd_loss", "lr")]
-
-        if config["adc"]["enabled"]:
-            def calibrate_old():
-                samples = C.generate_drift_samples(frozen_ext, stream.train[t],
-                                                   store.prototypes(), *drift_cfg)
-                for cid, drift in samples.items():
-                    feats_old = M.features(frozen_ext, drift)
-                    feats_new = M.features(state.extractor, drift)
-                    # cap the step at the GD stability bound; feature scale is
-                    # data-dependent and a fixed lr can silently diverge
-                    lr = min(config["adc"]["transfer_lr"], C.stable_transfer_lr(feats_old))
-                    w, delta = C.fit_transfer_matrix(
-                        feats_old, feats_new, lr, config["adc"]["transfer_epochs"])
-                    store.entries[cid] = C.calibrate(store.entries[cid], w, delta, task=t)
-            stage("calibration", calibrate_old)
-
-        stage("statistics", add_stats, t, state.extractor)
-        if M.checksum(*state.frozen) != frozen_sum:
-            raise ContractError(f"frozen model mutated during task {t}")
-        return state, rows
-
-    def evaluation(task_index, state, store):
-        """The tuned shrinkage pair (None without the Mahalanobis head) and each
-        classifier's per-group test accuracies after task ``task_index``."""
-        gamma = scorer = None
-        if use_maha:
-            # one scorer per task serves both the grid scan and the eval
-            scorer = stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
-            gamma = stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor,
-                          _merged_val(stream, task_index), grid, scorer)
-        # every seen group in one pass: one scorer per classifier and task
-        tests = stream.test[:task_index + 1]
-        x = np.concatenate([test.x for test in tests])
-        ends = np.cumsum([len(test) for test in tests])[:-1]
-        accuracies = {}
-        for name in classifiers:
-            pred = stage(f"eval-{name}", CL.predict, name, state, store, x,
-                         *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
-            accuracies[name] = [float(np.mean(group_pred == np.asarray(test.y)))
-                                for test, group_pred in zip(tests, np.split(pred, ends))]
-        return gamma, accuracies
-
-    @contextmanager
-    def evaluating(task_index, state, store):
-        """Yield a function that returns ``evaluation(task_index, state,
-        store)``.  Where ``TR.use_helper`` holds, a forked ``TR.Helper``
-        computes it from its copy of the two while the caller goes on, and is
-        reaped on exit; elsewhere it is computed here, on entry."""
-        if not TR.use_helper():
-            result = evaluation(task_index, state, store)
-            yield lambda: result
-            return
-        with closing(TR.Helper(lambda: [evaluation(task_index, state, store)],
-                               "evaluation helper")) as helper:
-            yield helper.recv
-
-    gammas: list = []
-    acc_rows: dict[str, list[list[float]]] = {name: [] for name in classifiers}
-
-    def record(task_index, result):
+    def record(t, result):
         gamma, accuracies = result
         if gamma is not None:
-            log.add("calibration", task_index, "", "gamma1", gamma[0])
-            log.add("calibration", task_index, "", "gamma2", gamma[1])
-        gammas.append(gamma)
+            log.add("calibration", t, "", "gamma1", gamma[0])
+            log.add("calibration", t, "", "gamma2", gamma[1])
         for name, row in accuracies.items():
             for j, acc in enumerate(row):
-                log.add("eval", task_index, "", f"acc/{name}/group{j}", acc)
-            acc_rows[name].append(row)
+                log.add("eval", t, "", f"acc/{name}/group{j}", acc)
+        results.append(result)
 
+    state, store = first_task(config, stream)
     # task t-1 is evaluated while task t learns; its rows come first
     for t in range(1, t_count):
-        with evaluating(t - 1, state, store) as evaluated:
+        with _evaluating(config, stream, state, store, t - 1) as evaluated:
             try:
-                state, rows = learn(t, state)
+                state, rows = learn(config, stream, state, store, t)
             except Exception:
                 record(t - 1, evaluated())  # an error of task t-1 comes first, as inline
                 raise
             record(t - 1, evaluated())
         for row in rows:
             log.add(*row)
-    record(t_count - 1, evaluation(t_count - 1, state, store))
+    record(t_count - 1, evaluation(config, stream, state, store, t_count - 1))
 
-    summary = {}
-    results = {}
-    for name in classifiers:
-        result = CL.metrics(acc_rows[name], t_count)
-        results[name] = result
-        summary[name] = {"A_inc": result.incremental, "A_last": result.final}
-        log.add("summary", t_count - 1, "", f"A_inc/{name}", result.incremental)
-        log.add("summary", t_count - 1, "", f"A_last/{name}", result.final)
+    summary, accuracy = {}, {}
+    for name in config["classifiers"]:
+        accuracy[name] = CL.metrics([acc[name] for _, acc in results], t_count)
+        summary[name] = {"A_inc": accuracy[name].incremental, "A_last": accuracy[name].final}
+        log.add("summary", t_count - 1, "", f"A_inc/{name}", accuracy[name].incremental)
+        log.add("summary", t_count - 1, "", f"A_last/{name}", accuracy[name].final)
 
     M.save_checkpoint(state, run_dir / "model.json")
     C.save_store(store, run_dir / "store.json")
@@ -399,7 +393,7 @@ def _run(config: dict, out_dir) -> RunResult:
         "argv": sys.argv,
         "engine_version": _package_version(),
     }))
-    return RunResult(run_dir, summary, results, gammas)
+    return RunResult(run_dir, summary, accuracy, [gamma for gamma, _ in results])
 
 
 def _package_version() -> str:

@@ -15,9 +15,11 @@ from test_calib import BAD_STORES
 from test_data import BAD_APRDS, BAD_CSVS
 
 from advreplay import calib as C
+from advreplay import classify as CL
 from advreplay import cli
 from advreplay import config as CFG
 from advreplay import data as D
+from advreplay import model as M
 from advreplay import replay as R
 from advreplay import runner
 from advreplay import train as TR
@@ -294,6 +296,40 @@ def test_warm_mode_runs(tmp_path):
     assert [len(g) for g in runner.stream_from_config(cfg).class_groups] == [3, 1, 1, 1]
 
 
+def csv_value(value):
+    """A metrics row value as ``metrics.csv`` writes it."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def metrics_rows(run_dir):
+    with (run_dir / "metrics.csv").open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_a_run_is_a_fold_over_tasks(tmp_path):
+    """``first_task``, then ``learn`` and ``evaluation`` per task, called by
+    hand give the rows of ``run_benchmark``, in its order."""
+    cfg = tiny_config(tmp_path)
+    stream = runner.stream_from_config(cfg)
+    state, store = runner.first_task(cfg, stream)
+    rows, evaluated = [], []
+    for t in range(stream.task_count):
+        if t:
+            state, learned = runner.learn(cfg, stream, state, store, t)
+            rows += learned
+        gamma, accuracies = runner.evaluation(cfg, stream, state, store, t)
+        rows += [("calibration", t, "", f"gamma{i + 1}", g) for i, g in enumerate(gamma)]
+        rows += [("eval", t, "", f"acc/{name}/group{j}", acc)
+                 for name, row in accuracies.items() for j, acc in enumerate(row)]
+        evaluated.append(accuracies)
+    for name in cfg["classifiers"]:
+        result = CL.metrics([acc[name] for acc in evaluated], stream.task_count)
+        rows += [("summary", t, "", f"A_inc/{name}", result.incremental),
+                 ("summary", t, "", f"A_last/{name}", result.final)]
+    run = runner.run_benchmark(cfg)
+    assert [[csv_value(v) for v in row] for row in rows] == metrics_rows(run.run_dir)
+
+
 def csv_config(tmp_path, *extra, n_classes=4):
     """Tiny config over a synthetic stream exported to CSV files."""
     spec = D.SyntheticSpec(n_classes=n_classes, input_dim=6, radius=7.0, cluster_std=1.0,
@@ -347,10 +383,49 @@ def test_ingested_task_split_counts_the_file_classes(tmp_path):
         runner.run_benchmark(cfg)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_ingested_class_needs_two_training_rows(tmp_path, rows):
+    """At ``dataset.val_fraction=0.2`` a class gives one row to validation,
+    so three rows keep the two its covariance needs."""
+    cfg = csv_config(tmp_path)
+    train_path = tmp_path / "train.csv"
+    pool = D.load_csv(train_path, split="train")
+    labels = np.asarray(pool.y)
+    keep = (labels != 1) | (np.cumsum(labels == 1) <= rows)
+    D.save_csv(D.LabeledSet(pool.x[keep], tuple(labels[keep].tolist()), "train"), train_path)
+    if rows == 3:
+        run = runner.run_benchmark(cfg)
+        assert 1 in C.load_store(run.run_dir / "store.json").class_ids()
+        return
+    with pytest.raises(DecodeError, match=f"^stage 'dataset': {re.escape(str(train_path))}: "
+                                          f"class 1 has {rows} rows; .* leaves {rows - 1} for "
+                                          f"training, fewer than the 2 "):
+        runner.run_benchmark(cfg)
+    assert not runner._run_dir(cfg, None).exists()
+
+
 def test_svd_covariance_mode(tmp_path):
     cfg = tiny_config(tmp_path, 'covariance.mode="svd"', "covariance.svd_k=4")
     result = runner.run_benchmark(cfg)
     assert 0.0 <= result.summary["mahalanobis"]["A_last"] <= 1.0
+
+
+@pytest.mark.parametrize("extra", [(), ('covariance.mode="svd"', "covariance.svd_k=4")],
+                         ids=["full", "svd"])
+def test_saved_model_and_store_evaluate_to_the_last_task_rows(tmp_path, extra):
+    cfg = tiny_config(tmp_path, *extra)
+    run = runner.run_benchmark(cfg)
+    stream = runner.stream_from_config(cfg)
+    last = stream.task_count - 1
+    state = M.load_checkpoint(run.run_dir / "model.json")
+    store = C.load_store(run.run_dir / "store.json")
+    gamma, accuracies = runner.evaluation(cfg, stream, state, store, last)
+    got = [["calibration", "gamma1", gamma[0]], ["calibration", "gamma2", gamma[1]]]
+    got += [["eval", f"acc/{name}/group{j}", acc]
+            for name, row in accuracies.items() for j, acc in enumerate(row)]
+    want = [[stage, key, value] for stage, task, _, key, value in metrics_rows(run.run_dir)
+            if task == str(last) and stage in ("calibration", "eval")]
+    assert [[stage, key, csv_value(v)] for stage, key, v in got] == want
 
 
 class ReadRecorder(dict):

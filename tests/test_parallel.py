@@ -7,6 +7,9 @@ No test here starts more processes than the machine has CPUs.
 import csv
 import os
 import queue
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_harness import tiny_config
@@ -159,6 +162,21 @@ def test_run_many_with_one_worker_runs_in_process(tmp_path, monkeypatch):
         runner.run_many(seed_configs(tmp_path / "inline-bad", bad))
     assert type(inline_err.value) is type(local.value)
     assert str(inline_err.value) == str(local.value)
+
+
+def test_engine_import_loads_no_process_pool():
+    """``run_many`` imports the pool's modules only when it starts a pool, so
+    a single run's process neither loads them nor carries their memory."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, advreplay.cli, advreplay.runner; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- the evaluation helper -------------------------------------------------------------
