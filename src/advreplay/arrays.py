@@ -3,11 +3,14 @@ tape nodes all hold read-only float64 arrays built by ``readonly``.
 
 The ``record_*`` checks decode stored JSON records (``store.json``,
 ``model.json``) into those arrays; each failure is a ``DecodeError`` that
-names the file and the key.  ``write_text_atomic`` writes those files.
+names the file and the key.  ``write_atomic`` writes every file the
+engine and the CLI make; ``csv_text`` formats every CSV table among them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -27,16 +30,19 @@ def readonly(data, what: str) -> np.ndarray:
     return arr
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` (UTF-8) to ``path`` through a temporary file in the same
-    directory and ``os.replace``: a reader, or a run killed mid-write, sees
-    the old file or the new one, never a partial write.  A failed write
-    leaves the old file as it was and removes the temporary file; an
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through a
+    temporary file in the same directory and ``os.replace``: a reader, or a
+    run killed mid-write, sees the old file or the new one, never a partial
+    write.  The bytes land as given, with no newline translation.  A failed
+    write leaves the old file as it was and removes the temporary file; an
     ``OSError`` becomes a ``ContractError`` naming ``path``."""
     path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as err:
         tmp.unlink(missing_ok=True)
@@ -44,6 +50,19 @@ def write_text_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV text with ``\\r\\n`` line ends, as
+    ``csv.writer`` writes them.  A float, numpy's included, is written as
+    ``repr(float(v))``, which reads back bit for bit; ints and strings are
+    written as they are."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                     for row in rows)
+    return text.getvalue()
 
 
 def read_json(path) -> dict:

@@ -20,8 +20,7 @@ import numpy as np
 from . import data as D
 from . import model as M
 from . import replay as R
-from .arrays import (read_json, readonly, record_array, record_field, record_int,
-                     write_text_atomic)
+from .arrays import read_json, readonly, record_array, record_field, record_int, write_atomic
 from .errors import ConfigError, ContractError, DecodeError, NumericError
 
 GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120)
@@ -300,7 +299,7 @@ def save_store(store: PrototypeStore, path) -> None:
             rec["u"], rec["s"], rec["v"] = (part.tolist() for part in e.svd)
         records[str(cid)] = rec
     payload = {"format_version": STORE_VERSION, "classes": records}
-    write_text_atomic(path, json.dumps(payload))
+    write_atomic(path, json.dumps(payload))
 
 
 def load_store(path) -> PrototypeStore:

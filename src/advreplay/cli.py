@@ -11,8 +11,6 @@ come from the ADVREPLAY_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -23,7 +21,7 @@ import numpy as np
 from . import calib as C
 from . import config as CFG
 from . import runner
-from .arrays import write_text_atomic
+from .arrays import csv_text, write_atomic
 from .errors import ConfigError, ContractError, EngineError
 
 BENCH_SEED_PAIRS = ((1993, 0), (2993, 1000), (3993, 2000))  # (class_shuffle, randomness)
@@ -36,13 +34,6 @@ def _out_dir(args, config) -> str:
     if env:
         return env
     return config["output"]["dir"]
-
-
-def _csv_text(rows) -> str:
-    """``rows`` as CSV text, as ``csv.writer`` writes them to a file."""
-    text = io.StringIO()
-    csv.writer(text).writerows(rows)
-    return text.getvalue()
 
 
 def _load(args) -> dict:
@@ -72,15 +63,15 @@ def cmd_bench(args) -> int:
         for name, summary in result.summary.items():
             rows.setdefault(name, []).append(summary)
 
-    table = [["classifier", "metric", "mean", "std"]]
+    table = []
     for name, summaries in rows.items():
         for metric in ("A_inc", "A_last"):
             values = np.array([s[metric] for s in summaries])
-            table.append([name, metric, repr(float(values.mean())), repr(float(values.std()))])
+            table.append([name, metric, values.mean(), values.std()])
             print(f"{name:<12} {metric}: {values.mean():.4f} ± {values.std():.4f}")
     out_root.mkdir(parents=True, exist_ok=True)
     table_path = out_root / "bench_summary.csv"
-    write_text_atomic(table_path, _csv_text(table))
+    write_atomic(table_path, csv_text(["classifier", "metric", "mean", "std"], table))
     print(f"bench summary: {table_path}")
     return 0
 
@@ -138,7 +129,7 @@ def cmd_report(args) -> int:
     )
     print(runner.format_storage_table(sizes))
     if args.json_out:
-        write_text_atomic(args.json_out, json.dumps(sizes))
+        write_atomic(args.json_out, json.dumps(sizes))
     return 0
 
 
@@ -160,14 +151,15 @@ def cmd_sweep(args) -> int:
                 CFG.apply_override(cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"'))
     out_root.mkdir(parents=True, exist_ok=True)
     results = runner.run_many(configs, out_dir=out_root)
-    table = [["alpha", "n_attack", "classifier", "A_inc", "A_last"]]
+    table = []
     for (alpha, n_attack), result in zip(grid, results):
         for name, summary in result.summary.items():
-            table.append([alpha, n_attack, name, repr(summary["A_inc"]), repr(summary["A_last"])])
+            table.append([alpha, n_attack, name, summary["A_inc"], summary["A_last"]])
             print(f"alpha={alpha:<6g} n={n_attack:<3d} {name:<12} "
                   f"A_inc={summary['A_inc']:.4f} A_last={summary['A_last']:.4f}")
     table_path = out_root / "sweep.csv"
-    write_text_atomic(table_path, _csv_text(table))
+    write_atomic(table_path, csv_text(["alpha", "n_attack", "classifier", "A_inc", "A_last"],
+                                      table))
     print(f"sweep table: {table_path}")
     return 0
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import readonly
+from .arrays import csv_text, readonly, write_atomic
 from .errors import ConfigError, ContractError, DecodeError, DimensionError
 
 BINARY_MAGIC = b"APRD"
@@ -318,23 +318,22 @@ def _parse_csv_lines(path: Path):
 
 
 def save_csv(dataset: LabeledSet, path) -> None:
-    path = Path(path)
-    dim = dataset.input_dim
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dim)])
-        for label, row in zip(dataset.y, dataset.x):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+    """A ``label,f0,...`` file that ``load_csv`` reads back bit for bit."""
+    write_atomic(path, csv_text(["label"] + [f"f{i}" for i in range(dataset.input_dim)],
+                                ([label, *row] for label, row in zip(dataset.y, dataset.x))))
 
 
 def save_binary(dataset: LabeledSet, path) -> None:
-    """Matrix container: magic, version, rows, cols, f64 data, u32 labels."""
+    """Matrix container: magic, version, rows, cols, f64 data, u32 labels.
+    A label outside u32 raises ``ContractError`` naming ``path`` before
+    anything is written."""
+    bad = next((label for label in dataset.y if not 0 <= label < 2 ** 32), None)
+    if bad is not None:
+        raise ContractError(f"{path}: label {bad} does not fit the u32 label field")
     rows, cols = dataset.x.shape
-    with Path(path).open("wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<III", BINARY_VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(dataset.x, dtype="<f8").tobytes())
-        fh.write(np.asarray(dataset.y, dtype="<u4").tobytes())
+    write_atomic(path, b"".join([BINARY_MAGIC, struct.pack("<III", BINARY_VERSION, rows, cols),
+                                 np.ascontiguousarray(dataset.x, dtype="<f8").tobytes(),
+                                 np.asarray(dataset.y, dtype="<u4").tobytes()]))
 
 
 def load_binary(path, split: str = "train") -> LabeledSet:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .arrays import read_json, readonly, record_array, record_field, record_int, write_text_atomic
+from .arrays import read_json, readonly, record_array, record_field, record_int, write_atomic
 from .errors import ContractError, DecodeError, DimensionError, NumericError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -469,7 +469,7 @@ def save_checkpoint(state: ModelState, path) -> None:
             "head": _head_record(state.frozen[1]),
         },
     }
-    write_text_atomic(path, json.dumps(record))
+    write_atomic(path, json.dumps(record))
 
 
 def load_checkpoint(path) -> ModelState:

@@ -10,13 +10,14 @@ evaluation feeds no later stage, so on a spare CPU it runs in a forked
 process while the next task trains.  Everything an emitted
 number depends on lands in the run directory: resolved config, seed record,
 per-epoch loss rows, per-task accuracy rows, and the final summary.  The
-metrics CSV is a pure function of (config, seeds); wall-clock and host
-metadata go to a separate file so identical runs stay byte-identical.
+rows are one list, written whole to ``metrics.csv`` at each task boundary
+and before an error is raised: a pure function of (config, seeds).
+Wall-clock and host metadata go to a separate file so identical runs stay
+byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -35,13 +36,15 @@ from . import data as D
 from . import model as M
 from . import replay as R
 from . import train as TR
-from .arrays import write_text_atomic
+from .arrays import csv_text, write_atomic
 from .errors import ConfigError, ContractError, DecodeError, EngineError
 
 # named rng stream ids (entropy = [seed, stream, task])
 _STREAM_MODEL = 0
 _STREAM_TRAIN = 1
 _STREAM_CANDIDATES = 2
+
+METRICS_HEADER = ("stage", "task", "epoch", "key", "value")
 
 
 @dataclass
@@ -107,21 +110,6 @@ def _partition_ingested(pool: D.LabeledSet, test: D.LabeledSet, ds: dict,
         keep = np.isin(test_labels, group)
         tests.append(D.LabeledSet(test.x[keep], tuple(int(v) for v in test_labels[keep]), "test"))
     return D.TaskStream(mode, groups, tuple(train), tuple(val), tuple(tests))
-
-
-class _CsvLog:
-    """Append-only (stage, task, epoch, key, value) rows."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(["stage", "task", "epoch", "key", "value"])
-
-    def add(self, stage, task, epoch, key, value):
-        if isinstance(value, float):  # numpy scalars included, written as plain floats
-            value = repr(float(value))
-        with self.path.open("a", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow([stage, task, epoch, key, value])
 
 
 def _run_dir(config: dict, out_dir) -> Path:
@@ -316,6 +304,15 @@ def evaluation(config: dict, stream: D.TaskStream, state: M.ModelState,
     return gamma, accuracies
 
 
+def evaluation_rows(t: int, gamma: tuple | None, accuracies: dict) -> list:
+    """The metric rows of task ``t``'s evaluation: the tuned shrinkage pair,
+    if any, then each classifier's per-group accuracies."""
+    rows = [] if gamma is None else [("calibration", t, "", "gamma1", gamma[0]),
+                                     ("calibration", t, "", "gamma2", gamma[1])]
+    return rows + [("eval", t, "", f"acc/{name}/group{j}", acc)
+                   for name, row in accuracies.items() for j, acc in enumerate(row)]
+
+
 @contextmanager
 def _evaluating(*args):
     """Yield a function that returns ``evaluation(*args)``.  Where
@@ -340,54 +337,49 @@ def _run(config: dict, out_dir) -> RunResult:
     replaying = config["replay"]["enabled"] and CFG.build_loss_config(config).lambda_kd > 0.0
     if replaying and t_count > 1:
         # each old class takes k of an incremental task's training rows
-        k, rows = config["replay"]["k"], min(len(train) for train in stream.train[1:])
-        if k > rows:
-            raise ConfigError(f"replay.k={k} exceeds {rows}, the training rows of "
+        k, smallest = config["replay"]["k"], min(len(train) for train in stream.train[1:])
+        if k > smallest:
+            raise ConfigError(f"replay.k={k} exceeds {smallest}, the training rows of "
                               f"the smallest incremental task")
 
     # the run directory appears only once the data and the config checks pass
     run_dir = _run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(run_dir / "config.json", json.dumps(config, indent=2, sort_keys=True))
-    write_text_atomic(run_dir / "seeds.json",
-                      json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
-    log = _CsvLog(run_dir / "metrics.csv")
-    results: list = []  # (gamma, accuracies) per task
+    write_atomic(run_dir / "config.json", json.dumps(config, indent=2, sort_keys=True))
+    write_atomic(run_dir / "seeds.json",
+                 json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
+    metrics = run_dir / "metrics.csv"
+    rows, results = [], []  # every metric row so far; (gamma, accuracies) per task
+    try:
+        state, store = first_task(config, stream)
+        # task t-1 is evaluated while task t learns; its rows come first
+        for t in range(1, t_count):
+            with _evaluating(config, stream, state, store, t - 1) as evaluated:
+                try:
+                    state, learned = learn(config, stream, state, store, t)
+                except Exception:
+                    results.append(evaluated())  # an error of task t-1 comes first, as inline
+                    rows += evaluation_rows(t - 1, *results[-1])
+                    raise
+                results.append(evaluated())
+            rows += evaluation_rows(t - 1, *results[-1]) + learned
+            write_atomic(metrics, csv_text(METRICS_HEADER, rows))
+        results.append(evaluation(config, stream, state, store, t_count - 1))
+        rows += evaluation_rows(t_count - 1, *results[-1])
 
-    def record(t, result):
-        gamma, accuracies = result
-        if gamma is not None:
-            log.add("calibration", t, "", "gamma1", gamma[0])
-            log.add("calibration", t, "", "gamma2", gamma[1])
-        for name, row in accuracies.items():
-            for j, acc in enumerate(row):
-                log.add("eval", t, "", f"acc/{name}/group{j}", acc)
-        results.append(result)
-
-    state, store = first_task(config, stream)
-    # task t-1 is evaluated while task t learns; its rows come first
-    for t in range(1, t_count):
-        with _evaluating(config, stream, state, store, t - 1) as evaluated:
-            try:
-                state, rows = learn(config, stream, state, store, t)
-            except Exception:
-                record(t - 1, evaluated())  # an error of task t-1 comes first, as inline
-                raise
-            record(t - 1, evaluated())
-        for row in rows:
-            log.add(*row)
-    record(t_count - 1, evaluation(config, stream, state, store, t_count - 1))
-
-    summary, accuracy = {}, {}
-    for name in config["classifiers"]:
-        accuracy[name] = CL.metrics([acc[name] for _, acc in results], t_count)
-        summary[name] = {"A_inc": accuracy[name].incremental, "A_last": accuracy[name].final}
-        log.add("summary", t_count - 1, "", f"A_inc/{name}", accuracy[name].incremental)
-        log.add("summary", t_count - 1, "", f"A_last/{name}", accuracy[name].final)
+        summary, accuracy = {}, {}
+        for name in config["classifiers"]:
+            accuracy[name] = CL.metrics([acc[name] for _, acc in results], t_count)
+            summary[name] = {"A_inc": accuracy[name].incremental, "A_last": accuracy[name].final}
+            rows += [("summary", t_count - 1, "", f"A_inc/{name}", accuracy[name].incremental),
+                     ("summary", t_count - 1, "", f"A_last/{name}", accuracy[name].final)]
+    finally:
+        # every row up to the last task boundary, or up to the stage that raised
+        write_atomic(metrics, csv_text(METRICS_HEADER, rows))
 
     M.save_checkpoint(state, run_dir / "model.json")
     C.save_store(store, run_dir / "store.json")
-    write_text_atomic(run_dir / "meta.json", json.dumps({
+    write_atomic(run_dir / "meta.json", json.dumps({
         "wall_seconds": time.time() - started,
         "task_count": t_count,
         "argv": sys.argv,

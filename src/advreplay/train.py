@@ -252,6 +252,11 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row per epoch.
     """
     rel = {cid: i for i, cid in enumerate(state.head.new_ids)}
+    stray = set(task_data.y) - rel.keys()
+    if stray:
+        steps.close()
+        raise ContractError(f"task labels {sorted(stray)} are not among the head's new "
+                            f"classes {list(state.head.new_ids)}")
     y_rel = np.array([rel[c] for c in task_data.y])
     x = task_data.x
     lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]

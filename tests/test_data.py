@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from advreplay import calib as C
 from advreplay import data as D
 from advreplay import model as M
-from advreplay.errors import ConfigError, DecodeError, DimensionError, EngineError, NumericError
+from advreplay.errors import ConfigError, ContractError, DecodeError, DimensionError, EngineError, NumericError
 
 
 def test_cold_group_sizes():
@@ -264,6 +264,15 @@ def test_binary_roundtrip(tmp_path):
     assert loaded.y == stream.train[1].y
     assert np.array_equal(loaded.x, stream.train[1].x)
     assert path.read_bytes()[:4] == b"APRD"
+
+
+@pytest.mark.parametrize("bad", [-1, 2 ** 32])
+def test_binary_label_outside_u32_is_rejected_before_writing(tmp_path, bad):
+    path = tmp_path / "task0.aprd"
+    dataset = D.LabeledSet(np.zeros((2, 3)), (0, bad), "train")
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: label {bad} does not fit"):
+        D.save_binary(dataset, path)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
 
 
 def test_binary_bad_magic(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -325,6 +326,25 @@ def test_run_task_names_the_class_of_an_out_of_range_candidate(bad):
     with pytest.raises(ContractError, match=f"class {old[1]}: candidate index {bad} is outside"):
         TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
+
+
+@pytest.mark.parametrize("stage", ["train_initial", "run_task"])
+def test_a_label_outside_the_heads_new_classes_is_named(stage):
+    """A dataset label the head does not hold as a new class is a
+    ``ContractError`` naming the stray labels and the head's new classes."""
+    state, stream, rng = small_world(seed=12)
+    data, fit = stream.train[0], TR.train_initial
+    if stage == "run_task":
+        state = M.begin_task(state, stream.class_groups[1], rng)
+        data = stream.train[1]
+
+        def fit(state, data, loss_cfg, optim_cfg, rng):
+            return TR.run_task(state, data, None, None, 0.0, loss_cfg, optim_cfg, None, rng)
+    stray = D.LabeledSet(data.x, (99,) + data.y[1:], "train")
+    named = re.escape(f"task labels [99] are not among the head's new classes "
+                      f"{list(state.head.new_ids)}")
+    with pytest.raises(ContractError, match=f"^{named}$"):
+        fit(state, stray, TR.LossConfig(lambda_kd=0.0), TR.OptimConfig(epochs=1), rng)
 
 
 def test_run_task_requires_snapshot_and_candidates():
