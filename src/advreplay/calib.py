@@ -51,6 +51,12 @@ class StoreEntry:
         object.__setattr__(self, "mu", readonly(self.mu, "stored prototype"))
         object.__setattr__(self, "cov", readonly(cov, "stored covariance"))
 
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays (a store sent by a helper process) come back writeable
+        for a in (state["mu"], state["cov"], *(state["svd"] or ())):
+            a.flags.writeable = False
+        self.__dict__.update(state)
+
     @classmethod
     def build(cls, mu, cov, k: int | None, created_task: int, calibrated_task: int) -> StoreEntry:
         """An entry holding ``cov`` in full (``k`` None) or as its rank-k SVD."""

@@ -1,13 +1,18 @@
 """Benchmark orchestration: the full incremental loop, persistence, metrics.
 
 A run is a fold over tasks.  ``first_task`` trains the initial model with
-cross-entropy and stores its class statistics.  ``learn`` runs each later
-task: snapshot, candidate sampling, replay training, drift calibration and
-new-class statistics.  ``evaluation`` tunes the shrinkage and scores every
-configured classifier after a task.  Each is a function of the config, the
-task stream, the model state, the store and the task index.  A task's
-evaluation feeds no later stage, so on a spare CPU it runs in a forked
-process while the next task trains.  Everything an emitted
+cross-entropy and stores its class statistics.  ``learn`` trains each later
+task: snapshot, candidate sampling and replay training.  ``settle`` then
+calibrates the stored classes for the drift and adds the task's class
+statistics, and ``evaluation`` tunes the shrinkage and scores every
+configured classifier.  Each is a function of the config, the task stream,
+the model state, the store and the task index.  The next task reads the
+settled store only for its candidate sampling, or after its training when
+the run does not replay, and no later stage reads an evaluation.  So on a
+spare CPU a forked process settles and evaluates task t while task t+1
+trains, and sends the settled store back first.  The last task is settled
+and evaluated in the run's own process, while the helper may still be
+evaluating the task before it.  Everything an emitted
 number depends on lands in the run directory: resolved config, seed record,
 per-epoch loss rows, per-task accuracy rows, and the final summary.  The
 rows are one list, written whole to ``metrics.csv`` at each task boundary
@@ -22,8 +27,9 @@ import json
 import os
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -223,58 +229,85 @@ def first_task(config: dict, stream: D.TaskStream) -> tuple[M.ModelState, C.Prot
     return state, store
 
 
-def learn(config: dict, stream: D.TaskStream, state: M.ModelState, store: C.PrototypeStore,
+@contextmanager
+def _keeping_frozen(state: M.ModelState, t: int):
+    """Raise ``ContractError`` if the block returns with ``state``'s frozen
+    model changed."""
+    frozen_sum = M.checksum(*state.frozen)
+    yield
+    if M.checksum(*state.frozen) != frozen_sum:
+        raise ContractError(f"frozen model mutated during task {t}")
+
+
+def learn(config: dict, stream: D.TaskStream, state: M.ModelState, settled,
           t: int) -> tuple[M.ModelState, list]:
-    """Task ``t`` >= 1 from ``begin_task`` to its new-class statistics: the
-    trained state and the task's metric rows, not yet written.  ``store`` is
-    calibrated and extended in place."""
+    """Task ``t`` >= 1 from ``begin_task`` to the end of its training: the
+    trained state and the task's metric rows, not yet written.
+
+    ``settled()`` returns the store as settled after task t-1.  It is called
+    where the store is first read: before candidate sampling when the run
+    replays, otherwise after training, so that the store may still be
+    settling while the task trains.
+    """
     seed = config["seeds"]["randomness"]
     state = M.begin_task(state, stream.class_groups[t], _rng(seed, _STREAM_MODEL, t),
                          init_std=config["model"]["head_init_std"])
-    frozen_ext, _ = state.frozen
-    frozen_sum = M.checksum(*state.frozen)
     loss_cfg = CFG.build_loss_config(config)
-
-    candidates = None
-    if config["replay"]["enabled"] and loss_cfg.lambda_kd > 0.0:
-        candidates = _stage("candidate-sampling", R.build_candidate_set,
-                            frozen_ext, stream.train[t], store.prototypes(),
-                            config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
-                            config["replay"]["cap"],
-                            CFG.build_family(config, input_dim=stream.train[t].input_dim))
-
     attack_cfg = CFG.build_attack_config(config) if config["attack"]["enabled"] else None
-    rows, noise_r = [], 0.0
-    if attack_cfg is not None and config["attack"]["noise"]:
-        noise_r = R.noise_magnitude(store.covariances(), config["model"]["feature_dim"])
-        rows.append(("attack", t, "", "noise_r", noise_r))
+    noisy = attack_cfg is not None and config["attack"]["noise"]
+    feature_dim = config["model"]["feature_dim"]
 
-    state, epochs = _stage("task-training", TR.run_task, state, stream.train[t],
-                           candidates, store.prototypes(), noise_r, loss_cfg,
-                           CFG.build_optim_config(config, initial=False),
-                           attack_cfg, _rng(seed, _STREAM_TRAIN, t))
-    rows += [("train", t, row["epoch"], key, row[key])
-             for row in epochs for key in ("ce_loss", "kd_loss", "lr")]
+    candidates = prototypes = None
+    noise_r = 0.0
+    with _keeping_frozen(state, t):
+        if _replays(config):
+            store = settled()
+            prototypes = store.prototypes()
+            candidates = _stage("candidate-sampling", R.build_candidate_set,
+                                state.frozen[0], stream.train[t], prototypes,
+                                config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
+                                config["replay"]["cap"],
+                                CFG.build_family(config, input_dim=stream.train[t].input_dim))
+            if noisy:
+                noise_r = R.noise_magnitude(store.covariances(), feature_dim)
+        trained, epochs = _stage("task-training", TR.run_task, state, stream.train[t],
+                                 candidates, prototypes, noise_r, loss_cfg,
+                                 CFG.build_optim_config(config, initial=False),
+                                 attack_cfg, _rng(seed, _STREAM_TRAIN, t))
+    if noisy and candidates is None:
+        # logged although nothing is attacked: dropping it would change the rows
+        noise_r = R.noise_magnitude(settled().covariances(), feature_dim)
+    return trained, ([("attack", t, "", "noise_r", noise_r)] if noisy else []) + [
+        ("train", t, row["epoch"], key, row[key])
+        for row in epochs for key in ("ce_loss", "kd_loss", "lr")]
 
-    adc = config["adc"]
-    if adc["enabled"]:
-        def calibrate_old():
-            samples = C.generate_drift_samples(frozen_ext, stream.train[t], store.prototypes(),
-                                               *CFG.build_drift_config(config))
-            for cid, drift in samples.items():
-                feats_old = M.features(frozen_ext, drift)
-                feats_new = M.features(state.extractor, drift)
-                # cap the step at the GD stability bound; feature scale is
-                # data-dependent and a fixed lr can silently diverge
-                lr = min(adc["transfer_lr"], C.stable_transfer_lr(feats_old))
-                w, delta = C.fit_transfer_matrix(feats_old, feats_new, lr, adc["transfer_epochs"])
-                store.entries[cid] = C.calibrate(store.entries[cid], w, delta, task=t)
-        _stage("calibration", calibrate_old)
 
-    _stage("statistics", _add_stats, config, stream, state, store, t)
-    if M.checksum(*state.frozen) != frozen_sum:
-        raise ContractError(f"frozen model mutated during task {t}")
-    return state, rows
+def _calibrate(config: dict, stream: D.TaskStream, state: M.ModelState,
+               store: C.PrototypeStore, t: int) -> None:
+    """Replace each stored class by its calibration for the drift from the
+    frozen extractor to ``state``'s, fitted on its drift samples (ADC)."""
+    adc, frozen_ext = config["adc"], state.frozen[0]
+    samples = C.generate_drift_samples(frozen_ext, stream.train[t], store.prototypes(),
+                                       *CFG.build_drift_config(config))
+    for cid, drift in samples.items():
+        feats_old = M.features(frozen_ext, drift)
+        feats_new = M.features(state.extractor, drift)
+        # cap the step at the GD stability bound; feature scale is
+        # data-dependent and a fixed lr can silently diverge
+        lr = min(adc["transfer_lr"], C.stable_transfer_lr(feats_old))
+        w, delta = C.fit_transfer_matrix(feats_old, feats_new, lr, adc["transfer_epochs"])
+        store.entries[cid] = C.calibrate(store.entries[cid], w, delta, task=t)
+
+
+def settle(config: dict, stream: D.TaskStream, state: M.ModelState,
+           store: C.PrototypeStore, t: int) -> None:
+    """Settle ``store`` in place once task ``t`` >= 1 has trained into
+    ``state``: with ADC, calibrate the stored classes; then add task ``t``'s
+    class statistics."""
+    with _keeping_frozen(state, t):
+        if config["adc"]["enabled"]:
+            _stage("calibration", _calibrate, config, stream, state, store, t)
+        _stage("statistics", _add_stats, config, stream, state, store, t)
 
 
 def evaluation(config: dict, stream: D.TaskStream, state: M.ModelState,
@@ -313,18 +346,99 @@ def evaluation_rows(t: int, gamma: tuple | None, accuracies: dict) -> list:
                    for name, row in accuracies.items() for j, acc in enumerate(row)]
 
 
+def _replays(config: dict) -> bool:
+    """Whether each task t >= 1 replays old classes, and so reads the store
+    before it trains."""
+    return config["replay"]["enabled"] and CFG.build_loss_config(config).lambda_kd > 0.0
+
+
+def _settled_then_evaluated(config: dict, stream: D.TaskStream, state: M.ModelState,
+                            store: C.PrototypeStore, t: int):
+    """Two items: ``store`` settled after task ``t`` (``first_task`` settles
+    task 0's), then ``evaluation`` of task ``t``.
+
+    A helper that sends a store larger than its pipe holds waits there for
+    the reader.  So where the next task reads the store only once it has
+    trained, and then waits for the evaluation too, the evaluation is
+    computed before the store is yielded.  Before the last task the store
+    comes first: the run settles and evaluates the last task while this
+    evaluation goes on.
+    """
+    if t > 0:
+        settle(config, stream, state, store, t)
+    evaluated = _items(lambda: evaluation(config, stream, state, store, t))
+    if not _replays(config) and t < stream.task_count - 2:
+        with suppress(Exception):  # raised below, after the store
+            evaluated(0)
+    yield store
+    yield evaluated(0)
+
+
+def _computed(config: dict, stream: D.TaskStream, state: M.ModelState,
+              store: C.PrototypeStore, t: int):
+    """``_items`` over ``_settled_then_evaluated``, both computed here and
+    now; an error is raised where the failed item is asked for."""
+    items = _settled_then_evaluated(config, stream, state, store, t)
+    item = _items(lambda: next(items))
+    with suppress(Exception):
+        item(1)
+    return item
+
+
+def _items(recv):
+    """``item(i)``: the i-th result of successive ``recv()`` calls.  Every
+    call returns the same value or raises the same error."""
+    got = []  # (value, error) per result received
+
+    def item(i):
+        while len(got) <= i:
+            try:
+                got.append((recv(), None))
+            except Exception as err:
+                got.append((None, err))
+        value, err = got[i]
+        if err is not None:
+            raise err
+        return value
+
+    return item
+
+
+def _record(t: int, learned: list, rows: list, results: list, item) -> None:
+    """Once task ``t``'s store is settled (``item(0)``), append ``learned``,
+    its training rows, to ``rows``; then its evaluation (``item(1)``) to
+    ``results`` and its rows to ``rows``."""
+    item(0)
+    rows += learned
+    results.append(item(1))
+    rows += evaluation_rows(t, *results[-1])
+
+
 @contextmanager
-def _evaluating(*args):
-    """Yield a function that returns ``evaluation(*args)``.  Where
-    ``TR.use_helper`` holds, a forked ``TR.Helper`` computes it from its copy
-    of the arguments while the caller goes on, and is reaped on exit;
-    elsewhere it is computed here, on entry."""
+def _settling(config: dict, stream: D.TaskStream, state: M.ModelState,
+              store: C.PrototypeStore, t: int, record):
+    """Yield ``_items`` over ``_settled_then_evaluated(config, stream, state,
+    store, t)``, and call ``record`` on it.  Where ``TR.use_helper`` holds, a
+    forked ``TR.Helper`` computes both items from its copy of the arguments
+    while the block runs; ``record`` runs after the block, also when the
+    block raises, so that an error of task ``t`` comes first; the helper is
+    reaped on exit.  Elsewhere both are computed and recorded here, on
+    entry."""
     if not TR.use_helper():
-        result = evaluation(*args)
-        yield lambda: result
+        item = _computed(config, stream, state, store, t)
+        record(item)
+        yield item
         return
-    with closing(TR.Helper(lambda: [evaluation(*args)], "evaluation helper")) as helper:
-        yield helper.recv
+    with closing(TR.Helper(partial(_settled_then_evaluated, config, stream, state, store, t),
+                           "evaluation helper")) as helper:
+        del store  # the helper settles its copy; holding this one would double the stores here
+        item = _items(helper.recv)
+        try:
+            yield item
+        except Exception:
+            record(item)
+            raise
+        record(item)
 
 
 def _run(config: dict, out_dir) -> RunResult:
@@ -334,8 +448,7 @@ def _run(config: dict, out_dir) -> RunResult:
     started = time.time()
     stream = _stage("dataset", stream_from_config, config)
     t_count = stream.task_count
-    replaying = config["replay"]["enabled"] and CFG.build_loss_config(config).lambda_kd > 0.0
-    if replaying and t_count > 1:
+    if _replays(config) and t_count > 1:
         # each old class takes k of an incremental task's training rows
         k, smallest = config["replay"]["k"], min(len(train) for train in stream.train[1:])
         if k > smallest:
@@ -352,20 +465,24 @@ def _run(config: dict, out_dir) -> RunResult:
     rows, results = [], []  # every metric row so far; (gamma, accuracies) per task
     try:
         state, store = first_task(config, stream)
-        # task t-1 is evaluated while task t learns; its rows come first
+        learned = []  # the rows of the last task trained, recorded once its store is settled
+        last = None
         for t in range(1, t_count):
-            with _evaluating(config, stream, state, store, t - 1) as evaluated:
-                try:
-                    state, learned = learn(config, stream, state, store, t)
-                except Exception:
-                    results.append(evaluated())  # an error of task t-1 comes first, as inline
-                    rows += evaluation_rows(t - 1, *results[-1])
-                    raise
-                results.append(evaluated())
-            rows += evaluation_rows(t - 1, *results[-1]) + learned
+            # task t trains while task t-1 is settled and evaluated; the last
+            # task is settled and evaluated here, while task t-1's evaluation
+            # may go on
+            with _settling(config, stream, state, store, t - 1,
+                           partial(_record, t - 1, learned, rows, results)) as item:
+                del store  # replaced by item(0); see _settling
+                state, trained = learn(config, stream, state, lambda: item(0), t)
+                store = item(0)
+                if t == t_count - 1:
+                    last = _computed(config, stream, state, store, t)
+            learned = trained
             write_atomic(metrics, csv_text(METRICS_HEADER, rows))
-        results.append(evaluation(config, stream, state, store, t_count - 1))
-        rows += evaluation_rows(t_count - 1, *results[-1])
+        if last is None:  # a one-task run
+            last = _computed(config, stream, state, store, 0)
+        _record(t_count - 1, learned, rows, results, last)  # store is settled in place
 
         summary, accuracy = {}, {}
         for name in config["classifiers"]:

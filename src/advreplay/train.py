@@ -171,22 +171,24 @@ def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float
 
 
 def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: LossConfig,
-                   x_kd: np.ndarray | None = None) -> tuple[float, float, np.ndarray]:
+                   kd_batch: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[float, float, np.ndarray]:
     """One tape-free loss-and-gradients pass of the training objective.
 
-    CE over ``new_only`` logits of the ``x_new`` rows; with ``x_kd``, plus
-    ``lambda_kd`` times KD between the ``old_only`` logits of those rows and
-    the frozen model's logits on them.  When ``x_kd`` is ``x_new`` itself,
-    the KD term reuses the CE pass's extractor features and VJP instead of
+    CE over ``new_only`` logits of the ``x_new`` rows; with ``kd_batch =
+    (x_kd, prev)``, plus ``lambda_kd`` times KD between the ``old_only``
+    logits of the ``x_kd`` rows and ``prev``, the frozen model's logits of
+    those rows (``frozen_logits``).  When ``x_kd`` is ``x_new`` itself, the
+    KD term reuses the CE pass's extractor features and VJP instead of
     running the current extractor on the same rows again.  Returns the CE
-    value, the KD value (0.0 without ``x_kd``) and the gradient as one flat
-    vector laid out as ``M.param_views(state, ...)``: one block per
-    ``M.trainable_params(state)`` entry, in that order.  The forward and backward ops and layouts are the
-    tape's, so everything is bit-identical to ``local_ce_loss``/
-    ``local_kd_loss`` under ``tensor.value_and_grad`` (the oracle).  Raises
-    ``ContractError`` on bad labels or mismatched logit blocks and
-    ``NumericError`` on a non-finite pre-activation, logit block, loss or
-    gradient.
+    value, the KD value (0.0 without ``kd_batch``) and the gradient as one
+    flat vector laid out as ``M.param_views(state, ...)``: one block per
+    ``M.trainable_params(state)`` entry, in that order.  The forward and
+    backward ops and layouts are the tape's, so everything is bit-identical
+    to ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``
+    (the oracle).  Raises ``ContractError`` on bad labels or mismatched
+    logit blocks and ``NumericError`` on a non-finite pre-activation, logit
+    block, loss or gradient.
     """
     ext, head = state.extractor, state.head
     feats, ext_vjp = M.feature_vjp(ext, x_new)
@@ -197,12 +199,10 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     g_old = None if head.w_old is None else np.zeros(head.w_old.shape)
     kd, loss = 0.0, ce
 
-    if x_kd is not None:
+    if kd_batch is not None:
         if state.frozen is None or head.w_old is None:
             raise ContractError("distillation needs a snapshotted model with old classes")
-        frozen_ext, frozen_head = state.frozen
-        # the whole frozen head is the old-class block at task t
-        prev = M.head_logits(frozen_head, M.features(frozen_ext, x_kd))
+        x_kd, prev = kd_batch
         if x_kd is not x_new:  # else the CE pass's features and VJP serve
             feats, ext_vjp = M.feature_vjp(ext, x_kd)
         out, head_vjp = M.block_vjp(head, head.w_old, feats)
@@ -220,6 +220,41 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return float(ce), float(kd), grad
+
+
+def frozen_logits(frozen: tuple[M.ExtractorParams, M.ClassifierHead],
+                  x: np.ndarray) -> np.ndarray:
+    """The logits of the frozen ``(extractor, head)`` on the rows of ``x``;
+    the whole frozen head is the old-class block of the task it opened."""
+    frozen_ext, frozen_head = frozen
+    return M.head_logits(frozen_head, M.features(frozen_ext, x))
+
+
+# At the layer widths of the shipped configs, a GEMM of the BLAS in use
+# rounds each row of a whole block of this many rows alike in every call of
+# up to a batch's rows; the rows of a partial last block, and a lone row (a
+# matrix-vector product), may round otherwise.  tests/test_fused_step.py pins
+# both.  Much wider layers round even whole-block rows by call size, so there
+# the cached logits differ from per-batch calls in their last bits.
+GEMM_ROW_BLOCK = 4
+
+
+def frozen_logits_by_chunk(frozen, x: np.ndarray, size: int) -> np.ndarray:
+    """``frozen_logits`` of every row of ``x``, with the bits each row has
+    in any batch of up to ``size`` rows made of whole ``GEMM_ROW_BLOCK``s.
+
+    The rows go in chunks of ``size`` rounded down to whole blocks, the last
+    one padded to whole blocks with repeated rows.  One call over every row
+    would not do: a call of hundreds of rows rounds rows otherwise.
+    """
+    block = GEMM_ROW_BLOCK
+    size = max(block, size - size % block)
+    chunks = []
+    for start in range(0, len(x), size):
+        rows = x[start:start + size]
+        padded = np.resize(rows, (-(-len(rows) // block) * block, x.shape[1]))
+        chunks.append(frozen_logits(frozen, padded)[:len(rows)])
+    return np.concatenate(chunks)
 
 
 def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float) -> np.ndarray:
@@ -248,7 +283,11 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     exit): CE on the batch of ``task_data`` and, with ``distill``, KD on the
     batch plus its replay rows, at the epoch's cosine learning rate.  The
     parameters are packed into one vector once; after each step the state's
-    parameters are read-only views of the updated vector.  Returns the
+    parameters are read-only views of the updated vector.  The frozen
+    model's logits of a batch of whole ``GEMM_ROW_BLOCK``s without replay
+    rows are gathered from ``frozen_logits_by_chunk`` of the task's rows,
+    computed at the first such step; any other batch, and a batch with its
+    replay rows, gets its own call, as every step did before.  Returns the
     trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row per epoch.
     """
     rel = {cid: i for i, cid in enumerate(state.head.new_ids)}
@@ -262,14 +301,20 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
     totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps
     p = np.concatenate([a.ravel() for a in M.trainable_params(state)])
+    cached = None  # the frozen logits of every task row, once a step needs them
     with closing(steps):
         for epoch, batch, replay_rows in steps:
             x_new = x[batch]
-            x_kd = None
-            if distill:
+            kd_batch = None
+            if distill and replay_rows is None and len(batch) % GEMM_ROW_BLOCK == 0:
+                if cached is None:
+                    cached = frozen_logits_by_chunk(state.frozen, x, optim_cfg.batch_new)
                 # x_new itself: loss_and_grads reuses its CE forward
+                kd_batch = (x_new, cached[batch])
+            elif distill:
                 x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
-            ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, x_kd)
+                kd_batch = (x_kd, frozen_logits(state.frozen, x_kd))
+            ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, kd_batch)
             p = sgd_step(p, grads, lrs[epoch], optim_cfg.weight_decay)
             state = M.with_params(state, M.param_views(state, p))
             total = totals[epoch]

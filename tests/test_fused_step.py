@@ -51,6 +51,12 @@ def stepped_state(state, grad, lr, weight_decay):
     return M.with_params(state, M.param_views(state, p))
 
 
+def kd_batch(state, x_kd):
+    """``x_kd`` and the frozen model's logits of it, as the training loop
+    passes them to ``loss_and_grads``; None without KD rows."""
+    return None if x_kd is None else (x_kd, TR.frozen_logits(state.frozen, x_kd))
+
+
 def taped(state, x_new, y_rel, cfg, x_kd=None):
     """The step's objective on the autodiff tape: the oracle."""
     params = [Tensor(p) for p in M.trainable_params(state)]
@@ -88,7 +94,7 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
             "kd-no-replay": x_new}.get(kd)
     cfg = TR.LossConfig(lambda_kd=10.0, ce_temperature=temps[0], kd_temperature=temps[1])
 
-    ce, kd_value, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, x_kd)
+    ce, kd_value, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, kd_batch(state, x_kd))
     ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, x_kd)
     assert ce == ce_ref
     assert kd_value == kd_ref
@@ -119,7 +125,8 @@ def test_kd_without_replay_reuses_the_ce_forward(monkeypatch, replay, passes):
         return real(params, x)
 
     monkeypatch.setattr(M, "feature_vjp", spy)
-    TR.loss_and_grads(state, x_new, rng.integers(0, 6, size=24), TR.LossConfig(), x_kd)
+    TR.loss_and_grads(state, x_new, rng.integers(0, 6, size=24), TR.LossConfig(),
+                      kd_batch(state, x_kd))
     assert len(calls) == passes
     assert sum(params is state.frozen[0] for params in calls) == 1
 
@@ -132,14 +139,103 @@ def test_run_task_without_replay_distills_on_the_new_batch_itself(monkeypatch):
     seen = []
     real = TR.loss_and_grads
 
-    def spy(state, x_new, y_rel, loss_cfg, x_kd=None):
-        seen.append(x_kd is x_new)
-        return real(state, x_new, y_rel, loss_cfg, x_kd)
+    def spy(state, x_new, y_rel, loss_cfg, kd_batch=None):
+        seen.append(kd_batch[0] is x_new)
+        return real(state, x_new, y_rel, loss_cfg, kd_batch)
 
     monkeypatch.setattr(TR, "loss_and_grads", spy)
     TR.run_task(state, task, None, None, 0.0, TR.LossConfig(),
                 TR.OptimConfig(epochs=2, batch_new=16), None, rng)
     assert seen == [True] * 6
+
+
+# (inputs, hidden widths, features) of the csv60 benchmark, the reference
+# config and the test suite's tiny config
+SHIPPED_WIDTHS = {"csv60": (32, (96, 64), 64), "reference": (16, (64, 48), 32),
+                  "tiny": (16, (24, 16), 8)}
+
+
+def frozen_model(widths="csv60", n_classes=42, seed=11):
+    """A frozen model of the shipped ``widths`` with a cosine head of
+    ``n_classes``."""
+    n_in, hidden, n_feat = SHIPPED_WIDTHS[widths]
+    rng = np.random.default_rng(seed)
+    extractor = M.default_extractor(n_in, n_feat, rng, hidden=hidden)
+    return extractor, M.init_head(range(n_classes), n_feat, rng, init_std=0.5)
+
+
+def test_frozen_logits_counter_cases():
+    """Why the training loop gathers cached frozen logits only for batches
+    of whole ``GEMM_ROW_BLOCK``s: with 42 classes a row rounds otherwise
+    alone (a matrix-vector product) and in the partial last row block of a
+    call than in a whole block."""
+    frozen = frozen_model()
+    x = np.random.default_rng(12).normal(size=(64, 32)) * 2.0
+    blocks = TR.frozen_logits(frozen, x)
+    lone = [TR.frozen_logits(frozen, x[i:i + 1])[0] for i in range(64)]
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(blocks, lone))
+    assert TR.GEMM_ROW_BLOCK == 4
+    tails = [TR.frozen_logits(frozen, x[i:i + 6])[4:] for i in range(0, 64 - 6, 6)]
+    assert any(got.tobytes() != blocks[i + 4:i + 6].tobytes()
+               for i, got in zip(range(0, 64 - 6, 6), tails))
+
+
+# whole chunks; a partial last chunk of whole blocks; a last chunk of 6 and
+# one of 1, padded to whole blocks; chunks of 30 rows, rounded down to 28,
+# serving the 12-row last batch
+@pytest.mark.parametrize("n_rows,size", [(720, 32), (68, 32), (70, 32), (65, 32), (72, 30)])
+@pytest.mark.parametrize("widths,n_classes", [("csv60", 42), ("csv60", 12), ("reference", 16),
+                                              ("tiny", 4)])
+def test_frozen_logits_by_chunk_equal_per_batch_calls(n_rows, size, widths, n_classes):
+    frozen = frozen_model(widths, n_classes)
+    rng = np.random.default_rng(n_rows)
+    x = rng.normal(size=(n_rows, SHIPPED_WIDTHS[widths][0])) * 2.0
+    cached = TR.frozen_logits_by_chunk(frozen, x, size)
+    assert cached.shape == (n_rows, n_classes)
+    checked = 0
+    for _ in range(4):  # epochs: full batches and the partial last one
+        order = rng.permutation(n_rows)
+        for start in range(0, n_rows, size):
+            batch = order[start:start + size]
+            if len(batch) % TR.GEMM_ROW_BLOCK == 0:
+                want = TR.frozen_logits(frozen, x[batch])
+                assert cached[batch].tobytes() == want.tobytes()
+                checked += len(batch)
+    assert checked
+
+
+# the last batch of each epoch: 8 rows, gathered; 6 rows and 1 row, their
+# own call each
+@pytest.mark.parametrize("n_rows,calls", [(40, [16, 16, 8]), (38, [16, 16, 8, 6, 6]),
+                                          (33, [16, 16, 4, 1, 1])])
+def test_run_task_without_replay_equals_per_batch_frozen_logits(monkeypatch, n_rows, calls):
+    """The cached frozen logits train a task bit for bit as a call per step
+    does."""
+    state = world("cosine", "relu", task=1)
+    rng = np.random.default_rng(8)
+    task = D.LabeledSet(rng.normal(size=(n_rows, 6)),
+                        tuple(int(c) for c in rng.integers(8, 14, n_rows)), "train")
+    optim, cfg = TR.OptimConfig(epochs=2, batch_new=16), TR.LossConfig()
+    rows, real = [], TR.frozen_logits
+
+    def counted(frozen, x):
+        rows.append(len(x))
+        return real(frozen, x)
+
+    monkeypatch.setattr(TR, "frozen_logits", counted)
+    got, _ = TR.run_task(state, task, None, None, 0.0, cfg, optim, None,
+                         np.random.default_rng(9))
+    assert rows == calls
+    monkeypatch.setattr(TR, "frozen_logits", real)
+
+    mirror, rel = state, {cid: i for i, cid in enumerate(state.head.new_ids)}
+    y_rel = np.array([rel[c] for c in task.y])
+    for epoch, batch, *_ in TR.task_schedule(n_rows, optim, np.random.default_rng(9)):
+        x_new = task.x[batch]
+        grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg, kd_batch(mirror, x_new))[2]
+        mirror = stepped_state(mirror, grad, TR.cosine_lr(optim.lr, epoch, optim.epochs),
+                               optim.weight_decay)
+    assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
 
 
 @pytest.mark.parametrize("mode", ["cosine", "linear"])
@@ -153,7 +249,7 @@ def test_repeated_steps_equal_taped_steps(mode):
         x_new = rng.normal(size=(24, 6))
         y_rel = rng.integers(0, 6, size=24)
         x_kd = np.concatenate([x_new, rng.normal(size=(24, 6))])
-        grad = TR.loss_and_grads(fused, x_new, y_rel, cfg, x_kd)[2]
+        grad = TR.loss_and_grads(fused, x_new, y_rel, cfg, kd_batch(fused, x_kd))[2]
         fused = stepped_state(fused, grad, 0.05, 2e-4)
         taped_grads = taped(taped_state, x_new, y_rel, cfg, x_kd)[2]
         taped_state = stepped_state(taped_state, flat(taped_grads), 0.05, 2e-4)
@@ -188,7 +284,8 @@ def test_contract_errors_kept():
     with pytest.raises(ContractError, match="one relative index per row"):
         TR.loss_and_grads(state, x, [0, 1], cfg)
     with pytest.raises(ContractError, match="distillation"):
-        TR.loss_and_grads(world("cosine", "relu", task=0), x, [0, 1, 2, 0], cfg, x)
+        TR.loss_and_grads(world("cosine", "relu", task=0), x, [0, 1, 2, 0], cfg,
+                          (x, np.zeros((4, 8))))
     with pytest.raises(ContractError, match="logit blocks differ"):
         TR._kd_vjp(np.zeros((4, 3)), np.zeros((4, 2)), 2.0, 1.0)
     with pytest.raises(ContractError, match="gradients"):
@@ -229,6 +326,6 @@ def test_nonfinite_loss_and_gradient_rejected():
     cfg = TR.LossConfig(lambda_kd=2.6e306, kd_temperature=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="gradient"):
-            TR.loss_and_grads(state, x_new, [0, 1, 0, 1], cfg, x_new * 30.0)
+            TR.loss_and_grads(state, x_new, [0, 1, 0, 1], cfg, kd_batch(state, x_new * 30.0))
         with pytest.raises(NumericError):
             taped(state, x_new, [0, 1, 0, 1], cfg, x_new * 30.0)

@@ -307,15 +307,16 @@ def metrics_rows(run_dir):
 
 
 def test_a_run_is_a_fold_over_tasks(tmp_path):
-    """``first_task``, then ``learn`` and ``evaluation`` per task, called by
-    hand give the rows of ``run_benchmark``, in its order."""
+    """``first_task``, then ``learn``, ``settle`` and ``evaluation`` per task,
+    called by hand give the rows of ``run_benchmark``, in its order."""
     cfg = tiny_config(tmp_path)
     stream = runner.stream_from_config(cfg)
     state, store = runner.first_task(cfg, stream)
     rows, evaluated = [], []
     for t in range(stream.task_count):
         if t:
-            state, learned = runner.learn(cfg, stream, state, store, t)
+            state, learned = runner.learn(cfg, stream, state, lambda: store, t)
+            runner.settle(cfg, stream, state, store, t)
             rows += learned
         gamma, accuracies = runner.evaluation(cfg, stream, state, store, t)
         rows += [("calibration", t, "", f"gamma{i + 1}", g) for i, g in enumerate(gamma)]

@@ -5,6 +5,7 @@ No test here starts more processes than the machine has CPUs.
 """
 
 import csv
+import io
 import os
 import queue
 import subprocess
@@ -239,18 +240,23 @@ def failing_task0_tuning(monkeypatch, pids):
     monkeypatch.setattr(C, "tune_shrinkage", failing)
 
 
-def raised_inline_and_forked(tmp_path, monkeypatch, pids):
+def raised_inline_and_forked(tmp_path, monkeypatch, pids, *extra):
     """The errors of the tiny run on two CPUs and on one."""
     errors = []
     for where in ("forked", "inline"):
         if where == "inline":
             on_one_cpu(monkeypatch)
         with pytest.raises(EngineError) as raised:
-            runner.run_benchmark(tiny_config(tmp_path / where))
+            runner.run_benchmark(tiny_config(tmp_path / where, *extra))
         errors.append(raised.value)
         assert bool(pids_other_than_mine(pids)) == (where == "forked")
         pids.unlink()
     return errors
+
+
+def metrics_bytes(tmp_path, *extra):
+    """``metrics.csv`` of the tiny run with ``extra`` under ``tmp_path``."""
+    return (runner._run_dir(tiny_config(tmp_path, *extra), None) / "metrics.csv").read_bytes()
 
 
 @needs_two_cpus
@@ -311,3 +317,177 @@ def test_training_error_after_an_evaluation_keeps_its_rows(tmp_path, monkeypatch
     assert rows.count(("eval", "0")) == len(cfg["classifiers"])
     assert ("calibration", "0") in rows
     assert not [row for row in rows if row[1] != "0"]
+
+
+# -- the settled store comes back from the evaluation helper ----------------------------
+
+
+NO_REPLAY = "replay.enabled=false"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("covariance", [['covariance.mode="full"'],
+                                        ['covariance.mode="svd"', "covariance.svd_k=4"]])
+def test_a_run_that_does_not_replay_settles_in_the_helper(tmp_path, monkeypatch, covariance):
+    """Without replay a task trains before it reads the store, so task t
+    is calibrated in the helper while task t+1 trains; the last task is
+    calibrated here.  The bytes are those of a run on one CPU."""
+    cfg = tiny_config(tmp_path, NO_REPLAY, *covariance)
+    assert cfg["tasks"]["count"] == 3 and cfg["adc"]["enabled"]
+    pids, fit = tmp_path / "pids", C.fit_transfer_matrix
+
+    def logged(*args, **kwargs):
+        log_pid(pids)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(C, "fit_transfer_matrix", logged)
+    forked = runner.run_benchmark(cfg, tmp_path / "forked")
+    assert pids_other_than_mine(pids)  # task 1, in the helper
+    assert str(os.getpid()) in pids.read_text().split()  # task 2, here
+    on_one_cpu(monkeypatch)
+    pids.unlink()
+    inline = runner.run_benchmark(cfg, tmp_path / "inline")
+    assert not pids_other_than_mine(pids)
+    for name in ("metrics.csv", "store.json", "model.json"):
+        assert (forked.run_dir / name).read_bytes() == (inline.run_dir / name).read_bytes()
+    assert forked.gammas == inline.gammas
+
+
+@pytest.mark.parametrize("where", [pytest.param("forked", marks=needs_two_cpus), "inline"])
+def test_stored_arrays_stay_read_only(tmp_path, monkeypatch, where):
+    """The store the last task settles here came back from the helper on
+    two CPUs: unpickled arrays are writeable unless the entries freeze them."""
+    if where == "inline":
+        on_one_cpu(monkeypatch)
+    me, settle, seen = os.getpid(), runner.settle, []
+
+    def checked(config, stream, state, store, t):
+        if os.getpid() == me:
+            seen.append(t)
+            for entry in store.entries.values():
+                for a in (entry.mu, entry.cov, *(entry.svd or ())):
+                    assert not a.flags.writeable
+        return settle(config, stream, state, store, t)
+
+    monkeypatch.setattr(runner, "settle", checked)
+    runner.run_benchmark(tiny_config(tmp_path, 'covariance.mode="svd"', "covariance.svd_k=4"))
+    assert seen == ([2] if where == "forked" else [1, 2])
+
+
+def failing_calibration(monkeypatch, pids, at_task):
+    """``C.calibrate`` raises at ``at_task`` and logs the pid of the process
+    that raised."""
+    calibrate = C.calibrate
+
+    def failing(entry, w, delta, task):
+        if task == at_task:
+            log_pid(pids)
+            raise NumericError("transfer map diverged")
+        return calibrate(entry, w, delta, task=task)
+
+    monkeypatch.setattr(C, "calibrate", failing)
+
+
+def failing_task1_tuning(monkeypatch, pids):
+    """``C.tune_shrinkage`` raises at task 1 (the store holds four classes)
+    and logs the pid of the process that raised."""
+    tune = C.tune_shrinkage
+
+    def failing(store, *args, **kwargs):
+        if len(store.class_ids()) == 4:
+            log_pid(pids)
+            raise NumericError("non-finite validation scores")
+        return tune(store, *args, **kwargs)
+
+    monkeypatch.setattr(C, "tune_shrinkage", failing)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("extra", [[], [NO_REPLAY]])
+def test_calibration_error_is_raised_with_its_type_message_and_rows(tmp_path, monkeypatch,
+                                                                     extra):
+    """With replay task 2 reads the settled store before it samples
+    candidates; without, once it has trained.  Either way the error of task
+    1's calibration is raised as on one CPU, and task 1 writes no row."""
+    pids = tmp_path / "pids"
+    failing_calibration(monkeypatch, pids, 1)
+    errors = raised_inline_and_forked(tmp_path, monkeypatch, pids, *extra)
+    assert type(errors[0]) is type(errors[1]) is NumericError
+    assert str(errors[0]) == str(errors[1]) == "stage 'calibration': transfer map diverged"
+    forked, inline = (metrics_bytes(tmp_path / where, *extra) for where in ("forked", "inline"))
+    assert forked == inline
+    rows = list(csv.DictReader(io.StringIO(forked.decode())))
+    assert ("eval", "0") in {(row["stage"], row["task"]) for row in rows}
+    assert {row["task"] for row in rows} == {"0"}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("extra", [[], [NO_REPLAY],
+                                   [NO_REPLAY, "dataset.n_classes=8", "tasks.count=4"]])
+def test_evaluation_error_of_a_settled_task_keeps_its_training_rows(tmp_path, monkeypatch,
+                                                                   extra):
+    """Task 1 settles and its evaluation fails: task 1's training rows are
+    written, as on one CPU, although without replay the helper of a task
+    two or more before the last evaluates before it sends the store."""
+    pids = tmp_path / "pids"
+    failing_task1_tuning(monkeypatch, pids)
+    errors = raised_inline_and_forked(tmp_path, monkeypatch, pids, *extra)
+    assert str(errors[0]) == str(errors[1]) == \
+        "stage 'shrinkage-tuning': non-finite validation scores"
+    forked, inline = (metrics_bytes(tmp_path / where, *extra) for where in ("forked", "inline"))
+    assert forked == inline
+    rows = list(csv.DictReader(io.StringIO(forked.decode())))
+    assert ("train", "1") in {(row["stage"], row["task"]) for row in rows}
+    assert "2" not in {row["task"] for row in rows}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("extra", [[], [NO_REPLAY]])
+def test_last_task_error_comes_after_the_helpers_evaluation_error(tmp_path, monkeypatch,
+                                                                 extra):
+    """The last task is settled here while the helper may still evaluate
+    task 1: task 1's evaluation error is raised, as on one CPU, although
+    task 2's calibration failed first."""
+    pids, raised_last = tmp_path / "pids", tmp_path / "raised_last"
+    failing_task1_tuning(monkeypatch, pids)
+    failing_calibration(monkeypatch, raised_last, 2)
+    forked, inline = raised_inline_and_forked(tmp_path, monkeypatch, pids, *extra)
+    assert str(os.getpid()) in raised_last.read_text().split()
+    assert type(forked) is type(inline) is NumericError
+    assert str(forked) == str(inline) == "stage 'shrinkage-tuning': non-finite validation scores"
+    assert metrics_bytes(tmp_path / "forked", *extra) == metrics_bytes(tmp_path / "inline", *extra)
+
+
+@needs_two_cpus
+def test_calibration_error_comes_before_the_next_tasks_training_error(tmp_path, monkeypatch):
+    pids = tmp_path / "pids"
+    failing_calibration(monkeypatch, pids, 1)
+    run_task = TR.run_task
+
+    def failing_training(state, *args, **kwargs):
+        if state.task_index == 2:
+            raise ContractError("task 2 cannot train")
+        return run_task(state, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "run_task", failing_training)
+    forked, inline = raised_inline_and_forked(tmp_path, monkeypatch, pids, NO_REPLAY)
+    assert type(forked) is type(inline) is NumericError
+    assert str(forked) == str(inline) == "stage 'calibration': transfer map diverged"
+    assert metrics_bytes(tmp_path / "forked", NO_REPLAY) == \
+        metrics_bytes(tmp_path / "inline", NO_REPLAY)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("extra", [[], [NO_REPLAY]])
+def test_evaluation_helper_that_dies_calibrating_is_an_engine_error(tmp_path, monkeypatch,
+                                                                    extra):
+    me, fit = os.getpid(), C.fit_transfer_matrix
+
+    def dying(*args, **kwargs):
+        if os.getpid() != me:
+            os._exit(5)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(C, "fit_transfer_matrix", dying)
+    with pytest.raises(EngineError, match="^evaluation helper exited with code 5 "):
+        runner.run_benchmark(tiny_config(tmp_path, *extra))

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from test_fused_step import flat, stepped_state
+from test_fused_step import flat, kd_batch, stepped_state
 
 from advreplay import blas
 from advreplay import data as D
@@ -213,7 +213,7 @@ def test_sgd_steps_across_head_growth_equal_per_array_update():
             rows = slice(16 * step, 16 * step + 16)
             x_kd = np.concatenate([x1[rows], x0[rows]]) if task else None
             grad = TR.loss_and_grads(state, (x0, x1)[task][rows], labels, TR.LossConfig(),
-                                     x_kd)[2]
+                                     kd_batch(state, x_kd))[2]
             want = [p - lr * (g + wd * p)
                     for p, g in zip(M.trainable_params(state), M.param_views(state, grad))]
             state = stepped_state(state, grad, lr, wd)
@@ -247,7 +247,7 @@ def test_stepped_params_are_read_only_views_of_one_vector():
             M.param_views(stepped, vector[:-1])
     # the next step writes a new vector and leaves this one as it was
     x = stream.train[1].x[:8]
-    grad = TR.loss_and_grads(trained, x, [0, 1] * 4, TR.LossConfig(), x)[2]
+    grad = TR.loss_and_grads(trained, x, [0, 1] * 4, TR.LossConfig(), kd_batch(trained, x))[2]
     before = vector.tobytes()
     again = TR.sgd_step(vector, grad, 0.1, 2e-4)
     assert not np.shares_memory(again, vector)
@@ -258,7 +258,7 @@ def test_nan_in_any_gradient_block_raises():
     state, stream, rng = small_world(seed=26)
     state = M.begin_task(state, stream.class_groups[1], rng)
     x = stream.train[1].x[:8]
-    grad = TR.loss_and_grads(state, x, [0, 1] * 4, TR.LossConfig(), x)[2]
+    grad = TR.loss_and_grads(state, x, [0, 1] * 4, TR.LossConfig(), kd_batch(state, x))[2]
     n = len(state.extractor.weights)
     # a weight, a bias, w_old and w_new
     for block in (1, n + 1, 2 * n, 2 * n + 1):
