@@ -4,8 +4,9 @@ Once a task finishes, perturbed drift samples are generated per old class,
 a per-class linear transfer map is fitted between frozen and updated feature
 spaces, and each stored class is replaced by a new immutable entry with
 ``mu + delta`` and ``W cov W^T``.  Covariances can be kept full or as a
-truncated SVD triple of size ``2kd + k^2``; Mahalanobis evaluation shrinks
-and correlation-normalizes them first.
+truncated SVD triple of size ``2kd + k^2``, in which case the entry holds
+only the triple; Mahalanobis evaluation shrinks and correlation-normalizes
+them first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -28,34 +29,40 @@ GAMMA_GRID = (1, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120
 STORE_VERSION = 1
 
 
-@dataclass(frozen=True)
 class StoreEntry:
     """One stored class: read-only copies of its mean and covariance, and
     provenance task indices.  Build it from ``cov``, or from ``svd``, the
-    rank-k triple (U_k, S_k, V_k) that the store then keeps instead; ``cov``
-    is ``recompose(*svd)``, formed here once.  ``svd`` is ``None`` when full."""
+    rank-k triple (U_k, S_k, V_k) that the entry then holds instead; ``svd``
+    is ``None`` when full.  A rank-k entry keeps only its factors: its
+    ``cov`` is ``recompose(*svd)``, formed anew on each access.  Entries
+    cannot be changed once built."""
 
-    mu: np.ndarray
-    cov: np.ndarray | None
-    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    created_task: int
-    calibrated_task: int
-
-    def __post_init__(self):
-        if (self.cov is None) == (self.svd is None):
+    def __init__(self, mu, cov, svd, created_task: int, calibrated_task: int):
+        if (cov is None) == (svd is None):
             raise ContractError("entry needs exactly one covariance representation")
-        cov = self.cov
-        if self.svd is not None:
-            object.__setattr__(self, "svd", tuple(readonly(a, "stored factors") for a in self.svd))
-            cov = recompose(*self.svd)
-        object.__setattr__(self, "mu", readonly(self.mu, "stored prototype"))
-        object.__setattr__(self, "cov", readonly(cov, "stored covariance"))
+        self.__dict__.update(
+            mu=readonly(mu, "stored prototype"),
+            svd=None if svd is None else tuple(readonly(a, "stored factors") for a in svd),
+            created_task=created_task, calibrated_task=calibrated_task)
+        if cov is not None:
+            self.__dict__["_cov"] = readonly(cov, "stored covariance")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StoreEntry is read-only; cannot set {name!r}")
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays (a store sent by a helper process) come back writeable
-        for a in (state["mu"], state["cov"], *(state["svd"] or ())):
+        for a in (state["mu"], *(state["svd"] or (state["_cov"],))):
             a.flags.writeable = False
         self.__dict__.update(state)
+
+    @property
+    def cov(self) -> np.ndarray:
+        if self.svd is None:
+            return self._cov
+        cov = recompose(*self.svd)
+        cov.flags.writeable = False
+        return cov
 
     @classmethod
     def build(cls, mu, cov, k: int | None, created_task: int, calibrated_task: int) -> StoreEntry:
@@ -87,12 +94,28 @@ class PrototypeStore:
     def prototypes(self) -> dict[int, np.ndarray]:
         return {cid: e.mu for cid, e in self.entries.items()}
 
-    def covariances(self) -> dict[int, np.ndarray]:
-        return {cid: e.cov for cid, e in self.entries.items()}
+    def covariances(self) -> Mapping[int, np.ndarray]:
+        """Each class's covariance, formed only when looked up: a rank-k
+        class's d x d matrix lives no longer than its caller holds it."""
+        return _Covariances(self.entries)
 
     def compress_all(self, k: int) -> None:
         self.entries = {cid: StoreEntry.build(e.mu, e.cov, k, e.created_task, e.calibrated_task)
                         for cid, e in self.entries.items()}
+
+
+class _Covariances(Mapping):
+    def __init__(self, entries: dict[int, StoreEntry]):
+        self._entries = entries
+
+    def __getitem__(self, cid: int) -> np.ndarray:
+        return self._entries[cid].cov
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 # -- drift samples ---------------------------------------------------------------
@@ -194,10 +217,12 @@ def calibrate(entry: StoreEntry, w: np.ndarray, delta: np.ndarray, task: int) ->
 
 def shrinkage_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The exactly symmetrized covariance and the shrinkage scales: v1, the
-    mean diagonal entry, and v2, the mean off-diagonal entry."""
+    mean diagonal entry, and v2, the mean off-diagonal entry.  An asymmetry
+    above 1e-9 of the largest entry's magnitude is rejected; a recomposed
+    rank-k matrix is asymmetric only by rounding, at any scale."""
     cov = np.asarray(cov, dtype=np.float64)
     d = cov.shape[0]
-    if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-9:
+    if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-9 * np.max(np.abs(cov)):
         raise ContractError("shrinkage needs a symmetric square matrix")
     cov = 0.5 * (cov + cov.T)
     v1 = float(np.trace(cov)) / d
@@ -258,9 +283,9 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
     ``(gamma, gamma)`` pair.  Ties break toward the smaller gamma (scan
     order).  Only data tagged as a validation split is accepted, so test data
     can never leak in here.  One scorer serves the whole grid
-    (``MahalanobisScorer.scan``); each class is eigendecomposed once.  A
-    caller that evaluates with the tuned gamma passes its ``scorer`` over
-    ``store`` so that the decompositions serve both.
+    (``MahalanobisScorer.scan``); each full class is eigendecomposed once.
+    A caller that evaluates with the tuned gamma passes its ``scorer`` over
+    ``store`` so that one build serves both.
     """
     grid = tuple(grid)
     if not grid:
@@ -290,22 +315,24 @@ def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
 
 
 def save_store(store: PrototypeStore, path) -> None:
+    """Write ``store`` as JSON.  The records hold the arrays themselves; each
+    becomes a list of Python floats only while it is encoded."""
     records = {}
     for cid, e in store.entries.items():
         rec = {
-            "mu": e.mu.tolist(),
+            "mu": e.mu,
             "created_task": e.created_task,
             "calibrated_task": e.calibrated_task,
         }
         if e.svd is None:
             rec["repr"] = "full"
-            rec["cov"] = e.cov.tolist()
+            rec["cov"] = e.cov
         else:
             rec["repr"] = f"svd-{e.rank}"
-            rec["u"], rec["s"], rec["v"] = (part.tolist() for part in e.svd)
+            rec["u"], rec["s"], rec["v"] = e.svd
         records[str(cid)] = rec
     payload = {"format_version": STORE_VERSION, "classes": records}
-    write_atomic(path, json.dumps(payload))
+    write_atomic(path, json.dumps(payload, default=np.ndarray.tolist))
 
 
 def load_store(path) -> PrototypeStore:

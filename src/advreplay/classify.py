@@ -45,41 +45,67 @@ BOUND_MARGIN = 1e-9
 
 
 class MahalanobisScorer:
-    """Shrunk-and-normalized Mahalanobis distances from one eigendecomposition
-    per class, at any shrinkage.
+    """Shrunk-and-normalized Mahalanobis distances at any shrinkage, from one
+    eigendecomposition per full class and the stored factors of each rank-k
+    class.
 
     ``calib.shrink_normalize`` turns a covariance ``S`` into the correlation
     matrix ``R = D^-1/2 (S + cI) D^-1/2``, with ``c = gamma1 v1 + gamma2 v2``
-    and ``D = diag(S) + c``.  With ``S = Q diag(lam) Q^T``, formed once per
-    class here, ``(x - mu)^T R^-1 (x - mu)`` is
-    ``||(x - mu) D^1/2 Q (lam + c)^-1/2||^2``: each class and shrinkage costs
-    one d x d map and one GEMM, with no Cholesky factor or inverse.
+    and ``D = diag(S) + c``.  So ``(x - mu)^T R^-1 (x - mu)`` is
+    ``z^T (S + cI)^-1 z`` with ``z = (x - mu) D^1/2``, and
+    ``||z||^2 = a + (min diag + c) b`` with ``a = e^2 . (diag - min diag)``
+    and ``b = ||e||^2`` for ``e = x - mu``: sums of non-negative terms,
+    which cannot cancel whatever the sign of c.
+
+    - A full class: with ``S = Q diag(lam) Q^T``, formed once per class
+      here, the distance is ``||z Q (lam + c)^-1/2||^2``: one d x d map and
+      one GEMM per shrinkage, with no Cholesky factor or inverse.
+    - A rank-k class, ``S = U diag(lam) U^T`` from its stored SVD: by
+      Woodbury, ``(S + cI)^-1 = (I - U diag(lam / (lam + c)) U^T) / c``, so
+      the distance is ``(||z||^2 - sum_i lam_i / (lam_i + c) (z . u_i)^2) / c``:
+      one d x k GEMM per shrinkage.  The scorer keeps U, lam, diag, v1 and
+      v2 of such a class, and no d x d array.
+
     ``distances`` and ``predict`` use the constructor's shrinkage unless
     given a ``(gamma1, gamma2)`` pair; ``scan`` predicts for a whole grid.
 
-    Q is orthogonal, so the distance lies between ``||z||^2 / (lam_max + c)``
-    and ``||z||^2 / (lam_min + c)`` with ``z = (x - mu) D^1/2``.  ``scan``
+    The shrunk spectrum of a class lies between ``lam_min + c`` and
+    ``lam_max + c`` (``c`` and ``lam_max + c`` at rank k), so its distance
+    lies between ``||z||^2`` over the one and over the other.  ``scan``
     uses these bounds to skip the GEMM rows that cannot hold a row's
-    nearest class (see ``BOUND_MARGIN`` for the rounding slack).
+    nearest full class (see ``BOUND_MARGIN`` for the rounding slack).
     """
 
     def __init__(self, store: C.PrototypeStore, gamma1: float, gamma2: float):
         if not store.class_ids():
             raise ContractError("prototype store is empty")
         self.ids = store.class_ids()
-        terms = [C.shrinkage_terms(store.entries[cid].cov) for cid in self.ids]
-        covs = np.stack([cov for cov, _, _ in terms])
-        self._lam, self._q = np.linalg.eigh(covs)
-        self._diag = np.diagonal(covs, axis1=1, axis2=2)
-        # ||z||^2 = sum_i e_i^2 (diag_i + c) = a + (min diag + c) b with
-        # a = e^2 . (diag - min diag) and b = e^2 . 1 (the two weight columns
-        # below): sums of non-negative terms, which cannot cancel whatever
-        # the sign of c
+        entries = [store.entries[cid] for cid in self.ids]
+        self._mu = [e.mu for e in entries]
+        self._lowrank = {j: (e.svd[0], np.diagonal(e.svd[1]).copy())
+                         for j, e in enumerate(entries) if e.svd is not None}
+        self._full = [j for j in range(len(entries)) if j not in self._lowrank]
+        covs, diag, v = [], [], []
+        for e in entries:  # a rank-k class's recomposed d x d matrix lives only here
+            cov, v1, v2 = C.shrinkage_terms(e.cov)
+            diag.append(np.diagonal(cov).copy())
+            v.append((v1, v2))
+            if e.svd is None:
+                covs.append(cov)
+        self._diag, self._v = np.array(diag), np.array(v)
+        d = self._diag.shape[1]
+        self._lam, self._q = (np.linalg.eigh(np.stack(covs)) if covs
+                              else (np.empty((0, d)), np.empty((0, d, d))))
+        # per class, the ends of S's spectrum: a rank-k class's smallest is
+        # taken as 0, also at k = d, where that only makes the test stricter
+        self._low, self._high = np.zeros(len(entries)), np.empty(len(entries))
+        self._low[self._full], self._high[self._full] = self._lam[:, 0], self._lam[:, -1]
+        for j, (_, lam) in self._lowrank.items():
+            self._high[j] = lam.max()
+        # the weight columns of the two sums behind ||z||^2
         self._diag_min = self._diag.min(axis=1)
         self._sum_weights = np.stack(
             [self._diag - self._diag_min[:, None], np.ones(self._diag.shape)], axis=2)
-        self._v = np.array([(v1, v2) for _, v1, v2 in terms])
-        self._mu = [store.entries[cid].mu for cid in self.ids]
         self._default = self._factors(gamma1, gamma2)
 
     def _shift(self, gamma1: float, gamma2: float) -> np.ndarray:
@@ -87,29 +113,31 @@ class MahalanobisScorer:
         return gamma1 * self._v[:, 0] + gamma2 * self._v[:, 1]
 
     def _factors(self, gamma1: float, gamma2: float):
-        """Per-class ``D^1/2`` and ``(lam + c)^-1/2`` rows at one shrinkage.
+        """Per full class (in ``_full`` order) the ``D^1/2`` and
+        ``(lam + c)^-1/2`` rows, and every class's ``c``, at one shrinkage.
 
         A shrunk spectrum whose smallest value is not above ``d eps`` times
-        its largest is rejected as not positive definite, as a Cholesky
-        factorization of it would be.
+        its largest, or a non-positive entry of ``diag + c``, is rejected as
+        not positive definite, as a Cholesky factorization of it would be.
         """
-        c = self._shift(gamma1, gamma2)[:, None]
-        shrunk, scale = self._lam + c, self._diag + c
-        floor = shrunk.shape[1] * np.finfo(np.float64).eps * shrunk[:, -1]
-        bad = (shrunk[:, 0] <= floor) | (scale <= 0.0).any(axis=1)
+        c = self._shift(gamma1, gamma2)
+        scale = self._diag + c[:, None]
+        floor = scale.shape[1] * np.finfo(np.float64).eps * (self._high + c)
+        bad = (self._low + c <= floor) | (scale <= 0.0).any(axis=1)
         if bad.any():
             raise NumericError(
                 f"class {self.ids[int(bad.argmax())]}: shrunk covariance is not positive definite")
-        return np.sqrt(scale), 1.0 / np.sqrt(shrunk)
+        return np.sqrt(scale[self._full]), 1.0 / np.sqrt(self._lam + c[self._full, None]), c
 
-    def _sq_norms(self, j: int, centered: np.ndarray, factors) -> np.ndarray:
-        root, inv_root = factors
-        y = centered @ (root[j][:, None] * self._q[j] * inv_root[j])
+    def _sq_norms(self, f: int, centered: np.ndarray, factors) -> np.ndarray:
+        """Distances of ``centered`` rows to the ``f``-th full class."""
+        root, inv_root, _ = factors
+        y = centered @ (root[f][:, None] * self._q[f] * inv_root[f])
         return np.einsum("ij,ij->i", y, y)
 
-    def _sq_norms_rows(self, j: int, centered: np.ndarray, rows: np.ndarray,
+    def _sq_norms_rows(self, f: int, centered: np.ndarray, rows: np.ndarray,
                        factors) -> np.ndarray:
-        """``_sq_norms(j, centered, factors)[rows]``, bit for bit, from a
+        """``_sq_norms(f, centered, factors)[rows]``, bit for bit, from a
         product over those rows only.
 
         A product of two or more gathered rows rounds each row as the whole
@@ -118,7 +146,18 @@ class MahalanobisScorer:
         round differently, so a lone row is computed twice over.
         """
         block = centered[rows] if len(rows) > 1 else centered[np.repeat(rows, 2)]
-        return self._sq_norms(j, block, factors)[:len(rows)]
+        return self._sq_norms(f, block, factors)[:len(rows)]
+
+    def _lowrank_sq_norms(self, j: int, centered: np.ndarray, sums: np.ndarray,
+                          c: float) -> np.ndarray:
+        """Distances of ``centered`` rows to rank-k class ``j`` at shrinkage
+        ``c``, from ``sums = centered^2 @ _sum_weights[j]``.  ``distances``
+        and ``scan`` both score a rank-k class here, so they share its bits."""
+        u, lam = self._lowrank[j]
+        proj = centered @ (u * np.sqrt(self._diag[j] + c)[:, None])
+        dist = np.square(proj, out=proj) @ (lam / (lam + c))
+        np.subtract(sums[:, 0] + (self._diag_min[j] + c) * sums[:, 1], dist, out=dist)
+        return np.divide(dist, c, out=dist)
 
     def _bound_terms(self, gammas, d: int):
         """Per (gamma, class): ``base = min diag + c``, so that
@@ -127,15 +166,19 @@ class MahalanobisScorer:
         the rounding slack (``BOUND_MARGIN``).  ``base`` is positive for
         every pair that ``_factors`` accepts."""
         shift = np.array([self._shift(g1, g2) for g1, g2 in gammas]).reshape(-1, len(self.ids))
-        low, high = self._lam[:, 0] + shift, self._lam[:, -1] + shift
+        low, high = self._low + shift, self._high + shift
         slack = BOUND_MARGIN * d * np.sqrt(d * high / low)
         return self._diag_min + shift, (1.0 - slack) / high, (1.0 + slack) / low
 
     def distances(self, feats: np.ndarray, gamma=None) -> np.ndarray:
         factors = self._default if gamma is None else self._factors(*gamma)
         out = np.empty((len(feats), len(self.ids)))
-        for j in range(len(self.ids)):
-            out[:, j] = self._sq_norms(j, feats - self._mu[j], factors)
+        for f, j in enumerate(self._full):
+            out[:, j] = self._sq_norms(f, feats - self._mu[j], factors)
+        for j in self._lowrank:
+            centered = feats - self._mu[j]
+            sums = np.square(centered) @ self._sum_weights[j]
+            out[:, j] = self._lowrank_sq_norms(j, centered, sums, factors[2][j])
         return out
 
     def predict(self, feats: np.ndarray, gamma=None) -> np.ndarray:
@@ -145,53 +188,66 @@ class MahalanobisScorer:
     def scan(self, feats: np.ndarray, gammas) -> np.ndarray:
         """``predict(feats, gamma)`` for each pair in ``gammas``, one row each.
 
-        An exact branch-and-bound over the classes.  Per class and row, two
-        sums ``a = (e * e) . (diag - min diag)`` and ``b = ||e||^2`` give
-        ``||z||^2 = a + (min diag + c) b``, and so both distance bounds, at
-        every shrinkage.  A first pass takes, per (gamma, row), the smallest
-        upper bound over the classes.  A class whose lower bound exceeds it
-        is farther than some other class and cannot be the row's nearest,
-        nor tie with it.  The second pass runs the GEMM only on the rows
-        each class can still win, and keeps a running minimum in class
-        order: a strictly smaller distance is needed to move a row to a
-        later class, so ties resolve as in ``predict``.  Those distances
-        are ``distances``' own bits (``_sq_norms_rows``), so every
-        prediction equals ``predict``'s.  Nothing per (class, row) is kept
-        between the passes; the sums are recomputed.
+        Classes are visited in order with a running minimum per (gamma,
+        row): a strictly smaller distance is needed to move a row to a later
+        class, so ties resolve as in ``predict``.  A rank-k class is scored
+        in full at every shrinkage through ``distances``' own kernel
+        (``_lowrank_sq_norms``).
+
+        Full classes go through an exact branch-and-bound.  The two sums
+        behind ``||z||^2`` give both distance bounds at every shrinkage.  A
+        first pass takes, per (gamma, row), the smallest upper bound over
+        the full classes.  A full class whose lower bound exceeds it is
+        farther than some other class and cannot be the row's nearest, nor
+        tie with it.  The second pass runs the GEMM only on the rows each
+        full class can still win.  Those distances are ``distances``' own
+        bits (``_sq_norms_rows``), so every prediction equals ``predict``'s.
+        Nothing per (class, row) is kept between the passes; the sums are
+        recomputed.
         """
         factors = [self._factors(g1, g2) for g1, g2 in gammas]
         base, lower, upper = self._bound_terms(gammas, feats.shape[1])
 
-        # buffers reused for every class: feats - mu, its square, and one
-        # scaled ||z||^2 per (gamma, row)
+        # buffers reused for every class: feats - mu, its square and its two
+        # sums, and one scaled ||z||^2 per (gamma, row)
         centered, sq = np.empty(feats.shape), np.empty(feats.shape)
-        z = np.empty((len(factors), len(feats)))
+        sums, z = np.empty((len(feats), 2)), np.empty((len(factors), len(feats)))
 
         def scaled_norms(j, scale):
             np.subtract(feats, self._mu[j], out=centered)
-            a, b = (np.square(centered, out=sq) @ self._sum_weights[j]).T
+            a, b = np.matmul(np.square(centered, out=sq), self._sum_weights[j], out=sums).T
             np.multiply(base[:, j, None], b, out=z)
             np.add(z, a, out=z)
             return np.multiply(z, scale[:, j, None], out=z)
 
+        def full_distances(j, f):
+            np.greater(scaled_norms(j, lower), bound, out=shut)
+            for g, fac in enumerate(factors):
+                rows = np.flatnonzero(~shut[g])
+                if len(rows) == len(feats):
+                    yield g, self._sq_norms(f, centered, fac)
+                elif len(rows):
+                    dist = np.full(len(feats), np.inf)  # a shut row cannot move
+                    dist[rows] = self._sq_norms_rows(f, centered, rows, fac)
+                    yield g, dist
+
+        def lowrank_distances(j):
+            np.subtract(feats, self._mu[j], out=centered)
+            np.matmul(np.square(centered, out=sq), self._sum_weights[j], out=sums)
+            for g, fac in enumerate(factors):
+                yield g, self._lowrank_sq_norms(j, centered, sums, fac[2][j])
+
         bound = np.full(z.shape, np.inf)
-        for j in range(len(self.ids)):
+        for j in self._full:
             np.minimum(bound, scaled_norms(j, upper), out=bound)
 
         best = np.full(z.shape, np.inf)
         arg = np.zeros(z.shape, dtype=np.intp)
         shut, closer = np.empty(z.shape, dtype=bool), np.empty(len(feats), dtype=bool)
+        slot = {j: f for f, j in enumerate(self._full)}
         for j in range(len(self.ids)):
-            np.greater(scaled_norms(j, lower), bound, out=shut)
-            for g, fac in enumerate(factors):
-                rows = np.flatnonzero(~shut[g])
-                if len(rows) == len(feats):
-                    dist = self._sq_norms(j, centered, fac)
-                elif len(rows):
-                    dist = np.full(len(feats), np.inf)  # a shut row cannot move
-                    dist[rows] = self._sq_norms_rows(j, centered, rows, fac)
-                else:
-                    continue
+            found = full_distances(j, slot[j]) if j in slot else lowrank_distances(j)
+            for g, dist in found:
                 np.less(dist, best[g], out=closer)
                 np.copyto(best[g], dist, where=closer)
                 np.copyto(arg[g], j, where=closer)

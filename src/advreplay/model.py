@@ -396,8 +396,8 @@ def _extractor_record(params: ExtractorParams) -> dict:
     return {
         "widths": list(params.widths),
         "activations": list(params.activations),
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "weights": list(params.weights),
+        "biases": list(params.biases),
     }
 
 
@@ -431,8 +431,8 @@ def _head_record(head: ClassifierHead) -> dict:
         "scale": head.scale,
         "old_ids": list(head.old_ids),
         "new_ids": list(head.new_ids),
-        "w_old": None if head.w_old is None else head.w_old.tolist(),
-        "w_new": head.w_new.tolist(),
+        "w_old": head.w_old,
+        "w_new": head.w_new,
     }
 
 
@@ -456,7 +456,9 @@ def _head_from_record(rec, feature_dim: int, where: str) -> ClassifierHead:
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    """JSON checkpoint; float64 values round-trip bit-exactly via repr."""
+    """JSON checkpoint; float64 values round-trip bit-exactly via repr.  The
+    record holds the arrays themselves; each becomes a list of Python floats
+    only while it is encoded."""
     record = {
         "format_version": CHECKPOINT_VERSION,
         "task_index": state.task_index,
@@ -469,7 +471,7 @@ def save_checkpoint(state: ModelState, path) -> None:
             "head": _head_record(state.frozen[1]),
         },
     }
-    write_atomic(path, json.dumps(record))
+    write_atomic(path, json.dumps(record, default=np.ndarray.tolist))
 
 
 def load_checkpoint(path) -> ModelState:

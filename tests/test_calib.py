@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import numpy as np
@@ -254,6 +255,27 @@ def test_store_entry_arrays_are_read_only():
             entry.mu = np.zeros(3)
 
 
+def test_rank_k_entry_holds_only_its_factors_also_unpickled():
+    """A rank-k entry keeps mu and its (U, S, V); ``cov`` is formed on each
+    access.  A store sent between processes comes back the same way, with
+    every array read-only again."""
+    rng = np.random.default_rng(16)
+    cov = random_spd(rng, 6)
+    entries = (C.StoreEntry(np.ones(6), None, C.decompose(cov, 2), 0, 1),
+               C.StoreEntry(np.ones(6), cov, None, 0, 1))
+    for entry in entries:
+        back = pickle.loads(pickle.dumps(entry))
+        held = [back.mu, *(back.svd or (back.cov,))]
+        assert all(not a.flags.writeable for a in held)
+        np.testing.assert_array_equal(back.cov, entry.cov)
+        assert (back.rank, back.created_task, back.calibrated_task) == (entry.rank, 0, 1)
+    rank_k = pickle.loads(pickle.dumps(entries[0]))
+    assert set(vars(rank_k)) == {"mu", "svd", "created_task", "calibrated_task"}
+    assert rank_k.cov is not rank_k.cov and not rank_k.cov.flags.writeable
+    with pytest.raises(AttributeError):
+        rank_k.svd = None
+
+
 def test_store_add_copies_callers_arrays():
     mu, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
     store = C.PrototypeStore()
@@ -304,6 +326,39 @@ def test_shrink_normalize_unit_diagonal_and_symmetry():
 def test_shrink_normalize_rejects_nonpositive_diagonal():
     with pytest.raises(NumericError):
         C.shrink_normalize(-np.eye(3), 0.0, 0.0)
+
+
+def test_shrinkage_rejects_an_asymmetric_matrix_at_any_scale():
+    """The symmetry test is relative: an asymmetry of 2.5e-7 of the largest
+    entry is rejected at every scale, also where it is far below 1e-9."""
+    for scale in (1e-6, 1.0, 1e8):
+        cov = scale * np.array([[2.0, 0.5], [0.5 + 5e-7, 1.0]])
+        with pytest.raises(ContractError, match="symmetric square"):
+            C.shrinkage_terms(cov)
+
+
+def test_tune_shrinkage_on_large_scale_rank_k_store():
+    """Inputs scaled by 1e4 scale the covariances by 1e8.  A recomposed
+    rank-k covariance is asymmetric by rounding, relative to its scale, so
+    at 1e8 by more than 1e-9 in absolute terms.  The full and the rank-k
+    store both tune to the gamma of the unscaled store."""
+    rng = np.random.default_rng(15)
+    d, classes = 16, 4
+    mus = rng.normal(size=(classes, d)) * 3.0
+    y = np.repeat(np.arange(classes), 30)
+    x = mus[y] + rng.normal(size=(len(y), d)) * rng.uniform(0.5, 2.0, size=d)
+    tuned = {}
+    for scale in (1.0, 1e4):
+        for k in (None, 4):
+            store = C.PrototypeStore()
+            for cid in range(classes):
+                rows = scale * x[y == cid]
+                store.add(cid, rows.mean(axis=0), np.cov(rows.T), task=0, svd_k=k)
+            tuned[scale, k] = C.tune_shrinkage(store, identity_extractor(d),
+                                               D.LabeledSet(scale * x, tuple(y.tolist()), "val"))
+    cov = store.entries[0].cov
+    assert np.max(np.abs(cov - cov.T)) > 1e-9
+    assert tuned[1.0, None] == tuned[1e4, None] and tuned[1.0, 4] == tuned[1e4, 4]
 
 
 def test_gamma_grid_as_shipped():
@@ -414,6 +469,33 @@ def test_store_roundtrip(tmp_path):
     assert loaded.entries[7].rank == 2
     np.testing.assert_array_equal(loaded.entries[7].cov, C.recompose(*loaded.entries[7].svd))
     np.testing.assert_array_equal(loaded.entries[7].cov, store.entries[7].cov)
+
+
+def _tolist_store_record(store):
+    """The record ``save_store`` wrote when it converted every array first."""
+    classes = {}
+    for cid, e in store.entries.items():
+        rec = {"mu": e.mu.tolist(), "created_task": e.created_task,
+               "calibrated_task": e.calibrated_task}
+        if e.svd is None:
+            rec["repr"], rec["cov"] = "full", e.cov.tolist()
+        else:
+            rec["repr"] = f"svd-{e.rank}"
+            rec["u"], rec["s"], rec["v"] = (part.tolist() for part in e.svd)
+        classes[str(cid)] = rec
+    return {"format_version": C.STORE_VERSION, "classes": classes}
+
+
+@pytest.mark.parametrize("ranks", [(None, None), (2, 3), (None, 2, None)],
+                         ids=["full", "svd", "mixed"])
+def test_save_store_writes_the_json_of_the_tolist_record(tmp_path, ranks):
+    rng = np.random.default_rng(17)
+    store = C.PrototypeStore()
+    for cid, k in zip((5, 1, 9), ranks):
+        store.add(cid, rng.normal(size=4), random_spd(rng, 4), task=cid % 2, svd_k=k)
+    path = tmp_path / "store.json"
+    C.save_store(store, path)
+    assert path.read_bytes() == json.dumps(_tolist_store_record(store)).encode()
 
 
 def _store_text(**fields):

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -211,11 +214,23 @@ def scan_cases(draw):
     ``layout`` places the class means: far apart (most classes prunable),
     all at one point with covariances of one scale (nothing prunable), or
     each odd class an exact copy of the class before it (exact ties).
+    ``kind`` makes every class full, every class rank-k with one k, or each
+    class either.  Widths run 1-10 with any k, and 16, 42, 64 and 100 with
+    k in {1, 3, 8}.  A mixed store takes only 16 and 64 of those: its full
+    classes gather rows, and a gathered row is pinned to round as in the
+    whole block at those widths only
+    (``test_row_subset_products_equal_the_full_block_bitwise``).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["full", "rank-k", "mixed"]))
+    wide = {"full": (), "rank-k": (16, 42, 64, 100), "mixed": (16, 64)}[kind]
+    d = draw(st.one_of(st.integers(1, 10), *([st.sampled_from(wide)] if wide else [])))
+    rank = st.integers(1, d) if d <= 10 else st.sampled_from([1, 3, 8])
     classes = draw(st.integers(1, 7))
-    svd_k = draw(st.one_of(st.none(), st.integers(1, d)))
+    if kind == "mixed":
+        ranks = draw(st.lists(st.one_of(st.none(), rank), min_size=classes, max_size=classes))
+    else:
+        ranks = [None if kind == "full" else draw(rank)] * classes
     layout = draw(st.sampled_from(["separated", "overlapping", "duplicated"]))
     mus = rng.normal(size=(classes, d)) * (0.0 if layout == "overlapping" else 8.0)
     covs = []
@@ -229,7 +244,7 @@ def scan_cases(draw):
             mus[j], covs[j] = mus[j - 1], covs[j - 1]
     store = C.PrototypeStore()
     for cid, j in zip(rng.permutation(classes * 3)[:classes], range(classes)):
-        store.add(int(cid), mus[j], covs[j], task=0, svd_k=svd_k)
+        store.add(int(cid), mus[j], covs[j], task=0, svd_k=ranks[j])
     n = draw(st.integers(1, 40))
     feats = mus[rng.integers(classes, size=n)] + rng.normal(size=(n, d)) * rng.uniform(0.1, 4.0)
     equal = st.sampled_from(C.GAMMA_GRID).map(lambda g: (float(g), float(g)))
@@ -238,26 +253,48 @@ def scan_cases(draw):
     return store, feats, gammas
 
 
+def recomposed_full_store(store):
+    """``store`` with every class held in full: the ``eigh`` kernel's input."""
+    full = C.PrototypeStore()
+    for cid, entry in store.entries.items():
+        full.add(cid, entry.mu, entry.cov, task=0)
+    return full
+
+
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=scan_cases())
 def test_scan_equals_distances_argmin_property(case):
+    """``scan`` equals ``predict`` element for element, at every width; and
+    ``predict`` equals the ``eigh`` kernel's on the recomposed covariances
+    wherever that kernel's two best distances are more than 1e-9 apart."""
     store, feats, gammas = case
-    ids = np.asarray(store.class_ids())
     scorer = CL.MahalanobisScorer(store, *gammas[0])
     try:
-        want = [ids[scorer.distances(feats, g).argmin(axis=1)] for g in gammas]
+        want = [scorer.predict(feats, g) for g in gammas]
     except NumericError:  # a pair that leaves some class not positive definite
         with pytest.raises(NumericError):
             scorer.scan(feats, gammas)
         return
     np.testing.assert_array_equal(scorer.scan(feats, gammas), np.array(want))
+    if len(store.class_ids()) < 2:
+        return
+    ids, reference = np.asarray(store.class_ids()), recomposed_full_store(store)
+    for gamma, pred in zip(gammas, want):
+        try:
+            ref = CL.MahalanobisScorer(reference, *gamma).distances(feats)
+        except NumericError:
+            continue
+        two = np.sort(ref, axis=1)[:, :2]
+        clear = two[:, 1] - two[:, 0] > 1e-9 * two[:, 1]
+        np.testing.assert_array_equal(pred[clear], ids[ref.argmin(axis=1)][clear])
 
 
-@pytest.mark.parametrize("d,svd_k", [(16, None), (64, None), (64, 8)])
+@pytest.mark.parametrize("d,svd_k", [(16, None), (64, None)])
 def test_row_subset_products_equal_the_full_block_bitwise(d, svd_k):
     """``scan`` is exact only if a distance computed from a gathered row
-    subset has the full block's bits; a BLAS that breaks this fails here."""
+    subset has the full block's bits; a BLAS that breaks this fails here.
+    Only full classes gather rows; a rank-k class is scored whole."""
     rng = np.random.default_rng(31)
     store = anisotropic_store(rng, d, 3, svd_k)
     feats = rng.normal(size=(300, d)) * 2.0
@@ -297,7 +334,7 @@ def test_scan_bounds_hold_for_every_distance(d, svd_k):
 def test_scan_prunes_well_separated_classes(monkeypatch):
     rng = np.random.default_rng(32)
     d, classes = 16, 12
-    store = anisotropic_store(rng, d, classes, svd_k=4, spread=12.0)
+    store = anisotropic_store(rng, d, classes, spread=12.0)
     mus = np.array([store.entries[cid].mu for cid in store.class_ids()])
     feats = mus[np.repeat(np.arange(classes), 20)] + rng.normal(size=(classes * 20, d))
     grid = [(float(g), float(g)) for g in C.GAMMA_GRID]
@@ -315,6 +352,42 @@ def test_scan_prunes_well_separated_classes(monkeypatch):
     monkeypatch.undo()
     for gamma, row in zip(grid, got):
         np.testing.assert_array_equal(row, scorer.predict(feats, gamma))
+
+
+def rank_k_world(classes=60, d=64, k=8, rows_per_class=30):
+    """A csv60-svd-sized store (60 classes, d = 64, k = 8) and its 1,800
+    validation rows."""
+    rng = np.random.default_rng(35)
+    store = anisotropic_store(rng, d, classes, svd_k=k, spread=3.0)
+    y = np.repeat(np.arange(classes), rows_per_class)
+    mus = np.array([store.entries[cid].mu for cid in store.class_ids()])
+    val = D.LabeledSet(mus[y] + rng.normal(size=(len(y), d)), tuple(y.tolist()), "val")
+    return store, val
+
+
+def test_rank_k_store_holds_no_d_by_d_array():
+    store, _ = rank_k_world()
+    for entry in store.entries.values():
+        assert all(np.shape(a) != (64, 64) for a in (entry.mu, *entry.svd))
+        assert set(vars(entry)) == {"mu", "svd", "created_task", "calibrated_task"}
+    # 60 x (2kd + k^2 + d) floats are 0.55 MB; a d x d matrix per class adds 1.97 MB
+    assert len(pickle.dumps(store)) < 0.6e6
+
+
+def test_rank_k_scorer_and_tuning_peak_memory():
+    """Deterministic, unlike the process's resident size: the peak of the
+    bytes Python and numpy allocate while the scorer is built and the grid
+    is scanned.  The (1800, 64) rows and their features take 1.8 MB; a
+    stacked d x d matrix and eigenvector block per class would add 3.9 MB."""
+    store, val = rank_k_world()
+    tracemalloc.start()
+    try:
+        scorer = CL.MahalanobisScorer(store, 1.0, 1.0)
+        C.tune_shrinkage(store, identity_extractor(64), val, scorer=scorer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_singular_covariance_names_class():

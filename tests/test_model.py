@@ -173,6 +173,35 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert not any(p.flags.writeable for p in M.trainable_params(loaded))
 
 
+def _tolist_checkpoint_record(state):
+    """The record ``save_checkpoint`` wrote when it converted every array
+    first."""
+    def part(ext, head):
+        return {"extractor": {"widths": list(ext.widths), "activations": list(ext.activations),
+                              "weights": [w.tolist() for w in ext.weights],
+                              "biases": [b.tolist() for b in ext.biases]},
+                "head": {"mode": head.mode, "scale": head.scale, "old_ids": list(head.old_ids),
+                         "new_ids": list(head.new_ids),
+                         "w_old": None if head.w_old is None else head.w_old.tolist(),
+                         "w_new": head.w_new.tolist()}}
+
+    return {"format_version": M.CHECKPOINT_VERSION, "task_index": state.task_index,
+            "current": part(state.extractor, state.head),
+            "frozen": None if state.frozen is None else part(*state.frozen)}
+
+
+@pytest.mark.parametrize("task", [0, 1, 2])
+def test_save_checkpoint_writes_the_json_of_the_tolist_record(tmp_path, task):
+    rng = np.random.default_rng(10)
+    state = make_state(rng)
+    for t in range(task):
+        state = M.begin_task(state, [3 + 2 * t, 4 + 2 * t], rng)
+    assert (state.frozen is None and state.head.w_old is None) == (task == 0)
+    path = tmp_path / "model.json"
+    M.save_checkpoint(state, path)
+    assert path.read_bytes() == json.dumps(_tolist_checkpoint_record(state)).encode()
+
+
 def _set(*path, value):
     def edit(rec):
         for key in path[:-1]:

@@ -356,7 +356,8 @@ def test_a_run_that_does_not_replay_settles_in_the_helper(tmp_path, monkeypatch,
 @pytest.mark.parametrize("where", [pytest.param("forked", marks=needs_two_cpus), "inline"])
 def test_stored_arrays_stay_read_only(tmp_path, monkeypatch, where):
     """The store the last task settles here came back from the helper on
-    two CPUs: unpickled arrays are writeable unless the entries freeze them."""
+    two CPUs: unpickled arrays are writeable unless the entries freeze them,
+    and the rank-k entries must still hold only their factors."""
     if where == "inline":
         on_one_cpu(monkeypatch)
     me, settle, seen = os.getpid(), runner.settle, []
@@ -367,6 +368,8 @@ def test_stored_arrays_stay_read_only(tmp_path, monkeypatch, where):
             for entry in store.entries.values():
                 for a in (entry.mu, entry.cov, *(entry.svd or ())):
                     assert not a.flags.writeable
+                # a rank-k entry holds no covariance, also once unpickled
+                assert set(vars(entry)) == {"mu", "svd", "created_task", "calibrated_task"}
         return settle(config, stream, state, store, t)
 
     monkeypatch.setattr(runner, "settle", checked)
