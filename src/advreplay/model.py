@@ -6,11 +6,15 @@ split contract structural: a loss built from one block cannot leak gradient
 into the other.
 
 Parameters are read-only float64 arrays.  During training they are
-reshaped views of one contiguous vector that the training loop holds, laid
-out in ``trainable_params`` order (see ``param_views``), so an SGD step is
-one update over one array.  The taped ``extract`` and
-``logits`` are the gradient oracle of the plain-numpy passes and also take
-``tensor.Tensor`` leaves as parameters (see ``with_params``).
+reshaped views of one of the two contiguous vectors that the training loop
+holds, laid out in ``trainable_params`` order (see ``param_views``), so an
+SGD step is one update of one array into the other.  The taped ``extract``
+and ``logits`` are the gradient oracle of the plain-numpy passes and also
+take ``tensor.Tensor`` leaves as parameters (see ``with_params``).  The
+plain head splits into ``head_input_vjp``, the features as every block
+reads them (unit rows in cosine mode), and ``input_block_vjp``, one
+block's logits of them, so that blocks reading the same rows normalize
+them once.
 
 The plain-numpy extractor pass ``feature_vjp`` checks finiteness at the
 input once, at each tanh layer's pre-activation, and at the output once:
@@ -143,9 +147,13 @@ def feature_vjp(params: ExtractorParams, x):
     Returns ``(feats, vjp)``.  ``vjp(g)`` maps a (batch, feature_dim)
     cotangent to the (batch, input_dim) input gradient; ``vjp(g,
     param_grads=True)`` instead returns the per-layer weight and bias
-    gradients as two lists in layer order.  No tape is built; every op is
-    the one ``extract`` and its backward pass perform, in the same order, so
-    results are bit-identical.
+    gradients as two lists in layer order.  With ``rows=n``, ``g`` holds
+    the cotangent of the first n rows only, and the VJP is that of a pass
+    over those rows alone, read from their slices of the saved layer inputs
+    and masks.  No tape is built; every op is the one ``extract`` and its
+    backward pass perform, in the same order, so results are bit-identical
+    (with ``rows``, where the rows of the bigger pass round as a pass of
+    their own: see ``train.GEMM_ROW_BLOCK``).
 
     The tape's checks are kept, with fewer scans.  A bad input shape raises
     ``DimensionError`` and a non-finite input ``NumericError``.  Relu is
@@ -186,17 +194,21 @@ def feature_vjp(params: ExtractorParams, x):
     if not np.isfinite(h).all():
         _raise_first_nonfinite([*inputs[1:], h])
 
-    def vjp(g: np.ndarray, param_grads: bool = False):
+    def vjp(g: np.ndarray, param_grads: bool = False, rows: int | None = None):
+        layer_in, layer_saved = inputs, saved
+        if rows is not None:
+            layer_in = [a[:rows] for a in inputs]
+            layer_saved = [None if a is None else a[:rows] for a in saved]
         g_w, g_b = [], []
         for i in reversed(range(len(saved))):
-            act, kept = params.activations[i], saved[i]
+            act, kept = params.activations[i], layer_saved[i]
             if act == "relu":
                 g = g * kept
             elif act == "tanh":
                 g = g * (1.0 - kept * kept)
             if param_grads:
-                g_w.append(inputs[i].T @ g)
-                g_b.append(g.sum(axis=(0,)))
+                g_w.append(layer_in[i].T @ g)
+                g_b.append(np.add.reduce(g, axis=0))
                 if i == 0:
                     return g_w[::-1], g_b[::-1]
             g = g @ params.weights[i].T
@@ -272,6 +284,21 @@ def logits(head: ClassifierHead, features, split: str = "all") -> T.Tensor:
     return T.permute_columns(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"))
 
 
+def head_input_vjp(head: ClassifierHead, feats: np.ndarray):
+    """What each block of ``head`` multiplies by its weights, plus the VJP
+    back to ``feats``: the rows of ``feats`` scaled to unit norm in cosine
+    mode, ``feats`` itself in linear mode.  Blocks that read the same rows
+    share one call, as the taped ``logits`` would compute it once per block
+    with the same bits."""
+    if head.mode == "cosine":
+        return T.normalize_vjp(feats, axis=1)
+    return feats, _identity
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
 def block_vjp(head: ClassifierHead, w: np.ndarray, feats: np.ndarray):
     """Plain-numpy logits of one head block plus their VJP.
 
@@ -281,21 +308,27 @@ def block_vjp(head: ClassifierHead, w: np.ndarray, feats: np.ndarray):
     same order, so results are bit-identical.  A non-finite logit raises
     ``NumericError``.
     """
+    return input_block_vjp(head, w, head_input_vjp(head, feats))
+
+
+def input_block_vjp(head: ClassifierHead, w: np.ndarray, head_in):
+    """``block_vjp`` from the ``head_input_vjp`` pair of the features."""
+    f, f_vjp = head_in
     if head.mode == "cosine":
-        f, f_vjp = T.normalize_vjp(feats, axis=1)
         wn, wn_vjp = T.normalize_vjp(w, axis=1)
         wnT = wn.T.copy()  # the C-ordered copy the tape's transpose makes
-        out = f @ wnT * head.scale
+        out = f @ wnT
+        out *= head.scale
 
         def vjp(g):
             g = g * head.scale
             return f_vjp(g @ wnT.T), wn_vjp((f.T @ g).T)
     else:
         wT = w.T.copy()
-        out = feats @ wT
+        out = f @ wT
 
         def vjp(g):
-            return g @ wT.T, (feats.T @ g).T
+            return f_vjp(g @ wT.T), (f.T @ g).T
 
     if not np.isfinite(out).all():
         raise NumericError("non-finite logits")
@@ -308,8 +341,9 @@ def head_logits(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
     bit-identical to the tape."""
     if not head.old_ids:
         return block_vjp(head, head.w_new, feats)[0]
-    joint = np.concatenate([block_vjp(head, head.w_old, feats)[0],
-                            block_vjp(head, head.w_new, feats)[0]], axis=1)
+    head_in = head_input_vjp(head, feats)  # both blocks read it
+    joint = np.concatenate([input_block_vjp(head, head.w_old, head_in)[0],
+                            input_block_vjp(head, head.w_new, head_in)[0]], axis=1)
     return np.take(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"), axis=1)
 
 

@@ -189,8 +189,11 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
         g = vjp(diff + diff)
         norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1)
         active = norms >= _GRAD_EPS
-        step = np.divide(cfg.alpha * g, norms[:, None] ** 2, out=np.zeros_like(g),
-                         where=active[:, None])
+        if active.all():  # the masked divide below, with nothing masked
+            step = cfg.alpha * g / norms[:, None] ** 2
+        else:
+            step = np.divide(cfg.alpha * g, norms[:, None] ** 2, out=np.zeros_like(g),
+                             where=active[:, None])
         current = current - step
     return readonly(current, "attack output")
 

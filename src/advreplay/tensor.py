@@ -269,9 +269,22 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
 
 def normalize_vjp(a: np.ndarray, axis: int = -1):
     """Plain ``normalize`` forward and its VJP; ``normalize`` puts exactly
-    this on the tape."""
-    n = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    this on the tape.
+
+    When no slice's norm is below 1e-12 the selects of the guarded path
+    would pick ``a / n`` and ``(g - y * inner) / n`` everywhere, so those
+    are returned directly, with the same bits.
+    """
+    n = np.sqrt(np.add.reduce(a * a, axis=axis, keepdims=True))
     small = n < _NORM_EPS
+    if not small.any():
+        y = a / n
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            return (g - y * np.add.reduce(g * y, axis=axis, keepdims=True)) / n
+
+        return y, vjp
+
     safe = np.where(small, 1.0, n)
     y = np.where(small, 0.0, a / safe)
 

@@ -14,10 +14,12 @@ tape would, so its losses and gradients are bit-identical to the taped
 taped losses stay as the oracle that tests compare against.
 
 One step loop, ``_fit``, trains every task: task 0 on plain CE, later
-tasks with KD too.  It holds the trainable parameters as one flat vector in
-the ``model.param_views`` layout, and the gradient comes back as one flat
-vector in the same layout, so ``sgd_step`` is a single elementwise update
-and a single finiteness check over the whole model.
+tasks with KD too.  It holds the trainable parameters as two flat vectors
+in the ``model.param_views`` layout, each with a state of read-only views
+built once, and the gradient comes back as one flat vector in the same
+layout.  So ``sgd_step`` is a single elementwise update of one vector into
+the other and a single finiteness check over the whole model, and a step
+allocates no parameter vector and builds no state.
 
 Everything an incremental task draws from its rng (the batches, the replay
 rows and the attack's target noise) comes from ``task_schedule``, which
@@ -28,6 +30,7 @@ helper process on a spare CPU.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
@@ -149,10 +152,10 @@ def _ce_vjp(logits: np.ndarray, y_rel, temperature: float):
     onehot = _onehot(y_rel, logits.shape)
     inv_t = 1.0 / temperature
     logp, logp_vjp = T.log_softmax_vjp(logits * inv_t)
-    rows = (onehot * logp).sum(axis=1)
+    rows = np.add.reduce(onehot * logp, axis=1)
+    n = rows.size
     # the tape's neg, mean and row-sum VJPs map the unit seed to -1/n per entry
-    g = np.full(logits.shape, -1.0 / rows.size)
-    return -rows.mean(), logp_vjp(g * onehot) * inv_t
+    return -(np.add.reduce(rows) / n), logp_vjp(onehot * (-1.0 / n)) * inv_t
 
 
 def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float):
@@ -160,14 +163,42 @@ def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float
     ``weight * kd`` with respect to the current old-class logits."""
     _check_blocks(cur.shape, prev.shape)
     inv_t = 1.0 / temperature
-    logp_prev = T.log_softmax_vjp(prev * inv_t)[0]
-    p_prev = T.softmax_vjp(prev * inv_t)[0]
+    # the forward ops of log_softmax_vjp and softmax_vjp of the frozen
+    # logits, which share their shift and its exponent
+    scaled = prev * inv_t
+    shifted = scaled - np.maximum.reduce(scaled, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    logp_prev = shifted - np.log(total)
+    p_prev = e / total
     logq, logq_vjp = T.log_softmax_vjp(cur * inv_t)
-    rows = (p_prev * (logp_prev - logq)).sum(axis=1)
+    rows = np.add.reduce(p_prev * (logp_prev - logq), axis=1)
+    n = rows.size
     # the tape's scale, mean and row-sum VJPs map the unit seed to w T^2 / n
     # per entry; the product and difference VJPs follow
-    g = np.full(cur.shape, weight * temperature**2 / rows.size)
-    return rows.mean() * temperature**2, logq_vjp(-(g * p_prev)) * inv_t
+    return (np.add.reduce(rows) / n * temperature**2,
+            logq_vjp(p_prev * -(weight * temperature**2 / n)) * inv_t)
+
+
+# At the layer widths of the shipped configs, a GEMM of the BLAS in use
+# rounds each row of a whole block of this many rows alike in every call of
+# up to a step's rows (new plus replay rows); the rows of a partial last
+# block, and a lone row (a matrix-vector product), may round otherwise.
+# tests/test_fused_step.py pins both.  Much wider layers round even
+# whole-block rows by call size, so there the cached frozen logits, and the
+# CE features read from the KD pass, differ from a pass of their own in
+# their last bits.
+GEMM_ROW_BLOCK = 4
+
+
+def _leads_with(x_kd, x_new) -> bool:
+    """Whether the array ``x_kd`` holds more rows than the array ``x_new``
+    and its first rows are those of ``x_new``, bit for bit, a whole number
+    of ``GEMM_ROW_BLOCK``s of them."""
+    n = len(x_new)
+    return (n % GEMM_ROW_BLOCK == 0 and len(x_kd) > n
+            and isinstance(x_kd, np.ndarray) and isinstance(x_new, np.ndarray)
+            and x_kd.dtype == x_new.dtype and x_kd[:n].tobytes() == x_new.tobytes())
 
 
 def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: LossConfig,
@@ -178,45 +209,66 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     CE over ``new_only`` logits of the ``x_new`` rows; with ``kd_batch =
     (x_kd, prev)``, plus ``lambda_kd`` times KD between the ``old_only``
     logits of the ``x_kd`` rows and ``prev``, the frozen model's logits of
-    those rows (``frozen_logits``).  When ``x_kd`` is ``x_new`` itself, the
-    KD term reuses the CE pass's extractor features and VJP instead of
-    running the current extractor on the same rows again.  Returns the CE
-    value, the KD value (0.0 without ``kd_batch``) and the gradient as one
-    flat vector laid out as ``M.param_views(state, ...)``: one block per
+    those rows (``frozen_logits``).  The current extractor runs once per
+    step where it can: when ``x_kd`` is ``x_new`` itself, the KD term
+    reuses the CE pass's features, their head input and the extractor VJP;
+    when ``x_kd`` is ``x_new`` followed by replay rows and ``x_new`` is a
+    whole number of ``GEMM_ROW_BLOCK``s, the CE term reads its features and
+    its extractor VJP from the first rows of the KD pass.  The two
+    backward passes stay separate, as on the tape.  Returns the CE value,
+    the KD value (0.0 without ``kd_batch``) and the gradient as one flat
+    vector laid out as ``M.param_views(state, ...)``: one block per
     ``M.trainable_params(state)`` entry, in that order.  The forward and
     backward ops and layouts are the tape's, so everything is bit-identical
     to ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``
-    (the oracle).  Raises ``ContractError`` on bad labels or mismatched
-    logit blocks and ``NumericError`` on a non-finite pre-activation, logit
-    block, loss or gradient.
+    (the oracle), at widths where ``GEMM_ROW_BLOCK`` holds.  Raises
+    ``ContractError`` on bad labels or mismatched logit blocks and
+    ``NumericError`` on a non-finite pre-activation, logit block, loss or
+    gradient.
     """
     ext, head = state.extractor, state.head
-    feats, ext_vjp = M.feature_vjp(ext, x_new)
-    out, head_vjp = M.block_vjp(head, head.w_new, feats)
-    ce, g = _ce_vjp(out, y_rel, loss_cfg.ce_temperature)
-    g_feats, g_new = head_vjp(g)
-    g_w, g_b = ext_vjp(g_feats, param_grads=True)
-    g_old = None if head.w_old is None else np.zeros(head.w_old.shape)
-    kd, loss = 0.0, ce
-
+    x_kd = None
     if kd_batch is not None:
         if state.frozen is None or head.w_old is None:
             raise ContractError("distillation needs a snapshotted model with old classes")
         x_kd, prev = kd_batch
-        if x_kd is not x_new:  # else the CE pass's features and VJP serve
-            feats, ext_vjp = M.feature_vjp(ext, x_kd)
-        out, head_vjp = M.block_vjp(head, head.w_old, feats)
+
+    ce_rows = None  # all rows of the CE term's pass, or its first rows
+    if x_kd is None or x_kd is x_new or not _leads_with(x_kd, x_new):
+        feats, ext_vjp = M.feature_vjp(ext, x_new)
+        kd_feats, kd_ext_vjp = feats, ext_vjp
+        if x_kd is not None and x_kd is not x_new:
+            kd_feats, kd_ext_vjp = M.feature_vjp(ext, x_kd)
+    else:
+        kd_feats, kd_ext_vjp = M.feature_vjp(ext, x_kd)
+        ce_rows = len(x_new)
+        feats, ext_vjp = kd_feats[:ce_rows], kd_ext_vjp
+
+    head_in = M.head_input_vjp(head, feats)
+    out, head_vjp = M.input_block_vjp(head, head.w_new, head_in)
+    ce, g = _ce_vjp(out, y_rel, loss_cfg.ce_temperature)
+    g_feats, g_new = head_vjp(g)
+    g_w, g_b = ext_vjp(g_feats, param_grads=True, rows=ce_rows)
+    g_old, kd, loss = None, 0.0, ce
+
+    if x_kd is None:
+        if head.w_old is not None:
+            g_old = np.zeros(head.w_old.shape)
+    else:
+        if kd_feats is not feats:
+            head_in = M.head_input_vjp(head, kd_feats)
+        out, head_vjp = M.input_block_vjp(head, head.w_old, head_in)
         kd, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
         g_feats, g_old = head_vjp(g)
-        kd_w, kd_b = ext_vjp(g_feats, param_grads=True)
+        kd_w, kd_b = kd_ext_vjp(g_feats, param_grads=True)
         g_w = [a + b for a, b in zip(g_w, kd_w)]
         g_b = [a + b for a, b in zip(g_b, kd_b)]
         loss = ce + kd * loss_cfg.lambda_kd
 
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
     blocks = g_w + g_b + ([] if g_old is None else [g_old]) + [g_new]
-    grad = np.concatenate([g.ravel() for g in blocks])
+    grad = np.concatenate(blocks, axis=None)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return float(ce), float(kd), grad
@@ -228,15 +280,6 @@ def frozen_logits(frozen: tuple[M.ExtractorParams, M.ClassifierHead],
     the whole frozen head is the old-class block of the task it opened."""
     frozen_ext, frozen_head = frozen
     return M.head_logits(frozen_head, M.features(frozen_ext, x))
-
-
-# At the layer widths of the shipped configs, a GEMM of the BLAS in use
-# rounds each row of a whole block of this many rows alike in every call of
-# up to a batch's rows; the rows of a partial last block, and a lone row (a
-# matrix-vector product), may round otherwise.  tests/test_fused_step.py pins
-# both.  Much wider layers round even whole-block rows by call size, so there
-# the cached logits differ from per-batch calls in their last bits.
-GEMM_ROW_BLOCK = 4
 
 
 def frozen_logits_by_chunk(frozen, x: np.ndarray, size: int) -> np.ndarray:
@@ -257,37 +300,47 @@ def frozen_logits_by_chunk(frozen, x: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float) -> np.ndarray:
+def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float,
+             out: np.ndarray) -> np.ndarray:
     """One SGD update of the flat parameter vector ``p`` from a
-    ``loss_and_grads`` gradient in the same layout: a new read-only vector;
-    ``p`` is not written.  A gradient of the wrong shape raises
-    ``ContractError``; a non-finite updated parameter raises
-    ``NumericError``."""
+    ``loss_and_grads`` gradient in the same layout, written into ``out``
+    and returned; ``p`` is not written.  The update is ``p - lr * (grad +
+    weight_decay * p)``, op for op, in ``out``'s buffer.  A gradient of the
+    wrong shape, or an ``out`` that is not a writeable vector of ``p``'s
+    shape or that overlaps ``p`` or the gradient, raises ``ContractError``;
+    a non-finite updated parameter raises ``NumericError``."""
     if not isinstance(grad, np.ndarray) or grad.shape != p.shape:
         raise ContractError(f"expected a flat vector of {p.size} gradients, "
                             f"got {getattr(grad, 'shape', type(grad).__name__)}")
-    # p - lr * (grad + weight_decay * p), op for op, in one buffer
-    updated = p * weight_decay
-    updated += grad
-    updated *= lr
-    np.subtract(p, updated, out=updated)
-    if not np.isfinite(updated).all():
+    if (not isinstance(out, np.ndarray) or out.shape != p.shape or not out.flags.writeable
+            or np.may_share_memory(out, p) or np.may_share_memory(out, grad)):
+        raise ContractError(f"the update needs a writeable vector of {p.size} values that "
+                            f"overlaps neither the parameters nor the gradient")
+    np.multiply(p, weight_decay, out=out)
+    out += grad
+    out *= lr
+    np.subtract(p, out, out=out)
+    if not np.isfinite(out).all():
         raise NumericError("non-finite values in updated parameters")
-    updated.flags.writeable = False
-    return updated
+    return out
 
 
 def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConfig,
          optim_cfg: OptimConfig, distill: bool) -> tuple[M.ModelState, list[dict]]:
     """SGD over ``steps`` (``(epoch, batch, replay rows or None)``, closed on
     exit): CE on the batch of ``task_data`` and, with ``distill``, KD on the
-    batch plus its replay rows, at the epoch's cosine learning rate.  The
-    parameters are packed into one vector once; after each step the state's
-    parameters are read-only views of the updated vector.  The frozen
-    model's logits of a batch of whole ``GEMM_ROW_BLOCK``s without replay
-    rows are gathered from ``frozen_logits_by_chunk`` of the task's rows,
-    computed at the first such step; any other batch, and a batch with its
-    replay rows, gets its own call, as every step did before.  Returns the
+    batch plus its replay rows, at the epoch's cosine learning rate.
+
+    The parameters live in two vectors, the first packed from ``state``,
+    and in one state per vector whose parameters are read-only views of it,
+    both built once.  Each step ``sgd_step`` writes the update of the
+    current vector into the other one, and the loop switches states, so no
+    step allocates a vector or a state.  The vector of the returned state
+    is made read-only; nothing writes it again.  The frozen model's logits
+    of a batch of whole ``GEMM_ROW_BLOCK``s without replay rows are
+    gathered from ``frozen_logits_by_chunk`` of the task's rows, computed
+    at the first such step; any other batch, and a batch with its replay
+    rows, gets its own call, as every step did before.  Returns the
     trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row per epoch.
     """
     rel = {cid: i for i, cid in enumerate(state.head.new_ids)}
@@ -300,7 +353,11 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     x = task_data.x
     lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
     totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps
-    p = np.concatenate([a.ravel() for a in M.trainable_params(state)])
+    packed = np.concatenate(M.trainable_params(state), axis=None)
+    vectors = (packed, np.empty_like(packed))
+    states = tuple(M.with_params(state, M.param_views(state, _read_only_view(v)))
+                   for v in vectors)
+    cur = 0
     cached = None  # the frozen logits of every task row, once a step needs them
     with closing(steps):
         for epoch, batch, replay_rows in steps:
@@ -314,15 +371,22 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
             elif distill:
                 x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
                 kd_batch = (x_kd, frozen_logits(state.frozen, x_kd))
-            ce, kd, grads = loss_and_grads(state, x_new, y_rel[batch], loss_cfg, kd_batch)
-            p = sgd_step(p, grads, lrs[epoch], optim_cfg.weight_decay)
-            state = M.with_params(state, M.param_views(state, p))
+            ce, kd, grads = loss_and_grads(states[cur], x_new, y_rel[batch], loss_cfg, kd_batch)
+            sgd_step(vectors[cur], grads, lrs[epoch], optim_cfg.weight_decay, vectors[1 - cur])
+            cur = 1 - cur
             total = totals[epoch]
             total[0] += ce
             total[1] += kd
             total[2] += 1
-    return state, [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / n, "kd_loss": kd_sum / n}
-                   for epoch, (lr, (ce_sum, kd_sum, n)) in enumerate(zip(lrs, totals))]
+    vectors[cur].flags.writeable = False
+    return states[cur], [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / n, "kd_loss": kd_sum / n}
+                         for epoch, (lr, (ce_sum, kd_sum, n)) in enumerate(zip(lrs, totals))]
+
+
+def _read_only_view(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConfig,

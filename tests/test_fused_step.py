@@ -46,8 +46,10 @@ def flat(arrays):
 
 def stepped_state(state, grad, lr, weight_decay):
     """``state`` after one ``sgd_step``, rebuilt as the training loop does:
-    its parameters become views of the updated vector."""
-    p = TR.sgd_step(flat(M.trainable_params(state)), grad, lr, weight_decay)
+    its parameters become read-only views of the updated vector."""
+    p = flat(M.trainable_params(state))
+    p = TR.sgd_step(p, grad, lr, weight_decay, np.empty_like(p))
+    p.flags.writeable = False
     return M.with_params(state, M.param_views(state, p))
 
 
@@ -108,11 +110,11 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
         assert kd_value > 0.0
 
 
-@pytest.mark.parametrize("replay,passes", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("replay,passes", [(False, 2), (True, 2)])
 def test_kd_without_replay_reuses_the_ce_forward(monkeypatch, replay, passes):
-    """Extractor passes per KD step: the CE forward and the frozen forward,
-    plus a current-model forward of the KD batch only when it holds replay
-    rows."""
+    """Extractor passes per KD step: one current-model forward and the
+    frozen forward.  With replay rows after 24 new rows (whole row blocks)
+    the CE term reads the first rows of the KD batch's forward."""
     state = world("cosine", "relu", task=1)
     rng = np.random.default_rng(6)
     x_new = rng.normal(size=(24, 6))
@@ -238,6 +240,85 @@ def test_run_task_without_replay_equals_per_batch_frozen_logits(monkeypatch, n_r
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
 
 
+def spied_pass_rows(monkeypatch):
+    """A list that records the row count of every ``feature_vjp`` call
+    from now on."""
+    calls, real = [], M.feature_vjp
+
+    def spy(params, x):
+        calls.append(len(x))
+        return real(params, x)
+
+    monkeypatch.setattr(M, "feature_vjp", spy)
+    return calls
+
+
+def shipped_world(widths, seed=13):
+    """A task-1 model of the shipped ``widths`` with 8 old and 4 new
+    classes, its current parameters moved off the frozen ones."""
+    n_in, hidden, n_feat = SHIPPED_WIDTHS[widths]
+    rng = np.random.default_rng(seed)
+    ext = M.default_extractor(n_in, n_feat, rng, hidden=hidden)
+    state = M.ModelState(ext, M.init_head(range(8), n_feat, rng, init_std=0.5), None, 0)
+    state = M.begin_task(state, range(8, 12), rng, init_std=0.5)
+    return M.with_params(state, [p + rng.normal(scale=0.1, size=p.shape)
+                                 for p in M.trainable_params(state)])
+
+
+# new rows and replay rows per step: the reference config's full batch and
+# its last, partial one (whole row blocks), a batch as large as its replay
+# rows, and 6 new rows, which keep their own forward
+@pytest.mark.parametrize("n_new,n_replay,passes", [(32, 64, 1), (8, 64, 1), (32, 32, 1),
+                                                   (6, 64, 2)])
+@pytest.mark.parametrize("widths", sorted(SHIPPED_WIDTHS))
+def test_ce_pass_reads_the_first_rows_of_the_kd_forward(monkeypatch, widths, n_new, n_replay,
+                                                         passes):
+    """A step with replay rows after a whole number of ``GEMM_ROW_BLOCK``s
+    of new rows runs the current extractor once.  Its losses and gradient
+    equal, byte for byte, those of the step with a forward of its own for
+    the CE rows, and the tape's."""
+    state = shipped_world(widths)
+    rng = np.random.default_rng(n_new * 100 + n_replay)
+    n_in = SHIPPED_WIDTHS[widths][0]
+    x_new = rng.normal(size=(n_new, n_in)) * 2.0
+    x_kd = np.concatenate([x_new, rng.normal(size=(n_replay, n_in)) * 2.0])
+    y_rel = rng.integers(0, 4, size=n_new)
+    cfg = TR.LossConfig()
+    batch = kd_batch(state, x_kd)
+    calls = spied_pass_rows(monkeypatch)
+    ce, kd, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, batch)
+    assert calls == ([n_new + n_replay] if passes == 1 else [n_new, n_new + n_replay])
+    monkeypatch.setattr(TR, "_leads_with", lambda x_kd, x_new: False)
+    calls.clear()
+    two = TR.loss_and_grads(state, x_new, y_rel, cfg, batch)
+    assert calls == [n_new, n_new + n_replay]
+    monkeypatch.undo()
+    assert (ce, kd) == two[:2]
+    assert grad.tobytes() == two[2].tobytes()
+    ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, x_kd)
+    assert (ce, kd) == (ce_ref, kd_ref)
+    assert grad.tobytes() == flat(grads_ref).tobytes()
+
+
+def test_kd_rows_that_do_not_start_with_the_new_rows_get_their_own_forward(monkeypatch):
+    """Replay rows before the new rows, or a first row that differs in one
+    bit, leave the CE pass on a forward of its own."""
+    state = shipped_world("reference")
+    rng = np.random.default_rng(5)
+    x_new = rng.normal(size=(8, 16))
+    replay = rng.normal(size=(8, 16))
+    nudged = x_new.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    for x_kd in (np.concatenate([replay, x_new]), np.concatenate([nudged, replay])):
+        batch = kd_batch(state, x_kd)
+        calls = spied_pass_rows(monkeypatch)
+        grad = TR.loss_and_grads(state, x_new, [0, 1, 2, 3] * 2, TR.LossConfig(), batch)[2]
+        monkeypatch.undo()
+        assert calls == [8, 16]
+        want = taped(state, x_new, [0, 1, 2, 3] * 2, TR.LossConfig(), x_kd)[2]
+        assert grad.tobytes() == flat(want).tobytes()
+
+
 @pytest.mark.parametrize("mode", ["cosine", "linear"])
 def test_repeated_steps_equal_taped_steps(mode):
     """Updated parameters feed the next step, so their memory layout must be
@@ -289,7 +370,8 @@ def test_contract_errors_kept():
     with pytest.raises(ContractError, match="logit blocks differ"):
         TR._kd_vjp(np.zeros((4, 3)), np.zeros((4, 2)), 2.0, 1.0)
     with pytest.raises(ContractError, match="gradients"):
-        TR.sgd_step(flat(M.trainable_params(state)), [], 0.1, 0.0)
+        p = flat(M.trainable_params(state))
+        TR.sgd_step(p, [], 0.1, 0.0, np.empty_like(p))
 
 
 def test_overflow_raises_numeric_error_through_run_task():

@@ -281,6 +281,41 @@ def test_attack_offsets_need_one_target_set_per_iteration(shape):
                              R.AttackConfig(alpha=2.0, n_attack=3), np.zeros(shape))
 
 
+def masked_attack(f, x, targets, cfg, offsets):
+    """``adversarial_attack`` with its masked divide on every iteration."""
+    tgts = targets + offsets
+    current = x
+    for i in range(cfg.n_attack):
+        feats, vjp = M.feature_vjp(f, current)
+        diff = feats - tgts[i]
+        g = vjp(diff + diff)
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))
+        current = current - np.divide(cfg.alpha * g, norms[:, None] ** 2, out=np.zeros_like(g),
+                                      where=(norms >= 1e-12)[:, None])
+    return current
+
+
+@pytest.mark.parametrize("still_rows", [(), (5,), (0, 63)])
+def test_attack_equals_the_masked_divide_bytewise(still_rows):
+    """An iteration whose rows all have a gradient skips the masked divide
+    with the same bits; a row whose gradient is zero (its feature on its
+    target) keeps the masked divide and does not move."""
+    rng = np.random.default_rng(16)
+    f = M.default_extractor(16, 32, rng, hidden=(64, 48))
+    x = rng.normal(size=(64, 16)) * 2.0
+    targets = rng.normal(size=(64, 32))
+    offsets = 0.3 * rng.standard_normal((12, 64, 32))
+    for row in still_rows:
+        targets[row] = M.features(f, x[row:row + 1])[0]
+        offsets[:, row] = 0.0
+    cfg = R.AttackConfig(alpha=7.3, n_attack=12)  # not a power of two: alpha * g rounds
+    out = R.adversarial_attack(f, x, targets, cfg, offsets)
+    assert out.tobytes() == masked_attack(f, x, targets, cfg, offsets).tobytes()
+    moved = np.any(out != x, axis=1)
+    assert moved.sum() == 64 - len(still_rows)
+    assert not moved[list(still_rows)].any()
+
+
 def test_attack_config_validation():
     with pytest.raises(ConfigError):
         R.AttackConfig(alpha=0.0, n_attack=1)

@@ -196,6 +196,64 @@ def test_normalize_zero_vector_guard():
     np.testing.assert_array_equal(grads[x].data, np.zeros(3))
 
 
+def where_normalize(a, axis):
+    """``normalize_vjp`` with its zero-norm selects applied to every slice:
+    the oracle of its unguarded path."""
+    n = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    small = n < 1e-12
+    safe = np.where(small, 1.0, n)
+    y = np.where(small, 0.0, a / safe)
+
+    def vjp(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        return np.where(small, 0.0, (g - y * inner) / safe)
+
+    return y, vjp
+
+
+def normalize_cases(axis):
+    """(name, matrix) pairs whose slices along ``axis`` hold 5 to 11
+    entries; in the near-1e-12 and zero cases the third slice has that
+    norm."""
+    rng = np.random.default_rng(21)
+    cases = [(f"random{i}", rng.normal(size=(7, 7)) * scale)
+             for i, scale in enumerate((1.0, 1e-3, 1e150))]
+    cases += [("random-wide", rng.normal(size=(5, 11))), ("random-tall", rng.normal(size=(11, 5)))]
+    unit = rng.normal(size=7)
+    unit /= np.sqrt((unit * unit).sum())
+    for name, norm in (("just-below", 1e-12 * (1 - 1e-6)), ("at", 1e-12),
+                       ("just-above", 1e-12 * (1 + 1e-6)), ("zero", 0.0)):
+        a = rng.normal(size=(7, 7))
+        np.moveaxis(a, axis, -1)[2] = unit * norm
+        cases.append((name, a))
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        a = rng.normal(size=(7, 7))
+        a[1, 5] = value
+        cases.append((name, a))
+    return cases
+
+
+@pytest.mark.parametrize("axis,name,a", [(axis, name, a) for axis in (0, 1)
+                                         for name, a in normalize_cases(axis)],
+                         ids=[f"{axis}-{name}" for axis in (0, 1)
+                              for name, _ in normalize_cases(axis)])
+def test_normalize_vjp_equals_the_guarded_oracle_bytewise(axis, name, a):
+    """Without a slice under 1e-12, ``normalize_vjp`` skips its selects; the
+    tape calls the same function, so only this oracle can catch a fast path
+    whose forward or VJP bits drift."""
+    g = np.random.default_rng(22).normal(size=a.shape)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        y, vjp = T.normalize_vjp(a, axis=axis)
+        want_y, want_vjp = where_normalize(a, axis)
+        got_g, want_g = vjp(g), want_vjp(g)
+    assert y.shape == want_y.shape == a.shape and got_g.shape == a.shape
+    assert y.tobytes() == want_y.tobytes()
+    assert got_g.tobytes() == want_g.tobytes()
+    if name in ("just-below", "zero"):  # the guarded slice maps to zero
+        assert not np.moveaxis(y, axis, -1)[2].any()
+        assert not np.moveaxis(got_g, axis, -1)[2].any()
+
+
 def test_permute_columns_equals_permutation_matmul_bitwise():
     rng = np.random.default_rng(5)
     x = T.Tensor(rng.normal(size=(6, 5)))

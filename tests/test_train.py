@@ -191,11 +191,12 @@ def test_sgd_step_writes_read_only_finite_params():
     assert all(not p.flags.writeable for p in M.trainable_params(stepped))
     p = flat(M.trainable_params(state))
     before = p.tobytes()
-    assert not TR.sgd_step(p, grads, 0.1, 2e-4).flags.writeable
+    out = np.empty_like(p)
+    assert TR.sgd_step(p, grads, 0.1, 2e-4, out) is out
     assert p.tobytes() == before  # the input vector is never written
     M.param_views(state, grads)[0][...] = 1e308  # times lr 10: an overflowing update
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
-        TR.sgd_step(p, grads, 10.0, 2e-4)
+        TR.sgd_step(p, grads, 10.0, 2e-4, out)
 
 
 def test_sgd_steps_across_head_growth_equal_per_array_update():
@@ -249,9 +250,58 @@ def test_stepped_params_are_read_only_views_of_one_vector():
     x = stream.train[1].x[:8]
     grad = TR.loss_and_grads(trained, x, [0, 1] * 4, TR.LossConfig(), kd_batch(trained, x))[2]
     before = vector.tobytes()
-    again = TR.sgd_step(vector, grad, 0.1, 2e-4)
+    again = TR.sgd_step(vector, grad, 0.1, 2e-4, np.empty_like(vector))
     assert not np.shares_memory(again, vector)
     assert vector.tobytes() == before
+
+
+def test_a_returned_state_is_never_written_again():
+    """The vector that ``_fit`` hands back is read-only: training later
+    tasks from a returned state leaves it, and the frozen copy that shares
+    its arrays, as they were."""
+    state, stream, rng = small_world(seed=27)
+    first = M.checksum(state.extractor, state.head)
+    grown = M.begin_task(state, stream.class_groups[1], rng)
+    trained, _ = TR.run_task(grown, stream.train[1], None, None, 0.0, TR.LossConfig(),
+                             TR.OptimConfig(epochs=2, batch_new=16), None, rng)
+    assert M.checksum(state.extractor, state.head) == first
+    assert M.checksum(*trained.frozen) == first
+    second = M.checksum(trained.extractor, trained.head)
+    # a third task: the task-1 rows relabelled as two more classes
+    task = stream.train[1]
+    relabelled = D.LabeledSet(task.x, tuple(c + 100 for c in task.y), "train")
+    grown = M.begin_task(trained, [c + 100 for c in stream.class_groups[1]], rng)
+    later, _ = TR.run_task(grown, relabelled, None, None, 0.0, TR.LossConfig(),
+                           TR.OptimConfig(epochs=2, batch_new=16), None, rng)
+    assert M.checksum(trained.extractor, trained.head) == second
+    assert M.checksum(*later.frozen) == second
+    assert M.checksum(state.extractor, state.head) == first
+    for done in (state, trained, later):
+        assert not M.trainable_params(done)[0].base.flags.writeable
+
+
+def test_sgd_step_destination_contract():
+    """``sgd_step`` writes only a writeable vector of the parameters' shape
+    that overlaps neither the parameters nor the gradient; the gradient's
+    shape and the update's finiteness are still checked."""
+    rng = np.random.default_rng(28)
+    buf = rng.normal(size=40)
+    p, grad = buf[:16], rng.normal(size=16)
+    before = buf.tobytes()
+    read_only = np.empty(16)
+    read_only.flags.writeable = False
+    for out in (p, buf[8:24], buf[15:31], grad, np.empty(15), np.empty((4, 4)), read_only,
+                list(range(16))):
+        with pytest.raises(ContractError, match="overlaps neither"):
+            TR.sgd_step(p, grad, 0.1, 2e-4, out)
+    assert buf.tobytes() == before
+    out = buf[16:32]  # next to p, not over it
+    assert TR.sgd_step(p, grad, 0.1, 2e-4, out) is out
+    assert out.tobytes() == (p - 0.1 * (grad + 2e-4 * p)).tobytes()
+    with pytest.raises(ContractError, match="16 gradients"):
+        TR.sgd_step(p, grad[:15], 0.1, 2e-4, np.empty(16))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
+        TR.sgd_step(p, np.full(16, 1e308), 10.0, 2e-4, np.empty(16))
 
 
 def test_nan_in_any_gradient_block_raises():
@@ -265,8 +315,8 @@ def test_nan_in_any_gradient_block_raises():
         bad = grad.copy()
         M.param_views(state, bad)[block].ravel()[-1] = np.nan
         with pytest.raises(NumericError, match="updated parameters"):
-            TR.sgd_step(flat(M.trainable_params(state)), bad, 0.1, 2e-4)
-    TR.sgd_step(flat(M.trainable_params(state)), grad, 0.1, 2e-4)
+            TR.sgd_step(flat(M.trainable_params(state)), bad, 0.1, 2e-4, np.empty(grad.size))
+    TR.sgd_step(flat(M.trainable_params(state)), grad, 0.1, 2e-4, np.empty(grad.size))
 
 
 def test_run_task_is_deterministic():
