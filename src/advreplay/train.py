@@ -23,13 +23,15 @@ allocates no parameter vector and builds no state.
 
 Everything an incremental task draws from its rng (the batches, the replay
 rows and the attack's target noise) comes from ``task_schedule``, which
-reads no model at all.  A step's replay attack is a pure function of those
-draws and the frozen model, so ``run_task`` can map it over the steps in a
+reads no model at all.  ``run_task`` attacks the replay rows of a fixed
+group of consecutive steps in one call, a pure function of the group's
+draws and the frozen model, so it can map the attack over the groups in a
 helper process on a spare CPU.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from contextlib import closing
@@ -337,11 +339,13 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     current vector into the other one, and the loop switches states, so no
     step allocates a vector or a state.  The vector of the returned state
     is made read-only; nothing writes it again.  The frozen model's logits
-    of a batch of whole ``GEMM_ROW_BLOCK``s without replay rows are
-    gathered from ``frozen_logits_by_chunk`` of the task's rows, computed
-    at the first such step; any other batch, and a batch with its replay
-    rows, gets its own call, as every step did before.  Returns the
-    trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row per epoch.
+    of a batch of whole ``GEMM_ROW_BLOCK``s are gathered from
+    ``frozen_logits_by_chunk`` of the task's rows, computed at the first
+    such step, and those of its replay rows, when they too are whole
+    blocks, come from a call over the replay rows alone; any other batch
+    gets one call over its new and replay rows, as every step did before.
+    Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}``
+    row per epoch.
     """
     rel = {cid: i for i, cid in enumerate(state.head.new_ids)}
     stray = set(task_data.y) - rel.keys()
@@ -363,11 +367,16 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
         for epoch, batch, replay_rows in steps:
             x_new = x[batch]
             kd_batch = None
-            if distill and replay_rows is None and len(batch) % GEMM_ROW_BLOCK == 0:
+            if distill and len(batch) % GEMM_ROW_BLOCK == 0 and (
+                    replay_rows is None or len(replay_rows) % GEMM_ROW_BLOCK == 0):
                 if cached is None:
                     cached = frozen_logits_by_chunk(state.frozen, x, optim_cfg.batch_new)
-                # x_new itself: loss_and_grads reuses its CE forward
-                kd_batch = (x_new, cached[batch])
+                if replay_rows is None:  # x_new itself: loss_and_grads reuses its CE forward
+                    kd_batch = (x_new, cached[batch])
+                else:
+                    kd_batch = (np.concatenate([x_new, replay_rows]),
+                                np.concatenate([cached[batch],
+                                                frozen_logits(state.frozen, replay_rows)]))
             elif distill:
                 x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
                 kd_batch = (x_kd, frozen_logits(state.frozen, x_kd))
@@ -503,48 +512,91 @@ def use_helper() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _attacked_with_helper(steps, attack):
-    """``(epoch, batch, attack(cls, slots, noise))`` for each of the unstarted
-    ``task_schedule`` ``steps``, with the attacks shared between this
-    process and a forked ``Helper``; the same steps, and the schedule's
-    rng ends where walking ``steps`` inline leaves it.
+# Replay rows attacked per call.  At 64 rows an attack call's time is mostly
+# numpy's fixed cost per op, not arithmetic.  Per 64 rows at the reference
+# widths and 12 iterations, it took 2.1-2.7 ms in 64-row calls, 1.8-2.0 ms
+# in 256-row calls and 1.9-2.2 ms in 512-row calls (one BLAS thread, a
+# 2-vCPU Xeon).  So ``run_task`` attacks the replay rows of
+# ``ROWS // batch_replay`` consecutive steps in one call.  An attacked row's
+# bits depend on the row count of its call: changing this moves seeded
+# results.
+ROWS = 256
 
-    Both processes walk their own copy of ``steps``, so both make every
-    draw, and attack a step only if they claim it first.  Steps are claimed
-    in order from one shared counter.  The helper claims the next step as
-    soon as it is free and streams the rows it attacked.  Whenever the next
-    step to train is the helper's and its rows have not arrived yet, this
-    process claims and attacks a later step instead of waiting.  So the
-    attacks follow whichever CPU is free, and a step's rows are the same
-    bits whichever process attacked them.  Closing the generator (also on
-    an error or interrupt in the caller) closes the helper.
+
+def _groups(steps, size: int):
+    """Consecutive groups of ``size`` ``task_schedule`` steps, the last maybe
+    shorter, each as ``(steps, draws)``: the steps' ``(epoch, batch)`` and
+    their ``(cls, slots, noise)`` stacked in step order along the row axis,
+    the noise None where the schedule draws none.  A group keeps no step's
+    own noise array, so a task holds the noise of one group at a time."""
+    steps = iter(steps)
+    while group := list(itertools.islice(steps, size)):
+        epochs, batches, cls, slots, noise = zip(*group)
+        del group
+        noise = None if noise[0] is None else np.concatenate(noise, axis=1)
+        yield list(zip(epochs, batches)), (np.concatenate(cls), np.concatenate(slots), noise)
+
+
+def _attacked_with_helper(groups, attack):
+    """``(steps, attack(draws))`` for each ``(steps, draws)`` of the unstarted
+    ``_groups`` ``groups``, with the attacks shared between this process and
+    a forked ``Helper``; the same groups, and the schedule's rng ends where
+    walking ``groups`` inline leaves it.
+
+    Both processes walk their own copy of ``groups``, so both make every
+    draw, and attack a group only if they claim it first.  Groups are
+    claimed in order from one shared counter.  The helper claims the next
+    group as soon as it is free and streams the rows it attacked.  Whenever
+    the next group to train is the helper's and its rows have not arrived
+    yet, this process claims and attacks a later group instead of waiting.
+    So the attacks follow whichever CPU is free, and a group's rows are the
+    same bits whichever process attacked them.  Closing the generator (also
+    on an error or interrupt in the caller) closes the helper.
     """
     import multiprocessing
 
-    # the first step that neither process has claimed
+    # the first group that neither process has claimed
     front = multiprocessing.get_context("fork").Value("q", 0)
 
-    def claim(step):
+    def claim(index):
         with front.get_lock():
-            if front.value != step:
+            if front.value != index:
                 return False
-            front.value = step + 1
+            front.value = index + 1
             return True
 
-    helper = Helper(lambda: (attack(cls, slots, noise)
-                             for step, (_, _, cls, slots, noise) in enumerate(steps)
-                             if claim(step)), "replay helper")
-    ahead = deque()  # steps drawn here and not yet yielded; rows None where the helper's
+    helper = Helper(lambda: (attack(draws) for index, (_, draws) in enumerate(groups)
+                             if claim(index)), "replay helper")
+    ahead = deque()  # groups drawn here and not yet yielded; rows None where the helper's
     with closing(helper):
-        for step, (epoch, batch, cls, slots, noise) in enumerate(steps):
-            ahead.append((epoch, batch, attack(cls, slots, noise) if claim(step) else None))
-            # yield every step whose rows are here; while the helper still
-            # attacks the next one, draw (and maybe attack) a later step
-            while ahead and (ahead[0][2] is not None or helper.poll()):
-                epoch, batch, rows = ahead.popleft()
-                yield epoch, batch, helper.recv() if rows is None else rows
-        for epoch, batch, rows in ahead:
-            yield epoch, batch, helper.recv() if rows is None else rows
+        for index, (steps, draws) in enumerate(groups):
+            ahead.append((steps, attack(draws) if claim(index) else None))
+            del draws  # as in _inline
+            # yield every group whose rows are here; while the helper still
+            # attacks the next one, draw (and maybe attack) a later group
+            while ahead and (ahead[0][1] is not None or helper.poll()):
+                steps, rows = ahead.popleft()
+                yield steps, helper.recv() if rows is None else rows
+        for steps, rows in ahead:
+            yield steps, helper.recv() if rows is None else rows
+
+
+def _inline(groups, attack):
+    """``(steps, attack(draws))`` for each ``(steps, draws)`` of ``groups``;
+    a group's draws are dropped before the next group is drawn."""
+    for steps, draws in groups:
+        rows = attack(draws)
+        del draws
+        yield steps, rows
+
+
+def _per_step(replayed):
+    """``(epoch, batch, rows)`` for each step of each ``(steps, stacked replay
+    rows)`` of ``replayed``, which is closed on exit."""
+    with closing(replayed):
+        for steps, stacked in replayed:
+            for (epoch, batch), rows in zip(steps, np.split(stacked, len(steps))):
+                yield epoch, batch, rows
 
 
 def run_task(state: M.ModelState, task_data: D.LabeledSet,
@@ -565,12 +617,17 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     ``task_data`` (else ``ContractError`` naming the class).  Every draw
     from ``rng`` (the batches, the round-robin replay rows and, when
     ``noise_r > 0``, each step's prototype noise scaled by ``noise_r``)
-    comes from ``task_schedule``; a step's attack is a pure function of its
-    draws and the frozen model.  When rows are attacked and this process
-    may run on two or more CPUs, a forked helper process attacks alongside
-    the training steps, sharing the attacks with this one
-    (``_attacked_with_helper``); the results and ``rng``'s final state are
-    bit for bit those of the inline map, and no helper outlives this call.
+    comes from ``task_schedule``.  The steps go in fixed groups of
+    ``max(1, ROWS // batch_replay)`` consecutive steps, counted over the
+    whole task across epoch boundaries, the last group maybe shorter; the
+    replay rows of a group are attacked in one call, their bank rows,
+    centers and noise stacked in step order, and split back per step.  So
+    a group's attack is a pure function of its draws and the frozen model.
+    When rows are attacked and this process may run on two or more CPUs, a
+    forked helper process attacks groups alongside the training steps,
+    sharing the attacks with this one (``_attacked_with_helper``); the
+    results and ``rng``'s final state are bit for bit those of the inline
+    map, and no helper outlives this call.
     The frozen model is never touched (checked by checksum at entry and
     exit).
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
@@ -608,16 +665,27 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     steps = task_schedule(len(task_data), optim_cfg, rng,
                           None if bank is None else bank.shape[:2], noise_shape)
 
-    def attack(cls, slots, noise):
-        return R.adversarial_attack(frozen_ext, bank[cls, slots], centers[cls], attack_cfg,
-                                    None if noise is None else noise_r * noise)
+    def replay(draws):
+        """The replay rows of a group's stacked ``(cls, slots, noise)``:
+        gathered from the bank and, with an ``attack_cfg``, attacked in one
+        call aimed at their centers plus ``noise_r`` times their noise
+        (scaled in place: the group's stacked noise is its own)."""
+        cls, slots, noise = draws
+        rows = bank[cls, slots]
+        if attack_cfg is None:
+            return rows
+        if noise is not None:
+            noise *= noise_r
+        return R.adversarial_attack(frozen_ext, rows, centers[cls], attack_cfg, noise)
 
-    replay = attack if attack_cfg is not None else lambda cls, slots, _: bank[cls, slots]
-    if bank is not None and attack_cfg is not None and use_helper():
-        stream = _attacked_with_helper(steps, attack)
-    else:  # the map, inline
-        stream = ((epoch, batch, None if cls is None else replay(cls, slots, noise))
-                  for epoch, batch, cls, slots, noise in steps)
+    if bank is None:
+        stream = ((epoch, batch, None) for epoch, batch, *_ in steps)
+    else:
+        groups = _groups(steps, max(1, ROWS // optim_cfg.batch_replay))
+        if attack_cfg is not None and use_helper():
+            stream = _per_step(_attacked_with_helper(groups, replay))
+        else:  # the map, inline
+            stream = _per_step(_inline(groups, replay))
 
     state, epochs = _fit(state, task_data, stream, loss_cfg, optim_cfg, distill)
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:

@@ -11,6 +11,7 @@ import pytest
 
 from advreplay import data as D
 from advreplay import model as M
+from advreplay import replay as R
 from advreplay import tensor as T
 from advreplay import train as TR
 from advreplay.errors import ContractError, NumericError
@@ -235,6 +236,55 @@ def test_run_task_without_replay_equals_per_batch_frozen_logits(monkeypatch, n_r
     for epoch, batch, *_ in TR.task_schedule(n_rows, optim, np.random.default_rng(9)):
         x_new = task.x[batch]
         grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg, kd_batch(mirror, x_new))[2]
+        mirror = stepped_state(mirror, grad, TR.cosine_lr(optim.lr, epoch, optim.epochs),
+                               optim.weight_decay)
+    assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
+
+
+# 16-row batches and their replay rows over two epochs.  Whole blocks of
+# new rows take their frozen logits from the cache (three padded chunks
+# of the 40 or 38 rows), their replay rows from a call of their own; a
+# last batch of 6 rows, or 6 replay rows, keeps one call over the step's
+# new and replay rows.
+@pytest.mark.parametrize("n_rows,batch_replay,calls", [
+    (40, 8, [16, 16, 8] + [8] * 6),
+    (38, 8, [16, 16, 8] + [8, 8, 14] * 2),
+    (40, 6, [22, 22, 14] * 2),
+])
+def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows, batch_replay,
+                                                            calls):
+    """The cached frozen logits of the new rows train a replay task bit for
+    bit as one call per step over its new and replay rows does."""
+    state = world("cosine", "relu", task=1)
+    rng = np.random.default_rng(n_rows)
+    task = D.LabeledSet(rng.normal(size=(n_rows, 6)),
+                        tuple(int(c) for c in rng.integers(8, 14, n_rows)), "train")
+    old = state.head.old_ids
+    cands = R.CandidateSet(old, rng.integers(0, n_rows, (len(old), 3)),
+                           D.identity_policies((len(old), 3)))
+    protos = {cid: np.zeros(32) for cid in old}
+    optim = TR.OptimConfig(epochs=2, batch_new=16, batch_replay=batch_replay)
+    cfg = TR.LossConfig()
+    rows, real = [], TR.frozen_logits
+
+    def counted(frozen, x):
+        rows.append(len(x))
+        return real(frozen, x)
+
+    monkeypatch.setattr(TR, "frozen_logits", counted)
+    got, _ = TR.run_task(state, task, cands, protos, 0.0, cfg, optim, None,
+                         np.random.default_rng(9))
+    assert rows == calls
+    monkeypatch.setattr(TR, "frozen_logits", real)
+
+    mirror, rel = state, {cid: i for i, cid in enumerate(state.head.new_ids)}
+    y_rel = np.array([rel[c] for c in task.y])
+    bank = task.x[cands.indices]
+    for epoch, batch, cls, slots, _ in TR.task_schedule(n_rows, optim, np.random.default_rng(9),
+                                                        bank.shape[:2]):
+        x_new = task.x[batch]
+        x_kd = np.concatenate([x_new, bank[cls, slots]])
+        grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg, kd_batch(mirror, x_kd))[2]
         mirror = stepped_state(mirror, grad, TR.cosine_lr(optim.lr, epoch, optim.epochs),
                                optim.weight_decay)
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)

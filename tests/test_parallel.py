@@ -6,18 +6,26 @@ No test here starts more processes than the machine has CPUs.
 
 import csv
 import io
+import json
+import multiprocessing
 import os
 import queue
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_harness import tiny_config
 
 from advreplay import blas, runner
 from advreplay import calib as C
 from advreplay import classify as CL
+from advreplay import config as CFG
+from advreplay import model as M
 from advreplay import train as TR
 from advreplay.errors import ConfigError, ContractError, EngineError, NumericError
 
@@ -494,3 +502,87 @@ def test_evaluation_helper_that_dies_calibrating_is_an_engine_error(tmp_path, mo
     monkeypatch.setattr(C, "fit_transfer_matrix", dying)
     with pytest.raises(EngineError, match="^evaluation helper exited with code 5 "):
         runner.run_benchmark(tiny_config(tmp_path, *extra))
+
+
+# -- forked equals inline over the config space -----------------------------------------
+
+
+# tiny values for the keys whose branches the helpers meet: replay, attack,
+# noise and ADC on and off, no distillation, full and svd stores, cold and
+# warm tasks, both activations and head modes, classifier subsets, lone
+# rows and partial 4-row blocks (batch_new 1 and 5), one replay group per
+# task to one step per group, and a feature width (42) at which this BLAS
+# rounds gathered rows otherwise.  Repeated values weight the draw toward
+# attacked runs, which the replay helper serves; k = 40 can exceed a
+# task's rows, a ConfigError.
+DRAWN = {
+    "seeds.randomness": st.integers(0, 3),
+    "dataset.n_train": st.sampled_from([10, 24, 4]),
+    "model.hidden": st.sampled_from([[24, 16], [8], [42]]),
+    "model.feature_dim": st.sampled_from([8, 4, 42]),
+    "model.activation": st.sampled_from(M.ACTIVATIONS),
+    "model.head_mode": st.sampled_from(M.HEAD_MODES),
+    "optim.epochs_initial": st.integers(1, 3),
+    "optim.epochs_incremental": st.integers(1, 3),
+    "optim.batch_new": st.sampled_from([5, 1, 16]),
+    "optim.batch_replay": st.sampled_from([64, TR.ROWS, 16, 6, 1]),
+    "loss.lambda_kd": st.sampled_from([10.0, 10.0, 0.0]),
+    "replay.enabled": st.sampled_from([True, True, False]),
+    "replay.k": st.sampled_from([2, 6, 40]),
+    "attack.enabled": st.sampled_from([True, True, False]),
+    "attack.noise": st.booleans(),
+    "adc.enabled": st.booleans(),
+    "covariance.mode": st.sampled_from(["full", "svd"]),
+    "covariance.svd_k": st.integers(1, 4),
+    "classifiers": st.lists(st.sampled_from(["linear", "ncm", "mahalanobis"]),
+                            min_size=1, max_size=3, unique=True),
+}
+# (dataset.n_classes, tasks.count, tasks.mode) that split into whole class groups
+SPLITS = [(6, 3, "cold"), (4, 2, "cold"), (4, 3, "warm"), (6, 2, "warm"), (8, 4, "cold")]
+
+
+def outcome(cfg):
+    """What a run of ``cfg`` leaves: its metrics.csv, store.json and
+    model.json bytes, or its engine error's type and message and its
+    metrics.csv bytes (None where a file is missing)."""
+    run_dir = runner._run_dir(cfg, None)
+    try:
+        runner.run_benchmark(cfg)
+    except EngineError as err:
+        names, error = ("metrics.csv",), (type(err), str(err))
+    else:
+        names, error = ("metrics.csv", "store.json", "model.json"), None
+    return error, [(run_dir / name).read_bytes() if (run_dir / name).exists() else None
+                   for name in names]
+
+
+@pytest.mark.skipif(blas.lookup() is None or "fork" not in
+                    multiprocessing.get_all_start_methods(),
+                    reason="the helpers are forked under OpenBLAS")
+@pytest.mark.filterwarnings("ignore:drift sampling wants")  # tiny tasks hold few rows
+@settings(max_examples=30, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(split=st.sampled_from(SPLITS), drawn=st.fixed_dictionaries(DRAWN))
+def test_forked_runs_equal_inline_runs_over_drawn_configs(tmp_path_factory, split, drawn):
+    """Each drawn config runs with both helpers (two CPUs) and with
+    ``train.use_helper`` off: the same files, or the same engine error and
+    metrics.csv.  Any other exception fails the test."""
+    drawn = dict(drawn, **dict(zip(("dataset.n_classes", "tasks.count", "tasks.mode"), split)))
+    for key, value in drawn.items():
+        assert CFG.SCHEMA[key][1].test(value), key
+    out = tmp_path_factory.mktemp("drawn")
+    cfg = tiny_config(out, *(f"{key}={json.dumps(value)}" for key, value in drawn.items()))
+    results = []
+    for helpers in (True, False):
+        # lone-row batches with a linear head can diverge; the engine's own
+        # checks turn that into a NumericError, after numpy's overflow warnings
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            if not helpers:
+                mp.setattr(TR, "use_helper", lambda: False)
+            results.append(outcome(cfg))
+        shutil.rmtree(runner._run_dir(cfg, None), ignore_errors=True)
+    forked, inline = results
+    assert forked[0] == inline[0]
+    assert forked[1] == inline[1]
+    assert inline[0] is not None or None not in inline[1]

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import re
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -575,15 +576,22 @@ def attacked_setup():
     return state, stream.train[1], cands, protos
 
 
-def attacked_task(noise_r=0.3, setup=None, epochs=3):
+ATTACKED_ATTACK = R.AttackConfig(alpha=1.0, n_attack=2)
+
+
+def attacked_optim(epochs=3, batch_replay=32):
+    """60 task rows in batches of 16: 4 steps per epoch."""
+    return TR.OptimConfig(lr=0.02, epochs=epochs, batch_new=16, batch_replay=batch_replay)
+
+
+def attacked_task(noise_r=0.3, setup=None, epochs=3, batch_replay=32):
     """``run_task`` on a seeded attacked task (``attacked_setup``): the returned
     state's checksum, the epoch rows and the caller's rng's next draw."""
     state, data, cands, protos = setup or attacked_setup()
     rng = np.random.default_rng(11)
     out, rows = TR.run_task(
         state, data, cands, protos, noise_r=noise_r, loss_cfg=TR.LossConfig(),
-        optim_cfg=TR.OptimConfig(lr=0.02, epochs=epochs, batch_new=16),
-        attack_cfg=R.AttackConfig(alpha=1.0, n_attack=2), rng=rng)
+        optim_cfg=attacked_optim(epochs, batch_replay), attack_cfg=ATTACKED_ATTACK, rng=rng)
     return M.checksum(out.extractor, out.head), rows, rng.random()
 
 
@@ -614,26 +622,35 @@ def train_after_helper_attacks(monkeypatch, pids):
     monkeypatch.setattr(TR, "loss_and_grads", waiting)
 
 
+def attacks_shared(monkeypatch, pids):
+    """On two CPUs from now on, make both this process and the helper attack
+    at least one group of a task of two or more groups, logging their pids
+    to ``pids`` and the row count of each call to ``pids.rows``.  Install
+    it after ``attacked_setup``."""
+    me, attack = str(os.getpid()), R.adversarial_attack
+
+    def shared(f_old, x, *args, **kwargs):
+        if str(os.getpid()) != me:  # the helper lets this process attack first
+            wait_for_pids(pids, lambda seen: me in seen)
+        log_pid(pids)
+        with pids.with_suffix(".rows").open("a") as fh:
+            fh.write(f"{len(x)}\n")
+        return attack(f_old, x, *args, **kwargs)
+
+    monkeypatch.setattr(R, "adversarial_attack", shared)
+    train_after_helper_attacks(monkeypatch, pids)
+    on_cpus(monkeypatch, 2)
+
+
 @needs_fork
 @pytest.mark.parametrize("noise_r", [0.3, 0.0])  # with target noise, and without
 def test_helper_and_inline_schedules_give_the_same_bytes(monkeypatch, tmp_path, noise_r):
     setup = attacked_setup()
     on_cpus(monkeypatch, 1)
     inline = attacked_task(noise_r, setup)
-
-    pids, me, attack = tmp_path / "pids", str(os.getpid()), R.adversarial_attack
-
-    def shared(*args, **kwargs):
-        if str(os.getpid()) != me:  # the helper lets this process attack first
-            wait_for_pids(pids, lambda seen: me in seen)
-        log_pid(pids)
-        return attack(*args, **kwargs)
-
-    monkeypatch.setattr(R, "adversarial_attack", shared)
-    train_after_helper_attacks(monkeypatch, pids)
-    on_cpus(monkeypatch, 2)
+    attacks_shared(monkeypatch, tmp_path / "pids")
     helped = attacked_task(noise_r, setup)
-    assert len(set(pids.read_text().split())) == 2  # both processes attacked
+    assert len(set((tmp_path / "pids").read_text().split())) == 2  # both processes attacked
     assert helped == inline
 
 
@@ -659,17 +676,17 @@ def test_no_helper_without_openblas(monkeypatch, tmp_path):
 
 @needs_fork
 def test_racing_claims_lose_no_step():
-    """80 short steps, most of them claimed while the other process claims
-    too: a step attacked twice or by neither would shift the helper's rows
-    onto the wrong steps or stall the task."""
+    """80 short steps in groups of one step, most of them claimed while the
+    other process claims too: a group attacked twice or by neither would
+    shift the helper's rows onto the wrong steps or stall the task."""
     setup = attacked_setup()
     with pytest.MonkeyPatch.context() as mp:
         on_cpus(mp, 1)
-        inline = attacked_task(setup=setup, epochs=20)
+        inline = attacked_task(setup=setup, epochs=20, batch_replay=TR.ROWS)
     with pytest.MonkeyPatch.context() as mp:
         on_cpus(mp, 2)
         for _ in range(3):
-            assert attacked_task(setup=setup, epochs=20) == inline
+            assert attacked_task(setup=setup, epochs=20, batch_replay=TR.ROWS) == inline
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -735,3 +752,105 @@ def test_helper_that_dies_mid_stream_is_an_engine_error(monkeypatch, tmp_path):
     on_cpus(monkeypatch, 2)
     with pytest.raises(EngineError, match="replay helper exited with code 3"):
         attacked_task(setup=setup)
+
+
+# -- the replay groups ----------------------------------------------------------------
+
+
+def fit_receives(monkeypatch):
+    """A list that records every ``(epoch, batch, replay rows)`` step that
+    ``_fit`` trains on from now on, as it takes it."""
+    seen, fit = [], TR._fit
+
+    def spy(state, task_data, steps, *args):
+        def recorded():
+            with closing(steps):
+                for step in steps:
+                    seen.append(step)
+                    yield step
+
+        return fit(state, task_data, recorded(), *args)
+
+    monkeypatch.setattr(TR, "_fit", spy)
+    return seen
+
+
+def grouped_oracle(setup, optim, noise_r):
+    """Per step of ``attacked_task``'s schedule, its epoch, batch and replay
+    rows as the group contract makes them: ``R.adversarial_attack`` over
+    each group's stacked bank rows, targets and scaled noise, split back
+    per step; and the steps per group."""
+    state, data, cands, protos = setup
+    bank = D.apply_policy(data.x[cands.indices], cands.policies)
+    centers = np.array([protos[cid] for cid in cands.class_ids])
+    noise_shape = None if noise_r == 0.0 else \
+        (ATTACKED_ATTACK.n_attack, optim.batch_replay, centers.shape[1])
+    steps = list(TR.task_schedule(len(data), optim, np.random.default_rng(11),
+                                  bank.shape[:2], noise_shape))
+    size = max(1, TR.ROWS // optim.batch_replay)
+    groups = [steps[start:start + size] for start in range(0, len(steps), size)]
+    rows = []
+    for group in groups:
+        x = np.concatenate([bank[cls, slots] for _, _, cls, slots, _ in group])
+        targets = np.concatenate([centers[cls] for _, _, cls, _, _ in group])
+        offsets = None if noise_r == 0.0 else \
+            np.concatenate([noise_r * noise for *_, noise in group], axis=1)
+        attacked = R.adversarial_attack(state.frozen[0], x, targets, ATTACKED_ATTACK, offsets)
+        rows += np.split(attacked, len(group))
+    want = [(epoch, batch, r) for (epoch, batch, *_), r in zip(steps, rows)]
+    return want, [[epoch for epoch, *_ in group] for group in groups]
+
+
+def assert_same_steps(got, want):
+    assert len(got) == len(want)
+    for (epoch, batch, rows), (want_epoch, want_batch, want_rows) in zip(got, want):
+        assert epoch == want_epoch
+        assert batch.tobytes() == want_batch.tobytes()
+        assert rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+
+
+# 12 steps over 3 epochs of 4: groups of 256 // 32 = 8 steps, the first
+# spanning an epoch boundary, the last partial; groups of 5; and
+# batch_replay >= ROWS, one step per group
+@pytest.mark.parametrize("batch_replay,spans,partial", [
+    (32, True, True), (48, True, True), (TR.ROWS, False, False), (TR.ROWS + 40, False, False)])
+@pytest.mark.parametrize("noise_r", [0.3, 0.0])
+def test_fit_receives_the_rows_of_each_group_attacked_in_one_call(monkeypatch, batch_replay,
+                                                                    spans, partial, noise_r):
+    setup = attacked_setup()
+    want, epochs = grouped_oracle(setup, attacked_optim(batch_replay=batch_replay), noise_r)
+    size = max(1, TR.ROWS // batch_replay)
+    assert (size == 1) == (batch_replay >= TR.ROWS)
+    assert any(len(set(group)) > 1 for group in epochs) == spans
+    assert (len(epochs[-1]) < size) == partial
+    assert sum(map(len, epochs)) == 12
+
+    calls, attack = [], R.adversarial_attack
+
+    def counted(f_old, x, *args):
+        calls.append(len(x))
+        return attack(f_old, x, *args)
+
+    monkeypatch.setattr(R, "adversarial_attack", counted)
+    on_cpus(monkeypatch, 1)
+    seen = fit_receives(monkeypatch)
+    attacked_task(noise_r, setup, batch_replay=batch_replay)
+    assert calls == [len(group) * batch_replay for group in epochs]
+    assert_same_steps(seen, want)
+
+
+@needs_fork
+def test_forked_groups_equal_the_inline_ones(monkeypatch, tmp_path):
+    """With the helper attacking at least one of the three groups of 4
+    steps, ``_fit`` receives the oracle's rows, as it does inline."""
+    setup = attacked_setup()
+    want, epochs = grouped_oracle(setup, attacked_optim(batch_replay=64), 0.3)
+    assert [len(group) for group in epochs] == [4, 4, 4]
+
+    attacks_shared(monkeypatch, tmp_path / "pids")
+    seen = fit_receives(monkeypatch)
+    attacked_task(0.3, setup, batch_replay=64)
+    assert len(set((tmp_path / "pids").read_text().split())) == 2  # both processes attacked
+    assert (tmp_path / "pids.rows").read_text().split() == ["256"] * 3
+    assert_same_steps(seen, want)
