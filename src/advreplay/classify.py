@@ -31,19 +31,6 @@ def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
     return np.asarray(ids)[dists.argmin(axis=1)]
 
 
-# Relative slack on both distance bounds of ``MahalanobisScorer.scan``.  A
-# computed distance is fl(sum(fl(e M)^2)) with M = D^1/2 Q (lam + c)^-1/2 and
-# z = e D^1/2.  Each entry k of e M is off by at most d eps ||z|| times
-# (lam_k + c)^-1/2 (Cauchy-Schwarz over column k of Q), so the distance is
-# off by at most about 2 d sqrt(d kappa) eps of itself, with
-# kappa = (lam_max + c) / (lam_min + c).  The sums behind ||z||^2 (all terms
-# non-negative), the final sum of squares, the scaling and Q's departure
-# from orthogonality add a few d eps more.  ``scan`` widens each bound by
-# BOUND_MARGIN d sqrt(d kappa) of itself: at 1e-9, about 4.5e6 eps, that is
-# over a million times the rounding, and still too small to cost pruning.
-BOUND_MARGIN = 1e-9
-
-
 class MahalanobisScorer:
     """Shrunk-and-normalized Mahalanobis distances at any shrinkage, from one
     eigendecomposition per full class and the stored factors of each rank-k
@@ -68,12 +55,7 @@ class MahalanobisScorer:
 
     ``distances`` and ``predict`` use the constructor's shrinkage unless
     given a ``(gamma1, gamma2)`` pair; ``scan`` predicts for a whole grid.
-
-    The shrunk spectrum of a class lies between ``lam_min + c`` and
-    ``lam_max + c`` (``c`` and ``lam_max + c`` at rank k), so its distance
-    lies between ``||z||^2`` over the one and over the other.  ``scan``
-    uses these bounds to skip the GEMM rows that cannot hold a row's
-    nearest full class (see ``BOUND_MARGIN`` for the rounding slack).
+    Both score through ``_scored``, so a scanned prediction is ``predict``'s.
     """
 
     def __init__(self, store: C.PrototypeStore, gamma1: float, gamma2: float):
@@ -135,50 +117,35 @@ class MahalanobisScorer:
         y = centered @ (root[f][:, None] * self._q[f] * inv_root[f])
         return np.einsum("ij,ij->i", y, y)
 
-    def _sq_norms_rows(self, f: int, centered: np.ndarray, rows: np.ndarray,
-                       factors) -> np.ndarray:
-        """``_sq_norms(f, centered, factors)[rows]``, bit for bit, from a
-        product over those rows only.
-
-        A product of two or more gathered rows rounds each row as the whole
-        block does (``tests/test_classify.py`` pins this for the BLAS in
-        use).  One row would run as a matrix-vector product, which may
-        round differently, so a lone row is computed twice over.
-        """
-        block = centered[rows] if len(rows) > 1 else centered[np.repeat(rows, 2)]
-        return self._sq_norms(f, block, factors)[:len(rows)]
-
     def _lowrank_sq_norms(self, j: int, centered: np.ndarray, sums: np.ndarray,
                           c: float) -> np.ndarray:
         """Distances of ``centered`` rows to rank-k class ``j`` at shrinkage
-        ``c``, from ``sums = centered^2 @ _sum_weights[j]``.  ``distances``
-        and ``scan`` both score a rank-k class here, so they share its bits."""
+        ``c``, from ``sums = centered^2 @ _sum_weights[j]``."""
         u, lam = self._lowrank[j]
         proj = centered @ (u * np.sqrt(self._diag[j] + c)[:, None])
         dist = np.square(proj, out=proj) @ (lam / (lam + c))
         np.subtract(sums[:, 0] + (self._diag_min[j] + c) * sums[:, 1], dist, out=dist)
         return np.divide(dist, c, out=dist)
 
-    def _bound_terms(self, gammas, d: int):
-        """Per (gamma, class): ``base = min diag + c``, so that
-        ``||z||^2 = a + base b``, and the factors ``lower`` and ``upper``
-        with ``lower ||z||^2 <= distance <= upper ||z||^2``, each widened by
-        the rounding slack (``BOUND_MARGIN``).  ``base`` is positive for
-        every pair that ``_factors`` accepts."""
-        shift = np.array([self._shift(g1, g2) for g1, g2 in gammas]).reshape(-1, len(self.ids))
-        low, high = self._low + shift, self._high + shift
-        slack = BOUND_MARGIN * d * np.sqrt(d * high / low)
-        return self._diag_min + shift, (1.0 - slack) / high, (1.0 + slack) / low
+    def _scored(self, feats: np.ndarray, factors):
+        """``(j, g, distances of feats to class j at factors[g])`` for every
+        class j in id order and every g, each class's rows centered once."""
+        slot = {j: f for f, j in enumerate(self._full)}
+        for j in range(len(self.ids)):
+            centered = feats - self._mu[j]
+            if j in slot:
+                for g, fac in enumerate(factors):
+                    yield j, g, self._sq_norms(slot[j], centered, fac)
+            else:
+                sums = np.square(centered) @ self._sum_weights[j]
+                for g, fac in enumerate(factors):
+                    yield j, g, self._lowrank_sq_norms(j, centered, sums, fac[2][j])
 
     def distances(self, feats: np.ndarray, gamma=None) -> np.ndarray:
         factors = self._default if gamma is None else self._factors(*gamma)
         out = np.empty((len(feats), len(self.ids)))
-        for f, j in enumerate(self._full):
-            out[:, j] = self._sq_norms(f, feats - self._mu[j], factors)
-        for j in self._lowrank:
-            centered = feats - self._mu[j]
-            sums = np.square(centered) @ self._sum_weights[j]
-            out[:, j] = self._lowrank_sq_norms(j, centered, sums, factors[2][j])
+        for j, _, dist in self._scored(feats, [factors]):
+            out[:, j] = dist
         return out
 
     def predict(self, feats: np.ndarray, gamma=None) -> np.ndarray:
@@ -188,69 +155,18 @@ class MahalanobisScorer:
     def scan(self, feats: np.ndarray, gammas) -> np.ndarray:
         """``predict(feats, gamma)`` for each pair in ``gammas``, one row each.
 
-        Classes are visited in order with a running minimum per (gamma,
-        row): a strictly smaller distance is needed to move a row to a later
-        class, so ties resolve as in ``predict``.  A rank-k class is scored
-        in full at every shrinkage through ``distances``' own kernel
-        (``_lowrank_sq_norms``).
-
-        Full classes go through an exact branch-and-bound.  The two sums
-        behind ``||z||^2`` give both distance bounds at every shrinkage.  A
-        first pass takes, per (gamma, row), the smallest upper bound over
-        the full classes.  A full class whose lower bound exceeds it is
-        farther than some other class and cannot be the row's nearest, nor
-        tie with it.  The second pass runs the GEMM only on the rows each
-        full class can still win.  Those distances are ``distances``' own
-        bits (``_sq_norms_rows``), so every prediction equals ``predict``'s.
-        Nothing per (class, row) is kept between the passes; the sums are
-        recomputed.
+        Every class is scored at every pair, in class order, with a running
+        minimum per (gamma, row): a strictly smaller distance is needed to
+        move a row to a later class, so ties resolve as in ``predict``.
         """
         factors = [self._factors(g1, g2) for g1, g2 in gammas]
-        base, lower, upper = self._bound_terms(gammas, feats.shape[1])
-
-        # buffers reused for every class: feats - mu, its square and its two
-        # sums, and one scaled ||z||^2 per (gamma, row)
-        centered, sq = np.empty(feats.shape), np.empty(feats.shape)
-        sums, z = np.empty((len(feats), 2)), np.empty((len(factors), len(feats)))
-
-        def scaled_norms(j, scale):
-            np.subtract(feats, self._mu[j], out=centered)
-            a, b = np.matmul(np.square(centered, out=sq), self._sum_weights[j], out=sums).T
-            np.multiply(base[:, j, None], b, out=z)
-            np.add(z, a, out=z)
-            return np.multiply(z, scale[:, j, None], out=z)
-
-        def full_distances(j, f):
-            np.greater(scaled_norms(j, lower), bound, out=shut)
-            for g, fac in enumerate(factors):
-                rows = np.flatnonzero(~shut[g])
-                if len(rows) == len(feats):
-                    yield g, self._sq_norms(f, centered, fac)
-                elif len(rows):
-                    dist = np.full(len(feats), np.inf)  # a shut row cannot move
-                    dist[rows] = self._sq_norms_rows(f, centered, rows, fac)
-                    yield g, dist
-
-        def lowrank_distances(j):
-            np.subtract(feats, self._mu[j], out=centered)
-            np.matmul(np.square(centered, out=sq), self._sum_weights[j], out=sums)
-            for g, fac in enumerate(factors):
-                yield g, self._lowrank_sq_norms(j, centered, sums, fac[2][j])
-
-        bound = np.full(z.shape, np.inf)
-        for j in self._full:
-            np.minimum(bound, scaled_norms(j, upper), out=bound)
-
-        best = np.full(z.shape, np.inf)
-        arg = np.zeros(z.shape, dtype=np.intp)
-        shut, closer = np.empty(z.shape, dtype=bool), np.empty(len(feats), dtype=bool)
-        slot = {j: f for f, j in enumerate(self._full)}
-        for j in range(len(self.ids)):
-            found = full_distances(j, slot[j]) if j in slot else lowrank_distances(j)
-            for g, dist in found:
-                np.less(dist, best[g], out=closer)
-                np.copyto(best[g], dist, where=closer)
-                np.copyto(arg[g], j, where=closer)
+        best = np.full((len(factors), len(feats)), np.inf)
+        arg = np.zeros(best.shape, dtype=np.intp)
+        closer = np.empty(len(feats), dtype=bool)
+        for j, g, dist in self._scored(feats, factors):
+            np.less(dist, best[g], out=closer)
+            np.copyto(best[g], dist, where=closer)
+            np.copyto(arg[g], j, where=closer)
         return np.asarray(self.ids)[arg]
 
 

@@ -260,9 +260,9 @@ def _check_split(head: ClassifierHead, split: str) -> None:
 def logits(head: ClassifierHead, features, split: str = "all") -> T.Tensor:
     """Class logits restricted to a split, columns ordered by global class id.
 
-    This is the taped head; it stays as the oracle for ``block_vjp`` and
-    ``head_logits``, which training and evaluation use.  The head weights
-    may be arrays or ``Tensor`` leaves.
+    This is the taped head; it stays as the oracle for ``input_block_vjp``
+    and ``head_logits``, which training and evaluation use.  The head
+    weights may be arrays or ``Tensor`` leaves.
     """
     features = T.as_tensor(features)
     _check_split(head, split)
@@ -299,8 +299,9 @@ def _identity(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def block_vjp(head: ClassifierHead, w: np.ndarray, feats: np.ndarray):
-    """Plain-numpy logits of one head block plus their VJP.
+def input_block_vjp(head: ClassifierHead, w: np.ndarray, head_in):
+    """Plain-numpy logits of one head block plus their VJP, from the
+    ``head_input_vjp`` pair of the features.
 
     Returns ``(out, vjp)`` where ``out`` holds one column per row of ``w``
     and ``vjp(g)`` maps a logit cotangent to ``(feature grad, w grad)``.
@@ -308,11 +309,6 @@ def block_vjp(head: ClassifierHead, w: np.ndarray, feats: np.ndarray):
     same order, so results are bit-identical.  A non-finite logit raises
     ``NumericError``.
     """
-    return input_block_vjp(head, w, head_input_vjp(head, feats))
-
-
-def input_block_vjp(head: ClassifierHead, w: np.ndarray, head_in):
-    """``block_vjp`` from the ``head_input_vjp`` pair of the features."""
     f, f_vjp = head_in
     if head.mode == "cosine":
         wn, wn_vjp = T.normalize_vjp(w, axis=1)
@@ -337,11 +333,11 @@ def input_block_vjp(head: ClassifierHead, w: np.ndarray, head_in):
 
 def head_logits(head: ClassifierHead, feats: np.ndarray) -> np.ndarray:
     """Plain-numpy ``logits`` over all classes: the forward half of
-    ``block_vjp`` per block, columns gathered into global class-id order;
-    bit-identical to the tape."""
+    ``input_block_vjp`` per block, columns gathered into global class-id
+    order; bit-identical to the tape."""
+    head_in = head_input_vjp(head, feats)  # every block reads it
     if not head.old_ids:
-        return block_vjp(head, head.w_new, feats)[0]
-    head_in = head_input_vjp(head, feats)  # both blocks read it
+        return input_block_vjp(head, head.w_new, head_in)[0]
     joint = np.concatenate([input_block_vjp(head, head.w_old, head_in)[0],
                             input_block_vjp(head, head.w_new, head_in)[0]], axis=1)
     return np.take(joint, np.argsort(head.old_ids + head.new_ids, kind="stable"), axis=1)

@@ -394,11 +394,12 @@ def test_head_logits_equal_tape_bytewise():
         feats = np.random.default_rng(5).normal(size=(40, 32))
         want = M.logits(state.head, Tensor(feats), "all").data
         assert M.head_logits(state.head, feats).tobytes() == want.tobytes()
-        # each block alone is block_vjp's forward
+        # each block alone is input_block_vjp's forward
         head = state.head
         for split, w in (("old_only", head.w_old), ("new_only", head.w_new)):
             want = M.logits(head, Tensor(feats), split).data
-            assert M.block_vjp(head, w, feats)[0].tobytes() == want.tobytes()
+            got = M.input_block_vjp(head, w, M.head_input_vjp(head, feats))[0]
+            assert got.tobytes() == want.tobytes()
         # a head with no old block: all classes are the new block
         want = M.logits(state.frozen[1], Tensor(feats), "all").data
         assert M.head_logits(state.frozen[1], feats).tobytes() == want.tobytes()
