@@ -478,9 +478,11 @@ def test_combined_loss_gradient_matches_fd():
         assert err <= 1e-4, f"param {pi}: rel err {err:.2e}"
 
 
-def test_distillation_preserves_old_logit_behavior():
-    """The KD term's direct object: old-class logits on old-task data must
-    track the frozen model more closely than under plain fine-tuning."""
+@pytest.mark.parametrize("seed", range(19, 29))
+def test_distillation_preserves_old_logit_behavior(seed):
+    """The KD term's direct object: on the rows it distils (the new task's
+    training rows), the old-class logits must track the frozen model more
+    closely than under plain fine-tuning, at every ``run_task`` seed."""
 
     def old_logit_gap(lambda_kd, with_replay):
         state, stream, _ = small_world(seed=16, n_classes=6, input_dim=8, d=6)
@@ -498,11 +500,11 @@ def test_distillation_preserves_old_logit_behavior():
             state, stream.train[1], cands, protos, noise_r=r,
             loss_cfg=TR.LossConfig(lambda_kd=lambda_kd),
             optim_cfg=TR.OptimConfig(lr=0.05, epochs=10, batch_new=16),
-            attack_cfg=R.AttackConfig(alpha=2.0, n_attack=2), rng=np.random.default_rng(19))
+            attack_cfg=R.AttackConfig(alpha=2.0, n_attack=2), rng=np.random.default_rng(seed))
 
-        x0 = stream.test[0].x
-        cur = M.logits(state.head, M.extract(state.extractor, x0), "old_only").data
-        prev = M.logits(state.frozen[1], M.extract(state.frozen[0], x0), "all").data
+        x1 = stream.train[1].x
+        cur = M.logits(state.head, M.extract(state.extractor, x1), "old_only").data
+        prev = M.logits(state.frozen[1], M.extract(state.frozen[0], x1), "all").data
         return float(np.mean(np.abs(cur - prev)))
 
     gap_kd = old_logit_gap(10.0, True)
