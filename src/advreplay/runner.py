@@ -191,8 +191,10 @@ def run_many(configs, out_dir=None) -> list[RunResult]:
 
 def run_benchmark(config: dict, out_dir=None) -> RunResult:
     """Execute one seeded run end to end, on one BLAS thread, and persist its
-    artifacts."""
-    with blas.single_thread():
+    artifacts.  numpy's overflow, invalid-value and divide warnings are off
+    for the run and the helpers it forks: the engine checks finiteness
+    itself and reports a divergence as its own ``NumericError``."""
+    with blas.single_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _run(config, out_dir)
 
 
@@ -245,20 +247,19 @@ def learn(config: dict, stream: D.TaskStream, state: M.ModelState, settled,
     trained state and the task's metric rows, not yet written.
 
     ``settled()`` returns the store as settled after task t-1.  It is called
-    where the store is first read: before candidate sampling when the run
-    replays, otherwise after training, so that the store may still be
-    settling while the task trains.
+    only when the run replays, before candidate sampling; otherwise the
+    task trains while the store may still be settling.  The task's
+    ``noise_r`` row is logged only when its replay rows are attacked with
+    noise.
     """
     seed = config["seeds"]["randomness"]
     state = M.begin_task(state, stream.class_groups[t], _rng(seed, _STREAM_MODEL, t),
                          init_std=config["model"]["head_init_std"])
     loss_cfg = CFG.build_loss_config(config)
     attack_cfg = CFG.build_attack_config(config) if config["attack"]["enabled"] else None
-    noisy = attack_cfg is not None and config["attack"]["noise"]
-    feature_dim = config["model"]["feature_dim"]
 
     candidates = prototypes = None
-    noise_r = 0.0
+    noise_r, rows = 0.0, []
     with _keeping_frozen(state, t):
         if _replays(config):
             store = settled()
@@ -268,16 +269,14 @@ def learn(config: dict, stream: D.TaskStream, state: M.ModelState, settled,
                                 config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
                                 config["replay"]["cap"],
                                 CFG.build_family(config, input_dim=stream.train[t].input_dim))
-            if noisy:
-                noise_r = R.noise_magnitude(store.covariances(), feature_dim)
+            if attack_cfg is not None and config["attack"]["noise"]:
+                noise_r = R.noise_magnitude(store.covariances(), config["model"]["feature_dim"])
+                rows.append(("attack", t, "", "noise_r", noise_r))
         trained, epochs = _stage("task-training", TR.run_task, state, stream.train[t],
                                  candidates, prototypes, noise_r, loss_cfg,
                                  CFG.build_optim_config(config, initial=False),
                                  attack_cfg, _rng(seed, _STREAM_TRAIN, t))
-    if noisy and candidates is None:
-        # logged although nothing is attacked: dropping it would change the rows
-        noise_r = R.noise_magnitude(settled().covariances(), feature_dim)
-    return trained, ([("attack", t, "", "noise_r", noise_r)] if noisy else []) + [
+    return trained, rows + [
         ("train", t, row["epoch"], key, row[key])
         for row in epochs for key in ("ce_loss", "kd_loss", "lr")]
 

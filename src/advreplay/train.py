@@ -21,10 +21,10 @@ layout.  So ``sgd_step`` is a single elementwise update of one vector into
 the other and a single finiteness check over the whole model, and a step
 allocates no parameter vector and builds no state.
 
-Everything an incremental task draws from its rng (the batches, the replay
-rows and the attack's target noise) comes from ``task_schedule``, which
-reads no model at all.  ``run_task`` attacks the replay rows of a fixed
-group of consecutive steps in one call, a pure function of the group's
+An incremental task's batches and replay rows come from ``task_schedule``,
+which draws only indices and reads no model at all.  ``run_task`` attacks
+the replay rows of a fixed group of consecutive steps in one call, with
+target noise from the group's own key, a pure function of the group's
 draws and the frozen model, so it can map the attack over the groups in a
 helper process on a spare CPU.
 """
@@ -408,30 +408,24 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
     return _fit(state, dataset, steps, loss_cfg, optim_cfg, distill=False)[0]
 
 
-def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None,
-                  noise_shape=None):
-    """Every draw of one incremental task from ``rng``, one step at a time,
-    as ``(epoch, batch, cls, slots, noise)``; absent parts are None.
+def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None):
+    """The draws of one incremental task's steps from ``rng``, one step at a
+    time, as ``(epoch, batch, cls, slots)``; without a bank, ``cls`` and
+    ``slots`` are None.
 
     ``batch`` indexes the task's ``n_rows`` rows.  With a ``bank_shape`` of
     (old classes, k), the step replays the bank rows ``[cls, slots]``:
     ``optim_cfg.batch_replay`` draws round-robin over the old classes, the
     class cursor carrying across steps and epochs; each class walks its own
     permutation of its k rows, wrapping around and reshuffled every epoch.
-    With a ``noise_shape``, ``noise`` is the step's standard normal draw of
-    that shape.  The draws come in a fixed order: one discarded set of class
-    permutations, then per epoch the class permutations and the batch
-    permutation, then each step's noise as the step is reached.
+    The draws come in a fixed order: per epoch the class permutations, then
+    the batch permutation.
     """
     if bank_shape is not None:
         n_old, k = bank_shape
         cursor, step_ids = 0, np.arange(optim_cfg.batch_replay)
-        # one set of permutations is drawn and never used: dropping it would
-        # shift every later draw of the stream and change seeded results
-        for _ in range(n_old):
-            rng.permutation(k)
 
-    cls = slots = noise = None
+    cls = slots = None
     for epoch in range(optim_cfg.epochs):
         if bank_shape is not None:
             orders = np.array([rng.permutation(k) for _ in range(n_old)])
@@ -444,9 +438,7 @@ def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None,
                 slots = orders[cls, (drawn[cls] + step_ids // n_old) % k]
                 drawn += np.bincount(cls, minlength=n_old)
                 cursor = (cursor + len(step_ids)) % n_old
-            if noise_shape is not None:
-                noise = rng.standard_normal(noise_shape)
-            yield epoch, batch, cls, slots, noise
+            yield epoch, batch, cls, slots
 
 
 class Helper:
@@ -526,15 +518,14 @@ ROWS = 256
 def _groups(steps, size: int):
     """Consecutive groups of ``size`` ``task_schedule`` steps, the last maybe
     shorter, each as ``(steps, draws)``: the steps' ``(epoch, batch)`` and
-    their ``(cls, slots, noise)`` stacked in step order along the row axis,
-    the noise None where the schedule draws none.  A group keeps no step's
-    own noise array, so a task holds the noise of one group at a time."""
+    ``(index, cls, slots)``, the group's index from 0 and its steps' ``cls``
+    and ``slots`` stacked in step order."""
     steps = iter(steps)
-    while group := list(itertools.islice(steps, size)):
-        epochs, batches, cls, slots, noise = zip(*group)
-        del group
-        noise = None if noise[0] is None else np.concatenate(noise, axis=1)
-        yield list(zip(epochs, batches)), (np.concatenate(cls), np.concatenate(slots), noise)
+    for index in itertools.count():
+        if not (group := list(itertools.islice(steps, size))):
+            return
+        epochs, batches, cls, slots = zip(*group)
+        yield list(zip(epochs, batches)), (index, np.concatenate(cls), np.concatenate(slots))
 
 
 def _attacked_with_helper(groups, attack):
@@ -543,15 +534,16 @@ def _attacked_with_helper(groups, attack):
     a forked ``Helper``; the same groups, and the schedule's rng ends where
     walking ``groups`` inline leaves it.
 
-    Both processes walk their own copy of ``groups``, so both make every
-    draw, and attack a group only if they claim it first.  Groups are
-    claimed in order from one shared counter.  The helper claims the next
-    group as soon as it is free and streams the rows it attacked.  Whenever
-    the next group to train is the helper's and its rows have not arrived
-    yet, this process claims and attacks a later group instead of waiting.
-    So the attacks follow whichever CPU is free, and a group's rows are the
-    same bits whichever process attacked them.  Closing the generator (also
-    on an error or interrupt in the caller) closes the helper.
+    Both processes walk their own copy of ``groups``, which draws only
+    indices, and attack a group, and so draw its noise, only if they claim
+    it first.  Groups are claimed in order from one shared counter.  The
+    helper claims the next group as soon as it is free and streams the rows
+    it attacked.  Whenever the next group to train is the helper's and its
+    rows have not arrived yet, this process claims and attacks a later
+    group instead of waiting.  So the attacks follow whichever CPU is free,
+    and a group's rows are the same bits whichever process attacked them.
+    Closing the generator (also on an error or interrupt in the caller)
+    closes the helper.
     """
     import multiprocessing
 
@@ -571,7 +563,6 @@ def _attacked_with_helper(groups, attack):
     with closing(helper):
         for index, (steps, draws) in enumerate(groups):
             ahead.append((steps, attack(draws) if claim(index) else None))
-            del draws  # as in _inline
             # yield every group whose rows are here; while the helper still
             # attacks the next one, draw (and maybe attack) a later group
             while ahead and (ahead[0][1] is not None or helper.poll()):
@@ -579,15 +570,6 @@ def _attacked_with_helper(groups, attack):
                 yield steps, helper.recv() if rows is None else rows
         for steps, rows in ahead:
             yield steps, helper.recv() if rows is None else rows
-
-
-def _inline(groups, attack):
-    """``(steps, attack(draws))`` for each ``(steps, draws)`` of ``groups``;
-    a group's draws are dropped before the next group is drawn."""
-    for steps, draws in groups:
-        rows = attack(draws)
-        del draws
-        yield steps, rows
 
 
 def _per_step(replayed):
@@ -614,15 +596,18 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     are replayed unperturbed.  Replay rows come from a bank that one
     ``apply_policy`` call builds per task from the candidates' samples and
     records; it is never stored.  Candidate indices must lie in
-    ``task_data`` (else ``ContractError`` naming the class).  Every draw
-    from ``rng`` (the batches, the round-robin replay rows and, when
-    ``noise_r > 0``, each step's prototype noise scaled by ``noise_r``)
-    comes from ``task_schedule``.  The steps go in fixed groups of
-    ``max(1, ROWS // batch_replay)`` consecutive steps, counted over the
-    whole task across epoch boundaries, the last group maybe shorter; the
-    replay rows of a group are attacked in one call, their bank rows,
-    centers and noise stacked in step order, and split back per step.  So
-    a group's attack is a pure function of its draws and the frozen model.
+    ``task_data`` (else ``ContractError`` naming the class).  With
+    candidates, ``rng`` first draws the task's noise key, then the batches
+    and the round-robin replay rows of ``task_schedule``; without, only the
+    batches.  The steps go in fixed groups of ``max(1, ROWS //
+    batch_replay)`` consecutive steps, counted over the whole task across
+    epoch boundaries, the last group maybe shorter; the replay rows of a
+    group are attacked in one call, their bank rows and centers stacked in
+    step order, and split back per step.  When ``noise_r > 0`` the targets
+    carry ``noise_r`` times one standard normal draw for the whole group
+    from ``np.random.default_rng([key, index])``, its own stream, which
+    only the process that attacks the group draws.  So a group's attack is
+    a pure function of its draws, the key and the frozen model.
     When rows are attacked and this process may run on two or more CPUs, a
     forked helper process attacks groups alongside the training steps,
     sharing the attacks with this one (``_attacked_with_helper``); the
@@ -656,25 +641,28 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     distill = loss_cfg.lambda_kd > 0.0
     # without distillation the replay rows go unused and nothing is attacked
     attack_cfg = attack_cfg if distill else None
-    bank = centers = noise_shape = None
+    bank = centers = key = None
     if candidates is not None:
         bank = D.apply_policy(task_data.x[candidates.indices], candidates.policies)
         centers = np.array([prototypes[cid] for cid in candidates.class_ids])
-        if attack_cfg is not None and noise_r > 0.0:
-            noise_shape = (attack_cfg.n_attack, optim_cfg.batch_replay, centers.shape[1])
+        # drawn with noise or without, so both replay the same rows
+        key = int(rng.integers(2**63))
     steps = task_schedule(len(task_data), optim_cfg, rng,
-                          None if bank is None else bank.shape[:2], noise_shape)
+                          None if bank is None else bank.shape[:2])
 
     def replay(draws):
-        """The replay rows of a group's stacked ``(cls, slots, noise)``:
-        gathered from the bank and, with an ``attack_cfg``, attacked in one
-        call aimed at their centers plus ``noise_r`` times their noise
-        (scaled in place: the group's stacked noise is its own)."""
-        cls, slots, noise = draws
+        """The replay rows of a group's ``(index, cls, slots)``: gathered
+        from the bank and, with an ``attack_cfg``, attacked in one call
+        aimed at their centers plus, when ``noise_r > 0``, the group's
+        noise."""
+        index, cls, slots = draws
         rows = bank[cls, slots]
         if attack_cfg is None:
             return rows
-        if noise is not None:
+        noise = None
+        if noise_r > 0.0:
+            noise = np.random.default_rng([key, index]).standard_normal(
+                (attack_cfg.n_attack, len(rows), centers.shape[1]))
             noise *= noise_r
         return R.adversarial_attack(frozen_ext, rows, centers[cls], attack_cfg, noise)
 
@@ -685,7 +673,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         if attack_cfg is not None and use_helper():
             stream = _per_step(_attacked_with_helper(groups, replay))
         else:  # the map, inline
-            stream = _per_step(_inline(groups, replay))
+            stream = _per_step((steps, replay(draws)) for steps, draws in groups)
 
     state, epochs = _fit(state, task_data, stream, loss_cfg, optim_cfg, distill)
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:

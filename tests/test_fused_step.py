@@ -280,8 +280,9 @@ def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows,
     mirror, rel = state, {cid: i for i, cid in enumerate(state.head.new_ids)}
     y_rel = np.array([rel[c] for c in task.y])
     bank = task.x[cands.indices]
-    for epoch, batch, cls, slots, _ in TR.task_schedule(n_rows, optim, np.random.default_rng(9),
-                                                        bank.shape[:2]):
+    rng = np.random.default_rng(9)
+    rng.integers(2**63)  # the task's noise key, drawn first
+    for epoch, batch, cls, slots in TR.task_schedule(n_rows, optim, rng, bank.shape[:2]):
         x_new = task.x[batch]
         x_kd = np.concatenate([x_new, bank[cls, slots]])
         grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg, kd_batch(mirror, x_kd))[2]

@@ -556,6 +556,23 @@ def outcome(cfg):
                    for name in names]
 
 
+# lone-row batches with a linear head: task-0 training diverges
+DIVERGING = ["dataset.n_classes=6", "tasks.count=2", 'tasks.mode="warm"', "dataset.n_train=10",
+             "optim.batch_new=1", "optim.epochs_initial=2", 'model.head_mode="linear"',
+             "model.hidden=[8]", "model.feature_dim=42", "seeds.randomness=3"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_diverging_run_reports_only_the_engine_error(tmp_path, monkeypatch, cpus):
+    """The engine owns its floating-point state: numpy's overflow and
+    invalid-value warnings do not escape a run (the suite turns them into
+    errors), and the engine's finiteness checks report the divergence."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    with pytest.raises(NumericError) as raised:
+        runner.run_benchmark(tiny_config(tmp_path, *DIVERGING))
+    assert str(raised.value) == "stage 'initial-training': non-finite gradient"
+
+
 @pytest.mark.skipif(blas.lookup() is None or "fork" not in
                     multiprocessing.get_all_start_methods(),
                     reason="the helpers are forked under OpenBLAS")
@@ -574,9 +591,7 @@ def test_forked_runs_equal_inline_runs_over_drawn_configs(tmp_path_factory, spli
     cfg = tiny_config(out, *(f"{key}={json.dumps(value)}" for key, value in drawn.items()))
     results = []
     for helpers in (True, False):
-        # lone-row batches with a linear head can diverge; the engine's own
-        # checks turn that into a NumericError, after numpy's overflow warnings
-        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             if not helpers:
                 mp.setattr(TR, "use_helper", lambda: False)

@@ -543,15 +543,22 @@ def test_replay_rows_follow_round_robin_order(monkeypatch):
     TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
                 TR.OptimConfig(lr=0.01, epochs=2, batch_new=24, batch_replay=5),
                 R.AttackConfig(alpha=1.0, n_attack=1), np.random.default_rng(23))
-    # (class, slot) per replay row, as drawn by the round-robin sampler
-    # this engine has always used; epoch 1 starts at class 4
-    assert old == (0, 1, 4)
-    assert seen == [
-        (0, 1), (1, 2), (4, 3), (0, 0), (1, 1), (4, 1), (0, 3), (1, 0), (4, 2), (0, 2),
-        (1, 3), (4, 0), (0, 1), (1, 2), (4, 3), (0, 0), (1, 1), (4, 1), (0, 3), (1, 0),
-        (4, 1), (0, 1), (1, 2), (4, 2), (0, 0), (1, 3), (4, 0), (0, 3), (1, 0), (4, 3),
-        (0, 2), (1, 1), (4, 1), (0, 1), (1, 2), (4, 2), (0, 0), (1, 3), (4, 0), (0, 3),
-    ]
+    # (class, slot) per replay row, from the task's rng: the noise key, then
+    # per epoch one permutation of k = 4 slots per old class and the batch
+    # permutation; row j of the task replays class j mod 3 at that class's
+    # next slot of the epoch, wrapping after k
+    rng, want = np.random.default_rng(23), []
+    rng.integers(2**63)
+    for _ in range(2):
+        orders = [rng.permutation(4) for _ in old]
+        rng.permutation(len(x))
+        used = [0] * len(old)
+        for j in range(len(want), len(want) + 4 * 5):
+            c = j % len(old)
+            want.append((old[c], int(orders[c][used[c] % 4])))
+            used[c] += 1
+    assert len(x) == 90 and old == (0, 1, 4)  # 4 steps of 5 replay rows per epoch
+    assert seen == want
 
 
 # -- the replay helper ---------------------------------------------------------------
@@ -780,23 +787,23 @@ def fit_receives(monkeypatch):
 def grouped_oracle(setup, optim, noise_r):
     """Per step of ``attacked_task``'s schedule, its epoch, batch and replay
     rows as the group contract makes them: ``R.adversarial_attack`` over
-    each group's stacked bank rows, targets and scaled noise, split back
-    per step; and the steps per group."""
+    each group's stacked bank rows and targets, with ``noise_r`` times a
+    standard normal draw from the group's stream ``[key, group index]``,
+    split back per step; and the steps per group."""
     state, data, cands, protos = setup
     bank = D.apply_policy(data.x[cands.indices], cands.policies)
     centers = np.array([protos[cid] for cid in cands.class_ids])
-    noise_shape = None if noise_r == 0.0 else \
-        (ATTACKED_ATTACK.n_attack, optim.batch_replay, centers.shape[1])
-    steps = list(TR.task_schedule(len(data), optim, np.random.default_rng(11),
-                                  bank.shape[:2], noise_shape))
+    rng = np.random.default_rng(11)
+    key = int(rng.integers(2**63))
+    steps = list(TR.task_schedule(len(data), optim, rng, bank.shape[:2]))
     size = max(1, TR.ROWS // optim.batch_replay)
     groups = [steps[start:start + size] for start in range(0, len(steps), size)]
     rows = []
-    for group in groups:
-        x = np.concatenate([bank[cls, slots] for _, _, cls, slots, _ in group])
-        targets = np.concatenate([centers[cls] for _, _, cls, _, _ in group])
-        offsets = None if noise_r == 0.0 else \
-            np.concatenate([noise_r * noise for *_, noise in group], axis=1)
+    for index, group in enumerate(groups):
+        x = np.concatenate([bank[cls, slots] for _, _, cls, slots in group])
+        targets = np.concatenate([centers[cls] for _, _, cls, _ in group])
+        offsets = None if noise_r == 0.0 else noise_r * np.random.default_rng(
+            [key, index]).standard_normal((ATTACKED_ATTACK.n_attack, len(x), centers.shape[1]))
         attacked = R.adversarial_attack(state.frozen[0], x, targets, ATTACKED_ATTACK, offsets)
         rows += np.split(attacked, len(group))
     want = [(epoch, batch, r) for (epoch, batch, *_), r in zip(steps, rows)]
@@ -840,6 +847,32 @@ def test_fit_receives_the_rows_of_each_group_attacked_in_one_call(monkeypatch, b
     attacked_task(noise_r, setup, batch_replay=batch_replay)
     assert calls == [len(group) * batch_replay for group in epochs]
     assert_same_steps(seen, want)
+
+
+def test_target_noise_moves_no_batch_or_bank_row(monkeypatch):
+    """With target noise and without, a task trains on the same batches and
+    attacks the same bank rows toward the same centers: a group's noise
+    comes from its own stream, not from the schedule's."""
+    setup = attacked_setup()
+    on_cpus(monkeypatch, 1)
+    attack, runs = R.adversarial_attack, {}
+    for noise_r in (0.3, 0.0):
+        calls = []
+
+        def spy(f_old, x, targets, cfg, offsets=None):
+            calls.append((x.tobytes(), targets.tobytes(), offsets is not None))
+            return attack(f_old, x, targets, cfg, offsets)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "adversarial_attack", spy)
+            seen = fit_receives(mp)
+            attacked_task(noise_r, setup)
+        runs[noise_r] = calls, [(epoch, batch.tobytes()) for epoch, batch, _ in seen]
+    (noisy, noisy_batches), (plain, plain_batches) = runs[0.3], runs[0.0]
+    assert [noise for *_, noise in noisy] == [True] * 2
+    assert [noise for *_, noise in plain] == [False] * 2
+    assert [call[:2] for call in noisy] == [call[:2] for call in plain]
+    assert noisy_batches == plain_batches and len(plain_batches) == 12
 
 
 @needs_fork
