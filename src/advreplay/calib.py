@@ -342,9 +342,8 @@ def load_store(path) -> PrototypeStore:
     must have the first class's feature width: a ``'mu'`` of another length
     is misshapen."""
     payload = read_json(path)
-    if payload.get("format_version") != STORE_VERSION:
-        raise ContractError(
-            f"{path}: unsupported store version {payload.get('format_version')}")
+    if record_int(payload, "format_version", str(path)) != STORE_VERSION:
+        raise DecodeError(f"{path}: unsupported 'format_version' {payload['format_version']}")
     classes = payload.get("classes")
     if not isinstance(classes, dict):
         raise DecodeError(f"{path}: missing or malformed key 'classes'")

@@ -11,19 +11,19 @@ from . import model as M
 from .errors import ContractError, NumericError
 
 
-def predict_linear(state: M.ModelState, x: np.ndarray) -> np.ndarray:
-    """Argmax over all-class logits; ties resolve to the smallest class id."""
-    out = M.head_logits(state.head, M.features(state.extractor, x))
+def predict_linear(state: M.ModelState, feats: np.ndarray) -> np.ndarray:
+    """Argmax over all-class logits of ``state``'s head on the features
+    ``feats``; ties resolve to the smallest class id."""
+    out = M.head_logits(state.head, feats)
     ids = np.asarray(state.head.class_ids)
     return ids[out.argmax(axis=1)]
 
 
-def predict_ncm(extractor: M.ExtractorParams, store: C.PrototypeStore,
-                x: np.ndarray) -> np.ndarray:
+def predict_ncm(store: C.PrototypeStore, feats: np.ndarray) -> np.ndarray:
+    """Nearest stored prototype per row of the features ``feats``."""
     ids = store.class_ids()
     if not ids:
         raise ContractError("prototype store is empty")
-    feats = M.features(extractor, x)
     # one class at a time: the temporaries stay (n, d), not (n, classes, d)
     dists = np.empty((len(feats), len(ids)))
     for j, cid in enumerate(ids):
@@ -170,25 +170,27 @@ class MahalanobisScorer:
         return np.asarray(self.ids)[arg]
 
 
-def predict_mahalanobis(extractor: M.ExtractorParams, store: C.PrototypeStore,
-                        x: np.ndarray, gamma1: float, gamma2: float,
-                        scorer: MahalanobisScorer | None = None) -> np.ndarray:
-    """Mahalanobis predictions at ``(gamma1, gamma2)``, through ``scorer``
-    when the caller already built one over ``store``."""
+def predict_mahalanobis(store: C.PrototypeStore, feats: np.ndarray, gamma1: float,
+                        gamma2: float, scorer: MahalanobisScorer | None = None) -> np.ndarray:
+    """Mahalanobis predictions for the features ``feats`` at ``(gamma1,
+    gamma2)``, through ``scorer`` when the caller already built one over
+    ``store``."""
     if scorer is None:
         scorer = MahalanobisScorer(store, gamma1, gamma2)
-    return scorer.predict(M.features(extractor, x), (gamma1, gamma2))
+    return scorer.predict(feats, (gamma1, gamma2))
 
 
 def predict(kind: str, state: M.ModelState, store: C.PrototypeStore | None,
-            x: np.ndarray, gamma1: float = 1.0, gamma2: float = 1.0,
+            feats: np.ndarray, gamma1: float = 1.0, gamma2: float = 1.0,
             scorer: MahalanobisScorer | None = None) -> np.ndarray:
+    """``kind``'s predictions for the features ``feats`` of
+    ``state.extractor``."""
     if kind == "linear":
-        return predict_linear(state, x)
+        return predict_linear(state, feats)
     if kind == "ncm":
-        return predict_ncm(state.extractor, store, x)
+        return predict_ncm(store, feats)
     if kind == "mahalanobis":
-        return predict_mahalanobis(state.extractor, store, x, gamma1, gamma2, scorer)
+        return predict_mahalanobis(store, feats, gamma1, gamma2, scorer)
     raise ContractError(f"unknown classifier {kind!r}")
 
 

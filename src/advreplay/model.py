@@ -509,9 +509,8 @@ def load_checkpoint(path) -> ModelState:
     missing, mistyped or misshapen field, raises a ``DecodeError`` naming
     the file and the key."""
     record = read_json(path)
-    if record.get("format_version") != CHECKPOINT_VERSION:
-        raise ContractError(
-            f"{path}: unsupported checkpoint version {record.get('format_version')}")
+    if record_int(record, "format_version", str(path)) != CHECKPOINT_VERSION:
+        raise DecodeError(f"{path}: unsupported 'format_version' {record['format_version']}")
 
     def model(key: str) -> tuple[ExtractorParams, ClassifierHead]:
         part, where = record_field(record, key, str(path)), f"{path}: {key}"

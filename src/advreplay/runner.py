@@ -241,16 +241,16 @@ def _keeping_frozen(state: M.ModelState, t: int):
         raise ContractError(f"frozen model mutated during task {t}")
 
 
-def learn(config: dict, stream: D.TaskStream, state: M.ModelState, settled,
-          t: int) -> tuple[M.ModelState, list]:
+def learn(config: dict, stream: D.TaskStream, state: M.ModelState,
+          store: C.PrototypeStore | None, t: int) -> tuple[M.ModelState, list]:
     """Task ``t`` >= 1 from ``begin_task`` to the end of its training: the
     trained state and the task's metric rows, not yet written.
 
-    ``settled()`` returns the store as settled after task t-1.  It is called
-    only when the run replays, before candidate sampling; otherwise the
-    task trains while the store may still be settling.  The task's
-    ``noise_r`` row is logged only when its replay rows are attacked with
-    noise.
+    ``store`` is the store as settled after task t-1, read only when the
+    run replays, for candidate sampling; a run that does not replay passes
+    None, and its task trains while the store may still be settling.  The
+    task's ``noise_r`` row is logged only when its replay rows are attacked
+    with noise.
     """
     seed = config["seeds"]["randomness"]
     state = M.begin_task(state, stream.class_groups[t], _rng(seed, _STREAM_MODEL, t),
@@ -262,7 +262,6 @@ def learn(config: dict, stream: D.TaskStream, state: M.ModelState, settled,
     noise_r, rows = 0.0, []
     with _keeping_frozen(state, t):
         if _replays(config):
-            store = settled()
             prototypes = store.prototypes()
             candidates = _stage("candidate-sampling", R.build_candidate_set,
                                 state.frozen[0], stream.train[t], prototypes,
@@ -323,13 +322,14 @@ def evaluation(config: dict, stream: D.TaskStream, state: M.ModelState,
         scorer = _stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
         gamma = _stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor, val,
                        grid, scorer)
-    # every seen group in one pass: one scorer per classifier and task
+    # every seen group in one extractor pass, shared by every classifier
     tests = stream.test[:t + 1]
-    x = np.concatenate([test.x for test in tests])
+    feats = _stage("eval-features", M.features, state.extractor,
+                   np.concatenate([test.x for test in tests]))
     ends = np.cumsum([len(test) for test in tests])[:-1]
     accuracies = {}
     for name in config["classifiers"]:
-        pred = _stage(f"eval-{name}", CL.predict, name, state, store, x,
+        pred = _stage(f"eval-{name}", CL.predict, name, state, store, feats,
                       *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
         accuracies[name] = [float(np.mean(group_pred == np.asarray(test.y)))
                             for test, group_pred in zip(tests, np.split(pred, ends))]
@@ -473,7 +473,8 @@ def _run(config: dict, out_dir) -> RunResult:
             with _settling(config, stream, state, store, t - 1,
                            partial(_record, t - 1, learned, rows, results)) as item:
                 del store  # replaced by item(0); see _settling
-                state, trained = learn(config, stream, state, lambda: item(0), t)
+                state, trained = learn(config, stream, state,
+                                       item(0) if _replays(config) else None, t)
                 store = item(0)
                 if t == t_count - 1:
                     last = _computed(config, stream, state, store, t)

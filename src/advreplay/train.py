@@ -193,79 +193,66 @@ def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float
 GEMM_ROW_BLOCK = 4
 
 
-def _leads_with(x_kd, x_new) -> bool:
-    """Whether the array ``x_kd`` holds more rows than the array ``x_new``
-    and its first rows are those of ``x_new``, bit for bit, a whole number
-    of ``GEMM_ROW_BLOCK``s of them."""
-    n = len(x_new)
-    return (n % GEMM_ROW_BLOCK == 0 and len(x_kd) > n
-            and isinstance(x_kd, np.ndarray) and isinstance(x_new, np.ndarray)
-            and x_kd.dtype == x_new.dtype and x_kd[:n].tobytes() == x_new.tobytes())
-
-
 def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: LossConfig,
-                   kd_batch: tuple[np.ndarray, np.ndarray] | None = None
+                   kd: tuple[np.ndarray, np.ndarray | None] | None = None
                    ) -> tuple[float, float, np.ndarray]:
     """One tape-free loss-and-gradients pass of the training objective.
 
-    CE over ``new_only`` logits of the ``x_new`` rows; with ``kd_batch =
-    (x_kd, prev)``, plus ``lambda_kd`` times KD between the ``old_only``
-    logits of the ``x_kd`` rows and ``prev``, the frozen model's logits of
-    those rows (``frozen_logits``).  The current extractor runs once per
-    step where it can: when ``x_kd`` is ``x_new`` itself, the KD term
-    reuses the CE pass's features, their head input and the extractor VJP;
-    when ``x_kd`` is ``x_new`` followed by replay rows and ``x_new`` is a
-    whole number of ``GEMM_ROW_BLOCK``s, the CE term reads its features and
-    its extractor VJP from the first rows of the KD pass.  The two
-    backward passes stay separate, as on the tape.  Returns the CE value,
-    the KD value (0.0 without ``kd_batch``) and the gradient as one flat
-    vector laid out as ``M.param_views(state, ...)``: one block per
-    ``M.trainable_params(state)`` entry, in that order.  The forward and
-    backward ops and layouts are the tape's, so everything is bit-identical
-    to ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``
-    (the oracle), at widths where ``GEMM_ROW_BLOCK`` holds.  Raises
-    ``ContractError`` on bad labels or mismatched logit blocks and
-    ``NumericError`` on a non-finite pre-activation, logit block, loss or
-    gradient.
+    CE over ``new_only`` logits of the ``x_new`` rows; with ``kd = (prev,
+    replay)``, plus ``lambda_kd`` times KD between the ``old_only`` logits
+    of the KD rows and ``prev``, the frozen model's logits of those rows
+    (``frozen_logits``).  The KD rows are the ``x_new`` rows followed by
+    the ``replay`` rows, or the ``x_new`` rows alone when ``replay`` is
+    None.  The current extractor runs once per step where it can: without
+    replay rows, the KD term reuses the CE pass's features, their head
+    input and the extractor VJP; with replay rows after a whole number of
+    ``GEMM_ROW_BLOCK``s of new rows, the CE term reads its features and its
+    extractor VJP from the first rows of the KD pass.  The two backward
+    passes stay separate, as on the tape.  Returns the CE value, the KD
+    value (0.0 without ``kd``) and the gradient as one flat vector laid out
+    as ``M.param_views(state, ...)``: one block per
+    ``M.trainable_params(state)`` entry, in that order.  The forward and backward ops and layouts are the
+    tape's, so everything is bit-identical to ``local_ce_loss``/
+    ``local_kd_loss`` under ``tensor.value_and_grad`` (the oracle), at
+    widths where ``GEMM_ROW_BLOCK`` holds.  Raises ``ContractError`` on bad
+    labels or mismatched logit blocks and ``NumericError`` on a non-finite
+    pre-activation, logit block, loss or gradient.
     """
     ext, head = state.extractor, state.head
-    x_kd = None
-    if kd_batch is not None:
-        if state.frozen is None or head.w_old is None:
-            raise ContractError("distillation needs a snapshotted model with old classes")
-        x_kd, prev = kd_batch
+    if kd is not None and (state.frozen is None or head.w_old is None):
+        raise ContractError("distillation needs a snapshotted model with old classes")
+    prev, replay = kd or (None, None)
 
     ce_rows = None  # all rows of the CE term's pass, or its first rows
-    if x_kd is None or x_kd is x_new or not _leads_with(x_kd, x_new):
-        feats, ext_vjp = M.feature_vjp(ext, x_new)
-        kd_feats, kd_ext_vjp = feats, ext_vjp
-        if x_kd is not None and x_kd is not x_new:
-            kd_feats, kd_ext_vjp = M.feature_vjp(ext, x_kd)
-    else:
-        kd_feats, kd_ext_vjp = M.feature_vjp(ext, x_kd)
+    if replay is not None and len(x_new) % GEMM_ROW_BLOCK == 0:
+        kd_feats, kd_ext_vjp = M.feature_vjp(ext, np.concatenate([x_new, replay]))
         ce_rows = len(x_new)
         feats, ext_vjp = kd_feats[:ce_rows], kd_ext_vjp
+    else:
+        feats, ext_vjp = kd_feats, kd_ext_vjp = M.feature_vjp(ext, x_new)
+        if replay is not None:
+            kd_feats, kd_ext_vjp = M.feature_vjp(ext, np.concatenate([x_new, replay]))
 
     head_in = M.head_input_vjp(head, feats)
     out, head_vjp = M.input_block_vjp(head, head.w_new, head_in)
     ce, g = _ce_vjp(out, y_rel, loss_cfg.ce_temperature)
     g_feats, g_new = head_vjp(g)
     g_w, g_b = ext_vjp(g_feats, param_grads=True, rows=ce_rows)
-    g_old, kd, loss = None, 0.0, ce
+    g_old, kd_value, loss = None, 0.0, ce
 
-    if x_kd is None:
+    if kd is None:
         if head.w_old is not None:
             g_old = np.zeros(head.w_old.shape)
     else:
         if kd_feats is not feats:
             head_in = M.head_input_vjp(head, kd_feats)
         out, head_vjp = M.input_block_vjp(head, head.w_old, head_in)
-        kd, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
+        kd_value, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
         g_feats, g_old = head_vjp(g)
         kd_w, kd_b = kd_ext_vjp(g_feats, param_grads=True)
         g_w = [a + b for a, b in zip(g_w, kd_w)]
         g_b = [a + b for a, b in zip(g_b, kd_b)]
-        loss = ce + kd * loss_cfg.lambda_kd
+        loss = ce + kd_value * loss_cfg.lambda_kd
 
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
@@ -273,7 +260,7 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     grad = np.concatenate(blocks, axis=None)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
-    return float(ce), float(kd), grad
+    return float(ce), float(kd_value), grad
 
 
 def frozen_logits(frozen: tuple[M.ExtractorParams, M.ClassifierHead],
@@ -328,10 +315,11 @@ def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float,
 
 
 def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConfig,
-         optim_cfg: OptimConfig, distill: bool) -> tuple[M.ModelState, list[dict]]:
+         optim_cfg: OptimConfig) -> tuple[M.ModelState, list[dict]]:
     """SGD over ``steps`` (``(epoch, batch, replay rows or None)``, closed on
-    exit): CE on the batch of ``task_data`` and, with ``distill``, KD on the
-    batch plus its replay rows, at the epoch's cosine learning rate.
+    exit): CE on the batch of ``task_data`` and, when ``state`` has a frozen
+    model and ``lambda_kd > 0``, KD on the batch plus its replay rows, at
+    the epoch's cosine learning rate.
 
     The parameters live in two vectors, the first packed from ``state``,
     and in one state per vector whose parameters are read-only views of it,
@@ -343,7 +331,7 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     ``frozen_logits_by_chunk`` of the task's rows, computed at the first
     such step, and those of its replay rows, when they too are whole
     blocks, come from a call over the replay rows alone; any other batch
-    gets one call over its new and replay rows, as every step did before.
+    gets one call over its new and replay rows.
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}``
     row per epoch.
     """
@@ -362,30 +350,29 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     states = tuple(M.with_params(state, M.param_views(state, _read_only_view(v)))
                    for v in vectors)
     cur = 0
+    distill = state.frozen is not None and loss_cfg.lambda_kd > 0.0
     cached = None  # the frozen logits of every task row, once a step needs them
     with closing(steps):
-        for epoch, batch, replay_rows in steps:
+        for epoch, batch, replay in steps:
             x_new = x[batch]
-            kd_batch = None
+            kd = None
             if distill and len(batch) % GEMM_ROW_BLOCK == 0 and (
-                    replay_rows is None or len(replay_rows) % GEMM_ROW_BLOCK == 0):
+                    replay is None or len(replay) % GEMM_ROW_BLOCK == 0):
                 if cached is None:
                     cached = frozen_logits_by_chunk(state.frozen, x, optim_cfg.batch_new)
-                if replay_rows is None:  # x_new itself: loss_and_grads reuses its CE forward
-                    kd_batch = (x_new, cached[batch])
-                else:
-                    kd_batch = (np.concatenate([x_new, replay_rows]),
-                                np.concatenate([cached[batch],
-                                                frozen_logits(state.frozen, replay_rows)]))
+                prev = cached[batch]
+                if replay is not None:
+                    prev = np.concatenate([prev, frozen_logits(state.frozen, replay)])
+                kd = (prev, replay)
             elif distill:
-                x_kd = x_new if replay_rows is None else np.concatenate([x_new, replay_rows])
-                kd_batch = (x_kd, frozen_logits(state.frozen, x_kd))
-            ce, kd, grads = loss_and_grads(states[cur], x_new, y_rel[batch], loss_cfg, kd_batch)
+                x_kd = x_new if replay is None else np.concatenate([x_new, replay])
+                kd = (frozen_logits(state.frozen, x_kd), replay)
+            ce, kd_value, grads = loss_and_grads(states[cur], x_new, y_rel[batch], loss_cfg, kd)
             sgd_step(vectors[cur], grads, lrs[epoch], optim_cfg.weight_decay, vectors[1 - cur])
             cur = 1 - cur
             total = totals[epoch]
             total[0] += ce
-            total[1] += kd
+            total[1] += kd_value
             total[2] += 1
     vectors[cur].flags.writeable = False
     return states[cur], [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / n, "kd_loss": kd_sum / n}
@@ -405,7 +392,7 @@ def train_initial(state: M.ModelState, dataset: D.LabeledSet, loss_cfg: LossConf
         raise ContractError("train_initial only applies at task 0")
     steps = ((epoch, batch, None)
              for epoch, batch, *_ in task_schedule(len(dataset), optim_cfg, rng))
-    return _fit(state, dataset, steps, loss_cfg, optim_cfg, distill=False)[0]
+    return _fit(state, dataset, steps, loss_cfg, optim_cfg)[0]
 
 
 def task_schedule(n_rows: int, optim_cfg: OptimConfig, rng, bank_shape=None):
@@ -675,7 +662,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         else:  # the map, inline
             stream = _per_step((steps, replay(draws)) for steps, draws in groups)
 
-    state, epochs = _fit(state, task_data, stream, loss_cfg, optim_cfg, distill)
+    state, epochs = _fit(state, task_data, stream, loss_cfg, optim_cfg)
     if M.checksum(frozen_ext, frozen_head) != frozen_sum:
         raise ContractError("frozen model mutated during run_task")
     return state, epochs

@@ -520,6 +520,15 @@ BAD_STORES = {
     "invalid-json": ('{"format_version": 1, "classes": {', "not valid JSON"),
     "cov-shape": (_store_text(cov=[[1.0, 0.0]]), "class 4: 'cov' has shape (1, 2)"),
     "mu-width": (_mixed_width_store_text(), "class 5: 'mu' has shape (3,), expected (2,)"),
+    "version": (_store_text().replace('"format_version": 1', '"format_version": 2'),
+                "unsupported 'format_version' 2"),
+    "missing-version": ('{"classes": {}}', "missing key 'format_version'"),
+    "classes-list": ('{"format_version": 1, "classes": []}', "malformed key 'classes'"),
+    "class-id": (_store_text().replace('"4"', '"four"'), "class four: class id is not an integer"),
+    "record-list": ('{"format_version": 1, "classes": {"4": [0.0]}}',
+                    "class 4: record is not a JSON object"),
+    "repr-rank": (_store_text(repr="svd-0"), "class 4: 'repr' must be 'full' or 'svd-<k>'"),
+    "mu-text": (_store_text(mu=["a", 1.0]), "class 4: 'mu' is not a numeric array"),
 }
 
 

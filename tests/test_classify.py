@@ -29,10 +29,9 @@ def test_identity_covariance_mahalanobis_equals_ncm():
     rng = np.random.default_rng(0)
     mus = rng.normal(size=(4, 3)) * 3.0
     store = store_from(mus, [np.eye(3)] * 4)
-    extractor = identity_extractor(3)
     x = rng.normal(size=(50, 3)) * 3.0
-    ncm = CL.predict_ncm(extractor, store, x)
-    maha = CL.predict_mahalanobis(extractor, store, x, 1.0, 1.0)
+    ncm = CL.predict_ncm(store, x)
+    maha = CL.predict_mahalanobis(store, x, 1.0, 1.0)
     np.testing.assert_array_equal(ncm, maha)
 
 
@@ -41,10 +40,9 @@ def test_exact_prototype_hit_returns_class():
     mus = rng.normal(size=(3, 4)) * 4.0
     covs = [np.eye(4) * s for s in (0.5, 1.0, 2.0)]
     store = store_from(mus, covs)
-    extractor = identity_extractor(4)
     x = mus[1][None, :]
-    assert CL.predict_ncm(extractor, store, x)[0] == 1
-    assert CL.predict_mahalanobis(extractor, store, x, 1.0, 1.0)[0] == 1
+    assert CL.predict_ncm(store, x)[0] == 1
+    assert CL.predict_mahalanobis(store, x, 1.0, 1.0)[0] == 1
 
 
 def test_mahalanobis_matches_bruteforce_enumeration():
@@ -55,9 +53,8 @@ def test_mahalanobis_matches_bruteforce_enumeration():
         a = rng.normal(size=(2, 2))
         covs.append(a @ a.T + 0.5 * np.eye(2))
     store = store_from(mus, covs)
-    extractor = identity_extractor(2)
     x = rng.normal(size=(100, 2)) * 2.5
-    pred = CL.predict_mahalanobis(extractor, store, x, 1.0, 1.0)
+    pred = CL.predict_mahalanobis(store, x, 1.0, 1.0)
 
     # brute force: explicit inverse per class, loop over points
     shrunk = [C.shrink_normalize(cov, 1.0, 1.0) for cov in covs]

@@ -54,10 +54,15 @@ def stepped_state(state, grad, lr, weight_decay):
     return M.with_params(state, M.param_views(state, p))
 
 
-def kd_batch(state, x_kd):
-    """``x_kd`` and the frozen model's logits of it, as the training loop
-    passes them to ``loss_and_grads``; None without KD rows."""
-    return None if x_kd is None else (x_kd, TR.frozen_logits(state.frozen, x_kd))
+def kd_rows(x_new, replay=None):
+    """The rows a step distils on: its new rows, then its replay rows."""
+    return x_new if replay is None else np.concatenate([x_new, replay])
+
+
+def kd_batch(state, x_new, replay=None):
+    """The frozen model's logits of the KD rows and the ``replay`` rows, as
+    the training loop passes them to ``loss_and_grads``."""
+    return TR.frozen_logits(state.frozen, kd_rows(x_new, replay)), replay
 
 
 def taped(state, x_new, y_rel, cfg, x_kd=None):
@@ -91,13 +96,15 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
     rng = np.random.default_rng(1)
     x_new = rng.normal(size=(24, 6)) * 2.0
     y_rel = rng.integers(0, len(state.head.new_ids), size=24)
-    # the KD batch is the new rows plus more replay rows than new rows, or
-    # without replay the new-row array itself
-    x_kd = {"kd": np.concatenate([x_new, rng.normal(size=(40, 6))]),
-            "kd-no-replay": x_new}.get(kd)
+    # the KD rows are the new rows plus more replay rows than new rows, or
+    # without replay the new rows alone
+    replay = rng.normal(size=(40, 6)) if kd == "kd" else None
+    distils = kd.startswith("kd")
+    x_kd = kd_rows(x_new, replay) if distils else None
     cfg = TR.LossConfig(lambda_kd=10.0, ce_temperature=temps[0], kd_temperature=temps[1])
 
-    ce, kd_value, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, kd_batch(state, x_kd))
+    ce, kd_value, grad = TR.loss_and_grads(state, x_new, y_rel, cfg,
+                                           kd_batch(state, x_new, replay) if distils else None)
     ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, x_kd)
     assert ce == ce_ref
     assert kd_value == kd_ref
@@ -107,7 +114,7 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
     for got, want in zip(grads, grads_ref):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    if kd.startswith("kd"):
+    if distils:
         assert kd_value > 0.0
 
 
@@ -119,7 +126,7 @@ def test_kd_without_replay_reuses_the_ce_forward(monkeypatch, replay, passes):
     state = world("cosine", "relu", task=1)
     rng = np.random.default_rng(6)
     x_new = rng.normal(size=(24, 6))
-    x_kd = np.concatenate([x_new, rng.normal(size=(24, 6))]) if replay else x_new
+    replay = rng.normal(size=(24, 6)) if replay else None
     calls = []
     real = M.feature_vjp
 
@@ -129,7 +136,7 @@ def test_kd_without_replay_reuses_the_ce_forward(monkeypatch, replay, passes):
 
     monkeypatch.setattr(M, "feature_vjp", spy)
     TR.loss_and_grads(state, x_new, rng.integers(0, 6, size=24), TR.LossConfig(),
-                      kd_batch(state, x_kd))
+                      kd_batch(state, x_new, replay))
     assert len(calls) == passes
     assert sum(params is state.frozen[0] for params in calls) == 1
 
@@ -142,9 +149,9 @@ def test_run_task_without_replay_distills_on_the_new_batch_itself(monkeypatch):
     seen = []
     real = TR.loss_and_grads
 
-    def spy(state, x_new, y_rel, loss_cfg, kd_batch=None):
-        seen.append(kd_batch[0] is x_new)
-        return real(state, x_new, y_rel, loss_cfg, kd_batch)
+    def spy(state, x_new, y_rel, loss_cfg, kd=None):
+        seen.append(kd is not None and kd[1] is None)
+        return real(state, x_new, y_rel, loss_cfg, kd)
 
     monkeypatch.setattr(TR, "loss_and_grads", spy)
     TR.run_task(state, task, None, None, 0.0, TR.LossConfig(),
@@ -284,8 +291,8 @@ def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows,
     rng.integers(2**63)  # the task's noise key, drawn first
     for epoch, batch, cls, slots in TR.task_schedule(n_rows, optim, rng, bank.shape[:2]):
         x_new = task.x[batch]
-        x_kd = np.concatenate([x_new, bank[cls, slots]])
-        grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg, kd_batch(mirror, x_kd))[2]
+        grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg,
+                                 kd_batch(mirror, x_new, bank[cls, slots]))[2]
         mirror = stepped_state(mirror, grad, TR.cosine_lr(optim.lr, epoch, optim.epochs),
                                optim.weight_decay)
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
@@ -325,49 +332,24 @@ def shipped_world(widths, seed=13):
 def test_ce_pass_reads_the_first_rows_of_the_kd_forward(monkeypatch, widths, n_new, n_replay,
                                                          passes):
     """A step with replay rows after a whole number of ``GEMM_ROW_BLOCK``s
-    of new rows runs the current extractor once.  Its losses and gradient
-    equal, byte for byte, those of the step with a forward of its own for
-    the CE rows, and the tape's."""
+    of new rows runs the current extractor once; 6 new rows get a CE pass
+    of their own.  Either way the losses and gradient equal the tape's,
+    byte for byte."""
     state = shipped_world(widths)
     rng = np.random.default_rng(n_new * 100 + n_replay)
     n_in = SHIPPED_WIDTHS[widths][0]
     x_new = rng.normal(size=(n_new, n_in)) * 2.0
-    x_kd = np.concatenate([x_new, rng.normal(size=(n_replay, n_in)) * 2.0])
+    replay = rng.normal(size=(n_replay, n_in)) * 2.0
     y_rel = rng.integers(0, 4, size=n_new)
     cfg = TR.LossConfig()
-    batch = kd_batch(state, x_kd)
+    batch = kd_batch(state, x_new, replay)
     calls = spied_pass_rows(monkeypatch)
     ce, kd, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, batch)
     assert calls == ([n_new + n_replay] if passes == 1 else [n_new, n_new + n_replay])
-    monkeypatch.setattr(TR, "_leads_with", lambda x_kd, x_new: False)
-    calls.clear()
-    two = TR.loss_and_grads(state, x_new, y_rel, cfg, batch)
-    assert calls == [n_new, n_new + n_replay]
     monkeypatch.undo()
-    assert (ce, kd) == two[:2]
-    assert grad.tobytes() == two[2].tobytes()
-    ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, x_kd)
+    ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, kd_rows(x_new, replay))
     assert (ce, kd) == (ce_ref, kd_ref)
     assert grad.tobytes() == flat(grads_ref).tobytes()
-
-
-def test_kd_rows_that_do_not_start_with_the_new_rows_get_their_own_forward(monkeypatch):
-    """Replay rows before the new rows, or a first row that differs in one
-    bit, leave the CE pass on a forward of its own."""
-    state = shipped_world("reference")
-    rng = np.random.default_rng(5)
-    x_new = rng.normal(size=(8, 16))
-    replay = rng.normal(size=(8, 16))
-    nudged = x_new.copy()
-    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
-    for x_kd in (np.concatenate([replay, x_new]), np.concatenate([nudged, replay])):
-        batch = kd_batch(state, x_kd)
-        calls = spied_pass_rows(monkeypatch)
-        grad = TR.loss_and_grads(state, x_new, [0, 1, 2, 3] * 2, TR.LossConfig(), batch)[2]
-        monkeypatch.undo()
-        assert calls == [8, 16]
-        want = taped(state, x_new, [0, 1, 2, 3] * 2, TR.LossConfig(), x_kd)[2]
-        assert grad.tobytes() == flat(want).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["cosine", "linear"])
@@ -380,10 +362,10 @@ def test_repeated_steps_equal_taped_steps(mode):
     for _ in range(4):
         x_new = rng.normal(size=(24, 6))
         y_rel = rng.integers(0, 6, size=24)
-        x_kd = np.concatenate([x_new, rng.normal(size=(24, 6))])
-        grad = TR.loss_and_grads(fused, x_new, y_rel, cfg, kd_batch(fused, x_kd))[2]
+        replay = rng.normal(size=(24, 6))
+        grad = TR.loss_and_grads(fused, x_new, y_rel, cfg, kd_batch(fused, x_new, replay))[2]
         fused = stepped_state(fused, grad, 0.05, 2e-4)
-        taped_grads = taped(taped_state, x_new, y_rel, cfg, x_kd)[2]
+        taped_grads = taped(taped_state, x_new, y_rel, cfg, kd_rows(x_new, replay))[2]
         taped_state = stepped_state(taped_state, flat(taped_grads), 0.05, 2e-4)
     assert (M.checksum(fused.extractor, fused.head)
             == M.checksum(taped_state.extractor, taped_state.head))
@@ -418,7 +400,7 @@ def test_contract_errors_kept():
         TR.loss_and_grads(state, x, [0, 1], cfg)
     with pytest.raises(ContractError, match="distillation"):
         TR.loss_and_grads(world("cosine", "relu", task=0), x, [0, 1, 2, 0], cfg,
-                          (x, np.zeros((4, 8))))
+                          (np.zeros((4, 8)), None))
     with pytest.raises(ContractError, match="logit blocks differ"):
         TR._kd_vjp(np.zeros((4, 3)), np.zeros((4, 2)), 2.0, 1.0)
     with pytest.raises(ContractError, match="gradients"):
@@ -457,9 +439,10 @@ def test_nonfinite_loss_and_gradient_rejected():
             taped(huge_state, x, [1], TR.LossConfig())
     # a finite loss (about 1.5e308) whose distillation gradient overflows
     x_new = np.random.default_rng(9).normal(size=(4, 6))
-    cfg = TR.LossConfig(lambda_kd=2.6e306, kd_temperature=1.0)
+    cfg = TR.LossConfig(lambda_kd=5e306, kd_temperature=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="gradient"):
-            TR.loss_and_grads(state, x_new, [0, 1, 0, 1], cfg, kd_batch(state, x_new * 30.0))
+            TR.loss_and_grads(state, x_new, [0, 1, 0, 1], cfg,
+                              kd_batch(state, x_new, x_new * 30.0))
         with pytest.raises(NumericError):
-            taped(state, x_new, [0, 1, 0, 1], cfg, x_new * 30.0)
+            taped(state, x_new, [0, 1, 0, 1], cfg, kd_rows(x_new, x_new * 30.0))

@@ -315,7 +315,7 @@ def test_a_run_is_a_fold_over_tasks(tmp_path):
     rows, evaluated = [], []
     for t in range(stream.task_count):
         if t:
-            state, learned = runner.learn(cfg, stream, state, lambda: store, t)
+            state, learned = runner.learn(cfg, stream, state, store, t)
             runner.settle(cfg, stream, state, store, t)
             rows += learned
         gamma, accuracies = runner.evaluation(cfg, stream, state, store, t)
@@ -329,6 +329,31 @@ def test_a_run_is_a_fold_over_tasks(tmp_path):
                  ("summary", t, "", f"A_last/{name}", result.final)]
     run = runner.run_benchmark(cfg)
     assert [[csv_value(v) for v in row] for row in rows] == metrics_rows(run.run_dir)
+
+
+def test_evaluation_runs_the_extractor_once_over_the_test_rows(tmp_path, monkeypatch):
+    """Every classifier of a task's ``evaluation`` scores the features of
+    one extractor pass over the seen test rows."""
+    cfg = tiny_config(tmp_path)
+    assert cfg["classifiers"] == ["linear", "ncm", "mahalanobis"]
+    stream = runner.stream_from_config(cfg)
+    state, store = runner.first_task(cfg, stream)
+    passes, real = [], M.feature_vjp
+
+    def spy(params, x):
+        passes.append(x.tobytes())
+        return real(params, x)
+
+    for t in range(2):
+        if t:
+            state = runner.learn(cfg, stream, state, store, t)[0]
+            runner.settle(cfg, stream, state, store, t)
+        monkeypatch.setattr(M, "feature_vjp", spy)
+        runner.evaluation(cfg, stream, state, store, t)
+        monkeypatch.undo()
+        test_rows = np.concatenate([test.x for test in stream.test[:t + 1]]).tobytes()
+        assert passes.count(test_rows) == 1
+        passes.clear()
 
 
 def csv_config(tmp_path, *extra, n_classes=4):

@@ -237,6 +237,13 @@ BAD_CHECKPOINTS = {
     "nan-weight": (_set("current", "head", "w_old", 0, 0, value=float("nan")),
                    "current.head: 'w_old' has non-finite values"),
     "task-index-type": (_set("task_index", value="1"), "'task_index' must be an integer"),
+    "version": (_set("format_version", value=2), "unsupported 'format_version' 2"),
+    "widths": (_set("current", "extractor", "widths", value=[4]),
+               "current.extractor: 'widths' must list at least two positive integers"),
+    "class-ids": (_set("frozen", "head", "new_ids", value=[0, 1.5]),
+                  "frozen.head: 'new_ids' must be a list of integer class ids"),
+    "head-mode": (_set("current", "head", "mode", value="quadratic"),
+                  "current.head: 'mode' must be 'cosine' or 'linear'"),
 }
 
 

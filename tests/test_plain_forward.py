@@ -269,8 +269,9 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     for cid, (mu, cov) in TR.compute_class_stats(f, train).items():
         store.add(cid, mu, cov, task=0)
     gamma = C.tune_shrinkage(store, f, val, grid=(1, 8))
-    CL.predict("ncm", state, store, train.x)
-    CL.predict("mahalanobis", state, store, train.x, *gamma)
+    feats = M.features(f, train.x)
+    CL.predict("ncm", state, store, feats)
+    CL.predict("mahalanobis", state, store, feats, *gamma)
     cands = R.build_candidate_set(f, task1, store.prototypes(), k=4, rng=rng,
                                   family=D.AugFamily(input_dim=6))
     drift = C.generate_drift_samples(f, train, {0: store.entries[0].mu},
@@ -282,7 +283,7 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     state, _ = TR.run_task(state, task1, cands, store.prototypes(), 0.5, TR.LossConfig(),
                            TR.OptimConfig(lr=0.05, epochs=2, batch_new=16, batch_replay=8),
                            R.AttackConfig(alpha=1.0, n_attack=2), rng)
-    CL.predict("linear", state, store, task1.x)
+    CL.predict("linear", state, store, M.features(state.extractor, task1.x))
 
 
 def test_full_run_builds_no_tensor(tmp_path, monkeypatch):

@@ -213,9 +213,8 @@ def test_sgd_steps_across_head_growth_equal_per_array_update():
             state = M.begin_task(state, stream.class_groups[1], rng)
         for step in range(3):
             rows = slice(16 * step, 16 * step + 16)
-            x_kd = np.concatenate([x1[rows], x0[rows]]) if task else None
             grad = TR.loss_and_grads(state, (x0, x1)[task][rows], labels, TR.LossConfig(),
-                                     kd_batch(state, x_kd))[2]
+                                     kd_batch(state, x1[rows], x0[rows]) if task else None)[2]
             want = [p - lr * (g + wd * p)
                     for p, g in zip(M.trainable_params(state), M.param_views(state, grad))]
             state = stepped_state(state, grad, lr, wd)
