@@ -1,8 +1,9 @@
 """Task streams and recorded augmentation policies.
 
 Shows cold vs warm class layouts, the determinism guarantees, and the
-record-and-replay augmentation family that lets replay candidates be stored
-as a handful of scalars instead of raw samples.
+record-and-replay augmentation family: a policy is a handful of recorded
+scalars, and replaying it on the same sample gives the same bits, so a
+task's replay bank is rebuilt from the new task's rows, never stored.
 """
 
 import numpy as np

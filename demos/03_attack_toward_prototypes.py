@@ -8,7 +8,6 @@ distribution before and after (the engine's core mechanism).
 import numpy as np
 
 from advreplay import config as CFG
-from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
 from advreplay import runner
@@ -29,9 +28,9 @@ stats = TR.compute_class_stats(state.extractor, stream.train[0])
 family = CFG.build_family(cfg)
 
 target_class, (mu, _) = next(iter(stats.items()))
-cands = R.build_candidate_set(state.extractor, stream.train[1], {target_class: mu}, 64, rng,
-                              family=family)
-rows = D.apply_policy(stream.train[1].x[cands.indices[0]], cands.policies[0])
+# the class's bank: its 64 candidates, replayed under their augmentation policies
+rows = R.build_candidate_set(state.extractor, stream.train[1], {target_class: mu}, 64, rng,
+                             family=family)[0]
 
 attack = R.AttackConfig(alpha=cfg["attack"]["alpha"], n_attack=cfg["attack"]["n_attack"])
 perturbed = R.adversarial_attack(state.extractor, rows, np.tile(mu, (64, 1)), attack)

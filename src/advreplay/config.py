@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -63,6 +64,15 @@ NUMBER = _number()
 POSITIVE = _number("> 0", lambda v: v > 0)
 NON_NEGATIVE = _number(">= 0", lambda v: v >= 0)
 PROBABILITY = _number("in [0, 1]", lambda v: 0 <= v <= 1)
+_MAX, _MIN = sys.float_info.max, sys.float_info.min  # largest finite, smallest normal
+# data.class_clusters draws class covariance eigenvalues in [0.5, 1.5) times
+# cluster_std**2; its Cholesky factor needs them finite, normal floats
+CLUSTER_STD = _number(f"in [{math.sqrt(2 * _MIN):.3g}, {math.sqrt(_MAX / 1.5):.3g}]",
+                      lambda v: v > 0 and 0.5 * float(v) * v >= _MIN
+                      and 1.5 * float(v) * v <= _MAX)
+# the KD loss and its gradient scale by kd_temperature**2
+KD_TEMPERATURE = _number(f"in (0, {math.sqrt(_MAX):.3g}]",
+                         lambda v: v > 0 and float(v) * v <= _MAX)
 
 # dotted key -> (default, rule); the cross-key rules are in validate_config
 SCHEMA: dict[str, tuple[object, Rule]] = {
@@ -70,7 +80,7 @@ SCHEMA: dict[str, tuple[object, Rule]] = {
     "dataset.n_classes": (20, _int(1)),
     "dataset.input_dim": (16, _int(1)),
     "dataset.radius": (7.0, NUMBER),
-    "dataset.cluster_std": (1.0, POSITIVE),
+    "dataset.cluster_std": (1.0, CLUSTER_STD),
     # a class covariance needs two training rows; tuning and eval need a row each
     "dataset.n_train": (100, _int(2)),
     "dataset.n_val": (20, _int(1)),
@@ -98,7 +108,7 @@ SCHEMA: dict[str, tuple[object, Rule]] = {
     "optim.batch_new": (32, _int(1)),
     "optim.batch_replay": (64, _int(1)),
     "loss.lambda_kd": (10.0, NON_NEGATIVE),
-    "loss.kd_temperature": (2.0, POSITIVE),
+    "loss.kd_temperature": (2.0, KD_TEMPERATURE),
     "loss.ce_temperature": (1.0, POSITIVE),
     "replay.enabled": (True, BOOL),
     "replay.k": (64, _int(1)),

@@ -5,12 +5,12 @@ start every group holds ``total/T`` classes; in warm start the first group
 holds half of the classes and the remainder is split evenly over the other
 ``T-1`` tasks.
 
-Augmentation policies are the storage currency of pseudo-replay: each policy
-is one packed ``POLICY_DTYPE`` record (35 bytes of ``tobytes()``) whose replay
-on the same sample is bit-identical, alone or in any batch.  The
-default family mirrors crop / flip / jitter / rescale in vector space.
-Training replays each stored (sample, policy) pair once per task into a bank
-of augmented current-task rows, which lives for that task only.
+Augmentation policies are recorded draws: each policy is one packed
+``POLICY_DTYPE`` record (35 bytes of ``tobytes()``) whose replay on the same
+sample is bit-identical, alone or in any batch.  The default family mirrors
+crop / flip / jitter / rescale in vector space.  Candidate sampling replays
+each picked (sample, policy) pair once per task into a bank of augmented
+current-task rows, which lives for that task only.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Pseudo-replay core: candidate sampling and the online adversarial attack.
 
 Before a task starts, each old class picks the k new-task samples whose
-augmented features land closest to its prototype; only the sample indices
-and the recorded augmentation policies are stored.  During training those
-candidates are rebuilt once per task and perturbed toward (noise-augmented)
-prototypes with an iterative gradient attack against the frozen extractor.
+augmented features land closest to its prototype, and those samples,
+replayed under their drawn augmentation policies, are the task's replay
+bank.  No replay sample is stored: the bank is made from the new task's
+rows and lives for that task only.  During training its rows are perturbed
+toward (noise-augmented) prototypes with an iterative gradient attack
+against the frozen extractor.
 """
 
 from __future__ import annotations
@@ -34,33 +36,6 @@ class AttackConfig:
             raise ConfigError("attack magnitude must be positive")
         if self.n_attack < 1:
             raise ConfigError("attack iteration count must be >= 1")
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Per old class: sample indices into the task dataset plus recorded
-    policies, as (classes, k) arrays whose rows follow the ascending
-    ``class_ids``.  No sample payloads are stored; ``train.run_task``
-    replays the policies into a bank of augmented current-task rows that
-    lives for one task and is never saved.  The arrays are read-only copies."""
-
-    class_ids: tuple[int, ...]
-    indices: np.ndarray   # (classes, k) sample indices
-    policies: np.ndarray  # (classes, k) ``data.POLICY_DTYPE`` records
-
-    def __post_init__(self):
-        ids = tuple(int(c) for c in self.class_ids)
-        indices = np.array(self.indices, dtype=np.int64)
-        policies = np.array(self.policies, dtype=D.POLICY_DTYPE)
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ContractError(f"candidate class ids must be ascending and distinct, got {ids}")
-        if indices.ndim != 2 or indices.shape != policies.shape or len(indices) != len(ids) \
-                or indices.shape[1] < 1:
-            raise ContractError(f"{len(ids)} candidate classes need (classes, k) indices and "
-                                f"policies with k >= 1, got {indices.shape} and {policies.shape}")
-        indices.flags.writeable = policies.flags.writeable = False
-        for name, value in (("class_ids", ids), ("indices", indices), ("policies", policies)):
-            object.__setattr__(self, name, value)
 
 
 def assign_nearest(dists: np.ndarray, k: int, cap: int | None = None,
@@ -113,13 +88,15 @@ def assign_nearest(dists: np.ndarray, k: int, cap: int | None = None,
 def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
                         prototypes: dict[int, np.ndarray], k: int, rng,
                         cap: int | None = None,
-                        family: D.AugFamily = D.AugFamily()) -> CandidateSet:
-    """Assemble candidates for every old class.
+                        family: D.AugFamily = D.AugFamily()) -> np.ndarray:
+    """The (classes, k, input_dim) replay bank of every old class, classes
+    in ascending id order.
 
     Each class draws one policy per sample (classes in ascending id order,
     all drawn before any is replayed), measures the augmented features'
-    distances to its prototype in one replay, and
-    ``assign_nearest`` picks k samples per class under the optional cap.
+    distances to its prototype in one replay, and ``assign_nearest`` picks
+    k samples per class under the optional cap.  The bank is the picked
+    samples replayed under their policies in one ``apply_policy`` call.
     """
     class_ids = sorted(prototypes)
     if not class_ids:
@@ -131,7 +108,7 @@ def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
         feats = M.features(f_old, D.apply_policy(dataset.x, pols))
         dists[row] = np.linalg.norm(feats - prototypes[cid], axis=1)
     picked = assign_nearest(dists, k, cap, class_ids)
-    return CandidateSet(tuple(class_ids), picked, np.take_along_axis(policies, picked, axis=1))
+    return D.apply_policy(dataset.x[picked], np.take_along_axis(policies, picked, axis=1))
 
 
 # -- prototype noise and the attack --------------------------------------------

@@ -258,21 +258,23 @@ def learn(config: dict, stream: D.TaskStream, state: M.ModelState,
     loss_cfg = CFG.build_loss_config(config)
     attack_cfg = CFG.build_attack_config(config) if config["attack"]["enabled"] else None
 
-    candidates = prototypes = None
+    bank = centers = None
     noise_r, rows = 0.0, []
     with _keeping_frozen(state, t):
         if _replays(config):
             prototypes = store.prototypes()
-            candidates = _stage("candidate-sampling", R.build_candidate_set,
-                                state.frozen[0], stream.train[t], prototypes,
-                                config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
-                                config["replay"]["cap"],
-                                CFG.build_family(config, input_dim=stream.train[t].input_dim))
+            bank = _stage("candidate-sampling", R.build_candidate_set,
+                          state.frozen[0], stream.train[t], prototypes,
+                          config["replay"]["k"], _rng(seed, _STREAM_CANDIDATES, t),
+                          config["replay"]["cap"],
+                          CFG.build_family(config, input_dim=stream.train[t].input_dim))
+            # the bank's class order
+            centers = np.array([prototypes[cid] for cid in sorted(prototypes)])
             if attack_cfg is not None and config["attack"]["noise"]:
                 noise_r = R.noise_magnitude(store.covariances(), config["model"]["feature_dim"])
                 rows.append(("attack", t, "", "noise_r", noise_r))
         trained, epochs = _stage("task-training", TR.run_task, state, stream.train[t],
-                                 candidates, prototypes, noise_r, loss_cfg,
+                                 bank, centers, noise_r, loss_cfg,
                                  CFG.build_optim_config(config, initial=False),
                                  attack_cfg, _rng(seed, _STREAM_TRAIN, t))
     return trained, rows + [

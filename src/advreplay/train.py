@@ -569,23 +569,22 @@ def _per_step(replayed):
 
 
 def run_task(state: M.ModelState, task_data: D.LabeledSet,
-             candidates: R.CandidateSet | None,
-             prototypes: dict[int, np.ndarray] | None,
+             bank: np.ndarray | None, centers: np.ndarray | None,
              noise_r: float,
              loss_cfg: LossConfig, optim_cfg: OptimConfig,
              attack_cfg: R.AttackConfig | None,
              rng) -> tuple[M.ModelState, list[dict]]:
     """One incremental task (t >= 1) over new data plus pseudo-replay.
 
-    Each iteration draws a new-task batch and, when candidates exist, a
+    Each iteration draws a new-task batch and, when there is a ``bank``, a
     replay batch for the distillation pass; with an ``attack_cfg`` its rows
     are first perturbed toward their class prototypes, and without one they
-    are replayed unperturbed.  Replay rows come from a bank that one
-    ``apply_policy`` call builds per task from the candidates' samples and
-    records; it is never stored.  Candidate indices must lie in
-    ``task_data`` (else ``ContractError`` naming the class).  With
-    candidates, ``rng`` first draws the task's noise key, then the batches
-    and the round-robin replay rows of ``task_schedule``; without, only the
+    are replayed unperturbed.  ``bank`` is the (old classes, k, input_dim)
+    array of augmented task rows that ``replay.build_candidate_set``
+    returns, and ``centers`` the (old classes, d) prototypes in the same
+    class order; both are None for a task without replay.  With a bank,
+    ``rng`` first draws the task's noise key, then the batches and the
+    round-robin replay rows of ``task_schedule``; without, only the
     batches.  The steps go in fixed groups of ``max(1, ROWS //
     batch_replay)`` consecutive steps, counted over the whole task across
     epoch boundaries, the last group maybe shorter; the replay rows of a
@@ -609,31 +608,20 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         raise ContractError("run_task needs a snapshotted model at task >= 1")
     frozen_ext, frozen_head = state.frozen
     frozen_sum = M.checksum(frozen_ext, frozen_head)
-    if frozen_head.class_ids != state.head.old_ids:
+    old = state.head.old_ids
+    if frozen_head.class_ids != old:
         raise ContractError("frozen head classes must equal the current old split")
-
-    if candidates is not None:
-        missing = set(state.head.old_ids) - set(candidates.class_ids)
-        if missing:
-            raise ContractError(f"candidates missing for old classes {sorted(missing)}")
-        if prototypes is None or set(candidates.class_ids) - set(prototypes):
-            raise ContractError("replay needs a prototype per candidate class")
-        idx = candidates.indices
-        outside = np.argwhere((idx < 0) | (idx >= len(task_data)))
-        if len(outside):
-            row, col = outside[0]
-            raise ContractError(f"class {candidates.class_ids[row]}: candidate index "
-                                f"{idx[row, col]} is outside the {len(task_data)} task rows")
+    if bank is not None and (np.ndim(bank) != 3 or len(bank) != len(old)
+                             or np.shape(centers) != (len(old), frozen_ext.feature_dim)):
+        raise ContractError(f"replay needs bank rows and a center for each old class "
+                            f"{list(old)}, got a {np.shape(bank)} bank and "
+                            f"{np.shape(centers)} centers")
 
     distill = loss_cfg.lambda_kd > 0.0
     # without distillation the replay rows go unused and nothing is attacked
     attack_cfg = attack_cfg if distill else None
-    bank = centers = key = None
-    if candidates is not None:
-        bank = D.apply_policy(task_data.x[candidates.indices], candidates.policies)
-        centers = np.array([prototypes[cid] for cid in candidates.class_ids])
-        # drawn with noise or without, so both replay the same rows
-        key = int(rng.integers(2**63))
+    # drawn with noise or without, so both replay the same rows
+    key = None if bank is None else int(rng.integers(2**63))
     steps = task_schedule(len(task_data), optim_cfg, rng,
                           None if bank is None else bank.shape[:2])
 

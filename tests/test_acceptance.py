@@ -16,7 +16,6 @@ from test_tensor import RTOL, STEP, _op_cases, finite_diff
 from advreplay import calib as C
 from advreplay import classify as CL
 from advreplay import config as CFG
-from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
 from advreplay import runner
@@ -145,14 +144,13 @@ def test_criterion_2_attack_efficacy():
     family = CFG.build_family(cfg)
     stats = TR.compute_class_stats(state.extractor, stream.train[0])
     per_class = 64 // len(stats)
-    indices, policies, targets = [], [], []
+    banks, targets = [], []
     for cid, (mu, _) in stats.items():
-        cands = R.build_candidate_set(state.extractor, stream.train[1], {cid: mu}, per_class,
-                                      np.random.default_rng([0, 2, 1]), family=family)
-        indices.append(cands.indices[0])
-        policies.append(cands.policies[0])
+        banks.append(R.build_candidate_set(state.extractor, stream.train[1], {cid: mu},
+                                           per_class, np.random.default_rng([0, 2, 1]),
+                                           family=family)[0])
         targets += [mu] * per_class
-    rows = D.apply_policy(stream.train[1].x[np.concatenate(indices)], np.concatenate(policies))
+    rows = np.concatenate(banks)
     targets = np.stack(targets)
     attack = R.AttackConfig(cfg["attack"]["alpha"], cfg["attack"]["n_attack"])
     perturbed = R.adversarial_attack(state.extractor, rows, targets, attack)

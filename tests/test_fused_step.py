@@ -11,7 +11,6 @@ import pytest
 
 from advreplay import data as D
 from advreplay import model as M
-from advreplay import replay as R
 from advreplay import tensor as T
 from advreplay import train as TR
 from advreplay.errors import ContractError, NumericError
@@ -267,9 +266,7 @@ def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows,
     task = D.LabeledSet(rng.normal(size=(n_rows, 6)),
                         tuple(int(c) for c in rng.integers(8, 14, n_rows)), "train")
     old = state.head.old_ids
-    cands = R.CandidateSet(old, rng.integers(0, n_rows, (len(old), 3)),
-                           D.identity_policies((len(old), 3)))
-    protos = {cid: np.zeros(32) for cid in old}
+    bank = task.x[rng.integers(0, n_rows, (len(old), 3))]
     optim = TR.OptimConfig(epochs=2, batch_new=16, batch_replay=batch_replay)
     cfg = TR.LossConfig()
     rows, real = [], TR.frozen_logits
@@ -279,14 +276,13 @@ def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows,
         return real(frozen, x)
 
     monkeypatch.setattr(TR, "frozen_logits", counted)
-    got, _ = TR.run_task(state, task, cands, protos, 0.0, cfg, optim, None,
+    got, _ = TR.run_task(state, task, bank, np.zeros((len(old), 32)), 0.0, cfg, optim, None,
                          np.random.default_rng(9))
     assert rows == calls
     monkeypatch.setattr(TR, "frozen_logits", real)
 
     mirror, rel = state, {cid: i for i, cid in enumerate(state.head.new_ids)}
     y_rel = np.array([rel[c] for c in task.y])
-    bank = task.x[cands.indices]
     rng = np.random.default_rng(9)
     rng.integers(2**63)  # the task's noise key, drawn first
     for epoch, batch, cls, slots in TR.task_schedule(n_rows, optim, rng, bank.shape[:2]):

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -23,7 +24,7 @@ from advreplay import model as M
 from advreplay import replay as R
 from advreplay import runner
 from advreplay import train as TR
-from advreplay.errors import ConfigError, DecodeError
+from advreplay.errors import ConfigError, DecodeError, EngineError
 
 TINY = [
     "dataset.n_classes=6", "dataset.n_train=24", "dataset.n_val=8",
@@ -76,6 +77,10 @@ EARLY_REJECTED = [
     "output.dir=5", "output.tag=5", "dataset.train_path=5", "dataset.test_path=5",
     "optim.batch_new=0", "optim.epochs_initial=0", 'dataset.kind="x"', 'tasks.mode="x"',
     "attack.alpha=-1", "loss.kd_temperature=0",
+    # overflow in cluster_std**2, a zero covariance for Cholesky, and
+    # overflow in kd_temperature**2
+    "dataset.cluster_std=1e300", "dataset.cluster_std=1e-300",
+    "loss.kd_temperature=1e300", "loss.kd_temperature=1e155",
 ]
 
 def test_oversized_replay_k_rejected_before_training(tmp_path, monkeypatch):
@@ -110,6 +115,22 @@ def test_bad_value_rejected_naming_key(override):
     key = override.split("=")[0]
     with pytest.raises(ConfigError, match=re.escape(key)):
         CFG.load_config(overrides=[override])
+
+
+# the last value each range derived from the code accepts, and the next
+# float beyond it
+@pytest.mark.parametrize("key,edge,beyond", [
+    ("dataset.cluster_std", 2.1095373229726e-154, 0.0),
+    ("dataset.cluster_std", 1.0947429332533783e+154, math.inf),
+    ("loss.kd_temperature", 1.3407807929942596e+154, math.inf),
+])
+def test_a_value_at_a_derived_bound_runs_or_fails_as_an_engine_error(tmp_path, key, edge, beyond):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        CFG.load_config(overrides=[f"{key}={math.nextafter(edge, beyond)!r}"])
+    try:
+        runner.run_benchmark(tiny_config(tmp_path, f"{key}={edge!r}"))
+    except EngineError:
+        pass
 
 
 # any JSON value, plus the names and small integers the rules turn on
@@ -329,6 +350,33 @@ def test_a_run_is_a_fold_over_tasks(tmp_path):
                  ("summary", t, "", f"A_last/{name}", result.final)]
     run = runner.run_benchmark(cfg)
     assert [[csv_value(v) for v in row] for row in rows] == metrics_rows(run.run_dir)
+
+
+def test_learn_hands_run_task_the_centers_in_the_banks_class_order(tmp_path, monkeypatch):
+    """The bank's classes ascend by id, whatever the store's order, and
+    ``learn`` stacks the prototypes it sampled for in that order."""
+    cfg = tiny_config(tmp_path)
+    stream = runner.stream_from_config(cfg)
+    state, store = runner.first_task(cfg, stream)
+    sampled, handed, sample, train = [], [], R.build_candidate_set, TR.run_task
+
+    def sampling(f_old, data, prototypes, *args):
+        sampled.append(dict(prototypes))
+        return sample(f_old, data, prototypes, *args)
+
+    def training(state, data, bank, centers, *args):
+        handed.append(centers)
+        return train(state, data, bank, centers, *args)
+
+    monkeypatch.setattr(R, "build_candidate_set", sampling)
+    monkeypatch.setattr(TR, "run_task", training)
+    for t in range(1, stream.task_count):
+        state, _ = runner.learn(cfg, stream, state, store, t)
+        runner.settle(cfg, stream, state, store, t)
+    assert len(sampled) == len(handed) == stream.task_count - 1
+    assert any(list(protos) != sorted(protos) for protos in sampled)
+    for protos, centers in zip(sampled, handed):
+        assert centers.tobytes() == np.array([protos[cid] for cid in sorted(protos)]).tobytes()
 
 
 def test_evaluation_runs_the_extractor_once_over_the_test_rows(tmp_path, monkeypatch):

@@ -272,15 +272,16 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     feats = M.features(f, train.x)
     CL.predict("ncm", state, store, feats)
     CL.predict("mahalanobis", state, store, feats, *gamma)
-    cands = R.build_candidate_set(f, task1, store.prototypes(), k=4, rng=rng,
-                                  family=D.AugFamily(input_dim=6))
+    protos = store.prototypes()
+    bank = R.build_candidate_set(f, task1, protos, k=4, rng=rng, family=D.AugFamily(input_dim=6))
+    centers = np.array([protos[cid] for cid in sorted(protos)])
     drift = C.generate_drift_samples(f, train, {0: store.entries[0].mu},
                                      R.AttackConfig(alpha=1.0, n_attack=2), 10)[0]
     R.adversarial_attack(f, drift, np.tile(store.entries[1].mu, (10, 1)),
                          R.AttackConfig(alpha=1.0, n_attack=3),
                          offsets=0.5 * rng.standard_normal((3, 10, *store.entries[1].mu.shape)))
     state = M.begin_task(state, [3, 4, 5], rng)
-    state, _ = TR.run_task(state, task1, cands, store.prototypes(), 0.5, TR.LossConfig(),
+    state, _ = TR.run_task(state, task1, bank, centers, 0.5, TR.LossConfig(),
                            TR.OptimConfig(lr=0.05, epochs=2, batch_new=16, batch_replay=8),
                            R.AttackConfig(alpha=1.0, n_attack=2), rng)
     CL.predict("linear", state, store, M.features(state.extractor, task1.x))

@@ -29,11 +29,10 @@ def test_zero_distance_sample_ranked_first():
     f = identity_extractor(2)
     mu = np.array([3.0, -1.0])
     x = np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 5.0]])
-    cs = R.build_candidate_set(f, labeled(x), {0: mu}, k=1,
-                               rng=np.random.default_rng(0),
-                               family=IDENTITY_FAMILY)
-    assert cs.class_ids == (0,) and cs.indices.tolist() == [[1]]
-    assert cs.policies.tobytes() == D.identity_policies((1, 1)).tobytes()
+    bank = R.build_candidate_set(f, labeled(x), {0: mu}, k=1,
+                                 rng=np.random.default_rng(0),
+                                 family=IDENTITY_FAMILY)
+    assert bank.tobytes() == x[np.array([[1]])].tobytes()  # sample 1, under identity
 
 
 def test_selection_equals_bruteforce_sort_oracle():
@@ -44,15 +43,14 @@ def test_selection_equals_bruteforce_sort_oracle():
     x = np.random.default_rng(1).normal(size=(10, 4))
     mu = np.random.default_rng(2).normal(size=4)
 
-    idx = tuple(R.build_candidate_set(f, labeled(x), {0: mu}, k=3, rng=rng_main,
-                                      family=fam).indices[0])
+    bank = R.build_candidate_set(f, labeled(x), {0: mu}, k=3, rng=rng_main, family=fam)
 
     # independent oracle: same policy stream, exhaustive distance sort
     policies = D.sample_policies(rng_oracle, fam, 10)
     feats = np.stack([D.apply_policy(row, p) for row, p in zip(x, policies)])
     dists = np.linalg.norm(feats - mu, axis=1)
-    expected = tuple(sorted(range(10), key=lambda i: (dists[i], i))[:3])
-    assert idx == expected
+    expected = sorted(range(10), key=lambda i: (dists[i], i))[:3]
+    assert bank.tobytes() == feats[None, expected].tobytes()
 
 
 def test_k_larger_than_dataset_rejected():
@@ -66,20 +64,20 @@ def test_capped_assignment_greedy_by_global_distance():
     f = identity_extractor(1)
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
     protos = {0: np.array([0.0]), 1: np.array([10.0])}
-    cs = R.build_candidate_set(f, labeled(x), protos, k=2,
-                               rng=np.random.default_rng(0), cap=1,
-                               family=IDENTITY_FAMILY)
-    assert cs.indices.tolist() == [[0, 1], [2, 3]]
+    bank = R.build_candidate_set(f, labeled(x), protos, k=2,
+                                 rng=np.random.default_rng(0), cap=1,
+                                 family=IDENTITY_FAMILY)
+    assert bank.tobytes() == x[np.array([[0, 1], [2, 3]])].tobytes()
 
 
 def test_uncapped_classes_may_share_samples():
     f = identity_extractor(1)
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
     protos = {0: np.array([0.5]), 1: np.array([0.5])}
-    cs = R.build_candidate_set(f, labeled(x), protos, k=2,
-                               rng=np.random.default_rng(0), cap=None,
-                               family=IDENTITY_FAMILY)
-    assert cs.indices.tolist() == [[0, 1], [0, 1]]
+    bank = R.build_candidate_set(f, labeled(x), protos, k=2,
+                                 rng=np.random.default_rng(0), cap=None,
+                                 family=IDENTITY_FAMILY)
+    assert bank.tobytes() == x[np.array([[0, 1], [0, 1]])].tobytes()
 
 
 def test_infeasible_cap_rejected_with_constraint():
@@ -323,33 +321,32 @@ def test_attack_config_validation():
         R.AttackConfig(alpha=1.0, n_attack=0)
 
 
-# -- candidate set layout -------------------------------------------------------
+# -- the replay bank -------------------------------------------------------------
 
 
 def test_candidate_set_bytes_are_pinned():
-    """The classes, indices and policy bytes of one seeded build, pinned
-    from the struct-packed policy codec the record dtype replaced."""
-    rng = np.random.default_rng(31)
-    f = M.default_extractor(5, 3, rng, hidden=(8,))
-    x = rng.normal(size=(40, 5))
-    protos = {2: rng.normal(size=3), 5: rng.normal(size=3), 11: rng.normal(size=3)}
-    cs = R.build_candidate_set(f, labeled(x), protos, k=6, rng=rng, cap=2,
-                               family=D.AugFamily(input_dim=5))
-    assert cs.class_ids == (2, 5, 11)
-    assert cs.indices.tolist() == [[6, 23, 18, 14, 38, 28], [2, 4, 9, 33, 8, 37],
-                                   [37, 5, 33, 28, 36, 1]]
-    assert hashlib.sha256(cs.policies.tobytes()).hexdigest() == (
+    """The picked samples, their policy bytes and the bank of one seeded
+    build: the samples and policies pinned from the struct-packed policy
+    codec the record dtype replaced, the bank from their one replay."""
+    def world():
+        rng = np.random.default_rng(31)
+        f = M.default_extractor(5, 3, rng, hidden=(8,))
+        x = rng.normal(size=(40, 5))
+        protos = {2: rng.normal(size=3), 5: rng.normal(size=3), 11: rng.normal(size=3)}
+        return rng, f, x, protos
+
+    rng, f, x, protos = world()
+    fam = D.AugFamily(input_dim=5)
+    # the classes go in ascending id order, whatever the order of the dict
+    descending = dict(reversed(protos.items()))
+    bank = R.build_candidate_set(f, labeled(x), descending, k=6, rng=rng, cap=2, family=fam)
+    # the oracle's policies: the same stream, one per (class, sample)
+    rng, *_ = world()
+    drawn = D.sample_policies(rng, fam, 3 * 40).reshape(3, 40)
+    indices = np.array([[6, 23, 18, 14, 38, 28], [2, 4, 9, 33, 8, 37], [37, 5, 33, 28, 36, 1]])
+    policies = np.take_along_axis(drawn, indices, axis=1)
+    assert hashlib.sha256(policies.tobytes()).hexdigest() == (
         "dc8468508ccea9f22acd2fbd7949b0d46b50c0373d43757bd9caaaeeb7760b18")
-
-
-@pytest.mark.parametrize("ids,shapes,match", [
-    ((7, 3), ((2, 1), (2, 1)), "ascending and distinct"),
-    ((3, 3), ((2, 1), (2, 1)), "ascending and distinct"),
-    ((3, 7), ((2, 1), (2, 2)), r"need \(classes, k\)"),
-    ((3, 7), ((1, 1), (1, 1)), r"need \(classes, k\)"),
-    ((3, 7), ((2, 0), (2, 0)), "with k >= 1"),
-])
-def test_candidate_set_rejects_bad_layouts(ids, shapes, match):
-    (idx_shape, pol_shape) = shapes
-    with pytest.raises(ContractError, match=match):
-        R.CandidateSet(ids, np.zeros(idx_shape, dtype=int), D.identity_policies(pol_shape))
+    assert bank.tobytes() == D.apply_policy(x[indices], policies).tobytes()
+    assert hashlib.sha256(bank.tobytes()).hexdigest() == (
+        "b9ff6a5bc04680d388fc6a8a59379160cab4b4789fe47c84a3ff9368ea3d8e61")

@@ -135,17 +135,25 @@ def small_world(seed=0, n_classes=4, input_dim=6, d=4):
     return state, stream, rng
 
 
+def replay_inputs(state, data, protos, k, seed):
+    """What ``runner.learn`` hands ``run_task``: the bank that candidate
+    sampling returns for ``data`` (rng ``seed``), and the prototypes as
+    centers in the bank's ascending class order."""
+    bank = R.build_candidate_set(state.frozen[0], data, protos, k=k,
+                                 rng=np.random.default_rng(seed),
+                                 family=D.AugFamily(input_dim=data.input_dim))
+    return bank, np.array([protos[cid] for cid in sorted(protos)])
+
+
 def test_zero_learning_rate_keeps_params_bitwise():
     state, stream, rng = small_world()
     stats = TR.compute_class_stats(state.extractor, stream.train[0])
     protos = {c: mu for c, (mu, _) in stats.items()}
     state = M.begin_task(state, stream.class_groups[1], rng)
     before = M.checksum(state.extractor, state.head)
-    cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos, k=8,
-                                  rng=np.random.default_rng(3),
-                                  family=D.AugFamily(input_dim=6))
+    bank, centers = replay_inputs(state, stream.train[1], protos, 8, 3)
     out, epochs = TR.run_task(
-        state, stream.train[1], cands, protos, noise_r=0.5,
+        state, stream.train[1], bank, centers, noise_r=0.5,
         loss_cfg=TR.LossConfig(), optim_cfg=TR.OptimConfig(lr=0.0, epochs=1, batch_new=16),
         attack_cfg=R.AttackConfig(alpha=1.0, n_attack=1), rng=np.random.default_rng(4))
     assert M.checksum(out.extractor, out.head) == before
@@ -325,11 +333,9 @@ def test_run_task_is_deterministic():
         stats = TR.compute_class_stats(state.extractor, stream.train[0])
         protos = {c: mu for c, (mu, _) in stats.items()}
         state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(9))
-        cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos, k=8,
-                                      rng=np.random.default_rng(10),
-                                      family=D.AugFamily(input_dim=6))
+        bank, centers = replay_inputs(state, stream.train[1], protos, 8, 10)
         out, _ = TR.run_task(
-            state, stream.train[1], cands, protos, noise_r=0.3,
+            state, stream.train[1], bank, centers, noise_r=0.3,
             loss_cfg=TR.LossConfig(), optim_cfg=TR.OptimConfig(lr=0.02, epochs=2, batch_new=16),
             attack_cfg=R.AttackConfig(alpha=1.0, n_attack=2), rng=np.random.default_rng(11))
         return M.checksum(out.extractor, out.head)
@@ -339,43 +345,29 @@ def test_run_task_is_deterministic():
 
 def test_run_task_builds_the_pinned_bank_in_one_replay_call(monkeypatch):
     """The task's replay bank, pinned from the per-row replay that the one
-    batched ``apply_policy`` call replaced."""
+    batched ``apply_policy`` call replaced: candidate sampling replays once
+    per old class for the distances and once for the bank, which it
+    returns, and training replays nothing."""
     state, stream, _ = small_world(seed=8)
     stats = TR.compute_class_stats(state.extractor, stream.train[0])
     protos = {c: mu for c, (mu, _) in stats.items()}
     state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(9))
-    cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos, k=8,
-                                  rng=np.random.default_rng(10),
-                                  family=D.AugFamily(input_dim=6))
-    banks = []
+    replays = []
 
     def spy(x, policies):
-        banks.append(replay(x, policies))
-        return banks[-1]
+        replays.append(replay(x, policies))
+        return replays[-1]
 
     replay = D.apply_policy
     monkeypatch.setattr(D, "apply_policy", spy)
-    TR.run_task(state, stream.train[1], cands, protos, noise_r=0.3, loss_cfg=TR.LossConfig(),
+    bank, centers = replay_inputs(state, stream.train[1], protos, 8, 10)
+    TR.run_task(state, stream.train[1], bank, centers, noise_r=0.3, loss_cfg=TR.LossConfig(),
                 optim_cfg=TR.OptimConfig(lr=0.02, epochs=1, batch_new=16),
                 attack_cfg=R.AttackConfig(alpha=1.0, n_attack=2), rng=np.random.default_rng(11))
-    assert len(banks) == 1 and banks[0].shape == (2, 8, 6)
-    assert hashlib.sha256(banks[0].tobytes()).hexdigest() == (
+    assert len(replays) == len(protos) + 1 and replays[-1] is bank
+    assert bank.shape == (2, 8, 6)
+    assert hashlib.sha256(bank.tobytes()).hexdigest() == (
         "875c3e463750169d23d53d935a6b22e2de7369590b88205ca9b51acb8e861597")
-
-
-@pytest.mark.parametrize("bad", [-1, 60])  # the task has 60 rows
-def test_run_task_names_the_class_of_an_out_of_range_candidate(bad):
-    state, stream, rng = small_world(seed=12)
-    state = M.begin_task(state, stream.class_groups[1], rng)
-    old = state.head.old_ids
-    indices = np.zeros((len(old), 2), dtype=int)
-    indices[1, 1] = bad
-    cands = R.CandidateSet(old, indices, D.identity_policies(indices.shape))
-    protos = {cid: np.zeros(4) for cid in old}
-    assert len(stream.train[1]) == 60
-    with pytest.raises(ContractError, match=f"class {old[1]}: candidate index {bad} is outside"):
-        TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
-                    TR.OptimConfig(epochs=1), None, rng)
 
 
 @pytest.mark.parametrize("stage", ["train_initial", "run_task"])
@@ -403,16 +395,14 @@ def test_run_task_requires_snapshot_and_candidates():
         TR.run_task(state, stream.train[1], None, None, 0.0, TR.LossConfig(),
                     TR.OptimConfig(epochs=1), None, rng)
     state = M.begin_task(state, stream.class_groups[1], rng)
-    partial = R.CandidateSet(state.head.old_ids[:1], [[0]], D.identity_policies((1, 1)))
-    with pytest.raises(ContractError, match="missing"):
-        TR.run_task(state, stream.train[1], partial, {}, 0.0, TR.LossConfig(),
-                    TR.OptimConfig(epochs=1), None, rng)
-    n_old = len(state.head.old_ids)
-    full = R.CandidateSet(state.head.old_ids, np.zeros((n_old, 1), dtype=int),
-                          D.identity_policies((n_old, 1)))
-    with pytest.raises(ContractError, match="prototype per candidate class"):
-        TR.run_task(state, stream.train[1], full, {state.head.old_ids[0]: np.zeros(4)}, 0.0,
-                    TR.LossConfig(), TR.OptimConfig(epochs=1), None, rng)
+    old = state.head.old_ids
+    named = re.escape(f"a center for each old class {list(old)}, got a ")
+    bank, centers = np.zeros((len(old), 1, 6)), np.zeros((len(old), 4))
+    # a class's bank rows, a class's center, or the centers missing
+    for replay in ((bank[:1], centers), (bank, centers[:1]), (bank, None)):
+        with pytest.raises(ContractError, match=named):
+            TR.run_task(state, stream.train[1], *replay, 0.0, TR.LossConfig(),
+                        TR.OptimConfig(epochs=1), None, rng)
 
 
 def test_split_gradients_do_not_leak_across_head_blocks():
@@ -489,14 +479,12 @@ def test_distillation_preserves_old_logit_behavior(seed):
         protos = {c: mu for c, (mu, _) in stats.items()}
         covs = {c: cov for c, (_, cov) in stats.items()}
         state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(17))
-        cands = None
+        bank = centers = None
         if with_replay:
-            cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos,
-                                          k=10, rng=np.random.default_rng(18),
-                                          family=D.AugFamily(input_dim=8))
+            bank, centers = replay_inputs(state, stream.train[1], protos, 10, 18)
         r = R.noise_magnitude(covs, 6)
         state, _ = TR.run_task(
-            state, stream.train[1], cands, protos, noise_r=r,
+            state, stream.train[1], bank, centers, noise_r=r,
             loss_cfg=TR.LossConfig(lambda_kd=lambda_kd),
             optim_cfg=TR.OptimConfig(lr=0.05, epochs=10, batch_new=16),
             attack_cfg=R.AttackConfig(alpha=2.0, n_attack=2), rng=np.random.default_rng(seed))
@@ -525,7 +513,7 @@ def test_replay_rows_follow_round_robin_order(monkeypatch):
     x = stream.train[1].x
     old = state.head.old_ids
     indices = {cid: tuple(range(4 * j, 4 * j + 4)) for j, cid in enumerate(old)}
-    cands = R.CandidateSet(old, [indices[cid] for cid in old], D.identity_policies((3, 4)))
+    bank = x[[indices[cid] for cid in old]]
     protos = {cid: np.full(4, float(cid)) for cid in old}
     seen = []
 
@@ -539,8 +527,8 @@ def test_replay_rows_follow_round_robin_order(monkeypatch):
 
     monkeypatch.setattr(R, "adversarial_attack", record)
     on_cpus(monkeypatch, 1)  # inline: a helper would record in its own memory
-    TR.run_task(state, stream.train[1], cands, protos, 0.0, TR.LossConfig(),
-                TR.OptimConfig(lr=0.01, epochs=2, batch_new=24, batch_replay=5),
+    TR.run_task(state, stream.train[1], bank, np.array([protos[cid] for cid in old]), 0.0,
+                TR.LossConfig(), TR.OptimConfig(lr=0.01, epochs=2, batch_new=24, batch_replay=5),
                 R.AttackConfig(alpha=1.0, n_attack=1), np.random.default_rng(23))
     # (class, slot) per replay row, from the task's rng: the noise key, then
     # per epoch one permutation of k = 4 slots per old class and the batch
@@ -573,15 +561,12 @@ def on_cpus(monkeypatch, n):
 
 
 def attacked_setup():
-    """A trained task-0 model at task 1, its task data, candidates and prototypes."""
+    """A trained task-0 model at task 1, its task data, replay bank and centers."""
     state, stream, _ = small_world(seed=8)
     stats = TR.compute_class_stats(state.extractor, stream.train[0])
     protos = {c: mu for c, (mu, _) in stats.items()}
     state = M.begin_task(state, stream.class_groups[1], np.random.default_rng(9))
-    cands = R.build_candidate_set(state.frozen[0], stream.train[1], protos, k=8,
-                                  rng=np.random.default_rng(10),
-                                  family=D.AugFamily(input_dim=6))
-    return state, stream.train[1], cands, protos
+    return (state, stream.train[1], *replay_inputs(state, stream.train[1], protos, 8, 10))
 
 
 ATTACKED_ATTACK = R.AttackConfig(alpha=1.0, n_attack=2)
@@ -595,10 +580,10 @@ def attacked_optim(epochs=3, batch_replay=32):
 def attacked_task(noise_r=0.3, setup=None, epochs=3, batch_replay=32):
     """``run_task`` on a seeded attacked task (``attacked_setup``): the returned
     state's checksum, the epoch rows and the caller's rng's next draw."""
-    state, data, cands, protos = setup or attacked_setup()
+    state, data, bank, centers = setup or attacked_setup()
     rng = np.random.default_rng(11)
     out, rows = TR.run_task(
-        state, data, cands, protos, noise_r=noise_r, loss_cfg=TR.LossConfig(),
+        state, data, bank, centers, noise_r=noise_r, loss_cfg=TR.LossConfig(),
         optim_cfg=attacked_optim(epochs, batch_replay), attack_cfg=ATTACKED_ATTACK, rng=rng)
     return M.checksum(out.extractor, out.head), rows, rng.random()
 
@@ -789,9 +774,7 @@ def grouped_oracle(setup, optim, noise_r):
     each group's stacked bank rows and targets, with ``noise_r`` times a
     standard normal draw from the group's stream ``[key, group index]``,
     split back per step; and the steps per group."""
-    state, data, cands, protos = setup
-    bank = D.apply_policy(data.x[cands.indices], cands.policies)
-    centers = np.array([protos[cid] for cid in cands.class_ids])
+    state, data, bank, centers = setup
     rng = np.random.default_rng(11)
     key = int(rng.integers(2**63))
     steps = list(TR.task_schedule(len(data), optim, rng, bank.shape[:2]))
