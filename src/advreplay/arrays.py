@@ -1,5 +1,7 @@
 """The engine's value type: samples, attack output, model parameters and
-tape nodes all hold read-only float64 arrays built by ``readonly``.
+tape nodes all hold read-only float64 arrays built by ``readonly``.  The
+replay attack alone computes in float32, on copies it makes per call, and
+its output is the exact float64 upcast of its float32 rows.
 
 The ``record_*`` checks decode stored JSON records (``store.json``,
 ``model.json``) into those arrays; each failure is a ``DecodeError`` that

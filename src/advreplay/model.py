@@ -8,7 +8,10 @@ into the other.
 Parameters are read-only float64 arrays.  During training they are
 reshaped views of one of the two contiguous vectors that the training loop
 holds, laid out in ``trainable_params`` order (see ``param_views``), so an
-SGD step is one update of one array into the other.  The taped ``extract``
+SGD step is one update of one array into the other.  The plain extractor
+pass runs in the dtype of the parameters it is given: the replay attack
+hands it a float32 copy of the frozen extractor, every other caller the
+float64 parameters themselves.  The taped ``extract``
 and ``logits`` are the gradient oracle of the plain-numpy passes and also
 take ``tensor.Tensor`` leaves as parameters (see ``with_params``).  The
 plain head splits into ``head_input_vjp``, the features as every block
@@ -155,6 +158,10 @@ def feature_vjp(params: ExtractorParams, x):
     (with ``rows``, where the rows of the bigger pass round as a pass of
     their own: see ``train.GEMM_ROW_BLOCK``).
 
+    The pass computes in the dtype of ``params``' weights, to which ``x``
+    is cast.  That is float64, with the tape's bits, for every caller but
+    the replay attack, which passes a float32 copy.
+
     The tape's checks are kept, with fewer scans.  A bad input shape raises
     ``DimensionError`` and a non-finite input ``NumericError``.  Relu is
     ``z * mask + 0.0``, which equals ``np.where(mask, z, 0.0)`` on finite
@@ -166,7 +173,7 @@ def feature_vjp(params: ExtractorParams, x):
     pre-activation, as a check after every layer would.  ``vjp(g)`` raises
     ``NumericError`` on a non-finite input gradient.
     """
-    h = np.asarray(x, dtype=np.float64)
+    h = np.asarray(x, dtype=params.weights[0].dtype)
     if h.ndim != 2 or h.shape[1] != params.widths[0]:
         raise DimensionError(
             f"features: expected (batch, {params.widths[0]}) input, got {h.shape}")

@@ -6,12 +6,12 @@ replayed under their drawn augmentation policies, are the task's replay
 bank.  No replay sample is stored: the bank is made from the new task's
 rows and lives for that task only.  During training its rows are perturbed
 toward (noise-augmented) prototypes with an iterative gradient attack
-against the frozen extractor.
+against the frozen extractor, run in float32.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def noise_magnitude(covariances: dict[int, np.ndarray], feature_dim: int) -> flo
 
 
 def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
-                       offsets=None) -> np.ndarray:
+                       noise=None) -> np.ndarray:
     """Iteratively move a batch so its frozen-extractor features approach
     per-sample targets.
 
@@ -136,31 +136,52 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     target; each step subtracts ``alpha * grad / ||grad||^2`` (per-sample
     norm over the input coordinates).  Samples whose gradient norm falls
     under 1e-12 pass through an iteration unperturbed.  No clipping and no
-    similarity constraint is applied; the result is a fresh read-only array.
-    The input gradient comes from ``model.feature_vjp``, so no tape is
-    built.  With ``offsets`` (an (n_attack, batch, d) array, e.g. the
-    prototype noise) iteration i aims at ``targets + offsets[i]``, else
-    every iteration aims at ``targets``.  The targets of all iterations are
-    checked once, before the first pass; non-finite targets, distances,
-    gradients or output raise ``NumericError``.
+    similarity constraint is applied.  The loop runs in float32: the frozen
+    extractor's weights and biases, ``x`` and ``targets`` are cast once per
+    call, and the input gradient comes from ``model.feature_vjp`` on that
+    float32 copy, so no tape is built.  The result is a fresh read-only
+    float64 array, the exact upcast of the float32 rows.
+
+    With ``noise``, a ``(generator, scale)`` pair such as the prototype
+    noise, iteration i aims at ``targets`` plus ``scale`` times a float32
+    standard normal draw of the targets' shape, made just before that
+    iteration's pass into one reused buffer; the draws leave ``generator``
+    where one ``(n_attack, batch, d)`` float32 draw would.  Without it every
+    iteration aims at ``targets``.  The targets are checked before the pass
+    that uses them; non-finite targets, distances, gradients or output
+    raise ``NumericError``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float32)
+    targets = np.asarray(targets, dtype=np.float32)
     if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
         raise ContractError("attack expects matched (batch, input_dim) and (batch, d)")
     if targets.shape[1] != f_old.feature_dim:
         raise DimensionError(
             f"attack: targets have width {targets.shape[1]}, features {f_old.feature_dim}")
-    if offsets is not None and np.shape(offsets) != (cfg.n_attack, *targets.shape):
-        raise ContractError(f"attack offsets must be {(cfg.n_attack, *targets.shape)}")
-    tgts = targets[None] if offsets is None else targets + offsets
-    if not np.isfinite(tgts).all():
-        raise NumericError("non-finite attack targets")
+    if noise is None:
+        if not np.isfinite(targets).all():
+            raise NumericError("non-finite attack targets")
+        aim = targets
+    else:
+        if not (isinstance(noise, tuple) and len(noise) == 2
+                and isinstance(noise[0], np.random.Generator)
+                and isinstance(noise[1], (int, float)) and noise[1] >= 0):
+            raise ContractError("attack noise must be a (numpy Generator, scale >= 0) pair")
+        generator, scale = noise
+        aim = np.empty_like(targets)
+    f32 = replace(f_old, weights=[w.astype(np.float32) for w in f_old.weights],
+                  biases=[b.astype(np.float32) for b in f_old.biases])
 
     current = x
-    for i in range(cfg.n_attack):
-        feats, vjp = M.feature_vjp(f_old, current)
-        diff = feats - tgts[i % len(tgts)]  # one target set without offsets
+    for _ in range(cfg.n_attack):
+        if noise is not None:
+            generator.standard_normal(dtype=np.float32, out=aim)
+            aim *= scale
+            aim += targets
+            if not np.isfinite(aim).all():
+                raise NumericError("non-finite attack targets")
+        feats, vjp = M.feature_vjp(f32, current)
+        diff = feats - aim
         if not np.isfinite((diff * diff).sum()):
             raise NumericError("non-finite squared distance in attack")
         g = vjp(diff + diff)
@@ -173,4 +194,3 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
                              where=active[:, None])
         current = current - step
     return readonly(current, "attack output")
-

@@ -493,12 +493,13 @@ def use_helper() -> bool:
 
 # Replay rows attacked per call.  At 64 rows an attack call's time is mostly
 # numpy's fixed cost per op, not arithmetic.  Per 64 rows at the reference
-# widths and 12 iterations, it took 2.1-2.7 ms in 64-row calls, 1.8-2.0 ms
-# in 256-row calls and 1.9-2.2 ms in 512-row calls (one BLAS thread, a
-# 2-vCPU Xeon).  So ``run_task`` attacks the replay rows of
-# ``ROWS // batch_replay`` consecutive steps in one call.  An attacked row's
-# bits depend on the row count of its call: changing this moves seeded
-# results.
+# widths and 12 iterations, target noise included, the float32 attack took
+# 1.35-2.27 ms in 64-row calls, 1.16-1.76 ms in 128-row calls, 0.97-1.01 ms
+# in 256-row calls and 0.95-1.04 ms in 512-row calls (best of 9 rounds in
+# each of 3 timings, one BLAS thread, a 2-vCPU Xeon).  So ``run_task``
+# attacks the replay rows of ``ROWS // batch_replay`` consecutive steps in
+# one call.  An attacked row's bits depend on the row count of its call:
+# changing this moves seeded results.
 ROWS = 256
 
 
@@ -589,25 +590,24 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
     batch_replay)`` consecutive steps, counted over the whole task across
     epoch boundaries, the last group maybe shorter; the replay rows of a
     group are attacked in one call, their bank rows and centers stacked in
-    step order, and split back per step.  When ``noise_r > 0`` the targets
-    carry ``noise_r`` times one standard normal draw for the whole group
-    from ``np.random.default_rng([key, index])``, its own stream, which
-    only the process that attacks the group draws.  So a group's attack is
-    a pure function of its draws, the key and the frozen model.
+    step order, and split back per step.  The attack runs in float32 and
+    returns float64 rows (``replay.adversarial_attack``).  When ``noise_r >
+    0`` it is handed ``(np.random.default_rng([key, index]), noise_r)``,
+    the group's own stream, and draws ``noise_r`` times one float32
+    standard normal (batch, d) block per iteration from it; only the
+    process that attacks the group draws.  So a group's attack is a pure
+    function of its draws, the key and the frozen model.
     When rows are attacked and this process may run on two or more CPUs, a
     forked helper process attacks groups alongside the training steps,
     sharing the attacks with this one (``_attacked_with_helper``); the
     results and ``rng``'s final state are bit for bit those of the inline
     map, and no helper outlives this call.
-    The frozen model is never touched (checked by checksum at entry and
-    exit).
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}`` row
     per epoch for the run CSV.
     """
     if state.task_index < 1 or state.frozen is None:
         raise ContractError("run_task needs a snapshotted model at task >= 1")
     frozen_ext, frozen_head = state.frozen
-    frozen_sum = M.checksum(frozen_ext, frozen_head)
     old = state.head.old_ids
     if frozen_head.class_ids != old:
         raise ContractError("frozen head classes must equal the current old split")
@@ -634,11 +634,7 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         rows = bank[cls, slots]
         if attack_cfg is None:
             return rows
-        noise = None
-        if noise_r > 0.0:
-            noise = np.random.default_rng([key, index]).standard_normal(
-                (attack_cfg.n_attack, len(rows), centers.shape[1]))
-            noise *= noise_r
+        noise = (np.random.default_rng([key, index]), noise_r) if noise_r > 0.0 else None
         return R.adversarial_attack(frozen_ext, rows, centers[cls], attack_cfg, noise)
 
     if bank is None:
@@ -650,7 +646,4 @@ def run_task(state: M.ModelState, task_data: D.LabeledSet,
         else:  # the map, inline
             stream = _per_step((steps, replay(draws)) for steps, draws in groups)
 
-    state, epochs = _fit(state, task_data, stream, loss_cfg, optim_cfg)
-    if M.checksum(frozen_ext, frozen_head) != frozen_sum:
-        raise ContractError("frozen model mutated during run_task")
-    return state, epochs
+    return _fit(state, task_data, stream, loss_cfg, optim_cfg)

@@ -24,7 +24,7 @@ from advreplay import model as M
 from advreplay import replay as R
 from advreplay import runner
 from advreplay import train as TR
-from advreplay.errors import ConfigError, DecodeError, EngineError
+from advreplay.errors import ConfigError, ContractError, DecodeError, EngineError
 
 TINY = [
     "dataset.n_classes=6", "dataset.n_train=24", "dataset.n_val=8",
@@ -377,6 +377,26 @@ def test_learn_hands_run_task_the_centers_in_the_banks_class_order(tmp_path, mon
     assert any(list(protos) != sorted(protos) for protos in sampled)
     for protos, centers in zip(sampled, handed):
         assert centers.tobytes() == np.array([protos[cid] for cid in sorted(protos)]).tobytes()
+
+
+def test_learn_names_the_task_whose_training_changed_the_frozen_model(tmp_path, monkeypatch):
+    """A frozen parameter replaced while task 2 trains fails ``learn`` with
+    a ``ContractError`` naming task 2; task 1, untouched, passes."""
+    cfg = tiny_config(tmp_path)
+    stream = runner.stream_from_config(cfg)
+    state, store = runner.first_task(cfg, stream)
+    state, _ = runner.learn(cfg, stream, state, store, 1)
+    runner.settle(cfg, stream, state, store, 1)
+    train = TR.run_task
+
+    def mutating(state, *args):
+        frozen_ext = state.frozen[0]
+        frozen_ext.biases[-1] = frozen_ext.biases[-1] + 1e-9
+        return train(state, *args)
+
+    monkeypatch.setattr(TR, "run_task", mutating)
+    with pytest.raises(ContractError, match=r"^frozen model mutated during task 2$"):
+        runner.learn(cfg, stream, state, store, 2)
 
 
 def test_evaluation_runs_the_extractor_once_over_the_test_rows(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from test_plain_forward import float32_copy
 
 from advreplay import data as D
 from advreplay import model as M
@@ -197,8 +198,8 @@ def test_attack_output_is_a_read_only_copy_checked_finite():
     out = R.adversarial_attack(f, x, np.zeros((1, 2)), R.AttackConfig(1.0, 1))
     assert out.dtype == np.float64 and not out.flags.writeable
     assert not np.shares_memory(out, x)
-    # a step of 1e308 * g / |g|^2 with |g| = 2e-3 overflows the output
-    huge = R.AttackConfig(alpha=1e308, n_attack=1)
+    # a step of 1e38 * g / |g|^2 with |g| = 2e-3 overflows the float32 rows
+    huge = R.AttackConfig(alpha=1e38, n_attack=1)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="attack output"):
         R.adversarial_attack(f, np.array([[1e-3, 0.0]]), np.zeros((1, 2)), huge)
 
@@ -249,7 +250,7 @@ def test_attack_never_mutates_frozen_model():
     before = M.checksum(f, head)
     cfg = R.AttackConfig(alpha=2.0, n_attack=5)
     R.adversarial_attack(f, rng.normal(size=(8, 5)), rng.normal(size=(8, 4)),
-                         cfg, offsets=np.random.default_rng(1).standard_normal((5, 8, 4)))
+                         cfg, noise=(np.random.default_rng(1), 1.0))
     assert M.checksum(f, head) == before
 
 
@@ -262,53 +263,68 @@ def test_attack_deterministic():
     a = R.adversarial_attack(f, x, targets, cfg)
     b = R.adversarial_attack(f, x, targets, cfg)
     assert np.array_equal(a, b)
-    a = R.adversarial_attack(f, x, targets, cfg,
-                             offsets=0.5 * np.random.default_rng(7).standard_normal((3, 8, 4)))
-    b = R.adversarial_attack(f, x, targets, cfg,
-                             offsets=0.5 * np.random.default_rng(7).standard_normal((3, 8, 4)))
+    a = R.adversarial_attack(f, x, targets, cfg, noise=(np.random.default_rng(7), 0.5))
+    b = R.adversarial_attack(f, x, targets, cfg, noise=(np.random.default_rng(7), 0.5))
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(8, 4), (3, 1, 4), (2, 8, 4)])
-def test_attack_offsets_need_one_target_set_per_iteration(shape):
-    """Offsets that would broadcast, or that miss an iteration, are refused."""
+@pytest.mark.parametrize("noise", [
+    np.zeros((3, 8, 4)),  # an offsets array, one target set per iteration
+    (np.random.default_rng(1),),
+    (np.random.default_rng(1), 0.5, 1),
+    [np.random.default_rng(1), 0.5],
+    (np.random.RandomState(1), 0.5),
+    (np.random.default_rng(1), -0.5),
+    (np.random.default_rng(1), float("nan")),
+    (np.random.default_rng(1), "0.5"),
+])
+def test_attack_noise_must_be_a_generator_and_a_scale(noise):
+    """Noise is a (numpy Generator, scale >= 0) pair, and nothing else."""
     rng = np.random.default_rng(15)
     f = M.default_extractor(5, 4, rng, hidden=(16,))
-    with pytest.raises(ContractError, match=r"^attack offsets must be \(3, 8, 4\)$"):
+    with pytest.raises(ContractError,
+                       match=r"^attack noise must be a \(numpy Generator, scale >= 0\) pair$"):
         R.adversarial_attack(f, rng.normal(size=(8, 5)), rng.normal(size=(8, 4)),
-                             R.AttackConfig(alpha=2.0, n_attack=3), np.zeros(shape))
+                             R.AttackConfig(alpha=2.0, n_attack=3), noise)
 
 
-def masked_attack(f, x, targets, cfg, offsets):
-    """``adversarial_attack`` with its masked divide on every iteration."""
-    tgts = targets + offsets
-    current = x
+def masked_attack(f, x, targets, cfg, r=0.0, draws=None):
+    """``adversarial_attack`` with its masked divide on every iteration, on
+    the float32 copy of ``f``, iteration i aiming at ``targets + r *
+    draws[i]``."""
+    f = float32_copy(f)
+    targets = targets.astype(np.float32)
+    current = x.astype(np.float32)
     for i in range(cfg.n_attack):
         feats, vjp = M.feature_vjp(f, current)
-        diff = feats - tgts[i]
+        diff = feats - (targets if draws is None else targets + r * draws[i])
         g = vjp(diff + diff)
         norms = np.sqrt(np.add.reduce(g * g, axis=1))
         current = current - np.divide(cfg.alpha * g, norms[:, None] ** 2, out=np.zeros_like(g),
                                       where=(norms >= 1e-12)[:, None])
-    return current
+    return current.astype(np.float64)
 
 
 @pytest.mark.parametrize("still_rows", [(), (5,), (0, 63)])
 def test_attack_equals_the_masked_divide_bytewise(still_rows):
     """An iteration whose rows all have a gradient skips the masked divide
-    with the same bits; a row whose gradient is zero (its feature on its
-    target) keeps the masked divide and does not move."""
+    with the same bits, here with target noise; a row whose gradient is
+    zero (its feature on its target, with no noise) keeps the masked
+    divide and does not move."""
+    noise = not still_rows
     rng = np.random.default_rng(16)
     f = M.default_extractor(16, 32, rng, hidden=(64, 48))
-    x = rng.normal(size=(64, 16)) * 2.0
+    x = (rng.normal(size=(64, 16)) * 2.0).astype(np.float32)
     targets = rng.normal(size=(64, 32))
-    offsets = 0.3 * rng.standard_normal((12, 64, 32))
+    feats = M.features(float32_copy(f), x)
     for row in still_rows:
-        targets[row] = M.features(f, x[row:row + 1])[0]
-        offsets[:, row] = 0.0
+        targets[row] = feats[row]
     cfg = R.AttackConfig(alpha=7.3, n_attack=12)  # not a power of two: alpha * g rounds
-    out = R.adversarial_attack(f, x, targets, cfg, offsets)
-    assert out.tobytes() == masked_attack(f, x, targets, cfg, offsets).tobytes()
+    draws = np.random.default_rng(3).standard_normal((12, 64, 32), dtype=np.float32)
+    out = R.adversarial_attack(f, x, targets, cfg,
+                               (np.random.default_rng(3), 0.3) if noise else None)
+    expected = masked_attack(f, x, targets, cfg, 0.3, draws if noise else None)
+    assert out.tobytes() == expected.tobytes()
     moved = np.any(out != x, axis=1)
     assert moved.sum() == 64 - len(still_rows)
     assert not moved[list(still_rows)].any()

@@ -771,8 +771,8 @@ def fit_receives(monkeypatch):
 def grouped_oracle(setup, optim, noise_r):
     """Per step of ``attacked_task``'s schedule, its epoch, batch and replay
     rows as the group contract makes them: ``R.adversarial_attack`` over
-    each group's stacked bank rows and targets, with ``noise_r`` times a
-    standard normal draw from the group's stream ``[key, group index]``,
+    each group's stacked bank rows and targets, with ``noise_r`` times
+    standard normal draws from the group's stream ``[key, group index]``,
     split back per step; and the steps per group."""
     state, data, bank, centers = setup
     rng = np.random.default_rng(11)
@@ -784,9 +784,8 @@ def grouped_oracle(setup, optim, noise_r):
     for index, group in enumerate(groups):
         x = np.concatenate([bank[cls, slots] for _, _, cls, slots in group])
         targets = np.concatenate([centers[cls] for _, _, cls, _ in group])
-        offsets = None if noise_r == 0.0 else noise_r * np.random.default_rng(
-            [key, index]).standard_normal((ATTACKED_ATTACK.n_attack, len(x), centers.shape[1]))
-        attacked = R.adversarial_attack(state.frozen[0], x, targets, ATTACKED_ATTACK, offsets)
+        noise = None if noise_r == 0.0 else (np.random.default_rng([key, index]), noise_r)
+        attacked = R.adversarial_attack(state.frozen[0], x, targets, ATTACKED_ATTACK, noise)
         rows += np.split(attacked, len(group))
     want = [(epoch, batch, r) for (epoch, batch, *_), r in zip(steps, rows)]
     return want, [[epoch for epoch, *_ in group] for group in groups]
@@ -841,9 +840,9 @@ def test_target_noise_moves_no_batch_or_bank_row(monkeypatch):
     for noise_r in (0.3, 0.0):
         calls = []
 
-        def spy(f_old, x, targets, cfg, offsets=None):
-            calls.append((x.tobytes(), targets.tobytes(), offsets is not None))
-            return attack(f_old, x, targets, cfg, offsets)
+        def spy(f_old, x, targets, cfg, noise=None):
+            calls.append((x.tobytes(), targets.tobytes(), noise is not None))
+            return attack(f_old, x, targets, cfg, noise)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(R, "adversarial_attack", spy)
