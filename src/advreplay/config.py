@@ -66,7 +66,11 @@ NON_NEGATIVE = _number(">= 0", lambda v: v >= 0)
 PROBABILITY = _number("in [0, 1]", lambda v: 0 <= v <= 1)
 _MAX, _MIN = sys.float_info.max, sys.float_info.min  # largest finite, smallest normal
 # data.class_clusters draws class covariance eigenvalues in [0.5, 1.5) times
-# cluster_std**2; its Cholesky factor needs them finite, normal floats
+# cluster_std**2; its Cholesky factor needs them finite, normal floats.  The
+# float32 replay attack fails far lower (from about 1e18 at tiny widths),
+# naming float32's range; that bound is not enforced here, because the scale
+# that fails depends on the trained extractor, and CSV and binary inputs never
+# pass through this key
 CLUSTER_STD = _number(f"in [{math.sqrt(2 * _MIN):.3g}, {math.sqrt(_MAX / 1.5):.3g}]",
                       lambda v: v > 0 and 0.5 * float(v) * v >= _MIN
                       and 1.5 * float(v) * v <= _MAX)

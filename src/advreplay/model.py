@@ -155,8 +155,9 @@ def feature_vjp(params: ExtractorParams, x):
     over those rows alone, read from their slices of the saved layer inputs
     and masks.  No tape is built; every op is the one ``extract`` and its
     backward pass perform, in the same order, so results are bit-identical
-    (with ``rows``, where the rows of the bigger pass round as a pass of
-    their own: see ``train.GEMM_ROW_BLOCK``).
+    (with ``rows``, where the first rows of the bigger pass round as a
+    pass of their own, which holds at the shipped widths; wider layers can
+    round them by call size).
 
     The pass computes in the dtype of ``params``' weights, to which ``x``
     is cast.  That is float64, with the tape's bits, for every caller but

@@ -127,6 +127,14 @@ def noise_magnitude(covariances: dict[int, np.ndarray], feature_dim: int) -> flo
     return float(np.sqrt(total))
 
 
+def _nonfinite(message: str, finite_in_float64) -> NumericError:
+    """The attack's error for a non-finite value; one finite in float64 is
+    blamed on float32's range, not on the data."""
+    if finite_in_float64:
+        message += ": finite in float64, but beyond the float32 attack's range (about 3.4e38)"
+    return NumericError(message)
+
+
 def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
                        noise=None) -> np.ndarray:
     """Iteratively move a batch so its frozen-extractor features approach
@@ -148,9 +156,12 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     iteration's pass into one reused buffer; the draws leave ``generator``
     where one ``(n_attack, batch, d)`` float32 draw would.  Without it every
     iteration aims at ``targets``.  The targets are checked before the pass
-    that uses them; non-finite targets, distances, gradients or output
-    raise ``NumericError``.
+    that uses them; non-finite inputs, targets, distances, gradients or
+    output raise ``NumericError``.  Where an input, a target or a squared
+    distance is finite in float64 but not in float32 (whose range ends near
+    3.4e38), the error names the float32 attack's range, not the data.
     """
+    raw_x, raw_targets = x, targets
     x = np.asarray(x, dtype=np.float32)
     targets = np.asarray(targets, dtype=np.float32)
     if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
@@ -158,9 +169,11 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
     if targets.shape[1] != f_old.feature_dim:
         raise DimensionError(
             f"attack: targets have width {targets.shape[1]}, features {f_old.feature_dim}")
+    if not np.isfinite(x).all() and np.isfinite(raw_x).all():
+        raise _nonfinite("non-finite attack input", True)
     if noise is None:
         if not np.isfinite(targets).all():
-            raise NumericError("non-finite attack targets")
+            raise _nonfinite("non-finite attack targets", np.isfinite(raw_targets).all())
         aim = targets
     else:
         if not (isinstance(noise, tuple) and len(noise) == 2
@@ -168,22 +181,25 @@ def adversarial_attack(f_old: M.ExtractorParams, x, targets, cfg: AttackConfig,
                 and isinstance(noise[1], (int, float)) and noise[1] >= 0):
             raise ContractError("attack noise must be a (numpy Generator, scale >= 0) pair")
         generator, scale = noise
-        aim = np.empty_like(targets)
+        draw, aim = np.empty_like(targets), np.empty_like(targets)
     f32 = replace(f_old, weights=[w.astype(np.float32) for w in f_old.weights],
                   biases=[b.astype(np.float32) for b in f_old.biases])
 
     current = x
     for _ in range(cfg.n_attack):
         if noise is not None:
-            generator.standard_normal(dtype=np.float32, out=aim)
-            aim *= scale
+            generator.standard_normal(dtype=np.float32, out=draw)
+            np.multiply(draw, scale, out=aim)
             aim += targets
             if not np.isfinite(aim).all():
-                raise NumericError("non-finite attack targets")
+                raise _nonfinite("non-finite attack targets", np.isfinite(
+                    draw.astype(float) * scale + raw_targets).all())
         feats, vjp = M.feature_vjp(f32, current)
         diff = feats - aim
         if not np.isfinite((diff * diff).sum()):
-            raise NumericError("non-finite squared distance in attack")
+            wide = feats.astype(float) - aim
+            raise _nonfinite("non-finite squared distance in attack",
+                             np.isfinite((wide * wide).sum()))
         g = vjp(diff + diff)
         norms = np.sqrt(np.add.reduce(g * g, axis=1))  # np.linalg.norm(g, axis=1)
         active = norms >= _GRAD_EPS

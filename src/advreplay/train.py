@@ -8,9 +8,11 @@ separate leaves, the split is structural: neither term can touch the other
 block's gradient.
 
 Each SGD step is tape-free: ``loss_and_grads`` runs this fixed graph
-forward in plain numpy and walks it back by hand, op for op as the autodiff
-tape would, so its losses and gradients are bit-identical to the taped
-``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``.  Those
+forward in plain numpy, one current-extractor pass over the new and replay
+rows, and walks it back by hand, op for op as the autodiff tape would, so
+its losses and gradients are bit-identical to the taped ``local_ce_loss``/
+``local_kd_loss`` under ``tensor.value_and_grad`` wherever the pass rounds
+the new rows as a pass of their own, as at the shipped widths.  Those
 taped losses stay as the oracle that tests compare against.
 
 One step loop, ``_fit``, trains every task: task 0 on plain CE, later
@@ -182,17 +184,6 @@ def _kd_vjp(cur: np.ndarray, prev: np.ndarray, temperature: float, weight: float
             logq_vjp(p_prev * -(weight * temperature**2 / n)) * inv_t)
 
 
-# At the layer widths of the shipped configs, a GEMM of the BLAS in use
-# rounds each row of a whole block of this many rows alike in every call of
-# up to a step's rows (new plus replay rows); the rows of a partial last
-# block, and a lone row (a matrix-vector product), may round otherwise.
-# tests/test_fused_step.py pins both.  Much wider layers round even
-# whole-block rows by call size, so there the cached frozen logits, and the
-# CE features read from the KD pass, differ from a pass of their own in
-# their last bits.
-GEMM_ROW_BLOCK = 4
-
-
 def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: LossConfig,
                    kd: tuple[np.ndarray, np.ndarray | None] | None = None
                    ) -> tuple[float, float, np.ndarray]:
@@ -203,53 +194,47 @@ def loss_and_grads(state: M.ModelState, x_new: np.ndarray, y_rel, loss_cfg: Loss
     of the KD rows and ``prev``, the frozen model's logits of those rows
     (``frozen_logits``).  The KD rows are the ``x_new`` rows followed by
     the ``replay`` rows, or the ``x_new`` rows alone when ``replay`` is
-    None.  The current extractor runs once per step where it can: without
-    replay rows, the KD term reuses the CE pass's features, their head
-    input and the extractor VJP; with replay rows after a whole number of
-    ``GEMM_ROW_BLOCK``s of new rows, the CE term reads its features and its
-    extractor VJP from the first rows of the KD pass.  The two backward
-    passes stay separate, as on the tape.  Returns the CE value, the KD
-    value (0.0 without ``kd``) and the gradient as one flat vector laid out
-    as ``M.param_views(state, ...)``: one block per
-    ``M.trainable_params(state)`` entry, in that order.  The forward and backward ops and layouts are the
-    tape's, so everything is bit-identical to ``local_ce_loss``/
-    ``local_kd_loss`` under ``tensor.value_and_grad`` (the oracle), at
-    widths where ``GEMM_ROW_BLOCK`` holds.  Raises ``ContractError`` on bad
-    labels or mismatched logit blocks and ``NumericError`` on a non-finite
-    pre-activation, logit block, loss or gradient.
+    None.  The current extractor runs once per step, over the KD rows (the
+    ``x_new`` rows without ``kd``); the CE term reads its features and its
+    extractor VJP from the first ``len(x_new)`` rows of that pass, and
+    without replay rows the KD term reuses the CE term's head input.  The
+    two backward passes stay separate, as on the tape.  Returns the CE
+    value, the KD value (0.0 without ``kd``) and the gradient as one flat
+    vector laid out as ``M.param_views(state, ...)``: one block per
+    ``M.trainable_params(state)`` entry, in that order.  The forward and
+    backward ops and layouts are the tape's, so everything is bit-identical
+    to ``local_ce_loss``/``local_kd_loss`` under ``tensor.value_and_grad``
+    (the oracle) wherever the pass's first ``len(x_new)`` rows round as a
+    pass of their own, which holds at the shipped widths.  Raises
+    ``ContractError`` on bad labels or mismatched logit blocks and
+    ``NumericError`` on a non-finite pre-activation, logit block, loss or
+    gradient.
     """
     ext, head = state.extractor, state.head
     if kd is not None and (state.frozen is None or head.w_old is None):
         raise ContractError("distillation needs a snapshotted model with old classes")
     prev, replay = kd or (None, None)
 
-    ce_rows = None  # all rows of the CE term's pass, or its first rows
-    if replay is not None and len(x_new) % GEMM_ROW_BLOCK == 0:
-        kd_feats, kd_ext_vjp = M.feature_vjp(ext, np.concatenate([x_new, replay]))
-        ce_rows = len(x_new)
-        feats, ext_vjp = kd_feats[:ce_rows], kd_ext_vjp
-    else:
-        feats, ext_vjp = kd_feats, kd_ext_vjp = M.feature_vjp(ext, x_new)
-        if replay is not None:
-            kd_feats, kd_ext_vjp = M.feature_vjp(ext, np.concatenate([x_new, replay]))
-
+    kd_feats, ext_vjp = M.feature_vjp(
+        ext, x_new if replay is None else np.concatenate([x_new, replay]))
+    feats = kd_feats[:len(x_new)]
     head_in = M.head_input_vjp(head, feats)
     out, head_vjp = M.input_block_vjp(head, head.w_new, head_in)
     ce, g = _ce_vjp(out, y_rel, loss_cfg.ce_temperature)
     g_feats, g_new = head_vjp(g)
-    g_w, g_b = ext_vjp(g_feats, param_grads=True, rows=ce_rows)
+    g_w, g_b = ext_vjp(g_feats, param_grads=True, rows=len(x_new))
     g_old, kd_value, loss = None, 0.0, ce
 
     if kd is None:
         if head.w_old is not None:
             g_old = np.zeros(head.w_old.shape)
     else:
-        if kd_feats is not feats:
+        if replay is not None:
             head_in = M.head_input_vjp(head, kd_feats)
         out, head_vjp = M.input_block_vjp(head, head.w_old, head_in)
         kd_value, g = _kd_vjp(out, prev, loss_cfg.kd_temperature, loss_cfg.lambda_kd)
         g_feats, g_old = head_vjp(g)
-        kd_w, kd_b = kd_ext_vjp(g_feats, param_grads=True)
+        kd_w, kd_b = ext_vjp(g_feats, param_grads=True)
         g_w = [a + b for a, b in zip(g_w, kd_w)]
         g_b = [a + b for a, b in zip(g_b, kd_b)]
         loss = ce + kd_value * loss_cfg.lambda_kd
@@ -272,21 +257,12 @@ def frozen_logits(frozen: tuple[M.ExtractorParams, M.ClassifierHead],
 
 
 def frozen_logits_by_chunk(frozen, x: np.ndarray, size: int) -> np.ndarray:
-    """``frozen_logits`` of every row of ``x``, with the bits each row has
-    in any batch of up to ``size`` rows made of whole ``GEMM_ROW_BLOCK``s.
-
-    The rows go in chunks of ``size`` rounded down to whole blocks, the last
-    one padded to whole blocks with repeated rows.  One call over every row
-    would not do: a call of hundreds of rows rounds rows otherwise.
-    """
-    block = GEMM_ROW_BLOCK
-    size = max(block, size - size % block)
-    chunks = []
-    for start in range(0, len(x), size):
-        rows = x[start:start + size]
-        padded = np.resize(rows, (-(-len(rows) // block) * block, x.shape[1]))
-        chunks.append(frozen_logits(frozen, padded)[:len(rows)])
-    return np.concatenate(chunks)
+    """``frozen_logits`` of every row of ``x``, one call per consecutive
+    chunk of ``size`` rows (the last maybe shorter).  A row's bits are those
+    its chunk's call gives.  One call over every row would not do: a call of
+    hundreds of rows rounds some rows otherwise than a batch-sized one."""
+    return np.concatenate([frozen_logits(frozen, x[start:start + size])
+                           for start in range(0, len(x), size)])
 
 
 def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float,
@@ -326,12 +302,10 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     both built once.  Each step ``sgd_step`` writes the update of the
     current vector into the other one, and the loop switches states, so no
     step allocates a vector or a state.  The vector of the returned state
-    is made read-only; nothing writes it again.  The frozen model's logits
-    of a batch of whole ``GEMM_ROW_BLOCK``s are gathered from
-    ``frozen_logits_by_chunk`` of the task's rows, computed at the first
-    such step, and those of its replay rows, when they too are whole
-    blocks, come from a call over the replay rows alone; any other batch
-    gets one call over its new and replay rows.
+    is made read-only; nothing writes it again.  A distilling step takes
+    the frozen model's logits of its batch from ``frozen_logits_by_chunk``
+    of the task's rows in chunks of ``batch_new``, computed at the first
+    such step, and those of its replay rows from one call over them.
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}``
     row per epoch.
     """
@@ -354,20 +328,15 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     cached = None  # the frozen logits of every task row, once a step needs them
     with closing(steps):
         for epoch, batch, replay in steps:
-            x_new = x[batch]
             kd = None
-            if distill and len(batch) % GEMM_ROW_BLOCK == 0 and (
-                    replay is None or len(replay) % GEMM_ROW_BLOCK == 0):
+            if distill:
                 if cached is None:
                     cached = frozen_logits_by_chunk(state.frozen, x, optim_cfg.batch_new)
                 prev = cached[batch]
                 if replay is not None:
                     prev = np.concatenate([prev, frozen_logits(state.frozen, replay)])
                 kd = (prev, replay)
-            elif distill:
-                x_kd = x_new if replay is None else np.concatenate([x_new, replay])
-                kd = (frozen_logits(state.frozen, x_kd), replay)
-            ce, kd_value, grads = loss_and_grads(states[cur], x_new, y_rel[batch], loss_cfg, kd)
+            ce, kd_value, grads = loss_and_grads(states[cur], x[batch], y_rel[batch], loss_cfg, kd)
             sgd_step(vectors[cur], grads, lrs[epoch], optim_cfg.weight_decay, vectors[1 - cur])
             cur = 1 - cur
             total = totals[epoch]

@@ -120,8 +120,8 @@ def test_loss_and_grads_equal_tape_bytewise(mode, kind, kd, temps):
 @pytest.mark.parametrize("replay,passes", [(False, 2), (True, 2)])
 def test_kd_without_replay_reuses_the_ce_forward(monkeypatch, replay, passes):
     """Extractor passes per KD step: one current-model forward and the
-    frozen forward.  With replay rows after 24 new rows (whole row blocks)
-    the CE term reads the first rows of the KD batch's forward."""
+    frozen forward.  With replay rows the CE term reads the first rows of
+    the KD rows' forward."""
     state = world("cosine", "relu", task=1)
     rng = np.random.default_rng(6)
     x_new = rng.normal(size=(24, 6))
@@ -174,93 +174,123 @@ def frozen_model(widths="csv60", n_classes=42, seed=11):
 
 
 def test_frozen_logits_counter_cases():
-    """Why the training loop gathers cached frozen logits only for batches
-    of whole ``GEMM_ROW_BLOCK``s: with 42 classes a row rounds otherwise
-    alone (a matrix-vector product) and in the partial last row block of a
-    call than in a whole block."""
+    """Why the training loop caches the frozen logits of a task's rows in
+    chunks of ``batch_new`` rows rather than in one call: at 42 classes and
+    the csv60 widths this BLAS rounds a row by the size of its call.  One
+    call over 720 rows rounds rows otherwise than 32-row chunks do; a lone
+    row (a matrix-vector product) and the partial last 4-row block of a
+    call round otherwise than a whole block."""
     frozen = frozen_model()
-    x = np.random.default_rng(12).normal(size=(64, 32)) * 2.0
-    blocks = TR.frozen_logits(frozen, x)
+    x = np.random.default_rng(12).normal(size=(720, 32)) * 2.0
+    chunks = [TR.frozen_logits(frozen, x[i:i + 32]) for i in range(0, 720, 32)]
+    assert TR.frozen_logits(frozen, x).tobytes() != np.concatenate(chunks).tobytes()
+    blocks = TR.frozen_logits(frozen, x[:64])
     lone = [TR.frozen_logits(frozen, x[i:i + 1])[0] for i in range(64)]
     assert any(a.tobytes() != b.tobytes() for a, b in zip(blocks, lone))
-    assert TR.GEMM_ROW_BLOCK == 4
     tails = [TR.frozen_logits(frozen, x[i:i + 6])[4:] for i in range(0, 64 - 6, 6)]
     assert any(got.tobytes() != blocks[i + 4:i + 6].tobytes()
                for i, got in zip(range(0, 64 - 6, 6), tails))
 
 
-# whole chunks; a partial last chunk of whole blocks; a last chunk of 6 and
-# one of 1, padded to whole blocks; chunks of 30 rows, rounded down to 28,
-# serving the 12-row last batch
+def chunked_logits(frozen, x, size):
+    """The frozen logits of the rows of ``x``, one call per chunk of
+    ``size`` consecutive rows."""
+    return np.concatenate([TR.frozen_logits(frozen, x[start:start + size])
+                           for start in range(0, len(x), size)])
+
+
+# whole chunks; a last chunk of 4 rows; a last chunk of 6 rows and one of
+# 1; chunks of 30 rows
 @pytest.mark.parametrize("n_rows,size", [(720, 32), (68, 32), (70, 32), (65, 32), (72, 30)])
 @pytest.mark.parametrize("widths,n_classes", [("csv60", 42), ("csv60", 12), ("reference", 16),
                                               ("tiny", 4)])
 def test_frozen_logits_by_chunk_equal_per_batch_calls(n_rows, size, widths, n_classes):
+    """The cache holds one call per chunk of ``size`` rows.  Where every
+    chunk and every batch is a whole number of 4-row blocks, which this
+    BLAS rounds alike in any call at these widths, as in every shipped
+    config, a batch's cached rows are the bits of a call over that batch."""
     frozen = frozen_model(widths, n_classes)
     rng = np.random.default_rng(n_rows)
     x = rng.normal(size=(n_rows, SHIPPED_WIDTHS[widths][0])) * 2.0
     cached = TR.frozen_logits_by_chunk(frozen, x, size)
     assert cached.shape == (n_rows, n_classes)
-    checked = 0
-    for _ in range(4):  # epochs: full batches and the partial last one
+    assert cached.tobytes() == chunked_logits(frozen, x, size).tobytes()
+    if n_rows % 4 or size % 4:
+        return
+    for _ in range(4):  # epochs: full batches and the last one
         order = rng.permutation(n_rows)
         for start in range(0, n_rows, size):
             batch = order[start:start + size]
-            if len(batch) % TR.GEMM_ROW_BLOCK == 0:
-                want = TR.frozen_logits(frozen, x[batch])
-                assert cached[batch].tobytes() == want.tobytes()
-                checked += len(batch)
-    assert checked
+            assert cached[batch].tobytes() == TR.frozen_logits(frozen, x[batch]).tobytes()
 
 
-# the last batch of each epoch: 8 rows, gathered; 6 rows and 1 row, their
-# own call each
-@pytest.mark.parametrize("n_rows,calls", [(40, [16, 16, 8]), (38, [16, 16, 8, 6, 6]),
-                                          (33, [16, 16, 4, 1, 1])])
+def spied_step_rows(monkeypatch, frozen_ext):
+    """Two lists that record, from now on, the row count of every
+    ``frozen_logits`` call and of every extractor pass other than those of
+    ``frozen_ext``."""
+    logit_rows, pass_rows = [], []
+    real_logits, real_pass = TR.frozen_logits, M.feature_vjp
+
+    def logits(frozen, x):
+        logit_rows.append(len(x))
+        return real_logits(frozen, x)
+
+    def extractor_pass(params, x):
+        if params is not frozen_ext:
+            pass_rows.append(len(x))
+        return real_pass(params, x)
+
+    monkeypatch.setattr(TR, "frozen_logits", logits)
+    monkeypatch.setattr(M, "feature_vjp", extractor_pass)
+    return logit_rows, pass_rows
+
+
+# the frozen logits' calls: the cache's 16-row chunks of the task's rows,
+# the last of 8, 6 or 1 rows
+@pytest.mark.parametrize("n_rows,calls", [(40, [16, 16, 8]), (38, [16, 16, 6]),
+                                          (33, [16, 16, 1])])
 def test_run_task_without_replay_equals_per_batch_frozen_logits(monkeypatch, n_rows, calls):
-    """The cached frozen logits train a task bit for bit as a call per step
-    does."""
+    """``run_task`` trains a task bit for bit as per-batch steps on frozen
+    logits cached in chunks of ``batch_new`` rows do, with one frozen call
+    per chunk and one current-extractor pass per step."""
     state = world("cosine", "relu", task=1)
     rng = np.random.default_rng(8)
     task = D.LabeledSet(rng.normal(size=(n_rows, 6)),
                         tuple(int(c) for c in rng.integers(8, 14, n_rows)), "train")
     optim, cfg = TR.OptimConfig(epochs=2, batch_new=16), TR.LossConfig()
-    rows, real = [], TR.frozen_logits
-
-    def counted(frozen, x):
-        rows.append(len(x))
-        return real(frozen, x)
-
-    monkeypatch.setattr(TR, "frozen_logits", counted)
+    logit_rows, pass_rows = spied_step_rows(monkeypatch, state.frozen[0])
     got, _ = TR.run_task(state, task, None, None, 0.0, cfg, optim, None,
                          np.random.default_rng(9))
-    assert rows == calls
-    monkeypatch.setattr(TR, "frozen_logits", real)
+    monkeypatch.undo()
+    assert logit_rows == calls
 
+    cache = chunked_logits(state.frozen, task.x, optim.batch_new)
     mirror, rel = state, {cid: i for i, cid in enumerate(state.head.new_ids)}
     y_rel = np.array([rel[c] for c in task.y])
-    for epoch, batch, *_ in TR.task_schedule(n_rows, optim, np.random.default_rng(9)):
-        x_new = task.x[batch]
-        grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg, kd_batch(mirror, x_new))[2]
+    steps = list(TR.task_schedule(n_rows, optim, np.random.default_rng(9)))
+    for epoch, batch, *_ in steps:
+        grad = TR.loss_and_grads(mirror, task.x[batch], y_rel[batch], cfg,
+                                 (cache[batch], None))[2]
         mirror = stepped_state(mirror, grad, TR.cosine_lr(optim.lr, epoch, optim.epochs),
                                optim.weight_decay)
+    assert pass_rows == [len(batch) for _, batch, *_ in steps]
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
 
 
-# 16-row batches and their replay rows over two epochs.  Whole blocks of
-# new rows take their frozen logits from the cache (three padded chunks
-# of the 40 or 38 rows), their replay rows from a call of their own; a
-# last batch of 6 rows, or 6 replay rows, keeps one call over the step's
-# new and replay rows.
+# 16-row batches and their replay rows over two epochs.  The frozen logits'
+# calls: the cache's chunks of the 40 or 38 task rows, then one call per
+# step over its 8 or 6 replay rows.
 @pytest.mark.parametrize("n_rows,batch_replay,calls", [
     (40, 8, [16, 16, 8] + [8] * 6),
-    (38, 8, [16, 16, 8] + [8, 8, 14] * 2),
-    (40, 6, [22, 22, 14] * 2),
+    (38, 8, [16, 16, 6] + [8] * 6),
+    (40, 6, [16, 16, 8] + [6] * 6),
 ])
 def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows, batch_replay,
                                                             calls):
-    """The cached frozen logits of the new rows train a replay task bit for
-    bit as one call per step over its new and replay rows does."""
+    """``run_task`` trains a replay task bit for bit as per-step calls do on
+    the cached frozen logits of the new rows followed by a call over the
+    step's replay rows, with one current-extractor pass per step over its
+    new and replay rows."""
     state = world("cosine", "relu", task=1)
     rng = np.random.default_rng(n_rows)
     task = D.LabeledSet(rng.normal(size=(n_rows, 6)),
@@ -269,28 +299,25 @@ def test_run_task_with_replay_equals_per_step_frozen_logits(monkeypatch, n_rows,
     bank = task.x[rng.integers(0, n_rows, (len(old), 3))]
     optim = TR.OptimConfig(epochs=2, batch_new=16, batch_replay=batch_replay)
     cfg = TR.LossConfig()
-    rows, real = [], TR.frozen_logits
-
-    def counted(frozen, x):
-        rows.append(len(x))
-        return real(frozen, x)
-
-    monkeypatch.setattr(TR, "frozen_logits", counted)
+    logit_rows, pass_rows = spied_step_rows(monkeypatch, state.frozen[0])
     got, _ = TR.run_task(state, task, bank, np.zeros((len(old), 32)), 0.0, cfg, optim, None,
                          np.random.default_rng(9))
-    assert rows == calls
-    monkeypatch.setattr(TR, "frozen_logits", real)
+    monkeypatch.undo()
+    assert logit_rows == calls
 
+    cache = chunked_logits(state.frozen, task.x, optim.batch_new)
     mirror, rel = state, {cid: i for i, cid in enumerate(state.head.new_ids)}
     y_rel = np.array([rel[c] for c in task.y])
     rng = np.random.default_rng(9)
     rng.integers(2**63)  # the task's noise key, drawn first
-    for epoch, batch, cls, slots in TR.task_schedule(n_rows, optim, rng, bank.shape[:2]):
-        x_new = task.x[batch]
-        grad = TR.loss_and_grads(mirror, x_new, y_rel[batch], cfg,
-                                 kd_batch(mirror, x_new, bank[cls, slots]))[2]
+    steps = list(TR.task_schedule(n_rows, optim, rng, bank.shape[:2]))
+    for epoch, batch, cls, slots in steps:
+        replay = bank[cls, slots]
+        prev = np.concatenate([cache[batch], TR.frozen_logits(state.frozen, replay)])
+        grad = TR.loss_and_grads(mirror, task.x[batch], y_rel[batch], cfg, (prev, replay))[2]
         mirror = stepped_state(mirror, grad, TR.cosine_lr(optim.lr, epoch, optim.epochs),
                                optim.weight_decay)
+    assert pass_rows == [len(batch) + batch_replay for _, batch, *_ in steps]
     assert M.checksum(got.extractor, got.head) == M.checksum(mirror.extractor, mirror.head)
 
 
@@ -319,18 +346,18 @@ def shipped_world(widths, seed=13):
                                  for p in M.trainable_params(state)])
 
 
-# new rows and replay rows per step: the reference config's full batch and
-# its last, partial one (whole row blocks), a batch as large as its replay
-# rows, and 6 new rows, which keep their own forward
+# new rows, replay rows and current-extractor passes per step: the
+# reference config's full batch and its last, partial one, a batch as large
+# as its replay rows, and 6 new rows, whose last 2 fill no whole 4-row block
 @pytest.mark.parametrize("n_new,n_replay,passes", [(32, 64, 1), (8, 64, 1), (32, 32, 1),
-                                                   (6, 64, 2)])
+                                                   (6, 64, 1)])
 @pytest.mark.parametrize("widths", sorted(SHIPPED_WIDTHS))
 def test_ce_pass_reads_the_first_rows_of_the_kd_forward(monkeypatch, widths, n_new, n_replay,
                                                          passes):
-    """A step with replay rows after a whole number of ``GEMM_ROW_BLOCK``s
-    of new rows runs the current extractor once; 6 new rows get a CE pass
-    of their own.  Either way the losses and gradient equal the tape's,
-    byte for byte."""
+    """A step with replay rows runs the current extractor once, over its
+    new and replay rows, and the CE term reads the first rows of that pass.
+    At the shipped widths those rows round as a pass of their own, so the
+    losses and gradient equal the tape's, byte for byte."""
     state = shipped_world(widths)
     rng = np.random.default_rng(n_new * 100 + n_replay)
     n_in = SHIPPED_WIDTHS[widths][0]
@@ -341,7 +368,7 @@ def test_ce_pass_reads_the_first_rows_of_the_kd_forward(monkeypatch, widths, n_n
     batch = kd_batch(state, x_new, replay)
     calls = spied_pass_rows(monkeypatch)
     ce, kd, grad = TR.loss_and_grads(state, x_new, y_rel, cfg, batch)
-    assert calls == ([n_new + n_replay] if passes == 1 else [n_new, n_new + n_replay])
+    assert calls == [n_new + n_replay] * passes
     monkeypatch.undo()
     ce_ref, kd_ref, grads_ref = taped(state, x_new, y_rel, cfg, kd_rows(x_new, replay))
     assert (ce, kd) == (ce_ref, kd_ref)

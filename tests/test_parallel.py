@@ -573,6 +573,21 @@ def test_a_diverging_run_reports_only_the_engine_error(tmp_path, monkeypatch, cp
     assert str(raised.value) == "stage 'initial-training': non-finite gradient"
 
 
+# data at these scales is finite in float64 and trains in float64, but the
+# replay attack, which runs in float32, meets a squared distance (1e18) or
+# an input row (1e40) beyond float32's range
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cluster_std", ["1e18", "1e40"])
+def test_float32_attack_overflow_names_float32_range(tmp_path, monkeypatch, cluster_std, cpus):
+    """One CPU attacks inline, two share the attacks with the replay helper:
+    either way the error names the float32 attack's range, not the data."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    with pytest.raises(NumericError, match=r"^stage 'task-training': non-finite .*: finite in "
+                                           r"float64, but beyond the float32 attack's range "
+                                           r"\(about 3\.4e38\)$"):
+        runner.run_benchmark(tiny_config(tmp_path, f"dataset.cluster_std={cluster_std}"))
+
+
 @pytest.mark.skipif(blas.lookup() is None or "fork" not in
                     multiprocessing.get_all_start_methods(),
                     reason="the helpers are forked under OpenBLAS")

@@ -204,6 +204,33 @@ def test_attack_output_is_a_read_only_copy_checked_finite():
         R.adversarial_attack(f, np.array([[1e-3, 0.0]]), np.zeros((1, 2)), huge)
 
 
+# values finite in float64 that leave float32's range, the attack's dtype:
+# an input row and a target (on their cast, with and without noise) and a
+# squared distance of (3e19)^2 = 9e38
+@pytest.mark.parametrize("what,x,targets,noise", [
+    ("attack input", [[1e39, 0.0]], [[0.0, 0.0]], None),
+    ("attack targets", [[1.0, 0.0]], [[1e39, 0.0]], None),
+    ("attack targets", [[1.0, 0.0]], [[1e39, 0.0]], 1.0),
+    ("squared distance in attack", [[3e19, 0.0]], [[0.0, 0.0]], None),
+])
+def test_attack_blames_float32_range_for_values_finite_in_float64(what, x, targets, noise):
+    noise = None if noise is None else (np.random.default_rng(0), noise)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match=rf"^non-finite {what}: finite in float64, but beyond the "
+                                rf"float32 attack's range \(about 3\.4e38\)$"):
+        R.adversarial_attack(identity_extractor(2), np.array(x), np.array(targets),
+                             R.AttackConfig(1.0, 1), noise)
+
+
+def test_attack_blames_the_data_for_values_not_finite_in_float64():
+    with pytest.raises(NumericError, match="^non-finite attack targets$"):
+        R.adversarial_attack(identity_extractor(2), np.ones((1, 2)), np.full((1, 2), np.inf),
+                             R.AttackConfig(1.0, 1))
+    with pytest.raises(NumericError, match="^non-finite values in extractor input$"):
+        R.adversarial_attack(identity_extractor(2), np.full((1, 2), np.nan), np.zeros((1, 2)),
+                             R.AttackConfig(1.0, 1))
+
+
 def test_attack_stationary_point_guard():
     f = identity_extractor(2)
     cfg = R.AttackConfig(alpha=1.0, n_attack=3)
