@@ -139,16 +139,21 @@ def cmd_sweep(args) -> int:
     # each comma item is override text, so the config table checks and names it
     alphas = args.alpha.split(",") if args.alpha else [config["attack"]["alpha"]]
     loops = args.n_attack.split(",") if args.n_attack else [config["attack"]["n_attack"]]
-    grid, configs = [], []
-    for alpha_text in alphas:
+    grid, configs = {}, []  # grid: (alpha, n_attack) -> the index of its alpha item
+    for i, alpha_text in enumerate(alphas):
         for n_text in loops:
             cfg = CFG.apply_override(config, f"attack.alpha={alpha_text}")
             cfg = CFG.apply_override(cfg, f"attack.n_attack={n_text}")
             CFG.validate_config(cfg)
-            alpha, n_attack = cfg["attack"]["alpha"], cfg["attack"]["n_attack"]
-            grid.append((alpha, n_attack))
+            alpha, n_attack = point = cfg["attack"]["alpha"], cfg["attack"]["n_attack"]
+            if point in grid:
+                flag, value = ("--alpha", alpha) if grid[point] != i else ("--n-attack", n_attack)
+                raise ConfigError(f"{flag} gives the value {value!r} twice; each grid point "
+                                  f"needs a run of its own")
+            grid[point] = i
+            # repr keeps the value exactly, so distinct values get distinct directories
             configs.append(
-                CFG.apply_override(cfg, f'output.tag="sweep_a{alpha:g}_n{n_attack}"'))
+                CFG.apply_override(cfg, f'output.tag="sweep_a{alpha!r}_n{n_attack}"'))
     out_root.mkdir(parents=True, exist_ok=True)
     results = runner.run_many(configs, out_dir=out_root)
     table = []

@@ -8,17 +8,19 @@ statistics, and ``evaluation`` tunes the shrinkage and scores every
 configured classifier.  Each is a function of the config, the task stream,
 the model state, the store and the task index.  The next task reads the
 settled store only for its candidate sampling, or after its training when
-the run does not replay, and no later stage reads an evaluation.  So on a
-spare CPU a forked process settles and evaluates task t while task t+1
-trains, and sends the settled store back first.  The last task is settled
-and evaluated in the run's own process, while the helper may still be
-evaluating the task before it.  Everything an emitted
-number depends on lands in the run directory: resolved config, seed record,
-per-epoch loss rows, per-task accuracy rows, and the final summary.  The
-rows are one list, written whole to ``metrics.csv`` at each task boundary
-and before an error is raised: a pure function of (config, seeds).
-Wall-clock and host metadata go to a separate file so identical runs stay
-byte-identical.
+the run does not replay, and no later stage reads an evaluation.  So once
+task t has trained, one call (``_settling``) starts its settling and
+evaluation: on a spare CPU in a forked process, which works while task t+1
+trains and sends the settled store back first; for the last task, and on
+one CPU, here and now.  Each task t but the last is recorded once task
+t+1 has trained and its settling has started; its helper is reaped then.
+Everything an emitted number depends on lands in the run directory:
+resolved config, seed record, per-epoch loss rows, per-task accuracy rows,
+and the final summary.  The rows are one list, written whole to
+``metrics.csv`` at each task boundary and before an error is raised: a pure
+function of (config, seeds).  Wall-clock and host metadata, and whether the
+run completed or failed with which engine error, go to ``meta.json`` so
+identical runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import os
 import sys
 import time
-from contextlib import closing, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -375,17 +377,6 @@ def _settled_then_evaluated(config: dict, stream: D.TaskStream, state: M.ModelSt
     yield evaluated(0)
 
 
-def _computed(config: dict, stream: D.TaskStream, state: M.ModelState,
-              store: C.PrototypeStore, t: int):
-    """``_items`` over ``_settled_then_evaluated``, both computed here and
-    now; an error is raised where the failed item is asked for."""
-    items = _settled_then_evaluated(config, stream, state, store, t)
-    item = _items(lambda: next(items))
-    with suppress(Exception):
-        item(1)
-    return item
-
-
 def _items(recv):
     """``item(i)``: the i-th result of successive ``recv()`` calls.  Every
     call returns the same value or raises the same error."""
@@ -415,31 +406,23 @@ def _record(t: int, learned: list, rows: list, results: list, item) -> None:
     rows += evaluation_rows(t, *results[-1])
 
 
-@contextmanager
 def _settling(config: dict, stream: D.TaskStream, state: M.ModelState,
-              store: C.PrototypeStore, t: int, record):
-    """Yield ``_items`` over ``_settled_then_evaluated(config, stream, state,
-    store, t)``, and call ``record`` on it.  Where ``TR.use_helper`` holds, a
-    forked ``TR.Helper`` computes both items from its copy of the arguments
-    while the block runs; ``record`` runs after the block, also when the
-    block raises, so that an error of task ``t`` comes first; the helper is
-    reaped on exit.  Elsewhere both are computed and recorded here, on
-    entry."""
-    if not TR.use_helper():
-        item = _computed(config, stream, state, store, t)
-        record(item)
-        yield item
-        return
-    with closing(TR.Helper(partial(_settled_then_evaluated, config, stream, state, store, t),
-                           "evaluation helper")) as helper:
-        del store  # the helper settles its copy; holding this one would double the stores here
-        item = _items(helper.recv)
-        try:
-            yield item
-        except Exception:
-            record(item)
-            raise
-        record(item)
+              store: C.PrototypeStore, t: int, helpers: ExitStack):
+    """``_items`` over ``_settled_then_evaluated(config, stream, state, store,
+    t)``, once task ``t`` has trained into ``state``.  Where ``TR.use_helper``
+    holds and ``t`` is not the last task, a forked ``TR.Helper`` computes both
+    items from its copy of the arguments while the run goes on; it is entered
+    on ``helpers``, whose exit reaps it.  Elsewhere both are computed here
+    and now.  An error is raised where the failed item is asked for."""
+    items = partial(_settled_then_evaluated, config, stream, state, store, t)
+    if t < stream.task_count - 1 and TR.use_helper():
+        helper = helpers.enter_context(closing(TR.Helper(items, "evaluation helper")))
+        return _items(helper.recv)
+    computed = items()
+    item = _items(lambda: next(computed))
+    with suppress(Exception):
+        item(1)
+    return item
 
 
 def _run(config: dict, out_dir) -> RunResult:
@@ -464,27 +447,25 @@ def _run(config: dict, out_dir) -> RunResult:
                  json.dumps({"randomness": seed, "class_shuffle": shuffle_seed}))
     metrics = run_dir / "metrics.csv"
     rows, results = [], []  # every metric row so far; (gamma, accuracies) per task
+    status = None  # set once the run completes or fails with an engine error
     try:
-        state, store = first_task(config, stream)
-        learned = []  # the rows of the last task trained, recorded once its store is settled
-        last = None
-        for t in range(1, t_count):
-            # task t trains while task t-1 is settled and evaluated; the last
-            # task is settled and evaluated here, while task t-1's evaluation
-            # may go on
-            with _settling(config, stream, state, store, t - 1,
-                           partial(_record, t - 1, learned, rows, results)) as item:
-                del store  # replaced by item(0); see _settling
-                state, trained = learn(config, stream, state,
-                                       item(0) if _replays(config) else None, t)
-                store = item(0)
-                if t == t_count - 1:
-                    last = _computed(config, stream, state, store, t)
-            learned = trained
-            write_atomic(metrics, csv_text(METRICS_HEADER, rows))
-        if last is None:  # a one-task run
-            last = _computed(config, stream, state, store, 0)
-        _record(t_count - 1, learned, rows, results, last)  # store is settled in place
+        with ExitStack() as helpers:  # the evaluation helpers not yet reaped
+            state, store = first_task(config, stream)
+            item, learned = _settling(config, stream, state, store, 0, helpers), []
+            del store  # replaced by item(0): a helper settles its own copy
+            for t in range(1, t_count):
+                # task t trains while task t-1 settles; task t-1 is recorded
+                # once task t's settling has started, then its helper is reaped
+                with helpers.pop_all():
+                    try:
+                        state, trained = learn(config, stream, state,
+                                               item(0) if _replays(config) else None, t)
+                        settling = _settling(config, stream, state, item(0), t, helpers)
+                    finally:
+                        _record(t - 1, learned, rows, results, item)
+                item, learned = settling, trained
+                write_atomic(metrics, csv_text(METRICS_HEADER, rows))
+        _record(t_count - 1, learned, rows, results, item)
 
         summary, accuracy = {}, {}
         for name in config["classifiers"]:
@@ -492,18 +473,23 @@ def _run(config: dict, out_dir) -> RunResult:
             summary[name] = {"A_inc": accuracy[name].incremental, "A_last": accuracy[name].final}
             rows += [("summary", t_count - 1, "", f"A_inc/{name}", accuracy[name].incremental),
                      ("summary", t_count - 1, "", f"A_last/{name}", accuracy[name].final)]
+        M.save_checkpoint(state, run_dir / "model.json")
+        C.save_store(item(0), run_dir / "store.json")
+        status = {"status": "completed"}
+    except EngineError as err:
+        status = {"status": "failed", "error": {"type": type(err).__name__, "message": str(err)}}
+        raise
     finally:
         # every row up to the last task boundary, or up to the stage that raised
         write_atomic(metrics, csv_text(METRICS_HEADER, rows))
-
-    M.save_checkpoint(state, run_dir / "model.json")
-    C.save_store(store, run_dir / "store.json")
-    write_atomic(run_dir / "meta.json", json.dumps({
-        "wall_seconds": time.time() - started,
-        "task_count": t_count,
-        "argv": sys.argv,
-        "engine_version": _package_version(),
-    }))
+        if status is not None:
+            write_atomic(run_dir / "meta.json", json.dumps({
+                **status,
+                "wall_seconds": time.time() - started,
+                "task_count": t_count,
+                "argv": sys.argv,
+                "engine_version": _package_version(),
+            }))
     return RunResult(run_dir, summary, accuracy, [gamma for gamma, _ in results])
 
 

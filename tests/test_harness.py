@@ -264,6 +264,8 @@ def test_tiny_run_products(tmp_path):
     assert "ce_loss" in text and "gamma1" in text
     echoed = json.loads((run_dir / "config.json").read_text())
     assert echoed["tasks"]["count"] == 3
+    meta = json.loads((run_dir / "meta.json").read_text())
+    assert meta["status"] == "completed" and "error" not in meta
     for name in ("linear", "ncm", "mahalanobis"):
         assert 0.0 <= result.summary[name]["A_last"] <= 1.0
 
@@ -729,6 +731,24 @@ def test_cli_override_into_a_non_section_names_the_key(tmp_path, capsys):
 def test_cli_sweep_grid_values_checked_by_the_config(tmp_path, capsys, grid, key):
     assert cli.main(["sweep", *grid] + cli_args(tmp_path / "sweep")) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_cli_sweep_gives_distinct_values_distinct_run_directories(tmp_path, capsys):
+    assert cli.main(["sweep", "--alpha", "1.0000001,1.0000002", "--n-attack", "1"]
+                    + cli_args(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+        "sweep_a1.0000001_n1", "sweep_a1.0000002_n1"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid,flag,value", [
+    (["--alpha", "8,8.0"], "--alpha", "8.0"),
+    (["--alpha", "8", "--n-attack", "2,3,2"], "--n-attack", "2")])
+def test_cli_sweep_rejects_a_repeated_grid_point(tmp_path, capsys, grid, flag, value):
+    assert cli.main(["sweep", *grid] + cli_args(tmp_path / "sweep")) == 1
+    assert capsys.readouterr().err == (f"error: {flag} gives the value {value} twice; "
+                                       f"each grid point needs a run of its own\n")
     assert not (tmp_path / "sweep").exists()
 
 

@@ -327,6 +327,53 @@ def test_training_error_after_an_evaluation_keeps_its_rows(tmp_path, monkeypatch
     assert not [row for row in rows if row[1] != "0"]
 
 
+@pytest.mark.parametrize("where", [pytest.param("forked", marks=needs_two_cpus), "inline"])
+def test_each_evaluation_helper_is_reaped_once_its_task_is_recorded(tmp_path, monkeypatch,
+                                                                   where):
+    """When task t starts training, task t-1's helper is the only evaluation
+    helper open on two CPUs: task t-2's was reaped once it was recorded, not
+    at the end of the run.  On one CPU none is open."""
+    if where == "inline":
+        on_one_cpu(monkeypatch)
+    open_helpers, seen, learn = [], [], runner.learn
+
+    class Counted(TR.Helper):
+        def __init__(self, items, name):
+            super().__init__(items, name)
+            if name == "evaluation helper":
+                open_helpers.append(self)
+
+        def close(self):
+            super().close()
+            if self in open_helpers:
+                open_helpers.remove(self)
+
+    def counted(*args, **kwargs):
+        seen.append(len(open_helpers))
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "Helper", Counted)
+    monkeypatch.setattr(runner, "learn", counted)
+    runner.run_benchmark(tiny_config(tmp_path, "dataset.n_classes=8", "tasks.count=4"))
+    assert seen == ([1, 1, 1] if where == "forked" else [0, 0, 0])
+    assert not open_helpers
+
+
+@needs_two_cpus
+def test_a_failed_run_says_so_in_its_meta(tmp_path, monkeypatch):
+    """A run that fails once its directory exists records the failure and
+    its error in meta.json, forked and inline alike."""
+    pids = tmp_path / "pids"
+    failing_calibration(monkeypatch, pids, 1)
+    raised_inline_and_forked(tmp_path, monkeypatch, pids)
+    forked, inline = (json.loads((runner._run_dir(tiny_config(tmp_path / where), None)
+                                  / "meta.json").read_text()) for where in ("forked", "inline"))
+    assert forked["status"] == inline["status"] == "failed"
+    assert forked["error"] == inline["error"] == {
+        "type": "NumericError", "message": "stage 'calibration': transfer map diverged"}
+    assert metrics_bytes(tmp_path / "forked") == metrics_bytes(tmp_path / "inline")
+
+
 # -- the settled store comes back from the evaluation helper ----------------------------
 
 
