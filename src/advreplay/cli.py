@@ -160,7 +160,7 @@ def cmd_sweep(args) -> int:
     for (alpha, n_attack), result in zip(grid, results):
         for name, summary in result.summary.items():
             table.append([alpha, n_attack, name, summary["A_inc"], summary["A_last"]])
-            print(f"alpha={alpha:<6g} n={n_attack:<3d} {name:<12} "
+            print(f"alpha={alpha!r:<6} n={n_attack:<3d} {name:<12} "
                   f"A_inc={summary['A_inc']:.4f} A_last={summary['A_last']:.4f}")
     table_path = out_root / "sweep.csv"
     write_atomic(table_path, csv_text(["alpha", "n_attack", "classifier", "A_inc", "A_last"],

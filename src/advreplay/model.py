@@ -6,9 +6,9 @@ split contract structural: a loss built from one block cannot leak gradient
 into the other.
 
 Parameters are read-only float64 arrays.  During training they are
-reshaped views of one of the two contiguous vectors that the training loop
-holds, laid out in ``trainable_params`` order (see ``param_views``), so an
-SGD step is one update of one array into the other.  The plain extractor
+reshaped views of the one contiguous vector that the training loop holds,
+laid out in ``trainable_params`` order (see ``param_views``), so an SGD
+step is one in-place update of that vector.  The plain extractor
 pass runs in the dtype of the parameters it is given: the replay attack
 hands it a float32 copy of the frozen extractor, every other caller the
 float64 parameters themselves.  The taped ``extract``

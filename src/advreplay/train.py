@@ -16,12 +16,12 @@ the new rows as a pass of their own, as at the shipped widths.  Those
 taped losses stay as the oracle that tests compare against.
 
 One step loop, ``_fit``, trains every task: task 0 on plain CE, later
-tasks with KD too.  It holds the trainable parameters as two flat vectors
-in the ``model.param_views`` layout, each with a state of read-only views
-built once, and the gradient comes back as one flat vector in the same
-layout.  So ``sgd_step`` is a single elementwise update of one vector into
-the other and a single finiteness check over the whole model, and a step
-allocates no parameter vector and builds no state.
+tasks with KD too.  It holds the trainable parameters as one flat vector
+in the ``model.param_views`` layout, with one state of read-only views of
+it built once, and the gradient comes back as one flat vector in the same
+layout.  So ``sgd_step`` is a single elementwise update of that vector in
+place and a single finiteness check over the whole model, and a step
+builds no state.
 
 An incremental task's batches and replay rows come from ``task_schedule``,
 which draws only indices and reads no model at all.  ``run_task`` attacks
@@ -265,29 +265,22 @@ def frozen_logits_by_chunk(frozen, x: np.ndarray, size: int) -> np.ndarray:
                            for start in range(0, len(x), size)])
 
 
-def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float,
-             out: np.ndarray) -> np.ndarray:
-    """One SGD update of the flat parameter vector ``p`` from a
-    ``loss_and_grads`` gradient in the same layout, written into ``out``
-    and returned; ``p`` is not written.  The update is ``p - lr * (grad +
-    weight_decay * p)``, op for op, in ``out``'s buffer.  A gradient of the
-    wrong shape, or an ``out`` that is not a writeable vector of ``p``'s
-    shape or that overlaps ``p`` or the gradient, raises ``ContractError``;
-    a non-finite updated parameter raises ``NumericError``."""
+def sgd_step(p: np.ndarray, grad, lr: float, weight_decay: float) -> np.ndarray:
+    """One SGD update of the flat parameter vector ``p``, in place, from a
+    ``loss_and_grads`` gradient in the same layout; returns ``p``.  The
+    update is ``p -= lr * (grad + weight_decay * p)``.  A ``p`` that is not
+    a writeable vector, or a gradient of another shape, raises
+    ``ContractError`` before anything is written; a non-finite updated
+    parameter raises ``NumericError``."""
+    if not isinstance(p, np.ndarray) or p.ndim != 1 or not p.flags.writeable:
+        raise ContractError("the update needs a writeable parameter vector")
     if not isinstance(grad, np.ndarray) or grad.shape != p.shape:
         raise ContractError(f"expected a flat vector of {p.size} gradients, "
                             f"got {getattr(grad, 'shape', type(grad).__name__)}")
-    if (not isinstance(out, np.ndarray) or out.shape != p.shape or not out.flags.writeable
-            or np.may_share_memory(out, p) or np.may_share_memory(out, grad)):
-        raise ContractError(f"the update needs a writeable vector of {p.size} values that "
-                            f"overlaps neither the parameters nor the gradient")
-    np.multiply(p, weight_decay, out=out)
-    out += grad
-    out *= lr
-    np.subtract(p, out, out=out)
-    if not np.isfinite(out).all():
+    p -= lr * (grad + weight_decay * p)
+    if not np.isfinite(p).all():
         raise NumericError("non-finite values in updated parameters")
-    return out
+    return p
 
 
 def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConfig,
@@ -297,12 +290,11 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     model and ``lambda_kd > 0``, KD on the batch plus its replay rows, at
     the epoch's cosine learning rate.
 
-    The parameters live in two vectors, the first packed from ``state``,
-    and in one state per vector whose parameters are read-only views of it,
-    both built once.  Each step ``sgd_step`` writes the update of the
-    current vector into the other one, and the loop switches states, so no
-    step allocates a vector or a state.  The vector of the returned state
-    is made read-only; nothing writes it again.  A distilling step takes
+    The parameters live in one vector packed from ``state``, and in one
+    state whose parameters are read-only views of it, both built once.
+    Each step ``sgd_step`` updates the vector in place, so no step builds a
+    state.  The returned state is that one, and its vector is made
+    read-only; nothing writes it again.  A distilling step takes
     the frozen model's logits of its batch from ``frozen_logits_by_chunk``
     of the task's rows in chunks of ``batch_new``, computed at the first
     such step, and those of its replay rows from one call over them.
@@ -319,11 +311,8 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     x = task_data.x
     lrs = [cosine_lr(optim_cfg.lr, epoch, optim_cfg.epochs) for epoch in range(optim_cfg.epochs)]
     totals = [[0.0, 0.0, 0] for _ in lrs]  # per epoch: CE sum, KD sum, steps
-    packed = np.concatenate(M.trainable_params(state), axis=None)
-    vectors = (packed, np.empty_like(packed))
-    states = tuple(M.with_params(state, M.param_views(state, _read_only_view(v)))
-                   for v in vectors)
-    cur = 0
+    vector = np.concatenate(M.trainable_params(state), axis=None)
+    stepped = M.with_params(state, M.param_views(state, _read_only_view(vector)))
     distill = state.frozen is not None and loss_cfg.lambda_kd > 0.0
     cached = None  # the frozen logits of every task row, once a step needs them
     with closing(steps):
@@ -336,16 +325,15 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
                 if replay is not None:
                     prev = np.concatenate([prev, frozen_logits(state.frozen, replay)])
                 kd = (prev, replay)
-            ce, kd_value, grads = loss_and_grads(states[cur], x[batch], y_rel[batch], loss_cfg, kd)
-            sgd_step(vectors[cur], grads, lrs[epoch], optim_cfg.weight_decay, vectors[1 - cur])
-            cur = 1 - cur
+            ce, kd_value, grads = loss_and_grads(stepped, x[batch], y_rel[batch], loss_cfg, kd)
+            sgd_step(vector, grads, lrs[epoch], optim_cfg.weight_decay)
             total = totals[epoch]
             total[0] += ce
             total[1] += kd_value
             total[2] += 1
-    vectors[cur].flags.writeable = False
-    return states[cur], [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / n, "kd_loss": kd_sum / n}
-                         for epoch, (lr, (ce_sum, kd_sum, n)) in enumerate(zip(lrs, totals))]
+    vector.flags.writeable = False
+    return stepped, [{"epoch": epoch, "lr": lr, "ce_loss": ce_sum / n, "kd_loss": kd_sum / n}
+                     for epoch, (lr, (ce_sum, kd_sum, n)) in enumerate(zip(lrs, totals))]
 
 
 def _read_only_view(a: np.ndarray) -> np.ndarray:

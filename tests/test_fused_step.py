@@ -45,10 +45,10 @@ def flat(arrays):
 
 
 def stepped_state(state, grad, lr, weight_decay):
-    """``state`` after one ``sgd_step``, rebuilt as the training loop does:
-    its parameters become read-only views of the updated vector."""
+    """``state`` after one ``sgd_step``, as the training loop leaves it: its
+    parameters are read-only views of the updated vector."""
     p = flat(M.trainable_params(state))
-    p = TR.sgd_step(p, grad, lr, weight_decay, np.empty_like(p))
+    p = TR.sgd_step(p, grad, lr, weight_decay)
     p.flags.writeable = False
     return M.with_params(state, M.param_views(state, p))
 
@@ -428,7 +428,7 @@ def test_contract_errors_kept():
         TR._kd_vjp(np.zeros((4, 3)), np.zeros((4, 2)), 2.0, 1.0)
     with pytest.raises(ContractError, match="gradients"):
         p = flat(M.trainable_params(state))
-        TR.sgd_step(p, [], 0.1, 0.0, np.empty_like(p))
+        TR.sgd_step(p, [], 0.1, 0.0)
 
 
 def test_overflow_raises_numeric_error_through_run_task():

@@ -739,7 +739,8 @@ def test_cli_sweep_gives_distinct_values_distinct_run_directories(tmp_path, caps
                     + cli_args(tmp_path)) == 0
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
         "sweep_a1.0000001_n1", "sweep_a1.0000002_n1"]
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert "alpha=1.0000001 " in out and "alpha=1.0000002 " in out
 
 
 @pytest.mark.parametrize("grid,flag,value", [

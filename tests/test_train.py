@@ -15,7 +15,7 @@ from advreplay import model as M
 from advreplay import replay as R
 from advreplay import tensor as T
 from advreplay import train as TR
-from advreplay.errors import ContractError, EngineError, NumericError, StatsError
+from advreplay.errors import ConfigError, ContractError, EngineError, NumericError, StatsError
 from advreplay.tensor import Tensor
 
 
@@ -199,13 +199,12 @@ def test_sgd_step_writes_read_only_finite_params():
     stepped = stepped_state(state, grads, 0.1, 2e-4)
     assert all(not p.flags.writeable for p in M.trainable_params(stepped))
     p = flat(M.trainable_params(state))
-    before = p.tobytes()
-    out = np.empty_like(p)
-    assert TR.sgd_step(p, grads, 0.1, 2e-4, out) is out
-    assert p.tobytes() == before  # the input vector is never written
+    want = p - 0.1 * (grads + 2e-4 * p)
+    assert TR.sgd_step(p, grads, 0.1, 2e-4) is p
+    assert p.tobytes() == want.tobytes()  # updated in place
     M.param_views(state, grads)[0][...] = 1e308  # times lr 10: an overflowing update
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
-        TR.sgd_step(p, grads, 10.0, 2e-4, out)
+        TR.sgd_step(p, grads, 10.0, 2e-4)
 
 
 def test_sgd_steps_across_head_growth_equal_per_array_update():
@@ -254,13 +253,39 @@ def test_stepped_params_are_read_only_views_of_one_vector():
         assert offset == vector.size
         with pytest.raises(ContractError, match="flat vector"):
             M.param_views(stepped, vector[:-1])
-    # the next step writes a new vector and leaves this one as it was
+    # the returned vector is read-only: a step on it raises and writes nothing
     x = stream.train[1].x[:8]
     grad = TR.loss_and_grads(trained, x, [0, 1] * 4, TR.LossConfig(), kd_batch(trained, x))[2]
     before = vector.tobytes()
-    again = TR.sgd_step(vector, grad, 0.1, 2e-4, np.empty_like(vector))
-    assert not np.shares_memory(again, vector)
+    with pytest.raises(ContractError, match="writeable parameter vector"):
+        TR.sgd_step(vector, grad, 0.1, 2e-4)
     assert vector.tobytes() == before
+
+
+def test_every_step_of_a_task_updates_the_returned_vector(monkeypatch):
+    """``_fit`` steps one vector in place: every step of a replaying task
+    reads its parameters as views of that one vector, which is the
+    read-only vector of the state ``run_task`` returns."""
+    state, stream, rng = small_world(seed=29)
+    stats = TR.compute_class_stats(state.extractor, stream.train[0])
+    protos = {c: mu for c, (mu, _) in stats.items()}
+    state = M.begin_task(state, stream.class_groups[1], rng)
+    bank, centers = replay_inputs(state, stream.train[1], protos, 8, 3)
+    seen = []
+    loss_and_grads = TR.loss_and_grads
+
+    def spy(stepped, *args):
+        seen.append(M.trainable_params(stepped)[0].base)
+        return loss_and_grads(stepped, *args)
+
+    monkeypatch.setattr(TR, "loss_and_grads", spy)
+    trained, _ = TR.run_task(state, stream.train[1], bank, centers, 0.5, TR.LossConfig(),
+                             TR.OptimConfig(epochs=2, batch_new=16),
+                             R.AttackConfig(alpha=1.0, n_attack=1), np.random.default_rng(4))
+    vector = M.trainable_params(trained)[0].base
+    assert len(seen) == 2 * -(-len(stream.train[1]) // 16)
+    assert all(v is vector for v in seen)
+    assert not vector.flags.writeable
 
 
 def test_a_returned_state_is_never_written_again():
@@ -288,28 +313,41 @@ def test_a_returned_state_is_never_written_again():
         assert not M.trainable_params(done)[0].base.flags.writeable
 
 
-def test_sgd_step_destination_contract():
-    """``sgd_step`` writes only a writeable vector of the parameters' shape
-    that overlaps neither the parameters nor the gradient; the gradient's
-    shape and the update's finiteness are still checked."""
+def test_sgd_step_parameter_contract():
+    """``sgd_step`` updates only a writeable parameter vector, and only from
+    a gradient of its shape; either fault raises before anything is
+    written.  A non-finite update still raises."""
     rng = np.random.default_rng(28)
-    buf = rng.normal(size=40)
-    p, grad = buf[:16], rng.normal(size=16)
-    before = buf.tobytes()
-    read_only = np.empty(16)
+    p, grad = rng.normal(size=16), rng.normal(size=16)
+    before = p.tobytes()
+    read_only = p.copy()
     read_only.flags.writeable = False
-    for out in (p, buf[8:24], buf[15:31], grad, np.empty(15), np.empty((4, 4)), read_only,
-                list(range(16))):
-        with pytest.raises(ContractError, match="overlaps neither"):
-            TR.sgd_step(p, grad, 0.1, 2e-4, out)
-    assert buf.tobytes() == before
-    out = buf[16:32]  # next to p, not over it
-    assert TR.sgd_step(p, grad, 0.1, 2e-4, out) is out
-    assert out.tobytes() == (p - 0.1 * (grad + 2e-4 * p)).tobytes()
-    with pytest.raises(ContractError, match="16 gradients"):
-        TR.sgd_step(p, grad[:15], 0.1, 2e-4, np.empty(16))
+    for bad in (read_only, p.reshape(4, 4), list(p)):
+        with pytest.raises(ContractError, match="writeable parameter vector"):
+            TR.sgd_step(bad, grad, 0.1, 2e-4)
+    assert read_only.tobytes() == before
+    for bad in (grad[:15], grad.reshape(4, 4), list(grad)):
+        with pytest.raises(ContractError, match="16 gradients"):
+            TR.sgd_step(p, bad, 0.1, 2e-4)
+    assert p.tobytes() == before
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="updated parameters"):
-        TR.sgd_step(p, np.full(16, 1e308), 10.0, 2e-4, np.empty(16))
+        TR.sgd_step(p, np.full(16, 1e308), 10.0, 2e-4)
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (TR.LossConfig, "lambda_kd", -1.0),
+    (TR.LossConfig, "kd_temperature", 0.0),
+    (TR.LossConfig, "ce_temperature", -1.0),
+    (TR.OptimConfig, "lr", -0.01),
+    (TR.OptimConfig, "epochs", 0),
+    (TR.OptimConfig, "batch_new", 0),
+    (TR.OptimConfig, "batch_replay", 0),
+])
+def test_loss_and_optim_configs_reject_out_of_range_fields(config, field, value):
+    """Direct callers, which skip ``config.SCHEMA``, get a ``ConfigError``
+    too, not a ``range`` ``ValueError`` or a ``ZeroDivisionError`` later."""
+    with pytest.raises(ConfigError):
+        config(**{field: value})
 
 
 def test_nan_in_any_gradient_block_raises():
@@ -323,8 +361,8 @@ def test_nan_in_any_gradient_block_raises():
         bad = grad.copy()
         M.param_views(state, bad)[block].ravel()[-1] = np.nan
         with pytest.raises(NumericError, match="updated parameters"):
-            TR.sgd_step(flat(M.trainable_params(state)), bad, 0.1, 2e-4, np.empty(grad.size))
-    TR.sgd_step(flat(M.trainable_params(state)), grad, 0.1, 2e-4, np.empty(grad.size))
+            TR.sgd_step(flat(M.trainable_params(state)), bad, 0.1, 2e-4)
+    TR.sgd_step(flat(M.trainable_params(state)), grad, 0.1, 2e-4)
 
 
 def test_run_task_is_deterministic():
