@@ -100,6 +100,11 @@ class PrototypeStore:
         return _Covariances(self.entries)
 
     def compress_all(self, k: int) -> None:
+        """Every class as its rank-k SVD.  A class stored below rank k is
+        refused before any class changes: it would gain only zeros."""
+        for cid, e in sorted(self.entries.items()):
+            if e.rank is not None and e.rank < k:
+                raise ConfigError(f"class {cid} is stored at rank {e.rank}, below k={k}")
         self.entries = {cid: StoreEntry.build(e.mu, e.cov, k, e.created_task, e.calibrated_task)
                         for cid, e in self.entries.items()}
 
@@ -275,34 +280,28 @@ def decomposed_scalars(d: int, k: int) -> int:
 # -- shrinkage tuning -------------------------------------------------------------------
 
 
-def tune_shrinkage(store: PrototypeStore, extractor: M.ExtractorParams,
-                   val_set: D.LabeledSet, grid=GAMMA_GRID, scorer=None):
-    """Grid-search gamma by Mahalanobis accuracy on the validation split.
+def tune_shrinkage(scorer, extractor: M.ExtractorParams, val_set: D.LabeledSet, grid):
+    """Grid-search gamma by Mahalanobis accuracy on the validation split,
+    through ``scorer``, a ``classify.MahalanobisScorer`` over the store.
 
     Both shrinkage weights take the same grid value, so the result is a
     ``(gamma, gamma)`` pair.  Ties break toward the smaller gamma (scan
     order).  Only data tagged as a validation split is accepted, so test data
-    can never leak in here.  One scorer serves the whole grid
-    (``MahalanobisScorer.scan``); each full class is eigendecomposed once.
-    A caller that evaluates with the tuned gamma passes its ``scorer`` over
-    ``store`` so that one build serves both.
+    can never leak in here.  The scorer serves the whole grid
+    (``MahalanobisScorer.scan``), and then the caller's predictions at the
+    tuned pair.
     """
     grid = tuple(grid)
     if not grid:
         raise ConfigError("empty shrinkage grid")
     if val_set.split != "val":
         raise ContractError(f"shrinkage tuning requires the val split, got {val_set.split!r}")
-    missing = set(store.class_ids()) - set(val_set.y)
+    missing = set(scorer.ids) - set(val_set.y)
     if missing:
         raise ContractError(f"val split lacks classes {sorted(missing)}")
 
-    from . import classify  # local import: classify depends on this module
-
     feats = M.features(extractor, val_set.x)
     labels = np.asarray(val_set.y)
-    if scorer is None:
-        scorer = classify.MahalanobisScorer(store, grid[0], grid[0])
-
     best, best_acc = None, -1.0
     for g, pred in zip(grid, scorer.scan(feats, [(g, g) for g in grid])):
         acc = float(np.mean(pred == labels))

@@ -53,12 +53,12 @@ class MahalanobisScorer:
       one d x k GEMM per shrinkage.  The scorer keeps U, lam, diag, v1 and
       v2 of such a class, and no d x d array.
 
-    ``distances`` and ``predict`` use the constructor's shrinkage unless
-    given a ``(gamma1, gamma2)`` pair; ``scan`` predicts for a whole grid.
+    Built from the store alone, ``distances`` and ``predict`` score at the
+    ``(gamma1, gamma2)`` pair they are given; ``scan`` predicts for a grid.
     Both score through ``_scored``, so a scanned prediction is ``predict``'s.
     """
 
-    def __init__(self, store: C.PrototypeStore, gamma1: float, gamma2: float):
+    def __init__(self, store: C.PrototypeStore):
         if not store.class_ids():
             raise ContractError("prototype store is empty")
         self.ids = store.class_ids()
@@ -88,11 +88,6 @@ class MahalanobisScorer:
         self._diag_min = self._diag.min(axis=1)
         self._sum_weights = np.stack(
             [self._diag - self._diag_min[:, None], np.ones(self._diag.shape)], axis=2)
-        self._default = self._factors(gamma1, gamma2)
-
-    def _shift(self, gamma1: float, gamma2: float) -> np.ndarray:
-        """Per-class shrinkage ``c = gamma1 v1 + gamma2 v2``."""
-        return gamma1 * self._v[:, 0] + gamma2 * self._v[:, 1]
 
     def _factors(self, gamma1: float, gamma2: float):
         """Per full class (in ``_full`` order) the ``D^1/2`` and
@@ -102,7 +97,7 @@ class MahalanobisScorer:
         its largest, or a non-positive entry of ``diag + c``, is rejected as
         not positive definite, as a Cholesky factorization of it would be.
         """
-        c = self._shift(gamma1, gamma2)
+        c = gamma1 * self._v[:, 0] + gamma2 * self._v[:, 1]  # per class
         scale = self._diag + c[:, None]
         floor = scale.shape[1] * np.finfo(np.float64).eps * (self._high + c)
         bad = (self._low + c <= floor) | (scale <= 0.0).any(axis=1)
@@ -141,14 +136,14 @@ class MahalanobisScorer:
                 for g, fac in enumerate(factors):
                     yield j, g, self._lowrank_sq_norms(j, centered, sums, fac[2][j])
 
-    def distances(self, feats: np.ndarray, gamma=None) -> np.ndarray:
-        factors = self._default if gamma is None else self._factors(*gamma)
+    def distances(self, feats: np.ndarray, gamma) -> np.ndarray:
+        """Distances of ``feats`` to every class at the pair ``gamma``."""
         out = np.empty((len(feats), len(self.ids)))
-        for j, _, dist in self._scored(feats, [factors]):
+        for j, _, dist in self._scored(feats, [self._factors(*gamma)]):
             out[:, j] = dist
         return out
 
-    def predict(self, feats: np.ndarray, gamma=None) -> np.ndarray:
+    def predict(self, feats: np.ndarray, gamma) -> np.ndarray:
         """Nearest class id per row; ties resolve to the smallest class id."""
         return np.asarray(self.ids)[self.distances(feats, gamma).argmin(axis=1)]
 
@@ -170,27 +165,21 @@ class MahalanobisScorer:
         return np.asarray(self.ids)[arg]
 
 
-def predict_mahalanobis(store: C.PrototypeStore, feats: np.ndarray, gamma1: float,
-                        gamma2: float, scorer: MahalanobisScorer | None = None) -> np.ndarray:
-    """Mahalanobis predictions for the features ``feats`` at ``(gamma1,
-    gamma2)``, through ``scorer`` when the caller already built one over
-    ``store``."""
-    if scorer is None:
-        scorer = MahalanobisScorer(store, gamma1, gamma2)
-    return scorer.predict(feats, (gamma1, gamma2))
-
-
 def predict(kind: str, state: M.ModelState, store: C.PrototypeStore | None,
-            feats: np.ndarray, gamma1: float = 1.0, gamma2: float = 1.0,
+            feats: np.ndarray, gamma: tuple | None = None,
             scorer: MahalanobisScorer | None = None) -> np.ndarray:
     """``kind``'s predictions for the features ``feats`` of
-    ``state.extractor``."""
+    ``state.extractor``.  Mahalanobis scores at the ``(gamma1, gamma2)``
+    pair ``gamma`` through ``scorer``, or through one built over ``store``
+    when the caller holds none."""
     if kind == "linear":
         return predict_linear(state, feats)
     if kind == "ncm":
         return predict_ncm(store, feats)
     if kind == "mahalanobis":
-        return predict_mahalanobis(store, feats, gamma1, gamma2, scorer)
+        if gamma is None:
+            raise ContractError("Mahalanobis prediction needs a (gamma1, gamma2) pair")
+        return (scorer or MahalanobisScorer(store)).predict(feats, gamma)
     raise ContractError(f"unknown classifier {kind!r}")
 
 

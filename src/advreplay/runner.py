@@ -318,14 +318,13 @@ def evaluation(config: dict, stream: D.TaskStream, state: M.ModelState,
     classifier's per-group test accuracies after task ``t``."""
     gamma = scorer = None
     if "mahalanobis" in config["classifiers"]:
-        grid = tuple(config["shrinkage"]["grid"])
         vals = stream.val[:t + 1]
         val = D.LabeledSet(np.concatenate([v.x for v in vals]),
                            tuple(y for v in vals for y in v.y), "val")
-        # one scorer per task serves both the grid scan and the eval
-        scorer = _stage("shrinkage-tuning", CL.MahalanobisScorer, store, grid[0], grid[0])
-        gamma = _stage("shrinkage-tuning", C.tune_shrinkage, store, state.extractor, val,
-                       grid, scorer)
+        # one scorer per task serves the grid scan and the eval at the tuned pair
+        scorer = _stage("shrinkage-tuning", CL.MahalanobisScorer, store)
+        gamma = _stage("shrinkage-tuning", C.tune_shrinkage, scorer, state.extractor, val,
+                       config["shrinkage"]["grid"])
     # every seen group in one extractor pass, shared by every classifier
     tests = stream.test[:t + 1]
     feats = _stage("eval-features", M.features, state.extractor,
@@ -333,8 +332,7 @@ def evaluation(config: dict, stream: D.TaskStream, state: M.ModelState,
     ends = np.cumsum([len(test) for test in tests])[:-1]
     accuracies = {}
     for name in config["classifiers"]:
-        pred = _stage(f"eval-{name}", CL.predict, name, state, store, feats,
-                      *(gamma if gamma else (1.0, 1.0)), scorer=scorer)
+        pred = _stage(f"eval-{name}", CL.predict, name, state, store, feats, gamma, scorer)
         accuracies[name] = [float(np.mean(group_pred == np.asarray(test.y)))
                             for test, group_pred in zip(tests, np.split(pred, ends))]
     return gamma, accuracies

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from advreplay import calib as C
+from advreplay import classify as CL
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
@@ -299,6 +300,19 @@ def test_compress_all_rebuilds_every_entry():
     assert old[0].rank is None and old[1].rank == 4
 
 
+def test_compress_all_refuses_a_rank_above_a_stored_rank():
+    rng = np.random.default_rng(8)
+    store = C.PrototypeStore()
+    store.add(0, rng.normal(size=6), random_spd(rng, 6), task=0)
+    store.add(1, rng.normal(size=6), random_spd(rng, 6), task=0, svd_k=2)
+    old = dict(store.entries)
+    with pytest.raises(ConfigError, match=r"^class 1 is stored at rank 2, below k=5$"):
+        store.compress_all(5)
+    assert store.entries == old
+    store.compress_all(2)
+    assert [e.rank for e in store.entries.values()] == [2, 2]
+
+
 # -- shrink / normalize ---------------------------------------------------------------
 
 
@@ -354,8 +368,9 @@ def test_tune_shrinkage_on_large_scale_rank_k_store():
             for cid in range(classes):
                 rows = scale * x[y == cid]
                 store.add(cid, rows.mean(axis=0), np.cov(rows.T), task=0, svd_k=k)
-            tuned[scale, k] = C.tune_shrinkage(store, identity_extractor(d),
-                                               D.LabeledSet(scale * x, tuple(y.tolist()), "val"))
+            tuned[scale, k] = C.tune_shrinkage(CL.MahalanobisScorer(store), identity_extractor(d),
+                                               D.LabeledSet(scale * x, tuple(y.tolist()), "val"),
+                                               C.GAMMA_GRID)
     cov = store.entries[0].cov
     assert np.max(np.abs(cov - cov.T)) > 1e-9
     assert tuned[1.0, None] == tuned[1e4, None] and tuned[1.0, 4] == tuned[1e4, 4]
@@ -423,32 +438,32 @@ def tuned_world(rng):
         store.add(cid, mu, cov, task=0)
     val_x = np.concatenate([stream.val[0].x, stream.val[1].x])
     val = D.LabeledSet(val_x, stream.val[0].y + stream.val[1].y, "val")
-    return store, extractor, val
+    return CL.MahalanobisScorer(store), extractor, val
 
 
 def test_tune_single_candidate_grid():
-    store, extractor, val = tuned_world(np.random.default_rng(8))
-    assert C.tune_shrinkage(store, extractor, val, grid=(24,)) == (24.0, 24.0)
+    scorer, extractor, val = tuned_world(np.random.default_rng(8))
+    assert C.tune_shrinkage(scorer, extractor, val, (24,)) == (24.0, 24.0)
 
 
 def test_tune_flat_accuracy_prefers_smallest_gamma():
-    store, extractor, val = tuned_world(np.random.default_rng(9))
+    scorer, extractor, val = tuned_world(np.random.default_rng(9))
     # well-separated identity-like clusters: accuracy saturates across the grid
-    g1, g2 = C.tune_shrinkage(store, extractor, val)
+    g1, g2 = C.tune_shrinkage(scorer, extractor, val, C.GAMMA_GRID)
     assert (g1, g2) == (1.0, 1.0)
 
 
 def test_tune_rejects_test_split():
-    store, extractor, val = tuned_world(np.random.default_rng(10))
+    scorer, extractor, val = tuned_world(np.random.default_rng(10))
     test_tagged = D.LabeledSet(val.x, val.y, "test")
     with pytest.raises(ContractError):
-        C.tune_shrinkage(store, extractor, test_tagged)
+        C.tune_shrinkage(scorer, extractor, test_tagged, C.GAMMA_GRID)
 
 
 def test_tune_rejects_empty_grid():
-    store, extractor, val = tuned_world(np.random.default_rng(11))
+    scorer, extractor, val = tuned_world(np.random.default_rng(11))
     with pytest.raises(ConfigError):
-        C.tune_shrinkage(store, extractor, val, grid=())
+        C.tune_shrinkage(scorer, extractor, val, ())
 
 
 # -- store persistence ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ public module-level function and class to be referenced by engine code
 (names in docstrings and comments do not count, nor does a definition's
 reference to itself), named in ``perfbench/tracing.LAYERS``, or listed
 below with the reason it is kept.  Exporting a name in ``__all__`` does not
-count as a call.
+count as a call.  A second test requires the modules' relative imports,
+function-level ones included, to form no cycle.
 """
 
 import ast
@@ -73,3 +74,34 @@ def test_every_public_engine_name_has_a_caller():
     assert not stale, f"allowlisted names that are gone or now have a caller: {stale}"
     uncalled = sorted(defined - used - set(KEPT))
     assert not uncalled, f"public engine names nothing calls: {uncalled}"
+
+
+def relative_imports(tree):
+    """Engine modules one module imports, function-level imports included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {alias.name for alias in node.names} if node.module is None \
+                else {node.module}
+    return found
+
+
+def test_engine_modules_import_no_cycle():
+    graph = {path.stem: relative_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError(f"import cycle: {' -> '.join(cycle)}")
+        if module in done or module not in graph:
+            return
+        path.append(module)
+        for target in sorted(graph[module]):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in graph:
+        visit(module)

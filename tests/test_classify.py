@@ -31,7 +31,7 @@ def test_identity_covariance_mahalanobis_equals_ncm():
     store = store_from(mus, [np.eye(3)] * 4)
     x = rng.normal(size=(50, 3)) * 3.0
     ncm = CL.predict_ncm(store, x)
-    maha = CL.predict_mahalanobis(store, x, 1.0, 1.0)
+    maha = CL.MahalanobisScorer(store).predict(x, (1.0, 1.0))
     np.testing.assert_array_equal(ncm, maha)
 
 
@@ -42,7 +42,7 @@ def test_exact_prototype_hit_returns_class():
     store = store_from(mus, covs)
     x = mus[1][None, :]
     assert CL.predict_ncm(store, x)[0] == 1
-    assert CL.predict_mahalanobis(store, x, 1.0, 1.0)[0] == 1
+    assert CL.MahalanobisScorer(store).predict(x, (1.0, 1.0))[0] == 1
 
 
 def test_mahalanobis_matches_bruteforce_enumeration():
@@ -54,7 +54,7 @@ def test_mahalanobis_matches_bruteforce_enumeration():
         covs.append(a @ a.T + 0.5 * np.eye(2))
     store = store_from(mus, covs)
     x = rng.normal(size=(100, 2)) * 2.5
-    pred = CL.predict_mahalanobis(store, x, 1.0, 1.0)
+    pred = CL.MahalanobisScorer(store).predict(x, (1.0, 1.0))
 
     # brute force: explicit inverse per class, loop over points
     shrunk = [C.shrink_normalize(cov, 1.0, 1.0) for cov in covs]
@@ -73,9 +73,9 @@ def test_distance_rescaling_invariance():
     rng = np.random.default_rng(3)
     mus = rng.normal(size=(3, 4))
     covs = [np.eye(4)] * 3
-    scorer = CL.MahalanobisScorer(store_from(mus, covs), 1.0, 1.0)
+    scorer = CL.MahalanobisScorer(store_from(mus, covs))
     feats = rng.normal(size=(20, 4))
-    base = scorer.distances(feats)
+    base = scorer.distances(feats, (1.0, 1.0))
     for c in (0.5, 3.0, 1e6):
         np.testing.assert_array_equal(base.argmin(axis=1), (c * base).argmin(axis=1))
 
@@ -103,7 +103,7 @@ def test_distances_match_solve_reference(d, gamma):
     mus = rng.normal(size=(5, d))
     store = store_from(mus, [random_spd(rng, d) for _ in range(5)])
     feats = rng.normal(size=(300, d)) * 1.5
-    got = CL.MahalanobisScorer(store, gamma, gamma).distances(feats)
+    got = CL.MahalanobisScorer(store).distances(feats, (gamma, gamma))
     want = solve_reference_distances(store, gamma, gamma, feats)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
@@ -117,7 +117,7 @@ def test_distances_match_solve_reference_on_svd_store():
         store.add(cid, rng.normal(size=d), random_spd(rng, d), task=0, svd_k=k)
     feats = rng.normal(size=(200, d))
     for gamma in (1.0, 24.0):
-        got = CL.MahalanobisScorer(store, gamma, gamma).distances(feats)
+        got = CL.MahalanobisScorer(store).distances(feats, (gamma, gamma))
         want = solve_reference_distances(store, gamma, gamma, feats)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
@@ -139,12 +139,9 @@ def test_unequal_gammas_match_solve_reference(svd_k, gamma):
     store = anisotropic_store(rng, 24, 5, svd_k)
     feats = rng.normal(size=(150, 24))
     want = solve_reference_distances(store, *gamma, feats)
-    built = CL.MahalanobisScorer(store, *gamma)
-    other = CL.MahalanobisScorer(store, 1.0, 1.0)  # constructor gamma overridden per call
-    for got in (built.distances(feats), other.distances(feats, gamma)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
-    np.testing.assert_array_equal(other.predict(feats, gamma), built.predict(feats))
+    got = CL.MahalanobisScorer(store).distances(feats, gamma)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
 
 
 def test_scan_equals_predict_per_gamma():
@@ -156,7 +153,7 @@ def test_scan_equals_predict_per_gamma():
         rng = np.random.default_rng(seed)
         store = anisotropic_store(rng, d, 6, svd_k=svd_k)
         feats = rng.normal(size=(120, d)) * 1.5
-        scorer = CL.MahalanobisScorer(store, *grid[0])
+        scorer = CL.MahalanobisScorer(store)
         rows = scorer.scan(feats, grid)
         assert rows.shape == (len(grid), len(feats))
         for gamma, row in zip(grid, rows):
@@ -188,7 +185,8 @@ def test_tune_shrinkage_scan_matches_per_gamma_rebuild(svd_k):
     first_best = int(np.argmax(accuracies))  # ties go to the smallest gamma
     assert first_best > 0 and accuracies.count(accuracies[first_best]) > 1
     best = float(C.GAMMA_GRID[first_best])
-    assert C.tune_shrinkage(store, identity_extractor(d), val) == (best, best)
+    assert C.tune_shrinkage(CL.MahalanobisScorer(store), identity_extractor(d), val,
+                            C.GAMMA_GRID) == (best, best)
 
 
 def test_tied_classes_resolve_to_smaller_id():
@@ -198,10 +196,10 @@ def test_tied_classes_resolve_to_smaller_id():
     for cid in (7, 3, 11):  # 3 and 7 are the same class twice; 11 is far away
         store.add(cid, mu + (50.0 if cid == 11 else 0.0), cov, task=0)
     feats = mu + rng.normal(size=(30, 4))
-    scorer = CL.MahalanobisScorer(store, 1.0, 1.0)
-    dist = scorer.distances(feats)
+    scorer = CL.MahalanobisScorer(store)
+    dist = scorer.distances(feats, (1.0, 1.0))
     np.testing.assert_array_equal(dist[:, 0], dist[:, 1])
-    assert set(scorer.predict(feats)) == {3}
+    assert set(scorer.predict(feats, (1.0, 1.0))) == {3}
     assert set(scorer.scan(feats, [(1.0, 1.0), (24.0, 24.0)]).ravel()) == {3}
 
 
@@ -265,7 +263,7 @@ def test_scan_equals_distances_argmin_property(case):
     ``predict`` equals the ``eigh`` kernel's on the recomposed covariances
     wherever that kernel's two best distances are more than 1e-9 apart."""
     store, feats, gammas = case
-    scorer = CL.MahalanobisScorer(store, *gammas[0])
+    scorer = CL.MahalanobisScorer(store)
     try:
         want = [scorer.predict(feats, g) for g in gammas]
     except NumericError:  # a pair that leaves some class not positive definite
@@ -278,7 +276,7 @@ def test_scan_equals_distances_argmin_property(case):
     ids, reference = np.asarray(store.class_ids()), recomposed_full_store(store)
     for gamma, pred in zip(gammas, want):
         try:
-            ref = CL.MahalanobisScorer(reference, *gamma).distances(feats)
+            ref = CL.MahalanobisScorer(reference).distances(feats, gamma)
         except NumericError:
             continue
         two = np.sort(ref, axis=1)[:, :2]
@@ -314,8 +312,8 @@ def test_rank_k_scorer_and_tuning_peak_memory():
     store, val = rank_k_world()
     tracemalloc.start()
     try:
-        scorer = CL.MahalanobisScorer(store, 1.0, 1.0)
-        C.tune_shrinkage(store, identity_extractor(64), val, scorer=scorer)
+        scorer = CL.MahalanobisScorer(store)
+        C.tune_shrinkage(scorer, identity_extractor(64), val, C.GAMMA_GRID)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -325,8 +323,11 @@ def test_rank_k_scorer_and_tuning_peak_memory():
 def test_singular_covariance_names_class():
     store = store_from([[0.0, 0.0], [1.0, 1.0]],
                        [np.ones((2, 2)), np.eye(2)])
+    scorer = CL.MahalanobisScorer(store)
     with pytest.raises(NumericError, match="class 0"):
-        CL.MahalanobisScorer(store, 0.0, 0.0)
+        scorer.distances(np.zeros((1, 2)), (0.0, 0.0))
+    with pytest.raises(NumericError, match="class 0"):
+        scorer.scan(np.zeros((1, 2)), [(1.0, 1.0), (0.0, 0.0)])
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -337,8 +338,35 @@ def test_rank_deficient_covariance_without_shrinkage_rejected(seed):
     d = int(rng.integers(2, 9))
     a = rng.normal(size=(d, int(rng.integers(1, d)))) * rng.uniform(0.1, 10.0)
     store = store_from([np.zeros(d), np.ones(d)], [np.eye(d), a @ a.T])
+    scorer = CL.MahalanobisScorer(store)
     with pytest.raises(NumericError, match="class 1"):
-        CL.MahalanobisScorer(store, 0.0, 0.0)
+        scorer.distances(np.zeros((1, d)), (0.0, 0.0))
+
+
+def unit_store(classes):
+    store = C.PrototypeStore()
+    for cid in range(classes):
+        store.add(cid, np.full(2, 3.0 * cid), np.eye(2), task=0)
+    return store
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: CL.predict_ncm(C.PrototypeStore(), np.zeros((1, 2))), "prototype store is empty"),
+    (lambda: CL.MahalanobisScorer(C.PrototypeStore()), "prototype store is empty"),
+    (lambda: C.StoreEntry(np.zeros(2), np.eye(2), C.decompose(np.eye(2), 1), 0, 0),
+     "entry needs exactly one covariance representation"),
+    (lambda: C.StoreEntry(np.zeros(2), None, None, 0, 0),
+     "entry needs exactly one covariance representation"),
+    (lambda: C.tune_shrinkage(CL.MahalanobisScorer(unit_store(3)), identity_extractor(2),
+                              D.LabeledSet(np.zeros((2, 2)), (0, 1), "val"), (1,)),
+     r"val split lacks classes \[2\]"),
+    (lambda: CL.predict("mahalanobis", None, unit_store(2), np.zeros((1, 2))),
+     r"Mahalanobis prediction needs a \(gamma1, gamma2\) pair"),
+], ids=["ncm-empty-store", "scorer-empty-store", "entry-both-covariances",
+        "entry-no-covariance", "val-lacks-class", "mahalanobis-without-pair"])
+def test_contract_errors(call, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        call()
 
 
 def test_linear_predicts_by_class_id():

@@ -776,6 +776,16 @@ def test_cli_decompose_counts_stored_scalars_of_an_svd_store(tmp_path, capsys):
     assert "108 -> 84 scalars (77.8%)" in capsys.readouterr().out
 
 
+def test_cli_decompose_refuses_a_rank_above_the_stored_rank(tmp_path, capsys):
+    small_store(tmp_path / "svd2.json", svd_k=2)
+    out = tmp_path / "svd5.json"
+    assert cli.main(["decompose", str(tmp_path / "svd2.json"), "--k", "5",
+                     "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'svd2.json'}: "
+                                       "class 0 is stored at rank 2, below k=5\n")
+    assert not out.exists()
+
+
 def test_cli_unwritable_output_names_the_target(tmp_path, capsys):
     small_store(tmp_path / "store.json")
     target = tmp_path / "missing" / "x.json"
@@ -812,6 +822,17 @@ def test_cli_env_output_root(tmp_path, monkeypatch, capsys):
     assert cli.main(["run"] + args) == 0
     assert (tmp_path / "from_env").exists()
     capsys.readouterr()
+
+
+def test_cli_config_output_root(tmp_path, monkeypatch, capsys):
+    """Without ``--out`` or ``ADVREPLAY_OUT`` the run lands under ``output.dir``."""
+    monkeypatch.delenv("ADVREPLAY_OUT", raising=False)
+    args = []
+    for item in TINY + [f'output.dir="{tmp_path / "from_config"}"']:
+        args += ["--set", item]
+    assert cli.main(["run"] + args) == 0
+    run_dir = Path(capsys.readouterr().out.splitlines()[0].removeprefix("run dir: "))
+    assert tmp_path / "from_config" in run_dir.parents and run_dir.is_dir()
 
 
 def test_cli_bench_three_seeds(tmp_path, capsys):

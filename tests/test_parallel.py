@@ -239,11 +239,11 @@ def failing_task0_tuning(monkeypatch, pids):
     only) and logs the pid of the process that raised."""
     tune = C.tune_shrinkage
 
-    def failing(store, *args, **kwargs):
-        if len(store.class_ids()) == 2:
+    def failing(scorer, *args, **kwargs):
+        if len(scorer.ids) == 2:
             log_pid(pids)
             raise NumericError("non-finite validation scores")
-        return tune(store, *args, **kwargs)
+        return tune(scorer, *args, **kwargs)
 
     monkeypatch.setattr(C, "tune_shrinkage", failing)
 
@@ -451,11 +451,11 @@ def failing_task1_tuning(monkeypatch, pids):
     and logs the pid of the process that raised."""
     tune = C.tune_shrinkage
 
-    def failing(store, *args, **kwargs):
-        if len(store.class_ids()) == 4:
+    def failing(scorer, *args, **kwargs):
+        if len(scorer.ids) == 4:
             log_pid(pids)
             raise NumericError("non-finite validation scores")
-        return tune(store, *args, **kwargs)
+        return tune(scorer, *args, **kwargs)
 
     monkeypatch.setattr(C, "tune_shrinkage", failing)
 

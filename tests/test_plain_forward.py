@@ -390,10 +390,12 @@ def test_forward_only_callers_build_no_tape(monkeypatch):
     store = C.PrototypeStore()
     for cid, (mu, cov) in TR.compute_class_stats(f, train).items():
         store.add(cid, mu, cov, task=0)
-    gamma = C.tune_shrinkage(store, f, val, grid=(1, 8))
+    scorer = CL.MahalanobisScorer(store)
+    gamma = C.tune_shrinkage(scorer, f, val, (1, 8))
     feats = M.features(f, train.x)
     CL.predict("ncm", state, store, feats)
-    CL.predict("mahalanobis", state, store, feats, *gamma)
+    CL.predict("mahalanobis", state, store, feats, gamma, scorer)
+    CL.predict("mahalanobis", state, store, feats, gamma)
     protos = store.prototypes()
     bank = R.build_candidate_set(f, task1, protos, k=4, rng=rng, family=D.AugFamily(input_dim=6))
     centers = np.array([protos[cid] for cid in sorted(protos)])
