@@ -68,9 +68,20 @@ def csv_text(header, rows) -> str:
 
 
 def read_json(path) -> dict:
-    """The JSON object stored in ``path``."""
+    """The JSON object stored in ``path``.  A key repeated within one object
+    raises ``DecodeError`` naming the file and the key: ``json.loads``
+    would keep the last copy and drop the others unseen."""
+
+    def unique(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DecodeError(f"{path}: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as err:
         raise DecodeError(f"{path}: cannot read ({err.strerror})") from None
     except ValueError as err:  # invalid JSON or invalid UTF-8

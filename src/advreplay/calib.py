@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -94,11 +93,6 @@ class PrototypeStore:
     def prototypes(self) -> dict[int, np.ndarray]:
         return {cid: e.mu for cid, e in self.entries.items()}
 
-    def covariances(self) -> Mapping[int, np.ndarray]:
-        """Each class's covariance, formed only when looked up: a rank-k
-        class's d x d matrix lives no longer than its caller holds it."""
-        return _Covariances(self.entries)
-
     def compress_all(self, k: int) -> None:
         """Every class as its rank-k SVD.  A class stored below rank k is
         refused before any class changes: it would gain only zeros."""
@@ -107,20 +101,6 @@ class PrototypeStore:
                 raise ConfigError(f"class {cid} is stored at rank {e.rank}, below k={k}")
         self.entries = {cid: StoreEntry.build(e.mu, e.cov, k, e.created_task, e.calibrated_task)
                         for cid, e in self.entries.items()}
-
-
-class _Covariances(Mapping):
-    def __init__(self, entries: dict[int, StoreEntry]):
-        self._entries = entries
-
-    def __getitem__(self, cid: int) -> np.ndarray:
-        return self._entries[cid].cov
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 # -- drift samples ---------------------------------------------------------------
@@ -285,9 +265,10 @@ def tune_shrinkage(scorer, extractor: M.ExtractorParams, val_set: D.LabeledSet, 
     through ``scorer``, a ``classify.MahalanobisScorer`` over the store.
 
     Both shrinkage weights take the same grid value, so the result is a
-    ``(gamma, gamma)`` pair.  Ties break toward the smaller gamma (scan
-    order).  Only data tagged as a validation split is accepted, so test data
-    can never leak in here.  The scorer serves the whole grid
+    ``(gamma, gamma)`` pair.  Ties go to the earlier grid value, the
+    smaller one in an ascending grid such as ``GAMMA_GRID``.  Only data
+    tagged as a validation split is accepted, so test data can never leak
+    in here.  The scorer serves the whole grid
     (``MahalanobisScorer.scan``), and then the caller's predictions at the
     tuned pair.
     """
@@ -335,11 +316,11 @@ def save_store(store: PrototypeStore, path) -> None:
 
 
 def load_store(path) -> PrototypeStore:
-    """Read a ``save_store`` file.  A file that is not valid JSON, or a class
-    record with a missing, mistyped or misshapen field, raises a
-    ``DecodeError`` naming the file, the class id and the key.  Every class
-    must have the first class's feature width: a ``'mu'`` of another length
-    is misshapen."""
+    """Read a ``save_store`` file.  A file that is not valid JSON, a class
+    id not written as ``str(cid)``, or a class record with a missing,
+    mistyped or misshapen field, raises a ``DecodeError`` naming the file,
+    the class id and the key.  Every class must have the first class's
+    feature width: a ``'mu'`` of another length is misshapen."""
     payload = read_json(path)
     if record_int(payload, "format_version", str(path)) != STORE_VERSION:
         raise DecodeError(f"{path}: unsupported 'format_version' {payload['format_version']}")
@@ -349,10 +330,12 @@ def load_store(path) -> PrototypeStore:
     store, width = PrototypeStore(), None
     for cid_str, rec in classes.items():
         where = f"{path}: class {cid_str}"
-        try:
-            cid = int(cid_str)
-        except ValueError:
-            raise DecodeError(f"{where}: class id is not an integer") from None
+        # only the form save_store writes: int() would also read "01", " 1",
+        # "+1" or "1_0", and two spellings of one class would merge
+        if not re.fullmatch(r"-?(0|[1-9][0-9]*)", cid_str):
+            raise DecodeError(f"{where}: class id is not an integer as save_store "
+                              f"writes one, got {cid_str!r}")
+        cid = int(cid_str)
         if not isinstance(rec, dict):
             raise DecodeError(f"{where}: record is not a JSON object")
         mu = record_array(rec, "mu", (width,), where)

@@ -130,7 +130,7 @@ SCHEMA: dict[str, tuple[object, Rule]] = {
     "covariance.mode": ("full", _one_of("full", "svd")),
     "covariance.svd_k": (8, _int(1)),
     # gamma = 0 leaves a rank-k (SVD) store singular at shrinkage tuning
-    "shrinkage.grid": (list(C.GAMMA_GRID), _list_of(POSITIVE, non_empty=True)),
+    "shrinkage.grid": (list(C.GAMMA_GRID), _list_of(POSITIVE, non_empty=True, distinct=True)),
     "augmentation.enabled": (True, BOOL),
     "augmentation.crop_prob": (0.5, PROBABILITY),
     "augmentation.crop_width_min": (1, _int(0)),

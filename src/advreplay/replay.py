@@ -94,21 +94,21 @@ def build_candidate_set(f_old: M.ExtractorParams, dataset: D.LabeledSet,
 
     Each class draws one policy per sample (classes in ascending id order,
     all drawn before any is replayed), measures the augmented features'
-    distances to its prototype in one replay, and ``assign_nearest`` picks
-    k samples per class under the optional cap.  The bank is the picked
-    samples replayed under their policies in one ``apply_policy`` call.
+    distances to its prototype on one ``apply_policy`` replay of every
+    task row, and ``assign_nearest`` picks k samples per class under the
+    optional cap.  The bank is gathered from those replays, so each picked
+    (sample, policy) pair is replayed once.
     """
     class_ids = sorted(prototypes)
     if not class_ids:
         raise ContractError("no prototypes to sample candidates for")
     n = len(dataset)
     policies = D.sample_policies(rng, family, len(class_ids) * n).reshape(len(class_ids), n)
-    dists = np.empty(policies.shape)
-    for row, (cid, pols) in enumerate(zip(class_ids, policies)):
-        feats = M.features(f_old, D.apply_policy(dataset.x, pols))
-        dists[row] = np.linalg.norm(feats - prototypes[cid], axis=1)
+    rows = np.array([D.apply_policy(dataset.x, pols) for pols in policies])
+    dists = np.array([np.linalg.norm(M.features(f_old, aug) - prototypes[cid], axis=1)
+                      for cid, aug in zip(class_ids, rows)])
     picked = assign_nearest(dists, k, cap, class_ids)
-    return D.apply_policy(dataset.x[picked], np.take_along_axis(policies, picked, axis=1))
+    return np.take_along_axis(rows, picked[..., None], axis=1)
 
 
 # -- prototype noise and the attack --------------------------------------------

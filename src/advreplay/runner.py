@@ -273,7 +273,8 @@ def learn(config: dict, stream: D.TaskStream, state: M.ModelState,
             # the bank's class order
             centers = np.array([prototypes[cid] for cid in sorted(prototypes)])
             if attack_cfg is not None and config["attack"]["noise"]:
-                noise_r = R.noise_magnitude(store.covariances(), config["model"]["feature_dim"])
+                noise_r = R.noise_magnitude({cid: e.cov for cid, e in store.entries.items()},
+                                            config["model"]["feature_dim"])
                 rows.append(("attack", t, "", "noise_r", noise_r))
         trained, epochs = _stage("task-training", TR.run_task, state, stream.train[t],
                                  bank, centers, noise_r, loss_cfg,

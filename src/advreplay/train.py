@@ -296,8 +296,8 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     state.  The returned state is that one, and its vector is made
     read-only; nothing writes it again.  A distilling step takes
     the frozen model's logits of its batch from ``frozen_logits_by_chunk``
-    of the task's rows in chunks of ``batch_new``, computed at the first
-    such step, and those of its replay rows from one call over them.
+    of the task's rows in chunks of ``batch_new``, computed once before the
+    first step, and those of its replay rows from one call over them.
     Returns the trained state and one ``{epoch, lr, ce_loss, kd_loss}``
     row per epoch.
     """
@@ -314,13 +314,12 @@ def _fit(state: M.ModelState, task_data: D.LabeledSet, steps, loss_cfg: LossConf
     vector = np.concatenate(M.trainable_params(state), axis=None)
     stepped = M.with_params(state, M.param_views(state, _read_only_view(vector)))
     distill = state.frozen is not None and loss_cfg.lambda_kd > 0.0
-    cached = None  # the frozen logits of every task row, once a step needs them
     with closing(steps):
+        if distill:  # the frozen logits of every task row
+            cached = frozen_logits_by_chunk(state.frozen, x, optim_cfg.batch_new)
         for epoch, batch, replay in steps:
             kd = None
             if distill:
-                if cached is None:
-                    cached = frozen_logits_by_chunk(state.frozen, x, optim_cfg.batch_new)
                 prev = cached[batch]
                 if replay is not None:
                     prev = np.concatenate([prev, frozen_logits(state.frozen, replay)])

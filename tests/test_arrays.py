@@ -13,8 +13,10 @@ from test_harness import tiny_config
 
 from advreplay import runner
 from advreplay import calib as C
+from advreplay import config as CFG
+from advreplay import model as M
 from advreplay.arrays import csv_text, write_atomic
-from advreplay.errors import ContractError
+from advreplay.errors import ContractError, DecodeError
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -94,3 +96,14 @@ def test_metrics_csv_is_written_whole_at_each_task_boundary(tmp_path, monkeypatc
     for before, after in zip(texts, texts[1:]):
         assert after.startswith(before) and len(after) > len(before)
     assert (result.run_dir / "metrics.csv").read_bytes() == texts[-1].encode("utf-8")
+
+
+@pytest.mark.parametrize("loader", [C.load_store, M.load_checkpoint, CFG.load_config],
+                         ids=["store", "model", "config"])
+def test_a_repeated_json_key_is_a_decode_error_naming_file_and_key(tmp_path, loader):
+    """A key given twice in one object, at any depth, is refused: the JSON
+    decoder alone would keep the last copy."""
+    path = tmp_path / "in.json"
+    path.write_text('{"tasks": {"count": 2, "count": 4}}')
+    with pytest.raises(DecodeError, match=f"^{re.escape(str(path))}: repeated key 'count'$"):
+        loader(path)

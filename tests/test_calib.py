@@ -529,6 +529,12 @@ def _mixed_width_store_text():
     return json.dumps(payload)
 
 
+def _repeated_class_store_text():
+    """Class 4's record under two copies of its key."""
+    rec = json.dumps(json.loads(_store_text())["classes"]["4"])
+    return f'{{"format_version": 1, "classes": {{"4": {rec}, "4": {rec}}}}}'
+
+
 # broken store.json files: (file text, what the DecodeError must name)
 BAD_STORES = {
     "missing-repr": (_store_text(repr=None), "class 4: missing key 'repr'"),
@@ -540,6 +546,12 @@ BAD_STORES = {
     "missing-version": ('{"classes": {}}', "missing key 'format_version'"),
     "classes-list": ('{"format_version": 1, "classes": []}', "malformed key 'classes'"),
     "class-id": (_store_text().replace('"4"', '"four"'), "class four: class id is not an integer"),
+    # spellings int() reads as a class that save_store writes otherwise
+    **{f"class-id-{name}": (_store_text().replace('"4"', f'"{key}"'),
+                            f"class {key}: class id is not an integer")
+       for name, key in [("zero-padded", "04"), ("spaced", " 4"), ("signed", "+4"),
+                         ("underscored", "4_0")]},
+    "repeated-class": (_repeated_class_store_text(), "repeated key '4'"),
     "record-list": ('{"format_version": 1, "classes": {"4": [0.0]}}',
                     "class 4: record is not a JSON object"),
     "repr-rank": (_store_text(repr="svd-0"), "class 4: 'repr' must be 'full' or 'svd-<k>'"),

@@ -106,7 +106,8 @@ BAD_OVERRIDES = [
     "model=3", "attack.alpha=NaN", "loss.lambda_kd=Infinity",
     'model.hidden=[2, "x"]', "model.hidden=[1.5]", "model.hidden=[true]",
     "shrinkage.grid=[-5]", "shrinkage.grid=[1e400]", "shrinkage.grid=[true]",
-    "shrinkage.grid=[]", "shrinkage.grid=8", 'classifiers="ncm"', "classifiers=[1]",
+    "shrinkage.grid=[]", "shrinkage.grid=8", "shrinkage.grid=[8,8]", 'classifiers="ncm"',
+    "classifiers=[1]",
 ]
 
 
@@ -697,7 +698,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
         assert f"error: {store_path}" in capsys.readouterr().err
     (tmp_path / "config-not-json.json").write_text('{"tasks": ')
     (tmp_path / "config-list.json").write_text('[{"tasks": {"count": 2}}]')
-    for name in ("config-missing.json", "config-not-json.json", "config-list.json"):
+    (tmp_path / "config-repeated.json").write_text('{"tasks": {"count": 2, "count": 4}}')
+    for name in ("config-missing.json", "config-not-json.json", "config-list.json",
+                 "config-repeated.json"):
         config_path = tmp_path / name
         assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
@@ -712,6 +715,27 @@ def test_cli_run_rejected_before_training_leaves_no_run_directory(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: stage 'dataset': {folder}: cannot read")
     assert cli.main(["run", "--set", "replay.k=100000", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: replay.k=100000 exceeds")
+    assert not out.exists()
+
+
+def test_cli_input_errors_exit_one_with_their_message(tmp_path, capsys):
+    """An override without ``=``, a warm stream of one task, and a train CSV
+    that is not UTF-8 each exit 1 with their message; none makes a run
+    directory."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--set", "foo", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: override 'foo' must look like key.path=value\n"
+    assert cli.main(["run", "--set", 'tasks.mode="warm"', "--set", "tasks.count=1",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset.n_classes=20, tasks.count=1, tasks.mode='warm': "
+        "warm start needs at least 2 tasks\n")
+    path = tmp_path / "train.csv"
+    path.write_bytes(b"label,f0\n1,\xff\n")
+    assert cli.main(["run", "--set", 'dataset.kind="csv"', "--set", f'dataset.train_path="{path}"',
+                     "--set", f'dataset.test_path="{path}"', "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: stage 'dataset': {path}: not a CSV text file ('utf-8' codec can't decode")
     assert not out.exists()
 
 

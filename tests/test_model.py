@@ -223,6 +223,8 @@ def _drop(*path):
 BAD_CHECKPOINTS = {
     "invalid-json": ('{"format_version": 1, "current": {', "not valid JSON"),
     "not-an-object": ("[1, 2]", "expected a JSON object"),
+    "repeated-key": ('{"format_version": 1, "format_version": 1}',
+                     "repeated key 'format_version'"),
     "missing-frozen": (_drop("frozen"), "missing key 'frozen'"),
     "missing-weights": (_drop("current", "extractor", "weights"),
                         "current.extractor: missing key 'weights'"),

@@ -8,7 +8,7 @@ from test_plain_forward import float32_copy
 from advreplay import data as D
 from advreplay import model as M
 from advreplay import replay as R
-from advreplay.errors import ConfigError, ContractError, NumericError
+from advreplay.errors import ConfigError, ContractError, DimensionError, NumericError
 from advreplay.tensor import Tensor
 
 IDENTITY_FAMILY = D.AugFamily(enabled=False)
@@ -362,6 +362,32 @@ def test_attack_config_validation():
         R.AttackConfig(alpha=0.0, n_attack=1)
     with pytest.raises(ConfigError):
         R.AttackConfig(alpha=1.0, n_attack=0)
+
+
+def _attack(x, targets):
+    return R.adversarial_attack(identity_extractor(2), np.array(x), np.array(targets),
+                                R.AttackConfig(1.0, 1))
+
+
+# a caller's replay inputs that break the contract: no prototypes, a
+# covariance of the wrong shape, and attack rows and targets that differ in
+# count, in rank, or in width from the features
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: R.build_candidate_set(identity_extractor(2), labeled(np.zeros((3, 2))), {}, k=1,
+                                   rng=np.random.default_rng(0)),
+     ContractError, "no prototypes to sample candidates for"),
+    (lambda: R.noise_magnitude({0: np.eye(3), 7: np.eye(2)}, 3),
+     ContractError, "class 7: covariance must be (3, 3)"),
+    (lambda: _attack([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]]),
+     ContractError, "attack expects matched (batch, input_dim) and (batch, d)"),
+    (lambda: _attack([1.0, 0.0], [0.0, 0.0]),
+     ContractError, "attack expects matched (batch, input_dim) and (batch, d)"),
+    (lambda: _attack([[1.0, 0.0]], [[0.0, 0.0, 0.0]]),
+     DimensionError, "attack: targets have width 3, features 2"),
+], ids=["no-prototypes", "covariance-shape", "attack-batch", "attack-rank", "target-width"])
+def test_replay_contract_errors_name_the_broken_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- the replay bank -------------------------------------------------------------

@@ -381,11 +381,11 @@ def test_run_task_is_deterministic():
     assert one_run() == one_run()
 
 
-def test_run_task_builds_the_pinned_bank_in_one_replay_call(monkeypatch):
-    """The task's replay bank, pinned from the per-row replay that the one
-    batched ``apply_policy`` call replaced: candidate sampling replays once
-    per old class for the distances and once for the bank, which it
-    returns, and training replays nothing."""
+def test_run_task_builds_the_pinned_bank_from_the_distance_replay(monkeypatch):
+    """The task's replay bank, pinned from the per-row replay that the
+    batched ``apply_policy`` calls replaced: candidate sampling replays the
+    task rows once per old class for the distances and gathers the bank
+    from those rows, and training replays nothing."""
     state, stream, _ = small_world(seed=8)
     stats = TR.compute_class_stats(state.extractor, stream.train[0])
     protos = {c: mu for c, (mu, _) in stats.items()}
@@ -402,7 +402,9 @@ def test_run_task_builds_the_pinned_bank_in_one_replay_call(monkeypatch):
     TR.run_task(state, stream.train[1], bank, centers, noise_r=0.3, loss_cfg=TR.LossConfig(),
                 optim_cfg=TR.OptimConfig(lr=0.02, epochs=1, batch_new=16),
                 attack_cfg=R.AttackConfig(alpha=1.0, n_attack=2), rng=np.random.default_rng(11))
-    assert len(replays) == len(protos) + 1 and replays[-1] is bank
+    assert len(replays) == len(protos)
+    for rows, replayed in zip(bank, replays):
+        assert all((row == replayed).all(axis=1).any() for row in rows)
     assert bank.shape == (2, 8, 6)
     assert hashlib.sha256(bank.tobytes()).hexdigest() == (
         "875c3e463750169d23d53d935a6b22e2de7369590b88205ca9b51acb8e861597")
